@@ -611,7 +611,8 @@ class InterprocIndex:
         """Per function: one representative blocking/network op reachable
         through non-spawn call edges (``None`` when none is).  Used by
         CONC004 to see through helpers like ``_propagate`` →
-        ``frames.request`` → ``socket.create_connection``.
+        ``frames.request`` → ``ConnectionPool.checkout`` →
+        ``socket.create_connection``.
         """
         result: dict[str, BlockingOp | None] = {}
         for qualname, info in self.functions.items():

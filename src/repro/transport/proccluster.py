@@ -16,6 +16,11 @@ system:
 
 ``kill(node)`` delivers a real signal (``SIGKILL`` by default) — the
 degrade-then-reconcile story of the dissertation on actual processes.
+
+The driver's connections to the workers are pooled by
+:func:`frames.request` and stay open between frames; ``kill``,
+``restart`` and ``close`` drop the idle sockets of the nodes they touch
+so no descriptor outlives the process it pointed at.
 """
 
 from __future__ import annotations
@@ -132,12 +137,16 @@ class ProcessCluster:
         process = self.processes[node]
         process.send_signal(sig)
         process.wait(timeout=10)
+        frames.close_idle(_HOST, self.ports[node])
 
     def restart(self, node: str) -> None:
         """Respawn a previously killed worker on its original port."""
         process = self.processes[node]
         if process.poll() is None:
             raise RuntimeError(f"worker {node!r} is still running")
+        # Sockets to the previous incarnation (it may have died without
+        # kill()) must not outlive it.
+        frames.close_idle(_HOST, self.ports[node])
         self._spawn(node)
         self.wait_ready([node])
 
@@ -155,6 +164,8 @@ class ProcessCluster:
                 except subprocess.TimeoutExpired:
                     process.kill()
                     process.wait(timeout=5)
+        for port in self.ports.values():
+            frames.close_idle(_HOST, port)
 
     def __enter__(self) -> "ProcessCluster":
         return self

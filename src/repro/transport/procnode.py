@@ -15,8 +15,17 @@ protocol from :mod:`repro.transport.frames`:
   replica is possibly stale", so the CCMgr degrades tradeable
   constraints to POSSIBLY_SATISFIED and persists accepted writes as
   consistency threats (§3.1) — exactly the sim/asyncio degradation path;
-* committed writes propagate best-effort as ``replica-update`` frames;
-  an unreachable peer simply misses updates until reconciliation;
+* every *state change* propagates best-effort as a ``replica-update``
+  frame: an invocation that leaves the object's version where it was (a
+  read, a write refused before it mutated) sends nothing, because a
+  receiver would drop a frame whose version did not grow anyway; an
+  unreachable peer simply misses updates until reconciliation;
+* peer connections are long-lived (pooled inside ``frames.request``).
+  A dead peer shows up as a stale idle socket followed by a refused
+  connect, or as an error/timeout mid-exchange — all of which mean
+  "unreachable" here; a request is never re-sent, so a forwarded write
+  is applied at most once.  Liveness is refreshed by every real write
+  and by the probe loop (``--probe-interval``), not by reads;
 * the driver (:mod:`repro.transport.proccluster`) reconciles by
   ``state-dump`` → merge → ``state-apply`` → ``revalidate``; the
   revalidation step re-checks every pending threat on merged state with
@@ -104,6 +113,8 @@ class WorkerNode:
         self._ops = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-ops")
         self._repl = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-repl")
         self._shutdown = asyncio.Event()
+        # Open inbound connections; touched on the event loop only.
+        self._inbound: set[asyncio.StreamWriter] = set()
         # Immutable snapshot served by handle_status on the event loop;
         # rebuilt (never mutated) by _publish_status_locked under _mutex
         # after every state change the status answer can observe.
@@ -148,9 +159,13 @@ class WorkerNode:
         """Record peer liveness: copy-on-write rebuild under the mutex.
 
         Taken *after* the network call returns, so the mutex is still
-        never held across a frame exchange.
+        never held across a frame exchange.  The common case — the peer
+        is as alive as it was — changes nothing the status snapshot
+        shows, so it rebuilds nothing.
         """
         with self._mutex:
+            if self.peer_up.get(peer) == up:
+                return
             self.peer_up = {**self.peer_up, peer: up}
             self._publish_status_locked()
 
@@ -203,10 +218,11 @@ class WorkerNode:
         ref = self._ref(payload)
         try:
             with self._mutex:
+                entity = self._entity(ref)
+                version_before = entity.version
                 result = self.cluster.invoke(
                     self.name, ref, payload["method"], *payload.get("args", [])
                 )
-                entity = self._entity(ref)
                 state, version = entity.state(), entity.version
         except (ConstraintViolated, ConsistencyThreatRejected) as exc:
             return {
@@ -215,7 +231,10 @@ class WorkerNode:
                 "message": str(exc),
                 "served_by": self.name,
             }
-        self._propagate("replica-update", ref, state, version)
+        if version != version_before:
+            # Receivers apply an update only when its version grew, so an
+            # unchanged version (a read) has nothing to tell them.
+            self._propagate("replica-update", ref, state, version)
         with self._mutex:
             # Degradation state and the threat count must come from one
             # coherent view — reading them outside the mutex could pair a
@@ -436,6 +455,7 @@ class WorkerNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         loop = asyncio.get_running_loop()
+        self._inbound.add(writer)
         try:
             while True:
                 try:
@@ -474,6 +494,7 @@ class WorkerNode:
                             reply = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
                 await frames.async_write_frame(writer, reply)
         finally:
+            self._inbound.discard(writer)
             writer.close()
 
     async def serve(self, probe_interval: float = 0.5) -> None:
@@ -485,6 +506,11 @@ class WorkerNode:
         finally:
             probe.cancel()
             server.close()
+            # Peers and the driver keep their connections open between
+            # frames; since Python 3.12 wait_closed() waits for every one
+            # of them, so hang up first.
+            for writer in list(self._inbound):
+                writer.close()
             await server.wait_closed()
             self._ops.shutdown(wait=False)
             self._repl.shutdown(wait=False)

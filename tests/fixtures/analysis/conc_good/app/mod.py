@@ -56,3 +56,30 @@ class Disciplined:
     def dial(self, host):
         conn = socket.create_connection((host, 9))
         conn.shutdown(0)
+
+
+class Pool:
+    """Checkout/checkin: the lock covers the idle list, never the I/O."""
+
+    def __init__(self):
+        self._pool_lock = threading.Lock()
+        self._idle = []  # guarded-by: _pool_lock
+
+    def checkout(self, host):
+        with self._pool_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = socket.create_connection((host, 9))  # lock released
+        return conn
+
+    def checkin(self, conn):
+        with self._pool_lock:
+            self._idle.append(conn)
+
+
+_POOL = Pool()
+
+
+def exchange(host):
+    conn = _POOL.checkout(host)
+    _POOL.checkin(conn)

@@ -14,6 +14,7 @@ from repro.analysis.engine import load_project
 from repro.analysis.interproc import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
+SRC_REPRO = Path(__file__).parents[1] / "src" / "repro"
 
 
 def index_of(fixture: str):
@@ -167,6 +168,23 @@ class TestDerivedFacts:
         blocking = index.transitive_blocking()
         op = blocking["app/mod.py::Sender._dial"]
         assert op is not None and op.is_network
+
+    def test_transitive_blocking_sees_through_a_connection_pool(self):
+        # The shape of transport.frames: request() never touches a socket
+        # constructor itself, it checks one out of a module-level pool.
+        index = index_of("conc_good")
+        blocking = index.transitive_blocking()
+        op = blocking["app/mod.py::exchange"]
+        assert op is not None and op.is_network
+        assert op.desc == "socket create_connection()" and not op.held
+        assert index.guarded["_idle"][0].lock == "_pool_lock"
+
+    def test_frames_request_is_still_a_network_op(self):
+        # CONC004 on procnode/proccluster depends on this chain:
+        # frames.request -> ConnectionPool.checkout -> create_connection.
+        index = analyze(load_project(SRC_REPRO))
+        op = index.transitive_blocking()["transport/frames.py::request"]
+        assert op is not None and op.is_network and not op.held
 
     def test_clean_tree_has_no_acquisition_cycle(self):
         index = index_of("conc_good")

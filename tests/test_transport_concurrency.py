@@ -157,3 +157,14 @@ class TestWorkerNodeStatus:
         assert worker.staleness.flag is False
         status = worker.handle_status({"kind": "status"})
         assert status["temp_primary"] is False
+
+    def test_unchanged_liveness_rebuilds_nothing(self):
+        worker = WorkerNode("b", port=0, peers={"a": ("127.0.0.1", 1)}, primary="a")
+        peer_up, published = worker.peer_up, worker._published
+        worker._set_peer_up("a", True)  # already believed up
+        assert worker.peer_up is peer_up and worker._published is published
+
+        worker._set_peer_up("a", False)
+        assert worker.peer_up == {"a": False} and worker.peer_up is not peer_up
+        assert worker.handle_status({"kind": "status"})["peer_up"] == {"a": False}
+        assert peer_up == {"a": True}, "copy-on-write: old snapshots never mutate"

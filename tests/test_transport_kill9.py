@@ -11,6 +11,13 @@ dissertation's availability story on actual OS processes:
   constraints on possibly-stale replicas);
 * after the primary restarts, driver-coordinated reconciliation merges
   the replicas, revalidates the threats, and every worker converges.
+
+Connections between driver and workers are pooled and long-lived, and
+only state changes propagate; the second half of this file pins what
+that must not change: a respawned primary is reached on fresh sockets,
+an acknowledged write is neither lost nor doubled across the kill, reads
+send no replica traffic while writes still reach every replica, and
+shutdown does not wait for idle connections.
 """
 
 import signal
@@ -21,6 +28,7 @@ import pytest
 
 from repro.transport import frames
 from repro.transport.proccluster import ProcessCluster
+from repro.transport.procnode import WorkerNode
 
 FLIGHT = ("Flight", "K9")
 
@@ -102,3 +110,122 @@ def test_kill9_replica_keeps_primary_healthy(cluster):
     cluster.reconcile()
     states = cluster.states(*FLIGHT)
     assert states["c"]["sold"] == states["a"]["sold"] == 72
+
+
+# ----------------------------------------------------------------------
+# pooled connections and propagation elision
+# ----------------------------------------------------------------------
+@pytest.fixture
+def quiet_cluster():
+    """Probe loop effectively off: after the start-up round only client
+    requests touch the workers' pooled peer sockets, so a socket to a
+    killed peer is still pooled when the next forward needs it."""
+    with ProcessCluster(("a", "b", "c"), primary="a", probe_interval=60.0) as cluster:
+        cluster.create("a", *FLIGHT, {"flight_number": "K9", "seats": 80, "sold": 70})
+        yield cluster
+
+
+def versions(cluster: ProcessCluster) -> dict[str, int]:
+    key = "|".join(FLIGHT)
+    return {
+        node: cluster.request(node, {"kind": "state-dump"})["objects"][key]["version"]
+        for node in cluster.node_ids
+    }
+
+
+def test_respawned_primary_is_reached_and_acknowledged_write_counts_once(quiet_cluster):
+    cluster = quiet_cluster
+    # Acknowledged before the kill; leaves c holding a pooled socket to a.
+    ack = cluster.invoke("c", *FLIGHT, "sell_tickets", 5)
+    assert ack["ok"] and ack["served_by"] == "a" and ack["forwarded_by"] == "c"
+    baseline = ack["result"]
+    assert baseline == 75
+
+    cluster.kill("a", signal.SIGKILL)
+    # Degraded traffic enters at b, so c never dials the dead primary and
+    # its socket to the old incarnation stays pooled.
+    degraded = cluster.invoke("b", *FLIGHT, "sell_tickets", 3)
+    assert degraded["ok"] and degraded["served_by"] == "b" and degraded["threats"] >= 1
+
+    cluster.restart("a")
+    report = cluster.reconcile(additive={"Flight|K9": {"sold": baseline}})
+    assert set(report["participants"]) == {"a", "b", "c"}
+    states = cluster.states(*FLIGHT)
+    # The 5 the dead primary acknowledged are neither lost nor doubled.
+    assert {node: state["sold"] for node, state in states.items()} == {
+        "a": 78, "b": 78, "c": 78,
+    }
+
+    # c must notice the stale socket *before* writing, connect to the new
+    # incarnation and forward — not mistake it for a dead primary.
+    forwarded = cluster.invoke("c", *FLIGHT, "sell_tickets", 1)
+    assert forwarded["ok"] and forwarded["result"] == 79
+    assert forwarded["served_by"] == "a" and forwarded["forwarded_by"] == "c"
+    assert forwarded["threats"] == 0
+    status = cluster.status("c")
+    assert status["peer_up"]["a"] and not status["temp_primary"]
+    states = cluster.states(*FLIGHT)
+    assert {state["sold"] for state in states.values()} == {79}
+
+
+def test_reads_leave_replicas_alone_and_writes_reach_all(cluster):
+    before = versions(cluster)
+    assert len(set(before.values())) == 1
+    for node in ("a", "b", "c"):
+        reply = cluster.invoke(node, *FLIGHT, "get_sold")
+        assert reply["ok"] and reply["result"] == 70 and reply["served_by"] == "a"
+    assert versions(cluster) == before
+
+    reply = cluster.invoke("c", *FLIGHT, "sell_tickets", 2)
+    assert reply["ok"] and reply["result"] == 72
+    after = versions(cluster)
+    assert len(set(after.values())) == 1, f"replicas diverged: {after}"
+    assert after["a"] > before["a"]
+    assert {state["sold"] for state in cluster.states(*FLIGHT).values()} == {72}
+
+
+def test_only_state_changes_propagate(monkeypatch):
+    sent: list[tuple[str, int]] = []
+    monkeypatch.setattr(
+        WorkerNode,
+        "_propagate",
+        lambda self, kind, ref, state, version: sent.append((kind, version)),
+    )
+    worker = WorkerNode("a", port=0, peers={})
+    worker.handle_create(
+        {"cls": "Flight", "oid": "K9", "attrs": {"flight_number": "K9", "seats": 80, "sold": 70}}
+    )
+    assert [kind for kind, _ in sent] == ["replica-create"]
+    invoke = {"kind": "invoke", "cls": "Flight", "oid": "K9"}
+
+    read = worker.handle_invoke({**invoke, "method": "get_sold"})
+    assert read["ok"] and read["result"] == 70
+    refused = worker.handle_invoke({**invoke, "method": "sell_tickets", "args": [50]})
+    assert refused["error"] == "ConstraintViolated"
+    assert len(sent) == 1, "a read and a refused write changed nothing to propagate"
+
+    write = worker.handle_invoke({**invoke, "method": "sell_tickets", "args": [4]})
+    assert write["ok"] and write["result"] == 74
+    assert [kind for kind, _ in sent] == ["replica-create", "replica-update"]
+    assert sent[1][1] > sent[0][1], "the propagated version must have grown"
+
+
+def test_close_does_not_wait_for_idle_connections():
+    cluster = ProcessCluster(("a", "b", "c"), primary="a")
+    try:
+        cluster.create("a", *FLIGHT, {"flight_number": "K9", "seats": 80, "sold": 70})
+        # Warm every pooled link: driver→each worker, forwards to a,
+        # a's propagation to b and c, and the probe loop's pings.
+        for node in ("a", "b", "c"):
+            assert cluster.invoke(node, *FLIGHT, "sell_tickets", 1)["ok"]
+    finally:
+        started = time.monotonic()
+        cluster.close()
+        elapsed = time.monotonic() - started
+    codes = {node: process.returncode for node, process in cluster.processes.items()}
+    assert codes == {"a": 0, "b": 0, "c": 0}, f"kill fallback was needed: {codes}"
+    assert elapsed < 1.5, f"close() took {elapsed:.2f}s"
+    pool = frames._POOL
+    with pool._pool_lock:
+        leaked = [key for key in pool._idle if key[1] in cluster.ports.values()]
+    assert leaked == [], "the driver must not keep sockets to closed workers"
