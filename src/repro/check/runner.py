@@ -25,6 +25,7 @@ from ..core import (
     ConstraintViolated,
     OperationShedded,
 )
+from ..faults.resilience import CircuitOpenError
 from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..obs import Observability
 from ..replication import WriteAccessDenied
@@ -39,6 +40,7 @@ BLOCKING_ERRORS = (
     UnreachableError,
     NodeCrashedError,
     DeadlineExceededError,
+    CircuitOpenError,
     WriteAccessDenied,
     ConsistencyThreatRejected,
     ConstraintViolated,
@@ -79,44 +81,40 @@ class RunResult:
         return tuple(decision.chosen for decision in self.decisions)
 
 
-class _OpDriver:
-    """Fires scenario ops inside scheduler events and tallies outcomes."""
+class OpDriver:
+    """Fires a scenario's ops inside scheduler events and tallies outcomes
+    (shared by the model checker and the chaos replayer)."""
 
-    def __init__(
-        self,
-        cluster: Any,
-        refs: tuple[Any, ...],
-        probe: RunProbe,
-        scenario: Scenario | None = None,
-    ) -> None:
+    def __init__(self, cluster: Any, refs: tuple[Any, ...]) -> None:
         self.cluster = cluster
         self.refs = refs
-        self.probe = probe
-        self.scenario = scenario
         self.attempted = 0
         self.served = 0
         self.blocked = 0
+        self.errors: dict[str, int] = {}  # blocked ops per error class
+        self.samples: list[tuple[float, bool]] = []  # (op.at, served)
+        # Mid-run reconciliation reports and the handler each one used.
+        self.reconciliations: list[Any] = []
+        self.constraint_handlers: list[Any] = []
         self._handler = AcceptAllHandler()
 
-    def install(self, ops: tuple[Op, ...], start: float) -> None:
+    def install(self, scenario: Scenario, start: float) -> None:
         # Scenario times are relative to the end of cluster construction
         # (building charges simulated cost, so absolute zero is long gone).
-        for op in ops:
+        for op in scenario.ops:
             self.cluster.scheduler.schedule_at(
-                start + op.at, self._fire, op, label=op.label()
+                start + op.at, self._fire, scenario, op, label=op.label()
             )
+        scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
-    def _fire(self, op: Op) -> None:
+    def _fire(self, scenario: Scenario, op: Op) -> None:
         self.attempted += 1
         try:
             if op.kind == "reconcile":
-                handler = (
-                    self.scenario.reconcile_handler(self.cluster)
-                    if self.scenario is not None
-                    else None
-                )
-                self.probe.just_reconciled = self.cluster.reconcile(
-                    constraint_handler=handler
+                handler = scenario.reconcile_handler(self.cluster)
+                self.constraint_handlers.append(handler)
+                self.reconciliations.append(
+                    self.cluster.reconcile(constraint_handler=handler)
                 )
             else:
                 self.cluster.invoke(
@@ -126,10 +124,14 @@ class _OpDriver:
                     *op.args,
                     negotiation_handler=self._handler,
                 )
-        except BLOCKING_ERRORS:
+        except BLOCKING_ERRORS as exc:
             self.blocked += 1
+            name = type(exc).__name__
+            self.errors[name] = self.errors.get(name, 0) + 1
+            self.samples.append((op.at, False))
         else:
             self.served += 1
+            self.samples.append((op.at, True))
 
 
 @contextlib.contextmanager
@@ -163,10 +165,8 @@ def run_schedule(
     m_violations = obs.registry.counter("check_violations_total", "invariant violations found")
 
     probe = RunProbe(cluster=cluster, refs=refs)
-    driver = _OpDriver(cluster, refs, probe, scenario)
-    start = cluster.clock.now
-    driver.install(scenario.ops, start)
-    scenario.shifted_fault_schedule(start).install(cluster.network)
+    driver = OpDriver(cluster, refs)
+    driver.install(scenario, cluster.clock.now)
 
     policy.begin_run()
     registry.begin_run()
@@ -179,9 +179,11 @@ def run_schedule(
             while True:
                 probe.delivered_before = cluster.network.delivered_count
                 probe.topology_before = cluster.network.topology_version
-                probe.just_reconciled = None
+                reconciled = len(driver.reconciliations)
                 if scheduler.step() is None:
                     break
+                fresh = driver.reconciliations[reconciled:]
+                probe.just_reconciled = fresh[0] if fresh else None
                 steps += 1
                 probe.step = steps
                 violations = registry.evaluate(probe)

@@ -243,19 +243,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        params = dict(data.get("params", {}))
-        # Legacy (pre-corpus) scenario JSON: flight count and seat knob
-        # lived at the top level.
-        if "seats" in data:
-            params.setdefault("seats", data["seats"])
-        entities = data.get("entities", data.get("flights", 2))
         return cls(
             name=data["name"],
             domain=data.get("domain", "flight_booking"),
             node_ids=tuple(data["node_ids"]),
-            entities=entities,
+            entities=data.get("entities", 2),
             protocol=data.get("protocol", "p4"),
-            params=params,
+            params=dict(data.get("params", {})),
             ops=tuple(Op.from_dict(op) for op in data["ops"]),
             fault_events=tuple(
                 (at, action, _freeze_args(action, args))

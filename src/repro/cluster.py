@@ -94,12 +94,11 @@ class ClusterConfig:
     enable_replication: bool = True
     protocol: str | ReplicationProtocol = "p4"
     threat_policy: ThreatStoragePolicy = ThreatStoragePolicy.IDENTICAL_ONCE
-    # Use the optimized (caching) constraint repository by default.
-    caching_repository: bool = True
-    # Repository lookup strategy: "linear", "cached", or "compiled"
-    # (the throughput-engine dispatch table).  ``None`` derives the kind
-    # from ``caching_repository`` for backwards compatibility.
-    repository: str | None = None
+    # Repository lookup strategy: "linear" (search per query), "cached"
+    # (the optimized §2.2.1 repository) or "compiled" (the
+    # throughput-engine dispatch table).  The CCMgr drives all three
+    # through the same ``method_dispatch`` query.
+    repository: str = "cached"
     # Batch write propagation: coalesce the replica-update multicasts of
     # one transaction into a single batched round with per-entry acks.
     batch_updates: bool = False
@@ -165,8 +164,6 @@ class DedisysCluster:
         # application, §5.3); threat stores are per node and replicated.
         charge = next(iter(self.nodes.values())).persistence.charge
         kind = self.config.repository
-        if kind is None:
-            kind = "cached" if self.config.caching_repository else "linear"
         if kind == "compiled":
             self.repository: ConstraintRepository = CompiledConstraintRepository(
                 charge=charge, obs=self.obs

@@ -2,8 +2,10 @@
 
 The CCMgr is the new middleware service introduced for balancing integrity
 and availability.  It is notified by the invocation service before and
-after method invocations, looks up affected preconditions, postconditions
-and invariants in the constraint repository, and triggers their validation.
+after method invocations, asks the constraint repository for the method's
+:class:`~repro.core.repository.MethodDispatch` — its one query, the same
+for every repository strategy — reads the affected preconditions,
+postconditions and invariants off it, and triggers their validation.
 It registers as a transactional resource so soft constraints are validated
 at transaction commit and any violation (or rejected threat) marks the
 transaction rollback-only.
@@ -176,24 +178,14 @@ class ConstraintConsistencyManager:
         tx = self._current_tx()
         class_name = invocation.ref.class_name
         method = invocation.method_name
-        # A compiled repository answers all constraint types with one
-        # dispatch lookup; the other repository kinds keep their historical
-        # per-type queries (and per-query charges).
         dispatch = self.repository.method_dispatch(class_name, method)
         if self.shed_tradeable_writes:
             self._maybe_shed(invocation, tx, dispatch)
         # Preconditions: bound to and checked before the invocation (§1.6).
         # They share one validation context — none of them snapshots @pre
         # state — so it is built once per invocation, not per registration.
-        pre_registrations = (
-            dispatch.preconditions
-            if dispatch is not None
-            else self.repository.affected_constraints(
-                class_name, method, ConstraintType.PRECONDITION
-            )
-        )
         pre_ctx: ConstraintValidationContext | None = None
-        for registration in pre_registrations:
+        for registration in dispatch.registrations(ConstraintType.PRECONDITION):
             if pre_ctx is None:
                 pre_ctx = self._method_context(invocation, entity)
             outcome = self._validate(registration, pre_ctx, entity)
@@ -202,14 +194,7 @@ class ConstraintConsistencyManager:
         # lands in the context's scratch space, so these contexts stay
         # per-registration.
         post_contexts: list[tuple[ConstraintRegistration, ConstraintValidationContext]] = []
-        post_registrations = (
-            dispatch.postconditions
-            if dispatch is not None
-            else self.repository.affected_constraints(
-                class_name, method, ConstraintType.POSTCONDITION
-            )
-        )
-        for registration in post_registrations:
+        for registration in dispatch.registrations(ConstraintType.POSTCONDITION):
             ctx = self._method_context(invocation, entity)
             registration.constraint.before_method_invocation(ctx)
             post_contexts.append((registration, ctx))
@@ -229,35 +214,14 @@ class ConstraintConsistencyManager:
             outcome = self._validate(registration, ctx, entity)
             self._handle_outcome(registration, outcome, ctx, tx)
         # Hard invariants: checked at the end of the operation (§1.6).
-        hard_registrations = (
-            dispatch.hard_invariants
-            if dispatch is not None
-            else self.repository.affected_constraints(
-                class_name, method, ConstraintType.INVARIANT_HARD
-            )
-        )
-        for registration in hard_registrations:
+        for registration in dispatch.registrations(ConstraintType.INVARIANT_HARD):
             self._check_invariant(registration, invocation, entity, tx)
         # Soft invariants: deferred to the end of the transaction [JQ92].
-        soft_registrations = (
-            dispatch.soft_invariants
-            if dispatch is not None
-            else self.repository.affected_constraints(
-                class_name, method, ConstraintType.INVARIANT_SOFT
-            )
-        )
-        for registration in soft_registrations:
+        for registration in dispatch.registrations(ConstraintType.INVARIANT_SOFT):
             self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
         # Asynchronous invariants (§5.5.3): soft in a healthy system; in
         # degraded mode the threat is stored directly without validation.
-        async_registrations = (
-            dispatch.async_invariants
-            if dispatch is not None
-            else self.repository.affected_constraints(
-                class_name, method, ConstraintType.INVARIANT_ASYNC
-            )
-        )
-        for registration in async_registrations:
+        for registration in dispatch.registrations(ConstraintType.INVARIANT_ASYNC):
             if self.is_degraded() and self.config.async_skip_validation_in_degraded:
                 context_entity = self._prepare_context(registration, invocation, entity)
                 self._store_async_threat(registration, context_entity)
@@ -458,27 +422,17 @@ class ConstraintConsistencyManager:
         self,
         invocation: Invocation,
         tx: Transaction | None,
-        dispatch: "MethodDispatch | None" = None,
+        dispatch: MethodDispatch,
     ) -> None:
         """Refuse the invocation when load shedding is active and any
         affected constraint is tradeable (the op could only proceed by
         accumulating more threat backlog — exactly what shedding stops).
         Non-tradeable work passes through: critical constraints still
         guard it and reads carry no affected constraints at all."""
+        if not dispatch.any_tradeable():
+            return
         class_name = invocation.ref.class_name
         method = invocation.method_name
-        if dispatch is not None:
-            tradeable = dispatch.any_tradeable()
-        else:
-            tradeable = any(
-                registration.constraint.is_tradeable()
-                for constraint_type in ConstraintType
-                for registration in self.repository.affected_constraints(
-                    class_name, method, constraint_type
-                )
-            )
-        if not tradeable:
-            return
         if self.obs.enabled:
             self._m_shed.inc(method=f"{class_name}.{method}")
             self.obs.emit(

@@ -17,8 +17,16 @@ repository search dominates interception cost:
 * :class:`CompiledConstraintRepository` — the throughput-engine variant: a
   dispatch table precomputed on every registration change (via the §6.3
   ``on_change`` hook) groups each method's registrations by constraint
-  type, so the consistency manager's 5–6 per-invocation queries collapse
-  into one :meth:`~ConstraintRepository.method_dispatch` lookup.
+  type, so one lookup answers every constraint type.
+
+The consistency manager has one query, whatever the strategy:
+:meth:`~ConstraintRepository.method_dispatch` hands it a
+:class:`MethodDispatch` per notification and it asks that for the
+registrations of each constraint type.  ``affected_constraints`` is the
+per-type primitive underneath — the Chapter-2 study code calls it
+directly, and the linear and caching strategies answer a dispatch by
+calling it on demand, so every ``repository_search`` /
+``repository_lookup_cached`` charge lands where the manager asks.
 
 All three stay runtime-mutable: constraints can be added, removed, enabled
 and disabled at any time, and ``enabled``/tradeability are honoured at
@@ -28,7 +36,7 @@ picked up immediately.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import ensure_obs
 from .model import Constraint, ConstraintType
@@ -38,8 +46,10 @@ ChargeFn = Callable[[str], None]
 
 
 class MethodDispatch:
-    """Compiled dispatch entry for one ``(class_name, method_name)``.
+    """A repository's answer for one ``(class_name, method_name)``.
 
+    This is the precomputed form the compiled repository keeps in its
+    table; the other strategies subclass it with a query-on-demand view.
     Registrations are grouped by :class:`ConstraintType` at table-build
     time; ``enabled`` is evaluated at access time so a constraint toggled
     directly on the :class:`Constraint` object (bypassing the repository's
@@ -60,7 +70,7 @@ class MethodDispatch:
 
     def registrations(
         self, constraint_type: ConstraintType | None = None
-    ) -> tuple[ConstraintRegistration, ...]:
+    ) -> Sequence[ConstraintRegistration]:
         """The enabled registrations of one type (all types for ``None``)."""
         entries = self._all if constraint_type is None else self._by_type.get(
             constraint_type, ()
@@ -70,26 +80,6 @@ class MethodDispatch:
             for registration in entries
             if registration.constraint.enabled
         )
-
-    @property
-    def preconditions(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.PRECONDITION)
-
-    @property
-    def postconditions(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.POSTCONDITION)
-
-    @property
-    def hard_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_HARD)
-
-    @property
-    def soft_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_SOFT)
-
-    @property
-    def async_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_ASYNC)
 
     def any_tradeable(self) -> bool:
         """Whether any enabled affected constraint is currently tradeable.
@@ -111,6 +101,41 @@ class MethodDispatch:
 _EMPTY_DISPATCH = MethodDispatch(("", ""), {}, ())
 
 
+class _QueriedDispatch(MethodDispatch):
+    """Stateless view for repositories that answer per constraint type.
+
+    Every question becomes an ``affected_constraints`` query at the moment
+    it is asked, so the repository's per-query charges keep their order
+    and simulated instant.  It holds only the repository and the key and
+    therefore never needs invalidating.
+    """
+
+    __slots__ = ("_repository",)
+
+    def __init__(self, repository: "ConstraintRepository", key: tuple[str, str]) -> None:
+        self.key = key
+        self._repository = repository
+
+    def registrations(
+        self, constraint_type: ConstraintType | None = None
+    ) -> Sequence[ConstraintRegistration]:
+        class_name, method_name = self.key
+        return self._repository.affected_constraints(
+            class_name, method_name, constraint_type
+        )
+
+    def any_tradeable(self) -> bool:
+        # One query per type, stopping at the first tradeable hit.
+        return any(
+            registration.constraint.is_tradeable()
+            for constraint_type in ConstraintType
+            for registration in self.registrations(constraint_type)
+        )
+
+    def __len__(self) -> int:
+        return len(self._repository._search(*self.key, None, only_enabled=False))
+
+
 class ConstraintRepository:
     """Linear-search repository of constraint registrations."""
 
@@ -119,6 +144,7 @@ class ConstraintRepository:
         self._by_name: dict[str, ConstraintRegistration] = {}
         self._charge = charge
         self._listeners: list[Callable[[], None]] = []
+        self._views: dict[tuple[str, str], MethodDispatch] = {}
 
     def on_change(self, listener: Callable[[], None]) -> None:
         """Register a callback fired whenever the registration set or an
@@ -196,15 +222,18 @@ class ConstraintRepository:
             self._charge("repository_search")
         return self._search(class_name, method_name, constraint_type)
 
-    def method_dispatch(self, class_name: str, method_name: str) -> MethodDispatch | None:
-        """Compiled per-method dispatch entry, or ``None`` when this
-        repository kind answers queries per constraint type instead.
+    def method_dispatch(self, class_name: str, method_name: str) -> MethodDispatch:
+        """The consistency manager's one query: everything registered for
+        an invocation of the given method, grouped by constraint type.
 
-        The consistency manager probes this once per notification; a
-        non-``None`` result replaces its 5–6 ``affected_constraints``
-        queries with the precomputed grouping.
+        This strategy (and the caching one) hands out one memoised view
+        per method that runs ``affected_constraints`` per question.
         """
-        return None
+        key = (class_name, method_name)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = _QueriedDispatch(self, key)
+        return view
 
     def invariants(self) -> list[ConstraintRegistration]:
         """All enabled invariant constraints (reconciliation uses these)."""
@@ -333,15 +362,9 @@ class CompiledConstraintRepository(ConstraintRepository):
         method_name: str,
         constraint_type: ConstraintType | None = None,
     ) -> list[ConstraintRegistration]:
-        if self._charge is not None:
-            self._charge("repository_dispatch")
-        table = self._table
-        if table is None:
-            table = self._rebuild()
-        entry = table.get((class_name, method_name))
-        if entry is None:
-            return []
-        return list(entry.registrations(constraint_type))
+        return list(
+            self.method_dispatch(class_name, method_name).registrations(constraint_type)
+        )
 
     def _invalidate(self) -> None:
         self._table = None

@@ -35,37 +35,18 @@ from typing import Any
 
 from ..core import (
     AcceptAllHandler,
-    ConsistencyThreatRejected,
     ConstraintPriority,
-    ConstraintViolated,
-    OperationShedded,
     PredicateConstraint,
     SatisfactionDegree,
 )
 from ..core.metadata import AffectedMethod, ConstraintRegistration
 from ..core.system_mode import SystemMode
-from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..objects import Entity
 from ..obs import Observability
-from ..replication import WriteAccessDenied
-from ..tx import TransactionRolledBack
 from .injector import FaultInjector
 from .models import GilbertElliottLoss
-from .resilience import CircuitOpenError, ResilienceConfig
+from .resilience import ResilienceConfig
 from .schedule import FaultSchedule
-
-# Errors that count as a blocked (but handled) operation.
-_BLOCKING_ERRORS = (
-    UnreachableError,
-    NodeCrashedError,
-    DeadlineExceededError,
-    CircuitOpenError,
-    WriteAccessDenied,
-    ConsistencyThreatRejected,
-    ConstraintViolated,
-    OperationShedded,
-    TransactionRolledBack,
-)
 
 
 class ChaosRecord(Entity):
@@ -315,6 +296,9 @@ class ChaosRunner:
         committed: dict[Any, set[int]],
         report: ChaosReport,
     ) -> None:
+        # Imported here for the same reason as the cluster in ``run``.
+        from ..check.runner import BLOCKING_ERRORS
+
         cfg = self.config
         node_ids = list(cluster.nodes)
         handler = AcceptAllHandler()
@@ -338,7 +322,7 @@ class ChaosRunner:
                         value_counter,
                         negotiation_handler=handler,
                     )
-            except _BLOCKING_ERRORS as exc:
+            except BLOCKING_ERRORS as exc:
                 report.blocked += 1
                 name = type(exc).__name__
                 report.errors[name] = report.errors.get(name, 0) + 1
@@ -593,49 +577,31 @@ def replay_scenario(
     """Replay one :class:`~repro.check.scenario.Scenario` under chaos rules.
 
     The same scenario JSON the model checker explores runs here as a
-    single FIFO execution: ops fire as scheduler events, the fault script
-    installs on the network, and after a drain + heal + reconcile the
-    shared post-run invariants (convergence, threat accounting, recovery)
-    are evaluated.  The report carries a bucketed availability curve over
-    the op window — the per-domain series the corpus sweep records.
+    single FIFO execution through the checker's own op driver: ops fire
+    as scheduler events, the fault script installs on the network, and
+    after a drain + heal + reconcile the shared post-run invariants
+    (convergence, threat accounting, recovery) are evaluated.  The report
+    carries a bucketed availability curve over the op window — the
+    per-domain series the corpus sweep records.
     """
+    # Imported here: ``repro.check`` imports the cluster, which imports us.
+    from ..check.runner import OpDriver
+
     obs = obs if obs is not None else Observability()
     cluster, refs = scenario.build(obs)
-    start = cluster.clock.now
-    report = ReplayReport(scenario=scenario.name, domain=scenario.domain)
-    samples: list[tuple[float, bool]] = []
-    handler = AcceptAllHandler()
-
-    def fire(op: Any) -> None:
-        report.attempted += 1
-        try:
-            if op.kind == "reconcile":
-                mid_handler = scenario.reconcile_handler(cluster)
-                report.constraint_handlers.append(mid_handler)
-                report.reconciliations.append(
-                    cluster.reconcile(constraint_handler=mid_handler)
-                )
-            else:
-                cluster.invoke(
-                    op.node,
-                    refs[op.ref_index],
-                    op.method,
-                    *op.args,
-                    negotiation_handler=handler,
-                )
-        except _BLOCKING_ERRORS as exc:
-            report.blocked += 1
-            name = type(exc).__name__
-            report.errors[name] = report.errors.get(name, 0) + 1
-            samples.append((op.at, False))
-        else:
-            report.served += 1
-            samples.append((op.at, True))
-
-    for op in scenario.ops:
-        cluster.scheduler.schedule_at(start + op.at, fire, op, label=op.label())
-    scenario.shifted_fault_schedule(start).install(cluster.network)
+    driver = OpDriver(cluster, refs)
+    driver.install(scenario, cluster.clock.now)
     cluster.scheduler.drain()
+    report = ReplayReport(
+        scenario=scenario.name,
+        domain=scenario.domain,
+        attempted=driver.attempted,
+        served=driver.served,
+        blocked=driver.blocked,
+        errors=driver.errors,
+        reconciliations=driver.reconciliations,
+        constraint_handlers=driver.constraint_handlers,
+    )
 
     pre_identities = {
         identity
@@ -657,7 +623,7 @@ def replay_scenario(
     ]
     horizon = max((op.at for op in scenario.ops), default=0.0)
     report.availability_curve = _availability_curve(
-        samples, horizon, buckets, bucket_width=bucket_width
+        driver.samples, horizon, buckets, bucket_width=bucket_width
     )
 
     obs.emit(

@@ -155,6 +155,10 @@ class ReplicationManager:
     def is_replicated_class(self, class_name: str) -> bool:
         return class_name in self._replicated_classes
 
+    def replicated_classes(self) -> list[str]:
+        """Names of the replicated entity classes, sorted."""
+        return sorted(self._replicated_classes)
+
     def info(self, ref: ObjectRef) -> ReplicaInfo:
         if ref not in self._replicas:
             raise ObjectNotFound(ref)

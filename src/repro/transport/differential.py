@@ -72,7 +72,7 @@ def outcome_digest(cluster: DedisysCluster, extras: dict[str, Any]) -> dict[str,
     """
     states: dict[str, Any] = {}
     if cluster.replication is not None:
-        for class_name in sorted(cluster.replication._replicated_classes):
+        for class_name in cluster.replication.replicated_classes():
             for ref in cluster.replication.refs_of_class(class_name):
                 states[str(ref)] = {
                     str(node): state

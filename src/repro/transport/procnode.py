@@ -320,7 +320,7 @@ class WorkerNode:
         with self._mutex:
             replication = self.cluster.replication
             if replication is not None:
-                for class_name in sorted(replication._replicated_classes):
+                for class_name in replication.replicated_classes():
                     for ref in replication.refs_of_class(class_name):
                         entity = self._entity(ref)
                         objects[f"{ref.class_name}|{ref.oid}"] = {

@@ -6,14 +6,17 @@ from repro.core import (
     AcceptAllHandler,
     CCMInterceptor,
     CachingConstraintRepository,
+    CompiledConstraintRepository,
     ConsistencyThreatRejected,
     ConstraintConsistencyManager,
     ConstraintPriority,
+    ConstraintRepository,
     ConstraintScope,
     ConstraintType,
     ConstraintUncheckable,
     ConstraintViolated,
     Negotiator,
+    OperationShedded,
     PredicateConstraint,
     SatisfactionDegree,
     ThreatStore,
@@ -68,11 +71,13 @@ class FakeStaleness:
 
 
 class Harness:
-    def __init__(self, degraded=False, stale=False, negotiator=None):
+    def __init__(self, degraded=False, stale=False, negotiator=None, repository=None):
         self.txmgr = TransactionManager()
         self.node = Node("n1", SimClock(), CostModel(), CostLedger(), self.txmgr)
         self.node.container.deploy(Flight)
-        self.repository = CachingConstraintRepository()
+        self.repository = (
+            repository if repository is not None else CachingConstraintRepository()
+        )
         self.store = ThreatStore(self.node.persistence)
         self.ccmgr = ConstraintConsistencyManager(
             self.node,
@@ -375,3 +380,99 @@ class TestPartitionWeightExposure:
         harness.register(PredicateConstraint("WeightAware", validate))
         harness.invoke("sell", 1)
         assert seen == [(1.0, False)]
+
+
+PRE, POST, HARD, SOFT, ASYNC = ConstraintType
+REPOSITORY_KINDS = {
+    "linear": ConstraintRepository,
+    "cached": CachingConstraintRepository,
+    "compiled": CompiledConstraintRepository,
+}
+# Per kind: what one full invocation, a repeat of it, and a shed refusal
+# charge (the shed check stops at the first tradeable hit, a HARD one).
+EXPECTED_CHARGES = {
+    "linear": {
+        "first": ["repository_search"] * 5,
+        "repeat": ["repository_search"] * 5,
+        "shed": ["repository_search"] * 3,
+    },
+    "cached": {
+        "first": ["repository_search"] * 5,
+        "repeat": ["repository_lookup_cached"] * 5,
+        "shed": ["repository_lookup_cached"] * 3,
+    },
+    "compiled": {
+        "first": ["repository_dispatch"] * 2,
+        "repeat": ["repository_dispatch"] * 2,
+        "shed": ["repository_dispatch"],
+    },
+}
+
+
+class TestOneDispatchPathForEveryRepository:
+    """The CCMgr asks every repository kind the same question and gets
+    the same behaviour; only the charges differ, and they are pinned."""
+
+    @pytest.mark.parametrize("kind", sorted(REPOSITORY_KINDS))
+    def test_same_outcomes_and_pinned_charges(self, kind):
+        charges, queries = [], []
+        repository = REPOSITORY_KINDS[kind](charge=charges.append)
+        affected_constraints = repository.affected_constraints
+
+        def recording_query(class_name, method_name, constraint_type=None):
+            queries.append(constraint_type)
+            return affected_constraints(class_name, method_name, constraint_type)
+
+        repository.affected_constraints = recording_query
+        harness = Harness(repository=repository)
+        harness.register(
+            PredicateConstraint(
+                "PositiveCount",
+                lambda ctx: ctx.get_method_arguments()[0] > 0,
+                constraint_type=PRE,
+                # argument-only: stays reliable on stale data (§3.1)
+                scope=ConstraintScope.INTRA_OBJECT,
+            )
+        )
+        harness.register(ticket_constraint(priority=ConstraintPriority.RELAXABLE))
+
+        def step(*args, handler=None):
+            del charges[:], queries[:]
+            try:
+                result = harness.invoke("sell", *args, handler=handler)
+            except (ConstraintViolated, OperationShedded) as exc:
+                result = type(exc).__name__
+            return result, list(charges), list(queries)
+
+        per_type = [] if kind == "compiled" else [PRE, POST, HARD, SOFT, ASYNC]
+        # healthy write, first sight of the method, then a repeat
+        assert step(10) == (10, EXPECTED_CHARGES[kind]["first"], per_type)
+        assert step(5) == (15, EXPECTED_CHARGES[kind]["repeat"], per_type)
+        # refused writes: a precondition, then the hard invariant
+        assert step(-1)[0] == "ConstraintViolated"
+        assert step(100)[0] == "ConstraintViolated"
+        assert harness.flight.get_sold() == 15
+        # degraded write on stale data: the threat is negotiated and kept
+        harness.ccmgr.gms = FakeGms(visible=("n1",))
+        harness.ccmgr.staleness.stale = True
+        assert step(1, handler=AcceptAllHandler())[0] == 16
+        # load shedding refuses the same write before any validation
+        harness.ccmgr.shed_tradeable_writes = True
+        assert step(1, handler=AcceptAllHandler()) == (
+            "OperationShedded",
+            EXPECTED_CHARGES[kind]["shed"],
+            per_type[:3],
+        )
+        assert harness.flight.get_sold() == 16
+
+        assert harness.ccmgr.stats == {
+            "validations": 9,
+            "threats_detected": 1,
+            "threats_accepted": 1,
+            "threats_rejected": 0,
+            "violations": 2,
+        }
+        assert [
+            (threat.constraint_name, threat.context_ref, threat.degree)
+            for threat in harness.store.pending()
+        ] == [("Ticket", harness.flight.ref, SatisfactionDegree.POSSIBLY_SATISFIED)]

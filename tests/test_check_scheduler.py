@@ -17,8 +17,7 @@ import io
 import pytest
 
 from repro.check import FifoPolicy, LifoPolicy, single_partition_scenario
-from repro.check.invariants import RunProbe
-from repro.check.runner import _OpDriver
+from repro.check.runner import OpDriver
 from repro.obs import Observability
 from repro.sim.scheduler import OrderingPolicy, Scheduler
 
@@ -148,10 +147,7 @@ def drive_scenario(policy):
     obs = Observability()
     scenario = single_partition_scenario()
     cluster, refs = scenario.build(obs)
-    driver = _OpDriver(cluster, refs, RunProbe(cluster=cluster, refs=refs))
-    start = cluster.clock.now
-    driver.install(scenario.ops, start)
-    scenario.shifted_fault_schedule(start).install(cluster.network)
+    OpDriver(cluster, refs).install(scenario, cluster.clock.now)
     if policy is not None:
         policy.begin_run()
         cluster.scheduler.set_ordering_policy(policy)

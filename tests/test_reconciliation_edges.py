@@ -152,7 +152,7 @@ class TestReconcileWithCcmDisabled:
 class TestCachingDisabledCluster:
     def test_plain_repository_cluster_works(self):
         cluster = DedisysCluster(
-            ClusterConfig(node_ids=NODES, caching_repository=False)
+            ClusterConfig(node_ids=NODES, repository="linear")
         )
         cluster.deploy(Flight)
         cluster.register_constraint(ticket_constraint_registration())
@@ -161,6 +161,12 @@ class TestCachingDisabledCluster:
         # every lookup pays the full search cost
         assert cluster.ledger.counts.get("repository_search", 0) > 0
         assert cluster.ledger.counts.get("repository_lookup_cached", 0) == 0
+
+    def test_repository_is_the_only_knob(self):
+        with pytest.raises(ValueError, match="unknown repository kind 'bogus'"):
+            DedisysCluster(ClusterConfig(node_ids=NODES, repository="bogus"))
+        with pytest.raises(TypeError):
+            ClusterConfig(node_ids=NODES, caching_repository=False)
 
 
 class TestRollbackFallback:

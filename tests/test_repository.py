@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core import (
     CachingConstraintRepository,
     CompiledConstraintRepository,
+    ConstraintPriority,
     ConstraintRepository,
     ConstraintType,
     PredicateConstraint,
@@ -13,8 +14,16 @@ from repro.core import (
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
 
 
-def make_registration(name, cls="Flight", method="sell", ctype=ConstraintType.INVARIANT_HARD):
-    constraint = PredicateConstraint(name, lambda ctx: True, constraint_type=ctype)
+def make_registration(
+    name,
+    cls="Flight",
+    method="sell",
+    ctype=ConstraintType.INVARIANT_HARD,
+    priority=ConstraintPriority.CRITICAL,
+):
+    constraint = PredicateConstraint(
+        name, lambda ctx: True, constraint_type=ctype, priority=priority
+    )
     return ConstraintRegistration(constraint, (AffectedMethod(cls, method),))
 
 
@@ -224,3 +233,71 @@ def test_caching_repository_equivalent_to_plain(names, queries):
         caching_names = [m.name for m in caching.affected_constraints("Flight", method)]
         compiled_names = [m.name for m in compiled.affected_constraints("Flight", method)]
         assert plain_names == caching_names == compiled_names
+
+
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["m1", "m2", "m3"]),
+            st.sampled_from(list(ConstraintType)),
+            st.sampled_from(list(ConstraintPriority)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    toggles=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=11),
+            st.sampled_from(["disable", "enable", "direct-off", "direct-on", "query"]),
+        ),
+        max_size=12,
+    ),
+)
+def test_method_dispatch_agrees_across_repositories(specs, toggles):
+    """Property: every repository kind answers the consistency manager's
+    one query, and the answers agree with each other and with
+    ``affected_constraints`` for any registration set and toggle sequence
+    (through the repository, or directly on the constraint object)."""
+    repositories = [
+        ConstraintRepository(),
+        CachingConstraintRepository(),
+        CompiledConstraintRepository(),
+    ]
+
+    def check():
+        for method in ("m1", "m2", "m3", "unknown"):
+            dispatches = [r.method_dispatch("Flight", method) for r in repositories]
+            for ctype in (None,) + tuple(ConstraintType):
+                answers = [
+                    [reg.name for reg in dispatch.registrations(ctype)]
+                    for dispatch in dispatches
+                ] + [
+                    [reg.name for reg in r.affected_constraints("Flight", method, ctype)]
+                    for r in repositories
+                ]
+                assert all(answer == answers[0] for answer in answers), (method, ctype)
+            tradeable = [dispatch.any_tradeable() for dispatch in dispatches]
+            assert tradeable == [
+                any(
+                    reg.constraint.is_tradeable()
+                    for reg in repositories[0].affected_constraints("Flight", method)
+                )
+            ] * 3, method
+            assert len({len(dispatch) for dispatch in dispatches}) == 1
+
+    for repository in repositories:
+        for index, (method, ctype, priority) in enumerate(specs):
+            repository.register(
+                make_registration(f"c{index}", method=method, ctype=ctype, priority=priority)
+            )
+    check()
+    for index, action in toggles:
+        name = f"c{index % len(specs)}"
+        for repository in repositories:
+            if action == "disable":
+                repository.disable(name)
+            elif action == "enable":
+                repository.enable(name)
+            elif action != "query":
+                repository.by_name(name).constraint.enabled = action == "direct-on"
+        check()

@@ -62,11 +62,10 @@ class TestCompiledDispatch:
         compiled = CompiledConstraintRepository()
         populate(compiled)
         dispatch = compiled.method_dispatch("Flight", "sell")
-        assert [r.name for r in dispatch.preconditions] == ["sell-precondition"]
-        assert [r.name for r in dispatch.postconditions] == ["sell-postcondition"]
-        assert [r.name for r in dispatch.hard_invariants] == ["sell-invariant_hard"]
-        assert [r.name for r in dispatch.soft_invariants] == ["sell-invariant_soft"]
-        assert [r.name for r in dispatch.async_invariants] == ["sell-invariant_async"]
+        for ctype in ALL_TYPES:
+            assert [r.name for r in dispatch.registrations(ctype)] == [
+                f"sell-{ctype.name.lower()}"
+            ]
         assert len(dispatch) == len(ALL_TYPES)
 
     def test_unknown_method_yields_empty_dispatch(self):
@@ -76,9 +75,6 @@ class TestCompiledDispatch:
         assert len(dispatch) == 0
         assert dispatch.registrations() == ()
         assert not dispatch.any_tradeable()
-
-    def test_non_compiled_repositories_answer_none(self):
-        assert ConstraintRepository().method_dispatch("Flight", "sell") is None
 
     def test_register_invalidates_table(self):
         compiled = CompiledConstraintRepository()
