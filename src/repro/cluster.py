@@ -119,8 +119,9 @@ class ClusterConfig:
     fault_injector: FaultInjector | None = None
     # Execution substrate: ``"sim"`` (deterministic discrete-event
     # simulator, the default), ``"asyncio"`` (in-process wall-clock
-    # backend: node mailboxes on an event loop, real timers, real
-    # concurrency), or a ready :class:`~repro.transport.Transport`.
+    # backend: a worker-thread pool per node, real timers, real
+    # concurrency; the name is kept, there is no event loop), or a ready
+    # :class:`~repro.transport.Transport`.
     transport: "str | Transport" = "sim"
 
 
@@ -569,8 +570,9 @@ class DedisysCluster:
         """Release transport resources (threads, mailboxes, timers).
 
         A no-op on the sim backend; required on real backends, where the
-        transport owns an event loop and a timer thread.  Clusters are
-        also context managers: ``with DedisysCluster(cfg) as cluster: ...``.
+        transport owns the nodes' worker threads and a timer thread.
+        Clusters are also context managers: ``with DedisysCluster(cfg) as
+        cluster: ...``.
         """
         if self.adaptation is not None:
             stop = getattr(self.adaptation, "stop", None)

@@ -5,9 +5,9 @@ backends behind the :class:`Transport` seam:
 
 * ``"sim"`` — the historical deterministic discrete-event simulator
   (byte-identical traces, model checking, golden references);
-* ``"asyncio"`` — an in-process wall-clock backend where each node is an
-  asyncio task with a mailbox, handlers run on per-node executors, and
-  heartbeats/adaptation ticks are real timers.
+* ``"asyncio"`` — an in-process wall-clock backend where each node is a
+  pool of worker threads fed by a FIFO mailbox and heartbeats/adaptation
+  ticks are real timers (the name is kept; there is no event loop).
 
 ``repro.transport.procnode`` additionally runs one node per **OS
 process** speaking length-prefixed JSON frames over local TCP sockets —
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # lazy: keep asyncio machinery out of sim-only runs
+def __getattr__(name: str):  # lazy: keep the threaded backend out of sim-only runs
     if name == "AsyncioTransport":
         from .asyncio_backend import AsyncioTransport
 

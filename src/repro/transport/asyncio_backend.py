@@ -1,12 +1,17 @@
-"""In-process asyncio backend: real mailboxes, executors, and wall time.
+"""In-process threaded backend: a worker pool per node, and wall time.
 
-Each node runs as an **asyncio task** servicing a mailbox on a shared
-event loop (hosted in a daemon thread).  A ``send`` from a client thread
-or from another node's handler enqueues the message onto the destination
-mailbox and blocks on a future; the node task dispatches the handler into
-the node's thread-pool executor, so nested synchronous sends — the
-primary multicasting an update from inside a server-chain handler — run
-without ever blocking the loop.
+Each node is a small **thread pool** whose FIFO work queue is the node's
+mailbox.  A ``send`` from a client thread or from another node's handler
+submits the message to the destination's pool and blocks on the returned
+future; one of the destination's own threads runs the handler, so nested
+synchronous sends — the primary multicasting an update from inside a
+server-chain handler — re-enter a node on another of its workers (up to
+``_NODE_WORKERS`` deep).  That is two thread hand-offs per message:
+sender → node worker → sender.
+
+There is no event loop here.  ``asyncio`` in the module, class and
+``transport="asyncio"`` names is a kept identifier (callers, benchmark
+workloads and metric names are pinned to it), not a description.
 
 The failure model is the shared :class:`~repro.net.topology.Topology`:
 ``partition`` / ``crash_node`` / ``fail_link`` work exactly as on the
@@ -25,12 +30,11 @@ adaptation ticks) and OS scheduling; traces are real but not replayable.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from ..net import Message, NodeCrashedError, NodeId, UnreachableError
@@ -48,11 +52,9 @@ _MEMBER = "member"
 #: handler on A sending to B whose handler calls back into A).
 _NODE_WORKERS = 4
 
-_CLOSE = object()
-
 
 class AsyncioNetwork(Topology):
-    """Mailbox-per-node message substrate on a background event loop."""
+    """Mailbox-per-node message substrate: one worker pool per node."""
 
     def __init__(
         self,
@@ -75,8 +77,8 @@ class AsyncioNetwork(Topology):
         self._rng = random.Random(seed)  # guarded-by: _rng_lock
         self._rng_lock = threading.Lock()
         # Copy-on-write: mutators rebuild the whole two-level dict under
-        # the lock, so the loop thread can read a coherent snapshot
-        # without ever blocking on a lock (see _node_main).
+        # the lock, so member_nodes() can read a coherent snapshot without
+        # taking it.
         self._handlers: dict[str, dict[NodeId, Callable[[Message], Any]]] = {  # guarded-by: _handlers_lock
             _P2P: {},
             _MEMBER: {},
@@ -94,32 +96,16 @@ class AsyncioNetwork(Topology):
         self._m_link_bytes = self.obs.registry.counter(
             "net_link_bytes_total", "estimated payload bytes per directed link"
         )
-        # --- asyncio machinery -------------------------------------------
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-transport-loop", daemon=True
-        )
-        self._loop_thread.start()
+        # One pool per node: its FIFO work queue is the node's mailbox,
+        # its threads are the node (started lazily, on first delivery).
         self._executors: dict[NodeId, ThreadPoolExecutor] = {
             node: ThreadPoolExecutor(
                 max_workers=_NODE_WORKERS, thread_name_prefix=f"repro-node-{node}"
             )
             for node in self.nodes
         }
-        self._mailboxes: dict[NodeId, asyncio.Queue] = {}
-        self._node_tasks: list[asyncio.Task] = []
-        asyncio.run_coroutine_threadsafe(self._start_nodes(), self._loop).result(
-            timeout=self.request_timeout
-        )
         self._closed = False  # guarded-by: _close_lock
         self._close_lock = threading.Lock()
-
-    async def _start_nodes(self) -> None:
-        for node in self.nodes:
-            self._mailboxes[node] = asyncio.Queue()
-            self._node_tasks.append(
-                self._loop.create_task(self._node_main(node), name=f"node-{node}")
-            )
 
     # ------------------------------------------------------------------
     # handlers / fault injection (SimNetwork surface)
@@ -143,9 +129,10 @@ class AsyncioNetwork(Topology):
     ) -> None:
         """Rebuild the handler table copy-on-write (``None`` removes).
 
-        Members join and leave from handler threads while the loop thread
-        dispatches; replacing the outer dict wholesale means every reader
-        sees either the old or the new table, never a dict mid-mutation.
+        Members join and leave from handler threads while other nodes'
+        workers dispatch; replacing the outer dict wholesale means every
+        reader sees either the old or the new table, never a dict
+        mid-mutation.
         """
         with self._handlers_lock:
             updated = dict(self._handlers[ns])
@@ -174,7 +161,8 @@ class AsyncioNetwork(Topology):
     ) -> Any:
         """Deliver a message through the destination's mailbox and block
         for the handler result — same synchronous RPC contract as the
-        simulator, same error surface, but carried by the event loop."""
+        simulator, same error surface, but the handler runs on one of the
+        destination node's own threads."""
         return self._transmit(source, destination, kind, payload, _P2P)
 
     def deliver_member(
@@ -230,80 +218,51 @@ class AsyncioNetwork(Topology):
         return result
 
     def _post(self, message: Message, ns: str) -> Any:
-        """Enqueue onto the destination mailbox; block for the result.
+        """Queue onto the destination node's workers; block for the result.
 
-        The reply future is a thread-safe :class:`concurrent.futures.Future`
-        resolved from the destination's executor, so the sending thread —
-        a client thread or another node's handler — simply blocks on it.
+        Two thread hand-offs per message: sender → node worker, and the
+        worker's reply back.  The sending thread — a client thread or
+        another node's handler — blocks on the future ``submit`` returns.
         """
         # replint: ignore[CONC001] - lock-free flag read: a bool load is
-        # atomic under the GIL, and racing an in-flight close() can only
-        # turn into the timeout path below, which is already handled.
+        # atomic under the GIL, and a send that slips past an in-flight
+        # close() is refused or cancelled by the executor just below.
         if self._closed:
             raise RuntimeError("network is closed")
         with self._delivered_lock:
             self._delivered.append(message)
-        future: "Future[Any]" = Future()
-        self._loop.call_soon_threadsafe(
-            self._mailboxes[message.destination].put_nowait, (message, ns, future)
-        )
+        try:
+            future = self._executors[message.destination].submit(
+                self._dispatch, message, ns
+            )
+        except RuntimeError:
+            # The pool refuses work once close() has shut it down.
+            raise RuntimeError("network is closed") from None
         try:
             return future.result(timeout=self.request_timeout)
         except concurrent.futures.TimeoutError:
             # Indistinguishable from a lost message at the sender (§1.1).
             self._drop(message.source, message.destination, message.kind, "timeout")
             raise UnreachableError(message.source, message.destination) from None
+        except concurrent.futures.CancelledError:
+            # close() emptied the mailbox before a worker got to this one.
+            raise RuntimeError("network is closed") from None
 
-    async def _node_main(self, node: NodeId) -> None:
-        """The per-node asyncio task: drain the mailbox, dispatch handlers.
+    def _dispatch(self, message: Message, ns: str) -> Any:
+        """Run the destination's handler; executes on that node's worker.
 
-        Dispatch order is arrival order; execution happens in the node's
-        executor so a slow or nested handler never stalls the loop (or the
-        other nodes).
+        Whatever this raises reaches the blocked sender through the future.
         """
-        queue = self._mailboxes[node]
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            message, ns, future = item
-            if node in self._crashed:
-                # Crashed between enqueue and dispatch: the frame dies in
-                # the socket buffer, the sender sees an unreachable peer.
-                if not future.done():
-                    future.set_exception(
-                        UnreachableError(message.source, message.destination)
-                    )
-                continue
-            # replint: ignore[CONC001] - lock-free read on the event-loop
-            # thread: taking _handlers_lock here would trade a race for a
-            # loop stall; the copy-on-write table makes the read safe.
+        node = message.destination
+        if node in self._crashed:
+            # Crashed between enqueue and dispatch: the frame dies in the
+            # socket buffer, the sender sees an unreachable peer.
+            raise UnreachableError(message.source, node)
+        with self._handlers_lock:
             handler = self._handlers[ns].get(node)
-            if handler is None:
-                if not future.done():
-                    future.set_result(None)
-                continue
-            self._loop.create_task(
-                self._run_handler(node, handler, message, future)
-            )
-
-    async def _run_handler(
-        self,
-        node: NodeId,
-        handler: Callable[[Message], Any],
-        message: Message,
-        future: "Future[Any]",
-    ) -> None:
-        try:
-            result = await self._loop.run_in_executor(
-                self._executors[node], handler, message
-            )
-        except BaseException as exc:  # noqa: BLE001 - propagate to the sender
-            if not future.done():
-                future.set_exception(exc)
-        else:
-            if not future.done():
-                future.set_result(result)
+        if handler is None:
+            return None
+        return handler(message)
 
     # ------------------------------------------------------------------
     # introspection (SimNetwork surface)
@@ -332,23 +291,11 @@ class AsyncioNetwork(Topology):
             if self._closed:
                 return
             self._closed = True
-
-        async def _shutdown() -> None:
-            for node in self.nodes:
-                await self._mailboxes[node].put(_CLOSE)
-
-        asyncio.run_coroutine_threadsafe(_shutdown(), self._loop).result(timeout=5.0)
-        for task in self._node_tasks:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    asyncio.wait_for(asyncio.shield(task), timeout=1.0), self._loop
-                ).result(timeout=2.0)
-            except Exception:
-                pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=2.0)
+        # Running handlers finish and answer their senders; queued frames
+        # are cancelled (their senders get "network is closed"); the
+        # worker threads then exit on their own.
         for executor in self._executors.values():
-            executor.shutdown(wait=False)
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
         if self.obs.enabled:
@@ -431,7 +378,7 @@ class AsyncioGroupChannel:
 
 
 class AsyncioTransport(Transport):
-    """In-process wall-clock substrate: asyncio tasks + real timers."""
+    """In-process wall-clock substrate: per-node threads + real timers."""
 
     name = "asyncio"
     deterministic = False

@@ -10,7 +10,7 @@ adaptation) never talks to a concrete substrate.  Everything it needs from
   discrete-event queue, or real timers firing on a timer thread;
 * a **network** (a :class:`~repro.net.topology.Topology` subclass with
   ``send`` / ``register_handler``) — synchronous simulated delivery, or
-  per-node mailboxes serviced by asyncio tasks;
+  per-node mailboxes serviced by the node's own worker threads;
 * a **group channel** (view-synchronous multicast with per-recipient acks);
 * a **transaction guard** — a no-op on the single-threaded simulator, a
   re-entrant lock on backends where multiple client threads issue
