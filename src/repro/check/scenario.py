@@ -156,19 +156,12 @@ class Scenario:
         burst_loss = self.params.get("burst_loss")
         if burst_loss is not None:
             from ..faults.injector import FaultInjector
-            from ..faults.models import GilbertElliottLoss
 
-            loss = float(burst_loss)
-            injector = FaultInjector(seed=int(self.params.get("seed", 0)))
-            injector.set_default_model(
-                lambda: GilbertElliottLoss(
-                    p_good_to_bad=0.25 * loss / (0.6 - loss),
-                    p_bad_to_good=0.25,
-                    loss_good=0.0,
-                    loss_bad=0.6,
+            cluster.network.install_fault_injector(
+                FaultInjector.burst_loss(
+                    float(burst_loss), seed=int(self.params.get("seed", 0))
                 )
             )
-            cluster.network.install_fault_injector(injector)
         initial_actions = self.params.get("adapt_initial")
         if initial_actions:
             from ..adapt import AdaptationActuator

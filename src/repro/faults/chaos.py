@@ -44,7 +44,6 @@ from ..core.system_mode import SystemMode
 from ..objects import Entity
 from ..obs import Observability
 from .injector import FaultInjector
-from .models import GilbertElliottLoss
 from .resilience import ResilienceConfig
 from .schedule import FaultSchedule
 
@@ -169,19 +168,9 @@ class ChaosRunner:
         cluster.deploy(ChaosRecord)
         cluster.register_constraint(_chaos_constraint())
         if cfg.burst_loss is not None:
-            injector = FaultInjector(seed=cfg.seed)
-            loss = cfg.burst_loss
-            injector.set_default_model(
-                # p_good_to_bad tuned so the steady-state loss matches the
-                # requested rate at loss_bad=0.6, p_bad_to_good=0.25.
-                lambda: GilbertElliottLoss(
-                    p_good_to_bad=0.25 * loss / (0.6 - loss),
-                    p_bad_to_good=0.25,
-                    loss_good=0.0,
-                    loss_bad=0.6,
-                )
+            cluster.network.install_fault_injector(
+                FaultInjector.burst_loss(cfg.burst_loss, seed=cfg.seed)
             )
-            cluster.network.install_fault_injector(injector)
 
         refs = [
             cluster.create_entity(

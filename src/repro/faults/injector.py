@@ -1,11 +1,11 @@
-"""The fault injector plugged into :class:`~repro.net.network.SimNetwork`.
+"""The fault injector plugged into a :class:`~repro.net.network.Network`.
 
 One :class:`FaultInjector` owns the per-link fault models and their RNGs.
-Install it with :meth:`SimNetwork.install_fault_injector`; from then on
-every point-to-point ``send`` consults the injector after the binary
-reachability checks: the injector may drop the message (surfaced as
-``UnreachableError``, like the built-in uniform loss), add latency, or
-duplicate the delivery.
+Install it with :meth:`Network.install_fault_injector` — on any backend;
+from then on every point-to-point ``send`` consults the injector after
+the binary reachability checks (``Network._admit``): the injector may
+drop the message (surfaced as ``UnreachableError``, like the built-in
+uniform loss), add latency, or duplicate the delivery.
 
 Determinism: each directed link draws from its own
 ``random.Random(f"{seed}:{source}->{destination}")``.  String seeding
@@ -13,9 +13,9 @@ hashes via SHA-512, so the stream is stable across interpreter runs and
 independent of the order in which links first see traffic.
 
 Scope: the injector models *link*-level faults, so it applies to
-point-to-point sends only.  Group multicast (:class:`GroupChannel`)
-bypasses it — the Spread-style toolkit it models provides reliable
-delivery within the reachable membership.
+point-to-point sends only.  Group multicast (:class:`GroupChannel` and
+its per-backend subclasses) bypasses it — the Spread-style toolkit it
+models provides reliable delivery within the reachable membership.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from ..net.messages import NodeId
 from ..obs import ensure_obs
-from .models import PASS, FaultDecision, LinkFaultModel
+from .models import PASS, FaultDecision, GilbertElliottLoss, LinkFaultModel
 
 LinkKey = tuple[NodeId, NodeId]
 
@@ -42,6 +42,24 @@ class FaultInjector:
         self.decisions = 0
         self.injected = 0
         self.bind_obs(obs)
+
+    @classmethod
+    def burst_loss(cls, loss: float, seed: int = 0) -> "FaultInjector":
+        """Every link loses ``loss`` of its traffic in Gilbert–Elliott bursts.
+
+        ``p_good_to_bad`` is tuned so the steady-state loss matches the
+        requested rate at ``loss_bad=0.6``, ``p_bad_to_good=0.25``.
+        """
+        injector = cls(seed=seed)
+        injector.set_default_model(
+            lambda: GilbertElliottLoss(
+                p_good_to_bad=0.25 * loss / (0.6 - loss),
+                p_bad_to_good=0.25,
+                loss_good=0.0,
+                loss_bad=0.6,
+            )
+        )
+        return injector
 
     # ------------------------------------------------------------------
     # configuration
@@ -100,7 +118,7 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
-    # the hook SimNetwork calls
+    # the hook Network._admit calls
     # ------------------------------------------------------------------
     def on_send(
         self, source: NodeId, destination: NodeId, kind: str, payload: Any

@@ -1,4 +1,4 @@
-"""Per-link fault models pluggable into :meth:`SimNetwork.send`.
+"""Per-link fault models consulted on every network's point-to-point ``send``.
 
 The dissertation's failure model (§1.1) injects clean, binary failures:
 links fail, nodes crash, partitions split.  Real deployments additionally

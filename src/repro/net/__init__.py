@@ -16,13 +16,14 @@ from .messages import (
     UnreachableError,
 )
 from .multicast import GroupChannel
-from .network import SimNetwork
+from .network import Network, SimNetwork
 from .topology import Topology
 
 __all__ = [
     "DeadlineExceededError",
     "GroupChannel",
     "Message",
+    "Network",
     "NodeCrashedError",
     "NodeId",
     "RECONCILIATION_KINDS",

@@ -14,13 +14,18 @@ from typing import Any, Callable
 
 from ..sim import CostModel
 from .messages import Message, NodeCrashedError, NodeId
-from .network import SimNetwork, payload_size
+from .network import Network, payload_size
 
 
 class GroupChannel:
-    """View-synchronous multicast over the simulated network."""
+    """View-synchronous multicast over the simulated network.
 
-    def __init__(self, network: SimNetwork, group: str = "dedisys") -> None:
+    Reliable within the reachable membership: uniform loss and fault
+    injectors model *link* faults and are never consulted.  Other backends
+    subclass this, sharing the round prologue but not the delivery loop.
+    """
+
+    def __init__(self, network: Network, group: str = "dedisys") -> None:
         self.network = network
         self.group = group
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
@@ -72,14 +77,8 @@ class GroupChannel:
         departed member to be skipped (it neither receives the message nor
         appears in the returned replies).
         """
-        if self.network.is_crashed(source):
-            raise NodeCrashedError(source)
+        recipients = self._recipients(source)
         costs: CostModel = self.network.costs
-        recipients = [
-            node
-            for node in self.members
-            if node != source and self.network.reachable(source, node)
-        ]
         round_trips = 2 if await_acks else 1
         duration = round_trips * (
             costs.multicast_base + costs.multicast_per_node * len(recipients)
@@ -88,6 +87,37 @@ class GroupChannel:
             self.network.scheduler.clock.advance(
                 self.network.ledger.charge("multicast", duration)
             )
+        self._record_round(source, kind, payload, recipients, await_acks)
+        replies: dict[NodeId, Any] = {}
+        for node in recipients:
+            # Re-check membership per delivery: a handler earlier in the
+            # round may have made this member leave() the group.
+            handler = self._handlers.get(node)
+            if handler is None:
+                continue
+            message = Message(source, node, kind, payload)
+            replies[node] = handler(message)
+        return replies
+
+    def _recipients(self, source: NodeId) -> list[NodeId]:
+        """The round's recipient snapshot: every other reachable member."""
+        if self.network.is_crashed(source):
+            raise NodeCrashedError(source)
+        return [
+            node
+            for node in self.members
+            if node != source and self.network.reachable(source, node)
+        ]
+
+    def _record_round(
+        self,
+        source: NodeId,
+        kind: str,
+        payload: Any,
+        recipients: list[NodeId],
+        await_acks: bool,
+    ) -> None:
+        """The round's one ``multicast`` event; it covers every delivery."""
         if self.obs.enabled:
             self._m_multicasts.inc(kind=kind)
             self._m_recipients.inc(len(recipients), kind=kind)
@@ -99,13 +129,3 @@ class GroupChannel:
                 bytes=payload_size(payload),
                 await_acks=await_acks,
             )
-        replies: dict[NodeId, Any] = {}
-        for node in recipients:
-            # Re-check membership per delivery: a handler earlier in the
-            # round may have made this member leave() the group.
-            handler = self._handlers.get(node)
-            if handler is None:
-                continue
-            message = Message(source, node, kind, payload)
-            replies[node] = handler(message)
-        return replies

@@ -9,8 +9,9 @@ cannot be distinguished when they occur (§1.1): a crashed node simply
 appears as a singleton partition to everyone else.
 
 The failure-model bookkeeping itself lives in the substrate-independent
-:class:`~repro.net.topology.Topology` base, shared with the wall-clock
-asyncio backend (``repro.transport``).  What this subclass adds is the
+:class:`~repro.net.topology.Topology` base, and message *admission* in
+:class:`Network`; both are shared with the wall-clock threaded backend
+(``repro.transport``).  What :class:`SimNetwork` adds is the
 *deterministic* delivery semantics: messages are delivered synchronously,
 charging simulated latency on the injected scheduler's clock.
 """
@@ -37,13 +38,20 @@ def payload_size(payload: Any) -> int:
     return len(repr(payload))
 
 
-class SimNetwork(Topology):
-    """The message substrate shared by all simulated nodes."""
+class Network(Topology):
+    """Message admission, decided once for every substrate.
+
+    A subclass supplies only *delivery*: a ``send`` that calls
+    :meth:`_admit` and then hands the message to the destination, and
+    :meth:`_delay`, how an injected link delay passes on its clock.  The
+    uniform-loss roll takes no lock: only a single-threaded substrate may
+    set ``loss_probability``.
+    """
 
     def __init__(
         self,
         nodes: Sequence[NodeId],
-        scheduler: Scheduler | None = None,
+        scheduler: Any,
         costs: CostModel | None = None,
         loss_probability: float = 0.0,
         seed: int = 0,
@@ -52,13 +60,11 @@ class SimNetwork(Topology):
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss probability must be in [0, 1)")
         super().__init__(nodes, obs=obs)
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        self.scheduler = scheduler
         self.costs = costs if costs is not None else CostModel()
         self.ledger = CostLedger()
         self.loss_probability = loss_probability
         self._rng = random.Random(seed)
-        self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
-        self._delivered: list[Message] = []
         self.injector: "FaultInjector | None" = None
         self._m_sent = self.obs.registry.counter(
             "net_messages_sent_total", "point-to-point messages delivered, by kind"
@@ -70,25 +76,16 @@ class SimNetwork(Topology):
             "net_link_bytes_total", "estimated payload bytes per directed link"
         )
 
-    # ------------------------------------------------------------------
-    # handlers / fault injection
-    # ------------------------------------------------------------------
-    def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
-        """Register the message handler for ``node``."""
-        self._require_node(node)
-        self._handlers[node] = handler
-
     def install_fault_injector(self, injector: "FaultInjector") -> "FaultInjector":
         """Attach a fault injector consulted on every point-to-point send."""
         injector.bind_obs(self.obs)
         self.injector = injector
         return injector
 
-    # ------------------------------------------------------------------
-    # messaging
-    # ------------------------------------------------------------------
-    def send(self, source: NodeId, destination: NodeId, kind: str, payload: Any = None) -> Any:
-        """Synchronously deliver a message, charging one network latency.
+    def _admit(
+        self, source: NodeId, destination: NodeId, kind: str, payload: Any
+    ) -> tuple[Message, int]:
+        """Admit one point-to-point message; returns it and the extra copies to deliver.
 
         Raises :class:`UnreachableError` when no route exists and
         :class:`NodeCrashedError` when the source itself crashed.  A lossy
@@ -111,9 +108,7 @@ class SimNetwork(Topology):
                 self._drop(source, destination, kind, decision.reason or "fault")
                 raise UnreachableError(source, destination)
             if decision.extra_delay > 0.0:
-                self.scheduler.clock.advance(
-                    self.ledger.charge("fault_delay", decision.extra_delay)
-                )
+                self._delay(self.ledger.charge("fault_delay", decision.extra_delay))
             duplicates = decision.duplicates
         message = Message(source, destination, kind, payload)
         if source != destination:
@@ -131,6 +126,53 @@ class SimNetwork(Topology):
                 kind=kind,
                 bytes=size,
             )
+        return message, duplicates
+
+    def _delay(self, seconds: float) -> None:
+        """Let an injected link delay pass on this substrate's clock."""
+        raise NotImplementedError
+
+    def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
+        if self.obs.enabled:
+            self._m_dropped.inc(reason=reason)
+            self.obs.emit(
+                "message_drop",
+                node=str(source),
+                destination=destination,
+                kind=kind,
+                reason=reason,
+            )
+
+
+class SimNetwork(Network):
+    """The message substrate shared by all simulated nodes."""
+
+    def __init__(
+        self,
+        nodes: Sequence[NodeId],
+        scheduler: Scheduler | None = None,
+        costs: CostModel | None = None,
+        loss_probability: float = 0.0,
+        seed: int = 0,
+        obs: Any = None,
+    ) -> None:
+        if scheduler is None:
+            scheduler = Scheduler()
+        super().__init__(nodes, scheduler, costs, loss_probability, seed, obs)
+        self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
+        self._delivered: list[Message] = []
+
+    def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
+        """Register the message handler for ``node``."""
+        self._require_node(node)
+        self._handlers[node] = handler
+
+    # ------------------------------------------------------------------
+    # messaging
+    # ------------------------------------------------------------------
+    def send(self, source: NodeId, destination: NodeId, kind: str, payload: Any = None) -> Any:
+        """Admit a message, then run the destination's handler inline."""
+        message, duplicates = self._admit(source, destination, kind, payload)
         self._delivered.append(message)
         handler = self._handlers.get(destination)
         if handler is None:
@@ -142,6 +184,9 @@ class SimNetwork(Topology):
             self._delivered.append(message)
             handler(message)
         return result
+
+    def _delay(self, seconds: float) -> None:
+        self.scheduler.clock.advance(seconds)
 
     @property
     def delivered_messages(self) -> list[Message]:
@@ -156,17 +201,3 @@ class SimNetwork(Topology):
     def delivered_since(self, watermark: int) -> list[Message]:
         """Messages delivered after a :attr:`delivered_count` watermark."""
         return self._delivered[watermark:]
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
-        if self.obs.enabled:
-            self._m_dropped.inc(reason=reason)
-            self.obs.emit(
-                "message_drop",
-                node=str(source),
-                destination=destination,
-                kind=kind,
-                reason=reason,
-            )

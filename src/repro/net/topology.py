@@ -12,9 +12,9 @@ distinguished when they occur.
 :class:`Topology` carries exactly that state plus the listener/observability
 plumbing; what *delivering a message* means — synchronously charging
 simulated latency versus enqueueing a frame onto a real mailbox or socket —
-is left to the subclass.  Fault injection (chaos, scripted schedules) talks
-only to this interface, which is why the ChaosRunner drives both backends
-unchanged.
+is left to the subclass.  Topology faults (``partition``, ``crash_node``,
+``fail_link`` and the scripts built from them) talk only to this interface,
+so they mean the same on every backend.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ The failure model is the shared :class:`~repro.net.topology.Topology`:
 simulator, but they are enforced *at the delivery layer* — a message
 whose source→destination route crosses a failed link is refused before it
 reaches the mailbox, surfacing the same :class:`UnreachableError` a real
-socket reset would.  Loss probability and installed
-:class:`~repro.faults.injector.FaultInjector` models are consulted on the
-same path, with injected delays becoming real ``time.sleep`` on the
-sending thread — so ChaosRunner fault plans run on both backends.
+socket reset would.  A point-to-point ``send`` passes the shared
+:meth:`~repro.net.network.Network._admit`, so injected link faults act on
+it as on the simulator (a delay is a real ``time.sleep`` on the sender);
+group-channel deliveries bypass it, on either backend.
 
 What this backend intentionally does **not** give: determinism.  Message
 arrival interleaves with real timers (failure-detector heartbeats,
@@ -31,16 +31,14 @@ adaptation ticks) and OS scheduling; traces are real but not replayable.
 from __future__ import annotations
 
 import concurrent.futures
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from ..net import Message, NodeCrashedError, NodeId, UnreachableError
-from ..net.network import payload_size
-from ..net.topology import Topology
-from ..sim import CostLedger, CostModel
+from ..net import GroupChannel, Message, NodeCrashedError, NodeId, UnreachableError
+from ..net.network import Network
+from ..sim import CostModel
 from .base import Transport
 from .wallclock import RealScheduler, WallClock
 
@@ -53,7 +51,7 @@ _MEMBER = "member"
 _NODE_WORKERS = 4
 
 
-class AsyncioNetwork(Topology):
+class AsyncioNetwork(Network):
     """Mailbox-per-node message substrate: one worker pool per node."""
 
     def __init__(
@@ -61,21 +59,12 @@ class AsyncioNetwork(Topology):
         nodes: Sequence[NodeId],
         scheduler: RealScheduler,
         costs: CostModel | None = None,
-        loss_probability: float = 0.0,
         seed: int = 0,
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        super().__init__(nodes, obs=obs)
-        self.scheduler = scheduler
-        self.costs = costs if costs is not None else CostModel()
-        self.ledger = CostLedger()
-        self.loss_probability = loss_probability
+        super().__init__(nodes, scheduler, costs=costs, seed=seed, obs=obs)
         self.request_timeout = request_timeout
-        self._rng = random.Random(seed)  # guarded-by: _rng_lock
-        self._rng_lock = threading.Lock()
         # Copy-on-write: mutators rebuild the whole two-level dict under
         # the lock, so member_nodes() can read a coherent snapshot without
         # taking it.
@@ -86,16 +75,6 @@ class AsyncioNetwork(Topology):
         self._handlers_lock = threading.Lock()
         self._delivered: list[Message] = []  # guarded-by: _delivered_lock
         self._delivered_lock = threading.Lock()
-        self.injector: Any = None
-        self._m_sent = self.obs.registry.counter(
-            "net_messages_sent_total", "point-to-point messages delivered, by kind"
-        )
-        self._m_dropped = self.obs.registry.counter(
-            "net_messages_dropped_total", "messages not delivered, by reason"
-        )
-        self._m_link_bytes = self.obs.registry.counter(
-            "net_link_bytes_total", "estimated payload bytes per directed link"
-        )
         # One pool per node: its FIFO work queue is the node's mailbox,
         # its threads are the node (started lazily, on first delivery).
         self._executors: dict[NodeId, ThreadPoolExecutor] = {
@@ -108,7 +87,7 @@ class AsyncioNetwork(Topology):
         self._close_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # handlers / fault injection (SimNetwork surface)
+    # handlers (SimNetwork surface)
     # ------------------------------------------------------------------
     def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self._require_node(node)
@@ -148,11 +127,6 @@ class AsyncioNetwork(Topology):
         # under the GIL and the snapshot is never mutated in place.
         return tuple(sorted(self._handlers[_MEMBER]))
 
-    def install_fault_injector(self, injector: Any) -> Any:
-        injector.bind_obs(self.obs)
-        self.injector = injector
-        return injector
-
     # ------------------------------------------------------------------
     # messaging
     # ------------------------------------------------------------------
@@ -163,59 +137,30 @@ class AsyncioNetwork(Topology):
         for the handler result — same synchronous RPC contract as the
         simulator, same error surface, but the handler runs on one of the
         destination node's own threads."""
-        return self._transmit(source, destination, kind, payload, _P2P)
+        message, duplicates = self._admit(source, destination, kind, payload)
+        result = self._post(message, _P2P)
+        for _ in range(duplicates):
+            self._post(message, _P2P)
+        return result
 
     def deliver_member(
         self, source: NodeId, destination: NodeId, kind: str, payload: Any = None
     ) -> Any:
-        """One group-channel delivery (used by :class:`AsyncioGroupChannel`)."""
-        return self._transmit(source, destination, kind, payload, _MEMBER)
-
-    def _transmit(
-        self, source: NodeId, destination: NodeId, kind: str, payload: Any, ns: str
-    ) -> Any:
+        """One group-channel delivery (used by :class:`AsyncioGroupChannel`):
+        no admission, only a re-check that neither end crashed or partitioned
+        away since the round's recipient snapshot."""
         if source in self._crashed:
             self._drop(source, destination, kind, "source-crashed")
             raise NodeCrashedError(source)
         if not self.reachable(source, destination):
             self._drop(source, destination, kind, "unreachable")
             raise UnreachableError(source, destination)
-        if self.loss_probability:
-            with self._rng_lock:
-                lost = self._rng.random() < self.loss_probability
-            if lost:
-                self._drop(source, destination, kind, "loss")
-                raise UnreachableError(source, destination)
-        duplicates = 0
-        if self.injector is not None:
-            decision = self.injector.on_send(source, destination, kind, payload)
-            if decision.drop:
-                self._drop(source, destination, kind, decision.reason or "fault")
-                raise UnreachableError(source, destination)
-            if decision.extra_delay > 0.0:
-                # A delayed link really delays the sender: the middleware's
-                # sends are synchronous round trips.
-                self.ledger.charge("fault_delay", decision.extra_delay)
-                time.sleep(decision.extra_delay)
-            duplicates = decision.duplicates
-        message = Message(source, destination, kind, payload)
-        if source != destination:
-            self.ledger.charge("network_latency", self.costs.network_latency)
-        if self.obs.enabled:
-            size = payload_size(payload)
-            self._m_sent.inc(kind=kind)
-            self._m_link_bytes.inc(size, link=f"{source}->{destination}")
-            self.obs.emit(
-                "message_send",
-                node=str(source),
-                destination=destination,
-                kind=kind,
-                bytes=size,
-            )
-        result = self._post(message, ns)
-        for _ in range(duplicates):
-            self._post(message, ns)
-        return result
+        return self._post(Message(source, destination, kind, payload), _MEMBER)
+
+    def _delay(self, seconds: float) -> None:
+        # A delayed link really delays the sender: the middleware's sends
+        # are synchronous round trips.
+        time.sleep(seconds)
 
     def _post(self, message: Message, ns: str) -> Any:
         """Queue onto the destination node's workers; block for the result.
@@ -297,38 +242,16 @@ class AsyncioNetwork(Topology):
         for executor in self._executors.values():
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
-        if self.obs.enabled:
-            self._m_dropped.inc(reason=reason)
-            self.obs.emit(
-                "message_drop",
-                node=str(source),
-                destination=destination,
-                kind=kind,
-                reason=reason,
-            )
 
+class AsyncioGroupChannel(GroupChannel):
+    """View-synchronous multicast over the threaded backend.
 
-class AsyncioGroupChannel:
-    """View-synchronous multicast over the asyncio backend.
-
-    Same contract as :class:`~repro.net.multicast.GroupChannel`: a
-    multicast reaches every reachable member and returns the acknowledging
-    members' replies.  Deliveries ride the same mailbox path as
-    point-to-point sends, so partitions, crashes, and injected faults
-    shape the recipient set identically on both backends.
+    Same contract and round prologue as its base.  Handlers live in the
+    network's table so each delivery runs on the member's own worker;
+    partitions and crashes shape the recipient set, link faults do not.
     """
 
-    def __init__(self, network: AsyncioNetwork, group: str = "dedisys") -> None:
-        self.network = network
-        self.group = group
-        self.obs = network.obs
-        self._m_multicasts = self.obs.registry.counter(
-            "net_multicasts_total", "group multicast rounds, by message kind"
-        )
-        self._m_recipients = self.obs.registry.counter(
-            "net_multicast_deliveries_total", "per-recipient multicast deliveries"
-        )
+    network: AsyncioNetwork
 
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self.network.register_member_handler(node, handler)
@@ -347,24 +270,8 @@ class AsyncioGroupChannel:
         payload: Any = None,
         await_acks: bool = True,
     ) -> dict[NodeId, Any]:
-        if self.network.is_crashed(source):
-            raise NodeCrashedError(source)
-        recipients = [
-            node
-            for node in self.members
-            if node != source and self.network.reachable(source, node)
-        ]
-        if self.obs.enabled:
-            self._m_multicasts.inc(kind=kind)
-            self._m_recipients.inc(len(recipients), kind=kind)
-            self.obs.emit(
-                "multicast",
-                node=str(source),
-                kind=kind,
-                recipients=sorted(recipients),
-                bytes=payload_size(payload),
-                await_acks=await_acks,
-            )
+        recipients = self._recipients(source)
+        self._record_round(source, kind, payload, recipients, await_acks)
         replies: dict[NodeId, Any] = {}
         for node in recipients:
             # A member may crash or partition away mid-round; like the

@@ -8,7 +8,7 @@ adaptation) never talks to a concrete substrate.  Everything it needs from
   move forward, or a wall clock that cost charges cannot move;
 * a **scheduler** (``schedule_after`` / ``run_until`` / ``drain``) — the
   discrete-event queue, or real timers firing on a timer thread;
-* a **network** (a :class:`~repro.net.topology.Topology` subclass with
+* a **network** (a :class:`~repro.net.network.Network` subclass with
   ``send`` / ``register_handler``) — synchronous simulated delivery, or
   per-node mailboxes serviced by the node's own worker threads;
 * a **group channel** (view-synchronous multicast with per-recipient acks);
@@ -107,7 +107,7 @@ def build_transport(
         from .sim import SimTransport
 
         return SimTransport(node_ids, costs=costs, seed=seed, obs=obs)
-    if kind in ("asyncio", "real"):
+    if kind == "asyncio":
         from .asyncio_backend import AsyncioTransport
 
         return AsyncioTransport(node_ids, costs=costs, seed=seed, obs=obs)

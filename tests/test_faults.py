@@ -26,16 +26,21 @@ from repro.faults import (
     GilbertElliottLoss,
     LinkFaultModel,
 )
-from repro.net import SimNetwork, UnreachableError
+from repro.net import GroupChannel, SimNetwork, UnreachableError
+from repro.obs import Observability
+from repro.transport.asyncio_backend import AsyncioGroupChannel, AsyncioTransport
 
 NODES = ("a", "b", "c")
 
 
-def make_network(**kwargs):
-    network = SimNetwork(NODES, **kwargs)
+def echo_handlers(network):
     for node in NODES:
         network.register_handler(node, lambda message: ("ok", message.kind))
     return network
+
+
+def make_network(**kwargs):
+    return echo_handlers(SimNetwork(NODES, **kwargs))
 
 
 class TestFaultDecision:
@@ -333,28 +338,39 @@ class TestFaultSchedule:
 
 
 class TestNetworkIntegration:
-    def test_injected_drop_surfaces_as_unreachable(self):
-        network = make_network()
+    """The admission contract, on ``SimNetwork`` + ``GroupChannel``; the
+    subclass below re-runs every case on the threaded backend."""
+
+    @pytest.fixture
+    def substrate(self):
+        network = make_network(obs=Observability())
+        yield network, GroupChannel(network)
+
+    def test_injected_drop_surfaces_as_unreachable(self, substrate):
+        network, _ = substrate
         injector = network.install_fault_injector(FaultInjector())
         injector.set_link_model("a", "b", DropKinds(["invocation"]))
         with pytest.raises(UnreachableError):
             network.send("a", "b", "invocation", "payload")
+        drops = [e for e in network.obs.events() if e.type == "message_drop"]
+        assert [e.data["reason"] for e in drops] == ["kind-filter:invocation"]
         # other kinds and other links still work
         assert network.send("a", "b", "heartbeat", None) == ("ok", "heartbeat")
         assert network.send("a", "c", "invocation", None) == ("ok", "invocation")
 
-    def test_extra_delay_advances_clock_and_charges_ledger(self):
-        network = make_network()
+    def test_extra_delay_advances_clock_and_charges_ledger(self, substrate):
+        network, _ = substrate
         injector = network.install_fault_injector(FaultInjector())
-        injector.set_link_model("a", "b", ExtraDelay(0.5))
+        injector.set_link_model("a", "b", ExtraDelay(0.05))
         before = network.scheduler.clock.now
         network.send("a", "b", "k", None)
-        elapsed = network.scheduler.clock.now - before
-        assert elapsed >= 0.5
-        assert network.ledger.totals["fault_delay"] == pytest.approx(0.5)
+        # The transport's own clock: simulated seconds on sim, wall time
+        # (the sender really slept) on the threaded backend.
+        assert network.scheduler.clock.now - before >= 0.05
+        assert network.ledger.totals["fault_delay"] == pytest.approx(0.05)
 
-    def test_duplicate_delivers_extra_copies(self):
-        network = make_network()
+    def test_duplicate_delivers_extra_copies(self, substrate):
+        network, _ = substrate
         injector = network.install_fault_injector(FaultInjector())
         injector.set_link_model("a", "b", Duplicate(1.0, copies=2))
         calls = []
@@ -364,13 +380,9 @@ class TestNetworkIntegration:
         assert len(calls) == 3
         assert len(network.delivered_messages) == 3
 
-    def test_injector_drop_counts_in_obs(self):
-        from repro.obs import Observability
-
-        obs = Observability()
-        network = SimNetwork(NODES, obs=obs)
-        for node in NODES:
-            network.register_handler(node, lambda message: "ok")
+    def test_injector_drop_counts_in_obs(self, substrate):
+        network, _ = substrate
+        obs = network.obs
         injector = network.install_fault_injector(FaultInjector())
         injector.set_link_model("a", "b", DropKinds(["k"], probability=1.0))
         with pytest.raises(UnreachableError):
@@ -379,6 +391,41 @@ class TestNetworkIntegration:
         assert drops and drops[0].data["reason"] == "kind-filter:k"
         injected = [e for e in obs.events() if e.type == "fault_injected"]
         assert injected and injected[0].data["effect"] == "drop"
+        dropped = obs.registry.get("net_messages_dropped_total")
+        assert dropped.value(reason="kind-filter:k") == 1
+
+    def test_group_channel_unaffected_by_injector(self, substrate):
+        # The injector models link faults; the Spread-style channel
+        # provides reliable delivery within the reachable membership —
+        # on every backend: no drop, no extra copy, no per-member send.
+        network, channel = substrate
+        injector = network.install_fault_injector(FaultInjector())
+        injector.set_default_model(
+            lambda: CompositeFault([DropKinds(["update"]), Duplicate(1.0)])
+        )
+        received = []
+        for node in NODES:
+            channel.join(
+                node, lambda message: received.append(message.destination) or "ack"
+            )
+        replies = channel.multicast("a", "update", "payload")
+        assert replies == {"b": "ack", "c": "ack"}
+        assert sorted(received) == ["b", "c"]
+        assert injector.decisions == 0
+        assert "network_latency" not in network.ledger.totals
+        types = [e.type for e in network.obs.events()]
+        assert types.count("multicast") == 1 and "message_send" not in types
+
+
+class TestNetworkIntegrationThreaded(TestNetworkIntegration):
+    """Same contract on ``AsyncioNetwork`` + ``AsyncioGroupChannel``."""
+
+    @pytest.fixture
+    def substrate(self):
+        with AsyncioTransport(NODES, obs=Observability()) as transport:
+            channel = transport.make_channel()
+            assert isinstance(channel, AsyncioGroupChannel)
+            yield echo_handlers(transport.network), channel
 
 
 class TestTopologyNotifications:
@@ -451,23 +498,6 @@ class TestLossDeterminism:
         assert first != drops(12)
         assert 0 < sum(first) < 100
 
-    def test_group_channel_unaffected_by_injector(self):
-        # The injector models link faults; the Spread-style channel
-        # provides reliable delivery within the reachable membership.
-        from repro.net import GroupChannel
-
-        network = make_network()
-        injector = network.install_fault_injector(FaultInjector())
-        injector.set_default_model(lambda: DropKinds(["update"]))
-        channel = GroupChannel(network)
-        received = []
-        for node in NODES:
-            channel.join(
-                node, lambda message: received.append(message.destination) or "ack"
-            )
-        replies = channel.multicast("a", "update", "payload")
-        assert set(replies) == {"b", "c"}
-
     def test_two_clusters_same_seed_byte_identical_traces(self):
         from repro.cluster import ClusterConfig, DedisysCluster
         from repro.core import AcceptAllHandler
@@ -509,6 +539,45 @@ class TestLossDeterminism:
         assert first == run(21)
         assert first != run(22)
         assert b"message_drop" in first  # the loss path actually fired
+
+
+@pytest.mark.parametrize("transport", ["sim", "asyncio"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda: DropKinds(["replica-update"]),
+        lambda: Duplicate(1.0),
+        lambda: ExtraDelay(0.01),
+    ],
+    ids=["drop", "duplicate", "delay"],
+)
+def test_replica_update_multicast_ignores_link_faults(transport, model):
+    """Whatever an injector does to ``replica-update`` on the links, a
+    healthy-topology write reaches every backup exactly once — on every
+    backend, because propagation is group multicast, not a link send."""
+    from repro.apps.flightbooking import Flight, ticket_constraint_registration
+    from repro.cluster import ClusterConfig, DedisysCluster
+
+    injector = FaultInjector()
+    injector.set_default_model(model)
+    cluster = DedisysCluster(
+        ClusterConfig(node_ids=NODES, transport=transport, fault_injector=injector)
+    )
+    try:
+        cluster.deploy(Flight)
+        cluster.register_constraint(ticket_constraint_registration())
+        ref = cluster.create_entity(
+            "a", "Flight", "F1", {"flight_number": "F1", "seats": 50, "sold": 0}
+        )
+        assert cluster.invoke("a", ref, "sell_tickets", 5) == 5
+        assert [cluster.entity_on(node, ref).get_sold() for node in NODES] == [5, 5, 5]
+        for node, store in cluster.threat_stores.items():
+            assert store.count_identities() == 0, f"threat stored on {node}"
+        # One remote transaction association per backup: applied once each.
+        assert cluster.ledger.counts["tx_remote_association"] == 2
+        assert "fault_delay" not in cluster.ledger.counts
+    finally:
+        cluster.close()
 
 
 class TestCustomModel:
