@@ -37,6 +37,13 @@ class Topology:
         self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self._failed_links: set[frozenset[NodeId]] = set()
         self._crashed: set[NodeId] = set()
+        # Connected component per start node, valid for the current
+        # ``_failed_links`` / ``_crashed``.  Lock-free on purpose (it is read
+        # on every send): a mutator *replaces* the dict right after changing
+        # the link state, and a reader stores only into the dict it picked up
+        # before searching — so a search that overlapped a mutation lands in
+        # a dict nobody reads any more, never in the current one.
+        self._components: dict[NodeId, frozenset[NodeId]] = {}
         self._topology_listeners: list[Callable[[], None]] = []
         # Bumped on every effective failure/heal event.  Invariant probes
         # compare it across a step to know whether reachability *now* still
@@ -67,6 +74,7 @@ class Topology:
         if link in self._failed_links:
             return
         self._failed_links.add(link)
+        self._components = {}
         self._notify_topology()
 
     def heal_link(self, a: NodeId, b: NodeId) -> None:
@@ -79,6 +87,7 @@ class Topology:
         if link not in self._failed_links:
             return
         self._failed_links.discard(link)
+        self._components = {}
         self._notify_topology()
 
     def partition(self, *groups: Iterable[NodeId]) -> None:
@@ -106,6 +115,7 @@ class Topology:
         if new_failed == self._failed_links:
             return
         self._failed_links = new_failed
+        self._components = {}
         self._notify_topology()
 
     def heal_all(self) -> None:
@@ -117,6 +127,7 @@ class Topology:
             return
         self._failed_links.clear()
         self._crashed.clear()
+        self._components = {}
         self._notify_topology()
 
     def crash_node(self, node: NodeId) -> None:
@@ -125,6 +136,7 @@ class Topology:
         if node in self._crashed:
             return
         self._crashed.add(node)
+        self._components = {}
         self._notify_topology()
 
     def recover_node(self, node: NodeId) -> None:
@@ -132,6 +144,7 @@ class Topology:
         if node not in self._crashed:
             return
         self._crashed.discard(node)
+        self._components = {}
         self._notify_topology()
 
     def is_crashed(self, node: NodeId) -> bool:
@@ -175,7 +188,7 @@ class Topology:
                 continue
             component = self._component_of(node)
             seen |= component
-            components.append(frozenset(component))
+            components.append(component)
         components.sort(key=lambda c: (-len(c), sorted(c)))
         return components
 
@@ -184,7 +197,7 @@ class Topology:
         self._require_node(node)
         if node in self._crashed:
             return frozenset()
-        return frozenset(self._component_of(node))
+        return self._component_of(node)
 
     def is_healthy(self) -> bool:
         """True when no failures are present (one partition, no crashes)."""
@@ -193,7 +206,15 @@ class Topology:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _component_of(self, start: NodeId) -> set[NodeId]:
+    def _component_of(self, start: NodeId) -> frozenset[NodeId]:
+        """The component of a live ``start``, searched once per topology."""
+        components = self._components
+        component = components.get(start)
+        if component is None:
+            component = components[start] = self._search(start)
+        return component
+
+    def _search(self, start: NodeId) -> frozenset[NodeId]:
         component = {start}
         frontier = deque([start])
         while frontier:
@@ -204,7 +225,7 @@ class Topology:
                 if self.link_up(current, other):
                     component.add(other)
                     frontier.append(other)
-        return component
+        return frozenset(component)
 
     def _require_node(self, node: NodeId) -> None:
         if node not in self.nodes:

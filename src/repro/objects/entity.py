@@ -18,10 +18,10 @@ interface (§4.2.1), and participate in:
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .refs import ObjectRef
+from .values import copy_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .container import Container
@@ -78,7 +78,7 @@ class Entity:
         self.oid = oid
         self.container = container
         self._attributes: dict[str, Any] = {
-            name: copy.deepcopy(default) for name, default in type(self).fields.items()
+            name: copy_value(default) for name, default in type(self).fields.items()
         }
         for name, value in attributes.items():
             if name not in self._attributes:
@@ -160,12 +160,16 @@ class Entity:
     # state snapshots (used by replication)
     # ------------------------------------------------------------------
     def state(self) -> dict[str, Any]:
-        """Serializable snapshot of the entity's attributes."""
-        return copy.deepcopy(self._attributes)
+        """Serializable snapshot of the entity's attributes.
+
+        A value copy (:func:`~repro.objects.values.copy_value`): mutating
+        the snapshot never changes the entity, nor the other way round.
+        """
+        return copy_value(self._attributes)
 
     def apply_state(self, state: dict[str, Any], version: int | None = None) -> None:
         """Overwrite attributes from a snapshot (update propagation)."""
-        self._attributes = copy.deepcopy(state)
+        self._attributes = copy_value(state)
         if version is not None:
             self.version = version
         self.last_update_time = self._now()

@@ -11,15 +11,21 @@ when it persists consistency threats and replica state history.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+# The one import that reaches *up* a layer: the helper must know the frozen
+# ``ObjectRef``.  ``objects.values`` imports nothing but ``objects.refs``, so
+# it is complete by the time ``objects.node`` pulls this module in.
+from ..objects.values import copy_value
 from ..sim import CostLedger, CostModel, SimClock
 
 
-@dataclass(frozen=True)
+# ``slots``: the journal only grows, and every entry keeps its own copy of
+# the value where it used to alias the caller's object; dropping the
+# per-entry ``__dict__`` pays for that copy.
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     sequence: int
     timestamp: float
@@ -70,9 +76,11 @@ class PersistenceEngine:
 class Table:
     """A named key-value table with journaled, cost-charged access.
 
-    Values are deep-copied on the way in and out, giving the store the
-    value semantics of serialized database rows: mutating a live object
-    never silently mutates its persisted state.
+    Values are copied (:func:`~repro.objects.values.copy_value`) on the way
+    in and out, giving the store the value semantics of serialized database
+    rows: mutating a live object never silently mutates its persisted state
+    or its journal entry.  A row is replaced, never changed in place, so the
+    journal shares the stored copy.
     """
 
     def __init__(self, name: str, engine: PersistenceEngine) -> None:
@@ -90,24 +98,24 @@ class Table:
         if key in self._rows:
             raise KeyError(f"duplicate key {key!r} in table {self.name!r}")
         self.engine.charge(cost)
-        self._rows[key] = copy.deepcopy(value)
-        self.engine._record(self.name, "insert", key, value)
+        stored = self._rows[key] = copy_value(value)
+        self.engine._record(self.name, "insert", key, stored)
 
     def put(self, key: Any, value: Any, cost: str = "db_write") -> None:
         self.engine.charge(cost)
-        self._rows[key] = copy.deepcopy(value)
-        self.engine._record(self.name, "put", key, value)
+        stored = self._rows[key] = copy_value(value)
+        self.engine._record(self.name, "put", key, stored)
 
     def get(self, key: Any, cost: str = "db_read") -> Any:
         self.engine.charge(cost)
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
-        return copy.deepcopy(self._rows[key])
+        return copy_value(self._rows[key])
 
     def get_or_none(self, key: Any, cost: str = "db_read") -> Any:
         self.engine.charge(cost)
         value = self._rows.get(key)
-        return copy.deepcopy(value) if value is not None else None
+        return copy_value(value) if value is not None else None
 
     def delete(self, key: Any, cost: str = "db_delete") -> None:
         self.engine.charge(cost)
@@ -123,7 +131,7 @@ class Table:
         """Iterate a snapshot of all rows, charging one read."""
         self.engine.charge(cost)
         for key, value in list(self._rows.items()):
-            yield key, copy.deepcopy(value)
+            yield key, copy_value(value)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -165,7 +173,7 @@ class StateHistory:
         self.engine.charge("state_history_write")
         entry = StateVersion(
             version=version,
-            state=copy.deepcopy(state),
+            state=copy_value(state),
             timestamp=self.engine.clock.now,
             partition_epoch=partition_epoch,
             txid=txid,

@@ -1,9 +1,15 @@
 """Tests for the simulated network: links, partitions, crashes, multicast."""
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net import GroupChannel, NodeCrashedError, SimNetwork, UnreachableError
+from repro.net.topology import Topology
 
 NODES = ("a", "b", "c", "d")
 
@@ -259,6 +265,215 @@ class TestGroupChannel:
             channel.multicast("a", "update")
         expected = 2 * (network.costs.multicast_base + 3 * network.costs.multicast_per_node)
         assert network.scheduler.clock.now == pytest.approx(before + expected)
+
+
+def uncached(network):
+    """Every node's partition from a fresh search, bypassing the cache."""
+    return {
+        node: frozenset() if network.is_crashed(node) else network._search(node)
+        for node in network.nodes
+    }
+
+
+def cached(network):
+    return {node: network.partition_of(node) for node in network.nodes}
+
+
+# Set-up before the cache is warmed, then the mutator under test.
+MUTATORS = [
+    pytest.param(
+        lambda n: (n.fail_link("a", "b"), n.fail_link("a", "c")),
+        lambda n: n.fail_link("a", "d"),
+        id="fail_link",
+    ),
+    pytest.param(
+        lambda n: n.partition({"a"}, {"b", "c", "d"}),
+        lambda n: n.heal_link("a", "b"),
+        id="heal_link",
+    ),
+    pytest.param(
+        lambda n: None, lambda n: n.partition({"a"}, {"b", "c", "d"}), id="partition"
+    ),
+    pytest.param(
+        lambda n: n.partition({"a", "b"}, {"c", "d"}), lambda n: n.heal_all(), id="heal_all"
+    ),
+    pytest.param(lambda n: None, lambda n: n.crash_node("a"), id="crash_node"),
+    pytest.param(
+        lambda n: n.crash_node("a"), lambda n: n.recover_node("a"), id="recover_node"
+    ),
+]
+
+
+class TestComponentCache:
+    @pytest.mark.parametrize("setup, mutate", MUTATORS)
+    def test_every_mutator_invalidates(self, network, setup, mutate):
+        setup(network)
+        before = cached(network)
+        assert before == uncached(network)
+        mutate(network)
+        after = cached(network)
+        assert after == uncached(network)
+        assert after != before, "the case must change some component"
+        assert set(network.partitions()) == {c for c in after.values() if c}
+        for source in NODES:
+            for destination in NODES:
+                assert network.reachable(source, destination) == (
+                    destination in after[source]
+                )
+
+    def test_a_listener_already_sees_the_new_components(self, network):
+        seen = []
+        network.on_topology_change(lambda: seen.append(cached(network)))
+        cached(network)
+        network.partition({"a"}, {"b", "c", "d"})
+        network.crash_node("b")
+        network.heal_all()
+        assert [view["c"] for view in seen] == [
+            frozenset("bcd"),
+            frozenset("cd"),
+            frozenset("abcd"),
+        ]
+
+    def test_answers_are_searched_once_per_topology(self, network, monkeypatch):
+        searches = []
+        search = Topology._search
+        monkeypatch.setattr(
+            Topology,
+            "_search",
+            lambda self, start: searches.append(start) or search(self, start),
+        )
+        for _ in range(3):
+            cached(network)
+            network.partitions()
+            assert network.reachable("a", "d")
+        assert sorted(searches) == list(NODES)
+        # Mutators that change nothing have nothing to invalidate.
+        network.heal_link("a", "b")
+        network.recover_node("c")
+        network.heal_all()
+        network.partition(NODES)
+        cached(network)
+        assert sorted(searches) == list(NODES)
+        network.partition({"a"}, {"b", "c", "d"})
+        cached(network)
+        assert len(searches) == 2 * len(NODES)
+        network.partition({"a"}, {"b", "c", "d"})
+        cached(network)
+        assert len(searches) == 2 * len(NODES)
+
+    def test_crashed_node_has_no_partition(self, network):
+        assert network.partition_of("b") == frozenset(NODES)
+        network.crash_node("b")
+        assert network.partition_of("b") == frozenset()
+        assert network.partition_of("a") == frozenset("acd")
+        network.recover_node("b")
+        assert network.partition_of("b") == frozenset(NODES)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("fail_link"), st.sampled_from(NODES), st.sampled_from(NODES)),
+                st.tuples(st.just("heal_link"), st.sampled_from(NODES), st.sampled_from(NODES)),
+                st.tuples(st.just("partition"), st.sets(st.sampled_from(NODES), min_size=1)),
+                st.tuples(st.just("heal_all")),
+                st.tuples(st.just("crash_node"), st.sampled_from(NODES)),
+                st.tuples(st.just("recover_node"), st.sampled_from(NODES)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_cached_equals_uncached_after_any_history(self, steps):
+        network = SimNetwork(NODES)
+        for name, *arguments in steps:
+            if name.endswith("_link") and arguments[0] == arguments[1]:
+                continue
+            getattr(network, name)(*arguments)
+            # The first look-up searches, the second is served from the cache.
+            assert cached(network) == cached(network) == uncached(network)
+
+    def test_a_search_that_overlapped_a_mutation_is_not_stored(self, network, monkeypatch):
+        search = Topology._search
+
+        def search_then_partition(self, start):
+            component = search(self, start)
+            monkeypatch.undo()
+            self.partition({"a"}, {"b", "c", "d"})
+            return component
+
+        monkeypatch.setattr(Topology, "_search", search_then_partition)
+        # The overlapping call may answer with either topology ...
+        assert network.partition_of("b") in (frozenset("abcd"), frozenset("bcd"))
+        # ... but nobody after it is served what it searched.
+        assert cached(network) == uncached(network)
+        assert network.partition_of("b") == frozenset("bcd")
+
+    def test_readers_racing_a_mutator_end_up_with_the_true_components(self, monkeypatch):
+        """One thread flips the topology while four read it.  A search that
+        overlapped a flip must never be what later readers are served: once
+        the mutator has stopped, every answer equals an uncached search."""
+        search = Topology._search
+
+        def slow_search(self, start):
+            # Hand the interpreter to the mutator between searching and
+            # storing, so that searches do overlap flips.
+            component = search(self, start)
+            time.sleep(0.0002)
+            return component
+
+        monkeypatch.setattr(Topology, "_search", slow_search)
+        network = Topology(("a", "b", "c"))
+        mutator_done = threading.Event()
+        stop = threading.Event()
+        wrong: list[tuple] = []
+        settled_reads = [0] * 4
+
+        def mutate():
+            for _ in range(200):
+                network.partition(("a",), ("b", "c"))
+                time.sleep(0.00005)  # long enough for readers to start searching
+                network.heal_all()
+                time.sleep(0.00005)
+            network.partition(("a",), ("b", "c"))
+            mutator_done.set()
+
+        def read(index):
+            rng = random.Random(index)
+            while not stop.is_set():
+                settled = mutator_done.is_set()
+                node, other = rng.choice(network.nodes), rng.choice(network.nodes)
+                component = network.partition_of(node)
+                reachable = network.reachable(node, other)
+                if settled:
+                    settled_reads[index] += 1
+                    truth = search(network, node)
+                    if component != truth or reachable != (other in truth):
+                        wrong.append((node, other, component, reachable, truth))
+                    if settled_reads[index] >= 200:
+                        return
+
+        threads = [threading.Thread(target=mutate)] + [
+            threading.Thread(target=read, args=(index,)) for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mutator_done.is_set()
+        assert min(settled_reads) >= 200
+        assert wrong == []
+        monkeypatch.undo()
+        assert cached(network) == uncached(network) == {
+            "a": frozenset("a"),
+            "b": frozenset("bc"),
+            "c": frozenset("bc"),
+        }
 
 
 @given(

@@ -119,6 +119,26 @@ class TestCostsAndJournal:
         sequences = [e.sequence for e in engine.journal()]
         assert sequences == sorted(sequences)
 
+    @pytest.mark.parametrize("write", ["insert", "put"])
+    def test_journal_does_not_alias_the_callers_value(self, engine, write):
+        table = engine.table("t")
+        value = {"sold": 1}
+        getattr(table, write)("k", value)
+        value["sold"] = 2
+        assert table.get("k") == {"sold": 1}
+        assert engine.journal()[-1].value == {"sold": 1}
+
+    def test_journal_keeps_each_put_of_a_reused_object(self, engine):
+        table = engine.table("t")
+        value = {"items": ["a"]}
+        table.put("k", value)
+        value["items"].append("b")
+        table.put("k", value)
+        assert [e.value for e in engine.journal()] == [
+            {"items": ["a"]},
+            {"items": ["a", "b"]},
+        ]
+
     def test_charge_unknown_category_raises(self, engine):
         with pytest.raises(AttributeError):
             engine.charge("not_a_cost")
