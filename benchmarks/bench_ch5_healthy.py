@@ -5,8 +5,8 @@ Paper: explicit runtime constraint management costs 1–13% (the system
 retains 87–99% of its throughput).
 """
 
-from conftest import print_table, write_metrics
-from repro.evaluation import figure_5_1, figure_5_1_obs_overhead
+from conftest import print_table
+from repro.evaluation import figure_5_1
 
 OPS = ("create", "setter", "getter", "empty", "delete")
 
@@ -31,36 +31,3 @@ def test_fig_5_1_ccm_overhead(benchmark):
         # paper: 87–99% retained
         assert 0.85 <= retained <= 1.0, (op, retained)
 
-
-def test_fig_5_1_observability_overhead(benchmark):
-    """Attaching metrics + tracing must not distort the measurements.
-
-    Observability records eagerly in Python but never advances the
-    simulated clock, so the instrumented rates must stay within 5% of the
-    bare rates (they are in fact identical).  The collected metrics are
-    exported as a JSON artifact.
-    """
-    results = benchmark.pedantic(
-        lambda: figure_5_1_obs_overhead(count=60), rounds=1, iterations=1
-    )
-    with_obs = results["with_obs"]
-    without = results["without_obs"]
-    rows = []
-    for op in OPS:
-        retained = with_obs[op] / without[op]
-        rows.append(
-            [op, f"{with_obs[op]:.1f}", f"{without[op]:.1f}", f"{retained * 100:.1f}%"]
-        )
-    print_table(
-        "Fig 5.1 variant — observability attached (ops/s)",
-        ["operation", "with obs", "without obs", "retained"],
-        rows,
-    )
-    for op in OPS:
-        retained = with_obs[op] / without[op]
-        assert 0.95 <= retained <= 1.05, (op, retained)
-    snapshot = results["snapshot"]
-    assert snapshot["events"]["emitted"] > 0
-    assert "ccm_invocations_total" in snapshot["metrics"]
-    path = write_metrics("fig_5_1_obs_overhead", snapshot)
-    print(f"\nmetrics JSON written to {path}")

@@ -9,26 +9,20 @@ full threat history because it cannot benefit from identifying identical
 threats, while constraint re-evaluation happens once per identity.
 
 The second benchmark measures the threat-propagation message count of
-digest anti-entropy against the historical rescan-and-multicast scheme
-and exports ``benchmarks/results/BENCH_reconcile.json``.  Set
-``BENCH_QUICK=1`` to run a reduced scale matrix (CI smoke mode).
+digest anti-entropy against the historical rescan-and-multicast scheme.
 """
 
-import json
-import os
 import string
 
-from conftest import RESULTS_DIR, print_table
+from conftest import print_table
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import AcceptAllHandler, ThreatStoragePolicy
 from repro.evaluation import figure_5_6
 from repro.obs import Observability
 
-QUICK = bool(os.environ.get("BENCH_QUICK"))
-
 # (node_count, distinct threats, occurrences each)
-SCALES = ((4, 4, 2), (6, 8, 3)) if QUICK else ((4, 4, 2), (6, 8, 3), (8, 12, 4))
+SCALES = ((4, 4, 2), (6, 8, 3), (8, 12, 4))
 
 
 def test_fig_5_6_reconciliation_time(benchmark):
@@ -122,10 +116,8 @@ def run_digest_scenario(node_count, distinct, occurrences):
         "node_count": node_count,
         "distinct_threats": distinct,
         "occurrences_each": occurrences,
-        "stored_records_total": rescan_multicasts,
         "rescan_multicasts": rescan_multicasts,
         "digest_multicasts": digest_multicasts,
-        "sync_multicasts": sync_multicasts,
         "digest_total_multicasts": digest_multicasts + sync_multicasts,
         "sync_records": report.threat_sync_records,
         "sync_batches": report.threat_sync_batches,
@@ -155,17 +147,6 @@ def test_digest_anti_entropy_message_scaling(benchmark):
         ["nodes", "records", "rescan (old)", "digest (new)", "reduction"],
         rows,
     )
-
-    payload = {
-        "quick": QUICK,
-        "policy": "FULL_HISTORY",
-        "scales": entries,
-        "claim": "digest anti-entropy message count scales with missing "
-        "records, not nodes × threat records",
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_reconcile.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     ratios = []
     for entry in entries:

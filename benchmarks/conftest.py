@@ -1,24 +1,6 @@
-"""Shared helpers for the benchmark harness."""
+"""Shared helper for the nine paper-figure scripts."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def write_metrics(name: str, payload: object) -> Path:
-    """Export a benchmark's collected metrics as pretty-printed JSON.
-
-    Files land in ``benchmarks/results/<name>.metrics.json`` (ignored by
-    git) so a run leaves an inspectable artifact next to the printed
-    tables.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.metrics.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def print_table(title: str, headers: list[str], rows: list[list[object]]) -> None:

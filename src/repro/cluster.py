@@ -185,7 +185,6 @@ class DedisysCluster:
                 self.gms,
                 self.channel,
                 protocol,
-                join_channel=False,
                 batch_updates=self.config.batch_updates,
             )
             if self.config.resilience is not None:

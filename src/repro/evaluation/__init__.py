@@ -16,7 +16,6 @@ from .ch5 import (
     async_constraint_improvement,
     build_cluster,
     figure_5_1,
-    figure_5_1_obs_overhead,
     figure_5_2,
     figure_5_3,
     figure_5_4,
@@ -41,7 +40,6 @@ __all__ = [
     "async_constraint_improvement",
     "build_cluster",
     "figure_5_1",
-    "figure_5_1_obs_overhead",
     "figure_5_2",
     "figure_5_3",
     "figure_5_4",

@@ -229,26 +229,6 @@ def figure_5_1(count: int = 50) -> dict[str, OperationRates]:
     }
 
 
-def figure_5_1_obs_overhead(count: int = 50) -> dict[str, Any]:
-    """The Fig. 5.1 workload with and without an observability hub.
-
-    Metrics and tracing never advance the simulated clock, so the
-    attached-registry rates must match the bare rates; the returned
-    snapshot lets benchmarks export the collected metrics as JSON.
-    """
-    from ..obs import Observability
-
-    ops = ("create", "setter", "getter", "empty", "delete")
-    bare = build_cluster(nodes=1, ccm=True, replication=False)
-    hub = Observability()
-    observed = build_cluster(nodes=1, ccm=True, replication=False, obs=hub)
-    return {
-        "without_obs": measure_operations(bare, "n1", count, ops),
-        "with_obs": measure_operations(observed, "n1", count, ops),
-        "snapshot": observed.snapshot(),
-    }
-
-
 # ----------------------------------------------------------------------
 # Figures 5.2 / 5.3 — No DeDiSys vs DeDiSys healthy/degraded
 # ----------------------------------------------------------------------

@@ -155,17 +155,7 @@ class ScriptRunner:
             raise ValueError("'nodes' needs at least one node id")
         if self.cluster is not None:
             raise ValueError("'nodes' may appear only once")
-        self._pending_config = ClusterConfig(node_ids=tuple(args))
-        self.cluster = DedisysCluster(self._pending_config)
-
-    def _cmd_config(self, args: list[str], result: ScriptResult) -> None:
-        """``config <key> <value>`` — must precede ``nodes``."""
-        if self.cluster is not None:
-            raise ValueError("'config' must come before 'nodes'")
-        raise ValueError(
-            "use 'nodes' defaults; for custom configs construct the "
-            "ScriptRunner around a pre-built cluster instead"
-        )
+        self.cluster = DedisysCluster(ClusterConfig(node_ids=tuple(args)))
 
     def _cmd_deploy(self, args: list[str], result: ScriptResult) -> None:
         cluster = self._require_cluster()

@@ -447,8 +447,8 @@ class ReplayReport:
     invariants: list[InvariantResult] = field(default_factory=list)
     reconciliation: Any = None
     # Every reconciliation run of the replay (mid-run ops + final), with
-    # the constraint handler each one used — the benchmark layer reads
-    # integrity damage (e.g. rebooked tickets) off these.
+    # the constraint handler each one used — tests read integrity
+    # damage (e.g. rebooked tickets) off these.
     reconciliations: list[Any] = field(default_factory=list)
     constraint_handlers: list[Any] = field(default_factory=list)
     # Availability over time: one entry per bucket of the op window.

@@ -91,7 +91,6 @@ class ReplicationManager:
         gms: GroupMembershipService,
         channel: GroupChannel,
         protocol: ReplicationProtocol,
-        join_channel: bool = True,
         obs: Any = None,
         batch_updates: bool = False,
     ) -> None:
@@ -138,9 +137,6 @@ class ReplicationManager:
         self._update_records: list[UpdateRecord] = []
         self.conflicts_detected: list[ReplicaConflict] = []
         network.on_topology_change(self._on_topology_change)
-        if join_channel:
-            for node_id in self.nodes:
-                channel.join(node_id, self.make_member_handler(node_id))
 
     # ------------------------------------------------------------------
     # registration

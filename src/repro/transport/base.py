@@ -27,7 +27,7 @@ real concurrency.  See ``docs/TRANSPORT.md`` for the full contract.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, ContextManager, Mapping, Sequence
+from typing import Any, ContextManager, Sequence
 
 from ..net import NodeId
 from ..sim import CostModel
@@ -87,7 +87,6 @@ def build_transport(
     costs: CostModel | None = None,
     seed: int = 0,
     obs: Any = None,
-    node_weights: Mapping[NodeId, float] | None = None,
 ) -> Transport:
     """Resolve a :class:`~repro.cluster.ClusterConfig` transport spec.
 

@@ -30,6 +30,7 @@ import signal
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from socket import socket
 from typing import Any, Mapping, Sequence
@@ -38,21 +39,46 @@ from . import frames
 from .wallclock import read_monotonic
 
 _HOST = "127.0.0.1"
+_EPHEMERAL_RANGE = Path("/proc/sys/net/ipv4/ip_local_port_range")
+_FIRST_UNPRIVILEGED_PORT = 1024
 
 
 def _free_ports(count: int) -> list[int]:
-    """Reserve ``count`` distinct free TCP ports (bind-0 probe)."""
-    sockets, ports = [], []
+    """Reserve ``count`` distinct free TCP ports by probe-binding them.
+
+    The ports lie *below* the kernel's ephemeral range.  A port inside
+    that range can be given to any new outbound connection as its local
+    end while the worker that listens on it is down, and the respawned
+    worker then dies with ``EADDRINUSE``.  The scan starts at a random
+    port so that two drivers on one host do not probe the same ones.
+    Where the range cannot be read (not Linux) or nothing below it is
+    free, the kernel picks (bind-0 probe).
+    """
     try:
-        for _ in range(count):
+        floor = int(_EPHEMERAL_RANGE.read_text().split()[0])
+    except FileNotFoundError:
+        floor = _FIRST_UNPRIVILEGED_PORT
+    below = range(_FIRST_UNPRIVILEGED_PORT, floor)
+    start = int.from_bytes(os.urandom(4), "big") % len(below) if below else 0
+    probes: list[socket] = []
+    try:
+        for port in chain(below[start:], below[:start]):
+            if len(probes) == count:
+                break
             probe = socket()
-            probe.bind((_HOST, 0))
-            sockets.append(probe)
-            ports.append(probe.getsockname()[1])
+            try:
+                probe.bind((_HOST, port))
+            except OSError:
+                probe.close()
+            else:
+                probes.append(probe)
+        while len(probes) < count:
+            probes.append(socket())
+            probes[-1].bind((_HOST, 0))
+        return [probe.getsockname()[1] for probe in probes]
     finally:
-        for probe in sockets:
+        for probe in probes:
             probe.close()
-    return ports
 
 
 class WorkerDied(RuntimeError):

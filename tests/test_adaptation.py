@@ -528,3 +528,67 @@ class TestCorpusOscillatingPlan:
     def test_episode_plan_unchanged_by_default(self):
         scenario = generate_scenario(GeneratorConfig(domain="flight_booking", seed=0))
         assert "fault_plan" not in scenario.params
+
+
+class TestAdaptiveBeatsStaticExtremes:
+    """The payoff of the loop on oscillating partitions: tightening
+    tradeability only once a degradation has *lasted* serves short
+    windows like the permissive static config and protects long ones
+    like the strict one, so it beats both on effective availability —
+    served ops minus the seats rebooked at reconciliation, over
+    attempted ops."""
+
+    ADAPTIVE = [
+        {
+            "name": "tighten-on-sustained-degradation",
+            "when": [
+                {"signal": "degraded", "op": ">=", "threshold": 1.0},
+                {"signal": "degraded_duration", "op": ">=", "threshold": 0.25},
+            ],
+            "action": "set_tradeability",
+            "args": {"entity_class": "Flight", "tradeable": False},
+            "cooldown": 0.05,
+        }
+    ]
+    NEVER_TRADEABLE = [
+        {
+            "action": "set_tradeability",
+            "args": {"entity_class": "Flight", "tradeable": False},
+        }
+    ]
+
+    @staticmethod
+    def _effective_availability(report):
+        rebooked = sum(
+            excess
+            for handler in report.constraint_handlers
+            if handler is not None
+            for _ref, excess in getattr(handler, "rebooked", [])
+        )
+        return (report.served - rebooked) / report.attempted
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_adaptive_strictly_dominates_both_static_configs(self, seed):
+        always_config = generate_scenario(
+            GeneratorConfig(
+                domain="flight_booking", seed=seed, nodes=5, entities=6, ops=120,
+                faults=6, fault_plan="oscillating", partition_sensitive=True,
+                params={"seats": 8},
+            )
+        )
+        never_config = replace(
+            always_config,
+            params={**always_config.params, "adapt_initial": self.NEVER_TRADEABLE},
+        )
+        adaptive_config = _with_adaptation(always_config, self.ADAPTIVE, tick=0.05)
+        always, never, adaptive, rerun = (
+            replay_scenario(scenario)
+            for scenario in (always_config, never_config, adaptive_config, adaptive_config)
+        )
+        for report in (always, never, adaptive):
+            assert report.all_invariants_hold, report.failed_invariants
+        assert self._effective_availability(adaptive) > self._effective_availability(always)
+        assert self._effective_availability(adaptive) > self._effective_availability(never)
+        assert adaptive.integrity_violations <= always.integrity_violations
+        assert {"fire", "release"} <= set(_phases(adaptive))
+        assert rerun.adaptation_trace == adaptive.adaptation_trace

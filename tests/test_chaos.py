@@ -162,6 +162,8 @@ class TestResilienceEffect:
                 ),
             )
             assert base.attempted == resilient.attempted
+            # No seed regresses, and a retried op is never counted twice.
+            assert base.served <= resilient.served <= resilient.attempted
             baseline_served += base.served
             resilient_served += resilient.served
             attempted += base.attempted

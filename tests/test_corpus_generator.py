@@ -1,9 +1,14 @@
 """Generator shapes, validator rejections, CLI plumbing, sweep stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.apps.registry import domain_names, get_domain
 from repro.check.scenario import Op, Scenario
 from repro.corpus import (
@@ -17,6 +22,7 @@ from repro.corpus import (
 )
 from repro.corpus.cli import main as corpus_main
 from repro.corpus.sweep import healthy_violations
+from repro.faults.chaos import replay_scenario
 
 
 # ----------------------------------------------------------------------
@@ -29,6 +35,16 @@ def test_generated_scenarios_are_valid_by_construction(domain):
             GeneratorConfig(domain=domain, seed=seed, nodes=5, entities=3, ops=20, faults=2)
         )
         assert validate_scenario(scenario) == []
+
+
+@pytest.mark.parametrize("domain", domain_names())
+def test_generated_scenarios_replay_with_every_invariant_holding(domain):
+    for seed in range(2):
+        scenario = generate_scenario(
+            GeneratorConfig(domain=domain, seed=seed, nodes=5, entities=4, ops=40, faults=2)
+        )
+        report = replay_scenario(scenario)
+        assert report.all_invariants_hold, (seed, report.failed_invariants)
 
 
 @pytest.mark.parametrize("domain", domain_names())
@@ -174,6 +190,7 @@ def test_sweep_is_deterministic_and_covers_all_domains():
     assert set(first["domains"]) == set(domain_names())
     assert len(first["domains"]) >= 5
     assert healthy_violations(first) == 0
+    assert first["violations"] == 0  # the faulted half too
     for domain_result in first["domains"].values():
         assert domain_result["availability"] is not None
         for entry in domain_result["scenarios"]:
@@ -207,3 +224,25 @@ def test_cli_generate_validate_sweep(tmp_path, capsys):
     sweep = json.loads(sweep_out.read_text())
     assert sweep["violations"] == 0
     assert set(sweep["domains"]) == set(domain_names())
+
+
+def test_cli_sweep_is_byte_identical_across_interpreter_runs(tmp_path):
+    """Two separate interpreters with different hash seeds: the one thing
+    an in-process repeat cannot see is set / dict ordering leaking into
+    the output."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"sweep-{hash_seed}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.corpus", "sweep", "--seed", "7",
+             "--per-domain", "3", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["violations"] == 0

@@ -195,6 +195,7 @@ class TestExportedTrace:
         cluster, _ = partition_cluster()
         parsed = json.loads(json.dumps(cluster.snapshot(), sort_keys=True))
         assert parsed["events"]["emitted"] > 0
+        assert "ccm_invocations_total" in parsed["metrics"]
 
     def test_cluster_summary_mentions_event_types(self):
         cluster, _ = partition_cluster()

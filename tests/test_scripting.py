@@ -100,9 +100,12 @@ class TestScriptExecution:
 
 class TestScriptErrors:
     def test_unknown_command(self):
-        with pytest.raises(ScriptError) as exc_info:
-            make_runner().run("nodes a\nfrobnicate x")
-        assert exc_info.value.line_number == 2
+        # ``config`` never was a command: it reports like any other typo.
+        for command in ("frobnicate x", "config retries 3"):
+            with pytest.raises(ScriptError) as exc_info:
+                make_runner().run(f"nodes a\n{command}")
+            assert exc_info.value.line_number == 2
+            assert "unknown command" in exc_info.value.reason
 
     def test_command_before_nodes(self):
         with pytest.raises(ScriptError):

@@ -241,7 +241,7 @@ class TestCompiledClusterIntegration:
 
     def test_compiled_is_not_slower_than_cached(self):
         elapsed = {}
-        for kind in ("cached", "compiled"):
+        for kind in ("linear", "cached", "compiled"):
             cluster = build_cluster(repository=kind)
             ref = cluster.create_entity(
                 "node-1", "Flight", "f1", {"flight_number": "OS1", "seats": 50, "sold": 0}
@@ -250,7 +250,7 @@ class TestCompiledClusterIntegration:
             for _ in range(5):
                 cluster.invoke("node-1", ref, "sell_tickets", 1)
             elapsed[kind] = cluster.network.scheduler.clock.now - start
-        assert elapsed["compiled"] < elapsed["cached"]
+        assert elapsed["compiled"] < elapsed["cached"] < elapsed["linear"]
 
 
 class TestBatchedPropagation:
@@ -276,6 +276,18 @@ class TestBatchedPropagation:
         for node in cluster.config.node_ids:
             for ref in refs:
                 assert cluster.entity_on(node, ref).state()["sold"] == 1
+
+    @pytest.mark.parametrize("repository", ["linear", "cached", "compiled"])
+    def test_batched_transaction_costs_less_simulated_time(self, repository):
+        # One multicast round per transaction instead of one per write.
+        elapsed = {}
+        for batched in (False, True):
+            cluster = build_cluster(repository=repository, batch_updates=batched)
+            refs = self.two_flights_one_primary(cluster)
+            start = cluster.clock.now
+            sell_pair(cluster, refs=refs)
+            elapsed[batched] = cluster.clock.now - start
+        assert elapsed[True] < elapsed[False]
 
     def test_batch_round_carries_per_entry_acks(self):
         obs = Observability()

@@ -21,13 +21,14 @@ shutdown does not wait for idle connections.
 """
 
 import signal
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.transport import frames
-from repro.transport.proccluster import ProcessCluster
+from repro.transport.proccluster import _EPHEMERAL_RANGE, ProcessCluster, _free_ports
 from repro.transport.procnode import WorkerNode
 
 FLIGHT = ("Flight", "K9")
@@ -229,3 +230,42 @@ def test_close_does_not_wait_for_idle_connections():
     with pool._pool_lock:
         leaked = [key for key in pool._idle if key[1] in cluster.ports.values()]
     assert leaked == [], "the driver must not keep sockets to closed workers"
+
+
+# ----------------------------------------------------------------------
+# worker ports: never one the kernel may give to somebody else
+# ----------------------------------------------------------------------
+def ephemeral_range() -> range:
+    if not _EPHEMERAL_RANGE.exists():
+        pytest.skip("the kernel's ephemeral port range is only readable on Linux")
+    low, high = map(int, _EPHEMERAL_RANGE.read_text().split())
+    return range(low, high + 1)
+
+
+def test_worker_ports_are_distinct_bindable_and_not_ephemeral():
+    ephemeral = ephemeral_range()
+    ports = _free_ports(5)
+    assert len(set(ports)) == 5
+    for port in ports:
+        assert port not in ephemeral
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
+
+
+def test_respawn_finds_its_port_free_after_connections_made_while_it_was_down(quiet_cluster):
+    cluster = quiet_cluster
+    port = cluster.ports["a"]
+    cluster.kill("a", signal.SIGKILL)
+    with socket.socket() as outbound:
+        if port in ephemeral_range():
+            # What connect() may do on its own to any peer or driver
+            # connection opened now: take the dead worker's port as the
+            # local end.  SO_REUSEADDR only gets the explicit bind past
+            # the dead worker's TIME_WAIT sockets and is cleared again,
+            # as on a socket the kernel bound itself.
+            outbound.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            outbound.bind(("127.0.0.1", port))
+            outbound.connect(("127.0.0.1", cluster.ports["b"]))
+            outbound.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 0)
+        cluster.restart("a")
+    assert cluster.ping("a")
