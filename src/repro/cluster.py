@@ -42,7 +42,7 @@ from .core import (
 from .core.system_mode import SystemMode, SystemModeTracker
 from .faults import FaultInjector, ResilienceConfig, ResilienceInterceptor
 from .membership import GroupMembershipService
-from .net import GroupChannel, Message, NodeId, SimNetwork
+from .net import GroupChannel, Message, NodeCrashedError, NodeId, SimNetwork
 from .objects import (
     ContainerInvoker,
     CostInterceptor,
@@ -64,7 +64,7 @@ from .replication import (
     ReplicationServerInterceptor,
     TransportInterceptor,
 )
-from .sim import CostLedger, CostModel
+from .sim import CostModel
 from .transport import Transport, build_transport
 from .tx import TransactionManager
 
@@ -143,10 +143,11 @@ class DedisysCluster:
         )
         self.clock = self.transport.clock
         self.scheduler = self.transport.scheduler
-        self.ledger = CostLedger()
         self.obs.bind_clock(self.clock)
         self.network = self.transport.network
-        self.network.ledger = self.ledger
+        # One ledger for the whole deployment: the network's, which its
+        # charge function is already bound to.
+        self.ledger = self.network.ledger
         if self.config.fault_injector is not None:
             self.network.install_fault_injector(self.config.fault_injector)
         self.gms = GroupMembershipService(self.network, self.config.node_weights)
@@ -462,8 +463,6 @@ class DedisysCluster:
         return self.nodes[node_id].container.resolve(ref)
 
     def _require_alive(self, node_id: NodeId) -> None:
-        from .net import NodeCrashedError
-
         if self.network.is_crashed(node_id):
             raise NodeCrashedError(node_id)
 

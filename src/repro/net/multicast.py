@@ -29,6 +29,7 @@ class GroupChannel:
         self.network = network
         self.group = group
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
+        self._members: tuple[NodeId, ...] = ()
         self.obs = network.obs
         self._m_multicasts = self.obs.registry.counter(
             "net_multicasts_total", "group multicast rounds, by message kind"
@@ -42,13 +43,16 @@ class GroupChannel:
         if node not in self.network.nodes:
             raise KeyError(f"unknown node {node!r}")
         self._handlers[node] = handler
+        self._members = tuple(sorted(self._handlers))
 
     def leave(self, node: NodeId) -> None:
         self._handlers.pop(node, None)
+        self._members = tuple(sorted(self._handlers))
 
     @property
     def members(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self._handlers))
+        """The group in sorted order; changes only on ``join`` / ``leave``."""
+        return self._members
 
     def multicast(
         self,
@@ -84,9 +88,7 @@ class GroupChannel:
             costs.multicast_base + costs.multicast_per_node * len(recipients)
         )
         if recipients:
-            self.network.scheduler.clock.advance(
-                self.network.ledger.charge("multicast", duration)
-            )
+            self.network.charge("multicast", duration)
         self._record_round(source, kind, payload, recipients, await_acks)
         replies: dict[NodeId, Any] = {}
         for node in recipients:

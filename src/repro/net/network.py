@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..sim import CostLedger, CostModel, Scheduler
+from ..sim import CostLedger, CostModel, Scheduler, charger
 from .messages import Message, NodeCrashedError, NodeId, UnreachableError
 from .topology import Topology
 
@@ -63,6 +63,7 @@ class Network(Topology):
         self.scheduler = scheduler
         self.costs = costs if costs is not None else CostModel()
         self.ledger = CostLedger()
+        self.charge = charger(scheduler.clock, self.costs, self.ledger)
         self.loss_probability = loss_probability
         self._rng = random.Random(seed)
         self.injector: "FaultInjector | None" = None
@@ -108,13 +109,12 @@ class Network(Topology):
                 self._drop(source, destination, kind, decision.reason or "fault")
                 raise UnreachableError(source, destination)
             if decision.extra_delay > 0.0:
-                self._delay(self.ledger.charge("fault_delay", decision.extra_delay))
+                self.charge("fault_delay", decision.extra_delay)
+                self._delay(decision.extra_delay)
             duplicates = decision.duplicates
         message = Message(source, destination, kind, payload)
         if source != destination:
-            self.scheduler.clock.advance(
-                self.ledger.charge("network_latency", self.costs.network_latency)
-            )
+            self.charge("network_latency")
         if self.obs.enabled:
             size = payload_size(payload)
             self._m_sent.inc(kind=kind)
@@ -129,8 +129,10 @@ class Network(Topology):
         return message, duplicates
 
     def _delay(self, seconds: float) -> None:
-        """Let an injected link delay pass on this substrate's clock."""
-        raise NotImplementedError
+        """Let an injected link delay, already charged, pass in real time.
+
+        Nothing to do where the charge itself moved the (simulated) clock.
+        """
 
     def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
         if self.obs.enabled:
@@ -184,9 +186,6 @@ class SimNetwork(Network):
             self._delivered.append(message)
             handler(message)
         return result
-
-    def _delay(self, seconds: float) -> None:
-        self.scheduler.clock.advance(seconds)
 
     @property
     def delivered_messages(self) -> list[Message]:

@@ -58,7 +58,9 @@ class Container:
         if ref in self._instances:
             raise KeyError(f"{ref} already exists on {self.node.node_id}")
         entity = entity_cls(oid, container=self, **(attributes or {}))
-        self._instances[ref] = entity
+        # Keyed by the entity's own ref: a lookup with the ref the entity
+        # hands out then matches by identity.
+        self._instances[entity.ref] = entity
         if persist:
             self.node.persistence.table("entities").insert(
                 (class_name, oid), entity.state()
@@ -80,9 +82,10 @@ class Container:
     # ------------------------------------------------------------------
     def resolve(self, ref: ObjectRef) -> Entity:
         """Return the local view of the logical object."""
-        if ref not in self._instances:
-            raise ObjectNotFound(ref)
-        return self._instances[ref]
+        try:
+            return self._instances[ref]
+        except KeyError:
+            raise ObjectNotFound(ref) from None
 
     def has(self, ref: ObjectRef) -> bool:
         return ref in self._instances

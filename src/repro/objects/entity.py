@@ -57,6 +57,20 @@ def _record_access(entity: "Entity") -> None:
         _tracker_stack[-1].record(entity)
 
 
+def _accessors(field: str) -> tuple[Any, Any]:
+    """The ``get_<field>`` / ``set_<field>`` pair of one declared field."""
+
+    def getter(self: "Entity") -> Any:
+        return self._get(field)
+
+    def setter(self: "Entity", value: Any) -> None:
+        self._set(field, value)
+
+    getter.__name__ = f"get_{field}"
+    setter.__name__ = f"set_{field}"
+    return getter, setter
+
+
 class Entity:
     """Base class for application business objects.
 
@@ -64,10 +78,24 @@ class Entity:
     (name → default) and add business methods on top.  Attribute access
     goes through :meth:`_get`/:meth:`_set`, which implement tracking, undo
     logging and version bumping; ``get_x()``/``set_x(v)`` accessors are
-    synthesised automatically for every declared field.
+    synthesised for every declared field *when the class is created*, so
+    ``fields`` must be declared in the class body — a field added to the
+    mapping afterwards gets no accessor.  A method the class (or a base,
+    like :meth:`get_version`) already defines under an accessor's name
+    wins.
+
+    :attr:`ref` is the entity's one :class:`ObjectRef`, made with it.
     """
 
     fields: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for field in cls.fields:
+            for accessor in _accessors(field):
+                if not hasattr(cls, accessor.__name__):
+                    accessor.__qualname__ = f"{cls.__qualname__}.{accessor.__name__}"
+                    setattr(cls, accessor.__name__, accessor)
 
     def __init__(
         self,
@@ -76,6 +104,7 @@ class Entity:
         **attributes: Any,
     ) -> None:
         self.oid = oid
+        self.ref = ObjectRef(self.class_name(), oid)
         self.container = container
         self._attributes: dict[str, Any] = {
             name: copy_value(default) for name, default in type(self).fields.items()
@@ -99,10 +128,6 @@ class Entity:
     @classmethod
     def class_name(cls) -> str:
         return cls.__name__
-
-    @property
-    def ref(self) -> ObjectRef:
-        return ObjectRef(self.class_name(), self.oid)
 
     # ------------------------------------------------------------------
     # attribute access
@@ -134,21 +159,6 @@ class Entity:
         self._attributes[name] = value
         self.version += 1
         self.last_update_time = self._now()
-
-    def __getattr__(self, name: str) -> Any:
-        # Only called for attributes not found normally: synthesise the
-        # get_x/set_x accessors for declared fields.
-        if name.startswith("get_"):
-            field = name[4:]
-            if field in type(self).fields:
-                return lambda: self._get(field)
-        elif name.startswith("set_"):
-            field = name[4:]
-            if field in type(self).fields:
-                return lambda value: self._set(field, value)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     def _require_field(self, name: str) -> None:
         if name not in self._attributes:

@@ -39,6 +39,12 @@ class Invocation:
         self.invocation_id = next(Invocation._ids)
         self.ref = ref
         self.method_name = method_name
+        # EJB-convention write detection (§4.3), decided here once: setters
+        # are writes, getters are reads, and anything else is treated as a
+        # write "to be on the safe side" (§5.1).
+        self.is_getter = method_name.startswith("get_")
+        self.is_setter = method_name.startswith("set_")
+        self.is_write = not self.is_getter
         self.args = args
         self.caller_node = caller_node
         self.execution_node: NodeId | None = None
@@ -52,23 +58,6 @@ class Invocation:
         # transaction context, ... — "any desired additional payload can be
         # added to such an invocation", §5.3).
         self.metadata: dict[str, Any] = {}
-
-    @property
-    def is_getter(self) -> bool:
-        return self.method_name.startswith("get_")
-
-    @property
-    def is_setter(self) -> bool:
-        return self.method_name.startswith("set_")
-
-    @property
-    def is_write(self) -> bool:
-        """EJB-convention write detection (§4.3).
-
-        Setters are writes; getters are reads; anything else is treated as
-        a write "to be on the safe side" (§5.1).
-        """
-        return not self.is_getter
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # The process-global invocation_id stays out of the repr: the
@@ -120,13 +109,10 @@ class CostInterceptor(Interceptor):
 
     def __init__(self, node: "Node", hops: int = 1) -> None:
         self.node = node
-        self.hops = hops
+        self.cost = node.services.costs.interceptor_hop * hops
 
     def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
-        cost = self.node.services.costs.interceptor_hop * self.hops
-        self.node.services.clock.advance(
-            self.node.services.ledger.charge("interceptor_hop", cost)
-        )
+        self.node.persistence.charge("interceptor_hop", self.cost)
         return proceed()
 
 
@@ -161,10 +147,7 @@ class InvocationService:
         self.server_chain = InterceptorChain([])
 
     def invoke(self, ref: ObjectRef, method_name: str, args: tuple[Any, ...] = ()) -> Any:
-        base = self.node.services.costs.invocation_base
-        self.node.services.clock.advance(
-            self.node.services.ledger.charge("invocation_base", base)
-        )
+        self.node.persistence.charge("invocation_base")
         invocation = Invocation(ref, method_name, args, self.node.node_id)
         return self.client_chain.execute(invocation)
 

@@ -53,9 +53,10 @@ class LocationService:
         self._homes.pop(ref, None)
 
     def home_of(self, ref: ObjectRef) -> NodeId:
-        if ref not in self._homes:
-            raise ObjectNotFound(ref)
-        return self._homes[ref]
+        try:
+            return self._homes[ref]
+        except KeyError:
+            raise ObjectNotFound(ref) from None
 
     def knows(self, ref: ObjectRef) -> bool:
         return ref in self._homes

@@ -26,23 +26,42 @@ def _immutable(value: Any) -> bool:
     )
 
 
+def _flat(container: Any) -> bool:
+    """Whether a ``list`` or plain ``dict`` holds only immutable values."""
+    if type(container) is dict:
+        return all(map(_immutable, container)) and all(
+            map(_immutable, container.values())
+        )
+    return type(container) is list and all(map(_immutable, container))
+
+
 def copy_value(value: Any) -> Any:
     """A copy equal to, and as independent as, a deep copy of ``value``.
 
     Almost every state and row is a plain ``dict`` of immutable keys and
-    values, for which a shallow copy already is a deep one.  Anything else
-    — a list or nested dict inside, a ``dict`` subclass, an aliased or
-    cyclic structure — is left to the standard library's ``deepcopy``.
+    values, for which a shallow copy already is a deep one.  A threat row
+    also holds a list and a plain dict of such values, one level down:
+    those are shallow-copied in turn.  Anything else — deeper nesting, a
+    ``dict`` or ``list`` subclass, a container reachable twice, a cycle —
+    is left to the standard library's ``deepcopy``.
     """
     if type(value) is dict:
         # Testing the leaf types inline spares a call per key and per item
         # on the nine copies a replicated write makes.
         leaves = _LEAVES
+        nested: list[tuple[Any, Any]] = []
         for key, item in value.items():
             if type(item) not in leaves and not _immutable(item):
-                break
+                # Copying a container met twice on its own each time would
+                # lose the sharing a deep copy keeps.
+                if not _flat(item) or any(item is seen for _, seen in nested):
+                    break
+                nested.append((key, item))
             if type(key) not in leaves and not _immutable(key):
                 break
         else:
-            return value.copy()
+            copied = value.copy()
+            for key, item in nested:
+                copied[key] = item.copy()
+            return copied
     return copy.deepcopy(value)

@@ -19,7 +19,7 @@ from typing import Any, Iterator
 # ``ObjectRef``.  ``objects.values`` imports nothing but ``objects.refs``, so
 # it is complete by the time ``objects.node`` pulls this module in.
 from ..objects.values import copy_value
-from ..sim import CostLedger, CostModel, SimClock
+from ..sim import CostLedger, CostModel, SimClock, charger
 
 
 # ``slots``: the journal only grows, and every entry keeps its own copy of
@@ -36,7 +36,16 @@ class JournalEntry:
 
 
 class PersistenceEngine:
-    """Per-node durable storage with simulated access costs."""
+    """Per-node durable storage with simulated access costs.
+
+    ``charge(category)`` advances the clock by the modelled cost of
+    ``category`` and books it in the ledger; ``charge(category, seconds)``
+    does the same for a duration the caller computed.  It is the node's
+    :func:`~repro.sim.costs.charger` function, so table accesses, the
+    invocation service and every middleware service of the node spend
+    simulated time the same way.  An unknown category raises
+    ``AttributeError``.
+    """
 
     def __init__(
         self,
@@ -47,6 +56,7 @@ class PersistenceEngine:
         self.clock = clock
         self.costs = costs if costs is not None else CostModel()
         self.ledger = ledger if ledger is not None else CostLedger()
+        self.charge = charger(clock, self.costs, self.ledger)
         self._tables: dict[str, "Table"] = {}
         self._journal: list[JournalEntry] = []
         self._sequence = itertools.count(1)
@@ -59,11 +69,6 @@ class PersistenceEngine:
 
     def journal(self) -> list[JournalEntry]:
         return list(self._journal)
-
-    def charge(self, category: str) -> None:
-        """Advance the clock by the modelled cost of ``category``."""
-        seconds = getattr(self.costs, category)
-        self.clock.advance(self.ledger.charge(category, seconds))
 
     def _record(self, table: str, operation: str, key: Any, value: Any = None) -> None:
         self._journal.append(

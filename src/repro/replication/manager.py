@@ -156,9 +156,10 @@ class ReplicationManager:
         return sorted(self._replicated_classes)
 
     def info(self, ref: ObjectRef) -> ReplicaInfo:
-        if ref not in self._replicas:
-            raise ObjectNotFound(ref)
-        return self._replicas[ref]
+        try:
+            return self._replicas[ref]
+        except KeyError:
+            raise ObjectNotFound(ref) from None
 
     def refs_of_class(self, class_name: str) -> list[ObjectRef]:
         """All replicated refs of one entity class, in stable order."""
@@ -466,12 +467,10 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     def is_possibly_stale(self, entity: Entity) -> bool:
         ref = entity.ref
-        if ref not in self._replicas:
-            return False
-        if entity.container is None:
+        info = self._replicas.get(ref)
+        if info is None or entity.container is None:
             return False
         node = entity.container.node.node_id
-        info = self._replicas[ref]
         partition = self.network.partition_of(node)
         return self.protocol_for(ref).is_possibly_stale(
             info.designated_primary, info.replica_nodes, partition
@@ -718,9 +717,10 @@ class ReplicationManager:
         was applied, ``"missing"`` when the backup holds no such replica.
         """
         ref: ObjectRef = entry["ref"]
-        if not node.container.has(ref):
+        try:
+            entity = node.container.resolve(ref)
+        except ObjectNotFound:
             return "missing"
-        entity = node.container.resolve(ref)
         old_state = entity.state()
         old_version = entity.version
         entity.apply_state(entry["state"], version=entry.get("version"))

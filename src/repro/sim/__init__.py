@@ -5,7 +5,7 @@ model that replace the paper's physical testbed.
 """
 
 from .clock import SimClock, Stopwatch
-from .costs import CostLedger, CostModel
+from .costs import CostLedger, CostModel, charger
 from .scheduler import Event, OrderingPolicy, Scheduler
 
 __all__ = [
@@ -16,4 +16,5 @@ __all__ = [
     "Scheduler",
     "SimClock",
     "Stopwatch",
+    "charger",
 ]

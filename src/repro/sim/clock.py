@@ -12,6 +12,15 @@ from __future__ import annotations
 
 import math
 
+_INF = math.inf
+
+
+def rejected_advance(seconds: float) -> ValueError:
+    """Why a clock refuses to advance by ``seconds`` (NaN, ±∞, negative)."""
+    if not math.isfinite(seconds):
+        return ValueError(f"cannot advance clock by non-finite time: {seconds}")
+    return ValueError(f"cannot advance clock by negative time: {seconds}")
+
 
 class SimClock:
     """A monotonically advancing simulated clock.
@@ -38,12 +47,12 @@ class SimClock:
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
-        if not math.isfinite(seconds):
-            raise ValueError(f"cannot advance clock by non-finite time: {seconds}")
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._now += seconds
-        return self._now
+        # One chained comparison admits exactly the finite, non-negative
+        # durations: NaN fails the first half, +inf the second.
+        if 0.0 <= seconds < _INF:
+            self._now += seconds
+            return self._now
+        raise rejected_advance(seconds)
 
     def advance_to(self, timestamp: float) -> float:
         """Jump the clock forward to ``timestamp``.

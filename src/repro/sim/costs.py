@@ -16,7 +16,7 @@ All costs are expressed in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,13 @@ class CostModel:
 
 @dataclass
 class CostLedger:
-    """Accumulates charged costs by category for introspection in tests."""
+    """Charged costs by category, for introspection in tests.
+
+    Written only by the :func:`charger` functions bound to it.
+    """
 
     totals: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
-
-    def charge(self, category: str, seconds: float) -> float:
-        self.totals[category] = self.totals.get(category, 0.0) + seconds
-        self.counts[category] = self.counts.get(category, 0) + 1
-        return seconds
 
     def total(self) -> float:
         return sum(self.totals.values())
@@ -125,3 +123,38 @@ class CostLedger:
             name: {"count": self.counts[name], "seconds": self.totals[name]}
             for name in sorted(self.totals)
         }
+
+
+def charger(
+    clock: Any, costs: CostModel, ledger: CostLedger
+) -> Callable[..., None]:
+    """The charge function of one clock, cost model and ledger.
+
+    Every modelled cost is spent through such a function, in one call:
+    ``charge(category)`` spends the cost model's seconds for that category,
+    ``charge(category, seconds)`` a duration the caller computed.  It books
+    the seconds under ``category`` in ``ledger`` and lets them pass on
+    ``clock``, whose ``advance`` rejects NaN, infinite and negative
+    durations (a wall clock validates and stays put).
+
+    The per-category seconds are read off the frozen ``costs`` here, once;
+    the table is complete before the first charge and never changes, so
+    threads that share the ledger share nothing new.
+    """
+    seconds_of = {name: getattr(costs, name) for name in costs.__dataclass_fields__}
+    totals, counts = ledger.totals, ledger.counts
+    advance = clock.advance
+
+    def charge(category: str, seconds: float | None = None) -> None:
+        if seconds is None:
+            try:
+                seconds = seconds_of[category]
+            except KeyError:
+                raise AttributeError(
+                    f"{type(costs).__name__!r} object has no attribute {category!r}"
+                ) from None
+        totals[category] = totals.get(category, 0.0) + seconds
+        counts[category] = counts.get(category, 0) + 1
+        advance(seconds)
+
+    return charge

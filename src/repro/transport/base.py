@@ -33,6 +33,11 @@ from ..net import NodeId
 from ..sim import CostModel
 
 
+#: The single-threaded backends' transaction guard: stateless, so one
+#: instance serves every entry into every cluster.
+_NO_GUARD: ContextManager[None] = nullcontext()
+
+
 class Transport:
     """Abstract execution substrate for a DeDiSys cluster.
 
@@ -60,7 +65,7 @@ class Transport:
         backends return a re-entrant lock shared by every cluster entry
         point.
         """
-        return nullcontext()
+        return _NO_GUARD
 
     def settle(self, seconds: float) -> None:
         """Let ``seconds`` of transport time pass, firing due timers.

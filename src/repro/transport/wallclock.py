@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 from typing import Any, Callable
 
+from ..sim.clock import rejected_advance
 from ..sim.scheduler import Event
 
 
@@ -69,9 +71,9 @@ class WallClock:
         return read_monotonic() - self._origin
 
     def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        return self.now
+        if 0.0 <= seconds < math.inf:
+            return self.now
+        raise rejected_advance(seconds)
 
     def advance_to(self, timestamp: float) -> float:
         return self.now

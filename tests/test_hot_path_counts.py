@@ -3,7 +3,8 @@
 No timing: the counts say what a healthy op is allowed to recompute.  State
 copies go through ``copy_value`` and never reach ``copy.deepcopy`` for the
 flat states the flight app has; partition components are searched once per
-topology, not once per call.
+topology, not once per call; object references are made with their entities,
+not per access.
 """
 
 import copy
@@ -15,7 +16,9 @@ import repro.objects.entity
 import repro.persistence.store
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
+from repro.core import AcceptAllHandler
 from repro.net.topology import Topology
+from repro.objects import ObjectRef
 from repro.objects.values import copy_value
 
 NODES = ("n1", "n2", "n3")
@@ -80,3 +83,27 @@ def test_a_partition_costs_at_most_one_search_per_node(counted):
     for node in NODES:
         cluster.invoke(node, ref, "get_sold")
     assert 0 < searches.call_count <= len(NODES)
+
+
+def test_degraded_writes_deep_copy_nothing_either(counted):
+    """A threat row holds a list and a dict of leaves, one level down."""
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1"}, {"n2", "n3"})
+    for node in NODES:
+        for _ in range(2):  # the second occurrence rewrites the head row
+            cluster.invoke(
+                node, ref, "sell_tickets", 1, negotiation_handler=AcceptAllHandler()
+            )
+    assert sum(store.stored_records() for store in cluster.threat_stores.values()) > 0
+    assert deep.call_count == 0
+
+
+def test_healthy_ops_make_no_object_refs(counted, monkeypatch):
+    cluster, ref, copies, deep, searches = counted
+    made = Mock(wraps=ObjectRef)
+    monkeypatch.setattr(repro.objects.entity, "ObjectRef", made)
+    for node in NODES:
+        cluster.invoke(node, ref, "sell_tickets", 1)
+        cluster.invoke(node, ref, "get_sold")
+    assert made.call_count == 0
+    assert cluster.entity_on("n1", ref).ref is ref

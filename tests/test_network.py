@@ -207,6 +207,11 @@ class TestGroupChannel:
         channel.join("b", lambda msg: "ack")
         channel.leave("b")
         assert channel.members == ("a",)
+        # The tuple is rebuilt by join / leave only, not per read.
+        assert channel.members is channel.members
+        channel.leave("zzz")
+        channel.join("a", lambda msg: "again")
+        assert channel.members == ("a",)
 
     def test_join_unknown_node_rejected(self, network):
         channel = GroupChannel(network)

@@ -1,6 +1,10 @@
 """Tests for the distributed-object layer: entities, containers, naming,
 invocation interception."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.objects import (
@@ -43,6 +47,105 @@ def container(node):
     return node.container
 
 
+class TestObjectRef:
+    def test_equal_refs_from_different_constructions(self):
+        one = ObjectRef("Flight", "F1")
+        other = ObjectRef("".join(["Fli", "ght"]), "".join(["F", "1"]))
+        assert one is not other and one == other and not one != other
+        assert hash(one) == hash(other)
+        assert {one: "row"}[other] == "row" and other in {one}
+        assert one != ObjectRef("Flight", "F2") and one != ObjectRef("Person", "F1")
+
+    def test_not_equal_to_the_tuple_of_its_fields(self):
+        ref = ObjectRef("Flight", "F1")
+        assert ref != ("Flight", "F1") and ("Flight", "F1") != ref
+        assert ref not in {("Flight", "F1"): 1}
+
+    def test_repr_and_str_are_what_payload_sizes_and_goldens_read(self):
+        ref = ObjectRef("Flight", "F1")
+        assert repr(ref) == "ObjectRef(class_name='Flight', oid='F1')"
+        assert str(ref) == "Flight#F1"
+
+    def test_immutable(self):
+        ref = ObjectRef("Flight", "F1")
+        with pytest.raises(FrozenInstanceError):
+            ref.oid = "F2"
+        with pytest.raises(FrozenInstanceError):
+            del ref.class_name
+        with pytest.raises(FrozenInstanceError):
+            ref.colour = "red"
+        assert ref == ObjectRef("Flight", "F1") and hash(ref) == hash(ObjectRef("Flight", "F1"))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda ref: pickle.loads(pickle.dumps(ref))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip_to_an_equal_ref(self, clone):
+        ref = ObjectRef("Flight", "F1")
+        again = clone(ref)
+        assert again == ref and hash(again) == hash(ref) and {ref: 1}[again] == 1
+
+    def test_pickle_carries_the_fields_not_the_hash(self):
+        # String hashes differ between interpreter processes; a stored
+        # hash that travelled would miss every dict entry on arrival.
+        assert ObjectRef("Flight", "F1").__reduce__() == (ObjectRef, ("Flight", "F1"))
+
+
+class Savings(Account):
+    """A sub-subclass of :class:`Entity` with inherited and own fields,
+    a hand-written accessor and a field named like a base method."""
+
+    fields = {**Account.fields, "rate": 0.5, "version": "shadowed"}
+
+    def get_rate(self) -> str:
+        return f"{self._get('rate'):.0%}"
+
+
+class TestSynthesisedAccessors:
+    def test_accessors_exist_on_the_class(self):
+        assert Account.get_balance.__qualname__ == "Account.get_balance"
+        assert Account.set_owner.__name__ == "set_owner"
+        assert "get_balance" not in Savings.__dict__  # inherited, not rebuilt
+        assert "set_rate" in Savings.__dict__
+
+    def test_subclass_sees_inherited_and_own_fields(self):
+        savings = Savings("s1", balance=10)
+        savings.set_owner("ann")
+        savings.set_rate(0.25)
+        assert (savings.get_balance(), savings.get_owner()) == (10, "ann")
+        assert savings.deposit(5) == 15
+
+    def test_hand_written_accessor_is_not_overwritten(self):
+        assert Savings("s1").get_rate() == "50%"
+
+    def test_base_method_wins_over_a_field_of_its_name(self):
+        savings = Savings("s1")
+        assert savings.get_version() == 0  # VersionedEntity, not the field
+        savings.set_version("v2")  # no base setter: the field's accessor
+        assert savings.get_version() == 1 and savings.state()["version"] == "v2"
+
+    def test_unknown_accessor_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="get_nope"):
+            Savings("s1").get_nope
+        assert not hasattr(Account("a1"), "get_rate")
+
+    def test_accessors_track_log_undo_and_bump_the_version(self, container):
+        account = container.create("Account", "a1", {"balance": 5})
+        txmgr = container.node.services.txmgr
+        tx = txmgr.begin()
+        tracker = ObjectAccessTracker()
+        push_tracker(tracker)
+        try:
+            account.set_balance(account.get_balance() + 1)
+        finally:
+            pop_tracker()
+        assert tracker.accessed == [account]
+        assert account.version == 1 and account in tx.context["written_entities"]
+        txmgr.rollback(tx)
+        assert account.get_balance() == 5 and account.version == 0
+
+
 class TestEntityBasics:
     def test_fields_initialized_with_defaults(self):
         account = Account("a1")
@@ -72,6 +175,7 @@ class TestEntityBasics:
         account = Account("a1")
         assert account.ref == ObjectRef("Account", "a1")
         assert str(account.ref) == "Account#a1"
+        assert account.ref is account.ref
 
     def test_state_snapshot_is_deep(self):
         account = Account("a1", partner=None)
@@ -169,6 +273,13 @@ class TestContainer:
     def test_create_and_resolve(self, container):
         entity = container.create("Account", "a1", {"balance": 5})
         assert container.resolve(entity.ref) is entity
+        assert container.resolve(ObjectRef("Account", "a1")) is entity
+
+    def test_resolve_unknown_raises_object_not_found(self, container):
+        missing = ObjectRef("Account", "nope")
+        with pytest.raises(ObjectNotFound) as caught:
+            container.resolve(missing)
+        assert caught.value.ref is missing
 
     def test_create_persists_row(self, container):
         container.create("Account", "a1", {"balance": 5})
@@ -281,6 +392,24 @@ class TestInvocationSemantics:
         assert not Invocation(ObjectRef("A", "1"), "get_x", (), "n").is_write
         # non-getter, non-setter methods are writes "to be on the safe side"
         assert Invocation(ObjectRef("A", "1"), "do_stuff", (), "n").is_write
+
+    @pytest.mark.parametrize(
+        "method, getter, setter, write",
+        [
+            ("get_x", True, False, False),
+            ("set_x", False, True, True),
+            ("book", False, False, True),
+            ("getaway", False, False, True),
+        ],
+    )
+    def test_read_or_write_is_decided_with_the_invocation(self, method, getter, setter, write):
+        invocation = Invocation(ObjectRef("A", "1"), method, (), "n")
+        assert "is_write" in vars(invocation)  # a fact, not a property chain
+        assert (invocation.is_getter, invocation.is_setter, invocation.is_write) == (
+            getter,
+            setter,
+            write,
+        )
 
     def test_invoke_local_runs_server_chain(self, node, container):
         container.create("Account", "a1")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, DedisysCluster
-from repro.objects import Entity, ObjectRef
+from repro.objects import Entity, ObjectNotFound, ObjectRef
 from repro.replication import (
     AdaptiveVotingProtocol,
     PrimaryPartitionProtocol,
@@ -144,6 +144,23 @@ class TestReplicationManager:
         cluster.partition({"a"}, {"b", "c"})
         entity = cluster.entity_on("b", ref)
         assert cluster.replication.is_possibly_stale(entity)
+
+    def test_unknown_and_unattached_objects(self, cluster):
+        """The single-lookup paths: what is not replicated is neither
+        found, stale, nor applied."""
+        ref = cluster.create_entity("a", "Counter", "c1")
+        unknown = ObjectRef("Counter", "nope")
+        with pytest.raises(ObjectNotFound) as caught:
+            cluster.replication.info(unknown)
+        assert caught.value.ref is unknown
+        cluster.partition({"a"}, {"b", "c"})
+        assert not cluster.replication.is_possibly_stale(Counter("nope"))
+        assert not cluster.replication.is_possibly_stale(Counter("c1"))  # no container
+        node = cluster.nodes["b"]
+        entry = {"ref": unknown, "state": {"value": 1, "label": ""}, "version": 1}
+        assert cluster.replication._apply_update_entry(node, entry) == "missing"
+        assert cluster.replication._apply_update_entry(node, {**entry, "ref": ref}) == "ack"
+        assert cluster.entity_on("b", ref).get_value() == 1
 
     def test_writes_in_both_partitions_under_p4(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")

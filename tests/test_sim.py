@@ -1,9 +1,12 @@
 """Tests for the simulation kernel: clock, stopwatch, scheduler, costs."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import CostLedger, CostModel, Scheduler, SimClock, Stopwatch
+from repro.sim import CostLedger, CostModel, Scheduler, SimClock, Stopwatch, charger
+from repro.transport.wallclock import WallClock
 
 
 class TestSimClock:
@@ -221,23 +224,102 @@ class TestCostModel:
 
 
 class TestCostLedger:
+    """The ledger is written through its charge function only."""
+
+    @staticmethod
+    def bound(ledger, clock=None, costs=None):
+        return charger(clock or SimClock(), costs or CostModel(), ledger)
+
     def test_charge_accumulates(self):
         ledger = CostLedger()
-        ledger.charge("db_read", 0.5)
-        ledger.charge("db_read", 0.25)
+        charge = self.bound(ledger)
+        charge("db_read", 0.5)
+        charge("db_read", 0.25)
         assert ledger.totals["db_read"] == 0.75
         assert ledger.counts["db_read"] == 2
 
     def test_total_sums_categories(self):
         ledger = CostLedger()
-        ledger.charge("a", 1.0)
-        ledger.charge("b", 2.0)
+        charge = self.bound(ledger)
+        charge("a", 1.0)
+        charge("b", 2.0)
         assert ledger.total() == 3.0
-
-    def test_charge_returns_amount(self):
-        assert CostLedger().charge("x", 0.1) == 0.1
 
     def test_summary_shape(self):
         ledger = CostLedger()
-        ledger.charge("x", 0.5)
+        self.bound(ledger)("x", 0.5)
         assert ledger.summary() == {"x": {"count": 1, "seconds": 0.5}}
+
+    def test_bit_identical_to_the_three_step_reference(self):
+        """``getattr`` the seconds, ``dict.get``-accumulate, ``+=`` the
+        clock: what a charge did as three calls, kept here as the
+        specification of the one function."""
+        costs = CostModel().scaled(1 / 3)  # seconds with busy mantissas
+        names = sorted(costs.__dataclass_fields__)
+        rng = random.Random(20)
+        recorded = []
+        for _ in range(1500):
+            if rng.random() < 0.7:
+                recorded.append((rng.choice(names), None))
+            else:  # a duration the caller computed
+                recorded.append((rng.choice(["multicast", "fault_delay", "db_read"]), rng.random() / 7))
+
+        totals, counts, now = {}, {}, 0.0
+        for category, seconds in recorded:
+            if seconds is None:
+                seconds = getattr(costs, category)
+            totals[category] = totals.get(category, 0.0) + seconds
+            counts[category] = counts.get(category, 0) + 1
+            now += seconds
+
+        ledger, clock = CostLedger(), SimClock()
+        charge = self.bound(ledger, clock, costs)
+        for category, seconds in recorded:
+            if seconds is None:
+                charge(category)
+            else:
+                charge(category, seconds)
+        assert clock.now.hex() == now.hex()
+        assert {k: v.hex() for k, v in ledger.totals.items()} == {
+            k: v.hex() for k, v in totals.items()
+        }
+        assert list(ledger.totals) == list(totals)  # first-charge order
+        assert ledger.counts == counts and list(ledger.counts) == list(counts)
+        assert ledger.summary() == {
+            name: {"count": counts[name], "seconds": totals[name]}
+            for name in sorted(totals)
+        }
+
+    @pytest.mark.parametrize("clock_type", [SimClock, WallClock])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_durations_are_rejected(self, clock_type, bad):
+        charge = self.bound(CostLedger(), clock_type())
+        with pytest.raises(ValueError):
+            charge("multicast", bad)
+        with pytest.raises(ValueError):
+            self.bound(CostLedger(), clock_type(), CostModel(db_read=bad))("db_read")
+
+    def test_unknown_category_is_rejected(self):
+        ledger = CostLedger()
+        with pytest.raises(AttributeError, match="not_a_cost"):
+            self.bound(ledger)("not_a_cost")
+        assert not ledger.totals and not ledger.counts
+
+
+@pytest.mark.parametrize("clock_type", [SimClock, WallClock])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (float("nan"), "cannot advance clock by non-finite time: nan"),
+        (float("inf"), "cannot advance clock by non-finite time: inf"),
+        (float("-inf"), "cannot advance clock by non-finite time: -inf"),
+        (-0.5, "cannot advance clock by negative time: -0.5"),
+    ],
+)
+def test_every_clock_rejects_a_bad_advance(clock_type, bad, message):
+    """A NaN cost must surface on the wall clock as on the simulated one
+    (``nan < 0`` is false, so a sign test alone lets it through)."""
+    clock = clock_type()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        clock.advance(bad)
+    assert clock.advance(0.0) >= 0.0

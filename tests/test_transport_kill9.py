@@ -20,6 +20,8 @@ send no replica traffic while writes still reach every replica, and
 shutdown does not wait for idle connections.
 """
 
+import os
+import random
 import signal
 import socket
 import threading
@@ -269,3 +271,97 @@ def test_respawn_finds_its_port_free_after_connections_made_while_it_was_down(qu
             outbound.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 0)
         cluster.restart("a")
     assert cluster.ping("a")
+
+
+# ----------------------------------------------------------------------
+# the wall-clock ledger's cycle, repeated
+# ----------------------------------------------------------------------
+def _diagnosis(cluster: ProcessCluster, key: str) -> str:
+    """Every worker's ``status`` frame and its ``state-dump`` of ``key``."""
+    lines = []
+    for node in cluster.node_ids:
+        lines.append(f"{node}: exit code {cluster.processes[node].poll()}")
+        for kind in ("status", "state-dump"):
+            try:
+                reply = cluster.request(node, {"kind": kind})
+            except (OSError, frames.FrameError) as exc:
+                reply = f"no answer ({type(exc).__name__}: {exc})"
+            else:
+                if kind == "state-dump":
+                    reply = reply["objects"].get(key)
+            lines.append(f"{node}: {kind} = {reply}")
+    return "\n".join(lines)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("RUN_SLOW") != "1",
+    reason="30 kill -9 cycles, about a minute; set RUN_SLOW=1 (CI nightly flag)",
+)
+def test_ledger_cycle_repeated_against_a_sold_counter_oracle():
+    """``proc_mix`` as ``benchmarks/ledger`` drives it — 300 mixed ops via
+    all three nodes, ``kill -9`` of the primary, 60 ops via the survivors,
+    respawn, reconcile with additive ``sold`` baselines — looped on one
+    cluster.  About one ledger run in ninety has ended with every op from
+    its second cycle on failing and nothing kept to say why; the first
+    mismatch here fails with the workers' own account of themselves.
+    """
+    cycles, flights = 30, 16
+    rng = random.Random(20)
+    sold = {f"F{index}": 0 for index in range(flights)}
+    op_index = 0
+
+    def mixed_op(cluster: ProcessCluster, callers: tuple[str, ...]) -> None:
+        """60 % one-ticket sales, 40 % reads; while all three nodes are
+        up, 2 % of sales go to the sold-out flight and must be refused."""
+        nonlocal op_index
+        caller = rng.choice(callers)
+        oid = rng.choice(list(sold))
+        if rng.random() >= 0.6:
+            method, args, expected = "get_sold", (), sold[oid]
+        elif len(callers) == 3 and rng.random() < 0.02:
+            oid, method, args, expected = "FULL", "sell_tickets", (1,), "ConstraintViolated"
+        else:
+            sold[oid] += 1
+            method, args, expected = "sell_tickets", (1,), sold[oid]
+        try:
+            reply = cluster.invoke(caller, "Flight", oid, method, *args)
+            got = reply["result"] if reply.get("ok") else reply.get("error")
+        except (OSError, frames.FrameError) as exc:
+            reply, got = None, f"{type(exc).__name__}: {exc}"
+        if got != expected:
+            pytest.fail(
+                f"op {op_index} ({caller}: {oid}.{method}{args}) returned {got!r}, "
+                f"the oracle says {expected!r}; reply {reply}\n"
+                + _diagnosis(cluster, f"Flight|{oid}")
+            )
+        op_index += 1
+
+    with ProcessCluster(("a", "b", "c"), primary="a") as cluster:
+        for index, oid in enumerate(sold):
+            node = cluster.node_ids[index % 3]
+            created = cluster.create(
+                node, "Flight", oid, {"flight_number": oid, "seats": 10**6, "sold": 0}
+            )
+            assert created["ok"], created
+        full = {"flight_number": "FULL", "seats": 5, "sold": 5}
+        assert cluster.create("a", "Flight", "FULL", full)["ok"]
+
+        for cycle in range(cycles):
+            for _ in range(300):
+                mixed_op(cluster, ("a", "b", "c"))
+            baselines = {f"Flight|{oid}": {"sold": count} for oid, count in sold.items()}
+            cluster.kill("a")
+            for _ in range(60):
+                mixed_op(cluster, ("b", "c"))
+            cluster.restart("a")
+            report = cluster.reconcile(baselines)
+            for oid, count in sold.items():
+                states = cluster.states("Flight", oid)
+                seen = {node: state and state["sold"] for node, state in states.items()}
+                if set(seen.values()) != {count}:
+                    pytest.fail(
+                        f"after cycle {cycle} (op {op_index}) {oid} reads {seen}, "
+                        f"the oracle says {count}; reconcile report {report}\n"
+                        + _diagnosis(cluster, f"Flight|{oid}")
+                    )

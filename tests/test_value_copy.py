@@ -142,7 +142,17 @@ def test_any_value_not_only_states(value):
     assert_same(copied, value)
 
 
-def test_flat_dict_is_copied_without_deepcopy(monkeypatch):
+@pytest.fixture
+def no_deepcopy(monkeypatch):
+    """Any ``copy.deepcopy`` from here on fails the test."""
+
+    def refuse(value, memo=None):
+        raise AssertionError(f"deepcopy of {value!r}")
+
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+
+
+def test_flat_dict_is_copied_without_deepcopy(no_deepcopy):
     state = {
         "number": "F1",
         "sold": 3,
@@ -155,21 +165,70 @@ def test_flat_dict_is_copied_without_deepcopy(monkeypatch):
         "tags": frozenset({"a", ObjectRef("Tag", "t")}),
         ("tuple", "key"): 1,
     }
-
-    def no_deepcopy(value, memo=None):
-        raise AssertionError(f"deepcopy of {value!r}")
-
-    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
     copied = copy_value(state)
     assert copied == state and copied is not state
     assert all(copied[key] is state[key] for key in state)
 
 
 @pytest.mark.parametrize(
-    "state",
+    "row",
     [
         {"items": [1, 2]},
         {"nested": {"a": 1}},
+        # The shape of a persisted threat row.
+        {
+            "threat_id": 7,
+            "affected": ["Flight#F1", "Flight#F2"],
+            "application_data": {"seats": 3, "route": ("VIE", "CDG")},
+            "empty": [],
+            "deferred": False,
+        },
+    ],
+    ids=["list", "dict", "threat-row"],
+)
+def test_one_level_of_nesting_is_copied_without_deepcopy(row, request):
+    """A list or plain dict of leaves inside an otherwise flat row."""
+    expected = copy.deepcopy(row)
+    request.getfixturevalue("no_deepcopy")
+    copied = copy_value(row)
+    assert copied == expected
+    assert_same(copied, row)  # equal, same types, no container shared
+    assert scribble(copied) >= 2  # both levels
+    assert_same(row, expected)
+
+
+def test_a_container_met_twice_stays_shared_in_the_copy():
+    shared = [1, 2]
+    copied = copy_value({"a": shared, "b": shared, "c": [1, 2]})
+    assert copied["a"] is copied["b"] and copied["a"] is not shared
+    assert copied["c"] is not copied["a"]
+
+
+class Items(list):
+    """A list subclass: not ours to shallow-copy."""
+
+
+def _cyclic():
+    row = {"n": 1}
+    row["self"] = row
+    return row
+
+
+def _aliased():
+    shared = [1]
+    return {"aliased": shared, "again": shared}
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"items": [[1], 2]},
+        {"nested": {"a": {"b": 1}}},
+        {"nested": {"a": [1]}},
+        _aliased(),
+        {"items": Items([1])},
+        {"row": Row(a=1)},
+        _cyclic(),
         {"mixed": (1, [2])},
         Row(a=1),
         {"colour": Colour.RED},
@@ -190,7 +249,8 @@ def test_everything_else_is_left_to_deepcopy(monkeypatch, state):
     monkeypatch.setattr(copy, "deepcopy", spy)
     copied = copy_value(state)
     assert calls and calls[0] is state
-    assert copied == state and type(copied) is type(state)
+    assert type(copied) is type(state)
+    assert_same(copied, state)
 
 
 @pytest.mark.parametrize("module", ["repro.persistence.store", "repro.objects.entity"])
