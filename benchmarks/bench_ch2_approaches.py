@@ -32,6 +32,20 @@ SLOW_APPROACHES = [
 ]
 
 
+def fastest_ratios(names: list[str], repeats: int, runs: int) -> dict[str, float]:
+    """Overheads vs. handcrafted from per-approach minima over ``repeats``
+    short studies.  One sample per approach repeats to ±30 % on a shared
+    machine and the orderings below failed 3 runs in 14 on it; noise only
+    ever adds time, so the minima hold still (``bench_ch2_slices.py``
+    measured the same treatment)."""
+    studies = [run_study(names, runs=runs, warmup=1) for _ in range(repeats)]
+    seconds = {
+        name: min(study.seconds[name] for study in studies)
+        for name in studies[0].seconds
+    }
+    return {name: value / seconds["handcrafted"] for name, value in seconds.items()}
+
+
 def test_table_2_1_catalogue(benchmark):
     """Table 2.1: the approach catalogue (and that each one builds)."""
     rows = [
@@ -79,12 +93,13 @@ def test_fig_2_1_fastest_approaches(benchmark):
 def test_fig_2_2_slowest_approaches(benchmark):
     """Fig. 2.2: the slow approaches (non-optimized repositories,
     compiler-generated checks, interpreted OCL)."""
-    result = benchmark.pedantic(
-        lambda: run_study(SLOW_APPROACHES + ["proxy-repository-optimized"], runs=12),
+    ratios = benchmark.pedantic(
+        lambda: fastest_ratios(
+            SLOW_APPROACHES + ["proxy-repository-optimized"], repeats=4, runs=3
+        ),
         rounds=1,
         iterations=1,
     )
-    ratios = result.overhead_vs_handcrafted
     rows = [[name, f"{ratios[name]:.2f}x"] for name in SLOW_APPROACHES]
     print_table("Fig 2.2 — slowest approaches (vs handcrafted)", ["approach", "overhead"], rows)
     # The interpreted-OCL (Dresden) analogue is the slowest of all.
@@ -102,19 +117,19 @@ def test_ablation_adaptive_instrumentation(benchmark):
     """§6.3 ablation: re-instrumentation on repository change removes the
     per-call search entirely, beating every repository-lookup approach
     while keeping full runtime constraint management."""
-    result = benchmark.pedantic(
-        lambda: run_study(
+    ratios = benchmark.pedantic(
+        lambda: fastest_ratios(
             [
                 "adaptive-instrumentation",
                 "aspectj-repository-optimized",
                 "jbossaop-repository-optimized",
             ],
-            runs=20,
+            repeats=8,
+            runs=5,
         ),
         rounds=1,
         iterations=1,
     )
-    ratios = result.overhead_vs_handcrafted
     rows = [
         [name, f"{ratios[name]:.2f}x"]
         for name in (

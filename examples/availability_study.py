@@ -5,14 +5,24 @@ partitioned windows, under four replication configurations and prints the
 availability/throughput/clean-up trade-off each one makes — the
 dissertation's concluding argument in one table.
 
+The workload is scenario data: ``availability_scenario`` lays out the
+four windows as ops and fault events, and every configuration replays
+that one scenario through the driver the model checker uses.
+
 Run:  python examples/availability_study.py
 """
 
 from repro.evaluation import compare_configurations, read_ratio_sweep
+from repro.evaluation.availability import availability_scenario
 
 
 def main() -> None:
     print("3 nodes, 400 operations (90% reads), two partition windows\n")
+    scenario = availability_scenario(
+        "p4", nodes=3, records=9, operations=400, read_ratio=0.9, degraded_fraction=0.5, seed=7
+    )
+    script = ", ".join(f"{action}{list(args)}" for _at, action, args in scenario.fault_events)
+    print(f"one scenario, {len(scenario.ops)} ops, fault script: {script}\n")
     results = compare_configurations(operations=400)
     header = (
         f"{'configuration':20s}{'availability':>13s}{'write avail':>12s}"

@@ -43,8 +43,6 @@ from .check import (
     shrink_counterexample,
 )
 from .faults import (
-    ChaosConfig,
-    ChaosRunner,
     FaultInjector,
     FaultSchedule,
     GilbertElliottLoss,
@@ -62,8 +60,6 @@ __all__ = [
     "AffectedMethod",
     "AuthorizationError",
     "CachingConstraintRepository",
-    "ChaosConfig",
-    "ChaosRunner",
     "CheckConfig",
     "ClusterConfig",
     "ConsistencyThreatRejected",

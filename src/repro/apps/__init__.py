@@ -1,9 +1,10 @@
 """Application scenarios from the dissertation — flight booking, alarm
 tracking (ATS), telecom management (DTMS), project management — plus the
-auction domain, all registered in :mod:`repro.apps.registry` as
-data-driven :class:`~repro.apps.registry.Domain` specs."""
+auction and bounded-counter domains, all registered in
+:mod:`repro.apps.registry` as data-driven
+:class:`~repro.apps.registry.Domain` specs."""
 
-from . import ats, auction, dtms, flightbooking, projectmgmt, registry
+from . import ats, auction, counter, dtms, flightbooking, projectmgmt, registry
 from .registry import DOMAINS, Domain, domain_names, get_domain, register_domain
 
 __all__ = [
@@ -11,6 +12,7 @@ __all__ = [
     "Domain",
     "ats",
     "auction",
+    "counter",
     "domain_names",
     "dtms",
     "flightbooking",

@@ -7,7 +7,7 @@ alarm/repair-report pair; one wired channel; one staffed project; one
 auction lot), and which reconciliation handler cleans up constraint
 violations after a heal.  :meth:`~repro.check.scenario.Scenario.build`
 dispatches through this table, so the model checker, the chaos replayer,
-and the corpus generator all speak the same five (and counting) domains
+and the corpus generator all speak the same six (and counting) domains
 instead of hard-coding flight booking.
 
 Entity groups keep ``Op.ref_index`` meaningful across domains: the refs
@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .ats import Alarm, RepairReport, ats_constraint_registration
 from .auction import Auction, auction_constraint_registrations
+from .counter import Record, counter_constraint_registration
 from .dtms import ChannelEndpoint, Site, dtms_constraint_registrations
 from .flightbooking import (
     Flight,
@@ -254,6 +255,23 @@ def _auction_group(
     return (ref,)
 
 
+# ----------------------------------------------------------------------
+# bounded counters (chaos runs, the §5.2 availability study)
+# ----------------------------------------------------------------------
+def _counter_deploy(cluster: "DedisysCluster", params: Mapping[str, Any]) -> None:
+    cluster.deploy(Record)
+    cluster.register_constraint(counter_constraint_registration())
+
+
+def _counter_group(
+    cluster: "DedisysCluster",
+    node_ids: tuple[str, ...],
+    index: int,
+    params: Mapping[str, Any],
+) -> tuple["ObjectRef", ...]:
+    return (cluster.create_entity(_node_for(node_ids, index), "Record", f"rec-{index}"),)
+
+
 DOMAINS: dict[str, Domain] = {}
 
 
@@ -353,5 +371,15 @@ register_domain(
         },
         deploy=_auction_deploy,
         create_group=_auction_group,
+    )
+)
+
+register_domain(
+    Domain(
+        name="counter",
+        layout=("Record",),
+        methods={"Record": ("set_counter", "bump", "get_counter")},
+        deploy=_counter_deploy,
+        create_group=_counter_group,
     )
 )

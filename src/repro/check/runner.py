@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager
 
 from ..core import (
     AcceptAllHandler,
@@ -82,21 +83,36 @@ class RunResult:
 
 
 class OpDriver:
-    """Fires a scenario's ops inside scheduler events and tallies outcomes
-    (shared by the model checker and the chaos replayer)."""
+    """Fires a scenario's ops inside scheduler events and records one
+    ``(op, served)`` outcome per op — the only workload loop there is:
+    the model checker, the chaos replayer and the availability study all
+    read their tallies off :attr:`outcomes`."""
 
     def __init__(self, cluster: Any, refs: tuple[Any, ...]) -> None:
         self.cluster = cluster
         self.refs = refs
-        self.attempted = 0
-        self.served = 0
-        self.blocked = 0
+        self.outcomes: list[tuple[Op, bool]] = []  # in firing order
         self.errors: dict[str, int] = {}  # blocked ops per error class
-        self.samples: list[tuple[float, bool]] = []  # (op.at, served)
-        # Mid-run reconciliation reports and the handler each one used.
+        # Per reconciliation fired here: its report, the handler it used,
+        # and every node's threat identities just before it ran.
         self.reconciliations: list[Any] = []
         self.constraint_handlers: list[Any] = []
+        self.threat_snapshots: list[dict[Any, frozenset[Any]]] = []
+        self.reconcile_seconds = 0.0  # simulated
         self._handler = AcceptAllHandler()
+        self._due: deque[Op] = deque()  # the op in flight, then those waiting
+
+    @property
+    def attempted(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def served(self) -> int:
+        return sum(served for _op, served in self.outcomes)
+
+    @property
+    def samples(self) -> list[tuple[float, bool]]:
+        return [(op.at, served) for op, served in self.outcomes]
 
     def install(self, scenario: Scenario, start: float) -> None:
         # Scenario times are relative to the end of cluster construction
@@ -107,15 +123,37 @@ class OpDriver:
             )
         scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
+    def reconcile(self, scenario: Scenario) -> Any:
+        """One timed reconciliation with the domain's constraint handler."""
+        cluster = self.cluster
+        handler = scenario.reconcile_handler(cluster)
+        self.constraint_handlers.append(handler)
+        stored = {
+            node: frozenset(store.identities())
+            for node, store in cluster.threat_stores.items()
+        }
+        began = cluster.clock.now
+        report = cluster.reconcile(constraint_handler=handler)
+        self.reconcile_seconds += cluster.clock.now - began
+        self.threat_snapshots.append(stored)
+        self.reconciliations.append(report)
+        return report
+
     def _fire(self, scenario: Scenario, op: Op) -> None:
-        self.attempted += 1
+        # A retry that backs off drives the scheduler from inside its
+        # invocation; an op coming due meanwhile waits for it, like the
+        # next request of one busy client (one transaction at a time).
+        self._due.append(op)
+        if len(self._due) > 1:
+            return
+        while self._due:
+            self._run(scenario, self._due[0])
+            self._due.popleft()
+
+    def _run(self, scenario: Scenario, op: Op) -> None:
         try:
             if op.kind == "reconcile":
-                handler = scenario.reconcile_handler(self.cluster)
-                self.constraint_handlers.append(handler)
-                self.reconciliations.append(
-                    self.cluster.reconcile(constraint_handler=handler)
-                )
+                self.reconcile(scenario)
             else:
                 self.cluster.invoke(
                     op.node,
@@ -125,18 +163,11 @@ class OpDriver:
                     negotiation_handler=self._handler,
                 )
         except BLOCKING_ERRORS as exc:
-            self.blocked += 1
             name = type(exc).__name__
             self.errors[name] = self.errors.get(name, 0) + 1
-            self.samples.append((op.at, False))
+            self.outcomes.append((op, False))
         else:
-            self.served += 1
-            self.samples.append((op.at, True))
-
-
-@contextlib.contextmanager
-def _no_mutation(cluster: Any) -> Iterator[None]:
-    yield
+            self.outcomes.append((op, True))
 
 
 def run_schedule(
@@ -175,7 +206,7 @@ def run_schedule(
     scheduler = cluster.scheduler
     scheduler.set_ordering_policy(policy)
     try:
-        with (mutation or _no_mutation)(cluster):
+        with mutation(cluster) if mutation else contextlib.nullcontext():
             while True:
                 probe.delivered_before = cluster.network.delivered_count
                 probe.topology_before = cluster.network.topology_version
@@ -227,7 +258,7 @@ def run_schedule(
         sim_time=cluster.clock.now,
         ops_attempted=driver.attempted,
         ops_served=driver.served,
-        ops_blocked=driver.blocked,
+        ops_blocked=driver.attempted - driver.served,
         trace_jsonl=trace,
         snapshot=obs.snapshot(),
     )

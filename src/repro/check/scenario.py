@@ -33,6 +33,7 @@ from typing import Any, Mapping, Sequence
 
 from ..apps.registry import Domain, get_domain
 from ..cluster import ClusterConfig, DedisysCluster
+from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import FaultSchedule
 
 
@@ -101,7 +102,8 @@ class Scenario:
     ``entities`` counts *entity groups* of the domain's layout (one
     flight, one alarm/report pair, one wired channel, ...); ``params``
     carries domain and topology knobs (``seats``, ``reserve_price``,
-    ``node_weights``, ``burst_loss``, ``partition_sensitive``, ...) and
+    ``node_weights``, ``burst_loss``, ``partition_sensitive``,
+    ``resilience`` as :meth:`ResilienceConfig.from_dict` reads it, ...) and
     must stay JSON-native — construction canonicalizes tuples to lists so
     serialization round-trips to an equal scenario.
     """
@@ -138,10 +140,15 @@ class Scenario:
         """
         spec = self.domain_spec
         weights = self.params.get("node_weights")
+        resilience = self.params.get("resilience")
         cluster = DedisysCluster(
             ClusterConfig(
                 node_ids=self.node_ids,
+                # The unreplicated baseline of the availability study: one
+                # copy per entity, and the protocol name is never built.
+                enable_replication=self.protocol != "no-replication",
                 protocol=self.protocol,
+                resilience=None if resilience is None else ResilienceConfig.from_dict(resilience),
                 obs=obs,
                 node_weights=(
                     {str(node): float(weight) for node, weight in weights.items()}
@@ -192,9 +199,6 @@ class Scenario:
         """The domain's constraint reconciliation handler (may be None)."""
         factory = self.domain_spec.reconcile_handler
         return factory(cluster) if factory is not None else None
-
-    def fault_schedule(self) -> FaultSchedule:
-        return FaultSchedule.from_events(self.fault_events)
 
     def shifted_fault_schedule(self, start: float) -> FaultSchedule:
         """The fault script with times anchored at ``start`` (scenario

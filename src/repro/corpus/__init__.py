@@ -18,11 +18,10 @@ from .generator import (
     generate_corpus,
     generate_scenario,
     preset_config,
-    variant,
 )
 from .grammars import GRAMMARS, OpTemplate, grammar_for
 from .sweep import healthy_violations, run_sweep
-from .validator import Issue, validate_corpus, validate_scenario
+from .validator import Issue, validate_scenario
 
 __all__ = [
     "GRAMMARS",
@@ -36,7 +35,5 @@ __all__ = [
     "healthy_violations",
     "preset_config",
     "run_sweep",
-    "validate_corpus",
     "validate_scenario",
-    "variant",
 ]

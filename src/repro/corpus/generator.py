@@ -19,9 +19,10 @@ election sensitive to *which* side of a split holds the weight).
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 from ..apps.registry import get_domain
 from ..check.scenario import Op, Scenario
@@ -31,15 +32,6 @@ from .grammars import OpTemplate, grammar_for
 #: Node-weight palette for weighted topologies: most nodes are ordinary,
 #: a few are heavy enough to swing the primary-partition vote (§5.5).
 _WEIGHT_PALETTE = (1.0, 1.0, 1.0, 2.0, 3.0)
-
-#: Fault-episode styles the sampler draws from.
-_EPISODE_STYLES = ("partition", "crash", "link")
-
-#: Fault-plan shapes the generator knows.  ``episodes`` is the classic
-#: disjoint-window sampler; ``oscillating`` alternates short and long
-#: partition dwells with a reconcile after every heal — the schedule that
-#: punishes hysteresis-free adaptation policies.
-FAULT_PLANS = ("episodes", "oscillating")
 
 
 @dataclass(frozen=True)
@@ -75,6 +67,14 @@ PRESETS: dict[str, dict[str, Any]] = {
     "small": {"nodes": 3, "entities": 2, "ops": 10, "faults": 1},
     "medium": {"nodes": 8, "entities": 24, "ops": 60, "faults": 2},
     "large": {"nodes": 120, "entities": 1500, "ops": 300, "faults": 4},
+    # A chaos run: twenty overlapping topology actions under 150 ops.
+    "chaos": {
+        "nodes": 5,
+        "entities": 6,
+        "ops": 150,
+        "faults": 20,
+        "fault_plan": "random_walk",
+    },
 }
 
 
@@ -99,6 +99,15 @@ class _Episode:
     crashed_node: str = ""
     crash_from: float = 0.0
     crash_until: float = 0.0
+
+
+#: What a plan sampler returns: the fault events, the episodes carrying
+#: the crash windows, and the timestamps of mid-run reconcile ops.
+_FaultPlan = tuple[
+    tuple[tuple[float, str, tuple[Any, ...]], ...],
+    tuple[_Episode, ...],
+    tuple[float, ...],
+]
 
 
 def _sample_partition(
@@ -148,6 +157,7 @@ def _sample_link(
     )
 
 
+#: Fault-episode styles the sampler draws from, in draw order.
 _EPISODE_SAMPLERS = {
     "partition": _sample_partition,
     "crash": _sample_crash,
@@ -160,9 +170,9 @@ def _sample_fault_plan(
     node_ids: tuple[str, ...],
     faults: int,
     horizon: float,
-) -> tuple[tuple[tuple[float, str, tuple[Any, ...]], ...], tuple[_Episode, ...]]:
+) -> _FaultPlan:
     """``faults`` episodes in disjoint windows of ``(0, horizon)``, each
-    closed by its heal, plus a terminal ``heal_all``."""
+    closed by its heal."""
     episodes: list[_Episode] = []
     events: list[tuple[float, str, tuple[Any, ...]]] = []
     if faults > 0 and len(node_ids) >= 2:
@@ -171,15 +181,11 @@ def _sample_fault_plan(
             window_start = slot * window
             start = _round(window_start + 0.2 * window + rng.random() * 0.2 * window)
             end = _round(window_start + 0.7 * window + rng.random() * 0.2 * window)
-            style = rng.choice(_EPISODE_STYLES)
-            if style == "partition" and len(node_ids) < 2:
-                style = "link"
+            style = rng.choice(tuple(_EPISODE_SAMPLERS))
             episode = _EPISODE_SAMPLERS[style](rng, node_ids, start, end)
             episodes.append(episode)
             events.extend(episode.events)
-    events.append((_round(horizon + 0.05), "heal_all", ()))
-    events.sort(key=lambda event: (event[0], event[1]))
-    return tuple(events), tuple(episodes)
+    return tuple(events), tuple(episodes), ()
 
 
 def _sample_oscillating_plan(
@@ -187,7 +193,7 @@ def _sample_oscillating_plan(
     node_ids: tuple[str, ...],
     faults: int,
     horizon: float,
-) -> tuple[tuple[tuple[float, str, tuple[Any, ...]], ...], tuple[float, ...]]:
+) -> _FaultPlan:
     """``faults`` partition cycles: short dwells with a long one every
     third cycle, each closed by its heal and followed by a mid-run
     reconcile (whose timestamps are returned for op insertion).
@@ -208,9 +214,90 @@ def _sample_oscillating_plan(
             episode = _sample_partition(rng, node_ids, start, end)
             events.extend(episode.events)
             reconcile_ats.append(_round(end + 0.1 * window))
-    events.append((_round(horizon + 0.05), "heal_all", ()))
-    events.sort(key=lambda event: (event[0], event[1]))
-    return tuple(events), tuple(reconcile_ats)
+    return tuple(events), (), tuple(reconcile_ats)
+
+
+def two_way_partition(
+    rng: random.Random, node_ids: Sequence[str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split the nodes into two non-empty groups: one shuffle, one cut."""
+    shuffled = list(node_ids)
+    rng.shuffle(shuffled)
+    cut = rng.randint(1, len(shuffled) - 1)
+    return tuple(shuffled[:cut]), tuple(shuffled[cut:])
+
+
+def _sample_random_walk_plan(
+    rng: random.Random,
+    node_ids: tuple[str, ...],
+    faults: int,
+    horizon: float,
+) -> _FaultPlan:
+    """``faults`` topology actions evenly spaced over ``(0, horizon)``,
+    none closed before the next begins — the chaos script.
+
+    Each action is drawn from what the topology scripted so far allows:
+    only an intact link fails, only a failed one heals, only a crashed
+    node recovers (twice as likely as any other action) and one node
+    always stays up.  The crash windows are returned so ops originate on
+    live nodes.
+    """
+    events: list[tuple[float, str, tuple[Any, ...]]] = []
+    windows: list[_Episode] = []
+    links = list(itertools.combinations(node_ids, 2))
+    failed: set[tuple[str, str]] = set()
+    crashed: dict[str, float] = {}  # node -> since when
+
+    for index in range(faults if links else 0):
+        at = _round((index + 1) / (faults + 1) * horizon)
+        choices = ["partition"]
+        if len(failed) < len(links):
+            choices.append("fail_link")
+        if failed:
+            choices.append("heal_link")
+        if crashed:
+            choices += ["recover_node", "recover_node"]
+        if len(crashed) < len(node_ids) - 1:
+            choices.append("crash_node")
+        if failed or crashed:
+            choices.append("heal_all")
+        action = rng.choice(choices)
+        args: tuple[Any, ...] = ()
+        if action == "fail_link":
+            args = rng.choice([link for link in links if link not in failed])
+            failed.add(args)
+        elif action == "heal_link":
+            args = rng.choice([link for link in links if link in failed])
+            failed.remove(args)
+        elif action == "crash_node":
+            args = (rng.choice([node for node in node_ids if node not in crashed]),)
+            crashed[args[0]] = at
+        elif action == "recover_node":
+            args = (rng.choice(sorted(crashed)),)
+            windows.append(_Episode((), args[0], crashed.pop(args[0]), at))
+        elif action == "partition":
+            # A partition replaces whatever link failures came before it.
+            args = two_way_partition(rng, node_ids)
+            failed = {link for link in links if (link[0] in args[0]) != (link[1] in args[0])}
+        else:
+            failed.clear()
+            windows.extend(_Episode((), node, crashed.pop(node), at) for node in sorted(crashed))
+        events.append((at, action, args))
+    # Still down when the ops end; the terminal heal_all brings them back.
+    windows.extend(_Episode((), node, since, float("inf")) for node, since in crashed.items())
+    return tuple(events), tuple(windows), ()
+
+
+#: Fault-plan shapes the generator knows.  ``episodes`` is the classic
+#: disjoint-window sampler; ``oscillating`` alternates short and long
+#: partition dwells with a reconcile after every heal — the schedule that
+#: punishes hysteresis-free adaptation policies; ``random_walk`` lets
+#: link failures, crashes and partitions pile up on each other.
+FAULT_PLANS = {
+    "episodes": _sample_fault_plan,
+    "oscillating": _sample_oscillating_plan,
+    "random_walk": _sample_random_walk_plan,
+}
 
 
 def _alive_nodes(
@@ -262,18 +349,19 @@ def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
         raise KeyError(
             f"unknown fault plan {config.fault_plan!r}; known: {sorted(FAULT_PLANS)}"
         )
-    horizon = max(config.ops, 1) * config.op_gap
-    mid_reconciles: tuple[float, ...] = ()
-    if config.fault_plan == "oscillating":
+    if config.fault_plan != "episodes":
         params["fault_plan"] = config.fault_plan
-        episodes: tuple[_Episode, ...] = ()
-        fault_events, mid_reconciles = _sample_oscillating_plan(
-            rng, node_ids, config.faults, horizon
+    horizon = max(config.ops, 1) * config.op_gap
+    scripted, episodes, mid_reconciles = FAULT_PLANS[config.fault_plan](
+        rng, node_ids, config.faults, horizon
+    )
+    # Every plan ends healed; the closing reconcile op follows this.
+    fault_events = tuple(
+        sorted(
+            scripted + ((_round(horizon + 0.05), "heal_all", ()),),
+            key=lambda event: (event[0], event[1]),
         )
-    else:
-        fault_events, episodes = _sample_fault_plan(
-            rng, node_ids, config.faults, horizon
-        )
+    )
 
     ops: list[Op] = []
     at = 0.0
@@ -349,7 +437,3 @@ def generate_corpus(
             corpus.append(generate_scenario(config, obs=obs))
     return corpus
 
-
-def variant(config: GeneratorConfig, **changes: Any) -> GeneratorConfig:
-    """A copy of ``config`` with fields replaced (convenience for sweeps)."""
-    return replace(config, **changes)

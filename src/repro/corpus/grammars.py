@@ -105,6 +105,15 @@ def _bid_args(rng: random.Random, params: Mapping[str, Any]) -> tuple[Any, ...]:
     return (f"bidder-{rng.randint(1, 20)}", rng.randint(1, max(ceiling, 2)))
 
 
+# ----------------------------------------------------------------------
+# bounded counters
+# ----------------------------------------------------------------------
+def _counter_value_args(rng: random.Random, params: Mapping[str, Any]) -> tuple[Any, ...]:
+    # Wide enough that two writes of one run practically never carry the
+    # same value, so a surviving state names the write that produced it.
+    return (rng.randint(1, 10**6),)
+
+
 GRAMMARS: dict[str, tuple[OpTemplate, ...]] = {
     "flight_booking": (
         OpTemplate("Flight", "sell_tickets", 5, _sell_args),
@@ -141,6 +150,13 @@ GRAMMARS: dict[str, tuple[OpTemplate, ...]] = {
         OpTemplate("Auction", "reopen", 1, _no_args),
         OpTemplate("Auction", "current_price", 2, _no_args, read=True),
         OpTemplate("Auction", "get_highest_bid", 1, _no_args, read=True),
+    ),
+    # Setter and getter only (no ``bump``), 60 % reads: every written
+    # value is in the scenario, which is what lets a replay check that
+    # committed state survived.
+    "counter": (
+        OpTemplate("Record", "set_counter", 2, _counter_value_args),
+        OpTemplate("Record", "get_counter", 3, _no_args, read=True),
     ),
 }
 

@@ -18,7 +18,7 @@ tests assert on codes and humans read messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ..apps.registry import DOMAINS, get_domain
 from ..check.scenario import Scenario
@@ -39,35 +39,15 @@ def _issue(issues: list[Issue], code: str, message: str) -> None:
     issues.append(Issue(code=code, message=message))
 
 
-def _crash_windows(
-    scenario: Scenario,
+def _validate_faults(
+    scenario: Scenario, issues: list[Issue]
 ) -> list[tuple[str, float, float]]:
-    """``(node, from, until)`` per crash; open crashes close at +inf.
-    ``recover_node`` and ``heal_all`` both end a crash window."""
-    windows: list[tuple[str, float, float]] = []
-    open_crashes: dict[str, float] = {}
-    for at, action, args in sorted(
-        scenario.fault_events, key=lambda event: (event[0], event[1])
-    ):
-        if action == "crash_node" and args:
-            node = str(args[0])
-            if node not in open_crashes:
-                open_crashes[node] = at
-        elif action == "recover_node" and args:
-            node = str(args[0])
-            if node in open_crashes:
-                windows.append((node, open_crashes.pop(node), at))
-        elif action == "heal_all":
-            for node in sorted(open_crashes):
-                windows.append((node, open_crashes.pop(node), at))
-    for node in sorted(open_crashes):
-        windows.append((node, open_crashes[node], float("inf")))
-    return windows
-
-
-def _validate_faults(scenario: Scenario, issues: list[Issue]) -> None:
+    """Replays the fault script on a shadow topology; returns the crash
+    windows ``(node, from, until)`` it saw — ``recover_node`` and
+    ``heal_all`` both end one, a crash left open ends at +inf."""
     nodes = set(scenario.node_ids)
-    crashed: set[str] = set()
+    windows: list[tuple[str, float, float]] = []
+    crashed: dict[str, float] = {}
     failed_links: set[tuple[str, str]] = set()
     for at, action, args in sorted(
         scenario.fault_events, key=lambda event: (event[0], event[1])
@@ -95,15 +75,15 @@ def _validate_faults(scenario: Scenario, issues: list[Issue]) -> None:
                         "overlapping-fault",
                         f"crash_node at {at}: {node!r} is already crashed",
                     )
-                crashed.add(node)
+                crashed.setdefault(node, at)
+            elif node in crashed:
+                windows.append((node, crashed.pop(node), at))
             else:
-                if node not in crashed:
-                    _issue(
-                        issues,
-                        "overlapping-fault",
-                        f"recover_node at {at}: {node!r} is not crashed",
-                    )
-                crashed.discard(node)
+                _issue(
+                    issues,
+                    "overlapping-fault",
+                    f"recover_node at {at}: {node!r} is not crashed",
+                )
         elif action in ("fail_link", "heal_link"):
             a, b = str(args[0]), str(args[1])
             for node in (a, b):
@@ -125,8 +105,8 @@ def _validate_faults(scenario: Scenario, issues: list[Issue]) -> None:
             else:
                 failed_links.discard(link)
         elif action == "partition":
-            seen: set[str] = set()
-            for group in args:
+            group_of: dict[str, int] = {}
+            for index, group in enumerate(args):
                 for node in group:
                     name = str(node)
                     if name not in nodes:
@@ -135,22 +115,34 @@ def _validate_faults(scenario: Scenario, issues: list[Issue]) -> None:
                             "unknown-node",
                             f"partition at {at} names unknown node {name!r}",
                         )
-                    if name in seen:
+                    if name in group_of:
                         _issue(
                             issues,
                             "overlapping-fault",
                             f"partition at {at}: node {name!r} in two groups",
                         )
-                    seen.add(name)
+                    group_of[name] = index
+            # As in Topology.partition: the split replaces every earlier
+            # link failure, and unmentioned nodes form one more group.
+            failed_links = {
+                (a, b)
+                for a in scenario.node_ids
+                for b in scenario.node_ids
+                if a < b and group_of.get(a, -1) != group_of.get(b, -1)
+            }
         elif action == "heal_all":
+            windows.extend((node, crashed[node], at) for node in sorted(crashed))
             crashed.clear()
             failed_links.clear()
+    windows.extend((node, crashed[node], float("inf")) for node in sorted(crashed))
+    return windows
 
 
-def _validate_ops(scenario: Scenario, issues: list[Issue]) -> None:
+def _validate_ops(
+    scenario: Scenario, issues: list[Issue], windows: list[tuple[str, float, float]]
+) -> None:
     domain = get_domain(scenario.domain)
     nodes = set(scenario.node_ids)
-    windows = _crash_windows(scenario)
     ref_count = scenario.entities * len(domain.layout)
     for position, op in enumerate(scenario.ops):
         if op.kind == "reconcile":
@@ -204,8 +196,7 @@ def validate_scenario(scenario: Scenario, obs: Any = None) -> list[Issue]:
             "unknown-fault-plan",
             f"unknown fault plan {fault_plan!r}; known: {sorted(FAULT_PLANS)}",
         )
-    _validate_faults(scenario, issues)
-    _validate_ops(scenario, issues)
+    _validate_ops(scenario, issues, _validate_faults(scenario, issues))
     _report(scenario, issues, obs)
     return issues
 
@@ -216,14 +207,3 @@ def _report(scenario: Scenario, issues: list[Issue], obs: Any) -> None:
             "corpus_validation_issues_total", "structural problems found in scenarios"
         ).inc(len(issues), domain=scenario.domain)
 
-
-def validate_corpus(
-    scenarios: Iterable[Scenario], obs: Any = None
-) -> dict[str, list[Issue]]:
-    """Issues per scenario name, only for scenarios that have any."""
-    report: dict[str, list[Issue]] = {}
-    for scenario in scenarios:
-        issues = validate_scenario(scenario, obs=obs)
-        if issues:
-            report[scenario.name] = issues
-    return report

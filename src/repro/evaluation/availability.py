@@ -19,48 +19,15 @@ replication configuration:
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
-from ..cluster import ClusterConfig, DedisysCluster
-from ..core import (
-    ConsistencyThreatRejected,
-    ConstraintPriority,
-    ConstraintViolated,
-    PredicateConstraint,
-    SatisfactionDegree,
-)
-from ..core.metadata import AffectedMethod, ConstraintRegistration
-from ..net import UnreachableError
-from ..objects import Entity
-from ..replication import WriteAccessDenied
-from ..tx import TransactionRolledBack
-
-
-class Record(Entity):
-    """A generic data item with a bounded counter."""
-
-    fields = {"counter": 0, "bound": 10**9}
-
-    def bump(self) -> int:
-        self._set("counter", self._get("counter") + 1)
-        return self._get("counter")
-
-
-def _record_constraint() -> ConstraintRegistration:
-    constraint = PredicateConstraint(
-        "CounterBound",
-        lambda ctx: ctx.get_context_object().get_counter()
-        <= ctx.get_context_object().get_bound(),
-        priority=ConstraintPriority.RELAXABLE,
-        min_satisfaction_degree=SatisfactionDegree.POSSIBLY_SATISFIED,
-        context_class="Record",
-    )
-    return ConstraintRegistration(
-        constraint,
-        (AffectedMethod("Record", "bump"), AffectedMethod("Record", "set_counter")),
-    )
+from ..check.scenario import Op, Scenario
+from ..corpus.generator import two_way_partition
+from ..faults.chaos import replay_scenario
 
 
 @dataclass
@@ -98,32 +65,62 @@ class AvailabilityResult:
         return self.attempted / self.simulated_seconds if self.simulated_seconds else 0.0
 
 
-def _build(configuration: str, nodes: int) -> DedisysCluster:
-    if configuration == "no-replication":
-        cluster = DedisysCluster(
-            ClusterConfig(
-                node_ids=tuple(f"n{i}" for i in range(1, nodes + 1)),
-                enable_replication=False,
-            )
-        )
-    else:
-        cluster = DedisysCluster(
-            ClusterConfig(
-                node_ids=tuple(f"n{i}" for i in range(1, nodes + 1)),
-                protocol=configuration,
-            )
-        )
-    cluster.deploy(Record)
-    cluster.register_constraint(_record_constraint())
-    return cluster
+#: Spacing of the scenario's ticks.  No invocation costs this little, so
+#: every op and fault is overdue when its turn comes and fires at once: a
+#: closed loop, paced by what each operation costs.
+_TICK = 1e-6
 
 
-def _random_partition(rng: random.Random, node_ids: Sequence[str]) -> list[set[str]]:
-    """Split the nodes into two non-empty groups."""
-    shuffled = list(node_ids)
-    rng.shuffle(shuffled)
-    cut = rng.randint(1, len(shuffled) - 1)
-    return [set(shuffled[:cut]), set(shuffled[cut:])]
+def availability_scenario(
+    configuration: str,
+    nodes: int,
+    records: int,
+    operations: int,
+    read_ratio: float,
+    degraded_fraction: float,
+    seed: int,
+) -> Scenario:
+    """The study's workload as data: two healthy and two partitioned
+    windows over the ``counter`` domain; a window that follows a
+    partition opens with ``heal_all`` and a reconciliation."""
+    if not 0.0 <= read_ratio <= 1.0:
+        raise ValueError("read_ratio must be within [0, 1]")
+    rng = random.Random(seed)
+    node_ids = tuple(f"n{i}" for i in range(1, nodes + 1))
+    degraded_ops = int(operations * degraded_fraction)
+    healthy_ops = operations - degraded_ops
+    windows = [
+        (False, healthy_ops // 2),
+        (True, degraded_ops // 2),
+        (False, healthy_ops - healthy_ops // 2),
+        (True, degraded_ops - degraded_ops // 2),
+    ]
+    ops: list[Op] = []
+    faults: list[tuple[float, str, tuple[Any, ...]]] = []
+    ticks = (_TICK * count for count in itertools.count())
+    partitioned = False
+    for degraded, count in windows:
+        if degraded and nodes > 1:
+            faults.append((next(ticks), "partition", two_way_partition(rng, node_ids)))
+            partitioned = True
+        elif partitioned:
+            faults.append((next(ticks), "heal_all", ()))
+            ops.append(Op(next(ticks), "reconcile"))
+            partitioned = False
+        for _ in range(count):
+            node = rng.choice(node_ids)
+            record = rng.randrange(records)
+            method = "get_counter" if rng.random() < read_ratio else "bump"
+            ops.append(Op(next(ticks), "invoke", node, record, method))
+    return Scenario(
+        name=f"availability-{configuration}-s{seed}",
+        domain="counter",
+        node_ids=node_ids,
+        entities=records,
+        protocol=configuration,
+        ops=tuple(ops),
+        fault_events=tuple(faults),
+    )
 
 
 def run_availability_study(
@@ -141,80 +138,32 @@ def run_availability_study(
     ``degraded_fraction`` of all operations are attempted while the
     network is partitioned.  Operations are issued from random nodes
     against random records whose designated primaries are spread
-    round-robin over the nodes.
+    round-robin over the nodes.  It is :func:`availability_scenario`
+    replayed; the replay's closing heal + reconcile is the final clean-up.
     """
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ValueError("read_ratio must be within [0, 1]")
-    cluster = _build(configuration, nodes)
-    rng = random.Random(seed)
-    node_ids = list(cluster.nodes)
-    refs = [
-        cluster.create_entity(node_ids[index % nodes], "Record", f"rec-{index}")
-        for index in range(records)
-    ]
-    result = AvailabilityResult(configuration)
-    started = cluster.clock.now
-
-    degraded_ops = int(operations * degraded_fraction)
-    healthy_ops = operations - degraded_ops
-    windows = [
-        ("healthy", healthy_ops // 2),
-        ("degraded", degraded_ops // 2),
-        ("healthy", healthy_ops - healthy_ops // 2),
-        ("degraded", degraded_ops - degraded_ops // 2),
-    ]
-
-    for kind, count in windows:
-        if kind == "degraded" and nodes > 1:
-            groups = _random_partition(rng, node_ids)
-            cluster.partition(*groups)
-        else:
-            was_degraded = cluster.is_degraded()
-            cluster.heal()
-            if was_degraded:
-                before = cluster.clock.now
-                cluster.reconcile()
-                result.reconciliation_seconds += cluster.clock.now - before
-        for _ in range(count):
-            node = rng.choice(node_ids)
-            ref = rng.choice(refs)
-            is_read = rng.random() < read_ratio
-            result.attempted += 1
-            try:
-                if is_read:
-                    cluster.invoke(node, ref, "get_counter")
-                else:
-                    cluster.invoke(node, ref, "bump")
-            except (
-                UnreachableError,
-                WriteAccessDenied,
-                ConsistencyThreatRejected,
-                ConstraintViolated,
-                TransactionRolledBack,
-            ):
-                result.blocked += 1
-                if is_read:
-                    result.reads_blocked += 1
-                else:
-                    result.writes_blocked += 1
-            else:
-                result.served += 1
-                if is_read:
-                    result.reads_served += 1
-                else:
-                    result.writes_served += 1
-
-    # final clean-up
-    if cluster.is_degraded():
-        cluster.heal()
-    before = cluster.clock.now
-    cluster.reconcile()
-    result.reconciliation_seconds += cluster.clock.now - before
-    result.simulated_seconds = cluster.clock.now - started
-    result.threats_accepted = sum(
-        ccmgr.stats["threats_accepted"] for ccmgr in cluster.ccmgrs.values()
+    report = replay_scenario(
+        availability_scenario(
+            configuration, nodes, records, operations, read_ratio, degraded_fraction, seed
+        )
     )
-    return result
+    tally = Counter(
+        (op.method == "get_counter", served)
+        for op, served in report.outcomes
+        if op.kind == "invoke"
+    )
+    return AvailabilityResult(
+        configuration,
+        attempted=sum(tally.values()),
+        served=tally[True, True] + tally[False, True],
+        blocked=tally[True, False] + tally[False, False],
+        reads_served=tally[True, True],
+        reads_blocked=tally[True, False],
+        writes_served=tally[False, True],
+        writes_blocked=tally[False, False],
+        threats_accepted=report.threats_accepted,
+        simulated_seconds=report.simulated_seconds,
+        reconciliation_seconds=report.reconciliation_seconds,
+    )
 
 
 CONFIGURATIONS = ("no-replication", "primary-partition", "adaptive-voting", "p4")

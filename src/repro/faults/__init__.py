@@ -6,9 +6,9 @@ Two halves of one robustness story:
   (:class:`GilbertElliottLoss` burst loss, :class:`ExtraDelay`,
   :class:`Duplicate`, :class:`DropKinds`) plugged into the network via a
   :class:`FaultInjector`; timestamped :class:`FaultSchedule` scripts
-  replayed on the simulation scheduler; and a :class:`ChaosRunner` that
-  generates seeded random fault sequences and checks system invariants
-  after every run.
+  replayed on the simulation scheduler; and :func:`replay_scenario`,
+  which runs any scenario — a seeded chaos script included — and checks
+  the system invariants afterwards.
 * **Survive them** — a :class:`RetryPolicy` (exponential backoff, seeded
   jitter), per-invocation deadlines, and per-destination
   :class:`CircuitBreaker` circuits, wired into the client invocation
@@ -16,15 +16,7 @@ Two halves of one robustness story:
   through :class:`ResilienceConfig`.
 """
 
-from .chaos import (
-    ChaosConfig,
-    ChaosReport,
-    ChaosRunner,
-    InvariantResult,
-    ReplayReport,
-    replay_scenario,
-    run_chaos,
-)
+from .chaos import InvariantResult, ReplayReport, replay_scenario
 from .injector import FaultInjector
 from .models import (
     PASS,
@@ -51,9 +43,6 @@ __all__ = [
     "ACTIONS",
     "BreakerConfig",
     "BreakerState",
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosRunner",
     "CircuitBreaker",
     "CircuitOpenError",
     "CompositeFault",
@@ -73,5 +62,4 @@ __all__ = [
     "ResilienceInterceptor",
     "RetryPolicy",
     "replay_scenario",
-    "run_chaos",
 ]

@@ -48,8 +48,11 @@ class FaultInjector:
         """Every link loses ``loss`` of its traffic in Gilbert–Elliott bursts.
 
         ``p_good_to_bad`` is tuned so the steady-state loss matches the
-        requested rate at ``loss_bad=0.6``, ``p_bad_to_good=0.25``.
+        requested rate at ``loss_bad=0.6``, ``p_bad_to_good=0.25`` — which
+        has a solution only below one half.
         """
+        if not 0.0 < loss < 0.5:
+            raise ValueError(f"burst loss must be within (0, 0.5), got {loss}")
         injector = cls(seed=seed)
         injector.set_default_model(
             lambda: GilbertElliottLoss(

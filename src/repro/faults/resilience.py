@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..net.messages import DeadlineExceededError, NodeId, UnreachableError
 from ..objects import Interceptor, Invocation, Node
@@ -194,6 +194,17 @@ class ResilienceConfig:
     breaker: BreakerConfig | None = field(default_factory=BreakerConfig)
     default_deadline: float | None = None
     seed: int = 0
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ResilienceConfig":
+        """From JSON-native data (scenario ``params``): ``retry`` and
+        ``breaker`` are field mappings, ``null`` to disable, absent for
+        the defaults."""
+        fields = dict(data)
+        for key, part in (("retry", RetryPolicy), ("breaker", BreakerConfig)):
+            if fields.get(key) is not None:
+                fields[key] = part(**fields[key])
+        return cls(**fields)
 
 
 class ResilienceInterceptor(Interceptor):

@@ -101,18 +101,6 @@ class FaultSchedule:
     def heal_all(self, at: float) -> "FaultSchedule":
         return self.add(at, "heal_all")
 
-    def without(self, index: int) -> "FaultSchedule":
-        """A copy of the schedule minus the event at ``index``.
-
-        Used by the counterexample shrinker to greedily drop fault events
-        while preserving the order of the rest.
-        """
-        if not 0 <= index < len(self.events):
-            raise IndexError(f"no fault event at index {index}")
-        return FaultSchedule(
-            event for position, event in enumerate(self.events) if position != index
-        )
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------

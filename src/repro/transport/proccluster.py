@@ -280,10 +280,16 @@ class ProcessCluster:
             replicas = [
                 dump["objects"][key] for dump in dumps.values() if key in dump["objects"]
             ]
+            # ... and not two copies of one lineage either: a worker that
+            # gave up on a slow peer and promoted itself keeps mirroring
+            # the partition's acting primary, so a copy written by another
+            # counted worker's replica frame is already in that worker's
+            # delta.
+            holders = {node for node in authoritative if key in dumps[node]["objects"]}
             primaries = [
                 dumps[node]["objects"][key]
-                for node in sorted(authoritative)
-                if key in dumps[node]["objects"]
+                for node in sorted(holders)
+                if dumps[node]["objects"][key].get("mirror_of") not in holders - {node}
             ] or replicas
             winner = max(replicas, key=lambda entry: entry["version"])
             state = dict(winner["state"])

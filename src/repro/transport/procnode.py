@@ -19,7 +19,9 @@ protocol from :mod:`repro.transport.frames`:
   frame: an invocation that leaves the object's version where it was (a
   read, a write refused before it mutated) sends nothing, because a
   receiver would drop a frame whose version did not grow anyway; an
-  unreachable peer simply misses updates until reconciliation;
+  unreachable peer simply misses updates until reconciliation; a
+  receiver remembers whose frame wrote the state it holds
+  (``mirror_of`` in its ``state-dump``);
 * peer connections are long-lived (pooled inside ``frames.request``).
   A dead peer shows up as a stale idle socket followed by a refused
   connect, or as an error/timeout mid-exchange — all of which mean
@@ -57,9 +59,6 @@ from ..cluster import ClusterConfig, DedisysCluster
 from ..core import ConsistencyThreatRejected, ConstraintViolated
 from ..objects import ObjectRef
 from . import frames
-
-#: Entity classes a worker can host, by wire name.
-ENTITY_CLASSES = {"Flight": Flight}
 
 #: Timeout for worker→worker frame exchanges; beyond this a peer is
 #: treated as unreachable (the sender cannot tell a slow peer from a
@@ -103,6 +102,10 @@ class WorkerNode:
         # Copy-on-write: _set_peer_up replaces the dict wholesale, so
         # lock-free readers always see a coherent liveness snapshot.
         self.peer_up = {peer: True for peer in peers}  # guarded-by: _mutex
+        # Objects whose current state a peer's replica frame wrote, and
+        # which peer: this copy is that peer's mirror, so a merge must
+        # not count both.  Any state written here clears the entry.
+        self._mirror_of: dict[ObjectRef, str] = {}  # guarded-by: _mutex
         self.cluster = DedisysCluster(ClusterConfig(node_ids=(name,)))
         self.cluster.deploy(Flight)
         self.cluster.register_constraint(ticket_constraint_registration())
@@ -188,6 +191,7 @@ class WorkerNode:
             "oid": ref.oid,
             "state": state,
             "version": version,
+            "origin": self.name,
         }
         for peer in sorted(self.peers):
             self._peer_request(peer, payload)
@@ -224,6 +228,8 @@ class WorkerNode:
                     self.name, ref, payload["method"], *payload.get("args", [])
                 )
                 state, version = entity.state(), entity.version
+                if version != version_before:
+                    self._mirror_of.pop(ref, None)
         except (ConstraintViolated, ConsistencyThreatRejected) as exc:
             return {
                 "ok": False,
@@ -294,6 +300,7 @@ class WorkerNode:
                 )
                 entity = self._entity(ref)
             entity.apply_state(payload["state"], version=payload["version"])
+            self._mirror_of[ref] = payload["origin"]
             self._publish_status_locked()
         return {"ok": True}
 
@@ -306,6 +313,7 @@ class WorkerNode:
                 return {"ok": False, "error": "unknown-object"}
             if payload["version"] > entity.version:
                 entity.apply_state(payload["state"], version=payload["version"])
+                self._mirror_of[ref] = payload["origin"]
                 applied = True
             else:
                 applied = False  # stale propagation overtaken by a newer write
@@ -328,6 +336,7 @@ class WorkerNode:
                             "oid": ref.oid,
                             "state": entity.state(),
                             "version": entity.version,
+                            "mirror_of": self._mirror_of.get(ref),
                         }
             store = self.cluster.threat_stores[self.name]
             return {
@@ -350,6 +359,7 @@ class WorkerNode:
                     self.cluster.create_entity(self.name, entry["cls"], entry["oid"], entry["state"])
                     entity = self._entity(ref)
                 entity.apply_state(entry["state"], version=entry["version"])
+                self._mirror_of.pop(ref, None)
                 applied += 1
             self._publish_status_locked()
         return {"ok": True, "applied": applied}

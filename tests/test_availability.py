@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.check import Scenario
+from repro.corpus import validate_scenario
 from repro.evaluation import (
     CONFIGURATIONS,
     compare_configurations,
     run_availability_study,
 )
-from repro.evaluation.availability import _random_partition
+from repro.evaluation.availability import availability_scenario
+from repro.corpus.generator import two_way_partition
 import random
 
 
@@ -64,6 +67,40 @@ class TestSingleRuns:
         assert result.threats_accepted == 0
 
 
+class TestPinnedFigures:
+    """The [Se05] table of EXPERIMENTS.md, as the pre-scenario loop
+    produced it: the study is scenario data now, the numbers are not."""
+
+    @pytest.mark.parametrize(
+        "configuration, served, threats, seconds, reconciling",
+        [
+            ("no-replication", 306, 0, 2.786858, 0.0),
+            ("primary-partition", 394, 0, 5.425084, 0.2844),
+            ("adaptive-voting", 400, 6, 6.705646, 1.18245),
+            ("p4", 400, 19, 8.169496, 1.4969),
+        ],
+    )
+    def test_default_study(self, configuration, served, threats, seconds, reconciling):
+        result = run_availability_study(configuration)
+        assert (result.attempted, result.served) == (400, served)
+        assert result.threats_accepted == threats
+        assert result.simulated_seconds == pytest.approx(seconds, abs=1e-5)
+        assert result.reconciliation_seconds == pytest.approx(reconciling, abs=1e-5)
+
+    def test_study_is_a_well_formed_scenario(self):
+        scenario = availability_scenario(
+            "p4", nodes=3, records=9, operations=400, read_ratio=0.9, degraded_fraction=0.5, seed=7
+        )
+        assert validate_scenario(scenario) == []
+        assert scenario == Scenario.from_dict(scenario.to_dict())
+        assert [action for _, action, _ in scenario.fault_events] == [
+            "partition",
+            "heal_all",
+            "partition",
+        ]
+        assert sum(op.kind == "reconcile" for op in scenario.ops) == 1
+
+
 class TestComparison:
     def test_all_configurations_run(self):
         results = compare_configurations(operations=80)
@@ -86,8 +123,16 @@ class TestRandomPartition:
     def test_two_nonempty_groups(self):
         rng = random.Random(3)
         for _ in range(20):
-            groups = _random_partition(rng, ["a", "b", "c", "d"])
+            groups = two_way_partition(rng, ["a", "b", "c", "d"])
             assert len(groups) == 2
             assert all(groups)
-            assert groups[0] | groups[1] == {"a", "b", "c", "d"}
-            assert not groups[0] & groups[1]
+            assert sorted(groups[0] + groups[1]) == ["a", "b", "c", "d"]
+
+    def test_one_shuffle_then_one_cut(self):
+        # The availability figures are pinned to this draw order.
+        expected = ["a", "b", "c", "d"]
+        rng = random.Random(3)
+        rng.shuffle(expected)
+        cut = rng.randint(1, 3)
+        groups = two_way_partition(random.Random(3), ["a", "b", "c", "d"])
+        assert groups == (tuple(expected[:cut]), tuple(expected[cut:]))

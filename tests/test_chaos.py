@@ -1,70 +1,81 @@
-"""Tests for the deterministic chaos runner.
+"""Tests for chaos runs: the ``chaos`` corpus preset under ``replay_scenario``.
 
 The headline guarantees: a seeded run with >= 20 fault events on >= 5
 nodes is fully deterministic (same seed -> byte-identical trace and
 equal metrics snapshot), every post-run invariant holds across seeds,
-and client-side retries strictly improve availability under burst loss.
+the script is well-formed enough for the validator and the model
+checker, and client-side retries strictly improve availability under
+burst loss.
 """
 
 import json
 
 import pytest
 
-from repro.faults import (
-    ChaosConfig,
-    ChaosReport,
-    ChaosRunner,
-    FaultSchedule,
-    ResilienceConfig,
-    RetryPolicy,
-    run_chaos,
+from repro.apps import counter
+from repro.check import run_schedule
+from repro.corpus import (
+    PRESETS,
+    generate_scenario,
+    preset_config,
+    validate_scenario,
 )
+from repro.faults import FaultSchedule, ReplayReport, replay_scenario
 
-# A moderately sized default scenario: 5 nodes, 20 scripted faults.
-SCENARIO = dict(node_count=5, entities=6, operations=150, fault_events=20)
+SEEDS = [0, 1, 2, 7, 13]
+CHAOS = PRESETS["chaos"]
+
+RETRY = {"retry": {"max_attempts": 4, "base_delay": 0.05}}
+
+
+def chaos(seed, **overrides):
+    return generate_scenario(preset_config("counter", seed, "chaos", **overrides))
 
 
 def run(seed, **overrides):
-    params = dict(SCENARIO)
-    params.update(overrides)
-    return run_chaos(seed=seed, **params)
+    return replay_scenario(chaos(seed, **overrides))
 
 
 class TestConfig:
     def test_validation(self):
+        assert CHAOS["nodes"] >= 5 and CHAOS["faults"] >= 20
+        with pytest.raises(KeyError):
+            preset_config("counter", 0, "havoc")
+        with pytest.raises(KeyError):
+            chaos(0, fault_plan="brownian")
         with pytest.raises(ValueError):
-            ChaosConfig(node_count=1)
+            run(0, ops=5, burst_loss=0.0)
         with pytest.raises(ValueError):
-            ChaosConfig(entities=0)
-        with pytest.raises(ValueError):
-            ChaosConfig(read_ratio=1.5)
-        with pytest.raises(ValueError):
-            ChaosConfig(burst_loss=0.0)
-        with pytest.raises(ValueError):
-            ChaosConfig(burst_loss=0.7)
-
-    def test_runner_rejects_config_plus_overrides(self):
-        with pytest.raises(ValueError):
-            ChaosRunner(ChaosConfig(), seed=3)
+            run(0, ops=5, burst_loss=0.7)
+        with pytest.raises(TypeError):
+            run(0, ops=5, params={"resilience": {"retries": 3}})
+        # A cluster of no nodes, a workload over no entities.
+        codes = {issue.code for issue in validate_scenario(chaos(0, nodes=0, ops=0))}
+        assert "unknown-node" in codes
+        codes = {issue.code for issue in validate_scenario(chaos(0, entities=0, ops=0))}
+        assert "bad-ref" in codes
 
     def test_report_defaults(self):
-        report = ChaosReport(seed=0)
+        report = ReplayReport(scenario="empty", domain="counter")
         assert report.availability == 0.0
         assert report.all_invariants_hold  # vacuously
         assert report.failed_invariants == []
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 13])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_all_invariants_hold_across_seeds(self, seed):
-        report = run(seed)
-        assert report.attempted == SCENARIO["operations"]
+        scenario = chaos(seed)
+        report = replay_scenario(scenario)
+        # 150 workload ops plus the generator's closing reconcile.
+        assert report.attempted == CHAOS["ops"] + 1
         assert report.served + report.blocked == report.attempted
-        assert len(report.fault_events) == SCENARIO["fault_events"]
+        # 20 scripted faults plus the closing heal_all.
+        assert len(scenario.fault_events) == CHAOS["faults"] + 1
         assert report.all_invariants_hold, report.failed_invariants
 
     def test_invariants_hold_with_resilience_and_burst_loss(self):
-        report = run(3, resilience=ResilienceConfig(), burst_loss=0.02)
+        report = run(3, burst_loss=0.02, params={"resilience": {}})
         assert report.all_invariants_hold, report.failed_invariants
 
     def test_invariant_names(self):
@@ -77,15 +88,57 @@ class TestInvariants:
         ]
 
     def test_faults_actually_block_something(self):
-        # Sanity: across seeds the fault script does disturb the workload
-        # (a chaos runner whose faults never bite tests nothing).
-        assert any(run(seed).blocked > 0 for seed in (0, 1, 2))
+        # Sanity: the fault script does disturb the workload (a chaos run
+        # whose faults never bite tests nothing).  Ops start on live
+        # nodes and P4 serves every partition, so the bite shows as
+        # threats there and as denied minority writes under the
+        # primary-partition protocol.
+        assert all(run(seed).threats_accepted > 0 for seed in (0, 1, 2))
+        assert any(
+            run(seed, protocol="primary-partition").errors.get("WriteAccessDenied")
+            for seed in (0, 1, 2)
+        )
 
     def test_threats_are_recorded_and_reconciled(self):
         reports = [run(seed) for seed in (0, 1, 2)]
         assert any(report.threats_recorded > 0 for report in reports)
         for report in reports:
             assert report.reconciliation is not None
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_entity_is_covered_by_committed_state_survives(self, seed):
+        report = run(seed)
+        survives = report.invariants[1]
+        assert survives.ok and survives.detail == f"covered={CHAOS['entities']}"
+
+    def test_a_final_counter_no_served_write_produced_is_caught(self, monkeypatch):
+        # Mutation: the setter stores something other than what the op
+        # carried, so the surviving value was never written by anyone.
+        monkeypatch.setattr(
+            counter.Record,
+            "set_counter",
+            lambda self, value: self._set("counter", value + 1),
+        )
+        report = run(0)
+        assert [result.name for result in report.failed_invariants] == [
+            "committed_state_survives"
+        ]
+        assert "was never written" in report.failed_invariants[0].detail
+
+
+class TestModelCheckable:
+    """A chaos script is scenario data, so the validator and the model
+    checker take it as it is."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_script_is_well_formed(self, seed):
+        assert validate_scenario(chaos(seed)) == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fifo_schedule_keeps_every_step_invariant(self, seed):
+        result = run_schedule(chaos(seed), collect_trace=False)
+        assert result.ok, result.violations
+        assert result.ops_attempted == CHAOS["ops"] + 1
 
 
 class TestDeterminism:
@@ -96,17 +149,12 @@ class TestDeterminism:
         assert json.dumps(first.snapshot, sort_keys=True) == json.dumps(
             second.snapshot, sort_keys=True
         )
-        assert first.fault_events == second.fault_events
+        assert chaos(7) == chaos(7)
         assert first.errors == second.errors
         assert first.availability == second.availability
 
     def test_same_seed_with_resilience_and_loss(self):
-        config = dict(
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=4, base_delay=0.05)
-            ),
-            burst_loss=0.02,
-        )
+        config = dict(burst_loss=0.02, params={"resilience": RETRY})
         first = run(11, **config)
         second = run(11, **config)
         assert first.trace_jsonl == second.trace_jsonl
@@ -126,21 +174,37 @@ class TestDeterminism:
 
 class TestFaultScript:
     def test_script_round_trips_through_schedule(self):
-        report = run(5)
-        schedule = FaultSchedule.from_events(report.fault_events)
-        assert schedule.to_events() == report.fault_events
-        assert len(schedule) == SCENARIO["fault_events"]
+        scenario = chaos(5)
+        schedule = scenario.shifted_fault_schedule(0.0)
+        assert tuple(schedule.to_events()) == scenario.fault_events
+        assert FaultSchedule.from_events(schedule.to_events()).to_events() == (
+            schedule.to_events()
+        )
+        assert len(schedule) == CHAOS["faults"] + 1
 
     def test_script_is_time_ordered_and_in_window(self):
-        report = run(5)
-        times = [at for at, _, _ in report.fault_events]
+        scenario = chaos(5)
+        times = [at for at, _, _ in scenario.fault_events[:-1]]
         assert times == sorted(times)
-        horizon = SCENARIO["operations"] * ChaosConfig().op_gap
-        assert times[-1] - times[0] < horizon
+        horizon = CHAOS["ops"] * preset_config("counter", 5, "chaos").op_gap
+        assert 0 < times[0] and times[-1] < horizon
 
     def test_script_uses_multiple_action_kinds(self):
-        actions = {action for _, action, _ in run(5).fault_events}
+        actions = {action for _, action, _ in chaos(5).fault_events}
         assert len(actions) >= 3
+
+    def test_faults_overlap(self):
+        # What sets the random walk apart from the episode plans: a fault
+        # is not closed before the next one begins.
+        for seed in SEEDS:
+            open_faults = peak = 0
+            for _at, action, _args in chaos(seed).fault_events:
+                if action == "heal_all":
+                    open_faults = 0
+                elif action in ("crash_node", "fail_link", "partition"):
+                    open_faults += 1
+                    peak = max(peak, open_faults)
+            assert peak >= 2, seed
 
 
 class TestResilienceEffect:
@@ -149,17 +213,11 @@ class TestResilienceEffect:
         # resilience differs.  Sum over a few seeds to keep the margin
         # robust against individual lucky runs.
         baseline_served = resilient_served = attempted = 0
+        retry = {"retry": {"max_attempts": 4, "base_delay": 0.02, "jitter": 0.1}}
         for seed in (1, 2, 3):
-            base = run_chaos(
-                seed=seed, node_count=5, operations=120, fault_events=0,
-                burst_loss=0.03,
-            )
-            resilient = run_chaos(
-                seed=seed, node_count=5, operations=120, fault_events=0,
-                burst_loss=0.03,
-                resilience=ResilienceConfig(
-                    retry=RetryPolicy(max_attempts=4, base_delay=0.02, jitter=0.1)
-                ),
+            base = run(seed, ops=120, faults=0, burst_loss=0.03)
+            resilient = run(
+                seed, ops=120, faults=0, burst_loss=0.03, params={"resilience": retry}
             )
             assert base.attempted == resilient.attempted
             # No seed regresses, and a retried op is never counted twice.

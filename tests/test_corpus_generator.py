@@ -59,6 +59,42 @@ def test_ops_only_use_grammar_methods(domain):
             assert (spec.ref_class(op.ref_index), op.method) in allowed
 
 
+def test_threats_reconciled_inside_the_scenario_are_accounted():
+    # Every generated scenario ends with its own heal_all + reconcile, so
+    # the threats are gone by the time the replay's closing reconciliation
+    # runs; the accounting has to look at the round that handled them.
+    scenario = generate_scenario(preset_config("flight_booking", 0, "small"))
+    assert "partition" in [action for _at, action, _args in scenario.fault_events]
+    report = replay_scenario(scenario)
+    in_scenario, closing = report.reconciliations
+    assert in_scenario.threats_reevaluated > 0
+    assert closing.threats_reevaluated == 0
+    assert report.threats_recorded > 0
+    accounting = report.invariants[2]
+    assert accounting.name == "no_accepted_threat_lost" and accounting.ok
+    assert f"recorded={in_scenario.threats_reevaluated} " in accounting.detail
+
+
+def test_a_threat_an_earlier_round_dropped_is_caught():
+    from repro.core.reconciliation import ReconciliationReport
+    from repro.faults.chaos import check_no_accepted_threat_lost
+
+    cluster, _refs = generate_scenario(preset_config("counter", 0, "small")).build()
+    merged = frozenset(cluster.nodes)
+    stored = {node: frozenset({("CounterBound", "rec-0")}) for node in cluster.nodes}
+
+    def round_with(**counts):
+        group = ReconciliationReport(merged_partition=merged, **counts)
+        return stored, ReconciliationReport.aggregate([group])
+
+    dropped = round_with(threats_reevaluated=0)
+    handled = round_with(threats_reevaluated=1, satisfied_removed=1)
+    quiet = ({node: frozenset() for node in cluster.nodes}, ReconciliationReport())
+    assert check_no_accepted_threat_lost(cluster, [handled, quiet]).ok
+    lost = check_no_accepted_threat_lost(cluster, [dropped, quiet])
+    assert not lost.ok and "recorded=1 reevaluated=0" in lost.detail
+
+
 def test_fault_plan_is_closed_and_ends_healed():
     scenario = generate_scenario(
         GeneratorConfig(domain="flight_booking", seed=5, nodes=6, ops=24, faults=3)
@@ -161,6 +197,25 @@ def test_validator_rejects_bad_faults():
         ),
     )
     assert _codes(scenario) == {"unknown-fault", "bad-fault-arity", "unknown-node"}
+
+
+def test_validator_tracks_links_as_the_topology_does():
+    # A partition replaces whatever link failures came before it: the
+    # n1-n2 link is intact again inside the group, so failing it is fine;
+    # n1-n3 is cut by the partition, so failing it again is not.
+    def script(a, b):
+        return Scenario(
+            name="x",
+            fault_events=(
+                (0.1, "fail_link", ("n1", "n2")),
+                (0.2, "partition", (("n1", "n2"), ("n3",))),
+                (0.3, "fail_link", (a, b)),
+                (0.4, "heal_all", ()),
+            ),
+        )
+
+    assert _codes(script("n1", "n2")) == set()
+    assert _codes(script("n1", "n3")) == {"overlapping-fault"}
 
 
 def test_validator_rejects_overlapping_faults():

@@ -518,11 +518,11 @@ class TestLossDeterminism:
                     fault_injector=injector,
                 )
             )
-            from repro.faults.chaos import ChaosRecord, _chaos_constraint
+            from repro.apps.counter import Record, counter_constraint_registration
 
-            cluster.deploy(ChaosRecord)
-            cluster.register_constraint(_chaos_constraint())
-            ref = cluster.create_entity("n1", "ChaosRecord", "r")
+            cluster.deploy(Record)
+            cluster.register_constraint(counter_constraint_registration())
+            ref = cluster.create_entity("n1", "Record", "r")
             handler = AcceptAllHandler()
             for value in range(40):
                 try:

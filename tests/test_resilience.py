@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.apps.counter import Record, counter_constraint_registration
 from repro.cluster import ClusterConfig, DedisysCluster
 from repro.core import AcceptAllHandler
 from repro.faults import (
@@ -22,7 +23,6 @@ from repro.faults import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.faults.chaos import ChaosRecord, _chaos_constraint
 from repro.net import DeadlineExceededError, UnreachableError
 from repro.obs import Observability
 from repro.sim import SimClock
@@ -40,8 +40,8 @@ def make_cluster(resilience=None, obs=None, replication=True, injector=None):
             fault_injector=injector,
         )
     )
-    cluster.deploy(ChaosRecord)
-    cluster.register_constraint(_chaos_constraint())
+    cluster.deploy(Record)
+    cluster.register_constraint(counter_constraint_registration())
     return cluster
 
 
@@ -259,7 +259,7 @@ class TestRetriesInCluster:
         cluster = make_cluster(
             resilience=resilience, obs=obs, replication=False, injector=injector
         )
-        ref = cluster.create_entity("n2", "ChaosRecord", "r")
+        ref = cluster.create_entity("n2", "Record", "r")
         if clear_after is not None:
             cluster.scheduler.schedule_after(
                 clear_after, injector.clear, label="fault-clears"
@@ -298,7 +298,7 @@ class TestRetriesInCluster:
         cluster = make_cluster(
             resilience=resilience, obs=obs, replication=False, injector=injector
         )
-        ref = cluster.create_entity("n2", "ChaosRecord", "r")
+        ref = cluster.create_entity("n2", "Record", "r")
         with pytest.raises(UnreachableError):
             cluster.invoke("n1", ref, "get_counter")
         assert len([e for e in obs.events() if e.type == "retry"]) == 2
@@ -320,7 +320,7 @@ class TestDeadlines:
         cluster = make_cluster(
             resilience=resilience, obs=obs, replication=False, injector=injector
         )
-        ref = cluster.create_entity("n2", "ChaosRecord", "r")
+        ref = cluster.create_entity("n2", "Record", "r")
         started = cluster.clock.now
         with pytest.raises(DeadlineExceededError):
             cluster.invoke("n1", ref, "get_counter")
@@ -347,7 +347,7 @@ class TestCircuitBreakerInCluster:
         cluster = make_cluster(
             resilience=resilience, obs=obs, replication=False, injector=injector
         )
-        ref = cluster.create_entity("n2", "ChaosRecord", "r")
+        ref = cluster.create_entity("n2", "Record", "r")
         return cluster, obs, ref
 
     def test_breaker_opens_and_fast_fails(self):
@@ -411,7 +411,7 @@ class TestRedirectRetries:
         )
         obs = Observability()
         cluster = make_cluster(resilience=resilience, obs=obs, injector=injector)
-        ref = cluster.create_entity("n1", "ChaosRecord", "r")
+        ref = cluster.create_entity("n1", "Record", "r")
 
         from repro.objects import Invocation
 
@@ -445,7 +445,7 @@ class TestRedirectRetries:
 class TestServerSideDeadline:
     def test_stale_deadline_rejected_at_the_server(self):
         cluster = make_cluster()
-        ref = cluster.create_entity("n1", "ChaosRecord", "r")
+        ref = cluster.create_entity("n1", "Record", "r")
 
         from repro.objects import Invocation
 

@@ -171,6 +171,59 @@ def test_respawned_primary_is_reached_and_acknowledged_write_counts_once(quiet_c
     assert {state["sold"] for state in states.values()} == {79}
 
 
+def test_a_stalled_peer_does_not_make_one_partition_count_twice():
+    """A forward that outlasts ``PEER_TIMEOUT`` although the peer is alive
+    makes a second survivor promote itself; the two keep mirroring each
+    other, and their partition's sales must still be merged once.
+
+    The stalled write sells zero tickets (a full write transaction that
+    leaves the total alone): the stalled peer finds the forwarded frame
+    in its socket when it wakes up and may execute it after the sender
+    has served the write itself, which is a different defect (ROADMAP
+    item 0) and would make the total depend on which frame it reads first.
+    """
+    oracle = 0
+
+    def sell(cluster: ProcessCluster, node: str, count: int = 1) -> dict:
+        nonlocal oracle
+        oracle += count
+        reply = cluster.invoke(node, *FLIGHT, "sell_tickets", count)
+        assert reply["ok"], reply
+        return reply
+
+    with ProcessCluster(("a", "b", "c"), primary="a") as cluster:
+        cluster.create("a", *FLIGHT, {"flight_number": "K9", "seats": 10**6, "sold": 0})
+        for index in range(30):
+            sell(cluster, "abc"[index % 3])
+        baseline = oracle
+        cluster.kill("a")
+        for index in range(10):
+            sell(cluster, "bc"[index % 2])
+
+        # b stops answering for longer than c is willing to wait.
+        stalled = cluster.processes["b"]
+        stalled.send_signal(signal.SIGSTOP)
+        resume = threading.Timer(1.3, stalled.send_signal, (signal.SIGCONT,))
+        resume.start()
+        try:
+            assert sell(cluster, "c", count=0)["served_by"] == "c"
+        finally:
+            resume.join(timeout=5)
+            assert not resume.is_alive()
+        assert cluster.status("b")["temp_primary"] and cluster.status("c")["temp_primary"]
+
+        for index in range(10):
+            sell(cluster, "bc"[index % 2])
+        cluster.restart("a")
+        cluster.reconcile(additive={"Flight|K9": {"sold": baseline}})
+        states = cluster.states(*FLIGHT)
+        assert oracle == 50
+        # The parent of this test read 70 = 30 + 2 x 20 here.
+        assert {node: state["sold"] for node, state in states.items()} == {
+            "a": oracle, "b": oracle, "c": oracle,
+        }
+
+
 def test_reads_leave_replicas_alone_and_writes_reach_all(cluster):
     before = versions(cluster)
     assert len(set(before.values())) == 1
