@@ -35,9 +35,9 @@ project-wide view:
 
 The annotation convention::
 
-    self._delivered: list[Message] = []  # guarded-by: _delivered_lock
+    self.delivered_count = 0  # guarded-by: _delivered_lock
 
-declares that ``_delivered`` may only be read or written while
+declares that ``delivered_count`` may only be read or written while
 ``_delivered_lock`` is held.  Matching is *name-based* (the lock may
 live on another object, as ``procnode``'s ``ProcessStaleness.flag``
 guarded by ``WorkerNode._mutex`` shows) and scoped to accesses whose

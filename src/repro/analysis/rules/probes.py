@@ -27,7 +27,6 @@ READONLY_API = frozenset(
         # SimNetwork observation API
         "is_healthy",
         "reachable",
-        "delivered_since",
         "is_crashed",
         # ThreatStore observation API
         "pending",

@@ -26,12 +26,13 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.model import SatisfactionDegree
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import DedisysCluster
+    from ..net import Message
     from ..objects import ObjectRef
 
 
@@ -47,9 +48,9 @@ class RunProbe:
     cluster: "DedisysCluster"
     refs: tuple["ObjectRef", ...]
     step: int = 0
-    # Messages delivered before the current step (watermark into
-    # ``network.delivered_messages``).
-    delivered_before: int = 0
+    # Messages delivered during the current step (the runner's recorder,
+    # see ``Network.record_deliveries``).
+    delivered: Sequence["Message"] = ()
     # Network topology version before the current step; when it moved
     # during the step, reachability "now" no longer describes delivery
     # time and delivery checks stand down for this step.
@@ -210,7 +211,7 @@ class NoCrossPartitionDelivery(Invariant):
             # nothing about delivery time.  Skip this step.
             return None
         network = probe.cluster.network
-        for message in network.delivered_since(probe.delivered_before):
+        for message in probe.delivered:
             if message.source == message.destination:
                 continue
             if not network.reachable(message.source, message.destination):

@@ -195,7 +195,8 @@ def run_schedule(
     m_evals = obs.registry.counter("check_invariant_evals_total", "invariant evaluations performed")
     m_violations = obs.registry.counter("check_violations_total", "invariant violations found")
 
-    probe = RunProbe(cluster=cluster, refs=refs)
+    delivered = cluster.network.record_deliveries()
+    probe = RunProbe(cluster=cluster, refs=refs, delivered=delivered)
     driver = OpDriver(cluster, refs)
     driver.install(scenario, cluster.clock.now)
 
@@ -208,7 +209,7 @@ def run_schedule(
     try:
         with mutation(cluster) if mutation else contextlib.nullcontext():
             while True:
-                probe.delivered_before = cluster.network.delivered_count
+                delivered.clear()
                 probe.topology_before = cluster.network.topology_version
                 reconciled = len(driver.reconciliations)
                 if scheduler.step() is None:

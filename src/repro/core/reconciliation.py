@@ -291,12 +291,18 @@ class ReconciliationManager:
         started = clock.now
         self._reconcile_constraints(merged, constraint_handler, max_handler_retries, report)
         report.constraint_phase_seconds = clock.now - started
+        # Deferred and postponed threats are re-evaluated on a later run:
+        # their objects must keep answering ``had_replica_conflict`` and
+        # keep the rollback history of this degraded period.  Every other
+        # object's history is of a period now reconciled, and is dropped.
+        surviving = self._surviving_refs()
         if self.replication is not None:
-            # Conflicts whose objects still have a surviving threat must
-            # keep answering ``had_replica_conflict`` on a later run —
-            # deferred and postponed threats are re-evaluated then.
-            self.replication.clear_conflicts(self._surviving_refs())
+            self.replication.clear_conflicts(surviving)
         for node in merged:
+            history = self.nodes[node].state_history
+            for ref in history.objects():
+                if ref not in surviving:
+                    history.prune(ref)
             self._reconciled_epoch[node] = self._node_epoch[node]
         return report
 

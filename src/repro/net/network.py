@@ -67,6 +67,8 @@ class Network(Topology):
         self.loss_probability = loss_probability
         self._rng = random.Random(seed)
         self.injector: "FaultInjector | None" = None
+        self.delivered_count = 0
+        self._recorder: list[Message] | None = None
         self._m_sent = self.obs.registry.counter(
             "net_messages_sent_total", "point-to-point messages delivered, by kind"
         )
@@ -82,6 +84,21 @@ class Network(Topology):
         injector.bind_obs(self.obs)
         self.injector = injector
         return injector
+
+    def record_deliveries(self) -> list[Message]:
+        """Attach a recorder: the list every later delivery is appended to.
+
+        A network retains no message on its own account; a checker that
+        wants to see deliveries asks here, and empties the list it is
+        handed whenever it has looked.
+        """
+        self._recorder = []
+        return self._recorder
+
+    def _note_delivery(self, message: Message) -> None:
+        self.delivered_count += 1
+        if self._recorder is not None:
+            self._recorder.append(message)
 
     def _admit(
         self, source: NodeId, destination: NodeId, kind: str, payload: Any
@@ -162,7 +179,6 @@ class SimNetwork(Network):
             scheduler = Scheduler()
         super().__init__(nodes, scheduler, costs, loss_probability, seed, obs)
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
-        self._delivered: list[Message] = []
 
     def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         """Register the message handler for ``node``."""
@@ -175,7 +191,7 @@ class SimNetwork(Network):
     def send(self, source: NodeId, destination: NodeId, kind: str, payload: Any = None) -> Any:
         """Admit a message, then run the destination's handler inline."""
         message, duplicates = self._admit(source, destination, kind, payload)
-        self._delivered.append(message)
+        self._note_delivery(message)
         handler = self._handlers.get(destination)
         if handler is None:
             return None
@@ -183,20 +199,6 @@ class SimNetwork(Network):
         # A duplicating fault delivers extra copies of the *same* message;
         # the sender sees only the first result (as a real client would).
         for _ in range(duplicates):
-            self._delivered.append(message)
+            self._note_delivery(message)
             handler(message)
         return result
-
-    @property
-    def delivered_messages(self) -> list[Message]:
-        """All messages delivered so far (test introspection)."""
-        return list(self._delivered)
-
-    @property
-    def delivered_count(self) -> int:
-        """Number of messages delivered so far (cheap watermark)."""
-        return len(self._delivered)
-
-    def delivered_since(self, watermark: int) -> list[Message]:
-        """Messages delivered after a :attr:`delivered_count` watermark."""
-        return self._delivered[watermark:]

@@ -1,8 +1,16 @@
-"""Journaled persistence with simulated access costs."""
+"""In-memory persistence with simulated access costs."""
 
-from .store import JournalEntry, PersistenceEngine, StateHistory, StateVersion, Table
+from .store import (
+    Journal,
+    JournalEntry,
+    PersistenceEngine,
+    StateHistory,
+    StateVersion,
+    Table,
+)
 
 __all__ = [
+    "Journal",
     "JournalEntry",
     "PersistenceEngine",
     "StateHistory",

@@ -1,17 +1,19 @@
-"""Journaled persistence (MySQL/CMP analogue).
+"""Cost-charged in-memory persistence (MySQL/CMP analogue).
 
 Each node owns a :class:`PersistenceEngine` holding named key-value tables.
 Every access charges the simulated clock per the cost model — persistence
 cost is what dominates create/delete throughput in Fig. 5.1/5.4 and threat
 storage cost in the degraded-mode measurements, so the engine accounts for
-it explicitly.  An append-only journal records every mutation for test
-introspection and for the durability semantics the middleware relies on
-when it persists consistency threats and replica state history.
+it explicitly.  Every mutation is counted and the last few are kept in a
+:class:`Journal` for introspection.  The journal is **not** a recovery log:
+nothing is replayed from it, and what the middleware needs to read back —
+consistency threats, replica state history — lives in tables and in
+:class:`StateHistory`.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -22,9 +24,11 @@ from ..objects.values import copy_value
 from ..sim import CostLedger, CostModel, SimClock, charger
 
 
-# ``slots``: the journal only grows, and every entry keeps its own copy of
-# the value where it used to alias the caller's object; dropping the
-# per-entry ``__dict__`` pays for that copy.
+#: Entries a :class:`Journal` retains.  Short on purpose: the tail is all
+#: young objects, and every young-generation collection walks it.
+JOURNAL_TAIL = 32
+
+
 @dataclass(frozen=True, slots=True)
 class JournalEntry:
     sequence: int
@@ -33,6 +37,42 @@ class JournalEntry:
     operation: str
     key: Any
     value: Any = None
+
+
+class Journal:
+    """Every mutation counted, the last :data:`JOURNAL_TAIL` retained.
+
+    ``len()`` is the number of entries ever recorded, which is also the
+    newest entry's ``sequence``.  Iteration yields the retained tail,
+    oldest first; an index names a position in the whole log (``[-1]`` is
+    the newest entry) and raises ``IndexError`` once that entry is gone.
+    """
+
+    __slots__ = ("recorded", "_tail", "_clock")
+
+    def __init__(self, clock: SimClock) -> None:
+        self.recorded = 0
+        self._tail: deque[JournalEntry] = deque(maxlen=JOURNAL_TAIL)
+        self._clock = clock
+
+    def record(self, table: str, operation: str, key: Any, value: Any = None) -> None:
+        self.recorded = sequence = self.recorded + 1
+        self._tail.append(
+            JournalEntry(sequence, self._clock.now, table, operation, key, value)
+        )
+
+    def __len__(self) -> int:
+        return self.recorded
+
+    def __iter__(self) -> Iterator[JournalEntry]:
+        return iter(self._tail)
+
+    def __getitem__(self, index: int) -> JournalEntry:
+        position = index + self.recorded if index < 0 else index
+        offset = position - (self.recorded - len(self._tail))
+        if not 0 <= offset < len(self._tail):
+            raise IndexError(f"journal entry {index} is outside the retained tail")
+        return self._tail[offset]
 
 
 class PersistenceEngine:
@@ -58,8 +98,7 @@ class PersistenceEngine:
         self.ledger = ledger if ledger is not None else CostLedger()
         self.charge = charger(clock, self.costs, self.ledger)
         self._tables: dict[str, "Table"] = {}
-        self._journal: list[JournalEntry] = []
-        self._sequence = itertools.count(1)
+        self._journal = Journal(clock)
 
     def table(self, name: str) -> "Table":
         """Get or create the named table."""
@@ -67,25 +106,19 @@ class PersistenceEngine:
             self._tables[name] = Table(name, self)
         return self._tables[name]
 
-    def journal(self) -> list[JournalEntry]:
-        return list(self._journal)
-
-    def _record(self, table: str, operation: str, key: Any, value: Any = None) -> None:
-        self._journal.append(
-            JournalEntry(
-                next(self._sequence), self.clock.now, table, operation, key, value
-            )
-        )
+    def journal(self) -> Journal:
+        return self._journal
 
 
 class Table:
-    """A named key-value table with journaled, cost-charged access.
+    """A named key-value table with counted, cost-charged access.
 
     Values are copied (:func:`~repro.objects.values.copy_value`) on the way
     in and out, giving the store the value semantics of serialized database
     rows: mutating a live object never silently mutates its persisted state
-    or its journal entry.  A row is replaced, never changed in place, so the
-    journal shares the stored copy.
+    or its journal entry.  A row is replaced, never changed in place, so a
+    journal entry shares the stored copy while it is retained; a superseded
+    row is freed once its entry leaves the journal's tail.
     """
 
     def __init__(self, name: str, engine: PersistenceEngine) -> None:
@@ -104,12 +137,12 @@ class Table:
             raise KeyError(f"duplicate key {key!r} in table {self.name!r}")
         self.engine.charge(cost)
         stored = self._rows[key] = copy_value(value)
-        self.engine._record(self.name, "insert", key, stored)
+        self.engine._journal.record(self.name, "insert", key, stored)
 
     def put(self, key: Any, value: Any, cost: str = "db_write") -> None:
         self.engine.charge(cost)
         stored = self._rows[key] = copy_value(value)
-        self.engine._record(self.name, "put", key, stored)
+        self.engine._journal.record(self.name, "put", key, stored)
 
     def get(self, key: Any, cost: str = "db_read") -> Any:
         self.engine.charge(cost)
@@ -127,7 +160,7 @@ class Table:
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
         del self._rows[key]
-        self.engine._record(self.name, "delete", key)
+        self.engine._journal.record(self.name, "delete", key)
 
     def keys(self) -> list[Any]:
         return list(self._rows.keys())
@@ -140,7 +173,7 @@ class Table:
 
     def clear(self) -> None:
         self._rows.clear()
-        self.engine._record(self.name, "clear", None)
+        self.engine._journal.record(self.name, "clear", None)
 
 
 @dataclass
@@ -188,6 +221,10 @@ class StateHistory:
 
     def versions_of(self, oid: Any) -> list[StateVersion]:
         return list(self._history.get(oid, []))
+
+    def objects(self) -> list[Any]:
+        """The objects that have any recorded history."""
+        return list(self._history)
 
     def latest(self, oid: Any) -> StateVersion | None:
         versions = self._history.get(oid)

@@ -73,7 +73,9 @@ class AsyncioNetwork(Network):
             _MEMBER: {},
         }
         self._handlers_lock = threading.Lock()
-        self._delivered: list[Message] = []  # guarded-by: _delivered_lock
+        # Client threads and node workers deliver at once, and counting a
+        # delivery is a read-modify-write.
+        self.delivered_count = 0  # guarded-by: _delivered_lock
         self._delivered_lock = threading.Lock()
         # One pool per node: its FIFO work queue is the node's mailbox,
         # its threads are the node (started lazily, on first delivery).
@@ -175,7 +177,7 @@ class AsyncioNetwork(Network):
         if self._closed:
             raise RuntimeError("network is closed")
         with self._delivered_lock:
-            self._delivered.append(message)
+            self._note_delivery(message)
         try:
             future = self._executors[message.destination].submit(
                 self._dispatch, message, ns
@@ -208,23 +210,6 @@ class AsyncioNetwork(Network):
         if handler is None:
             return None
         return handler(message)
-
-    # ------------------------------------------------------------------
-    # introspection (SimNetwork surface)
-    # ------------------------------------------------------------------
-    @property
-    def delivered_messages(self) -> list[Message]:
-        with self._delivered_lock:
-            return list(self._delivered)
-
-    @property
-    def delivered_count(self) -> int:
-        with self._delivered_lock:
-            return len(self._delivered)
-
-    def delivered_since(self, watermark: int) -> list[Message]:
-        with self._delivered_lock:
-            return self._delivered[watermark:]
 
     # ------------------------------------------------------------------
     # lifecycle

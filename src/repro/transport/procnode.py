@@ -25,9 +25,11 @@ protocol from :mod:`repro.transport.frames`:
 * peer connections are long-lived (pooled inside ``frames.request``).
   A dead peer shows up as a stale idle socket followed by a refused
   connect, or as an error/timeout mid-exchange — all of which mean
-  "unreachable" here; a request is never re-sent, so a forwarded write
-  is applied at most once.  Liveness is refreshed by every real write
-  and by the probe loop (``--probe-interval``), not by reads;
+  "unreachable" here; a request is never re-sent, and a forward read
+  after its sender gave up is refused (:class:`ForwardExpired`), so a
+  forwarded write is applied at most once.  Liveness is refreshed by
+  every real write and by the probe loop (``--probe-interval``), not by
+  reads;
 * the driver (:mod:`repro.transport.proccluster`) reconciles by
   ``state-dump`` → merge → ``state-apply`` → ``revalidate``; the
   revalidation step re-checks every pending threat on merged state with
@@ -59,11 +61,21 @@ from ..cluster import ClusterConfig, DedisysCluster
 from ..core import ConsistencyThreatRejected, ConstraintViolated
 from ..objects import ObjectRef
 from . import frames
+from .wallclock import read_monotonic
 
 #: Timeout for worker→worker frame exchanges; beyond this a peer is
 #: treated as unreachable (the sender cannot tell a slow peer from a
 #: dead one — §1.1's fundamental ambiguity, now on real sockets).
 PEER_TIMEOUT = 1.0
+
+
+class ForwardExpired(Exception):
+    """A forwarded write arrived after its sender stopped waiting for it.
+
+    The sender serves such a write itself, so executing the frame — a
+    stalled worker finds it in its socket when it wakes up — would apply
+    the write twice.
+    """
 
 
 class ProcessStaleness:
@@ -178,10 +190,23 @@ class WorkerNode:
         try:
             reply = frames.request(host, port, payload, timeout=PEER_TIMEOUT)
         except (OSError, frames.FrameError):
+            reply = None
+        if reply is None or reply.get("error") == ForwardExpired.__name__:
             self._set_peer_up(peer, False)
             return None
         self._set_peer_up(peer, True)
         return reply
+
+    @staticmethod
+    def _refuse_expired(payload: dict[str, Any]) -> None:
+        """Raise :class:`ForwardExpired` for a forward nobody waits for.
+
+        ``expires`` is the forwarding worker's ``time.monotonic()``; both
+        ends share a host, so the clocks are one clock.
+        """
+        expires = payload.get("expires")
+        if expires is not None and (late := read_monotonic() - expires) > 0:
+            raise ForwardExpired(f"forward expired {late:.3f}s ago")
 
     def _propagate(self, kind: str, ref: ObjectRef, state: dict[str, Any], version: int) -> None:
         """Best-effort replica propagation to every reachable peer."""
@@ -200,6 +225,7 @@ class WorkerNode:
     # frame handlers (ops executor)
     # ------------------------------------------------------------------
     def handle_create(self, payload: dict[str, Any]) -> dict[str, Any]:
+        self._refuse_expired(payload)
         if not self.is_primary:
             forwarded = self._forward_to_acting_primary(payload)
             if forwarded is not None:
@@ -215,6 +241,7 @@ class WorkerNode:
         return {"ok": True, "cls": ref.class_name, "oid": ref.oid, "served_by": self.name}
 
     def handle_invoke(self, payload: dict[str, Any]) -> dict[str, Any]:
+        self._refuse_expired(payload)
         if not self.is_primary:
             forwarded = self._forward_to_acting_primary(payload)
             if forwarded is not None:
@@ -277,10 +304,15 @@ class WorkerNode:
             if peer < self.name and peer != self.primary and alive.get(peer, False)
         ]
         for candidate in candidates:
-            reply = self._peer_request(candidate, payload)
+            # Waited for as long as any peer frame; a write passed on a
+            # second time keeps the deadline of whoever forwarded it first.
+            expires = payload.get("expires", read_monotonic() + PEER_TIMEOUT)
+            reply = self._peer_request(candidate, {**payload, "expires": expires})
             if reply is not None:
                 reply["forwarded_by"] = self.name
                 return reply
+        # The attempts above took time the first forwarder may not have had.
+        self._refuse_expired(payload)
         with self._mutex:
             self.staleness.flag = True
             self._publish_status_locked()

@@ -375,10 +375,15 @@ class TestNetworkIntegration:
         injector.set_link_model("a", "b", Duplicate(1.0, copies=2))
         calls = []
         network.register_handler("b", lambda message: calls.append(message) or "r")
+        network.send("a", "b", "before", "p")
+        recorded = network.record_deliveries()
         result = network.send("a", "b", "k", "p")
         assert result == "r"  # sender sees the first result only
-        assert len(calls) == 3
-        assert len(network.delivered_messages) == 3
+        assert len(calls) == 6
+        # Counted from the start (the same on either substrate), retained
+        # only since a recorder asked — duplicates included.
+        assert network.delivered_count == 6
+        assert [message.kind for message in recorded] == ["k", "k", "k"]
 
     def test_injector_drop_counts_in_obs(self, substrate):
         network, _ = substrate

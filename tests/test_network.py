@@ -147,9 +147,16 @@ class TestMessaging:
 
     def test_delivered_messages_recorded(self, network):
         network.send("a", "b", "ping", 1)
-        network.send("b", "c", "ping", 2)
-        kinds = [m.kind for m in network.delivered_messages]
-        assert kinds == ["ping", "ping"]
+        assert network.delivered_count == 1
+        recorded = network.record_deliveries()
+        assert recorded == []  # nothing was retained before anyone asked
+        network.send("b", "c", "pong", 2)
+        network.send("c", "a", "ping", 3)
+        assert [(m.source, m.kind, m.payload) for m in recorded] == [
+            ("b", "pong", 2),
+            ("c", "ping", 3),
+        ]
+        assert network.delivered_count == 3
 
     def test_topology_listener_fired(self, network):
         events = []

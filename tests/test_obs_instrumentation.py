@@ -85,7 +85,7 @@ class TestEventCountsMatchComponentBookkeeping:
         sent = obs.registry.get("net_messages_sent_total")
         send_events = obs.events("message_send")
         assert len(send_events) > 0
-        assert sent.total() == len(send_events) == len(cluster.network.delivered_messages)
+        assert sent.total() == len(send_events) == cluster.network.delivered_count
         link_bytes = obs.registry.get("net_link_bytes_total")
         assert link_bytes.value(link="n2->n1") > 0
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.persistence import PersistenceEngine, StateHistory
+from repro.persistence import Journal, PersistenceEngine, StateHistory
+from repro.persistence.store import JOURNAL_TAIL
 from repro.sim import SimClock
 
 
@@ -138,6 +139,23 @@ class TestCostsAndJournal:
             {"items": ["a"]},
             {"items": ["a", "b"]},
         ]
+
+    def test_journal_counts_everything_and_keeps_a_short_tail(self, engine):
+        table = engine.table("t")
+        total = JOURNAL_TAIL + 5
+        for index in range(total):
+            table.put("k", index)
+        journal = engine.journal()
+        assert isinstance(journal, Journal) and journal is engine.journal()  # not a copy
+        assert len(journal) == total
+        kept = list(journal)
+        assert [e.sequence for e in kept] == list(range(6, total + 1))
+        assert [e.value for e in kept] == list(range(5, total))
+        assert journal[-1] is kept[-1] and journal[-1].sequence == len(journal)
+        assert journal[total - 1] is kept[-1] and journal[5] is kept[0]
+        for gone in (0, 4, -total, -JOURNAL_TAIL - 1, total):
+            with pytest.raises(IndexError):
+                journal[gone]
 
     def test_charge_unknown_category_raises(self, engine):
         with pytest.raises(AttributeError):

@@ -60,12 +60,16 @@ class TestFlightBookingReconciliation:
     def test_threats_removed_after_resolution(self):
         cluster = make_flight_cluster()
         ref, baselines = overbook_during_partition(cluster)
+        histories = [cluster.nodes[node].state_history for node in NODES]
+        assert sum(history.total_entries() for history in histories) == 2
         handler = RebookingReconciliationHandler(lambda r: cluster.entity_on("a", r))
         cluster.reconcile(
             replica_handler=AdditiveSoldMerge(baselines), constraint_handler=handler
         )
         for node in NODES:
             assert cluster.threat_stores[node].count_identities() == 0
+        # The degraded period is reconciled: nothing is left to roll back to.
+        assert [history.total_entries() for history in histories] == [0, 0, 0]
 
     def test_satisfied_threat_removed_without_handler(self):
         # Selling few enough tickets that the merge stays within capacity.
@@ -86,6 +90,9 @@ class TestFlightBookingReconciliation:
         store = cluster.threat_stores["a"]
         assert store.count_identities() == 1
         assert store.pending()[0].deferred
+        # ... and so is the history a later run may roll its object back to.
+        assert [v.state["sold"] for v in cluster.nodes["a"].state_history.versions_of(ref)] == [77]
+        assert [v.state["sold"] for v in cluster.nodes["b"].state_history.versions_of(ref)] == [78]
 
     def test_deferred_cleanup_via_business_operation(self):
         cluster = make_flight_cluster()

@@ -360,12 +360,12 @@ class TestCircuitBreakerInCluster:
             with pytest.raises(UnreachableError):
                 cluster.invoke("n1", ref, "get_counter")
         assert cluster.breaker_states()["n1"]["n2"] is BreakerState.OPEN
-        sends_before = len(cluster.network.delivered_messages)
+        sends_before = cluster.network.delivered_count
         with pytest.raises(CircuitOpenError) as excinfo:
             cluster.invoke("n1", ref, "get_counter")
         assert excinfo.value.destination == "n2"
         # fast fail: no network attempt was paid
-        assert len(cluster.network.delivered_messages) == sends_before
+        assert cluster.network.delivered_count == sends_before
         assert [e for e in obs.events() if e.type == "breaker_fast_fail"]
 
     def test_breaker_recovers_through_half_open(self):

@@ -31,7 +31,7 @@ import pytest
 
 from repro.transport import frames
 from repro.transport.proccluster import _EPHEMERAL_RANGE, ProcessCluster, _free_ports
-from repro.transport.procnode import WorkerNode
+from repro.transport.procnode import PEER_TIMEOUT, ForwardExpired, WorkerNode
 
 FLIGHT = ("Flight", "K9")
 
@@ -176,11 +176,9 @@ def test_a_stalled_peer_does_not_make_one_partition_count_twice():
     makes a second survivor promote itself; the two keep mirroring each
     other, and their partition's sales must still be merged once.
 
-    The stalled write sells zero tickets (a full write transaction that
-    leaves the total alone): the stalled peer finds the forwarded frame
-    in its socket when it wakes up and may execute it after the sender
-    has served the write itself, which is a different defect (ROADMAP
-    item 0) and would make the total depend on which frame it reads first.
+    The stalled peer finds the forwarded frame in its socket when it wakes
+    up, after the sender has served that write itself: it must refuse the
+    frame (``ForwardExpired``), or the one ticket is sold twice.
     """
     oracle = 0
 
@@ -206,19 +204,24 @@ def test_a_stalled_peer_does_not_make_one_partition_count_twice():
         resume = threading.Timer(1.3, stalled.send_signal, (signal.SIGCONT,))
         resume.start()
         try:
-            assert sell(cluster, "c", count=0)["served_by"] == "c"
+            assert sell(cluster, "c")["served_by"] == "c"
         finally:
             resume.join(timeout=5)
             assert not resume.is_alive()
         assert cluster.status("b")["temp_primary"] and cluster.status("c")["temp_primary"]
+        # b holds the ticket because c's replica frame said so, not because
+        # it executed the forward c had given up on.  (Executing it reads
+        # 51 or 52 at the end, by which of the two frames b sees first.)
+        copy = cluster.request("b", {"kind": "state-dump"})["objects"]["Flight|K9"]
+        assert (copy["state"]["sold"], copy["mirror_of"]) == (oracle, "c")
 
         for index in range(10):
             sell(cluster, "bc"[index % 2])
         cluster.restart("a")
         cluster.reconcile(additive={"Flight|K9": {"sold": baseline}})
         states = cluster.states(*FLIGHT)
-        assert oracle == 50
-        # The parent of this test read 70 = 30 + 2 x 20 here.
+        assert oracle == 51
+        # Summing both survivors' deltas read 30 + 2 x 21 here.
         assert {node: state["sold"] for node, state in states.items()} == {
             "a": oracle, "b": oracle, "c": oracle,
         }
@@ -264,6 +267,48 @@ def test_only_state_changes_propagate(monkeypatch):
     assert write["ok"] and write["result"] == 74
     assert [kind for kind, _ in sent] == ["replica-create", "replica-update"]
     assert sent[1][1] > sent[0][1], "the propagated version must have grown"
+
+
+def test_a_forward_is_refused_once_its_sender_has_given_up(monkeypatch):
+    monkeypatch.setattr(WorkerNode, "_propagate", lambda *args: None)
+    attrs = {"flight_number": "K9", "seats": 80, "sold": 70}
+    sale = {"kind": "invoke", "cls": "Flight", "oid": "K9", "method": "sell_tickets", "args": [1]}
+
+    primary = WorkerNode("a", port=0, peers={})
+    primary.handle_create({"cls": "Flight", "oid": "K9", "attrs": attrs})
+    in_time = primary.handle_invoke({**sale, "expires": time.monotonic() + PEER_TIMEOUT})
+    assert in_time["ok"] and in_time["result"] == 71
+    with pytest.raises(ForwardExpired):
+        primary.handle_invoke({**sale, "expires": time.monotonic() - 0.001})
+    with pytest.raises(ForwardExpired):
+        primary.handle_create({"cls": "Flight", "oid": "K8", "attrs": attrs, "expires": 0.0})
+    assert primary.handle_invoke({**sale, "method": "get_sold", "args": []})["result"] == 71
+
+    # The answer a forwarder gets for a late frame means "serve it yourself".
+    backup = WorkerNode("b", port=0, peers={"a": ("127.0.0.1", 1)}, primary="a")
+    monkeypatch.setattr(
+        frames, "request", lambda *args, **kwargs: {"ok": False, "error": "ForwardExpired"}
+    )
+    assert backup._peer_request("a", sale) is None and backup.peer_up == {"a": False}
+
+    # A forward passed on keeps its first deadline: when that runs out while
+    # this worker tries the primary, it neither serves the write nor
+    # promotes itself.
+    passed_on = []
+    backup.handle_replica_create(
+        {"cls": "Flight", "oid": "K9", "state": attrs, "version": 1, "origin": "a"}
+    )
+
+    def unreachable_after_a_while(peer, payload):
+        passed_on.append(payload["expires"])
+        time.sleep(0.05)
+
+    monkeypatch.setattr(backup, "_peer_request", unreachable_after_a_while)
+    deadline = time.monotonic() + 0.02
+    with pytest.raises(ForwardExpired):
+        backup.handle_invoke({**sale, "expires": deadline})
+    assert passed_on == [deadline] and not backup.staleness.flag
+    assert backup.handle_invoke(sale)["served_by"] == "b" and backup.staleness.flag
 
 
 def test_close_does_not_wait_for_idle_connections():

@@ -33,6 +33,9 @@ NODES = ("a", "b", "c")
 def run_stress(clients: int, ops_each: int, seed: int) -> None:
     cluster = DedisysCluster(ClusterConfig(node_ids=NODES, transport="asyncio"))
     try:
+        # Every message of the run, not a tail: the probes below check each
+        # one against the topology.
+        delivered = cluster.network.record_deliveries()
         cluster.deploy(Flight)
         cluster.register_constraint(ticket_constraint_registration())
         ref = cluster.create_entity(
@@ -79,11 +82,12 @@ def run_stress(clients: int, ops_each: int, seed: int) -> None:
         for node, store in cluster.threat_stores.items():
             assert store.count_identities() == 0, f"healthy run left threats on {node}"
 
+        assert len(delivered) == cluster.network.delivered_count > expected
         probe = RunProbe(
             cluster=cluster,
             refs=(ref,),
             step=0,
-            delivered_before=0,
+            delivered=delivered,
             topology_before=cluster.network.topology_version,
         )
         violations = default_registry().evaluate(probe)
