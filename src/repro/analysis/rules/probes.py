@@ -22,6 +22,7 @@ READONLY_API = frozenset(
         # DedisysCluster probe API
         "write_targets",
         "replica_states",
+        "diverged_replicas",
         "threat_accounting",
         "mode_of",
         # SimNetwork observation API

@@ -193,11 +193,8 @@ class ReplicaConvergence(Invariant):
             return None
         if not probe.cluster.network.is_healthy():
             return None
-        for ref in probe.refs:
-            states = set(probe.cluster.replica_states(ref).values())
-            if len(states) > 1:
-                return f"{ref}: replicas diverge post-reconciliation: {sorted(map(str, states))}"
-        return None
+        diverged = probe.cluster.diverged_replicas(probe.refs)
+        return f"replicas diverge post-reconciliation: {diverged[0]}" if diverged else None
 
 
 class NoCrossPartitionDelivery(Invariant):

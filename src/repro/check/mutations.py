@@ -30,7 +30,7 @@ def split_brain_primaries(cluster: Any) -> Iterator[None]:
 
     def broken(ref: Any, caller: Any) -> Any:
         target = original(ref, caller)
-        partition = manager.network.partition_of(caller)
+        partition = manager.gms.view_of(caller).members
         if caller in partition and len(partition) < len(manager.network.nodes):
             return caller  # everyone believes they are the primary
         return target

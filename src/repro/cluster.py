@@ -220,6 +220,7 @@ class DedisysCluster:
         self.reconciliation = ReconciliationManager(
             self.nodes,
             self.network,
+            self.gms,
             self.channel,
             self.repository,
             self.threat_stores,
@@ -242,7 +243,7 @@ class DedisysCluster:
         self.resilience_interceptors: dict[NodeId, ResilienceInterceptor] = {}
         for node_id, node in self.nodes.items():
             transport = TransportInterceptor(
-                node, self.network, self.location, self.replication
+                node, self.network, self.gms, self.location, self.replication
             )
             client: list[Any] = [CostInterceptor(node, hops=2)]  # proxy + client chain
             if self.config.resilience is not None:
@@ -543,7 +544,7 @@ class DedisysCluster:
             self.mode_tracker.begin_reconciliation(fallback)
             self.mode_tracker.finish_reconciliation(fallback, clean=True)
             self.last_reconciliation = ReconciliationReport(
-                merged_partition=fallback, epoch=self.reconciliation.epoch
+                merged_partition=fallback, epoch=self.gms.epoch
             )
             return self.last_reconciliation
         reports = []
@@ -633,6 +634,22 @@ class DedisysCluster:
             else:
                 states[node_id] = None
         return states
+
+    def diverged_replicas(self, refs: Iterable[ObjectRef]) -> list[str]:
+        """``"<ref>: [<states>]"`` per entity whose copies disagree: a
+        replicated entity must be missing nowhere, an unreplicated one has
+        the one copy.  The checker and the chaos replay both ask this."""
+        diverged: list[str] = []
+        for ref in refs:
+            replicated = self.replication is not None and self.replication.is_replicated(ref)
+            states = {
+                state
+                for state in self.replica_states(ref).values()
+                if replicated or state is not None
+            }
+            if len(states) != 1:
+                diverged.append(f"{ref}: {sorted(map(str, states))}")
+        return diverged
 
     def threat_accounting(self) -> dict[NodeId, tuple[int, int]]:
         """Per node: ``(in-memory threat records, persisted rows)``.

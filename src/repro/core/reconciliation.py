@@ -23,10 +23,11 @@ consistent state in two steps:
    * *still threatened* → re-evaluation is postponed until further
      partitions reunify.
 
-The manager is epoch-aware: every topology change bumps a partition epoch,
-and each node remembers the epoch at which its partition membership last
-changed.  A reconciliation run processes **every** merged partition group
-that changed since it was last reconciled — a partial heal that merges two
+The manager asks the group membership service, never the network, what the
+partitions are: a node's view id changes exactly when its membership does,
+and each node remembers the view its group was last reconciled in.  A
+reconciliation run processes **every** merged partition group whose
+membership changed since it was last reconciled — a partial heal that merges two
 minority partitions is reconciled even while a larger partition exists
 elsewhere.  Threat records propagate via a digest anti-entropy round: each
 member publishes a compact per-identity digest, the group coordinator
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from ..membership import GroupMembershipService
 from ..net import (
     THREAT_DIGEST,
     THREAT_SYNC,
@@ -57,6 +59,11 @@ from .threats import (
     ThreatStoragePolicy,
     ThreatStore,
 )
+
+
+# Calls a handler gets to make good on a claimed immediate clean-up (each
+# is re-validated) before the threat is recorded as deferred.
+MAX_HANDLER_RETRIES = 3
 
 
 @dataclass
@@ -158,6 +165,7 @@ class ReconciliationManager:
         self,
         nodes: Mapping[NodeId, Node],
         network: SimNetwork,
+        gms: GroupMembershipService,
         channel: GroupChannel,
         repository: ConstraintRepository,
         threat_stores: Mapping[NodeId, ThreatStore],
@@ -166,6 +174,7 @@ class ReconciliationManager:
     ) -> None:
         self.nodes = dict(nodes)
         self.network = network
+        self.gms = gms
         self.channel = channel
         self.repository = repository
         self.threat_stores = dict(threat_stores)
@@ -184,47 +193,31 @@ class ReconciliationManager:
         self._m_sync_records = self.obs.registry.counter(
             "threat_sync_records", "threat records shipped during anti-entropy"
         )
-        # Partition-epoch bookkeeping: ``epoch`` counts topology changes,
-        # ``_node_epoch[n]`` is the epoch at which n's partition membership
-        # last changed, ``_reconciled_epoch[n]`` the membership epoch the
-        # last reconciliation of n's group has seen.
-        self.epoch = 0
-        self._node_partition: dict[NodeId, frozenset[NodeId]] = {
-            node: network.partition_of(node) for node in self.nodes
+        # The view each node's group was last reconciled in (or, for a
+        # singleton, last seen in).
+        self._reconciled_view: dict[NodeId, int] = {
+            node: gms.view_of(node).view_id for node in self.nodes
         }
-        self._node_epoch: dict[NodeId, int] = {node: 0 for node in self.nodes}
-        self._reconciled_epoch: dict[NodeId, int] = {node: 0 for node in self.nodes}
-        network.on_topology_change(self._on_topology_change)
-
-    # ------------------------------------------------------------------
-    # epoch tracking
-    # ------------------------------------------------------------------
-    def _on_topology_change(self) -> None:
-        self.epoch += 1
-        for node in self.nodes:
-            current = self.network.partition_of(node)
-            if current != self._node_partition[node]:
-                self._node_partition[node] = current
-                self._node_epoch[node] = self.epoch
 
     def due_groups(self) -> list[frozenset[NodeId]]:
         """Partition groups that need reconciliation, largest first.
 
-        A group is due when any member's partition membership changed since
-        that member was last reconciled, or when a member still stores
-        threats (burst loss can record threats without any topology
-        change).  Singleton groups have nothing to merge; they are marked
-        as seen without being reconciled — when they later reunify, the
-        merge itself bumps their epoch again.
+        A group is due when any member's view changed since that member
+        was last reconciled, or when a member still stores threats (burst
+        loss can record threats without any topology change).  Singleton
+        groups have nothing to merge; they are marked as seen without being
+        reconciled — when they later reunify, the merge itself gives them a
+        new view again.
         """
         due: list[frozenset[NodeId]] = []
-        for group in self.network.partitions():
+        for group in self.gms.groups():
             if len(group) < 2:
                 for node in group:
-                    self._reconciled_epoch[node] = self._node_epoch[node]
+                    self._reconciled_view[node] = self.gms.view_of(node).view_id
                 continue
             changed = any(
-                self._node_epoch[node] > self._reconciled_epoch[node] for node in group
+                self.gms.view_of(node).view_id != self._reconciled_view[node]
+                for node in group
             )
             pending = any(
                 self.threat_stores[node].count_identities() for node in group
@@ -236,40 +229,15 @@ class ReconciliationManager:
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
-    def reconcile(
-        self,
-        replica_handler: Any = None,
-        constraint_handler: ConstraintReconciliationHandler | None = None,
-        max_handler_retries: int = 3,
-    ) -> ReconciliationReport:
-        """Reconcile every due partition group; aggregate the reports."""
-        return ReconciliationReport.aggregate(
-            self.reconcile_all(replica_handler, constraint_handler, max_handler_retries)
-        )
-
-    def reconcile_all(
-        self,
-        replica_handler: Any = None,
-        constraint_handler: ConstraintReconciliationHandler | None = None,
-        max_handler_retries: int = 3,
-    ) -> list[ReconciliationReport]:
-        """Run both phases for each due group; one report per group."""
-        return [
-            self.reconcile_group(
-                group, replica_handler, constraint_handler, max_handler_retries
-            )
-            for group in self.due_groups()
-        ]
-
     def reconcile_group(
         self,
         merged: frozenset[NodeId],
         replica_handler: Any = None,
         constraint_handler: ConstraintReconciliationHandler | None = None,
-        max_handler_retries: int = 3,
     ) -> ReconciliationReport:
         """Run both reconciliation phases for one merged partition group."""
-        report = ReconciliationReport(merged_partition=merged, epoch=self.epoch)
+        epoch = self.gms.epoch
+        report = ReconciliationReport(merged_partition=merged, epoch=epoch)
         clock = self.network.scheduler.clock
         coordinator = min(merged)
         if self.obs.enabled:
@@ -278,7 +246,7 @@ class ReconciliationManager:
                 "reconcile_group",
                 node=str(coordinator),
                 members=merged,
-                epoch=self.epoch,
+                epoch=epoch,
             )
 
         started = clock.now
@@ -289,7 +257,7 @@ class ReconciliationManager:
         report.replica_phase_seconds = clock.now - started
 
         started = clock.now
-        self._reconcile_constraints(merged, constraint_handler, max_handler_retries, report)
+        self.reconcile_constraints(merged, constraint_handler, report)
         report.constraint_phase_seconds = clock.now - started
         # Deferred and postponed threats are re-evaluated on a later run:
         # their objects must keep answering ``had_replica_conflict`` and
@@ -303,7 +271,7 @@ class ReconciliationManager:
             for ref in history.objects():
                 if ref not in surviving:
                     history.prune(ref)
-            self._reconciled_epoch[node] = self._node_epoch[node]
+            self._reconciled_view[node] = self.gms.view_of(node).view_id
         return report
 
     def _surviving_refs(self) -> set[ObjectRef]:
@@ -408,13 +376,15 @@ class ReconciliationManager:
     # ------------------------------------------------------------------
     # constraint phase
     # ------------------------------------------------------------------
-    def _reconcile_constraints(
+    def reconcile_constraints(
         self,
         merged: frozenset[NodeId],
         handler: ConstraintReconciliationHandler | None,
-        max_handler_retries: int,
         report: ReconciliationReport,
     ) -> None:
+        """The constraint phase (§4.4): re-evaluate the pending threats of
+        ``min(merged)`` with that node's own CCMgr, counting into ``report``.
+        A process-backend worker calls it on its single-node cluster."""
         coordinator = min(merged)
         ccmgr = self.ccmgrs[coordinator]
         store = self.threat_stores[coordinator]
@@ -464,7 +434,7 @@ class ReconciliationManager:
                 context_entity=context_entity,
             )
             solved_now = False
-            for _ in range(max_handler_retries):
+            for _ in range(MAX_HANDLER_RETRIES):
                 if not handler(violation):
                     # Deferred reconciliation under the application's
                     # responsibility; recorded persistently (§4.4).

@@ -55,18 +55,7 @@ def check_replicas_converge(cluster: Any, refs: Any) -> InvariantResult:
     """After heal + reconciliation every replica holds the same state; a
     replicated entity is missing nowhere, an unreplicated one has the one
     copy."""
-    diverged: list[str] = []
-    for ref in refs:
-        replicated = (
-            cluster.replication is not None and cluster.replication.is_replicated(ref)
-        )
-        states = {
-            state
-            for state in cluster.replica_states(ref).values()
-            if replicated or state is not None
-        }
-        if len(states) != 1:
-            diverged.append(f"{ref}: {sorted(map(str, states))}")
+    diverged = cluster.diverged_replicas(refs)
     return InvariantResult("replicas_converge", not diverged, "; ".join(diverged[:3]))
 
 

@@ -62,6 +62,9 @@ class GroupMembershipService:
             "gms_view_changes_total", "per-node membership view changes"
         )
         self._view_ids = itertools.count(1)
+        # Topology changes seen so far: the partition epoch that update
+        # records and reconciliation reports are stamped with.
+        self.epoch = 0
         self._views: dict[NodeId, View] = {}
         self._listeners: list[ViewListener] = []
         self._weights: dict[NodeId, float] = {
@@ -81,9 +84,16 @@ class GroupMembershipService:
     # ------------------------------------------------------------------
     def view_of(self, node: NodeId) -> View:
         """The current view as perceived by ``node``."""
-        if node not in self._views:
-            raise KeyError(f"unknown node {node!r}")
-        return self._views[node]
+        try:
+            return self._views[node]
+        except KeyError:
+            raise KeyError(f"unknown node {node!r}") from None
+
+    def groups(self) -> list[frozenset[NodeId]]:
+        """The distinct partitions live nodes perceive, largest first (a
+        crashed node's view is empty and names no group)."""
+        distinct = {view.members for view in self._views.values() if view.members}
+        return sorted(distinct, key=lambda group: (-len(group), sorted(group)))
 
     def add_listener(self, listener: ViewListener) -> None:
         """Register a view-change listener ``(node, old, new) -> None``."""
@@ -95,6 +105,7 @@ class GroupMembershipService:
         Returns the list of ``(node, old_view, new_view)`` changes so tests
         can assert on exactly what happened.
         """
+        self.epoch += 1
         changes: list[tuple[NodeId, View, View]] = []
         for node in self.network.nodes:
             current = self.network.partition_of(node)

@@ -62,6 +62,8 @@ class Observability:
         return {
             "metrics": self.registry.snapshot(),
             "events": {
+                # replint: ignore[CONC001] - lone read of an int that is
+                # only ever written under the tracer's lock.
                 "emitted": self.tracer.emitted,
                 "buffered": len(self.ring),
                 "dropped": self.ring.dropped,

@@ -6,6 +6,9 @@ labels, and snapshots to plain JSON-able dictionaries.  Values are updated
 eagerly in Python only — recording a metric never touches the simulated
 clock, so an attached registry cannot perturb measured throughput.
 
+The threaded backend's node workers and client threads share the
+instruments, so each one guards its series with a lock.
+
 Label sets are bounded per instrument (``max_series``); exceeding the
 bound raises :class:`LabelCardinalityError` instead of silently growing
 without limit, which is the classic observability failure mode.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from typing import Iterable, Mapping
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -55,26 +59,35 @@ class Instrument:
         self.name = name
         self.help = help
         self.max_series = max_series
-        self._series: dict[LabelKey, object] = {}
+        self._lock = threading.Lock()
+        self._series: dict[LabelKey, object] = {}  # guarded-by: _lock
 
     def _slot(self, labels: Mapping[str, object]) -> LabelKey:
+        """The series key for ``labels``; every caller holds ``_lock``."""
         key = label_key(labels)
         if key not in self._series and len(self._series) >= self.max_series:
             raise LabelCardinalityError(self.name, self.max_series)
         return key
 
+    def _get(self, labels: Mapping[str, object]) -> object:
+        with self._lock:
+            return self._series.get(label_key(labels))
+
     @property
     def series_count(self) -> int:
-        return len(self._series)
+        with self._lock:
+            return len(self._series)
 
     def snapshot(self) -> dict[str, object]:
+        with self._lock:
+            series = {
+                _key_string(key): self._series_snapshot(value)
+                for key, value in sorted(self._series.items())
+            }
         return {
             "kind": self.kind,
             "help": self.help,
-            "series": {
-                _key_string(key): self._series_snapshot(value)
-                for key, value in sorted(self._series.items())
-            },
+            "series": series,
         }
 
     def _series_snapshot(self, value: object) -> object:
@@ -89,15 +102,17 @@ class Counter(Instrument):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        key = self._slot(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        with self._lock:
+            key = self._slot(labels)
+            self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        return float(self._series.get(label_key(labels), 0.0))  # type: ignore[arg-type]
+        return float(self._get(labels) or 0.0)  # type: ignore[arg-type]
 
     def total(self) -> float:
         """Sum over every label set."""
-        return float(sum(self._series.values()))  # type: ignore[arg-type]
+        with self._lock:
+            return float(sum(self._series.values()))  # type: ignore[arg-type]
 
 
 class Gauge(Instrument):
@@ -106,14 +121,16 @@ class Gauge(Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        self._series[self._slot(labels)] = float(value)
+        with self._lock:
+            self._series[self._slot(labels)] = float(value)
 
     def add(self, amount: float, **labels: object) -> None:
-        key = self._slot(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        with self._lock:
+            key = self._slot(labels)
+            self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        return float(self._series.get(label_key(labels), 0.0))  # type: ignore[arg-type]
+        return float(self._get(labels) or 0.0)  # type: ignore[arg-type]
 
 
 class _HistogramSeries:
@@ -160,18 +177,19 @@ class Histogram(Instrument):
     def observe(self, value: float, **labels: object) -> None:
         if not math.isfinite(value):
             raise ValueError(f"histogram {self.name!r} cannot observe {value}")
-        key = self._slot(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.edges) + 1)
-        assert isinstance(series, _HistogramSeries)
-        series.bin_counts[bisect.bisect_left(self.edges, value)] += 1
-        series.count += 1
-        series.sum += value
+        with self._lock:
+            key = self._slot(labels)
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(len(self.edges) + 1)
+            assert isinstance(series, _HistogramSeries)
+            series.bin_counts[bisect.bisect_left(self.edges, value)] += 1
+            series.count += 1
+            series.sum += value
 
     def bucket_counts(self, **labels: object) -> dict[float, int]:
         """Cumulative count per upper edge (``inf`` edge included)."""
-        series = self._series.get(label_key(labels))
+        series = self._get(labels)
         if not isinstance(series, _HistogramSeries):
             return {edge: 0 for edge in (*self.edges, math.inf)}
         cumulative: dict[float, int] = {}
@@ -182,11 +200,11 @@ class Histogram(Instrument):
         return cumulative
 
     def count(self, **labels: object) -> int:
-        series = self._series.get(label_key(labels))
+        series = self._get(labels)
         return series.count if isinstance(series, _HistogramSeries) else 0
 
     def sum(self, **labels: object) -> float:
-        series = self._series.get(label_key(labels))
+        series = self._get(labels)
         return series.sum if isinstance(series, _HistogramSeries) else 0.0
 
     def _series_snapshot(self, value: object) -> object:

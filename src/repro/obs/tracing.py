@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import threading
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .registry import TRACE_EVENTS
@@ -98,8 +99,11 @@ class Tracer:
         self._clock = clock
         self.sinks: list[TraceSink] = list(sinks)
         self.enabled = True
-        self.emitted = 0
-        self._next_seq = 0
+        # Threads of the threaded backend emit concurrently; the lock also
+        # serialises the sinks, which therefore see events in ``seq`` order.
+        self._lock = threading.Lock()
+        self.emitted = 0  # guarded-by: _lock
+        self._next_seq = 0  # guarded-by: _lock
 
     def bind_clock(self, clock: "SimClock") -> None:
         """Attach the simulated clock used to stamp events."""
@@ -116,11 +120,12 @@ class Tracer:
         """Record one event; returns it, or ``None`` when disabled."""
         if not self.enabled:
             return None
-        event = TraceEvent(self._next_seq, self.now, type, node, data)
-        self._next_seq += 1
-        self.emitted += 1
-        for sink in self.sinks:
-            sink.record(event)
+        with self._lock:
+            event = TraceEvent(self._next_seq, self.now, type, node, data)
+            self._next_seq += 1
+            self.emitted += 1
+            for sink in self.sinks:
+                sink.record(event)
         return event
 
     def close(self) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from ..membership import GroupMembershipService
 from ..net import SimNetwork, UnreachableError
 from ..objects import Interceptor, Invocation, LocationService, Node
 from .manager import ReplicationManager
@@ -34,11 +35,13 @@ class TransportInterceptor(Interceptor):
         self,
         node: Node,
         network: SimNetwork,
+        gms: GroupMembershipService,
         location: LocationService,
         replication: ReplicationManager | None = None,
     ) -> None:
         self.node = node
         self.network = network
+        self.gms = gms
         self.location = location
         self.replication = replication
 
@@ -55,7 +58,7 @@ class TransportInterceptor(Interceptor):
                 return self.replication.route_write(ref, self.node.node_id)
             return self.replication.route_read(ref, self.node.node_id)
         home = self.location.home_of(ref)
-        if not self.network.reachable(self.node.node_id, home):
+        if home not in self.gms.view_of(self.node.node_id):
             raise UnreachableError(self.node.node_id, home)
         return home
 

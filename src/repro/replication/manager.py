@@ -133,10 +133,8 @@ class ReplicationManager:
         # class listed here routes through its own protocol instead of the
         # cluster-wide default.
         self._protocol_overrides: dict[str, ReplicationProtocol] = {}
-        self.epoch = 0
         self._update_records: list[UpdateRecord] = []
         self.conflicts_detected: list[ReplicaConflict] = []
-        network.on_topology_change(self._on_topology_change)
 
     # ------------------------------------------------------------------
     # registration
@@ -235,7 +233,7 @@ class ReplicationManager:
         info = ReplicaInfo(ref, primary, tuple(self.nodes))
         self._replicas[ref] = info
         self.nodes[primary].persistence.charge("replica_metadata_write")
-        partition = self.network.partition_of(primary)
+        partition = self.gms.view_of(primary).members
         self.channel.multicast(
             primary,
             "replica-create",
@@ -261,7 +259,7 @@ class ReplicationManager:
         self.flush_updates()
         # Remove the replica bookkeeping record on the primary.
         self.nodes[primary].persistence.charge("db_write")
-        partition = self.network.partition_of(primary)
+        partition = self.gms.view_of(primary).members
         self.channel.multicast(primary, "replica-delete", {"ref": ref})
         if self.obs.enabled:
             self._m_updates.inc(kind="delete")
@@ -284,7 +282,7 @@ class ReplicationManager:
     def route_write(self, ref: ObjectRef, caller: NodeId) -> NodeId:
         """The node that must execute a write issued from ``caller``."""
         info = self.info(ref)
-        partition = self.network.partition_of(caller)
+        partition = self.gms.view_of(caller).members
         target = self.protocol_for(ref).write_node(
             info.designated_primary, info.replica_nodes, partition
         )
@@ -339,7 +337,7 @@ class ReplicationManager:
         info = self.info(ref)
         if caller in info.replica_nodes:
             return caller
-        partition = self.network.partition_of(caller)
+        partition = self.gms.view_of(caller).members
         for node in info.replica_nodes:
             if node in partition:
                 return node
@@ -369,7 +367,7 @@ class ReplicationManager:
             return
         # Per-update bookkeeping of replica details on the primary (§5.1).
         self.nodes[primary].persistence.charge("replica_detail_write")
-        partition = self.network.partition_of(primary)
+        partition = self.gms.view_of(primary).members
         state = entity.state()
         tx = self._current_tx(primary)
         batched = self.batch_updates and tx is not None
@@ -399,7 +397,7 @@ class ReplicationManager:
             )
         if self._is_degraded(partition):
             self.nodes[primary].state_history.record(
-                ref, entity.version, state, partition_epoch=self.epoch
+                ref, entity.version, state, partition_epoch=self.gms.epoch
             )
             self._record_update(ref, "state", primary, entity.version, state, partition)
 
@@ -471,7 +469,7 @@ class ReplicationManager:
         if info is None or entity.container is None:
             return False
         node = entity.container.node.node_id
-        partition = self.network.partition_of(node)
+        partition = self.gms.view_of(node).members
         return self.protocol_for(ref).is_possibly_stale(
             info.designated_primary, info.replica_nodes, partition
         )
@@ -600,7 +598,7 @@ class ReplicationManager:
                     version=chosen.version,
                     state=chosen.state,
                     timestamp=chosen.timestamp,
-                    epoch=self.epoch,
+                    epoch=self.gms.epoch,
                 )
             )
         return conflict
@@ -611,28 +609,13 @@ class ReplicationManager:
         """Apply the chosen record to every replica in the partition."""
         source = record.node if record.node in merged_partition else min(merged_partition)
         if record.kind == "delete":
-            self.channel.multicast(source, "replica-delete", {"ref": ref})
-            node = self.nodes[source]
-            if node.container.has(ref):
-                node.container.remove(ref)
+            kind, payload = "replica-delete", {"ref": ref}
             self._replicas.pop(ref, None)
-            return
-        version = record.version
-        payload = {"ref": ref, "state": record.state, "version": version}
-        if record.kind == "create":
-            self.channel.multicast(source, "replica-create", payload)
-            node = self.nodes[source]
-            if not node.container.has(ref):
-                node.container.create(ref.class_name, ref.oid, record.state or {})
         else:
-            self.channel.multicast(source, "replica-update", payload)
-            node = self.nodes[source]
-            if node.container.has(ref):
-                entity = node.container.resolve(ref)
-                entity.apply_state(record.state or {}, version=version)
-                node.persistence.table("entities").put(
-                    (ref.class_name, ref.oid), record.state or {}
-                )
+            kind = "replica-create" if record.kind == "create" else "replica-update"
+            payload = {"ref": ref, "state": record.state, "version": record.version}
+        self.channel.multicast(source, kind, payload)
+        self._apply_replica(self.nodes[source], kind, payload)
 
     def _record_update(
         self,
@@ -652,7 +635,7 @@ class ReplicationManager:
                 version=version,
                 state=state,
                 timestamp=self.network.scheduler.clock.now,
-                epoch=self.epoch,
+                epoch=self.gms.epoch,
             )
         )
 
@@ -674,58 +657,59 @@ class ReplicationManager:
     def _is_degraded(self, partition: frozenset[NodeId]) -> bool:
         return len(partition) < len(self.network.nodes)
 
-    def _on_topology_change(self) -> None:
-        self.epoch += 1
-
     def make_member_handler(self, node_id: NodeId) -> Callable[[Message], Any]:
-        def handle(message: Message) -> str:
+        def handle(message: Message) -> Any:
             node = self.nodes[node_id]
             payload = message.payload or {}
-            ref: ObjectRef = payload.get("ref")
-            if message.kind == "replica-update":
+            kind = message.kind
+            if kind == "replica-update":
                 # Associate the propagated transaction context and apply
                 # the update within it (§4.3).
                 node.persistence.charge("tx_remote_association")
-                self._apply_update_entry(node, payload)
+                self._apply_replica(node, kind, payload)
                 return "ack"
-            if message.kind == "replica-update-batch":
+            if kind == "replica-update-batch":
                 # One transaction-context association covers the whole
                 # coalesced round; each entry is acked individually.
                 node.persistence.charge("tx_remote_association")
                 acks: dict[str, str] = {}
                 for entry in payload.get("entries", ()):
-                    acks[str(entry["ref"])] = self._apply_update_entry(node, entry)
+                    acks[str(entry["ref"])] = self._apply_replica(
+                        node, "replica-update", entry
+                    )
                 return {"acks": acks}
-            if message.kind == "replica-create":
+            if kind == "replica-create":
                 node.persistence.charge("replica_metadata_write")
-                if not node.container.has(ref):
-                    node.container.create(ref.class_name, ref.oid, payload.get("state") or {})
-                return "ack"
-            if message.kind == "replica-delete":
-                if node.container.has(ref):
-                    node.container.remove(ref)
-                return "ack"
+                return self._apply_replica(node, kind, payload)
+            if kind == "replica-delete":
+                return self._apply_replica(node, kind, payload)
             return "ignored"
 
         return handle
 
-    def _apply_update_entry(self, node: Node, entry: Mapping[str, Any]) -> str:
-        """Apply one propagated state update at a backup node.
-
-        Shared by the per-write ``replica-update`` handler and the batched
-        ``replica-update-batch`` handler.  Returns ``"ack"`` when the state
-        was applied, ``"missing"`` when the backup holds no such replica.
-        """
-        ref: ObjectRef = entry["ref"]
+    def _apply_replica(self, node: Node, kind: str, payload: Mapping[str, Any]) -> str:
+        """Apply one replica create / update / delete to ``node``'s copy —
+        a backup's (member handlers, per write or batched) or that of the
+        node reconciliation multicasts from.  Returns ``"ack"``, or
+        ``"missing"`` when an update finds no replica to apply to."""
+        ref: ObjectRef = payload["ref"]
+        if kind == "replica-create":
+            if not node.container.has(ref):
+                node.container.create(ref.class_name, ref.oid, payload.get("state") or {})
+            return "ack"
+        if kind == "replica-delete":
+            if node.container.has(ref):
+                node.container.remove(ref)
+            return "ack"
         try:
             entity = node.container.resolve(ref)
         except ObjectNotFound:
             return "missing"
         old_state = entity.state()
         old_version = entity.version
-        entity.apply_state(entry["state"], version=entry.get("version"))
+        entity.apply_state(payload["state"], version=payload.get("version"))
         node.persistence.table("entities").put(
-            (ref.class_name, ref.oid), entry["state"]
+            (ref.class_name, ref.oid), payload["state"]
         )
         tx = node.services.txmgr.current
         if tx is not None and tx.is_active:

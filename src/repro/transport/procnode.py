@@ -32,9 +32,9 @@ protocol from :mod:`repro.transport.frames`:
   reads;
 * the driver (:mod:`repro.transport.proccluster`) reconciles by
   ``state-dump`` → merge → ``state-apply`` → ``revalidate``; the
-  revalidation step re-checks every pending threat on merged state with
-  the worker's own CCMgr and applies the rebooking clean-up handler to
-  genuine violations.
+  revalidation step *is* the worker cluster's
+  ``ReconciliationManager.reconcile_constraints`` over its one node, with
+  the rebooking clean-up handler for genuine violations.
 
 Concurrency: frames arrive on an asyncio server, but all middleware
 work runs on two single-width executors — ``ops`` for client-facing
@@ -53,12 +53,11 @@ import asyncio
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 from typing import Any
 
 from ..apps.flightbooking import Flight, RebookingReconciliationHandler, ticket_constraint_registration
 from ..cluster import ClusterConfig, DedisysCluster
-from ..core import ConsistencyThreatRejected, ConstraintViolated
+from ..core import ConsistencyThreatRejected, ConstraintViolated, ReconciliationReport
 from ..objects import ObjectRef
 from . import frames
 from .wallclock import read_monotonic
@@ -397,56 +396,34 @@ class WorkerNode:
         return {"ok": True, "applied": applied}
 
     def handle_revalidate(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Re-check every pending threat on merged state (§4.4).
+        """Run the constraint phase of reconciliation on merged state (§4.4).
 
         Runs after ``state-apply``: the temporary-primary flag drops, so
         the CCMgr validates against full-consistency semantics again.
-        Satisfied threats are removed; genuine violations go to the
-        rebooking clean-up handler, and its repaired state is what the
-        driver re-broadcasts.
+        Genuine violations go to the rebooking clean-up handler; a repair
+        that re-validates is what the driver re-broadcasts.
         """
         handler = RebookingReconciliationHandler(self._entity)
-        reevaluated = satisfied = resolved = deferred = 0
+        report = ReconciliationReport()
         with self._mutex:
             # Demote inside the mutex: the flag write races the ops
             # executor's degraded/threat reads if it happens outside.
             self.staleness.flag = False
-            ccmgr = self.cluster.ccmgrs[self.name]
-            store = self.cluster.threat_stores[self.name]
-            repository = self.cluster.repository
-            for threat in list(store.pending()):
-                reevaluated += 1
-                if not repository.knows(threat.constraint_name):
-                    store.remove(threat.identity)
-                    continue
-                registration = repository.by_name(threat.constraint_name)
-                context = (
-                    self._entity(threat.context_ref)
-                    if threat.context_ref is not None
-                    else None
-                )
-                outcome = ccmgr.validate_registration(registration, context)
-                if not outcome.is_threat and outcome.degree.name == "SATISFIED":
-                    satisfied += 1
-                    store.remove(threat.identity)
-                    continue
-                violation = SimpleNamespace(
-                    context_ref=threat.context_ref, context_entity=context
-                )
-                if handler(violation):
-                    resolved += 1
-                    store.remove(threat.identity)
-                else:
-                    deferred += 1
-                    store.mark_deferred(threat.identity)
+            # replint: ignore[CONC004] - the call graph reaches the
+            # threaded channel's Future.result() through _broadcast_state,
+            # but this cluster is one node on the sim transport: the
+            # multicast has no recipient and nothing blocks.
+            self.cluster.reconciliation.reconcile_constraints(
+                frozenset({self.name}), handler, report
+            )
             self._publish_status_locked()
         return {
             "ok": True,
             "node": self.name,
-            "threats_reevaluated": reevaluated,
-            "satisfied_removed": satisfied,
-            "resolved_by_handler": resolved,
-            "deferred": deferred,
+            "threats_reevaluated": report.threats_reevaluated,
+            "satisfied_removed": report.satisfied_removed,
+            "resolved_by_handler": report.resolved_by_handler,
+            "deferred": report.deferred,
             "rebooked": [
                 [f"{ref.class_name}|{ref.oid}", count]
                 for ref, count in handler.rebooked

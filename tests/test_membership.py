@@ -1,6 +1,7 @@
 """Tests for the group membership service: views, listeners, weights."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.membership import GroupMembershipService
 from repro.net import SimNetwork
@@ -60,6 +61,47 @@ class TestViews:
     def test_crashed_node_has_empty_view(self, network, gms):
         network.crash_node("a")
         assert len(gms.view_of("a")) == 0
+
+
+_node = st.sampled_from(NODES)
+FAULT_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fail_link"), _node, _node),
+        st.tuples(st.just("heal_link"), _node, _node),
+        st.tuples(st.just("crash_node"), _node),
+        st.tuples(st.just("recover_node"), _node),
+        st.tuples(st.just("partition"), st.sets(_node, min_size=1)),
+        st.tuples(st.just("heal_all")),
+    ),
+    max_size=12,
+)
+
+
+class TestTheViewIsTheTopology:
+    """The middleware asks the view and nothing else, so after any fault
+    history the views must say what the network's own bookkeeping says."""
+
+    @given(FAULT_STEPS)
+    def test_groups_views_and_epoch_track_the_network(self, steps):
+        network = SimNetwork(NODES)
+        gms = GroupMembershipService(network)
+        notifications = []
+        network.on_topology_change(lambda: notifications.append(1))
+        assert gms.epoch == 0
+        for name, *arguments in steps:
+            if name.endswith("_link") and arguments[0] == arguments[1]:
+                continue
+            getattr(network, name)(*arguments)
+            assert gms.groups() == network.partitions()
+            for node in NODES:
+                assert gms.view_of(node).members == network.partition_of(node)
+            assert gms.epoch == len(notifications)
+
+    def test_a_crashed_node_names_no_group(self, network, gms):
+        network.crash_node("a")
+        assert gms.groups() == [frozenset("bcd")]
+        network.partition({"b"}, {"c", "d"})
+        assert gms.groups() == [frozenset("cd"), frozenset("b")]
 
 
 class TestListeners:

@@ -158,8 +158,8 @@ class TestReplicationManager:
         assert not cluster.replication.is_possibly_stale(Counter("c1"))  # no container
         node = cluster.nodes["b"]
         entry = {"ref": unknown, "state": {"value": 1, "label": ""}, "version": 1}
-        assert cluster.replication._apply_update_entry(node, entry) == "missing"
-        assert cluster.replication._apply_update_entry(node, {**entry, "ref": ref}) == "ack"
+        assert cluster.replication._apply_replica(node, "replica-update", entry) == "missing"
+        assert cluster.replication._apply_replica(node, "replica-update", {**entry, "ref": ref}) == "ack"
         assert cluster.entity_on("b", ref).get_value() == 1
 
     def test_writes_in_both_partitions_under_p4(self, cluster):
@@ -185,9 +185,9 @@ class TestReplicationManager:
         assert cluster.replication.pending_update_records() == []
 
     def test_epoch_increments_on_topology_change(self, cluster):
-        before = cluster.replication.epoch
+        before = cluster.gms.epoch
         cluster.partition({"a"}, {"b", "c"})
-        assert cluster.replication.epoch > before
+        assert cluster.gms.epoch > before
 
 
 class TestReplicaConflicts:

@@ -10,15 +10,21 @@ Each test here pins a concrete fix in the transport backends:
 * ``WorkerNode`` status vs. invoke — ``handle_status`` answers from an
   immutable snapshot published under ``_mutex``, so a loop-thread status
   read can never observe a half-updated threat store or liveness dict,
-  and the temp-primary flag flips only inside the mutex.
+  and the temp-primary flag flips only inside the mutex;
+* the observability hub — node workers and client threads share one
+  registry and one tracer, whose read-modify-writes (``Counter.inc``,
+  ``Gauge.add``, ``Histogram.observe``, the tracer's sequence number) now
+  happen under a lock (pre-fix: lost increments and duplicate ``seq``).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
+from repro import ClusterConfig, DedisysCluster, Observability
 from repro.transport.asyncio_backend import AsyncioTransport
 from repro.transport.procnode import WorkerNode
 
@@ -168,3 +174,39 @@ class TestWorkerNodeStatus:
         assert worker.peer_up == {"a": False} and worker.peer_up is not peer_up
         assert worker.handle_status({"kind": "status"})["peer_up"] == {"a": False}
         assert peer_up == {"a": True}, "copy-on-write: old snapshots never mutate"
+
+
+class TestSharedObservabilityHub:
+    THREADS = 8
+    ROUNDS = 2000
+
+    def test_no_update_and_no_sequence_number_is_lost(self):
+        cluster = DedisysCluster(
+            ClusterConfig(node_ids=NODES, transport="asyncio", obs=Observability())
+        )
+        obs = cluster.obs
+        counter = obs.registry.counter("stress_total")
+        gauge = obs.registry.gauge("stress_level")
+        histogram = obs.registry.histogram("stress_seconds")
+        before = obs.tracer.emitted
+
+        def hammer():
+            for _ in range(self.ROUNDS):
+                counter.inc(node="a")
+                gauge.add(1.0)
+                histogram.observe(0.001)
+                obs.emit("stress", node="a")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([hammer] * self.THREADS)
+        finally:
+            sys.setswitchinterval(interval)
+            cluster.close()
+        expected = self.THREADS * self.ROUNDS
+        assert counter.value(node="a") == expected
+        assert gauge.value() == expected
+        assert histogram.count() == expected
+        assert obs.tracer.emitted == before + expected
+        assert [event.seq for event in obs.events()] == list(range(before + expected))

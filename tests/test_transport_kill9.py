@@ -29,6 +29,8 @@ import time
 
 import pytest
 
+from repro.apps.flightbooking import RebookingReconciliationHandler
+from repro.core.reconciliation import MAX_HANDLER_RETRIES
 from repro.transport import frames
 from repro.transport.proccluster import _EPHEMERAL_RANGE, ProcessCluster, _free_ports
 from repro.transport.procnode import PEER_TIMEOUT, ForwardExpired, WorkerNode
@@ -309,6 +311,50 @@ def test_a_forward_is_refused_once_its_sender_has_given_up(monkeypatch):
         backup.handle_invoke({**sale, "expires": deadline})
     assert passed_on == [deadline] and not backup.staleness.flag
     assert backup.handle_invoke(sale)["served_by"] == "b" and backup.staleness.flag
+
+
+def test_revalidation_is_the_cluster_own_constraint_phase(monkeypatch):
+    """An overbooking merge: the repair counts once it re-validates."""
+    monkeypatch.setattr(WorkerNode, "_propagate", lambda *args: None)
+    monkeypatch.setattr(WorkerNode, "_peer_request", lambda self, peer, payload: None)
+    attrs = {"flight_number": "K9", "seats": 80, "sold": 78}
+    sale = {"kind": "invoke", "cls": "Flight", "oid": "K9", "method": "sell_tickets", "args": [2]}
+    merged = {"Flight|K9": {"cls": "Flight", "oid": "K9", "state": {**attrs, "sold": 83}, "version": 9}}
+
+    def degraded_worker() -> WorkerNode:
+        worker = WorkerNode("b", port=0, peers={"a": ("127.0.0.1", 1)}, primary="a")
+        worker.handle_replica_create(
+            {"cls": "Flight", "oid": "K9", "state": attrs, "version": 1, "origin": "a"}
+        )
+        sold = worker.handle_invoke(dict(sale))
+        assert sold["served_by"] == "b" and sold["degraded"] and sold["threats"] == 1
+        # The other partition sold three more: 78 + 2 + 3 on 80 seats.
+        worker.handle_state_apply({"objects": merged})
+        return worker
+
+    worker = degraded_worker()
+    outcome = worker.handle_revalidate({})
+    assert outcome["threats_reevaluated"] == 1 and outcome["resolved_by_handler"] == 1
+    assert outcome["satisfied_removed"] == 0 and outcome["deferred"] == 0
+    assert outcome["rebooked"] == [["Flight|K9", 3]]
+    assert worker.cluster.threat_stores["b"].count_identities() == 0
+    assert worker.handle_status({})["threats"] == 0 and not worker.staleness.flag
+    assert worker.handle_invoke({**sale, "method": "get_sold", "args": []})["result"] == 80
+
+    # A handler that claims a clean-up it did not make is asked again, and
+    # the threat stays on record: its word alone removes nothing.
+    claims = []
+    monkeypatch.setattr(
+        RebookingReconciliationHandler,
+        "__call__",
+        lambda self, violation: claims.append(violation.context_ref) or True,
+    )
+    worker = degraded_worker()
+    outcome = worker.handle_revalidate({})
+    assert len(claims) == MAX_HANDLER_RETRIES
+    assert outcome["resolved_by_handler"] == 0 and outcome["deferred"] == 1
+    assert outcome["rebooked"] == []
+    assert worker.cluster.threat_stores["b"].count_identities() == 1
 
 
 def test_close_does_not_wait_for_idle_connections():
