@@ -16,78 +16,30 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete walk-through.
 """
 
-from .administration import AdministrationService, AuthorizationError
-from .cluster import ClusterConfig, DedisysCluster
-from .core import (
-    AffectedMethod,
-    CachingConstraintRepository,
-    Constraint,
-    ConstraintPriority,
-    ConstraintRepository,
-    ConstraintScope,
-    ConstraintType,
-    ConstraintUncheckable,
-    ConstraintValidationContext,
-    ConsistencyThreatRejected,
-    ConstraintViolated,
-    NegotiationDecision,
-    PredicateConstraint,
-    SatisfactionDegree,
-    ThreatStoragePolicy,
-)
-from .check import (
-    CheckConfig,
-    ModelChecker,
-    Scenario,
-    run_schedule,
-    shrink_counterexample,
-)
-from .faults import (
-    FaultInjector,
-    FaultSchedule,
-    GilbertElliottLoss,
-    ResilienceConfig,
-    RetryPolicy,
-)
-from .objects import Entity, ObjectRef
-from .obs import Observability
-from .sim import CostModel
+from ._lazy import reexport
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdministrationService",
-    "AffectedMethod",
-    "AuthorizationError",
-    "CachingConstraintRepository",
-    "CheckConfig",
-    "ClusterConfig",
-    "ConsistencyThreatRejected",
-    "Constraint",
-    "ConstraintPriority",
-    "ConstraintRepository",
-    "ConstraintScope",
-    "ConstraintType",
-    "ConstraintUncheckable",
-    "ConstraintValidationContext",
-    "ConstraintViolated",
-    "CostModel",
-    "DedisysCluster",
-    "Entity",
-    "FaultInjector",
-    "FaultSchedule",
-    "GilbertElliottLoss",
-    "ModelChecker",
-    "NegotiationDecision",
-    "ObjectRef",
-    "Observability",
-    "PredicateConstraint",
-    "ResilienceConfig",
-    "RetryPolicy",
-    "SatisfactionDegree",
-    "Scenario",
-    "ThreatStoragePolicy",
-    "__version__",
-    "run_schedule",
-    "shrink_counterexample",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "administration": ("AdministrationService", "AuthorizationError"),
+    "cluster": ("ClusterConfig", "DedisysCluster"),
+    "core": (
+        "AffectedMethod", "CachingConstraintRepository", "Constraint",
+        "ConstraintPriority", "ConstraintRepository", "ConstraintScope",
+        "ConstraintType", "ConstraintUncheckable", "ConstraintValidationContext",
+        "ConsistencyThreatRejected", "ConstraintViolated", "NegotiationDecision",
+        "PredicateConstraint", "SatisfactionDegree", "ThreatStoragePolicy",
+    ),
+    "check": (
+        "CheckConfig", "ModelChecker", "Scenario", "run_schedule",
+        "shrink_counterexample",
+    ),
+    "faults": (
+        "FaultInjector", "FaultSchedule", "GilbertElliottLoss", "ResilienceConfig",
+        "RetryPolicy",
+    ),
+    "objects": ("Entity", "ObjectRef"),
+    "obs": ("Observability",),
+    "sim": ("CostModel",),
+})
+__all__.append("__version__")

@@ -18,20 +18,11 @@ scheduler the workload uses, and the engine keeps a canonical-JSON
 decision trace for byte-for-byte comparison across runs.
 """
 
-from .actuator import ACTIONS, ActionVetoed, AdaptationActuator, AppliedAction
-from .engine import AdaptationEngine
-from .policy import CONDITION_OPS, AdaptationPolicy, Condition
-from .signals import SIGNALS, SignalReader
+from .._lazy import reexport
 
-__all__ = [
-    "ACTIONS",
-    "ActionVetoed",
-    "AdaptationActuator",
-    "AdaptationEngine",
-    "AdaptationPolicy",
-    "AppliedAction",
-    "CONDITION_OPS",
-    "Condition",
-    "SIGNALS",
-    "SignalReader",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "actuator": ("ACTIONS", "ActionVetoed", "AdaptationActuator", "AppliedAction"),
+    "engine": ("AdaptationEngine",),
+    "policy": ("CONDITION_OPS", "AdaptationPolicy", "Condition"),
+    "signals": ("SIGNALS", "SignalReader"),
+})

@@ -7,37 +7,14 @@ consistent constraint metadata (paper §4.2.2), and side-effect-free
 invariant probes.  Run it with ``python -m repro.analysis``.
 """
 
-from .baseline import BaselineComparison, compare, load_baseline, save_baseline
-from .cli import main
-from .engine import (
-    AnalysisResult,
-    Finding,
-    Project,
-    Rule,
-    SourceModule,
-    all_rules,
-    load_project,
-    register,
-    run_analysis,
-)
-from .reporting import REPORT_VERSION, render_json, render_text
+from .._lazy import reexport
 
-__all__ = [
-    "AnalysisResult",
-    "BaselineComparison",
-    "Finding",
-    "Project",
-    "REPORT_VERSION",
-    "Rule",
-    "SourceModule",
-    "all_rules",
-    "compare",
-    "load_baseline",
-    "load_project",
-    "main",
-    "register",
-    "render_json",
-    "render_text",
-    "run_analysis",
-    "save_baseline",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "baseline": ("BaselineComparison", "compare", "load_baseline", "save_baseline"),
+    "cli": ("main",),
+    "engine": (
+        "AnalysisResult", "Finding", "Project", "Rule", "SourceModule", "all_rules",
+        "load_project", "register", "run_analysis",
+    ),
+    "reporting": ("REPORT_VERSION", "render_json", "render_text"),
+})

@@ -4,20 +4,10 @@ auction and bounded-counter domains, all registered in
 :mod:`repro.apps.registry` as data-driven
 :class:`~repro.apps.registry.Domain` specs."""
 
-from . import ats, auction, counter, dtms, flightbooking, projectmgmt, registry
-from .registry import DOMAINS, Domain, domain_names, get_domain, register_domain
+from .._lazy import reexport
 
-__all__ = [
-    "DOMAINS",
-    "Domain",
-    "ats",
-    "auction",
-    "counter",
-    "domain_names",
-    "dtms",
-    "flightbooking",
-    "get_domain",
-    "projectmgmt",
-    "register_domain",
-    "registry",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "registry": ("DOMAINS", "Domain", "domain_names", "get_domain", "register_domain"),
+}, submodules=(
+    "ats", "auction", "counter", "dtms", "flightbooking", "projectmgmt", "registry",
+))

@@ -17,79 +17,26 @@ Typical use::
     assert not report.found_violation, report.counterexample.to_dict()
 """
 
-from .explorer import (
-    CheckConfig,
-    Counterexample,
-    ExplorationReport,
-    ModelChecker,
-    ShrinkResult,
-    shrink_counterexample,
-)
-from .invariants import (
-    AtMostOnePrimaryPerPartition,
-    Invariant,
-    InvariantRegistry,
-    LatticeMonotonicity,
-    NoCrossPartitionDelivery,
-    ReplicaConvergence,
-    RunProbe,
-    ThreatAccounting,
-    Violation,
-    default_registry,
-)
-from .mutations import skipped_threat_reevaluation, split_brain_primaries
-from .policies import (
-    ChoicePoint,
-    FifoPolicy,
-    LifoPolicy,
-    RandomPolicy,
-    RecordingPolicy,
-    ReplayPolicy,
-    schedule_fingerprint,
-)
-from .runner import BLOCKING_ERRORS, RunResult, run_schedule
-from .scenario import (
-    CANONICAL_SCENARIOS,
-    Op,
-    Scenario,
-    healthy_scenario,
-    partial_heal_scenario,
-    single_partition_scenario,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "AtMostOnePrimaryPerPartition",
-    "BLOCKING_ERRORS",
-    "CANONICAL_SCENARIOS",
-    "CheckConfig",
-    "ChoicePoint",
-    "Counterexample",
-    "ExplorationReport",
-    "FifoPolicy",
-    "Invariant",
-    "InvariantRegistry",
-    "LatticeMonotonicity",
-    "LifoPolicy",
-    "ModelChecker",
-    "NoCrossPartitionDelivery",
-    "Op",
-    "RandomPolicy",
-    "RecordingPolicy",
-    "ReplayPolicy",
-    "ReplicaConvergence",
-    "RunProbe",
-    "RunResult",
-    "Scenario",
-    "ShrinkResult",
-    "ThreatAccounting",
-    "Violation",
-    "default_registry",
-    "healthy_scenario",
-    "partial_heal_scenario",
-    "run_schedule",
-    "schedule_fingerprint",
-    "shrink_counterexample",
-    "single_partition_scenario",
-    "skipped_threat_reevaluation",
-    "split_brain_primaries",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "explorer": (
+        "CheckConfig", "Counterexample", "ExplorationReport", "ModelChecker",
+        "ShrinkResult", "shrink_counterexample",
+    ),
+    "invariants": (
+        "AtMostOnePrimaryPerPartition", "Invariant", "InvariantRegistry",
+        "LatticeMonotonicity", "NoCrossPartitionDelivery", "ReplicaConvergence",
+        "RunProbe", "ThreatAccounting", "Violation", "default_registry",
+    ),
+    "mutations": ("skipped_threat_reevaluation", "split_brain_primaries"),
+    "policies": (
+        "ChoicePoint", "FifoPolicy", "LifoPolicy", "RandomPolicy", "RecordingPolicy",
+        "ReplayPolicy", "schedule_fingerprint",
+    ),
+    "runner": ("BLOCKING_ERRORS", "RunResult", "run_schedule"),
+    "scenario": (
+        "CANONICAL_SCENARIOS", "Op", "Scenario", "healthy_scenario",
+        "partial_heal_scenario", "single_partition_scenario",
+    ),
+})

@@ -1,138 +1,50 @@
 """The paper's primary contribution: explicit runtime constraint
 consistency management for adaptive dependability."""
 
-from .ccmgr import (
-    CCMConfig,
-    ConstraintConsistencyManager,
-    NullStalenessProvider,
-    StalenessProvider,
-)
-from .errors import ConsistencyThreatRejected, ConstraintViolated, OperationShedded
-from .interceptor import CCMInterceptor
-from .metadata import (
-    AffectedMethod,
-    CalledObjectIsContextObject,
-    ConfigurationError,
-    ConstraintRegistration,
-    ContextPreparation,
-    NoContextObject,
-    ReferenceIsContextObject,
-    parse_xml_configuration,
-    registration_from_dict,
-)
-from .model import (
-    CheckCategory,
-    Constraint,
-    ConstraintPriority,
-    ConstraintScope,
-    ConstraintType,
-    ConstraintUncheckable,
-    ConstraintValidationContext,
-    FreshnessCriterion,
-    PredicateConstraint,
-    SatisfactionDegree,
-    ValidationOutcome,
-)
-from .ocl_constraints import OclConstraint, OclEntityAdapter, compile_ocl, ocl_invariant
-from .negotiation import (
-    AcceptAllHandler,
-    CallbackNegotiationHandler,
-    NegotiationDecision,
-    NegotiationHandler,
-    NegotiationResult,
-    Negotiator,
-    RejectAllHandler,
-    register_negotiation_handler,
-)
-from .partition_sensitive import DegradedBaseline, partition_allowance
-from .reconciliation import (
-    ConstraintReconciliationHandler,
-    ConstraintViolationReport,
-    ReconciliationManager,
-    ReconciliationReport,
-)
-from .repository import (
-    CachingConstraintRepository,
-    CompiledConstraintRepository,
-    ConstraintRepository,
-    MethodDispatch,
-)
-from .system_mode import ModeChange, SystemMode, SystemModeTracker
-from .uml_constraints import (
-    cardinality_constraint,
-    not_null_constraint,
-    unique_constraint,
-    xor_constraint,
-)
-from .threats import (
-    ConsistencyThreat,
-    ReconciliationInstructions,
-    ThreatDigestEntry,
-    ThreatStoragePolicy,
-    ThreatStore,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "AcceptAllHandler",
-    "AffectedMethod",
-    "CCMConfig",
-    "CCMInterceptor",
-    "CachingConstraintRepository",
-    "CompiledConstraintRepository",
-    "CalledObjectIsContextObject",
-    "CallbackNegotiationHandler",
-    "CheckCategory",
-    "ConfigurationError",
-    "ConsistencyThreat",
-    "ConsistencyThreatRejected",
-    "Constraint",
-    "ConstraintConsistencyManager",
-    "ConstraintPriority",
-    "ConstraintReconciliationHandler",
-    "ConstraintRegistration",
-    "ConstraintRepository",
-    "MethodDispatch",
-    "ConstraintScope",
-    "ConstraintType",
-    "ConstraintUncheckable",
-    "ConstraintValidationContext",
-    "ConstraintViolated",
-    "OperationShedded",
-    "ConstraintViolationReport",
-    "ContextPreparation",
-    "DegradedBaseline",
-    "FreshnessCriterion",
-    "NegotiationDecision",
-    "NegotiationHandler",
-    "NegotiationResult",
-    "Negotiator",
-    "NoContextObject",
-    "NullStalenessProvider",
-    "OclConstraint",
-    "OclEntityAdapter",
-    "PredicateConstraint",
-    "ReconciliationInstructions",
-    "ReconciliationManager",
-    "ReconciliationReport",
-    "ReferenceIsContextObject",
-    "RejectAllHandler",
-    "ModeChange",
-    "SatisfactionDegree",
-    "StalenessProvider",
-    "SystemMode",
-    "SystemModeTracker",
-    "ThreatDigestEntry",
-    "ThreatStoragePolicy",
-    "ThreatStore",
-    "ValidationOutcome",
-    "cardinality_constraint",
-    "compile_ocl",
-    "not_null_constraint",
-    "partition_allowance",
-    "ocl_invariant",
-    "unique_constraint",
-    "xor_constraint",
-    "parse_xml_configuration",
-    "register_negotiation_handler",
-    "registration_from_dict",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "ccmgr": (
+        "CCMConfig", "ConstraintConsistencyManager", "NullStalenessProvider",
+        "StalenessProvider",
+    ),
+    "errors": ("ConsistencyThreatRejected", "ConstraintViolated", "OperationShedded"),
+    "interceptor": ("CCMInterceptor",),
+    "metadata": (
+        "AffectedMethod", "CalledObjectIsContextObject", "ConfigurationError",
+        "ConstraintRegistration", "ContextPreparation", "NoContextObject",
+        "ReferenceIsContextObject", "parse_xml_configuration", "registration_from_dict",
+    ),
+    "model": (
+        "CheckCategory", "Constraint", "ConstraintPriority", "ConstraintScope",
+        "ConstraintType", "ConstraintUncheckable", "ConstraintValidationContext",
+        "FreshnessCriterion", "PredicateConstraint", "SatisfactionDegree",
+        "ValidationOutcome",
+    ),
+    "ocl_constraints": (
+        "OclConstraint", "OclEntityAdapter", "compile_ocl", "ocl_invariant",
+    ),
+    "negotiation": (
+        "AcceptAllHandler", "CallbackNegotiationHandler", "NegotiationDecision",
+        "NegotiationHandler", "NegotiationResult", "Negotiator", "RejectAllHandler",
+        "register_negotiation_handler",
+    ),
+    "partition_sensitive": ("DegradedBaseline", "partition_allowance"),
+    "reconciliation": (
+        "ConstraintReconciliationHandler", "ConstraintViolationReport",
+        "ReconciliationManager", "ReconciliationReport",
+    ),
+    "repository": (
+        "CachingConstraintRepository", "CompiledConstraintRepository",
+        "ConstraintRepository", "MethodDispatch",
+    ),
+    "system_mode": ("ModeChange", "SystemMode", "SystemModeTracker"),
+    "uml_constraints": (
+        "cardinality_constraint", "not_null_constraint", "unique_constraint",
+        "xor_constraint",
+    ),
+    "threats": (
+        "ConsistencyThreat", "ReconciliationInstructions", "ThreatDigestEntry",
+        "ThreatStoragePolicy", "ThreatStore",
+    ),
+})

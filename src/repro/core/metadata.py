@@ -10,9 +10,8 @@ format that mirrors the listing.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..objects import Entity, ObjectRef
 from .model import (
@@ -23,6 +22,9 @@ from .model import (
     FreshnessCriterion,
     SatisfactionDegree,
 )
+
+if TYPE_CHECKING:  # parse_xml_configuration imports it when a configuration is read
+    from xml.etree import ElementTree
 
 
 class ContextPreparation:
@@ -222,6 +224,8 @@ def parse_xml_configuration(
     constraint_classes: Mapping[str, type[Constraint]],
 ) -> list[ConstraintRegistration]:
     """Parse an XML configuration in the shape of Listing 4.1."""
+    from xml.etree import ElementTree
+
     try:
         root = ElementTree.fromstring(xml_text)
     except ElementTree.ParseError as exc:

@@ -12,28 +12,14 @@ validator rejects ill-formed scenarios before anything runs them, and
 byte-reproducible JSON artifact CI archives.
 """
 
-from .generator import (
-    PRESETS,
-    GeneratorConfig,
-    generate_corpus,
-    generate_scenario,
-    preset_config,
-)
-from .grammars import GRAMMARS, OpTemplate, grammar_for
-from .sweep import healthy_violations, run_sweep
-from .validator import Issue, validate_scenario
+from .._lazy import reexport
 
-__all__ = [
-    "GRAMMARS",
-    "GeneratorConfig",
-    "Issue",
-    "OpTemplate",
-    "PRESETS",
-    "generate_corpus",
-    "generate_scenario",
-    "grammar_for",
-    "healthy_violations",
-    "preset_config",
-    "run_sweep",
-    "validate_scenario",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "generator": (
+        "PRESETS", "GeneratorConfig", "generate_corpus", "generate_scenario",
+        "preset_config",
+    ),
+    "grammars": ("GRAMMARS", "OpTemplate", "grammar_for"),
+    "sweep": ("healthy_violations", "run_sweep"),
+    "validator": ("Issue", "validate_scenario"),
+})

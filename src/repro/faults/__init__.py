@@ -16,50 +16,18 @@ Two halves of one robustness story:
   through :class:`ResilienceConfig`.
 """
 
-from .chaos import InvariantResult, ReplayReport, replay_scenario
-from .injector import FaultInjector
-from .models import (
-    PASS,
-    CompositeFault,
-    DropKinds,
-    Duplicate,
-    ExtraDelay,
-    FaultDecision,
-    GilbertElliottLoss,
-    LinkFaultModel,
-)
-from .resilience import (
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    CircuitOpenError,
-    ResilienceConfig,
-    ResilienceInterceptor,
-    RetryPolicy,
-)
-from .schedule import ACTIONS, FaultEvent, FaultSchedule
+from .._lazy import reexport
 
-__all__ = [
-    "ACTIONS",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CompositeFault",
-    "DropKinds",
-    "Duplicate",
-    "ExtraDelay",
-    "FaultDecision",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "GilbertElliottLoss",
-    "InvariantResult",
-    "LinkFaultModel",
-    "PASS",
-    "ReplayReport",
-    "ResilienceConfig",
-    "ResilienceInterceptor",
-    "RetryPolicy",
-    "replay_scenario",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "chaos": ("InvariantResult", "ReplayReport", "replay_scenario"),
+    "injector": ("FaultInjector",),
+    "models": (
+        "PASS", "CompositeFault", "DropKinds", "Duplicate", "ExtraDelay",
+        "FaultDecision", "GilbertElliottLoss", "LinkFaultModel",
+    ),
+    "resilience": (
+        "BreakerConfig", "BreakerState", "CircuitBreaker", "CircuitOpenError",
+        "ResilienceConfig", "ResilienceInterceptor", "RetryPolicy",
+    ),
+    "schedule": ("ACTIONS", "FaultEvent", "FaultSchedule"),
+})

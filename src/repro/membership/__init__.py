@@ -1,13 +1,9 @@
 """Group membership: views, view-change notification, partition weights,
 and heartbeat-based failure detection."""
 
-from .failure_detector import HeartbeatFailureDetector, SuspicionEvent
-from .gms import GroupMembershipService, View, ViewListener
+from .._lazy import reexport
 
-__all__ = [
-    "GroupMembershipService",
-    "HeartbeatFailureDetector",
-    "SuspicionEvent",
-    "View",
-    "ViewListener",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "failure_detector": ("HeartbeatFailureDetector", "SuspicionEvent"),
+    "gms": ("GroupMembershipService", "View", "ViewListener"),
+})

@@ -1,35 +1,15 @@
 """Distributed-object model: entities, containers, naming, interception."""
 
-from .container import Container
-from .entity import Entity, ObjectAccessTracker, pop_tracker, push_tracker
-from .invocation import (
-    ContainerInvoker,
-    CostInterceptor,
-    Interceptor,
-    InterceptorChain,
-    Invocation,
-    InvocationService,
-)
-from .naming import LocationService, NamingService
-from .node import Node, NodeServices
-from .refs import ObjectNotFound, ObjectRef
+from .._lazy import reexport
 
-__all__ = [
-    "Container",
-    "ContainerInvoker",
-    "CostInterceptor",
-    "Entity",
-    "Interceptor",
-    "InterceptorChain",
-    "Invocation",
-    "InvocationService",
-    "LocationService",
-    "NamingService",
-    "Node",
-    "NodeServices",
-    "ObjectAccessTracker",
-    "ObjectNotFound",
-    "ObjectRef",
-    "pop_tracker",
-    "push_tracker",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "container": ("Container",),
+    "entity": ("Entity", "ObjectAccessTracker", "pop_tracker", "push_tracker"),
+    "invocation": (
+        "ContainerInvoker", "CostInterceptor", "Interceptor", "InterceptorChain",
+        "Invocation", "InvocationService",
+    ),
+    "naming": ("LocationService", "NamingService"),
+    "node": ("Node", "NodeServices"),
+    "refs": ("ObjectNotFound", "ObjectRef"),
+})

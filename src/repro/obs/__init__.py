@@ -9,60 +9,19 @@ histograms, a :class:`Tracer` recording typed events stamped with
 hub via ``ClusterConfig(obs=...)``; without one, every hook is a no-op.
 """
 
-from .hub import NULL_OBS, NullObservability, Observability, ensure_obs
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-    LabelCardinalityError,
-    MetricsRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
-    label_key,
-)
-from .sinks import (
-    JsonLinesSink,
-    NullSink,
-    RingBufferSink,
-    SummarySink,
-    TraceSink,
-    read_jsonl,
-    write_jsonl,
-)
-from .registry import METRICS, TRACE_EVENTS
-from .tracing import EVENT_TYPES, NullTracer, TraceEvent, Tracer, jsonable
+from .._lazy import reexport
 
-__all__ = [
-    "EVENT_TYPES",
-    "METRICS",
-    "TRACE_EVENTS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Instrument",
-    "JsonLinesSink",
-    "LabelCardinalityError",
-    "MetricsRegistry",
-    "NULL_OBS",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullObservability",
-    "NullRegistry",
-    "NullSink",
-    "NullTracer",
-    "Observability",
-    "RingBufferSink",
-    "SummarySink",
-    "TraceEvent",
-    "TraceSink",
-    "Tracer",
-    "ensure_obs",
-    "jsonable",
-    "label_key",
-    "read_jsonl",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "hub": ("NULL_OBS", "NullObservability", "Observability", "ensure_obs"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "Instrument", "LabelCardinalityError",
+        "MetricsRegistry", "NullCounter", "NullGauge", "NullHistogram", "NullRegistry",
+        "label_key",
+    ),
+    "sinks": (
+        "JsonLinesSink", "NullSink", "RingBufferSink", "SummarySink", "TraceSink",
+        "read_jsonl", "write_jsonl",
+    ),
+    "registry": ("METRICS", "TRACE_EVENTS"),
+    "tracing": ("EVENT_TYPES", "NullTracer", "TraceEvent", "Tracer", "jsonable"),
+})

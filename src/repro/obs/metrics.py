@@ -227,7 +227,9 @@ class MetricsRegistry:
     """Creates and owns instruments; idempotent by instrument name."""
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Instrument] = {}
+        # Two threads asking for one new name must get one instrument.
+        self._lock = threading.Lock()
+        self._instruments: dict[str, Instrument] = {}  # guarded-by: _lock
 
     def counter(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> Counter:
         return self._get_or_create(Counter, name, help, max_series=max_series)
@@ -245,33 +247,34 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, buckets=buckets, max_series=max_series)
 
     def _get_or_create(self, cls: type, name: str, help: str, **kwargs: object) -> Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not cls:
-                raise TypeError(
-                    f"metric {name!r} already registered as {existing.kind}, "
-                    f"requested {cls.kind}"
-                )
-            return existing
-        instrument = cls(name, help, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
+        with self._lock:
+            existing = self._instruments.get(name)
+            if existing is None:
+                existing = self._instruments[name] = cls(name, help, **kwargs)
+        if type(existing) is not cls:
+            raise TypeError(
+                f"metric {name!r} already registered as {existing.kind}, "
+                f"requested {cls.kind}"
+            )
+        return existing
 
     def get(self, name: str) -> Instrument | None:
-        return self._instruments.get(name)
+        with self._lock:
+            return self._instruments.get(name)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._instruments))
+        with self._lock:
+            return tuple(sorted(self._instruments))
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         """Plain-dict snapshot of every instrument, JSON-serializable."""
-        return {
-            name: self._instruments[name].snapshot()
-            for name in sorted(self._instruments)
-        }
+        with self._lock:
+            instruments = sorted(self._instruments.items())
+        return {name: instrument.snapshot() for name, instrument in instruments}
 
     def reset(self) -> None:
-        self._instruments.clear()
+        with self._lock:
+            self._instruments.clear()
 
 
 # ----------------------------------------------------------------------

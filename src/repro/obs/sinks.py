@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 from collections import Counter as _TallyCounter
 from collections import deque
 from pathlib import Path
@@ -41,29 +42,39 @@ class RingBufferSink(TraceSink):
     def __init__(self, capacity: int | None = 65536) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("ring buffer capacity must be positive")
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self.recorded = 0
+        # A reader (a test, a status thread) may snapshot the buffer while
+        # threads of the threaded backend emit; taken inside the tracer's
+        # lock by ``record``, never the other way round.
+        self._lock = threading.Lock()
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)  # guarded-by: _lock
+        self.recorded = 0  # guarded-by: _lock
 
     def record(self, event: TraceEvent) -> None:
-        self._events.append(event)
-        self.recorded += 1
+        with self._lock:
+            self._events.append(event)
+            self.recorded += 1
 
     @property
     def dropped(self) -> int:
         """Events evicted by the capacity bound."""
-        return self.recorded - len(self._events)
+        with self._lock:
+            return self.recorded - len(self._events)
 
     def events(self) -> list[TraceEvent]:
-        return list(self._events)
+        """A snapshot of the buffered events, oldest first."""
+        with self._lock:
+            return list(self._events)
 
     def clear(self) -> None:
-        self._events.clear()
+        with self._lock:
+            self._events.clear()
 
     def __len__(self) -> int:
-        return len(self._events)
+        with self._lock:
+            return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self.events())
 
 
 class JsonLinesSink(TraceSink):

@@ -1,19 +1,10 @@
 """In-memory persistence with simulated access costs."""
 
-from .store import (
-    Journal,
-    JournalEntry,
-    PersistenceEngine,
-    StateHistory,
-    StateVersion,
-    Table,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "Journal",
-    "JournalEntry",
-    "PersistenceEngine",
-    "StateHistory",
-    "StateVersion",
-    "Table",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "store": (
+        "Journal", "JournalEntry", "PersistenceEngine", "StateHistory", "StateVersion",
+        "Table",
+    ),
+})

@@ -1,37 +1,18 @@
 """Replication support: protocols, manager, and chain interceptors."""
 
-from .interceptors import (
-    PersistenceInterceptor,
-    ReplicationServerInterceptor,
-    TransportInterceptor,
-)
-from .manager import (
-    ReplicaConflict,
-    ReplicaConsistencyHandler,
-    ReplicaInfo,
-    ReplicationManager,
-    UpdateRecord,
-    WriteAccessDenied,
-)
-from .protocols import (
-    AdaptiveVotingProtocol,
-    PrimaryPartitionProtocol,
-    PrimaryPerPartitionProtocol,
-    ReplicationProtocol,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "AdaptiveVotingProtocol",
-    "PersistenceInterceptor",
-    "PrimaryPartitionProtocol",
-    "PrimaryPerPartitionProtocol",
-    "ReplicaConflict",
-    "ReplicaConsistencyHandler",
-    "ReplicaInfo",
-    "ReplicationManager",
-    "ReplicationProtocol",
-    "ReplicationServerInterceptor",
-    "TransportInterceptor",
-    "UpdateRecord",
-    "WriteAccessDenied",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "interceptors": (
+        "PersistenceInterceptor", "ReplicationServerInterceptor",
+        "TransportInterceptor",
+    ),
+    "manager": (
+        "ReplicaConflict", "ReplicaConsistencyHandler", "ReplicaInfo",
+        "ReplicationManager", "UpdateRecord", "WriteAccessDenied",
+    ),
+    "protocols": (
+        "AdaptiveVotingProtocol", "PrimaryPartitionProtocol",
+        "PrimaryPerPartitionProtocol", "ReplicationProtocol",
+    ),
+})

@@ -4,17 +4,10 @@ Provides the simulated clock, the event scheduler, and the parametric cost
 model that replace the paper's physical testbed.
 """
 
-from .clock import SimClock, Stopwatch
-from .costs import CostLedger, CostModel, charger
-from .scheduler import Event, OrderingPolicy, Scheduler
+from .._lazy import reexport
 
-__all__ = [
-    "CostLedger",
-    "CostModel",
-    "Event",
-    "OrderingPolicy",
-    "Scheduler",
-    "SimClock",
-    "Stopwatch",
-    "charger",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "clock": ("SimClock", "Stopwatch"),
+    "costs": ("CostLedger", "CostModel", "charger"),
+    "scheduler": ("Event", "OrderingPolicy", "Scheduler"),
+})

@@ -18,24 +18,11 @@ See ``docs/TRANSPORT.md`` for the interface contract and the determinism
 boundary.
 """
 
-from .base import Transport, build_transport
-from .sim import SimTransport
-from .wallclock import RealScheduler, WallClock, read_perf_counter
+from .._lazy import reexport
 
-__all__ = [
-    "AsyncioTransport",
-    "RealScheduler",
-    "SimTransport",
-    "Transport",
-    "WallClock",
-    "build_transport",
-    "read_perf_counter",
-]
-
-
-def __getattr__(name: str):  # lazy: keep the threaded backend out of sim-only runs
-    if name == "AsyncioTransport":
-        from .asyncio_backend import AsyncioTransport
-
-        return AsyncioTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "asyncio_backend": ("AsyncioTransport",),
+    "base": ("Transport", "build_transport"),
+    "sim": ("SimTransport",),
+    "wallclock": ("RealScheduler", "WallClock", "read_perf_counter"),
+})

@@ -8,10 +8,12 @@ bytes of UTF-8 JSON.  The same codec serves three roles:
   replica-update propagation and liveness pings,
 * tests speaking to a live worker directly.
 
-Synchronous helpers operate on plain blocking sockets (client side);
-asyncio helpers operate on stream reader/writer pairs (worker server
-side).  Both enforce :data:`MAX_FRAME` so a corrupt or hostile length
-header cannot trigger an unbounded allocation.
+The helpers here operate on plain blocking sockets (client side); the
+worker's server side reads the same frames from asyncio streams
+(``procnode.async_read_frame``, kept there so that a process which only
+sends frames does not import an event loop).  Both enforce
+:data:`MAX_FRAME` through :func:`body_length`, so a corrupt or hostile
+length header cannot trigger an unbounded allocation.
 
 Connections are long-lived: :func:`request` borrows an idle socket to
 ``(host, port)`` from a process-wide pool (or connects), exchanges one
@@ -42,7 +44,6 @@ or :func:`close_idle` is called.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -81,9 +82,12 @@ def decode_body(body: bytes) -> dict[str, Any]:
     return payload
 
 
-def _check_length(length: int) -> None:
+def body_length(header: bytes) -> int:
+    """The body length a frame header announces; refused beyond MAX_FRAME."""
+    (length,) = HEADER.unpack(header)
     if length > MAX_FRAME:
         raise FrameError(f"announced frame of {length} bytes exceeds MAX_FRAME")
+    return length
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +106,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> dict[str, Any]:
-    (length,) = HEADER.unpack(_recv_exact(sock, HEADER.size))
-    _check_length(length)
+    length = body_length(_recv_exact(sock, HEADER.size))
     return decode_body(_recv_exact(sock, length))
 
 
@@ -207,28 +210,3 @@ def request(
 def close_idle(host: str | None = None, port: int | None = None) -> None:
     """Close this process's idle pooled sockets to matching peers."""
     _POOL.close_idle(host, port)
-
-
-# ----------------------------------------------------------------------
-# asyncio (worker server) side
-# ----------------------------------------------------------------------
-async def async_read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on clean EOF before a header starts."""
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameClosed("connection closed mid-header") from exc
-    (length,) = HEADER.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameClosed("connection closed mid-body") from exc
-    return decode_body(body)
-
-
-async def async_write_frame(writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()

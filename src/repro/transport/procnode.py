@@ -68,6 +68,26 @@ from .wallclock import read_monotonic
 PEER_TIMEOUT = 1.0
 
 
+async def async_read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
+    """Read one frame; ``None`` on clean EOF before a header starts."""
+    try:
+        header = await reader.readexactly(frames.HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise frames.FrameClosed("connection closed mid-header") from exc
+    try:
+        body = await reader.readexactly(frames.body_length(header))
+    except asyncio.IncompleteReadError as exc:
+        raise frames.FrameClosed("connection closed mid-body") from exc
+    return frames.decode_body(body)
+
+
+async def async_write_frame(writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
+    writer.write(frames.encode_frame(payload))
+    await writer.drain()
+
+
 class ForwardExpired(Exception):
     """A forwarded write arrived after its sender stopped waiting for it.
 
@@ -478,7 +498,7 @@ class WorkerNode:
         try:
             while True:
                 try:
-                    payload = await frames.async_read_frame(reader)
+                    payload = await async_read_frame(reader)
                 except frames.FrameError:
                     break
                 if payload is None:
@@ -490,7 +510,7 @@ class WorkerNode:
                     reply = self.handle_status(payload)
                 elif kind == "shutdown":
                     reply = {"ok": True, "node": self.name}
-                    await frames.async_write_frame(writer, reply)
+                    await async_write_frame(writer, reply)
                     self._shutdown.set()
                     break
                 else:
@@ -511,7 +531,7 @@ class WorkerNode:
                             reply = await loop.run_in_executor(executor, fn, payload)
                         except Exception as exc:  # noqa: BLE001 - report, don't die
                             reply = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-                await frames.async_write_frame(writer, reply)
+                await async_write_frame(writer, reply)
         finally:
             self._inbound.discard(writer)
             writer.close()

@@ -1,17 +1,10 @@
 """Transaction management: AID transactions with two-phase commit."""
 
-from .transactions import (
-    Transaction,
-    TransactionManager,
-    TransactionRolledBack,
-    TransactionStatus,
-    TransactionalResource,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "Transaction",
-    "TransactionManager",
-    "TransactionRolledBack",
-    "TransactionStatus",
-    "TransactionalResource",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "transactions": (
+        "Transaction", "TransactionManager", "TransactionRolledBack",
+        "TransactionStatus", "TransactionalResource",
+    ),
+})

@@ -22,8 +22,7 @@ from typing import Any, Callable
 
 from ..core.model import ConstraintType, ConstraintValidationContext
 from ..core.repository import ConstraintRepository
-from .approaches import ScenarioRunner
-from .runtime import CheckCounter, ViolationError, build_repository
+from .runtime import CheckCounter, ScenarioRunner, ViolationError, build_repository
 from .workload import PUBLIC_METHODS, Employee, Project, run_scenario
 
 _BASES: dict[str, type] = {"Employee": Employee, "Project": Project}

@@ -28,11 +28,13 @@ from typing import Any, Callable, Sequence
 
 from ..core.model import ConstraintType, ConstraintValidationContext
 from ..core.repository import ConstraintRepository
+from .adaptive import build_adaptive_instrumentation
 from .ocl import OclExpression
 from .runtime import (
     CheckCounter,
     CompiledSpec,
     MethodChecks,
+    ScenarioRunner,
     ViolationError,
     build_repository,
     checks_by_method,
@@ -46,7 +48,6 @@ from .workload import (
     run_scenario,
 )
 
-ScenarioRunner = Callable[[], dict[str, Any]]
 _BASES: dict[str, type] = {"Employee": Employee, "Project": Project}
 _EMPTY = MethodChecks((), (), ())
 
@@ -1073,5 +1074,8 @@ APPROACHES: dict[str, Approach] = {
                  "compiler-generated checks with assertion framework (§2.1.3)"),
         Approach("dresden-ocl", "Dresden-OCL", "interpreted", build_dresden_ocl,
                  "wrapper generation + interpreted OCL (§2.1.2)"),
+        Approach("adaptive-instrumentation", "Adaptive instrumentation", "interceptor",
+                 build_adaptive_instrumentation,
+                 "direct constraint dispatch, re-instrumented on repository change (§6.3)"),
     ]
 }

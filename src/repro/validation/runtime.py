@@ -24,6 +24,7 @@ from .workload import CONSTRAINT_SPECS, ConstraintSpec
 
 CheckFn = Callable[[Any, tuple[Any, ...], Any, Any], bool]
 SnapshotFn = Callable[[Any, tuple[Any, ...]], Any]
+ScenarioRunner = Callable[[], dict[str, Any]]
 
 
 class ViolationError(AssertionError):

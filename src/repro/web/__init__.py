@@ -1,15 +1,10 @@
 """Web-application callback support (§4.5, Fig. 4.8)."""
 
-from .callbacks import (
-    DeferredWebReconciliationHandler,
-    WebNegotiationBridge,
-    WebResponse,
-    WebServer,
-)
+from .._lazy import reexport
 
-__all__ = [
-    "DeferredWebReconciliationHandler",
-    "WebNegotiationBridge",
-    "WebResponse",
-    "WebServer",
-]
+__getattr__, __dir__, __all__ = reexport(globals(), {
+    "callbacks": (
+        "DeferredWebReconciliationHandler", "WebNegotiationBridge", "WebResponse",
+        "WebServer",
+    ),
+})

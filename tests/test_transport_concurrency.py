@@ -14,7 +14,11 @@ Each test here pins a concrete fix in the transport backends:
 * the observability hub — node workers and client threads share one
   registry and one tracer, whose read-modify-writes (``Counter.inc``,
   ``Gauge.add``, ``Histogram.observe``, the tracer's sequence number) now
-  happen under a lock (pre-fix: lost increments and duplicate ``seq``).
+  happen under a lock (pre-fix: lost increments and duplicate ``seq``);
+  registering one new name from several threads yields one instrument
+  (pre-fix: two, one of which lost its counts), and a reader snapshots
+  the ring buffer while others emit (pre-fix: ``RuntimeError: deque
+  mutated during iteration``).
 """
 
 from __future__ import annotations
@@ -49,6 +53,17 @@ def run_threads(targets):
     for thread in threads:
         thread.join(timeout=30)
     assert failures == [], failures
+
+
+def run_threads_switching_fast(targets):
+    """``run_threads`` with the interpreter switching threads every
+    microsecond, so that an unlocked read-modify-write is interrupted."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(targets)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestHandlerTableChurn:
@@ -197,12 +212,9 @@ class TestSharedObservabilityHub:
                 histogram.observe(0.001)
                 obs.emit("stress", node="a")
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
-            run_threads([hammer] * self.THREADS)
+            run_threads_switching_fast([hammer] * self.THREADS)
         finally:
-            sys.setswitchinterval(interval)
             cluster.close()
         expected = self.THREADS * self.ROUNDS
         assert counter.value(node="a") == expected
@@ -210,3 +222,46 @@ class TestSharedObservabilityHub:
         assert histogram.count() == expected
         assert obs.tracer.emitted == before + expected
         assert [event.seq for event in obs.events()] == list(range(before + expected))
+
+    def test_a_reader_snapshots_the_ring_while_threads_emit(self):
+        obs = Observability(ring_capacity=4096)
+        reader_done = threading.Event()
+        emitted = []
+
+        def emit():
+            count = 0
+            while not reader_done.is_set() and count < 100 * self.ROUNDS:
+                obs.emit("stress", node="a")
+                count += 1
+            emitted.append(count)
+
+        def read():
+            try:
+                while len(obs.ring) < 4096 and len(emitted) < self.THREADS:
+                    pass
+                for _ in range(50):
+                    assert sum(obs.event_counts().values()) <= 4096
+                    assert len(list(obs.ring)) <= 4096
+                    assert obs.snapshot()["events"]["dropped"] >= 0
+                    assert "events:" in obs.summary()
+            finally:
+                reader_done.set()
+
+        run_threads_switching_fast([emit] * self.THREADS + [read])
+        assert obs.tracer.emitted == sum(emitted) > 4096
+        assert obs.ring.dropped == sum(emitted) - 4096
+
+    def test_one_name_registered_by_many_threads_is_one_instrument(self):
+        registry = Observability().registry
+        names = [f"race_{number}_total" for number in range(300)]
+        barrier = threading.Barrier(self.THREADS)
+
+        def register():
+            for name in names:
+                barrier.wait(timeout=30)
+                registry.counter(name).inc()
+
+        run_threads_switching_fast([register] * self.THREADS)
+        assert {name: registry.get(name).value() for name in names} == dict.fromkeys(
+            names, self.THREADS
+        )

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.transport import frames
+from repro.transport import frames, procnode
 
 HOST = "127.0.0.1"
 
@@ -100,7 +100,7 @@ class TestCodec:
             reader = asyncio.StreamReader()
             reader.feed_data(wire)
             reader.feed_eof()
-            return await frames.async_read_frame(reader)
+            return await procnode.async_read_frame(reader)
 
         assert asyncio.run(read(b"")) is None
         assert asyncio.run(read(frames.encode_frame({"ok": True}))) == {"ok": True}
