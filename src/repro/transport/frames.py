@@ -8,11 +8,10 @@ bytes of UTF-8 JSON.  The same codec serves three roles:
   replica-update propagation and liveness pings,
 * tests speaking to a live worker directly.
 
-The helpers here operate on plain blocking sockets (client side); the
-worker's server side reads the same frames from asyncio streams
-(``procnode.async_read_frame``, kept there so that a process which only
-sends frames does not import an event loop).  Both enforce
-:data:`MAX_FRAME` through :func:`body_length`, so a corrupt or hostile
+The helpers here operate on plain blocking sockets on both sides: a
+client calls :func:`request`; a worker's connection thread reads with
+:func:`read_frame` and answers with :func:`write_frame`.
+:func:`body_length` enforces :data:`MAX_FRAME`, so a corrupt or hostile
 length header cannot trigger an unbounded allocation.
 
 Connections are long-lived: :func:`request` borrows an idle socket to
@@ -38,8 +37,8 @@ frame and not a TCP handshake.  The rules that keep this safe:
 
 There is no pool-size or keep-alive setting: the number of idle sockets
 per peer is bounded by the number of threads that talk to it at once
-(two per worker, one in the driver), and they live until the peer dies
-or :func:`close_idle` is called.
+(the driver's client threads; a worker's probe and connection threads),
+and they live until the peer dies or :func:`close_idle` is called.
 """
 
 from __future__ import annotations

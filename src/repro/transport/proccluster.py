@@ -105,9 +105,15 @@ class ProcessCluster:
         self.python = python
         self.ports = dict(zip(self.node_ids, _free_ports(len(self.node_ids))))
         self.processes: dict[str, subprocess.Popen] = {}
-        for node in self.node_ids:
-            self._spawn(node)
-        self.wait_ready()
+        try:
+            for node in self.node_ids:
+                self._spawn(node)
+            self.wait_ready()
+        except BaseException:
+            # The caller has no object to close(): kill what was spawned.
+            for node in self.processes:
+                self.kill(node)
+            raise
 
     # ------------------------------------------------------------------
     # process lifecycle

@@ -36,23 +36,27 @@ protocol from :mod:`repro.transport.frames`:
   ``ReconciliationManager.reconcile_constraints`` over its one node, with
   the rebooking clean-up handler for genuine violations.
 
-Concurrency: frames arrive on an asyncio server, but all middleware
-work runs on two single-width executors — ``ops`` for client-facing
-writes, ``repl`` for peer replica traffic — with a mutex around cluster
-access that is *never held across a network call*.  That keeps the
-single-node cluster effectively single-threaded while letting a
-forwarded write and the resulting inbound replica-update coexist
-without deadlock.  ``ping``/``status`` answer directly on the loop so
-liveness stays responsive mid-transaction.
+Concurrency: no event loop.  An accept thread gives each inbound
+connection its own thread, which reads a frame, runs its handler inline
+and writes the answer; the probe loop is one more thread.  Cluster
+access happens under ``_mutex`` alone, *never held across a frame
+exchange*, so handlers of different connections run side by side and no
+wait cycle can form: a thread waits for the mutex only while another
+does local work, and for a peer only with no lock held — the peer's
+thread either applies a replica frame (local, sends nothing) or serves
+a forward, which is passed on only to a lower node id.  Receivers apply
+only growing versions, so propagations that overtake each other still
+leave the newer state.  ``ping``/``status`` never take the mutex
+(``status`` reads an immutable snapshot), so liveness stays responsive
+mid-transaction.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
+import socket
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..apps.flightbooking import Flight, RebookingReconciliationHandler, ticket_constraint_registration
@@ -66,26 +70,6 @@ from .wallclock import read_monotonic
 #: treated as unreachable (the sender cannot tell a slow peer from a
 #: dead one — §1.1's fundamental ambiguity, now on real sockets).
 PEER_TIMEOUT = 1.0
-
-
-async def async_read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on clean EOF before a header starts."""
-    try:
-        header = await reader.readexactly(frames.HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise frames.FrameClosed("connection closed mid-header") from exc
-    try:
-        body = await reader.readexactly(frames.body_length(header))
-    except asyncio.IncompleteReadError as exc:
-        raise frames.FrameClosed("connection closed mid-body") from exc
-    return frames.decode_body(body)
-
-
-async def async_write_frame(writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
-    writer.write(frames.encode_frame(payload))
-    await writer.drain()
 
 
 class ForwardExpired(Exception):
@@ -144,12 +128,11 @@ class WorkerNode:
             ccmgr.staleness = self.staleness
         # Guards all cluster access; never held across a network call.
         self._mutex = threading.RLock()
-        self._ops = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-ops")
-        self._repl = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-repl")
-        self._shutdown = asyncio.Event()
-        # Open inbound connections; touched on the event loop only.
-        self._inbound: set[asyncio.StreamWriter] = set()
-        # Immutable snapshot served by handle_status on the event loop;
+        self._shutdown = threading.Event()
+        # Open inbound connections, hung up on shutdown.
+        self._inbound_lock = threading.Lock()
+        self._inbound: set[socket.socket] = set()  # guarded-by: _inbound_lock
+        # Immutable snapshot served by handle_status without the mutex;
         # rebuilt (never mutated) by _publish_status_locked under _mutex
         # after every state change the status answer can observe.
         self._published: dict[str, Any] = {}  # guarded-by: _mutex
@@ -170,8 +153,8 @@ class WorkerNode:
     def _publish_status_locked(self) -> None:
         """Rebuild the status snapshot; every caller holds ``_mutex``.
 
-        ``handle_status`` answers directly on the event loop for liveness
-        and therefore must not take the mutex — it reads this immutable
+        ``handle_status`` must answer while another connection's handler
+        holds the mutex, so it does not take it — it reads this immutable
         dict instead, which is replaced (never mutated) here.
         """
         store = self.cluster.threat_stores[self.name]
@@ -241,7 +224,7 @@ class WorkerNode:
             self._peer_request(peer, payload)
 
     # ------------------------------------------------------------------
-    # frame handlers (ops executor)
+    # client-facing frame handlers
     # ------------------------------------------------------------------
     def handle_create(self, payload: dict[str, Any]) -> dict[str, Any]:
         self._refuse_expired(payload)
@@ -338,7 +321,7 @@ class WorkerNode:
         return None
 
     # ------------------------------------------------------------------
-    # frame handlers (repl executor)
+    # peer replica frames
     # ------------------------------------------------------------------
     def handle_replica_create(self, payload: dict[str, Any]) -> dict[str, Any]:
         ref = self._ref(payload)
@@ -426,8 +409,8 @@ class WorkerNode:
         handler = RebookingReconciliationHandler(self._entity)
         report = ReconciliationReport()
         with self._mutex:
-            # Demote inside the mutex: the flag write races the ops
-            # executor's degraded/threat reads if it happens outside.
+            # Demote inside the mutex: the flag write races another
+            # connection's degraded/threat reads if it happens outside.
             self.staleness.flag = False
             # replint: ignore[CONC004] - the call graph reaches the
             # threaded channel's Future.result() through _broadcast_state,
@@ -451,19 +434,16 @@ class WorkerNode:
         }
 
     # ------------------------------------------------------------------
-    # loop-side handlers (must not block)
+    # liveness (never takes the mutex)
     # ------------------------------------------------------------------
-    def handle_ping(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return {"ok": True, "kind": "pong", "node": self.name}
-
     def handle_status(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Answer from the published snapshot — never touch the cluster.
 
-        This runs on the event loop; reading the threat store or liveness
-        dicts directly would race the ops/repl executors mid-mutation
-        (the old implementation did exactly that).  The snapshot is an
-        immutable dict replaced under ``_mutex``, so the lone reference
-        read below is atomic and coherent.
+        Another connection's handler may be mid-mutation under
+        ``_mutex``; reading the threat store or liveness dicts directly
+        would race it (an earlier implementation did exactly that).  The
+        snapshot is an immutable dict replaced under ``_mutex``, so the
+        lone reference read below is atomic and coherent.
         """
         # replint: ignore[CONC001] - atomic reference read of the
         # immutable snapshot published under _mutex; see docstring.
@@ -478,86 +458,100 @@ class WorkerNode:
     # ------------------------------------------------------------------
     # server
     # ------------------------------------------------------------------
-    async def _probe_peers(self, interval: float) -> None:
-        loop = asyncio.get_running_loop()
+    def _handle(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """The answer to one frame; a handler's exception becomes an error reply."""
+        kind = payload.get("kind", "")
+        try:
+            if kind == "invoke":
+                return self.handle_invoke(payload)
+            if kind == "replica-update":
+                return self.handle_replica_update(payload)
+            if kind == "ping":
+                return {"ok": True, "kind": "pong", "node": self.name}
+            if kind == "status":
+                return self.handle_status(payload)
+            if kind == "create":
+                return self.handle_create(payload)
+            if kind == "replica-create":
+                return self.handle_replica_create(payload)
+            if kind == "state-dump":
+                return self.handle_state_dump(payload)
+            if kind == "state-apply":
+                return self.handle_state_apply(payload)
+            if kind == "revalidate":
+                return self.handle_revalidate(payload)
+        except Exception as exc:  # noqa: BLE001 - report, don't die
+            return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+        return {"ok": False, "error": f"unknown frame kind {kind!r}"}
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer one inbound connection's frames in order until it closes.
+
+        Anything that is not a whole frame — EOF, a truncated header or
+        body, an oversized or undecodable one — ends this connection
+        only.
+        """
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
+                payload = frames.read_frame(conn)
+                if payload.get("kind") == "shutdown":
+                    frames.write_frame(conn, {"ok": True, "node": self.name})
+                    self._shutdown.set()
+                    return
+                frames.write_frame(conn, self._handle(payload))
+        except (OSError, frames.FrameError):
+            pass
+        finally:
+            with self._inbound_lock:
+                self._inbound.discard(conn)
+            conn.close()
+
+    def _accept(self, listener: socket.socket) -> None:
+        while not self._shutdown.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                # A connection that failed before it was accepted costs
+                # only itself; after shutdown the loop condition ends it.
+                continue
+            with self._inbound_lock:
+                self._inbound.add(conn)
+            threading.Thread(
+                target=self._serve_connection, args=(conn,), daemon=True
+            ).start()
+
+    def _probe_peers(self, interval: float) -> None:
         while not self._shutdown.is_set():
             for peer in sorted(self.peers):
-                await loop.run_in_executor(
-                    None, self._peer_request, peer, {"kind": "ping"}
-                )
-            try:
-                await asyncio.wait_for(self._shutdown.wait(), timeout=interval)
-            except asyncio.TimeoutError:
-                pass
+                self._peer_request(peer, {"kind": "ping"})
+            self._shutdown.wait(interval)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        self._inbound.add(writer)
-        try:
-            while True:
-                try:
-                    payload = await async_read_frame(reader)
-                except frames.FrameError:
-                    break
-                if payload is None:
-                    break
-                kind = payload.get("kind", "")
-                if kind == "ping":
-                    reply = self.handle_ping(payload)
-                elif kind == "status":
-                    reply = self.handle_status(payload)
-                elif kind == "shutdown":
-                    reply = {"ok": True, "node": self.name}
-                    await async_write_frame(writer, reply)
-                    self._shutdown.set()
-                    break
-                else:
-                    handler = {
-                        "create": (self._ops, self.handle_create),
-                        "invoke": (self._ops, self.handle_invoke),
-                        "replica-create": (self._repl, self.handle_replica_create),
-                        "replica-update": (self._repl, self.handle_replica_update),
-                        "state-dump": (self._repl, self.handle_state_dump),
-                        "state-apply": (self._repl, self.handle_state_apply),
-                        "revalidate": (self._repl, self.handle_revalidate),
-                    }.get(kind)
-                    if handler is None:
-                        reply = {"ok": False, "error": f"unknown frame kind {kind!r}"}
-                    else:
-                        executor, fn = handler
-                        try:
-                            reply = await loop.run_in_executor(executor, fn, payload)
-                        except Exception as exc:  # noqa: BLE001 - report, don't die
-                            reply = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-                await async_write_frame(writer, reply)
-        finally:
-            self._inbound.discard(writer)
-            writer.close()
-
-    async def serve(self, probe_interval: float = 0.5) -> None:
-        server = await asyncio.start_server(self._serve_connection, "127.0.0.1", self.port)
-        probe = asyncio.create_task(self._probe_peers(probe_interval))
+    def serve(self, probe_interval: float = 0.5) -> None:
+        listener = socket.create_server(("127.0.0.1", self.port))
+        acceptor = threading.Thread(target=self._accept, args=(listener,), daemon=True)
+        acceptor.start()
+        threading.Thread(
+            target=self._probe_peers, args=(probe_interval,), daemon=True
+        ).start()
         print(f"READY {self.name} {self.port}", flush=True)
         try:
-            await self._shutdown.wait()
+            self._shutdown.wait()
         finally:
-            probe.cancel()
-            server.close()
+            self._shutdown.set()  # ends the accept loop, also after an interrupt
+            # shutdown() wakes the blocked accept(); close() alone does not.
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+            acceptor.join()
             # Peers and the driver keep their connections open between
-            # frames; since Python 3.12 wait_closed() waits for every one
-            # of them, so hang up first.
-            for writer in list(self._inbound):
-                writer.close()
-            await server.wait_closed()
-            self._ops.shutdown(wait=False)
-            self._repl.shutdown(wait=False)
-            # Cluster teardown can block (transport close joins threads);
-            # run it off-loop so shutdown never wedges the event loop.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.cluster.close
-            )
+            # frames: hang up on them rather than leave them to the exit.
+            with self._inbound_lock:
+                for conn in self._inbound:
+                    try:
+                        conn.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass  # the peer has already reset it
+            self.cluster.close()
 
 
 def parse_peers(spec: str) -> dict[str, tuple[str, int]]:
@@ -582,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     worker = WorkerNode(
         args.node, args.port, parse_peers(args.peers), primary=args.primary
     )
-    asyncio.run(worker.serve(args.probe_interval))
+    worker.serve(args.probe_interval)
     return 0
 
 

@@ -117,6 +117,11 @@ class TestWhatAProcessLoads:
         assert "repro.transport.frames" in loaded
         assert under("asyncio", loaded) == []
 
+    def test_a_process_worker_imports_no_event_loop(self):
+        loaded = modules_after("import repro.transport.procnode")
+        assert "repro.cluster" in loaded
+        assert under("asyncio", loaded) == under("ssl", loaded) == []
+
 
 def export_table(package: str) -> dict[str, str]:
     """``name -> defining submodule`` as the package's ``__init__`` declares

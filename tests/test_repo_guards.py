@@ -5,8 +5,9 @@ test suite does.  One guard per replaced mechanism: ``replication/`` and
 ``core/`` ask the membership view and never the topology oracle, one
 counter counts topology changes, the GMS is the topology's one
 subscriber, and the constraint phase of reconciliation exists once; a
-package ``__init__`` re-exports through the one helper of ``repro._lazy``
-and the frame codec a driver imports brings no event loop with it.
+package ``__init__`` re-exports through the one helper of ``repro._lazy``;
+and no module runs an event loop — a process-backend worker serves each
+frame on its connection's own thread, with no executor hop.
 """
 
 import ast
@@ -69,6 +70,6 @@ def test_the_helper_holds_the_only_module_getattr():
     assert len(found) == 1 and found[0].startswith("_lazy.py:"), found
 
 
-def test_the_frame_codec_imports_no_event_loop():
-    assert matches(r"^\s*(import|from) asyncio", "transport/frames.py") == []
-    assert matches(r"^import asyncio", "transport/procnode.py") != []
+def test_no_event_loop_and_no_executor_hop_in_the_worker():
+    assert matches(r"^\s*(import|from) asyncio") == []
+    assert matches(r"ThreadPoolExecutor|run_in_executor", "transport/procnode.py") == []

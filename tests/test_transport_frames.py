@@ -9,12 +9,15 @@ deaths the test controls:
   frames with the documented exception types;
 * ``request`` reuses one connection per peer, never shares a socket
   between threads, detects a dead or restarted peer before reuse, never
-  reuses a socket after a timeout, and never re-sends a request.
+  reuses a socket after a timeout, and never re-sends a request;
+* a live worker process drops a connection that sends anything but
+  whole frames, and only that connection: its other clients, and the
+  next one to connect, are served as before — also while a half-open
+  client sits on a partial header.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import sys
 import threading
@@ -22,7 +25,8 @@ import time
 
 import pytest
 
-from repro.transport import frames, procnode
+from repro.transport import frames
+from repro.transport.proccluster import ProcessCluster
 
 HOST = "127.0.0.1"
 
@@ -94,22 +98,6 @@ class TestCodec:
             left.close()
             with pytest.raises(frames.FrameClosed):
                 frames.read_frame(right)
-
-    def test_async_reader_distinguishes_clean_eof_from_truncation(self):
-        async def read(wire: bytes):
-            reader = asyncio.StreamReader()
-            reader.feed_data(wire)
-            reader.feed_eof()
-            return await procnode.async_read_frame(reader)
-
-        assert asyncio.run(read(b"")) is None
-        assert asyncio.run(read(frames.encode_frame({"ok": True}))) == {"ok": True}
-        with pytest.raises(frames.FrameClosed):
-            asyncio.run(read(b"\x00"))
-        with pytest.raises(frames.FrameClosed):
-            asyncio.run(read(frames.HEADER.pack(9) + b"{}"))
-        with pytest.raises(frames.FrameError):
-            asyncio.run(read(frames.HEADER.pack(frames.MAX_FRAME + 1)))
 
 
 # ------------------------------------------------------------------- pool
@@ -328,3 +316,78 @@ class TestConnectionPool:
             assert idle_sockets(other.port) == []
         finally:
             other.stop()
+
+
+# ------------------------------------------------------------ live worker
+
+
+@pytest.fixture(scope="module")
+def worker():
+    """One worker process with no peers: its own primary, never dialling out."""
+    with ProcessCluster(("a",)) as cluster:
+        created = cluster.create("a", "Flight", "F1", {"flight_number": "F1", "seats": 10**6})
+        assert created["ok"], created
+        yield cluster
+
+
+def raw_connection(cluster: ProcessCluster) -> socket.socket:
+    sock = socket.create_connection((HOST, cluster.ports["a"]), timeout=2.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def exchange(sock: socket.socket, payload: dict) -> dict:
+    frames.write_frame(sock, payload)
+    return frames.read_frame(sock)
+
+
+def sell_one(cluster: ProcessCluster) -> dict:
+    reply = cluster.invoke("a", "Flight", "F1", "sell_tickets", 1)
+    assert reply["ok"] and reply["served_by"] == "a", reply
+    return reply
+
+
+class TestLiveWorker:
+    @pytest.mark.parametrize(
+        "wire, hang_up",
+        [
+            (b"", True),  # clean EOF before a header
+            (b"\x00\x00", True),  # truncated header
+            (frames.HEADER.pack(10) + b'{"a', True),  # truncated body
+            (frames.HEADER.pack(frames.MAX_FRAME + 1), False),  # header above MAX_FRAME
+            (frames.HEADER.pack(9) + b"{not json", False),  # undecodable body
+            (frames.HEADER.pack(5) + b"[1,2]", False),  # JSON, but not an object
+        ],
+        ids=["eof", "short-header", "short-body", "oversize", "undecodable", "not-an-object"],
+    )
+    def test_a_bad_connection_is_dropped_alone(self, worker, wire, hang_up):
+        bystander = raw_connection(worker)
+        bad = raw_connection(worker)
+        with bystander, bad:
+            assert exchange(bystander, {"kind": "ping"})["kind"] == "pong"
+            bad.sendall(wire)
+            if hang_up:
+                bad.shutdown(socket.SHUT_WR)
+            # The worker closes the connection without an answer, and does
+            # not wait for the 16 MiB an oversized header announces.
+            assert bad.recv(1) == b""
+            assert exchange(bystander, {"kind": "ping"})["kind"] == "pong"
+        assert worker.ping("a")
+        before = sell_one(worker)["result"]
+        assert sell_one(worker)["result"] == before + 1
+
+    def test_a_half_open_client_holds_up_nobody(self, worker):
+        sell_one(worker)  # the pooled connection exists before the stall
+        with raw_connection(worker) as stalled:
+            stalled.sendall(b"\x00\x00")  # two header bytes, then silence
+            time.sleep(0.05)
+            started = time.monotonic()
+            sell_one(worker)
+            assert time.monotonic() - started < 0.1
+            with raw_connection(worker) as fresh:
+                started = time.monotonic()
+                reply = exchange(
+                    fresh,
+                    {"kind": "invoke", "cls": "Flight", "oid": "F1", "method": "get_sold", "args": []},
+                )
+                assert reply["ok"] and time.monotonic() - started < 0.1

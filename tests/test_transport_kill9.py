@@ -24,6 +24,7 @@ import os
 import random
 import signal
 import socket
+import subprocess
 import threading
 import time
 
@@ -31,8 +32,8 @@ import pytest
 
 from repro.apps.flightbooking import RebookingReconciliationHandler
 from repro.core.reconciliation import MAX_HANDLER_RETRIES
-from repro.transport import frames
-from repro.transport.proccluster import _EPHEMERAL_RANGE, ProcessCluster, _free_ports
+from repro.transport import frames, proccluster
+from repro.transport.proccluster import _EPHEMERAL_RANGE, ProcessCluster, WorkerDied, _free_ports
 from repro.transport.procnode import PEER_TIMEOUT, ForwardExpired, WorkerNode
 
 FLIGHT = ("Flight", "K9")
@@ -396,6 +397,36 @@ def test_worker_ports_are_distinct_bindable_and_not_ephemeral():
         assert port not in ephemeral
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", port))
+
+
+def test_a_failed_start_leaves_no_worker_running(monkeypatch):
+    """A worker that cannot bind its port fails construction, and the
+    workers already spawned must not outlive it: the caller never got an
+    object to ``close()``."""
+    held = socket.create_server(("127.0.0.1", 0))
+    free_ports = proccluster._free_ports
+    monkeypatch.setattr(
+        proccluster, "_free_ports", lambda count: [*free_ports(count - 1), held.getsockname()[1]]
+    )
+    spawned: list[subprocess.Popen] = []
+    spawn = ProcessCluster._spawn
+
+    def recording_spawn(self, node):
+        spawn(self, node)
+        spawned.append(self.processes[node])
+
+    monkeypatch.setattr(ProcessCluster, "_spawn", recording_spawn)
+    try:
+        with held, pytest.raises(WorkerDied, match="'c'"):
+            ProcessCluster(("a", "b", "c"), primary="a")
+        assert len(spawned) == 3
+        running = [process.pid for process in spawned if process.returncode is None]
+        assert running == [], "workers outlived the failed start"
+    finally:
+        for process in spawned:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
 
 
 def test_respawn_finds_its_port_free_after_connections_made_while_it_was_down(quiet_cluster):
