@@ -12,7 +12,8 @@ transaction rollback-only.
 
 In degraded mode it gathers the objects accessed during each validation,
 asks the replication manager which of them were possibly stale or
-unreachable, degrades the validation result accordingly (LCC/NCC),
+unreachable (only while its staleness gate is open: a healthy system has
+nothing stale), degrades the validation result accordingly (LCC/NCC),
 negotiates the resulting consistency threat, and persists + replicates
 accepted threats for the reconciliation phase.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
-from ..net import UnreachableError
+from ..net import NodeId, UnreachableError
 from ..obs import ensure_obs
 from ..objects import (
     Entity,
@@ -54,7 +55,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class StalenessProvider(Protocol):
-    """Interface the replication manager implements for the CCMgr."""
+    """Interface the replication manager implements for the CCMgr.
+
+    Staleness exists only while the system is partitioned (§3.1), and the
+    component that owns the replicas answers for it, not the CCMgr's own
+    view.  ``may_be_stale`` is the gate the CCMgr asks once per
+    notification; it must be True whenever ``is_possibly_stale`` could be
+    True for any entity a validation on ``node`` reads, wherever that
+    entity lives.  A False gate lets the CCMgr skip the per-entity
+    question.
+    """
+
+    def may_be_stale(self, node: NodeId) -> bool:
+        """Whether any object a validation on ``node`` reads may be stale."""
 
     def is_possibly_stale(self, entity: Entity) -> bool:
         """Whether this local object view may have missed remote updates."""
@@ -68,11 +81,33 @@ class NullStalenessProvider:
     """No replication: local views are never stale (LCCs impossible,
     §3.1)."""
 
+    def may_be_stale(self, node: NodeId) -> bool:
+        return False
+
     def is_possibly_stale(self, entity: Entity) -> bool:
         return False
 
     def had_replica_conflict(self, ref: ObjectRef) -> bool:
         return False
+
+
+class _Environment:
+    """What one notification knows about its node's membership view.
+
+    Read once per ``before_invocation`` / ``after_invocation`` /
+    ``prepare``, by the first validation that needs it, and passed down
+    as a local: the threaded backend runs one CCMgr's notifications on
+    several threads at once, so it is never kept on the instance.
+    ``stale_gate`` is the staleness provider's ``may_be_stale`` answer:
+    when False, no entity is asked ``is_possibly_stale``.
+    """
+
+    __slots__ = ("partition_weight", "degraded", "stale_gate")
+
+    def __init__(self, partition_weight: float, degraded: bool, stale_gate: bool) -> None:
+        self.partition_weight = partition_weight
+        self.degraded = degraded
+        self.stale_gate = stale_gate
 
 
 @dataclass
@@ -156,17 +191,19 @@ class ConstraintConsistencyManager:
     # ------------------------------------------------------------------
     # degraded-mode awareness
     # ------------------------------------------------------------------
-    def is_degraded(self) -> bool:
-        """Whether this node currently perceives node/link failures."""
+    def _environment(self) -> _Environment:
+        """Read this node's membership view and ask the staleness gate —
+        the one place this module does either."""
+        node_id = self.node.node_id
+        stale_gate = self.staleness.may_be_stale(node_id)
         if self.gms is None:
-            return False
-        view = self.gms.view_of(self.node.node_id)
-        return len(view.members) < len(self.gms.network.nodes)
-
-    def partition_weight(self) -> float:
-        if self.gms is None:
-            return 1.0
-        return self.gms.partition_weight_fraction(self.node.node_id)
+            return _Environment(1.0, False, stale_gate)
+        members = self.gms.view_of(node_id).members
+        return _Environment(
+            self.gms.weight_fraction(members),
+            len(members) < len(self.gms.network.nodes),
+            stale_gate,
+        )
 
     # ------------------------------------------------------------------
     # invocation notifications (called by the CCM interceptor)
@@ -181,21 +218,24 @@ class ConstraintConsistencyManager:
         dispatch = self.repository.method_dispatch(class_name, method)
         if self.shed_tradeable_writes:
             self._maybe_shed(invocation, tx, dispatch)
+        env: _Environment | None = None
         # Preconditions: bound to and checked before the invocation (§1.6).
         # They share one validation context — none of them snapshots @pre
         # state — so it is built once per invocation, not per registration.
         pre_ctx: ConstraintValidationContext | None = None
         for registration in dispatch.registrations(ConstraintType.PRECONDITION):
             if pre_ctx is None:
-                pre_ctx = self._method_context(invocation, entity)
-            outcome = self._validate(registration, pre_ctx, entity)
+                env = self._environment()
+                pre_ctx = self._method_context(invocation, entity, env)
+            outcome = self._validate(registration, pre_ctx, entity, env.stale_gate)
             self._handle_outcome(registration, outcome, pre_ctx, tx)
         # Postconditions get their @pre snapshot now (§4.2.1); the snapshot
         # lands in the context's scratch space, so these contexts stay
         # per-registration.
         post_contexts: list[tuple[ConstraintRegistration, ConstraintValidationContext]] = []
         for registration in dispatch.registrations(ConstraintType.POSTCONDITION):
-            ctx = self._method_context(invocation, entity)
+            env = env or self._environment()
+            ctx = self._method_context(invocation, entity, env)
             registration.constraint.before_method_invocation(ctx)
             post_contexts.append((registration, ctx))
         invocation.metadata["ccm_post_contexts"] = post_contexts
@@ -208,23 +248,34 @@ class ConstraintConsistencyManager:
         class_name = invocation.ref.class_name
         method = invocation.method_name
         dispatch = self.repository.method_dispatch(class_name, method)
+        env: _Environment | None = None
         # Postconditions: checked after the invocation with its result.
         for registration, ctx in invocation.metadata.get("ccm_post_contexts", ()):
+            env = env or self._environment()
             ctx.method_result = invocation.result
-            outcome = self._validate(registration, ctx, entity)
+            outcome = self._validate(registration, ctx, entity, env.stale_gate)
             self._handle_outcome(registration, outcome, ctx, tx)
         # Hard invariants: checked at the end of the operation (§1.6).
         for registration in dispatch.registrations(ConstraintType.INVARIANT_HARD):
-            self._check_invariant(registration, invocation, entity, tx)
-        # Soft invariants: deferred to the end of the transaction [JQ92].
+            env = env or self._environment()
+            self._check_invariant(registration, invocation, entity, tx, env)
+        # Soft invariants: deferred to the end of the transaction [JQ92];
+        # without one they are checked now, like hard ones.
         for registration in dispatch.registrations(ConstraintType.INVARIANT_SOFT):
-            self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
+            if tx is None:
+                env = env or self._environment()
+                self._check_invariant(registration, invocation, entity, None, env)
+            else:
+                self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
         # Asynchronous invariants (§5.5.3): soft in a healthy system; in
         # degraded mode the threat is stored directly without validation.
         for registration in dispatch.registrations(ConstraintType.INVARIANT_ASYNC):
-            if self.is_degraded() and self.config.async_skip_validation_in_degraded:
+            env = env or self._environment()
+            if env.degraded and self.config.async_skip_validation_in_degraded:
                 context_entity = self._prepare_context(registration, invocation, entity)
                 self._store_async_threat(registration, context_entity)
+            elif tx is None:
+                self._check_invariant(registration, invocation, entity, None, env)
             else:
                 self._defer(tx, _ASYNC_PENDING_KEY, registration, invocation, entity)
 
@@ -239,10 +290,12 @@ class ConstraintConsistencyManager:
         conceptually runs in a helper transaction that may access objects
         locked by the committing transaction — trivially true here.
         """
+        env: _Environment | None = None
         for key in (_SOFT_PENDING_KEY, _ASYNC_PENDING_KEY):
             for registration, entity, invocation in tx.context.get(key, {}).values():
+                env = env or self._environment()
                 try:
-                    self._check_invariant(registration, invocation, entity, tx)
+                    self._check_invariant(registration, invocation, entity, tx, env)
                 except (ConstraintViolated, ConsistencyThreatRejected):
                     return False
         return True
@@ -264,18 +317,20 @@ class ConstraintConsistencyManager:
         context_entity: Entity | None,
     ) -> ValidationOutcome:
         """Validate an invariant for reconciliation/explicit checks."""
+        env = self._environment()
         ctx = ConstraintValidationContext(
             context_object=context_entity,
-            partition_weight=self.partition_weight(),
-            degraded=self.is_degraded(),
+            partition_weight=env.partition_weight,
+            degraded=env.degraded,
         )
-        return self._validate(registration, ctx, context_entity)
+        return self._validate(registration, ctx, context_entity, env.stale_gate)
 
     def _validate(
         self,
         registration: ConstraintRegistration,
         ctx: ConstraintValidationContext,
         context_entity: Entity | None,
+        stale_gate: bool,
     ) -> ValidationOutcome:
         constraint = registration.constraint
         self.stats["validations"] += 1
@@ -307,7 +362,9 @@ class ConstraintConsistencyManager:
         accessed = list(tracker.accessed)
         if context_entity is not None and context_entity not in accessed:
             accessed.append(context_entity)
-        stale = [entity for entity in accessed if self.staleness.is_possibly_stale(entity)]
+        stale: list[Entity] = []
+        if stale_gate:
+            stale = [entity for entity in accessed if self.staleness.is_possibly_stale(entity)]
         if category is not CheckCategory.NCC and stale:
             # LCC: validation not fully reliable; degrade the result —
             # except for intra-object constraints under merge-by-selection
@@ -451,6 +508,7 @@ class ConstraintConsistencyManager:
         invocation: Invocation,
         entity: Entity,
         tx: Transaction | None,
+        env: _Environment,
     ) -> None:
         context_entity = self._prepare_context(registration, invocation, entity)
         ctx = ConstraintValidationContext(
@@ -459,10 +517,10 @@ class ConstraintConsistencyManager:
             method_name=invocation.method_name,
             method_arguments=invocation.args,
             method_result=invocation.result,
-            partition_weight=self.partition_weight(),
-            degraded=self.is_degraded(),
+            partition_weight=env.partition_weight,
+            degraded=env.degraded,
         )
-        outcome = self._validate(registration, ctx, context_entity)
+        outcome = self._validate(registration, ctx, context_entity, env.stale_gate)
         self._handle_outcome(registration, outcome, ctx, tx)
 
     def _prepare_context(
@@ -485,29 +543,25 @@ class ConstraintConsistencyManager:
             return None
 
     def _method_context(
-        self, invocation: Invocation, entity: Entity
+        self, invocation: Invocation, entity: Entity, env: _Environment
     ) -> ConstraintValidationContext:
         return ConstraintValidationContext(
             context_object=entity,
             called_object=entity,
             method_name=invocation.method_name,
             method_arguments=invocation.args,
-            partition_weight=self.partition_weight(),
-            degraded=self.is_degraded(),
+            partition_weight=env.partition_weight,
+            degraded=env.degraded,
         )
 
     def _defer(
         self,
-        tx: Transaction | None,
+        tx: Transaction,
         key: str,
         registration: ConstraintRegistration,
         invocation: Invocation,
         entity: Entity,
     ) -> None:
-        if tx is None:
-            # No transaction: validate immediately (degenerates to hard).
-            self._check_invariant(registration, invocation, entity, None)
-            return
         pending = tx.context.setdefault(key, {})
         pending[(registration.name, entity.ref)] = (registration, entity, invocation)
         tx.enlist(self)

@@ -9,18 +9,23 @@ the reconciliation manager when the reconciliation phase runs; listeners
 and a timestamped history make mode changes observable — e.g. for
 operator dashboards or for the §3.3 rule that business operations on
 still-threatened objects behave differently while reconciliation is
-underway.
+underway.  The history counts every transition and keeps the last
+:data:`HISTORY_TAIL`, so a long run of partition cycles does not grow it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from ..membership import GroupMembershipService, View
 from ..net import NodeId
 from ..sim import SimClock
+
+#: Mode changes :meth:`SystemModeTracker.history` keeps, newest last.
+HISTORY_TAIL = 32
 
 
 class SystemMode(enum.Enum):
@@ -49,7 +54,9 @@ class SystemModeTracker:
         self.gms = gms
         self.clock = clock
         self._modes: dict[NodeId, SystemMode] = {}
-        self._history: list[ModeChange] = []
+        # Transitions ever made; the retained ones are the last few.
+        self.transitions = 0
+        self._history: deque[ModeChange] = deque(maxlen=HISTORY_TAIL)
         self._listeners: list[ModeListener] = []
         total = len(gms.network.nodes)
         for node in gms.network.nodes:
@@ -66,6 +73,8 @@ class SystemModeTracker:
         return self._modes[node]
 
     def history(self, node: NodeId | None = None) -> list[ModeChange]:
+        """The retained mode changes, oldest first (``node``'s only, if
+        given)."""
         if node is None:
             return list(self._history)
         return [change for change in self._history if change.node == node]
@@ -118,6 +127,7 @@ class SystemModeTracker:
             return
         self._modes[node] = target
         change = ModeChange(node, previous, target, self.clock.now)
+        self.transitions += 1
         self._history.append(change)
         for listener in self._listeners:
             listener(change)

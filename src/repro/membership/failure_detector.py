@@ -16,6 +16,7 @@ crashed or the link failed becomes known when it is reachable again.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,9 @@ from ..sim import Scheduler
 
 SuspicionListener = Callable[[NodeId, NodeId, bool], None]
 """Callback ``(observer, subject, suspected)``."""
+
+#: Suspicion events :attr:`HeartbeatFailureDetector.events` keeps.
+EVENT_TAIL = 32
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,11 @@ class HeartbeatFailureDetector:
         }
         self._suspected: dict[NodeId, set[NodeId]] = {node: set() for node in network.nodes}
         self._listeners: list[SuspicionListener] = []
-        self.events: list[SuspicionEvent] = []
+        # Every event is counted; the last few are kept, and the last
+        # raised suspicion per (observer, subject) for detection_latency.
+        self.recorded = 0
+        self.events: deque[SuspicionEvent] = deque(maxlen=EVENT_TAIL)
+        self._last_raised: dict[tuple[NodeId, NodeId], SuspicionEvent] = {}
         self._running = False
 
     # ------------------------------------------------------------------
@@ -134,15 +142,17 @@ class HeartbeatFailureDetector:
         self.scheduler.schedule_after(self.period, self._round, label="heartbeat")
 
     def _emit(self, observer: NodeId, subject: NodeId, suspected: bool, now: float) -> None:
-        self.events.append(
-            SuspicionEvent(
-                observer,
-                subject,
-                suspected,
-                now,
-                last_seen=self._last_seen[observer][subject],
-            )
+        event = SuspicionEvent(
+            observer,
+            subject,
+            suspected,
+            now,
+            last_seen=self._last_seen[observer][subject],
         )
+        self.recorded += 1
+        self.events.append(event)
+        if suspected:
+            self._last_raised[observer, subject] = event
         if self.obs.enabled:
             self._m_suspicions.inc(suspected=suspected)
             self.obs.emit(
@@ -162,7 +172,7 @@ class HeartbeatFailureDetector:
         so the value stays correct after the subject heals and heartbeats
         refresh the live bookkeeping.
         """
-        for event in reversed(self.events):
-            if event.observer == observer and event.subject == subject and event.suspected:
-                return event.timestamp - event.last_seen
-        return None
+        event = self._last_raised.get((observer, subject))
+        if event is None:
+            return None
+        return event.timestamp - event.last_seen

@@ -70,6 +70,9 @@ class GroupMembershipService:
         self._weights: dict[NodeId, float] = {
             node: 1.0 for node in network.nodes
         }
+        # weight_fraction per member set of the current views; emptied
+        # whenever a view or a weight changes.
+        self._fractions: dict[frozenset[NodeId], float] = {}
         if weights:
             for node, weight in weights.items():
                 self.set_weight(node, weight)
@@ -114,6 +117,8 @@ class GroupMembershipService:
                 new = View(next(self._view_ids), current)
                 self._views[node] = new
                 changes.append((node, old, new))
+        if changes:
+            self._fractions = {}
         if self.obs.enabled:
             for node, old, new in changes:
                 self._m_view_changes.inc(node=node)
@@ -139,6 +144,7 @@ class GroupMembershipService:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self._weights[node] = float(weight)
+        self._fractions = {}
 
     def weight_of(self, nodes: Iterable[NodeId]) -> float:
         """Sum of weights of the given nodes."""
@@ -148,13 +154,21 @@ class GroupMembershipService:
         """Weight of the whole system."""
         return sum(self._weights.values())
 
+    def weight_fraction(self, members: frozenset[NodeId]) -> float:
+        """Weight of a view's ``members`` relative to the whole system."""
+        # One read of the memo: a reset racing this call then discards
+        # what it stores instead of keeping a stale answer.
+        fractions = self._fractions
+        fraction = fractions.get(members)
+        if fraction is None:
+            fraction = self.weight_of(members) / self.total_weight() if members else 0.0
+            fractions[members] = fraction
+        return fraction
+
     def partition_weight_fraction(self, node: NodeId) -> float:
         """Weight of ``node``'s partition relative to the whole system.
 
         This is the value the middleware exposes to the application for
         partition-sensitive constraint validation (§5.5.2).
         """
-        view = self.view_of(node)
-        if not view.members:
-            return 0.0
-        return self.weight_of(view.members) / self.total_weight()
+        return self.weight_fraction(self.view_of(node).members)

@@ -135,6 +135,8 @@ class ReplicationManager:
         self._protocol_overrides: dict[str, ReplicationProtocol] = {}
         self._update_records: list[UpdateRecord] = []
         self.conflicts_detected: list[ReplicaConflict] = []
+        # The refs of ``conflicts_detected``, kept in step with it.
+        self._conflicted_refs: set[ObjectRef] = set()
 
     # ------------------------------------------------------------------
     # registration
@@ -463,6 +465,16 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # staleness (CCMgr interface)
     # ------------------------------------------------------------------
+    def may_be_stale(self, node: NodeId) -> bool:
+        """Whether ``node``'s view lacks a node.
+
+        A view is the connected component of live nodes a node belongs
+        to, so one full view means every live node's view is full.  Every
+        replica node then lies inside the partition of whichever node
+        holds the entity, and every protocol answers "not stale" for it.
+        """
+        return self._is_degraded(self.gms.view_of(node).members)
+
     def is_possibly_stale(self, entity: Entity) -> bool:
         ref = entity.ref
         info = self._replicas.get(ref)
@@ -475,7 +487,7 @@ class ReplicationManager:
         )
 
     def had_replica_conflict(self, ref: ObjectRef) -> bool:
-        return any(conflict.ref == ref for conflict in self.conflicts_detected)
+        return ref in self._conflicted_refs
 
     # ------------------------------------------------------------------
     # reconciliation — replica phase (Fig. 4.6, upper half)
@@ -512,6 +524,7 @@ class ReplicationManager:
             if resolved is not None:
                 conflicts.append(resolved)
         self.conflicts_detected.extend(conflicts)
+        self._conflicted_refs.update(conflict.ref for conflict in conflicts)
         if self.obs.enabled and conflicts:
             self._m_conflicts.inc(len(conflicts))
             for conflict in conflicts:
@@ -534,12 +547,14 @@ class ReplicationManager:
         """
         if surviving_refs is None:
             self.conflicts_detected.clear()
+            self._conflicted_refs.clear()
             return
         self.conflicts_detected = [
             conflict
             for conflict in self.conflicts_detected
             if conflict.ref in surviving_refs
         ]
+        self._conflicted_refs.intersection_update(surviving_refs)
 
     # ------------------------------------------------------------------
     # internals

@@ -88,17 +88,25 @@ class ProcessStaleness:
     seen, every replica it reads is possibly stale — the CCMgr then
     degrades satisfaction degrees exactly as it does on the simulated
     backend when a write lands on a temporary primary.
+
+    The flag is also the CCMgr's staleness gate: the worker's cluster has
+    one node, so its membership view is always full and says nothing
+    about the peers.
     """
 
     def __init__(self) -> None:
         self.flag = False  # guarded-by: _mutex
 
-    def is_possibly_stale(self, entity: Any) -> bool:
+    def may_be_stale(self, node: Any) -> bool:
         # replint: ignore[CONC001] - lock-free bool read: on the process
         # backend every CCMgr entry point already holds WorkerNode._mutex;
         # the sim/asyncio backends call through CCMgr with no process
         # mutex in scope, so requiring it here statically is impossible.
         return self.flag
+
+    def is_possibly_stale(self, entity: Any) -> bool:
+        # One flag covers every replica the worker holds.
+        return self.may_be_stale(None)
 
 
 class WorkerNode:

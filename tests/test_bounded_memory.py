@@ -5,12 +5,15 @@ process — the persistence journal and each network's delivered-message
 list — and the rollback history of §4.3 kept every degraded write.  Here
 a run ten times as long must leave the heap where the short run left it,
 on the simulator and on the threaded transport, healthy and through
-partition → degraded writes → heal → reconcile cycles.  ``tracemalloc``
-counts live bytes; nothing is timed.
+partition → degraded writes → heal → reconcile cycles.  The system-mode
+history and the failure detector's suspicion log grew by about 1 KB per
+partition cycle each; they are a count plus a short tail too.
+``tracemalloc`` counts live bytes; nothing is timed.
 """
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -22,14 +25,16 @@ from repro.apps.flightbooking import (
 )
 from repro.cluster import ClusterConfig, DedisysCluster
 from repro.core import AcceptAllHandler
+from repro.core.system_mode import SystemMode, SystemModeTracker
+from repro.membership import GroupMembershipService, HeartbeatFailureDetector
+from repro.net import SimNetwork
 
 NODES = ("a", "b", "c")
 FLIGHTS = 4
 
 #: What ten times the work may add to the live heap.  With the logs in
 #: place 1,800 more healthy ops added 1.9–2.7 MB and nine more cycles
-#: 0.5–0.65 MB; without them it is 4–5 KB and 14 KB (a cycle still leaves
-#: ten ``ModeChange`` entries in the system-mode history).
+#: 0.5–0.65 MB; without them it is 4–5 KB and 14 KB.
 SLACK = 64 * 1024
 
 
@@ -102,4 +107,62 @@ def test_ten_times_the_work_leaves_the_heap_where_it_was(transport, workload, am
     assert long - short < SLACK, (
         f"{workload.__name__} x10 on {transport} grew the live heap by "
         f"{(long - short) / 1024:.0f} KiB ({short / 1024:.0f} -> {long / 1024:.0f})"
+    )
+
+
+def mode_cycles(network, count):
+    """Partition, heal and reconcile ``count`` times under a mode tracker;
+    each cycle is three transitions per node."""
+    tracker = SystemModeTracker(GroupMembershipService(network), network.scheduler.clock)
+    entered = Counter()
+    tracker.add_listener(lambda change: entered.update((change.current,)))
+    for _ in range(count):
+        network.partition({"a"}, {"b", "c"})
+        network.heal_all()
+        tracker.finish_reconciliation(frozenset(NODES), clean=True)
+    assert set(entered.values()) == {len(NODES) * count}
+    assert tracker.history("a")[-1].current is SystemMode.HEALTHY
+    return tracker
+
+
+def suspicion_cycles(network, count):
+    """Partition and heal ``count`` times under a heartbeat detector; each
+    cycle raises and clears four suspicions."""
+    detector = HeartbeatFailureDetector(network)
+    events = Counter()
+    detector.add_listener(lambda observer, subject, suspected: events.update((suspected,)))
+    detector.run_for(2.0)
+    for _ in range(count):
+        network.partition({"a"}, {"b", "c"})
+        detector.run_for(3.0)
+        network.heal_all()
+        detector.run_for(3.0)
+    assert events == {True: 4 * count, False: 4 * count}
+    assert detector.timeout < detector.detection_latency("a", "b") <= (
+        detector.timeout + detector.period
+    )
+    return detector
+
+
+@pytest.mark.parametrize("workload", [mode_cycles, suspicion_cycles])
+def test_partition_cycles_leave_the_membership_logs_bounded(workload):
+    """Mode changes and suspicion events are a count plus a short tail."""
+
+    def growth(count):
+        tracemalloc.start()
+        try:
+            network = SimNetwork(NODES)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            kept = workload(network, count)
+            gc.collect()
+            assert kept is not None
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    short, long = growth(10), growth(100)
+    assert long - short < SLACK // 4, (
+        f"{workload.__name__}: 90 more cycles grew the live heap by "
+        f"{(long - short) / 1024:.0f} KiB"
     )

@@ -55,13 +55,16 @@ class FakeGms:
     def view_of(self, node):
         return FakeGms._View(self.visible)
 
-    def partition_weight_fraction(self, node):
+    def weight_fraction(self, members):
         return self.weight
 
 
 class FakeStaleness:
     def __init__(self, stale=False):
         self.stale = stale
+
+    def may_be_stale(self, node):
+        return self.stale
 
     def is_possibly_stale(self, entity):
         return self.stale

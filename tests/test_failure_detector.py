@@ -3,6 +3,7 @@
 import pytest
 
 from repro.membership import HeartbeatFailureDetector
+from repro.membership.failure_detector import EVENT_TAIL
 from repro.net import SimNetwork
 
 NODES = ("a", "b", "c")
@@ -112,6 +113,24 @@ class TestDetection:
         after_heal = detector.detection_latency("a", "b")
         assert after_heal == before_heal
         assert after_heal > 0
+
+    def test_detection_latency_outlives_the_event_tail(self):
+        # The retained events are a short tail; the latency of a
+        # suspicion older than the tail is still answered.
+        network, detector = make_detector(period=0.5, timeout=1.6)
+        detector.run_for(2.0)
+        network.crash_node("b")
+        detector.run_for(4.0)
+        latency = detector.detection_latency("a", "b")
+        for _ in range(10):  # four more events per cycle, b still down
+            network.fail_link("a", "c")
+            detector.run_for(3.0)
+            network.heal_link("a", "c")
+            detector.run_for(3.0)
+        assert detector.recorded == 2 + 10 * 4
+        assert len(detector.events) == EVENT_TAIL
+        assert all(event.subject != "b" for event in detector.events)
+        assert detector.detection_latency("a", "b") == latency
 
     def test_suspicion_events_snapshot_last_seen(self):
         network, detector = make_detector(period=0.5, timeout=1.6)

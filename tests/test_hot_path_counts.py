@@ -16,10 +16,17 @@ import repro.objects.entity
 import repro.persistence.store
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
-from repro.core import AcceptAllHandler
+from repro.core import (
+    AcceptAllHandler,
+    ConstraintType,
+    PredicateConstraint,
+    SatisfactionDegree,
+)
+from repro.core.metadata import AffectedMethod, ConstraintRegistration
 from repro.net.topology import Topology
 from repro.objects import ObjectRef
 from repro.objects.values import copy_value
+from repro.replication.manager import ReplicationManager
 
 NODES = ("n1", "n2", "n3")
 
@@ -96,6 +103,76 @@ def test_degraded_writes_deep_copy_nothing_either(counted):
             )
     assert sum(store.stored_records() for store in cluster.threat_stores.values()) > 0
     assert deep.call_count == 0
+
+
+class CountedViews:
+    """The CCMgr's view of the GMS, counting the views it reads."""
+
+    def __init__(self, gms):
+        self._gms = gms
+        self.reads = 0
+
+    def view_of(self, node):
+        self.reads += 1
+        return self._gms.view_of(node)
+
+    def __getattr__(self, name):
+        return getattr(self._gms, name)
+
+
+def test_a_healthy_invocation_reads_one_view_per_notification_and_asks_no_entity(
+    counted, monkeypatch
+):
+    """Three validations, two notifications: the view is read once per
+    notification, and a full view asks no entity whether it is stale."""
+    cluster, ref, copies, deep, searches = counted
+    sell = (AffectedMethod("Flight", "sell_tickets"),)
+    cluster.register_constraint(
+        ConstraintRegistration(
+            PredicateConstraint(
+                "PositiveCount",
+                lambda ctx: ctx.get_method_arguments()[0] > 0,
+                constraint_type=ConstraintType.PRECONDITION,
+            ),
+            sell,
+        )
+    )
+    cluster.register_constraint(
+        ConstraintRegistration(
+            PredicateConstraint(
+                "HasSeats", lambda ctx: ctx.get_context_object().get_seats() > 0
+            ),
+            sell,
+        )
+    )
+    cluster.invoke("n1", ref, "sell_tickets", 1)  # warm the new registrations
+    views = {node: CountedViews(cluster.gms) for node in NODES}
+    for node, ccmgr in cluster.ccmgrs.items():
+        monkeypatch.setattr(ccmgr, "gms", views[node])
+    asked = Mock(wraps=ReplicationManager.is_possibly_stale)
+    monkeypatch.setattr(
+        ReplicationManager, "is_possibly_stale", lambda self, entity: asked(self, entity)
+    )
+    for node in NODES:
+        validations = sum(ccmgr.stats["validations"] for ccmgr in cluster.ccmgrs.values())
+        cluster.invoke(node, ref, "sell_tickets", 1)
+        after = sum(ccmgr.stats["validations"] for ccmgr in cluster.ccmgrs.values())
+        assert after - validations == 3
+    assert [views[node].reads for node in NODES] == [2 * len(NODES), 0, 0]
+    assert asked.call_count == 0
+
+
+def test_a_degraded_invocation_still_asks_every_entity(counted, monkeypatch):
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1"}, {"n2", "n3"})
+    asked = Mock(wraps=ReplicationManager.is_possibly_stale)
+    monkeypatch.setattr(
+        ReplicationManager, "is_possibly_stale", lambda self, entity: asked(self, entity)
+    )
+    cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=AcceptAllHandler())
+    assert asked.call_count == 1
+    (threat,) = cluster.threat_stores["n2"].pending()
+    assert threat.degree is SatisfactionDegree.POSSIBLY_SATISFIED
 
 
 def test_healthy_ops_make_no_object_refs(counted, monkeypatch):

@@ -161,3 +161,15 @@ class TestWeights:
 
     def test_weight_of(self, gms):
         assert gms.weight_of(["a", "b"]) == 2.0
+
+    def test_a_fraction_follows_weight_and_view_changes(self, network, gms):
+        # weight_fraction remembers its answers; a new weight or a new
+        # view must not be answered from memory.
+        assert gms.partition_weight_fraction("a") == 1.0
+        network.partition({"a"}, {"b", "c", "d"})
+        assert gms.partition_weight_fraction("a") == 0.25
+        gms.set_weight("a", 5.0)
+        assert gms.partition_weight_fraction("a") == 5.0 / 8.0
+        assert gms.partition_weight_fraction("b") == 3.0 / 8.0
+        network.heal_all()
+        assert gms.partition_weight_fraction("b") == 1.0

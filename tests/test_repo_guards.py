@@ -6,8 +6,10 @@ test suite does.  One guard per replaced mechanism: ``replication/`` and
 counter counts topology changes, the GMS is the topology's one
 subscriber, and the constraint phase of reconciliation exists once; a
 package ``__init__`` re-exports through the one helper of ``repro._lazy``;
-and no module runs an event loop — a process-backend worker serves each
-frame on its connection's own thread, with no executor hop.
+no module runs an event loop — a process-backend worker serves each
+frame on its connection's own thread, with no executor hop; and the
+CCMgr reads its membership view once per notification, asking about
+staleness per entity only behind the provider's gate.
 """
 
 import ast
@@ -73,3 +75,38 @@ def test_the_helper_holds_the_only_module_getattr():
 def test_no_event_loop_and_no_executor_hop_in_the_worker():
     assert matches(r"^\s*(import|from) asyncio") == []
     assert matches(r"ThreadPoolExecutor|run_in_executor", "transport/procnode.py") == []
+
+
+def test_the_ccmgr_reads_its_view_in_one_helper_and_asks_staleness_behind_the_gate():
+    """No per-validation ``is_degraded()`` / ``partition_weight()``: only
+    ``_environment`` reads the membership view or asks the staleness gate,
+    and ``is_possibly_stale`` is asked only inside ``if stale_gate:``."""
+    view_reads = {
+        "view_of", "weight_fraction", "partition_weight_fraction", "may_be_stale",
+        "is_degraded", "partition_weight",
+    }
+    calls: list[tuple[str, str, bool]] = []  # (function, called name, gated)
+
+    def visit(node: ast.AST, function: str, gated: bool) -> None:
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "stale_gate":
+            for child in node.body:
+                visit(child, function, True)
+            for child in node.orelse:
+                visit(child, function, gated)
+            return
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            calls.append((function, node.func.attr, gated))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, gated)
+
+    visit(ast.parse((SRC / "core" / "ccmgr.py").read_text()), "<module>", False)
+    readers = {(function, name) for function, name, _ in calls if name in view_reads}
+    assert readers == {
+        ("_environment", "view_of"),
+        ("_environment", "weight_fraction"),
+        ("_environment", "may_be_stale"),
+    }
+    asked = [(function, gated) for function, name, gated in calls if name == "is_possibly_stale"]
+    assert asked == [("_validate", True)]

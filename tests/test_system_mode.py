@@ -9,7 +9,7 @@ from repro.apps.flightbooking import (
     ticket_constraint_registration,
 )
 from repro.core import AcceptAllHandler
-from repro.core.system_mode import SystemMode, SystemModeTracker
+from repro.core.system_mode import HISTORY_TAIL, SystemMode, SystemModeTracker
 from repro.membership import GroupMembershipService
 from repro.net import SimNetwork
 from repro.sim import SimClock
@@ -91,6 +91,19 @@ class TestTrackerStandalone:
             SystemMode.DEGRADED,
             SystemMode.RECONCILIATION,
         ]
+
+    def test_history_keeps_a_tail_and_counts_every_transition(self):
+        network = SimNetwork(NODES)
+        gms = GroupMembershipService(network)
+        tracker = SystemModeTracker(gms, network.scheduler.clock)
+        for _ in range(20):
+            network.partition({"a"}, {"b", "c"})
+            network.heal_all()
+            tracker.finish_reconciliation(frozenset(NODES), clean=True)
+        assert tracker.transitions == 20 * 3 * len(NODES)
+        history = tracker.history()
+        assert len(history) == HISTORY_TAIL
+        assert [change.current for change in history[-3:]] == [SystemMode.HEALTHY] * 3
 
     def test_listeners_notified(self):
         network = SimNetwork(NODES)
