@@ -41,7 +41,7 @@ from .core import (
 )
 from .core.system_mode import SystemMode, SystemModeTracker
 from .faults import FaultInjector, ResilienceConfig, ResilienceInterceptor
-from .membership import GroupMembershipService
+from .membership import topology_gms
 from .net import GroupChannel, Message, NodeCrashedError, NodeId, SimNetwork
 from .objects import (
     ContainerInvoker,
@@ -150,7 +150,7 @@ class DedisysCluster:
         self.ledger = self.network.ledger
         if self.config.fault_injector is not None:
             self.network.install_fault_injector(self.config.fault_injector)
-        self.gms = GroupMembershipService(self.network, self.config.node_weights)
+        self.gms = topology_gms(self.network, self.config.node_weights)
         self.mode_tracker = SystemModeTracker(self.gms, self.clock)
         self.channel = self.transport.make_channel()
         self.txmgr = TransactionManager(obs=self.obs)

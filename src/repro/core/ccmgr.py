@@ -201,7 +201,7 @@ class ConstraintConsistencyManager:
         members = self.gms.view_of(node_id).members
         return _Environment(
             self.gms.weight_fraction(members),
-            len(members) < len(self.gms.network.nodes),
+            len(members) < len(self.gms.nodes),
             stale_gate,
         )
 

@@ -58,12 +58,9 @@ class SystemModeTracker:
         self.transitions = 0
         self._history: deque[ModeChange] = deque(maxlen=HISTORY_TAIL)
         self._listeners: list[ModeListener] = []
-        total = len(gms.network.nodes)
-        for node in gms.network.nodes:
-            view = gms.view_of(node)
-            self._modes[node] = (
-                SystemMode.HEALTHY if len(view) == total else SystemMode.DEGRADED
-            )
+        for node in gms.nodes:
+            full = len(gms.view_of(node)) == len(gms.nodes)
+            self._modes[node] = SystemMode.HEALTHY if full else SystemMode.DEGRADED
         gms.add_listener(self._on_view_change)
 
     # ------------------------------------------------------------------
@@ -86,17 +83,14 @@ class SystemModeTracker:
     # transitions
     # ------------------------------------------------------------------
     def _on_view_change(self, node: NodeId, old: View, new: View) -> None:
-        total = len(self.gms.network.nodes)
-        if len(new.members) < total:
+        if len(new) < len(self.gms.nodes):
             # Node/link failures present (or this node crashed): degraded.
             self._transition(node, SystemMode.DEGRADED)
-        else:
-            current = self._modes[node]
-            if current is SystemMode.DEGRADED:
-                # Failures repaired; inconsistencies must be cleaned up
-                # before the node counts as healthy again (Fig. 1.4 puts
-                # the reconciliation phase between degraded and healthy).
-                self._transition(node, SystemMode.RECONCILIATION)
+        elif self._modes[node] is SystemMode.DEGRADED:
+            # Failures repaired; inconsistencies must be cleaned up before
+            # the node counts as healthy again (Fig. 1.4 puts the
+            # reconciliation phase between degraded and healthy).
+            self._transition(node, SystemMode.RECONCILIATION)
 
     def begin_reconciliation(self, nodes: frozenset[NodeId]) -> None:
         """The reconciliation manager started cleaning up."""
@@ -113,10 +107,8 @@ class SystemModeTracker:
         responsibility, §4.4) unless new failures put them back into
         degraded mode.
         """
-        total = len(self.gms.network.nodes)
         for node in nodes:
-            view = self.gms.view_of(node)
-            if len(view.members) < total:
+            if len(self.gms.view_of(node)) < len(self.gms.nodes):
                 self._transition(node, SystemMode.DEGRADED)
             elif clean:
                 self._transition(node, SystemMode.HEALTHY)

@@ -3,11 +3,11 @@
 The GMS of the prototype sits on a group-communication toolkit whose
 failure detector needs *time* to suspect a crashed or disconnected node —
 failures are not known instantaneously.  While
-:class:`~repro.membership.gms.GroupMembershipService` derives views from
-ground-truth connectivity (sufficient for the Chapter-5 experiments, which
+:class:`~repro.membership.gms.GroupMembershipService` learns of a
+topology change at once (sufficient for the Chapter-5 experiments, which
 inject failures explicitly), this detector models the detection process
-itself: every node multicasts heartbeats on a period; a node that missed
-``timeout`` worth of heartbeats becomes *suspected*.
+itself: every node multicasts heartbeats on a period to what it reaches;
+a node that missed ``timeout`` worth of heartbeats becomes *suspected*.
 
 Because node and link failures cannot be differentiated when they occur
 (§1.1, [FLP85]), a suspicion says only "unreachable" — whether the node
@@ -23,6 +23,7 @@ from typing import Callable
 from ..net import NodeId, SimNetwork
 from ..obs import ensure_obs
 from ..sim import Scheduler
+from .sim_adapter import reach_sets
 
 SuspicionListener = Callable[[NodeId, NodeId, bool], None]
 """Callback ``(observer, subject, suspected)``."""
@@ -116,19 +117,16 @@ class HeartbeatFailureDetector:
         if not self._running:
             return
         now = self.scheduler.clock.now
-        # Heartbeat exchange: reachability is evaluated per pair; crashed
-        # senders emit nothing.
-        for sender in self.network.nodes:
-            if self.network.is_crashed(sender):
-                continue
-            for receiver in self.network.nodes:
-                if receiver == sender or self.network.is_crashed(receiver):
-                    continue
-                if self.network.reachable(sender, receiver):
+        reach = reach_sets(self.network)
+        # Heartbeat exchange: every other node a sender reaches hears it;
+        # a crashed node reaches nothing, so it neither sends nor hears.
+        for sender, receivers in reach.items():
+            for receiver in receivers:
+                if receiver != sender:
                     self._last_seen[receiver][sender] = now
-        # Suspicion evaluation.
-        for observer in self.network.nodes:
-            if self.network.is_crashed(observer):
+        # Suspicion evaluation; a crashed observer evaluates nothing.
+        for observer, reached in reach.items():
+            if not reached:
                 continue
             for subject, seen in self._last_seen[observer].items():
                 overdue = (now - seen) > self.timeout

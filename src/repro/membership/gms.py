@@ -1,11 +1,12 @@
 """Group membership service (GMS).
 
 Detects node and link failures as well as re-joins after recovery or
-network reunification (§4.1) by watching the simulated network's topology.
-Each live node perceives a *view*: the set of nodes in its partition.  When
-a node's view changes, registered listeners are notified with the old and
-new views — the replication service uses the "new nodes joined" case to
-start the reconciliation phase (Fig. 4.6).
+network reunification (§4.1) from its substrate's reachability reports,
+"node X reaches the set S".  Each live node perceives a *view*: the set
+of nodes in its partition.  When a node's view changes, registered
+listeners are notified with the old and new views — the replication
+service uses the "new nodes joined" case to start the reconciliation
+phase (Fig. 4.6).
 
 The GMS also supports the weighted-partition mechanism of §5.5.2: nodes can
 be assigned weights and any component can ask for the weight fraction of
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from ..net import NodeId, SimNetwork
+from ..net import NodeId
 from ..obs import ensure_obs
 
 ViewListener = Callable[[NodeId, "View", "View"], None]
@@ -48,39 +49,33 @@ class View:
 
 
 class GroupMembershipService:
-    """Derives per-node views from network connectivity."""
+    """Per-node views; every node starts in one view of all ``nodes``."""
 
     def __init__(
         self,
-        network: SimNetwork,
+        nodes: Iterable[NodeId],
         weights: Mapping[NodeId, float] | None = None,
         obs: "object | None" = None,
     ) -> None:
-        self.network = network
-        self.obs = ensure_obs(obs) if obs is not None else network.obs
+        self.obs = ensure_obs(obs)
         self._m_view_changes = self.obs.registry.counter(
             "gms_view_changes_total", "per-node membership view changes"
         )
         self._view_ids = itertools.count(1)
-        # Topology changes seen so far: the partition epoch that update
-        # records and reconciliation reports are stamped with.
+        # Reports taken so far: the partition epoch that update records
+        # and reconciliation reports are stamped with.
         self.epoch = 0
-        self._views: dict[NodeId, View] = {}
+        self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self._listeners: list[ViewListener] = []
-        self._weights: dict[NodeId, float] = {
-            node: 1.0 for node in network.nodes
-        }
+        self._weights: dict[NodeId, float] = dict.fromkeys(self.nodes, 1.0)
         # weight_fraction per member set of the current views; emptied
-        # whenever a view or a weight changes.
+        # whenever a view, a weight or the node set changes.
         self._fractions: dict[frozenset[NodeId], float] = {}
         if weights:
             for node, weight in weights.items():
                 self.set_weight(node, weight)
-        for node in network.nodes:
-            self._views[node] = View(
-                next(self._view_ids), network.partition_of(node)
-            )
-        network.on_topology_change(self.refresh)
+        everyone = frozenset(self.nodes)
+        self._views = {node: View(next(self._view_ids), everyone) for node in self.nodes}
 
     # ------------------------------------------------------------------
     # views
@@ -102,19 +97,27 @@ class GroupMembershipService:
         """Register a view-change listener ``(node, old, new) -> None``."""
         self._listeners.append(listener)
 
-    def refresh(self) -> list[tuple[NodeId, View, View]]:
-        """Recompute all views; notify listeners of changes.
+    def observe(
+        self, reach: Mapping[NodeId, frozenset[NodeId]]
+    ) -> list[tuple[NodeId, View, View]]:
+        """Take one report, possibly partial: ``node`` reaches ``reach[node]``.
 
-        Returns the list of ``(node, old_view, new_view)`` changes so tests
-        can assert on exactly what happened.
+        Bumps :attr:`epoch` once and notifies listeners of each changed
+        view; a node first named here joins :attr:`nodes` at weight 1.0
+        with an empty view.  Returns the ``(node, old_view, new_view)``
+        changes so tests can assert on exactly what happened.
         """
         self.epoch += 1
+        for node in sorted(set(itertools.chain(reach, *reach.values())) - self._weights.keys()):
+            self.nodes += (node,)
+            self._weights[node] = 1.0
+            self._views[node] = View(next(self._view_ids), frozenset())
+            self._fractions = {}
         changes: list[tuple[NodeId, View, View]] = []
-        for node in self.network.nodes:
-            current = self.network.partition_of(node)
+        for node, members in reach.items():
             old = self._views[node]
-            if current != old.members:
-                new = View(next(self._view_ids), current)
+            if members != old.members:
+                new = View(next(self._view_ids), frozenset(members))
                 self._views[node] = new
                 changes.append((node, old, new))
         if changes:
@@ -139,7 +142,7 @@ class GroupMembershipService:
     # ------------------------------------------------------------------
     def set_weight(self, node: NodeId, weight: float) -> None:
         """Assign a weight to a server node (Gifford-style, §5.5.2)."""
-        if node not in self.network.nodes:
+        if node not in self._weights:
             raise KeyError(f"unknown node {node!r}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")

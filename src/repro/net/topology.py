@@ -57,7 +57,7 @@ class Topology:
     def on_topology_change(self, listener: Callable[[], None]) -> None:
         """Register a callback fired after any failure/heal event.
 
-        The group membership service subscribes here to recompute views.
+        The sim adapter subscribes here to report reach sets to the GMS.
         """
         self._topology_listeners.append(listener)
 
@@ -81,7 +81,7 @@ class Topology:
         """Repair the link between ``a`` and ``b``.
 
         A redundant heal of a healthy link changes nothing and therefore
-        notifies nobody — no spurious GMS view recomputations.
+        notifies nobody — no spurious reports to the GMS.
         """
         link = frozenset((a, b))
         if link not in self._failed_links:

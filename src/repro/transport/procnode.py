@@ -8,6 +8,12 @@ Each worker hosts a *single-node* :class:`~repro.cluster.DedisysCluster`
 a re-implementation — and bridges it to its peers with the frame
 protocol from :mod:`repro.transport.frames`:
 
+* a worker's liveness *is* its cluster's membership view: each frame
+  exchange with a peer — every real write and every probe
+  (``--probe-interval``), not reads — reports to the cluster's GMS
+  whether the peer answered, so the one-node cluster's view names the
+  peers it reaches; routing, the ``status`` frame and the staleness gate
+  read it;
 * the first node in sorted order (or ``--primary``) is the designated
   primary; other workers forward writes to it (P4, §4.1);
 * when the primary is unreachable the receiving worker becomes the
@@ -27,9 +33,7 @@ protocol from :mod:`repro.transport.frames`:
   connect, or as an error/timeout mid-exchange — all of which mean
   "unreachable" here; a request is never re-sent, and a forward read
   after its sender gave up is refused (:class:`ForwardExpired`), so a
-  forwarded write is applied at most once.  Liveness is refreshed by
-  every real write and by the probe loop (``--probe-interval``), not by
-  reads;
+  forwarded write is applied at most once;
 * the driver (:mod:`repro.transport.proccluster`) reconciles by
   ``state-dump`` → merge → ``state-apply`` → ``revalidate``; the
   revalidation step *is* the worker cluster's
@@ -87,26 +91,22 @@ class ProcessStaleness:
     While this worker serves writes the designated primary should have
     seen, every replica it reads is possibly stale — the CCMgr then
     degrades satisfaction degrees exactly as it does on the simulated
-    backend when a write lands on a temporary primary.
-
-    The flag is also the CCMgr's staleness gate: the worker's cluster has
-    one node, so its membership view is always full and says nothing
-    about the peers.
+    backend when a write lands on a temporary primary.  The gate is the
+    flag or, as for ``ReplicationManager``, a view that lacks a node.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, gms: Any) -> None:
+        self.gms = gms
         self.flag = False  # guarded-by: _mutex
 
     def may_be_stale(self, node: Any) -> bool:
-        # replint: ignore[CONC001] - lock-free bool read: on the process
-        # backend every CCMgr entry point already holds WorkerNode._mutex;
-        # the sim/asyncio backends call through CCMgr with no process
-        # mutex in scope, so requiring it here statically is impossible.
-        return self.flag
+        view = self.gms.view_of(node)
+        return self.is_possibly_stale(None) or len(view) < len(self.gms.nodes)
 
     def is_possibly_stale(self, entity: Any) -> bool:
-        # One flag covers every replica the worker holds.
-        return self.may_be_stale(None)
+        # One flag covers every replica the worker holds; every CCMgr
+        # entry point on a worker already holds WorkerNode._mutex.
+        return self.flag
 
 
 class WorkerNode:
@@ -121,10 +121,6 @@ class WorkerNode:
         self.port = port
         self.peers = peers
         self.primary = primary or min([name, *peers])
-        self.staleness = ProcessStaleness()
-        # Copy-on-write: _set_peer_up replaces the dict wholesale, so
-        # lock-free readers always see a coherent liveness snapshot.
-        self.peer_up = {peer: True for peer in peers}  # guarded-by: _mutex
         # Objects whose current state a peer's replica frame wrote, and
         # which peer: this copy is that peer's mirror, so a merge must
         # not count both.  Any state written here clears the entry.
@@ -132,6 +128,9 @@ class WorkerNode:
         self.cluster = DedisysCluster(ClusterConfig(node_ids=(name,)))
         self.cluster.deploy(Flight)
         self.cluster.register_constraint(ticket_constraint_registration())
+        # The peers start in the view, as every node of a deployment does.
+        self.cluster.gms.observe({name: frozenset([name, *peers])})
+        self.staleness = ProcessStaleness(self.cluster.gms)
         for ccmgr in self.cluster.ccmgrs.values():
             ccmgr.staleness = self.staleness
         # Guards all cluster access; never held across a network call.
@@ -140,9 +139,9 @@ class WorkerNode:
         # Open inbound connections, hung up on shutdown.
         self._inbound_lock = threading.Lock()
         self._inbound: set[socket.socket] = set()  # guarded-by: _inbound_lock
-        # Immutable snapshot served by handle_status without the mutex;
-        # rebuilt (never mutated) by _publish_status_locked under _mutex
-        # after every state change the status answer can observe.
+        # Immutable snapshot handle_status serves without the mutex, which
+        # a handler mid-mutation holds; replaced, never mutated, by
+        # _publish_status_locked after every change the answer can observe.
         self._published: dict[str, Any] = {}  # guarded-by: _mutex
         with self._mutex:
             self._publish_status_locked()
@@ -154,22 +153,14 @@ class WorkerNode:
     def is_primary(self) -> bool:
         return self.name == self.primary
 
-    @property
-    def degraded(self) -> bool:
-        return self.staleness.flag or not all(self.peer_up.values())
-
     def _publish_status_locked(self) -> None:
-        """Rebuild the status snapshot; every caller holds ``_mutex``.
-
-        ``handle_status`` must answer while another connection's handler
-        holds the mutex, so it does not take it — it reads this immutable
-        dict instead, which is replaced (never mutated) here.
-        """
+        """Rebuild the status snapshot; every caller holds ``_mutex``."""
         store = self.cluster.threat_stores[self.name]
+        members = self.cluster.gms.view_of(self.name).members
         self._published = {
-            "degraded": self.degraded,
+            "degraded": self.staleness.may_be_stale(self.name),
             "temp_primary": self.staleness.flag,
-            "peer_up": dict(sorted(self.peer_up.items())),
+            "peer_up": {peer: peer in members for peer in sorted(self.peers)},
             "threats": store.count_identities(),
             "stored": store.stored_records(),
         }
@@ -180,31 +171,25 @@ class WorkerNode:
     def _entity(self, ref: ObjectRef) -> Any:
         return self.cluster.entity_on(self.name, ref)
 
-    def _set_peer_up(self, peer: str, up: bool) -> None:
-        """Record peer liveness: copy-on-write rebuild under the mutex.
-
-        Taken *after* the network call returns, so the mutex is still
-        never held across a frame exchange.  The common case — the peer
-        is as alive as it was — changes nothing the status snapshot
-        shows, so it rebuilds nothing.
-        """
-        with self._mutex:
-            if self.peer_up.get(peer) == up:
-                return
-            self.peer_up = {**self.peer_up, peer: up}
-            self._publish_status_locked()
-
     def _peer_request(self, peer: str, payload: dict[str, Any]) -> dict[str, Any] | None:
-        """Frame exchange with a peer; ``None`` marks it unreachable."""
+        """Frame exchange with a peer; ``None`` marks it unreachable.
+
+        Reports to the cluster's GMS only an outcome that moves the peer
+        into or out of the view, under the mutex taken *after* the
+        exchange returns — never across one.
+        """
         host, port = self.peers[peer]
         try:
             reply = frames.request(host, port, payload, timeout=PEER_TIMEOUT)
         except (OSError, frames.FrameError):
             reply = None
-        if reply is None or reply.get("error") == ForwardExpired.__name__:
-            self._set_peer_up(peer, False)
-            return None
-        self._set_peer_up(peer, True)
+        if reply is not None and reply.get("error") == ForwardExpired.__name__:
+            reply = None
+        with self._mutex:
+            members = self.cluster.gms.view_of(self.name).members
+            if (peer in members) != (reply is not None):
+                self.cluster.gms.observe({self.name: members ^ {peer}})
+                self._publish_status_locked()
         return reply
 
     @staticmethod
@@ -279,39 +264,35 @@ class WorkerNode:
             # unchanged version (a read) has nothing to tell them.
             self._propagate("replica-update", ref, state, version)
         with self._mutex:
-            # Degradation state and the threat count must come from one
-            # coherent view — reading them outside the mutex could pair a
-            # pre-promotion flag with a post-promotion threat count.
-            store = self.cluster.threat_stores[self.name]
-            threats = store.count_identities()
-            degraded = self.degraded
+            # One snapshot: read apart, a pre-promotion flag could pair
+            # with a post-promotion threat count.
             self._publish_status_locked()
+            status = self._published
         return {
             "ok": True,
             "result": result,
             "served_by": self.name,
-            "degraded": degraded,
-            "threats": threats,
+            "degraded": status["degraded"],
+            "threats": status["threats"],
         }
 
     def _forward_to_acting_primary(self, payload: dict[str, Any]) -> dict[str, Any] | None:
         """Route a write to the acting primary; ``None`` = serve locally.
 
         P4 elects exactly one temporary primary per partition.  The
-        deterministic choice is the lowest node id among the nodes this
-        worker believes alive: first the designated primary, then each
-        live lower-id peer.  Only when every one of them is unreachable
+        deterministic choice is the lowest node id among the nodes in this
+        worker's view: first the designated primary, then each lower-id
+        peer in the view.  Only when every one of them is unreachable
         does this worker promote itself — flipping the staleness flag so
         the CCMgr degrades until the driver reconciles (§4.1).
         """
-        # replint: ignore[CONC001] - atomic snapshot read: peer_up is
-        # rebuilt copy-on-write under _mutex, and routing on liveness a
-        # probe is about to refresh is inherently best-effort anyway.
-        alive = self.peer_up
+        # Lock-free: routing on a view a probe may be about to change is
+        # best-effort anyway.
+        members = self.cluster.gms.view_of(self.name).members
         candidates = [self.primary] + [
             peer
             for peer in sorted(self.peers)
-            if peer < self.name and peer != self.primary and alive.get(peer, False)
+            if peer < self.name and peer != self.primary and peer in members
         ]
         for candidate in candidates:
             # Waited for as long as any peer frame; a write passed on a
@@ -445,16 +426,10 @@ class WorkerNode:
     # liveness (never takes the mutex)
     # ------------------------------------------------------------------
     def handle_status(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Answer from the published snapshot — never touch the cluster.
-
-        Another connection's handler may be mid-mutation under
-        ``_mutex``; reading the threat store or liveness dicts directly
-        would race it (an earlier implementation did exactly that).  The
-        snapshot is an immutable dict replaced under ``_mutex``, so the
-        lone reference read below is atomic and coherent.
-        """
+        """Answer from the published snapshot, never from the cluster:
+        another connection's handler may be mid-mutation under ``_mutex``."""
         # replint: ignore[CONC001] - atomic reference read of the
-        # immutable snapshot published under _mutex; see docstring.
+        # immutable snapshot published under _mutex.
         published = self._published
         return {
             "ok": True,

@@ -7,13 +7,17 @@ a run ten times as long must leave the heap where the short run left it,
 on the simulator and on the threaded transport, healthy and through
 partition → degraded writes → heal → reconcile cycles.  The system-mode
 history and the failure detector's suspicion log grew by about 1 KB per
-partition cycle each; they are a count plus a short tail too.
+partition cycle each; they are a count plus a short tail too.  A
+process-backend worker's liveness is its cluster's membership view, so
+peers that come and go change views there, and its replication manager,
+which never runs a replica phase, must not keep degraded-mode records.
 ``tracemalloc`` counts live bytes; nothing is timed.
 """
 
 import gc
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -26,8 +30,10 @@ from repro.apps.flightbooking import (
 from repro.cluster import ClusterConfig, DedisysCluster
 from repro.core import AcceptAllHandler
 from repro.core.system_mode import SystemMode, SystemModeTracker
-from repro.membership import GroupMembershipService, HeartbeatFailureDetector
+from repro.membership import HeartbeatFailureDetector, topology_gms
 from repro.net import SimNetwork
+from repro.transport import frames
+from repro.transport.procnode import WorkerNode
 
 NODES = ("a", "b", "c")
 FLIGHTS = 4
@@ -113,7 +119,7 @@ def test_ten_times_the_work_leaves_the_heap_where_it_was(transport, workload, am
 def mode_cycles(network, count):
     """Partition, heal and reconcile ``count`` times under a mode tracker;
     each cycle is three transitions per node."""
-    tracker = SystemModeTracker(GroupMembershipService(network), network.scheduler.clock)
+    tracker = SystemModeTracker(topology_gms(network), network.scheduler.clock)
     entered = Counter()
     tracker.add_listener(lambda change: entered.update((change.current,)))
     for _ in range(count):
@@ -165,4 +171,43 @@ def test_partition_cycles_leave_the_membership_logs_bounded(workload):
     assert long - short < SLACK // 4, (
         f"{workload.__name__}: 90 more cycles grew the live heap by "
         f"{(long - short) / 1024:.0f} KiB"
+    )
+
+
+def test_peer_flaps_on_a_worker_leave_no_degraded_history_and_the_heap_flat():
+    """Each flap is a write on the primary worker while both its peers have
+    just gone down or come back: the write's propagation reports them."""
+    attrs = {"flight_number": "F1", "seats": 10**6, "sold": 0}
+    sale = {"kind": "invoke", "cls": "Flight", "oid": "F1", "method": "sell_tickets", "args": [1]}
+
+    peers_down = [False]
+
+    def request(*args, **kwargs):  # a Mock would keep every call
+        if peers_down[0]:
+            raise OSError("refused")
+        return {"ok": True}
+
+    def growth(flaps):
+        tracemalloc.start()
+        try:
+            worker = WorkerNode("a", port=0, peers={"b": ("127.0.0.1", 1), "c": ("127.0.0.1", 2)})
+            with mock.patch.object(frames, "request", request):
+                worker.handle_create({"cls": "Flight", "oid": "F1", "attrs": attrs})
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                epoch = worker.cluster.gms.epoch
+                for index in range(flaps):
+                    peers_down[0] = index % 2 == 0
+                    assert worker.handle_invoke(sale)["degraded"] is peers_down[0]
+                peers_down[0] = False
+            assert worker.cluster.gms.epoch == epoch + 2 * flaps
+            assert worker.cluster.replication.pending_update_records() == []
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    short, long = growth(100), growth(1000)
+    assert long - short < SLACK // 4, (
+        f"900 more peer flaps grew a worker's live heap by {(long - short) / 1024:.0f} KiB"
     )

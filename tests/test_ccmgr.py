@@ -43,12 +43,8 @@ class FakeGms:
         def __init__(self, members):
             self.members = frozenset(members)
 
-    class _Network:
-        def __init__(self, nodes):
-            self.nodes = nodes
-
     def __init__(self, all_nodes=("n1", "n2"), visible=("n1", "n2"), weight=1.0):
-        self.network = FakeGms._Network(tuple(all_nodes))
+        self.nodes = tuple(all_nodes)
         self.visible = tuple(visible)
         self.weight = weight
 

@@ -1,9 +1,10 @@
-"""Tests for the group membership service: views, listeners, weights."""
+"""Tests for the group membership service: views learned from
+reachability reports, listeners, weights, and the topology adapter."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.membership import GroupMembershipService
+from repro.membership import GroupMembershipService, reach_sets, topology_gms
 from repro.net import SimNetwork
 
 NODES = ("a", "b", "c", "d")
@@ -16,7 +17,7 @@ def network():
 
 @pytest.fixture
 def gms(network):
-    return GroupMembershipService(network)
+    return topology_gms(network)
 
 
 class TestViews:
@@ -84,7 +85,7 @@ class TestTheViewIsTheTopology:
     @given(FAULT_STEPS)
     def test_groups_views_and_epoch_track_the_network(self, steps):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         notifications = []
         network.on_topology_change(lambda: notifications.append(1))
         assert gms.epoch == 0
@@ -120,10 +121,13 @@ class TestListeners:
         network.fail_link("a", "b")  # still connected via c/d
         assert changes == []
 
-    def test_refresh_returns_changes(self, network, gms):
+    def test_a_repeated_report_changes_nothing(self, network, gms):
         network.partition({"a"}, {"b", "c", "d"})
-        # refresh is idempotent afterwards
-        assert gms.refresh() == []
+        changes = []
+        gms.add_listener(lambda *args: changes.append(args))
+        epoch = gms.epoch
+        assert gms.observe(reach_sets(network)) == [] and changes == []
+        assert gms.epoch == epoch + 1
 
     def test_rejoin_notifies(self, network, gms):
         network.partition({"a"}, {"b", "c", "d"})
@@ -145,7 +149,7 @@ class TestWeights:
         assert gms.partition_weight_fraction("b") == pytest.approx(0.75)
 
     def test_custom_weights(self, network):
-        gms = GroupMembershipService(network, weights={"a": 5.0})
+        gms = topology_gms(network, weights={"a": 5.0})
         network.partition({"a"}, {"b", "c", "d"})
         assert gms.partition_weight_fraction("a") == pytest.approx(5.0 / 8.0)
 
@@ -173,3 +177,39 @@ class TestWeights:
         assert gms.partition_weight_fraction("b") == 3.0 / 8.0
         network.heal_all()
         assert gms.partition_weight_fraction("b") == 1.0
+
+
+class TestReports:
+    """The GMS holds no network: it learns views from reports alone."""
+
+    def test_a_partial_report_changes_only_the_nodes_it_names(self):
+        gms = GroupMembershipService(NODES)
+        changes = gms.observe({"b": frozenset("bc"), "c": frozenset("bc"), "d": frozenset("d")})
+        assert [node for node, _, _ in changes] == ["b", "c", "d"]
+        assert gms.view_of("a").members == frozenset(NODES)
+        assert gms.view_of("b").members == frozenset("bc")
+        assert gms.groups() == [frozenset(NODES), frozenset("bc"), frozenset("d")]
+        assert gms.epoch == 1
+
+    def test_a_first_named_node_joins_at_weight_one(self):
+        gms = GroupMembershipService(("a",), weights={"a": 3.0})
+        assert gms.partition_weight_fraction("a") == 1.0
+        gms.observe({"a": frozenset({"a", "z", "b"})})
+        assert gms.nodes == ("a", "b", "z")
+        assert gms.total_weight() == 5.0
+        assert gms.partition_weight_fraction("a") == 1.0
+        assert gms.view_of("z").members == frozenset()
+        gms.observe({"a": frozenset({"a", "b"})})
+        assert gms.partition_weight_fraction("a") == pytest.approx(4.0 / 5.0)
+        assert gms.nodes == ("a", "b", "z") and gms.epoch == 2
+
+    def test_the_adapter_reports_faults_made_before_it_attached(self, network):
+        network.crash_node("d")
+        gms = topology_gms(network)
+        assert gms.view_of("d").members == frozenset()
+        assert gms.view_of("a").members == frozenset("abc")
+        assert gms.epoch == 1
+
+    def test_the_gms_keeps_no_reference_to_a_network(self, network, gms):
+        assert not any(isinstance(value, SimNetwork) for value in vars(gms).values())
+        assert gms.nodes == NODES

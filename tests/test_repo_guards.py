@@ -3,8 +3,12 @@
 CI's ``lint`` job runs this file; being tier-1 it also runs wherever the
 test suite does.  One guard per replaced mechanism: ``replication/`` and
 ``core/`` ask the membership view and never the topology oracle, one
-counter counts topology changes, the GMS is the topology's one
-subscriber, and the constraint phase of reconciliation exists once; a
+counter counts topology changes, and the constraint phase of
+reconciliation exists once; the GMS holds no network and learns views
+from reachability reports, which inside ``membership/`` only the sim
+adapter reads off the topology (it is also the topology's one
+subscriber), and a process worker keeps no peer table beside its
+cluster's view; a
 package ``__init__`` re-exports through the one helper of ``repro._lazy``;
 no module runs an event loop — a process-backend worker serves each
 frame on its connection's own thread, with no executor hop; and the
@@ -44,9 +48,24 @@ def test_one_epoch_counter():
     assert len(found) == 1 and found[0].startswith("membership/gms.py:"), found
 
 
-def test_the_gms_is_the_only_topology_subscriber():
+def test_the_sim_adapter_is_the_only_topology_subscriber():
     found = matches(r"\.on_topology_change\(")
-    assert found and all(line.startswith("membership/") for line in found), found
+    assert found and all(line.startswith("membership/sim_adapter.py:") for line in found), found
+
+
+def test_in_membership_only_the_sim_adapter_reads_the_topology():
+    found = matches(r"partition_of\(|\.reachable\(|is_crashed\(", "membership")
+    assert found and all(line.startswith("membership/sim_adapter.py:") for line in found), found
+
+
+def test_the_gms_holds_no_network():
+    assert matches(r"gms\.network") == []
+    imports = matches(r"^(from|import) (\.\.|repro\.)net", "membership/gms.py")
+    assert [line.split(": ", 1)[1] for line in imports] == ["from ..net import NodeId"], imports
+
+
+def test_a_worker_keeps_no_peer_table_beside_its_view():
+    assert matches(r"peer_up\s*[:=]|\.peer_up\b|def degraded|_set_peer_up", "transport/procnode.py") == []
 
 
 def test_no_constraint_phase_reimplementation_in_transport():

@@ -10,7 +10,7 @@ from repro.apps.flightbooking import (
 )
 from repro.core import AcceptAllHandler
 from repro.core.system_mode import HISTORY_TAIL, SystemMode, SystemModeTracker
-from repro.membership import GroupMembershipService
+from repro.membership import topology_gms
 from repro.net import SimNetwork
 from repro.sim import SimClock
 
@@ -28,13 +28,13 @@ def cluster():
 class TestTrackerStandalone:
     def test_initially_healthy(self):
         network = SimNetwork(NODES)
-        tracker = SystemModeTracker(GroupMembershipService(network), SimClock())
+        tracker = SystemModeTracker(topology_gms(network), SimClock())
         for node in NODES:
             assert tracker.mode_of(node) is SystemMode.HEALTHY
 
     def test_partition_degrades_all_nodes(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         for node in NODES:
@@ -44,7 +44,7 @@ class TestTrackerStandalone:
         # Fig. 1.4: degraded -> reconciliation -> healthy; repair alone
         # does not make the system healthy.
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         network.heal_all()
@@ -53,7 +53,7 @@ class TestTrackerStandalone:
 
     def test_finish_reconciliation_clean(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         network.heal_all()
@@ -63,7 +63,7 @@ class TestTrackerStandalone:
 
     def test_finish_reconciliation_dirty_stays(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         network.heal_all()
@@ -73,7 +73,7 @@ class TestTrackerStandalone:
 
     def test_new_failure_during_reconciliation_degrades(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         network.heal_all()
@@ -82,7 +82,7 @@ class TestTrackerStandalone:
 
     def test_history_records_transitions(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         network.partition({"a"}, {"b", "c"})
         network.heal_all()
@@ -94,7 +94,7 @@ class TestTrackerStandalone:
 
     def test_history_keeps_a_tail_and_counts_every_transition(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         for _ in range(20):
             network.partition({"a"}, {"b", "c"})
@@ -107,7 +107,7 @@ class TestTrackerStandalone:
 
     def test_listeners_notified(self):
         network = SimNetwork(NODES)
-        gms = GroupMembershipService(network)
+        gms = topology_gms(network)
         tracker = SystemModeTracker(gms, network.scheduler.clock)
         changes = []
         tracker.add_listener(changes.append)
@@ -116,7 +116,7 @@ class TestTrackerStandalone:
 
     def test_unknown_node(self):
         network = SimNetwork(NODES)
-        tracker = SystemModeTracker(GroupMembershipService(network), SimClock())
+        tracker = SystemModeTracker(topology_gms(network), SimClock())
         with pytest.raises(KeyError):
             tracker.mode_of("zzz")
 

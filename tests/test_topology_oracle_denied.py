@@ -6,7 +6,12 @@ network reference they hold is replaced by a double that delivers
 messages and charges simulated time but raises on any question about
 links, crashes or partitions; one generated scenario per corpus domain
 must replay under it to the very trace it produces without the double.
+The GMS holds no network to replace: it learns views from reachability
+reports, and the sim adapter that produces them is the one oracle reader
+besides the substrate itself and the operator / harness side.
 """
+
+import sys
 
 import pytest
 
@@ -14,6 +19,7 @@ from repro.apps.registry import domain_names
 from repro.check.scenario import Scenario
 from repro.corpus import generate_scenario, preset_config
 from repro.faults.chaos import replay_scenario
+from repro.net.topology import Topology
 from repro.replication import TransportInterceptor
 
 FORWARDED = frozenset({"send", "scheduler", "obs", "nodes", "costs", "charge"})
@@ -26,6 +32,10 @@ ORACLE = (
     "link_up",
     "topology_version",
 )
+#: The network's own modules and the operator / harness side may read the
+#: topology (DESIGN.md §5); of the middleware, only the sim adapter does.
+NOT_MIDDLEWARE = ("repro.net.", "repro.cluster", "repro.faults.", "repro.check.")
+ADAPTER = "repro.membership.sim_adapter"
 
 
 class OracleDenied(AssertionError):
@@ -47,6 +57,7 @@ class ViewOnlyNetwork:
 
 
 def deny_the_oracle(cluster):
+    assert not any(isinstance(value, Topology) for value in vars(cluster.gms).values())
     double = ViewOnlyNetwork(cluster.network)
     if cluster.replication is not None:
         cluster.replication.network = double
@@ -56,6 +67,19 @@ def deny_the_oracle(cluster):
             if isinstance(interceptor, TransportInterceptor):
                 interceptor.network = double
     return double
+
+
+def record_oracle_readers(monkeypatch):
+    """The modules that call an oracle method from now on."""
+    readers = set()
+    for name in ORACLE[:-1]:  # topology_version is a plain attribute
+
+        def reading(self, *args, _method=getattr(Topology, name), **kwargs):
+            readers.add(sys._getframe(1).f_globals["__name__"])
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Topology, name, reading)
+    return readers
 
 
 def test_the_double_denies_every_oracle_read():
@@ -81,8 +105,10 @@ def test_a_corpus_scenario_replays_identically_without_the_oracle(domain, monkey
         return cluster, refs
 
     monkeypatch.setattr(Scenario, "build", build_without_oracle)
+    readers = record_oracle_readers(monkeypatch)
     denied = replay_scenario(scenario)
 
     assert len(doubles) == 1 and "send" in doubles[0].used
+    assert {reader for reader in readers if not reader.startswith(NOT_MIDDLEWARE)} == {ADAPTER}
     assert denied.trace_jsonl == expected.trace_jsonl
     assert denied.all_invariants_hold, denied.failed_invariants

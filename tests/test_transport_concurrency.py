@@ -8,9 +8,11 @@ Each test here pins a concrete fix in the transport backends:
 * concurrent ``close()`` — check-then-act on ``_closed`` now happens
   under ``_close_lock``, so exactly one caller runs the teardown;
 * ``WorkerNode`` status vs. invoke — ``handle_status`` answers from an
-  immutable snapshot published under ``_mutex``, so a loop-thread status
-  read can never observe a half-updated threat store or liveness dict,
-  and the temp-primary flag flips only inside the mutex;
+  immutable snapshot published under ``_mutex``, so a status read can
+  never observe a half-updated threat store or view, and the
+  temp-primary flag flips only inside the mutex; a worker's liveness is
+  its cluster's membership view, reported to only when a peer's
+  outcome changes;
 * the observability hub — node workers and client threads share one
   registry and one tracer, whose read-modify-writes (``Counter.inc``,
   ``Gauge.add``, ``Histogram.observe``, the tracer's sequence number) now
@@ -25,10 +27,14 @@ from __future__ import annotations
 
 import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, DedisysCluster, Observability
+from repro.objects import ObjectRef
+from repro.transport import frames
 from repro.transport.asyncio_backend import AsyncioTransport
 from repro.transport.procnode import WorkerNode
 
@@ -179,16 +185,72 @@ class TestWorkerNodeStatus:
         status = worker.handle_status({"kind": "status"})
         assert status["temp_primary"] is False
 
-    def test_unchanged_liveness_rebuilds_nothing(self):
+    def test_unchanged_liveness_rebuilds_nothing(self, monkeypatch):
         worker = WorkerNode("b", port=0, peers={"a": ("127.0.0.1", 1)}, primary="a")
-        peer_up, published = worker.peer_up, worker._published
-        worker._set_peer_up("a", True)  # already believed up
-        assert worker.peer_up is peer_up and worker._published is published
+        gms = worker.cluster.gms
+        reports = []
+        observe = gms.observe
+        monkeypatch.setattr(gms, "observe", lambda reach: reports.append(reach) or observe(reach))
+        monkeypatch.setattr(frames, "request", lambda *args, **kwargs: {"ok": True})
+        view, epoch, published = gms.view_of("b"), gms.epoch, worker._published
+        assert worker._peer_request("a", {"kind": "ping"}) == {"ok": True}  # already in the view
+        assert reports == [] and gms.epoch == epoch
+        assert gms.view_of("b") is view and worker._published is published
 
-        worker._set_peer_up("a", False)
-        assert worker.peer_up == {"a": False} and worker.peer_up is not peer_up
+        monkeypatch.setattr(frames, "request", mock.Mock(side_effect=OSError("refused")))
+        assert worker._peer_request("a", {"kind": "ping"}) is None
+        assert reports == [{"b": frozenset("b")}] and gms.epoch == epoch + 1
         assert worker.handle_status({"kind": "status"})["peer_up"] == {"a": False}
-        assert peer_up == {"a": True}, "copy-on-write: old snapshots never mutate"
+        assert published["peer_up"] == {"a": True}, "old snapshots never mutate"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        outcomes=st.lists(st.tuples(st.sampled_from("acd"), st.booleans()), max_size=16),
+        promoted=st.booleans(),
+    )
+    def test_the_view_holds_each_peer_last_seen_up(self, outcomes, promoted):
+        peers = {peer: ("127.0.0.1", 1) for peer in "acd"}
+        worker = WorkerNode("b", port=0, peers=peers, primary="a")
+        if promoted:
+            with worker._mutex:
+                worker.staleness.flag = True
+                worker._publish_status_locked()
+        last = dict.fromkeys(peers, True)
+        with mock.patch.object(frames, "request", return_value={"ok": True}) as request:
+            for peer, up in outcomes:
+                request.side_effect = None if up else OSError("refused")
+                worker._peer_request(peer, {"kind": "ping"})
+                last[peer] = up
+        assert worker.cluster.gms.view_of("b").members == {"b"} | {
+            peer for peer, up in last.items() if up
+        }
+        status = worker.handle_status({"kind": "status"})
+        assert status["peer_up"] == last
+        assert status["degraded"] == (promoted or not all(last.values()))
+
+    def test_the_gate_stays_open_while_promoted_though_the_primary_answers(self, monkeypatch):
+        worker = WorkerNode("b", port=0, peers={"a": ("127.0.0.1", 1)}, primary="a")
+        attrs = {"flight_number": "K9", "seats": 80, "sold": 70}
+        worker.handle_replica_create(
+            {"cls": "Flight", "oid": "K9", "state": attrs, "version": 1, "origin": "a"}
+        )
+        monkeypatch.setattr(frames, "request", mock.Mock(side_effect=OSError("refused")))
+        assert worker._forward_to_acting_primary({"kind": "invoke"}) is None
+        assert worker.staleness.flag and worker.staleness.may_be_stale("b")
+
+        monkeypatch.setattr(frames, "request", lambda *args, **kwargs: {"ok": True})
+        worker._peer_request("a", {"kind": "ping"})
+        assert "a" in worker.cluster.gms.view_of("b")
+        assert worker.staleness.may_be_stale("b")
+        status = worker.handle_status({"kind": "status"})
+        assert status["peer_up"] == {"a": True} and status["degraded"]
+        with worker._mutex:
+            worker.cluster.invoke("b", ObjectRef("Flight", "K9"), "sell_tickets", 1)
+        assert worker.cluster.threat_stores["b"].count_identities() == 1
+
+        worker.handle_revalidate({"kind": "revalidate"})
+        assert not worker.staleness.may_be_stale("b")
+        assert not worker.handle_status({"kind": "status"})["degraded"]
 
 
 class TestSharedObservabilityHub:

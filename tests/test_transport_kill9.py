@@ -292,7 +292,8 @@ def test_a_forward_is_refused_once_its_sender_has_given_up(monkeypatch):
     monkeypatch.setattr(
         frames, "request", lambda *args, **kwargs: {"ok": False, "error": "ForwardExpired"}
     )
-    assert backup._peer_request("a", sale) is None and backup.peer_up == {"a": False}
+    assert backup._peer_request("a", sale) is None
+    assert "a" not in backup.cluster.gms.view_of("b")
 
     # A forward passed on keeps its first deadline: when that runs out while
     # this worker tries the primary, it neither serves the write nor
