@@ -2,7 +2,7 @@
 
 The pluggable-transport seam only works if time flows through it: a
 module that reads the machine clock directly behaves differently on the
-sim and real backends, and silently breaks the differential harness.
+sim and real backends, and silently breaks cross-backend conformance.
 ``DET001`` already rejects wall-clock calls as a determinism hazard, but
 it can be silenced with a pragma — which is how legitimate uses inside
 the substrate are written.  ``TRN001`` closes that hole: *outside* the

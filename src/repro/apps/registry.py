@@ -26,6 +26,7 @@ from .auction import Auction, auction_constraint_registrations
 from .counter import Record, counter_constraint_registration
 from .dtms import ChannelEndpoint, Site, dtms_constraint_registrations
 from .flightbooking import (
+    AdditiveSoldMerge,
     Flight,
     RebookingReconciliationHandler,
     ticket_constraint_registration,
@@ -49,7 +50,10 @@ class Domain:
     each class to the business methods a generated op may invoke (the
     grammar *and* the validator key off it); ``deploy`` installs classes
     and constraints; ``create_group`` creates group ``index`` and returns
-    its refs in ``layout`` order.
+    its refs in ``layout`` order.  ``reconcile_handler`` builds the
+    constraint reconciliation handler for a cluster, ``replica_handler``
+    the replica-conflict handler for a scenario's refs and params (either
+    may return None: no handler, latest update wins).
     """
 
     name: str
@@ -61,6 +65,9 @@ class Domain:
         tuple["ObjectRef", ...],
     ]
     reconcile_handler: Callable[["DedisysCluster"], Any] | None = None
+    replica_handler: (
+        Callable[[tuple["ObjectRef", ...], Mapping[str, Any]], Any] | None
+    ) = None
 
     def ref_class(self, ref_index: int) -> str:
         """The entity class the ``ref_index``-th ref belongs to."""
@@ -116,6 +123,15 @@ def _flight_reconcile_handler(cluster: "DedisysCluster") -> Any:
     return RebookingReconciliationHandler(
         lambda ref: cluster.entity_on(min(cluster.nodes), ref)
     )
+
+
+def _flight_replica_handler(
+    refs: tuple["ObjectRef", ...], params: Mapping[str, Any]
+) -> Any:
+    """§1.3's additive merge when ``params["healthy_sold"]`` gives each
+    flight's ``sold`` before the partition, by ref index."""
+    baselines = params.get("healthy_sold")
+    return None if baselines is None else AdditiveSoldMerge(dict(zip(refs, baselines)))
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +320,7 @@ register_domain(
         deploy=_flight_deploy,
         create_group=_flight_group,
         reconcile_handler=_flight_reconcile_handler,
+        replica_handler=_flight_replica_handler,
     )
 )
 

@@ -25,18 +25,18 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "ShrinkResult", "shrink_counterexample",
     ),
     "invariants": (
-        "AtMostOnePrimaryPerPartition", "Invariant", "InvariantRegistry",
-        "LatticeMonotonicity", "NoCrossPartitionDelivery", "ReplicaConvergence",
-        "RunProbe", "ThreatAccounting", "Violation", "default_registry",
+        "AtMostOnePrimaryPerPartition", "ClusterHealthyAgain", "CommittedStateSurvives",
+        "Invariant", "InvariantRegistry", "LatticeMonotonicity", "NoCrossPartitionDelivery",
+        "ReplicaConvergence", "RunProbe", "ThreatAccounting", "Violation", "default_registry",
     ),
     "mutations": ("skipped_threat_reevaluation", "split_brain_primaries"),
     "policies": (
         "ChoicePoint", "FifoPolicy", "LifoPolicy", "RandomPolicy", "RecordingPolicy",
         "ReplayPolicy", "schedule_fingerprint",
     ),
-    "runner": ("BLOCKING_ERRORS", "RunResult", "run_schedule"),
+    "runner": ("BLOCKING_ERRORS", "RunResult", "outcome_digest", "run_schedule"),
     "scenario": (
-        "CANONICAL_SCENARIOS", "Op", "Scenario", "healthy_scenario",
+        "BOOKING_SCENARIOS", "CANONICAL_SCENARIOS", "Op", "Scenario", "healthy_scenario",
         "partial_heal_scenario", "single_partition_scenario",
     ),
 })

@@ -1,10 +1,13 @@
-"""The invariant registry evaluated at every exploration step.
+"""The one invariant registry: every step of a checked schedule, and
+after every scenario replay.
 
 Invariants are the safety properties the dissertation's availability /
 integrity trade rests on, phrased as side-effect-free probes over a live
 cluster.  The model checker evaluates every registered invariant after
 every scheduler step of every explored schedule; the first violation
-aborts the run and becomes a counterexample.
+aborts the run and becomes a counterexample.  A replay
+(:func:`~repro.faults.chaos.replay_scenario`, on any transport) evaluates
+the same registry once, after its closing heal + reconciliation.
 
 Built-ins:
 
@@ -14,19 +17,28 @@ Built-ins:
 * :class:`LatticeMonotonicity` — a stored threat's satisfaction degree
   only moves *down* the §3.1 lattice while the threat lives (occurrences
   are merged with ``meet``), and stored degrees are actual threat degrees.
-* :class:`ThreatAccounting` — a node's in-memory threat records and its
-  persisted rows never drift apart, and a *clean* reconciliation of a
-  healthy network leaves every threat store empty.
-* :class:`ReplicaConvergence` — after a clean reconciliation of a healthy
+* :class:`ThreatAccounting` — no accepted threat is lost: a node's
+  in-memory threat records and its persisted rows never drift apart,
+  every threat a reconciliation found on the nodes it merged is
+  re-evaluated and handled, and a *clean* reconciliation of a healthy
+  network leaves every threat store empty.
+* :class:`ReplicaConvergence` — after a reconciliation of a healthy
   network, every node holds byte-identical replica state per object.
 * :class:`NoCrossPartitionDelivery` — no message is delivered between
   nodes that were unreachable from each other when it was sent.
+* :class:`AdaptationGuardrails` — the adaptation loop agrees with its
+  own action ledger.
+* :class:`CommittedStateSurvives` — a field the scenario drives through
+  plain setters only ever holds its creation value or one a served write
+  set.
+* :class:`ClusterHealthyAgain` — a clean reconciliation of a healthy
+  network brings every node back to the HEALTHY system mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..core.model import SatisfactionDegree
 
@@ -57,6 +69,15 @@ class RunProbe:
     topology_before: int = 0
     # Reconciliation report produced *during the current step*, if any.
     just_reconciled: Any = None
+    # Filled by ``OpDriver.fill_probe`` for a runner that drives a
+    # scenario's ops; a probe without them (the ledger's) leaves the
+    # checks that read them vacuous.
+    # (ref index, field) -> every value the field may hold: its creation
+    # value, then each one a served setter wrote.
+    settable: Mapping[tuple[int, str], Sequence[Any]] = field(default_factory=dict)
+    # The reconciliations to account for now, each paired with every
+    # node's threat identities just before it ran.
+    rounds: Sequence[tuple[Mapping[Any, frozenset], Any]] = ()
 
     @property
     def topology_changed(self) -> bool:
@@ -150,8 +171,10 @@ class LatticeMonotonicity(Invariant):
 
 
 class ThreatAccounting(Invariant):
-    """Threat stores and their persisted rows stay in lockstep; clean
-    reconciliation of a healthy network empties them."""
+    """Threat stores and their persisted rows stay in lockstep; every
+    distinct threat a reconciliation found on the nodes it merged is
+    re-evaluated and removed, resolved or postponed; clean reconciliation
+    of a healthy network empties the stores."""
 
     name = "threat_accounting"
 
@@ -162,6 +185,16 @@ class ThreatAccounting(Invariant):
                     f"{node_id}: {records} in-memory threat records but "
                     f"{rows} persisted rows"
                 )
+        for stored, round_report in probe.rounds:
+            for group in round_report.groups:
+                found = len({identity for n in group.merged_partition for identity in stored[n]})
+                handled = group.satisfied_removed + group.violations_found + group.postponed
+                if min(group.threats_reevaluated, handled) < found:
+                    return (
+                        f"reconciling {sorted(group.merged_partition)} found {found} "
+                        f"threats but re-evaluated {group.threats_reevaluated} and "
+                        f"handled {handled}"
+                    )
         report = probe.just_reconciled
         if (
             report is not None
@@ -183,15 +216,14 @@ class ThreatAccounting(Invariant):
 
 
 class ReplicaConvergence(Invariant):
-    """After a clean heal + reconciliation every replica agrees."""
+    """After a reconciliation of a healthy network every replica agrees —
+    constraint work it postponed or deferred included, since the replica
+    phase runs first."""
 
     name = "replica_convergence"
 
     def check(self, probe: RunProbe) -> str | None:
-        report = probe.just_reconciled
-        if report is None or report.postponed or report.deferred:
-            return None
-        if not probe.cluster.network.is_healthy():
+        if probe.just_reconciled is None or not probe.cluster.network.is_healthy():
             return None
         diverged = probe.cluster.diverged_replicas(probe.refs)
         return f"replicas diverge post-reconciliation: {diverged[0]}" if diverged else None
@@ -278,6 +310,48 @@ class AdaptationGuardrails(Invariant):
         return None
 
 
+class CommittedStateSurvives(Invariant):
+    """Committed updates survive: on an entity the scenario drives through
+    ``set_<field>`` / ``get_<field>`` only, each set field holds its
+    creation value or one a served setter wrote — there, every value ever
+    written is scenario data (``RunProbe.settable``)."""
+
+    name = "committed_state_survives"
+
+    def check(self, probe: RunProbe) -> str | None:
+        for (index, name), values in probe.settable.items():
+            ref = probe.refs[index]
+            states = probe.cluster.replica_states(ref).values()
+            value = dict(next(s for s in states if s is not None))[name]
+            if value not in values:
+                return f"{ref}: {name}={value!r} was never written"
+        return None
+
+
+class ClusterHealthyAgain(Invariant):
+    """A clean reconciliation of a healthy network brings every node back
+    to the HEALTHY system mode (Fig. 1.4); postponed or deferred work
+    legitimately keeps nodes out."""
+
+    name = "cluster_healthy_again"
+
+    def check(self, probe: RunProbe) -> str | None:
+        from ..core.system_mode import SystemMode  # loaded with the cluster
+
+        report = probe.just_reconciled
+        if report is None or report.postponed or report.deferred:
+            return None
+        cluster = probe.cluster
+        if not cluster.network.is_healthy():
+            return None
+        stuck = {
+            str(node): mode.value
+            for node in cluster.nodes
+            if (mode := cluster.mode_of(node)) is not SystemMode.HEALTHY
+        }
+        return f"nodes not HEALTHY after a clean reconciliation: {stuck}" if stuck else None
+
+
 class InvariantRegistry:
     """An ordered set of invariants evaluated together at each step."""
 
@@ -321,5 +395,7 @@ def default_registry() -> InvariantRegistry:
             ReplicaConvergence(),
             NoCrossPartitionDelivery(),
             AdaptationGuardrails(),
+            CommittedStateSurvives(),
+            ClusterHealthyAgain(),
         )
     )

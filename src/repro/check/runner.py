@@ -6,6 +6,9 @@ scheduler step by step with the given :class:`OrderingPolicy` deciding
 among enabled events.  Every registered invariant is evaluated after
 every step; the first violation aborts the schedule and is returned with
 the full decision sequence, so the explorer can replay and shrink it.
+:class:`OpDriver` is the workload loop it shares with every other
+scenario runner, and :func:`outcome_digest` the backend-independent
+summary of what a run produced.
 
 Observability: each run exports ``check_*`` counters (steps, decisions,
 invariant evaluations, violations) and a final ``check_schedule`` trace
@@ -27,6 +30,7 @@ from ..core import (
     OperationShedded,
 )
 from ..faults.resilience import CircuitOpenError
+from ..faults.schedule import FaultSchedule
 from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..obs import Observability
 from ..replication import WriteAccessDenied
@@ -48,6 +52,12 @@ BLOCKING_ERRORS = (
     OperationShedded,
     TransactionRolledBack,
 )
+
+#: Scenario params whose effect runs on the transport's clock, so only a
+#: deterministic transport replays them: adaptation ticks are timers that
+#: race the ops, and retry backoff and circuit-breaker timeouts measure
+#: wall time (with burst loss, 3 of 18 generated replays diverged).
+WALL_CLOCK_UNSAFE_PARAMS = frozenset({"adaptation", "resilience"})
 
 # A mutation is a test-only fault *in the middleware itself*: a callable
 # receiving the freshly built cluster and returning a context manager that
@@ -83,22 +93,28 @@ class RunResult:
 
 
 class OpDriver:
-    """Fires a scenario's ops inside scheduler events and records one
-    ``(op, served)`` outcome per op — the only workload loop there is:
-    the model checker, the chaos replayer and the availability study all
-    read their tallies off :attr:`outcomes`."""
+    """Fires a scenario's ops and records one ``(op, served, result)``
+    outcome per op — the only workload loop there is: the model checker,
+    the chaos replayer, the availability study and the cross-backend
+    conformance suite all read their tallies off :attr:`outcomes`, and
+    hand its run to the invariants through :meth:`fill_probe`."""
 
     def __init__(self, cluster: Any, refs: tuple[Any, ...]) -> None:
         self.cluster = cluster
         self.refs = refs
-        self.outcomes: list[tuple[Op, bool]] = []  # in firing order
+        # In firing order; the result is what the op returned, or its
+        # error class if blocked.
+        self.outcomes: list[tuple[Op, bool, Any]] = []
         self.errors: dict[str, int] = {}  # blocked ops per error class
-        # Per reconciliation fired here: its report, the handler it used,
-        # and every node's threat identities just before it ran.
-        self.reconciliations: list[Any] = []
+        # Per reconciliation fired here: every node's threat identities
+        # just before it ran, and its report; and the handler it used.
+        self.rounds: list[tuple[dict[Any, frozenset[Any]], Any]] = []
         self.constraint_handlers: list[Any] = []
-        self.threat_snapshots: list[dict[Any, frozenset[Any]]] = []
-        self.reconcile_seconds = 0.0  # simulated
+        # (ref index, field) -> the creation value, then every value a
+        # served setter wrote, for each field set on an entity the
+        # scenario drives through ``set_<field>`` / ``get_<field>`` only.
+        self.settable: dict[tuple[int, str], list[Any]] = {}
+        self.reconcile_seconds = 0.0  # on the transport's clock
         self._handler = AcceptAllHandler()
         self._due: deque[Op] = deque()  # the op in flight, then those waiting
 
@@ -108,13 +124,28 @@ class OpDriver:
 
     @property
     def served(self) -> int:
-        return sum(served for _op, served in self.outcomes)
+        return sum(served for _op, served, _result in self.outcomes)
 
     @property
     def samples(self) -> list[tuple[float, bool]]:
-        return [(op.at, served) for op, served in self.outcomes]
+        return [(op.at, served) for op, served, _result in self.outcomes]
+
+    @property
+    def reconciliations(self) -> list[Any]:
+        return [report for _stored, report in self.rounds]
+
+    def fill_probe(self, probe: RunProbe, since: int = 0) -> RunProbe:
+        """Hand ``probe`` this run: the settable fields, and the
+        reconciliations from index ``since`` on, the last of them as
+        ``just_reconciled``."""
+        probe.settable = self.settable
+        probe.rounds = self.rounds[since:]
+        probe.just_reconciled = probe.rounds[-1][1] if probe.rounds else None
+        return probe
 
     def install(self, scenario: Scenario, start: float) -> None:
+        """Schedule every op and fault as a simulator event."""
+        self._note_settable(scenario)
         # Scenario times are relative to the end of cluster construction
         # (building charges simulated cost, so absolute zero is long gone).
         for op in scenario.ops:
@@ -123,8 +154,49 @@ class OpDriver:
             )
         scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
+    def play(self, scenario: Scenario) -> None:
+        """Run the whole timeline.  A deterministic transport schedules it
+        and drains; on any other, a wall clock would race the events, so
+        they fire inline in the sim scheduler's FIFO order — by ``at``,
+        ops before faults at equal ``at``, each in index order."""
+        transport = self.cluster.transport
+        if transport.deterministic:
+            self.install(scenario, self.cluster.clock.now)
+            self.cluster.scheduler.drain()
+            return
+        timed = sorted(WALL_CLOCK_UNSAFE_PARAMS.intersection(scenario.params))
+        if timed:
+            raise ValueError(
+                f"params {timed} run on the clock, which the {transport.name} "
+                "transport cannot replay deterministically"
+            )
+        self._note_settable(scenario)
+        network = self.cluster.network
+        timeline = [(op.at, 0, op) for op in scenario.ops] + [
+            (event.at, 1, event) for event in scenario.shifted_fault_schedule(0.0)
+        ]
+        for _at, is_fault, item in sorted(timeline, key=lambda entry: entry[:2]):
+            if is_fault:
+                FaultSchedule.fire(network, item)
+            else:
+                self._run(scenario, item)
+
+    def _note_settable(self, scenario: Scenario) -> None:
+        methods: dict[int, set[str]] = {}
+        for op in scenario.ops:
+            if op.kind == "invoke":
+                methods.setdefault(op.ref_index, set()).add(op.method)
+        for index, names in methods.items():
+            if not all(name.startswith(("set_", "get_")) for name in names):
+                continue
+            states = self.cluster.replica_states(self.refs[index]).values()
+            state = dict(next(s for s in states if s is not None))
+            for name in sorted(names):
+                if name.startswith("set_"):
+                    self.settable[index, name[4:]] = [state[name[4:]]]
+
     def reconcile(self, scenario: Scenario) -> Any:
-        """One timed reconciliation with the domain's constraint handler."""
+        """One timed reconciliation with the domain's handlers."""
         cluster = self.cluster
         handler = scenario.reconcile_handler(cluster)
         self.constraint_handlers.append(handler)
@@ -133,10 +205,11 @@ class OpDriver:
             for node, store in cluster.threat_stores.items()
         }
         began = cluster.clock.now
-        report = cluster.reconcile(constraint_handler=handler)
+        report = cluster.reconcile(
+            replica_handler=scenario.replica_handler(self.refs), constraint_handler=handler
+        )
         self.reconcile_seconds += cluster.clock.now - began
-        self.threat_snapshots.append(stored)
-        self.reconciliations.append(report)
+        self.rounds.append((stored, report))
         return report
 
     def _fire(self, scenario: Scenario, op: Op) -> None:
@@ -154,8 +227,9 @@ class OpDriver:
         try:
             if op.kind == "reconcile":
                 self.reconcile(scenario)
+                result = None
             else:
-                self.cluster.invoke(
+                result = self.cluster.invoke(
                     op.node,
                     self.refs[op.ref_index],
                     op.method,
@@ -165,9 +239,39 @@ class OpDriver:
         except BLOCKING_ERRORS as exc:
             name = type(exc).__name__
             self.errors[name] = self.errors.get(name, 0) + 1
-            self.outcomes.append((op, False))
+            self.outcomes.append((op, False, name))
         else:
-            self.outcomes.append((op, True))
+            self.outcomes.append((op, True, result))
+            if op.method.startswith("set_") and (op.ref_index, op.method[4:]) in self.settable:
+                self.settable[op.ref_index, op.method[4:]].append(op.args[0])
+
+
+def outcome_digest(driver: OpDriver) -> dict[str, Any]:
+    """Everything the driver's run promises, timing excluded — equal on
+    every backend for one scenario: each op's outcome and result, every
+    entity's state per node, the threat stores (identities and record /
+    row counts) now and before each reconciliation, each reconciliation's
+    counters, and every node's system mode."""
+    cluster = driver.cluster
+
+    def by_node(values: Any) -> dict[str, Any]:
+        return {str(node): value for node, value in sorted(values.items())}
+
+    def identities(stores: Any) -> dict[str, list[str]]:
+        return by_node({node: sorted(map(str, ids)) for node, ids in stores.items()})
+
+    return {
+        "ops": [[op.label(), served, result] for op, served, result in driver.outcomes],
+        "states": {str(ref): by_node(cluster.replica_states(ref)) for ref in driver.refs},
+        "threats": identities({n: store.identities() for n, store in cluster.threat_stores.items()}),
+        "threat_accounting": by_node(cluster.threat_accounting()),
+        "threats_before": [identities(stored) for stored, _report in driver.rounds],
+        "reconciliations": [
+            {name: getattr(report, name) for name in report._SUMMED if not name.endswith("_seconds")}
+            for _stored, report in driver.rounds
+        ],
+        "modes": by_node({node: cluster.mode_of(node).value for node in cluster.nodes}),
+    }
 
 
 def run_schedule(
@@ -196,9 +300,9 @@ def run_schedule(
     m_violations = obs.registry.counter("check_violations_total", "invariant violations found")
 
     delivered = cluster.network.record_deliveries()
-    probe = RunProbe(cluster=cluster, refs=refs, delivered=delivered)
     driver = OpDriver(cluster, refs)
     driver.install(scenario, cluster.clock.now)
+    probe = RunProbe(cluster=cluster, refs=refs, delivered=delivered)
 
     policy.begin_run()
     registry.begin_run()
@@ -211,11 +315,10 @@ def run_schedule(
             while True:
                 delivered.clear()
                 probe.topology_before = cluster.network.topology_version
-                reconciled = len(driver.reconciliations)
+                reconciled = len(driver.rounds)
                 if scheduler.step() is None:
                     break
-                fresh = driver.reconciliations[reconciled:]
-                probe.just_reconciled = fresh[0] if fresh else None
+                driver.fill_probe(probe, since=reconciled)
                 steps += 1
                 probe.step = steps
                 violations = registry.evaluate(probe)

@@ -14,16 +14,21 @@ explorer all consume one format.  Serialization is canonical — sorted
 keys, JSON-native values — and round-trips losslessly
 (``Scenario.from_dict(s.to_dict()) == s``).
 
-Operations are *scheduled as simulator events*, not called inline: that
-is what creates choice points.  Ops that share a timestamp with each
-other or with a scripted fault are concurrently enabled, and the ordering
-policy decides who goes first — exactly the interleaving dimension the
-single FIFO schedule never exercised.
+On the simulator, operations are *scheduled as simulator events*, not
+called inline: that is what creates choice points.  Ops that share a
+timestamp with each other or with a scripted fault are concurrently
+enabled, and the ordering policy decides who goes first — exactly the
+interleaving dimension the single FIFO schedule never exercised.
 
 Three canonical scenarios mirror the dissertation's flight-booking story
 (§1.3): a healthy baseline, a single partition with degraded-mode ticket
 sales on both sides followed by heal + reconciliation, and a three-way
 split with a partial heal (PR 3's epoch-aware path) before full repair.
+Three booking scenarios tell the same story on a three-node cluster
+with one explicit step per timestamp, so every backend replays them the
+same way: the §1.3 overbooking through the additive merge and the
+rebooking handler, repeated partition/heal cycles, and degraded sales
+accepted as threats that reconciliation resolves.
 """
 
 from __future__ import annotations
@@ -101,8 +106,8 @@ class Scenario:
 
     ``entities`` counts *entity groups* of the domain's layout (one
     flight, one alarm/report pair, one wired channel, ...); ``params``
-    carries domain and topology knobs (``seats``, ``reserve_price``,
-    ``node_weights``, ``burst_loss``, ``partition_sensitive``,
+    carries domain and topology knobs (``seats``, ``healthy_sold``,
+    ``reserve_price``, ``node_weights``, ``burst_loss``, ``partition_sensitive``,
     ``resilience`` as :meth:`ResilienceConfig.from_dict` reads it, ...) and
     must stay JSON-native — construction canonicalizes tuples to lists so
     serialization round-trips to an equal scenario.
@@ -129,8 +134,11 @@ class Scenario:
     def domain_spec(self) -> Domain:
         return get_domain(self.domain)
 
-    def build(self, obs: Any = None) -> tuple[DedisysCluster, tuple[Any, ...]]:
-        """A fresh cluster with the entities deployed (faults NOT installed).
+    def build(
+        self, obs: Any = None, transport: Any = "sim"
+    ) -> tuple[DedisysCluster, tuple[Any, ...]]:
+        """A fresh cluster on ``transport`` with the entities deployed
+        (faults NOT installed).
 
         ``params["adapt_initial"]`` (one-shot actuator actions — how the
         static policy extremes are pinned) and ``params["adaptation"]``
@@ -156,6 +164,7 @@ class Scenario:
                     else None
                 ),
                 seed=int(self.params.get("seed", 0)),
+                transport=transport,
             )
         )
         spec.deploy(cluster, self.params)
@@ -199,6 +208,12 @@ class Scenario:
         """The domain's constraint reconciliation handler (may be None)."""
         factory = self.domain_spec.reconcile_handler
         return factory(cluster) if factory is not None else None
+
+    def replica_handler(self, refs: tuple[Any, ...]) -> Any:
+        """The domain's replica-conflict handler for these params (None:
+        latest-update-wins)."""
+        factory = self.domain_spec.replica_handler
+        return factory(refs, self.params) if factory is not None else None
 
     def shifted_fault_schedule(self, start: float) -> FaultSchedule:
         """The fault script with times anchored at ``start`` (scenario
@@ -340,4 +355,64 @@ CANONICAL_SCENARIOS = {
     "healthy": healthy_scenario,
     "single_partition": single_partition_scenario,
     "partial_heal": partial_heal_scenario,
+}
+
+
+_ABC = ("a", "b", "c")
+
+
+def _split_sales(
+    name: str, seats: int, sold: int, sales: tuple[tuple[float, str, int], ...]
+) -> Scenario:
+    """One flight sells ``sold`` of ``seats`` healthy, then ``sales``
+    (``(at, node, count)``) while ``a`` is cut off from ``b`` and ``c``;
+    the heal is reconciled with the additive merge from ``sold``."""
+    return Scenario(
+        name=name,
+        node_ids=_ABC,
+        entities=1,
+        params={"seats": seats, "healthy_sold": [sold]},
+        ops=(
+            _sell(0.1, "a", 0, sold),
+            *(_sell(at, node, 0, count) for at, node, count in sales),
+            Op(at=0.5, kind="reconcile"),
+        ),
+        fault_events=((0.2, "partition", (("a",), ("b", "c"))), (0.4, "heal_all", ())),
+    )
+
+
+def flight_booking_scenario() -> Scenario:
+    """§1.3: each side stays within capacity on its own replica (79 and
+    78 of 80), only the additive merge overbooks (75 + 4 + 3 = 82), and
+    the rebooking handler cleans up."""
+    return _split_sales("flight_booking", 80, 75, ((0.3, "a", 4), (0.3, "b", 3)))
+
+
+def reconcile_threats_scenario() -> Scenario:
+    """Sales from the partition without the designated primary run on a
+    temporary primary whose replica may be stale: the CCMgr accepts them
+    as POSSIBLY_SATISFIED threats (§3.1), and re-evaluation on the merged
+    state after the heal finds the constraint satisfied and removes them."""
+    return _split_sales("reconcile_threats", 50, 10, ((0.3, "b", 2), (0.35, "c", 1)))
+
+
+def oscillating_partition_scenario() -> Scenario:
+    """Three partition/heal cycles, every node selling on both flights
+    in each, reconciled (latest update wins) after every heal."""
+    splits = ((("a",), ("b", "c")), (("a", "b"), ("c",)), (("b",), ("a", "c")))
+    ops: list[Op] = []
+    faults: list[tuple[float, str, tuple[Any, ...]]] = []
+    for cycle, split in enumerate(splits):
+        faults += [(cycle + 0.1, "partition", split), (cycle + 0.3, "heal_all", ())]
+        ops += [_sell(cycle + 0.2, node, flight, 1) for flight in (0, 1) for node in _ABC]
+        ops.append(Op(at=cycle + 0.4, kind="reconcile"))
+    return Scenario(
+        name="oscillating_partition", node_ids=_ABC, ops=tuple(ops), fault_events=tuple(faults)
+    )
+
+
+BOOKING_SCENARIOS = {
+    "flight_booking": flight_booking_scenario,
+    "oscillating_partition": oscillating_partition_scenario,
+    "reconcile_threats": reconcile_threats_scenario,
 }

@@ -638,7 +638,7 @@ class DedisysCluster:
     def diverged_replicas(self, refs: Iterable[ObjectRef]) -> list[str]:
         """``"<ref>: [<states>]"`` per entity whose copies disagree: a
         replicated entity must be missing nowhere, an unreplicated one has
-        the one copy.  The checker and the chaos replay both ask this."""
+        the one copy.  ``ReplicaConvergence`` asks this."""
         diverged: list[str] = []
         for ref in refs:
             replicated = self.replication is not None and self.replication.is_replicated(ref)

@@ -134,7 +134,7 @@ class FaultSchedule:
         installed = [
             scheduler.schedule_at(
                 event.at,
-                self._fire,
+                self.fire,
                 network,
                 event,
                 label=f"fault:{event.action}",
@@ -155,7 +155,8 @@ class FaultSchedule:
         return cancelled
 
     @staticmethod
-    def _fire(network: "SimNetwork", event: FaultEvent) -> None:
+    def fire(network: "SimNetwork", event: FaultEvent) -> None:
+        """Apply one event now, traced like an installed one."""
         if network.obs.enabled:
             network.obs.emit(
                 "fault_event",

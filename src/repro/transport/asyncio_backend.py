@@ -59,11 +59,10 @@ class AsyncioNetwork(Network):
         nodes: Sequence[NodeId],
         scheduler: RealScheduler,
         costs: CostModel | None = None,
-        seed: int = 0,
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
-        super().__init__(nodes, scheduler, costs=costs, seed=seed, obs=obs)
+        super().__init__(nodes, scheduler, costs=costs, obs=obs)
         self.request_timeout = request_timeout
         # Copy-on-write: mutators rebuild the whole two-level dict under
         # the lock, so member_nodes() can read a coherent snapshot without
@@ -279,7 +278,6 @@ class AsyncioTransport(Transport):
         self,
         node_ids: Sequence[NodeId],
         costs: CostModel | None = None,
-        seed: int = 0,
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
@@ -289,7 +287,6 @@ class AsyncioTransport(Transport):
             node_ids,
             scheduler=self.scheduler,
             costs=costs,
-            seed=seed,
             obs=obs,
             request_timeout=request_timeout,
         )

@@ -114,5 +114,5 @@ def build_transport(
     if kind == "asyncio":
         from .asyncio_backend import AsyncioTransport
 
-        return AsyncioTransport(node_ids, costs=costs, seed=seed, obs=obs)
+        return AsyncioTransport(node_ids, costs=costs, obs=obs)
     raise ValueError(f"unknown transport {spec!r} (expected 'sim' or 'asyncio')")

@@ -282,6 +282,8 @@ class TestGeneratedWorkloads:
             "replica_convergence",
             "no_cross_partition_delivery",
             "adaptation_guardrails",
+            "committed_state_survives",
+            "cluster_healthy_again",
         }
         result = run_schedule(self._partitioned(domain, seed), registry=registry)
         assert result.ok, result.violations

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.apps import counter
-from repro.check import run_schedule
+from repro.check import CommittedStateSurvives, default_registry, run_schedule
 from repro.corpus import (
     PRESETS,
     generate_scenario,
@@ -79,13 +79,11 @@ class TestInvariants:
         assert report.all_invariants_hold, report.failed_invariants
 
     def test_invariant_names(self):
-        report = run(0)
-        assert [inv.name for inv in report.invariants] == [
-            "replicas_converge",
-            "committed_state_survives",
-            "no_accepted_threat_lost",
-            "cluster_healthy_again",
-        ]
+        # The replay reports the checker's own registry, nothing beside it.
+        names = [inv.name for inv in run(0).invariants]
+        assert names == default_registry().names()
+        assert {"replica_convergence", "committed_state_survives", "threat_accounting",
+                "cluster_healthy_again"} <= set(names)
 
     def test_faults_actually_block_something(self):
         # Sanity: the fault script does disturb the workload (a chaos run
@@ -106,12 +104,24 @@ class TestInvariants:
             assert report.reconciliation is not None
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_entity_is_covered_by_committed_state_survives(self, seed):
+    def test_every_entity_is_covered_by_committed_state_survives(self, seed, monkeypatch):
+        # The check is not vacuous: the replay hands it every entity's
+        # counter, each with some served write beside its creation value.
+        probes = []
+        check = CommittedStateSurvives.check
+        monkeypatch.setattr(
+            CommittedStateSurvives,
+            "check",
+            lambda self, probe: probes.append(probe) or check(self, probe),
+        )
         report = run(seed)
-        survives = report.invariants[1]
-        assert survives.ok and survives.detail == f"covered={CHAOS['entities']}"
+        (probe,) = probes
+        assert set(probe.settable) == {(index, "counter") for index in range(CHAOS["entities"])}
+        assert all(len(values) > 1 for values in probe.settable.values())
+        assert [inv.ok for inv in report.invariants if inv.name == "committed_state_survives"] == [True]
 
-    def test_a_final_counter_no_served_write_produced_is_caught(self, monkeypatch):
+    @pytest.fixture
+    def wrong_setter(self, monkeypatch):
         # Mutation: the setter stores something other than what the op
         # carried, so the surviving value was never written by anyone.
         monkeypatch.setattr(
@@ -119,11 +129,18 @@ class TestInvariants:
             "set_counter",
             lambda self, value: self._set("counter", value + 1),
         )
+
+    def test_a_final_counter_no_served_write_produced_is_caught(self, wrong_setter):
         report = run(0)
         assert [result.name for result in report.failed_invariants] == [
             "committed_state_survives"
         ]
         assert "was never written" in report.failed_invariants[0].detail
+
+    def test_the_checker_catches_the_same_write_at_its_step(self, wrong_setter):
+        result = run_schedule(chaos(0), collect_trace=False)
+        assert [v.invariant for v in result.violations] == ["committed_state_survives"]
+        assert result.steps < CHAOS["ops"]
 
 
 class TestModelCheckable:

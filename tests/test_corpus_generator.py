@@ -59,27 +59,38 @@ def test_ops_only_use_grammar_methods(domain):
             assert (spec.ref_class(op.ref_index), op.method) in allowed
 
 
-def test_threats_reconciled_inside_the_scenario_are_accounted():
+def test_threats_reconciled_inside_the_scenario_are_accounted(monkeypatch):
     # Every generated scenario ends with its own heal_all + reconcile, so
     # the threats are gone by the time the replay's closing reconciliation
     # runs; the accounting has to look at the round that handled them.
+    from repro.check import ThreatAccounting
+
+    probes = []
+    check = ThreatAccounting.check
+    monkeypatch.setattr(
+        ThreatAccounting, "check", lambda self, probe: probes.append(probe) or check(self, probe)
+    )
     scenario = generate_scenario(preset_config("flight_booking", 0, "small"))
     assert "partition" in [action for _at, action, _args in scenario.fault_events]
     report = replay_scenario(scenario)
     in_scenario, closing = report.reconciliations
     assert in_scenario.threats_reevaluated > 0
     assert closing.threats_reevaluated == 0
-    assert report.threats_recorded > 0
-    accounting = report.invariants[2]
-    assert accounting.name == "no_accepted_threat_lost" and accounting.ok
-    assert f"recorded={in_scenario.threats_reevaluated} " in accounting.detail
+    # The invariant itself saw both rounds, the first with the threats
+    # every node held before it.
+    (probe,) = probes
+    assert [round_report for _stored, round_report in probe.rounds] == [in_scenario, closing]
+    before_in_scenario = frozenset().union(*probe.rounds[0][0].values())
+    assert len(before_in_scenario) == in_scenario.threats_reevaluated
+    assert report.threats_recorded == in_scenario.threats_reevaluated
+    assert [inv.ok for inv in report.invariants if inv.name == "threat_accounting"] == [True]
 
 
 def test_a_threat_an_earlier_round_dropped_is_caught():
+    from repro.check import RunProbe, ThreatAccounting
     from repro.core.reconciliation import ReconciliationReport
-    from repro.faults.chaos import check_no_accepted_threat_lost
 
-    cluster, _refs = generate_scenario(preset_config("counter", 0, "small")).build()
+    cluster, refs = generate_scenario(preset_config("counter", 0, "small")).build()
     merged = frozenset(cluster.nodes)
     stored = {node: frozenset({("CounterBound", "rec-0")}) for node in cluster.nodes}
 
@@ -87,12 +98,14 @@ def test_a_threat_an_earlier_round_dropped_is_caught():
         group = ReconciliationReport(merged_partition=merged, **counts)
         return stored, ReconciliationReport.aggregate([group])
 
+    def accounting(*rounds):
+        return ThreatAccounting().check(RunProbe(cluster, refs, rounds=rounds))
+
     dropped = round_with(threats_reevaluated=0)
     handled = round_with(threats_reevaluated=1, satisfied_removed=1)
     quiet = ({node: frozenset() for node in cluster.nodes}, ReconciliationReport())
-    assert check_no_accepted_threat_lost(cluster, [handled, quiet]).ok
-    lost = check_no_accepted_threat_lost(cluster, [dropped, quiet])
-    assert not lost.ok and "recorded=1 reevaluated=0" in lost.detail
+    assert accounting(handled, quiet) is None
+    assert "found 1 threats but re-evaluated 0" in accounting(dropped, quiet)
 
 
 def test_fault_plan_is_closed_and_ends_healed():

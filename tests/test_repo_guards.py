@@ -13,7 +13,10 @@ package ``__init__`` re-exports through the one helper of ``repro._lazy``;
 no module runs an event loop — a process-backend worker serves each
 frame on its connection's own thread, with no executor hop; and the
 CCMgr reads its membership view once per notification, asking about
-staleness per entity only behind the provider's gate.
+staleness per entity only behind the provider's gate.  A scenario runs
+through one op driver on every backend, and its invariants are one
+registry: no hand-written scenario script, and no post-run check beside
+the registry.
 """
 
 import ast
@@ -129,3 +132,33 @@ def test_the_ccmgr_reads_its_view_in_one_helper_and_asks_staleness_behind_the_ga
     }
     asked = [(function, gated) for function, name, gated in calls if name == "is_possibly_stale"]
     assert asked == [("_validate", True)]
+
+
+def test_no_hand_written_scenario_scripts():
+    assert not (SRC / "transport" / "differential.py").exists()
+    callers = [
+        (str(path.relative_to(SRC)), function.name)
+        for package in ("check", "faults", "transport")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func).endswith("cluster.invoke")
+    ]
+    assert sorted(set(callers)) == [
+        ("check/runner.py", "_run"),
+        ("transport/procnode.py", "handle_invoke"),
+    ]
+
+
+def test_one_invariant_list():
+    from repro.check import default_registry
+
+    assert matches(r"def check_", "faults/chaos.py") == []
+    defined = {
+        line.split("class ", 1)[1].split("(", 1)[0]
+        for line in matches(r"^class \w+\(Invariant\)")
+    }
+    registered = {type(invariant).__name__ for invariant in default_registry().invariants}
+    assert defined == registered

@@ -99,8 +99,8 @@ def test_a_corpus_scenario_replays_identically_without_the_oracle(domain, monkey
     doubles = []
     build = Scenario.build
 
-    def build_without_oracle(self, obs=None):
-        cluster, refs = build(self, obs)
+    def build_without_oracle(self, obs=None, transport="sim"):
+        cluster, refs = build(self, obs, transport)
         doubles.append(deny_the_oracle(cluster))
         return cluster, refs
 

@@ -1,67 +1,131 @@
-"""Sim-vs-real differential conformance suite (satellite of the
-pluggable-transport PR).
+"""Cross-backend conformance: one scenario, one outcome, on every backend.
 
-The canonical scenarios from :mod:`repro.transport.differential` run on
-the deterministic simulator and on the asyncio backend; their outcome
-digests — committed entity states, threat stores, reconciliation
-counters, per-operation results — must be *equal*, not merely similar.
-The sim trace stays the golden reference: these tests pin the real
-backend to it, modulo timing (which the digest deliberately excludes).
+Each scenario below replays through :func:`repro.faults.replay_scenario`
+on the deterministic simulator and on the threaded backend
+(``transport="asyncio"``, where the op driver fires ops and faults inline
+in the simulator's FIFO order).  Their outcome digests
+(:func:`repro.check.outcome_digest`: per-op results, committed entity
+states, threat stores, reconciliation counters, system modes — no timing)
+must be *equal*, not merely similar, and no invariant of
+:func:`repro.check.default_registry` may fail after the replay on either
+(``no_cross_partition_delivery`` has no step to look at in a replay, and
+the clean-reconciliation checks stand down when the closing round
+deferred work — ``docs/CORPUS.md`` lists them).  The sim trace stays the
+golden reference; the digest deliberately leaves out everything that
+depends on the clock.
+
+The ``slow`` tier widens the generated part to seeds 0–9 of the
+``medium`` and ``chaos`` presets in every corpus domain (``RUN_SLOW=1``).
 """
 
 import json
+import os
+from functools import partial
 
 import pytest
 
+from repro.apps.registry import domain_names
+from repro.check import BOOKING_SCENARIOS, CANONICAL_SCENARIOS
+from repro.corpus import generate_scenario, preset_config
+from repro.faults import replay_scenario
 from repro.transport import SimTransport, build_transport
-from repro.transport.differential import SCENARIOS, run_scenario
 
-SCENARIO_NAMES = sorted(SCENARIOS)
+
+def generated(domain, seed, preset, **overrides):
+    return generate_scenario(preset_config(domain, seed, preset, **overrides))
+
+
+CONFORMANCE = {
+    **BOOKING_SCENARIOS,
+    **CANONICAL_SCENARIOS,
+    **{f"medium-{domain}": partial(generated, domain, 0, "medium") for domain in domain_names()},
+    "oscillating-ats": partial(generated, "ats", 0, "medium", fault_plan="oscillating"),
+    "burst_loss-dtms": partial(generated, "dtms", 0, "medium", burst_loss=0.05),
+}
 
 
 def canonical(digest: dict) -> str:
     return json.dumps(digest, sort_keys=True, default=str)
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def nonconformance(scenario) -> list[str]:
+    """What differs between the two backends' replays, or failed on one."""
+    sim = replay_scenario(scenario)
+    real = replay_scenario(scenario, transport="asyncio")
+    problems = [] if canonical(real.digest) == canonical(sim.digest) else ["digests differ"]
+    for backend, report in (("sim", sim), ("asyncio", real)):
+        problems += [f"{backend}: {result}" for result in report.failed_invariants]
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMANCE))
 def test_asyncio_matches_sim_golden(name):
-    sim = run_scenario(name, "sim")
-    real = run_scenario(name, "asyncio")
-    assert canonical(real) == canonical(sim)
+    assert nonconformance(CONFORMANCE[name]()) == []
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("RUN_SLOW") != "1",
+    reason="120 generated scenarios on both backends; set RUN_SLOW=1 (CI nightly flag)",
+)
+def test_generated_scenarios_conform_across_seeds():
+    found = {
+        f"{preset}-{domain}-s{seed}": problems
+        for preset in ("medium", "chaos")
+        for domain in domain_names()
+        for seed in range(10)
+        if (problems := nonconformance(generated(domain, seed, preset)))
+    }
+    assert found == {}
+
+
+@pytest.mark.parametrize("name", sorted(BOOKING_SCENARIOS))
 def test_sim_digest_is_deterministic(name):
-    first = run_scenario(name, "sim")
-    second = run_scenario(name, "sim")
-    assert canonical(first) == canonical(second)
+    first = replay_scenario(BOOKING_SCENARIOS[name]())
+    second = replay_scenario(BOOKING_SCENARIOS[name]())
+    assert canonical(first.digest) == canonical(second.digest)
 
 
 def test_expected_scenarios_present():
     assert {"flight_booking", "oscillating_partition", "reconcile_threats"} <= set(
-        SCENARIOS
+        CONFORMANCE
     )
+    assert len(CONFORMANCE) >= 12
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("name", sorted(BOOKING_SCENARIOS))
 def test_digest_excludes_wall_time(name):
-    digest = run_scenario(name, "sim")
-    flat = canonical(digest)
+    flat = canonical(replay_scenario(BOOKING_SCENARIOS[name]()).digest)
     assert "_seconds" not in flat
-    report = digest["reconciliation"]
-    if report is not None:
-        assert "replica_phase_seconds" not in report
-        assert "constraint_phase_seconds" not in report
+    assert "phase" not in flat
 
 
 def test_digest_covers_the_guarantee_surface():
-    digest = run_scenario("flight_booking", "sim")
-    assert digest["states"], "committed entity states must be part of the digest"
+    report = replay_scenario(BOOKING_SCENARIOS["flight_booking"]())
+    digest = report.digest
     assert set(digest["threats"]) == {"a", "b", "c"}
-    assert digest["reconciliation"] is not None
-    assert digest["rebooked"], "the §1.3 overbooking must trigger the handler"
-    for states in digest["states"].values():
-        assert len(set(map(str, states.values()))) == 1, "replicas must converge"
+    assert [[label, served] for label, served, _ in digest["ops"]] == [
+        ["op:sell_tickets:F0@a", True],
+        ["op:sell_tickets:F0@a", True],
+        ["op:sell_tickets:F0@b", True],
+        ["op:reconcile", True],
+    ]
+    # §1.3: the additive merge overbooks (75 + 4 + 3 = 82 of 80), the
+    # rebooking handler moves two passengers, and the replicas converge.
+    assert digest["reconciliations"][0]["resolved_by_handler"] == 1
+    assert [count for _ref, count in report.constraint_handlers[0].rebooked] == [2]
+    (states,) = digest["states"].values()
+    assert {dict(state)["sold"] for state in states.values()} == {80}
+
+
+@pytest.mark.parametrize(
+    "params", [{"adaptation": {"policies": []}}, {"resilience": {}}], ids=["adaptation", "resilience"]
+)
+def test_the_threaded_backend_refuses_params_that_run_on_the_clock(params):
+    scenario = generated("counter", 0, "small", params=params)
+    assert replay_scenario(scenario).all_invariants_hold
+    with pytest.raises(ValueError, match=next(iter(params))):
+        replay_scenario(scenario, transport="asyncio")
 
 
 def test_unknown_transport_spec_rejected():
