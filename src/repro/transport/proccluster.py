@@ -1,7 +1,8 @@
 """Driver for a multi-process DeDiSys cluster.
 
-Spawns one :mod:`repro.transport.procnode` worker per node as an OS
-process, talks to them with length-prefixed JSON frames, and coordinates
+Starts one :mod:`repro.transport.procnode` *template* process, has it
+fork one worker per node, talks to the workers with length-prefixed
+JSON frames, and coordinates
 the reconciliation round the GMS coordinator would run in the full
 system:
 
@@ -15,7 +16,9 @@ system:
    deferred; repaired state is re-broadcast.
 
 ``kill(node)`` delivers a real signal (``SIGKILL`` by default) — the
-degrade-then-reconcile story of the dissertation on actual processes.
+degrade-then-reconcile story of the dissertation on actual processes —
+and ``restart(node)`` forks the node again from the same template, which
+has already imported everything a worker needs.
 
 The driver's connections to the workers are pooled by
 :func:`frames.request` and stay open between frames; ``kill``,
@@ -25,10 +28,12 @@ so no descriptor outlives the process it pointed at.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from itertools import chain
 from pathlib import Path
@@ -85,6 +90,101 @@ class WorkerDied(RuntimeError):
     """A worker exited or became unreachable outside an injected fault."""
 
 
+class _Template:
+    """The warm process a cluster's workers are forked from.
+
+    Hides the line protocol of :func:`repro.transport.procnode.serve_template`;
+    one request and its answer are on the pipes at a time.
+    """
+
+    def __init__(self) -> None:
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.transport.procnode"],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        self._lock = threading.Lock()
+
+    def _exchange(self, request: dict[str, Any]) -> dict[str, Any]:
+        """One request and its answer; the caller holds ``_lock``."""
+        try:
+            self.process.stdin.write(json.dumps(request) + "\n")
+            self.process.stdin.flush()
+        except BrokenPipeError:
+            pass  # the template is gone: its stdout is at EOF too
+        line = self.process.stdout.readline()
+        if not line:
+            raise WorkerDied(f"the template process exited with {self.process.wait()}")
+        return json.loads(line)
+
+    def spawn(self, **spec: Any) -> "WorkerProcess":
+        with self._lock:
+            return WorkerProcess(self, self._exchange({"spawn": spec})["pid"])
+
+    def reap(self, worker: "WorkerProcess", timeout: float | None) -> None:
+        """Set ``worker.returncode`` if the worker exits within ``timeout``
+        seconds (``None``: however long that takes)."""
+        with self._lock:
+            # Asked under the lock: the template forgets a worker once it
+            # has reported it.
+            if worker.returncode is None:
+                answer = self._exchange({"wait": worker.pid, "timeout": timeout})
+                worker.returncode = answer["returncode"]
+
+    def close(self) -> None:
+        """End the template, which kills and reaps any worker still running."""
+        try:
+            self.process.stdin.close()
+        except BrokenPipeError:
+            pass
+        try:
+            self.process.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait(timeout=5)
+        self.process.stdout.close()
+
+
+class WorkerProcess:
+    """A forked worker, with the part of :class:`subprocess.Popen` the
+    driver and its callers use."""
+
+    def __init__(self, template: _Template, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._template = template
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            self._template.reap(self, 0.0)
+        return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        if self.returncode is None:
+            self._template.reap(self, timeout)
+            if self.returncode is None:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        # Until the template has reported the exit, the pid is still this
+        # worker's (a zombie at worst), so no other process can get it.
+        if self.returncode is None:
+            try:
+                os.kill(self.pid, sig)
+            except ProcessLookupError:
+                pass  # reported by another thread just now
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
 class ProcessCluster:
     """Spawn, address, kill, restart, and reconcile worker processes."""
 
@@ -94,7 +194,6 @@ class ProcessCluster:
         primary: str | None = None,
         probe_interval: float = 0.5,
         startup_timeout: float = 15.0,
-        python: str = sys.executable,
     ) -> None:
         if len(set(node_ids)) != len(node_ids) or not node_ids:
             raise ValueError(f"node ids must be unique and non-empty: {node_ids!r}")
@@ -102,50 +201,30 @@ class ProcessCluster:
         self.primary = primary or min(self.node_ids)
         self.probe_interval = probe_interval
         self.startup_timeout = startup_timeout
-        self.python = python
         self.ports = dict(zip(self.node_ids, _free_ports(len(self.node_ids))))
-        self.processes: dict[str, subprocess.Popen] = {}
+        self.processes: dict[str, WorkerProcess] = {}
+        self._template = _Template()
         try:
             for node in self.node_ids:
                 self._spawn(node)
             self.wait_ready()
         except BaseException:
-            # The caller has no object to close(): kill what was spawned.
+            # The caller has no object to close(): end what was started.
             for node in self.processes:
                 self.kill(node)
+            self._template.close()
             raise
 
     # ------------------------------------------------------------------
     # process lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, node: str) -> None:
-        peers = ",".join(
-            f"{peer}={_HOST}:{self.ports[peer]}"
-            for peer in self.node_ids
-            if peer != node
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        self.processes[node] = subprocess.Popen(
-            [
-                self.python,
-                "-m",
-                "repro.transport.procnode",
-                "--node",
-                node,
-                "--port",
-                str(self.ports[node]),
-                "--peers",
-                peers,
-                "--primary",
-                self.primary,
-                "--probe-interval",
-                str(self.probe_interval),
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        self.processes[node] = self._template.spawn(
+            name=node,
+            port=self.ports[node],
+            peers={peer: (_HOST, self.ports[peer]) for peer in self.node_ids if peer != node},
+            primary=self.primary,
+            probe_interval=self.probe_interval,
         )
 
     def wait_ready(self, nodes: Sequence[str] | None = None) -> None:
@@ -176,7 +255,7 @@ class ProcessCluster:
         frames.close_idle(_HOST, self.ports[node])
 
     def restart(self, node: str) -> None:
-        """Respawn a previously killed worker on its original port."""
+        """Fork a previously killed worker again, on its original port."""
         process = self.processes[node]
         if process.poll() is None:
             raise RuntimeError(f"worker {node!r} is still running")
@@ -187,6 +266,7 @@ class ProcessCluster:
         self.wait_ready([node])
 
     def close(self) -> None:
+        """Shut every worker down and reap it, then end the template."""
         for node, process in self.processes.items():
             if process.poll() is None:
                 try:
@@ -194,12 +274,12 @@ class ProcessCluster:
                 except (OSError, frames.FrameError):
                     pass
         for process in self.processes.values():
-            if process.poll() is None:
-                try:
-                    process.wait(timeout=2)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait(timeout=5)
+            try:
+                process.wait(timeout=2)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=5)
+        self._template.close()
         for port in self.ports.values():
             frames.close_idle(_HOST, port)
 

@@ -1,7 +1,12 @@
 """One DeDiSys node as an OS process speaking frames over local TCP.
 
-``python -m repro.transport.procnode --node b --port 7001 \
-    --peers a=127.0.0.1:7000,c=127.0.0.1:7002 --primary a``
+``python -m repro.transport.procnode`` is not a worker but the *template*
+every worker of one :class:`~repro.transport.proccluster.ProcessCluster`
+is forked from (:func:`serve_template`): it makes every import a worker
+makes once, then forks a worker per ``spawn`` line on its stdin, so a
+worker — and a worker respawned after ``kill -9`` — starts warm instead
+of re-importing the stack.  With stdin at EOF it exits after the
+warm-up, which is how ``python -X importtime`` lists what a worker loads.
 
 Each worker hosts a *single-node* :class:`~repro.cluster.DedisysCluster`
 — the real CCMgr, threat store, negotiator, and transaction manager, not
@@ -10,11 +15,11 @@ protocol from :mod:`repro.transport.frames`:
 
 * a worker's liveness *is* its cluster's membership view: each frame
   exchange with a peer — every real write and every probe
-  (``--probe-interval``), not reads — reports to the cluster's GMS
+  (the cluster's ``probe_interval``), not reads — reports to the cluster's GMS
   whether the peer answered, so the one-node cluster's view names the
   peers it reaches; routing, the ``status`` frame and the staleness gate
   read it;
-* the first node in sorted order (or ``--primary``) is the designated
+* the first node in sorted order (or the cluster's ``primary``) is the designated
   primary; other workers forward writes to it (P4, §4.1);
 * when the primary is unreachable the receiving worker becomes the
   **temporary primary**: its staleness provider starts answering "this
@@ -53,15 +58,29 @@ only growing versions, so propagations that overtake each other still
 leave the newer state.  ``ping``/``status`` never take the mutex
 (``status`` reads an immutable snapshot), so liveness stays responsive
 mid-transaction.
+
+Start-up: the template stays single-threaded, so forking it is safe.  A
+forked worker points fds 0–2 at ``/dev/null`` (nothing it writes reaches
+the driver's pipes), copies every private writable page it inherited
+before it listens (otherwise those copy-on-write faults land in its first
+frames, typically a ``reconcile()`` right after a respawn), builds its
+:class:`WorkerNode`, serves, and leaves with ``os._exit``.  The template
+reaps its children and reports their exit codes; at EOF on its stdin it
+kills and reaps whatever still runs, so no worker outlives its driver's
+pipe.
 """
 
 from __future__ import annotations
 
-import argparse
+import ctypes
+import json
+import os
+import signal
 import socket
 import sys
 import threading
-from typing import Any
+import time
+from typing import IO, Any, NoReturn
 
 from ..apps.flightbooking import Flight, RebookingReconciliationHandler, ticket_constraint_registration
 from ..cluster import ClusterConfig, DedisysCluster
@@ -517,7 +536,6 @@ class WorkerNode:
         threading.Thread(
             target=self._probe_peers, args=(probe_interval,), daemon=True
         ).start()
-        print(f"READY {self.name} {self.port}", flush=True)
         try:
             self._shutdown.wait()
         finally:
@@ -537,31 +555,111 @@ class WorkerNode:
             self.cluster.close()
 
 
-def parse_peers(spec: str) -> dict[str, tuple[str, int]]:
-    peers: dict[str, tuple[str, int]] = {}
-    if not spec:
-        return peers
-    for item in spec.split(","):
-        name, _, addr = item.partition("=")
-        host, _, port = addr.rpartition(":")
-        peers[name] = (host or "127.0.0.1", int(port))
-    return peers
+# ----------------------------------------------------------------------
+# the template every worker is forked from
+# ----------------------------------------------------------------------
+#: ``madvise`` advice that faults a range in as if written (Linux 5.14 and
+#: later; a kernel that does not know it refuses the call).
+_MADV_POPULATE_WRITE = 23
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--node", required=True)
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--peers", default="", help="name=host:port,name=host:port")
-    parser.add_argument("--primary", default=None)
-    parser.add_argument("--probe-interval", type=float, default=0.5)
-    args = parser.parse_args(argv)
-    worker = WorkerNode(
-        args.node, args.port, parse_peers(args.peers), primary=args.primary
-    )
-    worker.serve(args.probe_interval)
-    return 0
+def warm_up() -> None:
+    """Make, once, every import a worker makes: build and discard a
+    worker, and resolve a numeric address as a worker's first connect
+    does (which loads the resolver's ``idna`` codec)."""
+    WorkerNode("warm-up", 0, {}).cluster.close()
+    socket.getaddrinfo("127.0.0.1", 0)
+
+
+def _copy_private_pages() -> None:
+    """Fault in, written, every private writable mapping of this process.
+
+    Right after a fork those pages are still the template's, and each
+    first write would copy one inside whatever frame makes it.  A refused
+    call (an older kernel, a mapping that cannot be populated) is skipped.
+    """
+    madvise = ctypes.CDLL(None).madvise
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise.restype = ctypes.c_int
+    try:
+        with open("/proc/self/maps") as maps:
+            mappings = [line.split(None, 2)[:2] for line in maps]
+    except FileNotFoundError:
+        return  # not Linux: pages are copied on first write
+    for span, perms in mappings:
+        if perms == "rw-p":
+            start, end = (int(bound, 16) for bound in span.split("-"))
+            madvise(start, end - start, _MADV_POPULATE_WRITE)
+
+
+def _serve_forked(spec: dict[str, Any]) -> NoReturn:
+    """The whole life of a forked worker; it never returns to the template."""
+    code = 1
+    try:
+        devnull = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(devnull, fd)
+        os.close(devnull)
+        _copy_private_pages()
+        peers = {peer: (host, port) for peer, (host, port) in spec["peers"].items()}
+        worker = WorkerNode(spec["name"], spec["port"], peers, primary=spec["primary"])
+        worker.serve(spec["probe_interval"])
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, timeout: float | None) -> int | None:
+    """A child's exit code (``-signal`` if a signal ended it) once it has
+    exited, or ``None`` if it still runs after ``timeout`` seconds."""
+    if timeout is None:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    deadline = read_monotonic() + timeout
+    delay = 0.0005
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        remaining = deadline - read_monotonic()
+        if remaining <= 0:
+            return None
+        time.sleep(min(delay, remaining))
+        delay = min(2 * delay, 0.05)
+
+
+def serve_template(requests: IO[str], answers: IO[str]) -> None:
+    """Warm up, then fork workers on request: one JSON line in, one out.
+
+    ``{"spawn": {"name", "port", "peers", "primary", "probe_interval"}}``
+    forks a worker and answers ``{"pid": pid}``.  ``{"wait": pid,
+    "timeout": seconds}`` (``null``: as long as it takes) answers
+    ``{"returncode": code}``, ``null`` while the worker still runs; a
+    reported worker is reaped, so the driver asks about it no more.  At
+    EOF every worker still running is killed and reaped.
+    """
+    warm_up()
+    running: set[int] = set()
+    try:
+        for line in requests:
+            request = json.loads(line)
+            if "spawn" in request:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_forked(request["spawn"])
+                running.add(pid)
+                answer: dict[str, Any] = {"pid": pid}
+            else:
+                code = _reap(request["wait"], request["timeout"])
+                if code is not None:
+                    running.discard(request["wait"])
+                answer = {"returncode": code}
+            answers.write(json.dumps(answer) + "\n")
+            answers.flush()
+    finally:
+        for pid in sorted(running):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    serve_template(sys.stdin, sys.stdout)

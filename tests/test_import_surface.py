@@ -69,6 +69,60 @@ finally:
 print(json.dumps({"first": first, "end": loaded(), "all": sorted(sys.modules)}))
 """
 
+#: What a worker forked from the template does first: after the template's
+#: warm-up, build a worker whose primary never answers, serve it one frame
+#: of every kind over a socket (writes forward, fail over and propagate to
+#: the dead peer), shut it down, and list the modules that were imported.
+FORKED_WORKER = """
+import json, socket, sys, threading, time
+from repro.transport import frames, procnode
+
+def unused_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+procnode.warm_up()
+before = set(sys.modules)
+port = unused_port()
+worker = procnode.WorkerNode("b", port, {"a": ("127.0.0.1", unused_port())}, primary="a")
+server = threading.Thread(target=worker.serve, args=(60.0,))
+server.start()
+deadline = time.monotonic() + 10
+while True:
+    try:
+        frames.request("127.0.0.1", port, {"kind": "ping"})
+        break
+    except OSError:
+        if time.monotonic() > deadline:
+            raise
+        time.sleep(0.01)
+flight = {"flight_number": "K9", "seats": 80, "sold": 70}
+sale = {"kind": "invoke", "cls": "Flight", "oid": "K9", "method": "sell_tickets"}
+answers = [
+    "ok" in frames.request("127.0.0.1", port, payload)
+    for payload in (
+        {"kind": "status"},
+        {"kind": "create", "cls": "Flight", "oid": "K9", "attrs": flight},
+        {**sale, "args": [1]},
+        {**sale, "args": [100]},
+        {"kind": "replica-create", "cls": "Flight", "oid": "K8", "state": flight,
+         "version": 1, "origin": "a"},
+        {"kind": "replica-update", "cls": "Flight", "oid": "K8", "state": flight,
+         "version": 2, "origin": "a"},
+        {"kind": "state-dump"},
+        {"kind": "state-apply", "objects": {"Flight|K9": {
+            "cls": "Flight", "oid": "K9", "state": {**flight, "sold": 85}, "version": 9}}},
+        {"kind": "revalidate"},
+        {"kind": "no-such-kind"},
+        {"kind": "shutdown"},
+    )
+]
+server.join(timeout=10)
+imported = sorted(set(sys.modules) - before)
+print(json.dumps({"answers": answers, "stopped": not server.is_alive(), "imported": imported}))
+"""
+
 
 def fresh_interpreter(code: str, *args: str) -> dict:
     """Run ``code`` in a new interpreter; the JSON object it prints last."""
@@ -116,11 +170,20 @@ class TestWhatAProcessLoads:
         loaded = modules_after("import repro.transport.proccluster")
         assert "repro.transport.frames" in loaded
         assert under("asyncio", loaded) == []
+        # The ledger imports the driver for every workload; the worker's
+        # stack and the page-copying helper load in the template only.
+        assert under("ctypes", loaded) == under("repro.cluster", loaded) == []
+        assert "repro.transport.procnode" not in loaded
 
     def test_a_process_worker_imports_no_event_loop(self):
         loaded = modules_after("import repro.transport.procnode")
         assert "repro.cluster" in loaded
         assert under("asyncio", loaded) == under("ssl", loaded) == []
+
+    def test_a_forked_worker_imports_nothing_after_the_template_warm_up(self):
+        run = fresh_interpreter(FORKED_WORKER)
+        assert run["answers"] == [True] * len(run["answers"]) and run["stopped"]
+        assert run["imported"] == []
 
 
 def export_table(package: str) -> dict[str, str]:

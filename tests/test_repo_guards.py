@@ -11,7 +11,8 @@ subscriber), and a process worker keeps no peer table beside its
 cluster's view; a
 package ``__init__`` re-exports through the one helper of ``repro._lazy``;
 no module runs an event loop — a process-backend worker serves each
-frame on its connection's own thread, with no executor hop; and the
+frame on its connection's own thread, with no executor hop, and starts
+only as a fork of its cluster's one template process; and the
 CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
@@ -97,6 +98,23 @@ def test_the_helper_holds_the_only_module_getattr():
 def test_no_event_loop_and_no_executor_hop_in_the_worker():
     assert matches(r"^\s*(import|from) asyncio") == []
     assert matches(r"ThreadPoolExecutor|run_in_executor", "transport/procnode.py") == []
+
+
+def test_a_worker_starts_only_as_a_fork_of_the_template():
+    """The driver starts one process, the template; only the template's
+    loop forks; and no worker command line is left to start one cold."""
+    assert len(matches(r"subprocess\.Popen\(", "transport/proccluster.py")) == 1
+    forks = [
+        (str(path.relative_to(SRC)), function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "os.fork"
+    ]
+    assert forks == [("transport/procnode.py", "serve_template")]
+    assert len(matches(r"\bfork\(")) == 1, "a fork outside a function, or under another name"
+    assert matches(r"--node|argparse", "transport/procnode.py") == []
 
 
 def test_the_ccmgr_reads_its_view_in_one_helper_and_asks_staleness_behind_the_gate():

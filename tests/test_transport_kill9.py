@@ -17,7 +17,11 @@ only state changes propagate; the second half of this file pins what
 that must not change: a respawned primary is reached on fresh sockets,
 an acknowledged write is neither lost nor doubled across the kill, reads
 send no replica traffic while writes still reach every replica, and
-shutdown does not wait for idle connections.
+shutdown does not wait for idle connections.  Every worker is a fork of
+its cluster's one template process: the cases in the middle pin what that
+must keep true — one parent for every incarnation, exit codes reported,
+nothing left behind, no page still shared for writing, and nothing
+written to the driver's own stdout.
 """
 
 import os
@@ -25,8 +29,10 @@ import random
 import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -409,25 +415,100 @@ def test_a_failed_start_leaves_no_worker_running(monkeypatch):
     monkeypatch.setattr(
         proccluster, "_free_ports", lambda count: [*free_ports(count - 1), held.getsockname()[1]]
     )
-    spawned: list[subprocess.Popen] = []
+    spawned: list[proccluster.WorkerProcess] = []
+    templates: set[int] = set()
     spawn = ProcessCluster._spawn
 
     def recording_spawn(self, node):
         spawn(self, node)
         spawned.append(self.processes[node])
+        templates.add(self._template.process.pid)
 
     monkeypatch.setattr(ProcessCluster, "_spawn", recording_spawn)
+    with held, pytest.raises(WorkerDied, match="'c'"):
+        ProcessCluster(("a", "b", "c"), primary="a")
+    assert len(spawned) == 3 and len(templates) == 1
+    running = [process.pid for process in spawned if process.returncode is None]
+    assert running == [], "workers outlived the failed start"
+    # Reaped, not zombies: neither a worker nor the template has a pid left.
+    assert not_gone([process.pid for process in spawned] + [*templates]) == []
+
+
+# ----------------------------------------------------------------------
+# every worker is a fork of one warm template
+# ----------------------------------------------------------------------
+def not_gone(pids: list[int]) -> list[int]:
+    """The pids that still name a process, a zombie included."""
+    return [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+
+
+def parent_pid(pid: int) -> int:
+    # The command name in parentheses may hold spaces; the fields after it do not.
+    return int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[1])
+
+
+def test_workers_are_forked_from_one_template_and_leave_nothing_behind():
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("parent pids are read from /proc (Linux)")
+    cluster = ProcessCluster(("a", "b", "c"), primary="a")
     try:
-        with held, pytest.raises(WorkerDied, match="'c'"):
-            ProcessCluster(("a", "b", "c"), primary="a")
-        assert len(spawned) == 3
-        running = [process.pid for process in spawned if process.returncode is None]
-        assert running == [], "workers outlived the failed start"
+        template = cluster._template.process.pid
+        pids = [process.pid for process in cluster.processes.values()]
+        assert [parent_pid(pid) for pid in pids] == [template] * 3
+        cluster.kill("a")
+        assert cluster.processes["a"].poll() == -signal.SIGKILL
+        cluster.restart("a")
+        pids.append(cluster.processes["a"].pid)
+        assert parent_pid(pids[-1]) == template and cluster.ping("a")
     finally:
-        for process in spawned:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+        cluster.close()
+    codes = {node: process.returncode for node, process in cluster.processes.items()}
+    assert codes == {"a": 0, "b": 0, "c": 0}
+    assert cluster._template.process.returncode == 0
+    assert not_gone([*pids, template]) == []
+
+
+def test_a_forked_worker_shares_no_writable_page_with_the_template(cluster):
+    """Its inherited private pages are copied before it listens, so no
+    copy-on-write fault is left for the frames it serves.  (The read-only
+    pages the loader relocated stay shared; nobody writes them again.)"""
+    cluster.kill("a")
+    cluster.restart("a")
+    shared: dict[str, int] = {}
+    for node, process in cluster.processes.items():
+        smaps = Path(f"/proc/{process.pid}/smaps")
+        if not smaps.exists():
+            pytest.skip("page sharing is read from /proc (Linux)")
+        for line in smaps.read_text().splitlines():
+            fields = line.split()
+            if not fields[0].endswith(":"):
+                mapping = fields  # address range, permissions, offset, device, inode[, path]
+            elif fields[0] == "Shared_Dirty:" and fields[1] != "0" and mapping[1] == "rw-p":
+                shared[f"{node} {mapping[0]} {' '.join(mapping[5:])}"] = int(fields[1])
+    assert shared == {}
+
+
+#: A driver that the ledger's set-up timer would read: its first line must
+#: be its own ``READY``, and its stdout must close when it exits.
+DRIVER = """
+from repro.transport.proccluster import ProcessCluster
+with ProcessCluster(("a", "b"), primary="a") as cluster:
+    cluster.kill("b")
+    cluster.restart("b")
+    print("READY", flush=True)
+print("closed")
+"""
+
+
+def test_a_driver_prints_only_its_own_lines():
+    src = Path(proccluster.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", DRIVER],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["READY", "closed"]
 
 
 def test_respawn_finds_its_port_free_after_connections_made_while_it_was_down(quiet_cluster):
