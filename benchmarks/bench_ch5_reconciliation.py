@@ -155,7 +155,8 @@ def test_digest_anti_entropy_message_scaling(benchmark):
         # exactly its missing set.
         assert entry["sync_batches"] == 1
         assert entry["sync_records"] == missing
-        assert entry["digest_multicasts"] == entry["node_count"]
+        # One digest round, sent by the coordinator, whatever the group size.
+        assert entry["digest_multicasts"] == 1
         # The headline claim: fewer messages than one-per-record-per-holder.
         assert entry["digest_total_multicasts"] < entry["rescan_multicasts"]
         ratios.append(entry["rescan_multicasts"] / entry["digest_total_multicasts"])

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (
-    CCMConfig,
     CCMInterceptor,
     CachingConstraintRepository,
     CompiledConstraintRepository,
@@ -104,7 +103,6 @@ class ClusterConfig:
     batch_updates: bool = False
     default_min_degree: SatisfactionDegree = SatisfactionDegree.SATISFIED
     node_weights: Mapping[NodeId, float] | None = None
-    replicate_threats: bool = True
     seed: int = 0
     # Optional observability hub (metrics + sim-time tracing).  ``None``
     # attaches the shared no-op hub: zero instrumentation state, zero
@@ -206,7 +204,6 @@ class DedisysCluster:
                     store,
                     negotiator=Negotiator(self.config.default_min_degree),
                     staleness=staleness,
-                    config=CCMConfig(replicate_threats=self.config.replicate_threats),
                     obs=self.obs,
                 )
                 ccmgr.gms = self.gms
@@ -292,18 +289,22 @@ class DedisysCluster:
         def handle(message: Message) -> Any:
             if message.kind.startswith("replica-") and replica_handler is not None:
                 return replica_handler(message)
+            store = self.threat_stores[node_id]
             if message.kind == "threat-replicate":
-                self.threat_stores[node_id].apply_remote(message.payload)
+                store.apply_remote(message.payload)
                 return "ack"
             if message.kind == "threat-resolved":
-                store = self.threat_stores[node_id]
-                if message.payload in store:
-                    store.remove(message.payload)
+                for identity in message.payload:
+                    store.remove(identity)
                 return "ack"
-            if message.kind in ("threat-digest", "threat-sync"):
-                # Anti-entropy round: digests and record batches are
-                # interpreted by the reconciliation coordinator, members
-                # only confirm delivery.
+            if message.kind == "threat-digest":
+                # Anti-entropy: this node's digest, and its records the
+                # coordinator lacks.
+                return store.digest(), store.missing_from(message.payload)
+            if message.kind == "threat-sync":
+                destination, records = message.payload
+                if destination == node_id:
+                    store.apply_synced(records)
                 return "ack"
             return "ignored"
 
@@ -317,7 +318,7 @@ class DedisysCluster:
 
     def _make_threat_resolver(self, node_id: NodeId) -> Callable[[Any], None]:
         def resolve(identity: Any) -> None:
-            self.channel.multicast(node_id, "threat-resolved", identity)
+            self.channel.multicast(node_id, "threat-resolved", (identity,))
 
         return resolve
 

@@ -117,9 +117,6 @@ class CCMConfig:
     # If replica reconciliation merges conflicting replicas by *selecting*
     # one copy, LCCs on intra-object constraints stay reliable (§3.1).
     merge_by_selection: bool = True
-    # Replicate accepted threats to the partition members (§5.1 notes the
-    # threat data has to be replicated too).
-    replicate_threats: bool = True
     # §5.5.3 asynchronous constraints: skip validation AND negotiation in
     # degraded mode, storing the threat directly for reconciliation.
     async_skip_validation_in_degraded: bool = True
@@ -164,7 +161,8 @@ class ConstraintConsistencyManager:
         # Set by the cluster facade; used for partition-weight exposure and
         # degraded-mode detection.
         self.gms: Any = None
-        # Callback used to replicate accepted threats to partition members.
+        # Callback used to replicate accepted threats to partition members
+        # (§5.1 notes the threat data has to be replicated too).
         self.threat_replicator: Any = None
         # Callback used to propagate threat *resolutions*: a business
         # operation satisfying the constraint again removes the stored
@@ -413,10 +411,7 @@ class ConstraintConsistencyManager:
             if identity in self.threat_store:
                 self.threat_store.remove(identity)
                 self._note_threat("resolved", constraint.name, outcome.degree)
-                if (
-                    self.config.replicate_threats
-                    and self.threat_resolver is not None
-                ):
+                if self.threat_resolver is not None:
                     self.threat_resolver(identity)
             return
         if outcome.degree is SatisfactionDegree.VIOLATED:
@@ -609,7 +604,7 @@ class ConstraintConsistencyManager:
 
     def _persist_threat(self, threat: ConsistencyThreat) -> None:
         stored, was_new = self.threat_store.record(threat)
-        if was_new and self.config.replicate_threats and self.threat_replicator is not None:
+        if was_new and self.threat_replicator is not None:
             self.threat_replicator(stored)
 
     def _current_tx(self) -> Transaction | None:

@@ -29,21 +29,23 @@ and each node remembers the view its group was last reconciled in.  A
 reconciliation run processes **every** merged partition group whose
 membership changed since it was last reconciled — a partial heal that merges two
 minority partitions is reconciled even while a larger partition exists
-elsewhere.  Threat records propagate via a digest anti-entropy round: each
-member publishes a compact per-identity digest, the group coordinator
-computes per-node missing sets, and missing records ship in batched
-``threat-sync`` messages — message count proportional to the records
-actually missing, not nodes × threats.
+elsewhere.  The group's coordinator, ``min(merged)``, touches only its own
+threat store; the others change in their own handlers.  Threat records
+propagate by digest anti-entropy: each member answers the coordinator's
+digest with its own and with the records the coordinator lacks, and each
+member still missing records gets them in one ``threat-sync`` message.
+Resolved threats leave the other stores in one ``threat-resolved`` round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..membership import GroupMembershipService
 from ..net import (
     THREAT_DIGEST,
+    THREAT_RESOLVED,
     THREAT_SYNC,
     GroupChannel,
     NodeId,
@@ -53,12 +55,7 @@ from ..objects import Node, ObjectRef
 from .ccmgr import ConstraintConsistencyManager
 from .model import SatisfactionDegree
 from .repository import ConstraintRepository
-from .threats import (
-    ConsistencyThreat,
-    ThreatIdentity,
-    ThreatStoragePolicy,
-    ThreatStore,
-)
+from .threats import ConsistencyThreat, ThreatIdentity, ThreatStore
 
 
 # Calls a handler gets to make good on a claimed immediate clean-up (each
@@ -150,14 +147,6 @@ class ReconciliationReport:
         return combined
 
 
-@dataclass
-class _ThreatSyncPlan:
-    """Records one node must receive during the anti-entropy round."""
-
-    destination: NodeId
-    records: list[ConsistencyThreat] = field(default_factory=list)
-
-
 class ReconciliationManager:
     """Drives the two reconciliation steps for one cluster."""
 
@@ -188,7 +177,7 @@ class ReconciliationManager:
             "reconcile_groups", "merged partition groups reconciled"
         )
         self._m_sync_batches = self.obs.registry.counter(
-            "threat_sync_batches", "batched threat-sync messages shipped"
+            "threat_sync_batches", "anti-entropy threat-record batches applied"
         )
         self._m_sync_records = self.obs.registry.counter(
             "threat_sync_records", "threat records shipped during anti-entropy"
@@ -203,11 +192,13 @@ class ReconciliationManager:
         """Partition groups that need reconciliation, largest first.
 
         A group is due when any member's view changed since that member
-        was last reconciled, or when a member still stores threats (burst
-        loss can record threats without any topology change).  Singleton
-        groups have nothing to merge; they are marked as seen without being
-        reconciled — when they later reunify, the merge itself gives them a
-        new view again.
+        was last reconciled, or when its coordinator still stores threats
+        (burst loss can record threats without any topology change; threats
+        and resolutions are group multicasts, which link faults do not
+        touch, so an unchanged view's members hold the same identities).
+        Singleton groups have nothing to merge; they are marked as seen
+        without being reconciled — when they later reunify, the merge
+        itself gives them a new view again.
         """
         due: list[frozenset[NodeId]] = []
         for group in self.gms.groups():
@@ -219,10 +210,8 @@ class ReconciliationManager:
                 self.gms.view_of(node).view_id != self._reconciled_view[node]
                 for node in group
             )
-            pending = any(
-                self.threat_stores[node].count_identities() for node in group
-            )
-            if changed or pending:
+            coordinator = min(group)
+            if changed or self.threat_stores[coordinator].count_identities():
                 due.append(group)
         return due
 
@@ -293,85 +282,39 @@ class ReconciliationManager:
     ) -> None:
         """Union the threat stores of the reunified partition.
 
-        Digest anti-entropy: every member multicasts a compact digest
-        (identity → record ids / occurrence count), the coordinator
-        computes what each node is missing, and the missing records ship
-        in one batched ``threat-sync`` message per destination.  Applying
-        a record still pays the full persist cost on the receiving store —
-        the cost that makes full-history storage expensive to reconcile —
-        but the message count now scales with the records actually
-        missing instead of nodes × threats.
+        Digest anti-entropy: the coordinator multicasts its digest
+        (identity → record ids / occurrence count) and applies the records
+        the members' replies offer; each member still missing records gets
+        them in one ``threat-sync`` message naming it, which its own
+        handler applies.  Applying a record still pays the full persist
+        cost on the receiving store — the cost that makes full-history
+        storage expensive to reconcile — but the message count is one
+        round plus one per member missing records, not nodes × threats.
         """
-        members = sorted(merged)
-        if len(members) < 2:
-            return
-        digests = {
-            node_id: self.threat_stores[node_id].digest() for node_id in members
-        }
-        if not any(digests.values()):
-            return
-        for node_id in members:
-            self.channel.multicast(node_id, THREAT_DIGEST, digests[node_id])
-
-        # The coordinator's union catalog: every known record, in
-        # deterministic (identity, threat_id) order, with the node that
-        # holds it.
-        catalog: dict[ThreatIdentity, dict[int, tuple[NodeId, ConsistencyThreat]]] = {}
-        for node_id in members:
-            store = self.threat_stores[node_id]
-            for identity in store.identities():
-                records = catalog.setdefault(identity, {})
-                for threat in store.occurrences_of(identity):
-                    records.setdefault(threat.threat_id, (node_id, threat))
-
-        plans = {node_id: _ThreatSyncPlan(node_id) for node_id in members}
-        planned: dict[NodeId, set[ThreatIdentity]] = {node_id: set() for node_id in members}
-        for identity in sorted(catalog, key=lambda item: (item[0], str(item[1]))):
-            records = catalog[identity]
-            for threat_id in sorted(records):
-                _holder, threat = records[threat_id]
-                for node_id in members:
-                    store = self.threat_stores[node_id]
-                    known = digests[node_id].get(identity)
-                    if known is not None and threat_id in known.record_ids:
-                        continue
-                    # Under the full-history policy every record is
-                    # replicated data and must be shipped; identical-once
-                    # nodes only need one record per missing identity
-                    # (§5.2: replica reconciliation cannot benefit from
-                    # identifying identical threats).
-                    if store.policy is not ThreatStoragePolicy.FULL_HISTORY and (
-                        known is not None or identity in planned[node_id]
-                    ):
-                        continue
-                    plans[node_id].records.append(threat)
-                    planned[node_id].add(identity)
-
         coordinator = min(merged)
-        for node_id in members:
-            plan = plans[node_id]
-            if not plan.records:
-                continue
-            source = coordinator if node_id != coordinator else min(
-                node for node in members if node != node_id
-            )
-            for threat in plan.records:
-                self.nodes[node_id].persistence.charge("threat_sync_record")
-            self.channel.multicast(source, THREAT_SYNC, tuple(plan.records))
-            store = self.threat_stores[node_id]
-            for threat in plan.records:
-                store.apply_remote(threat)
-            report.threat_sync_batches += 1
-            report.threat_sync_records += len(plan.records)
-            if self.obs.enabled:
-                self._m_sync_batches.inc()
-                self._m_sync_records.inc(len(plan.records))
-                self.obs.emit(
-                    "threat_sync",
-                    node=str(node_id),
-                    source=str(source),
-                    records=len(plan.records),
-                )
+        store = self.threat_stores[coordinator]
+        replies = self.channel.multicast(coordinator, THREAT_DIGEST, store.digest())
+        # A member's reply is (its digest, its records the coordinator lacks).
+        members = sorted(node for node in replies if node in merged)
+        offered = [threat for node in members for threat in replies[node][1]]
+        applied = store.apply_synced(offered)
+        if applied:
+            self._count_sync(report, coordinator, members[0], applied)
+        for node in members:
+            records = tuple(store.missing_from(replies[node][0]))
+            if records:
+                self.channel.multicast(coordinator, THREAT_SYNC, (node, records))
+                self._count_sync(report, node, coordinator, len(records))
+
+    def _count_sync(
+        self, report: ReconciliationReport, node: NodeId, source: NodeId, records: int
+    ) -> None:
+        report.threat_sync_batches += 1
+        report.threat_sync_records += records
+        if self.obs.enabled:
+            self._m_sync_batches.inc()
+            self._m_sync_records.inc(records)
+            self.obs.emit("threat_sync", node=str(node), source=str(source), records=records)
 
     # ------------------------------------------------------------------
     # constraint phase
@@ -384,16 +327,24 @@ class ReconciliationManager:
     ) -> None:
         """The constraint phase (§4.4): re-evaluate the pending threats of
         ``min(merged)`` with that node's own CCMgr, counting into ``report``.
-        A process-backend worker calls it on its single-node cluster."""
+        Resolved threats leave the coordinator's store at once and the other
+        members' stores in one ``threat-resolved`` round at the end.  A
+        process-backend worker calls it on its single-node cluster."""
         coordinator = min(merged)
         ccmgr = self.ccmgrs[coordinator]
         store = self.threat_stores[coordinator]
+        resolved: list[ThreatIdentity] = []
+
+        def resolve(identity: ThreatIdentity) -> None:
+            store.remove(identity)
+            resolved.append(identity)
+
         for threat in list(store.pending()):
             report.threats_reevaluated += 1
             identity = threat.identity
             if not self.repository.knows(threat.constraint_name):
                 # Constraint was removed at runtime; nothing to re-check.
-                self._remove_everywhere(identity, merged)
+                resolve(identity)
                 continue
             registration = self.repository.by_name(threat.constraint_name)
             context_entity = self._resolve_context(coordinator, threat.context_ref)
@@ -413,7 +364,7 @@ class ReconciliationManager:
                     report.conflict_notifications += 1
                     if self.on_conflict_notification is not None:
                         self.on_conflict_notification(threat)
-                self._remove_everywhere(identity, merged)
+                resolve(identity)
                 continue
             # Violated.
             report.violations_found += 1
@@ -421,7 +372,7 @@ class ReconciliationManager:
                 coordinator, registration, threat, merged, report
             ):
                 report.resolved_by_rollback += 1
-                self._remove_everywhere(identity, merged)
+                resolve(identity)
                 continue
             if handler is None:
                 report.deferred += 1
@@ -452,12 +403,15 @@ class ReconciliationManager:
                         self._broadcast_state(
                             coordinator, threat.context_ref, context_entity, merged
                         )
-                    self._remove_everywhere(identity, merged)
+                    resolve(identity)
                     solved_now = True
                     break
             if not solved_now:
                 report.deferred += 1
                 store.mark_deferred(identity)
+        if resolved:
+            # The other members drop what was resolved in their own handlers.
+            self.channel.multicast(coordinator, THREAT_RESOLVED, tuple(resolved))
 
     # ------------------------------------------------------------------
     # rollback path (§3.3)
@@ -516,12 +470,6 @@ class ReconciliationManager:
         self.nodes[source].persistence.table("entities").put(
             (ref.class_name, ref.oid), entity.state()
         )
-
-    def _remove_everywhere(self, identity: ThreatIdentity, merged: frozenset[NodeId]) -> None:
-        for node_id in merged:
-            store = self.threat_stores[node_id]
-            if identity in store:
-                store.remove(identity)
 
     def _resolve_context(self, node_id: NodeId, ref: ObjectRef | None) -> Any:
         if ref is None:

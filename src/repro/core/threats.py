@@ -22,13 +22,22 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 from ..objects import ObjectRef
 from ..persistence import PersistenceEngine
 from .model import SatisfactionDegree
 
 ThreatIdentity = tuple[str, ObjectRef | None]
+
+
+def _identity_order(identity: ThreatIdentity) -> tuple[str, str]:
+    return (identity[0], str(identity[1]))
+
+
+def _catalog_order(threat: ConsistencyThreat) -> tuple[tuple[str, str], int]:
+    """The (identity, threat id) order anti-entropy ships records in."""
+    return (_identity_order(threat.identity), threat.threat_id)
 
 
 @dataclass
@@ -206,7 +215,7 @@ class ThreatStore:
         deterministic across same-seed runs.
         """
         summary: dict[ThreatIdentity, ThreatDigestEntry] = {}
-        for identity in sorted(self._threats, key=lambda item: (item[0], str(item[1]))):
+        for identity in sorted(self._threats, key=_identity_order):
             threats = self._threats[identity]
             ids = tuple(sorted(threat.threat_id for threat in threats))
             summary[identity] = ThreatDigestEntry(
@@ -216,6 +225,43 @@ class ThreatStore:
                 max_record_id=ids[-1],
             )
         return summary
+
+    def missing_from(
+        self, digest: Mapping[ThreatIdentity, ThreatDigestEntry]
+    ) -> list[ConsistencyThreat]:
+        """This store's records that a node holding ``digest`` lacks, in
+        (identity, threat id) order: under ``FULL_HISTORY`` every record
+        id the digest does not list, under ``IDENTICAL_ONCE`` one record
+        per identity it does not know (§5.2)."""
+        full_history = self.policy is ThreatStoragePolicy.FULL_HISTORY
+        missing: list[ConsistencyThreat] = []
+        for identity in sorted(self._threats, key=_identity_order):
+            known = digest.get(identity)
+            if known is not None and not full_history:
+                continue
+            known_ids = set(known.record_ids) if known is not None else set()
+            records = [
+                threat
+                for threat in sorted(self._threats[identity], key=_catalog_order)
+                if threat.threat_id not in known_ids
+            ]
+            missing.extend(records if full_history else records[:1])
+        return missing
+
+    def apply_synced(self, records: Iterable[ConsistencyThreat]) -> int:
+        """Apply records peers found this store lacks, each once (per
+        record id under ``FULL_HISTORY``, per identity otherwise) and in
+        (identity, threat id) order, charging ``threat_sync_record`` per
+        record; returns how many were applied."""
+        full_history = self.policy is ThreatStoragePolicy.FULL_HISTORY
+        seen: set[Any] = set()
+        for threat in sorted(records, key=_catalog_order):
+            key = threat.threat_id if full_history else threat.identity
+            if key not in seen:
+                seen.add(key)
+                self.engine.charge("threat_sync_record")
+                self.record(threat)
+        return len(seen)
 
     def persisted_row(self, threat_id: int) -> dict[str, Any] | None:
         """The on-disk snapshot of one threat record (test introspection)."""

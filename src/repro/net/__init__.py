@@ -4,7 +4,7 @@ from .._lazy import reexport
 
 __getattr__, __dir__, __all__ = reexport(globals(), {
     "messages": (
-        "RECONCILIATION_KINDS", "REPLICA_CREATE", "REPLICA_DELETE", "REPLICA_UPDATE",
+        "REPLICA_CREATE", "REPLICA_DELETE", "REPLICA_UPDATE",
         "THREAT_DIGEST", "THREAT_REPLICATE", "THREAT_RESOLVED", "THREAT_SYNC",
         "DeadlineExceededError", "Message", "NodeCrashedError", "NodeId",
         "UnreachableError",

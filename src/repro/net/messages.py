@@ -20,19 +20,20 @@ REPLICA_UPDATE = "replica-update"
 REPLICA_DELETE = "replica-delete"
 
 # Multicast kinds used by the constraint consistency service: accepted
-# threats are replicated to partition members, resolutions propagate the
-# §4.4 deferred-clean-up removal to the peers that hold the dead record.
+# threats are replicated to partition members, and a ``threat-resolved``
+# payload is a tuple of identities every recipient drops — the one a
+# business operation satisfied again (§4.4), or every threat one
+# reconciliation's constraint phase resolved.
 THREAT_REPLICATE = "threat-replicate"
 THREAT_RESOLVED = "threat-resolved"
 
-# Multicast kinds used by reconciliation's digest anti-entropy round:
-# every member publishes a compact per-identity digest, the coordinator
-# computes per-node missing sets, and missing records ship in batched
-# ``threat-sync`` messages.
+# Multicast kinds used by reconciliation's digest anti-entropy exchange:
+# the coordinator sends its digest, every member replies with its own
+# digest and the records the coordinator lacks, and a ``threat-sync``
+# payload ``(destination, records)`` ships the records the coordinator
+# found missing at that one member.
 THREAT_DIGEST = "threat-digest"
 THREAT_SYNC = "threat-sync"
-
-RECONCILIATION_KINDS = frozenset({THREAT_DIGEST, THREAT_SYNC})
 
 _sequence = itertools.count(1)
 

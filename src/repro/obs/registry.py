@@ -41,7 +41,7 @@ TRACE_EVENTS: dict[str, str] = {
     "topology_change": "the reachability topology changed (partition/heal/crash)",
     # reconciliation
     "reconcile_group": "one merged partition group was reconciled",
-    "threat_sync": "a batched threat-sync anti-entropy message shipped",
+    "threat_sync": "a node applied one batch of anti-entropy threat records",
     # transactions
     "tx_commit": "a transaction committed",
     "tx_rollback": "a transaction rolled back, with reason",
@@ -95,7 +95,7 @@ METRICS: dict[str, str] = {
     "tx_rollbacks_total": "transactions rolled back",
     # reconciliation
     "reconcile_groups": "merged partition groups reconciled",
-    "threat_sync_batches": "batched threat-sync messages shipped",
+    "threat_sync_batches": "anti-entropy threat-record batches applied",
     "threat_sync_records": "threat records shipped during anti-entropy",
     # fault injection & resilience
     "fault_decisions_total": "fault-model consultations, by effect",

@@ -97,26 +97,6 @@ class TestFullHistoryEndToEnd:
             assert cluster.threat_stores[node].stored_records() == 0
 
 
-class TestThreatReplicationDisabled:
-    def test_threats_stay_local_when_disabled(self):
-        cluster = DedisysCluster(
-            ClusterConfig(node_ids=NODES, replicate_threats=False)
-        )
-        cluster.deploy(Flight)
-        cluster.register_constraint(ticket_constraint_registration())
-        ref = cluster.create_entity("a", "Flight", "f1", {"seats": 100})
-        cluster.partition({"a", "b"}, {"c"})
-        cluster.invoke(
-            "a", ref, "sell_tickets", 1, negotiation_handler=AcceptAllHandler()
-        )
-        assert cluster.threat_stores["a"].count_identities() == 1
-        assert cluster.threat_stores["b"].count_identities() == 0
-        # reconciliation still unites and resolves them
-        cluster.heal()
-        cluster.reconcile()
-        assert cluster.threat_stores["a"].count_identities() == 0
-
-
 class TestSoftConstraintDegradedFlow:
     def test_soft_constraint_threat_at_commit(self):
         cluster = DedisysCluster(ClusterConfig(node_ids=NODES))

@@ -218,59 +218,95 @@ class TestConflictRetention:
 
 
 class TestDigestAntiEntropy:
-    """Threat propagation messages scale with missing records."""
+    """One digest round per reconciled group; a threat-sync goes only to a
+    member that lacks records, and the coordinator's own missing records
+    arrive in the digest replies."""
 
-    def _run(self, policy, distinct=6, occurrences=4, obs=None):
+    def _run(self, policy, seller="a", isolated=("c",), distinct=6, occurrences=4):
+        obs = Observability()
         cluster = make_flight_cluster(obs=obs, threat_policy=policy)
         refs = [
             cluster.create_entity("a", "Flight", f"LH{index}", {"seats": 80})
             for index in range(distinct)
         ]
-        cluster.partition({"a", "b"}, {"c"})
+        cluster.partition(set(NODES) - set(isolated), set(isolated))
         handler = AcceptAllHandler()
         for _ in range(occurrences):
             for ref in refs:
-                cluster.invoke("a", ref, "sell_tickets", 1, negotiation_handler=handler)
+                cluster.invoke(seller, ref, "sell_tickets", 1, negotiation_handler=handler)
         cluster.heal()
         report = cluster.reconcile()
-        return cluster, report
+        return cluster, report, obs
 
-    def test_full_history_ships_batched_records(self):
-        obs = Observability()
-        cluster, report = self._run(
-            ThreatStoragePolicy.FULL_HISTORY, distinct=6, occurrences=4, obs=obs
-        )
-        # c was missing all 24 records; they arrive in ONE batch.
-        assert report.threat_sync_records == 24
-        assert report.threat_sync_batches == 1
-        multicasts = obs.registry.counter("net_multicasts_total", "")
-        assert multicasts.value(kind="threat-sync") == 1
-        assert multicasts.value(kind="threat-digest") == len(NODES)
-        # All six identities re-evaluated satisfied and removed everywhere.
+    @staticmethod
+    def _rounds(obs, kind):
+        return obs.registry.counter("net_multicasts_total", "").value(kind=kind)
+
+    @staticmethod
+    def _synced(obs):
+        """``(receiving node, records)`` per applied threat-sync batch."""
+        return [(event.node, event.data["records"]) for event in obs.events("threat_sync")]
+
+    def _assert_resolved_everywhere(self, cluster, report, obs):
+        # All six identities re-evaluated satisfied, removed by the
+        # coordinator and, in one threat-resolved round, by every member.
         assert report.satisfied_removed == 6
+        assert self._rounds(obs, "threat-resolved") == 1
         for node in NODES:
             assert cluster.threat_stores[node].count_identities() == 0
+
+    def test_full_history_ships_one_batch_to_the_member_that_lacks_records(self):
+        cluster, report, obs = self._run(ThreatStoragePolicy.FULL_HISTORY)
+        # c was missing all 24 records; they arrive in ONE batch, and b,
+        # which holds them already, gets none.
+        assert self._rounds(obs, "threat-digest") == 1
+        assert self._rounds(obs, "threat-sync") == 1
+        assert self._synced(obs) == [("c", 24)]
+        assert (report.threat_sync_batches, report.threat_sync_records) == (1, 24)
+        self._assert_resolved_everywhere(cluster, report, obs)
 
     def test_identical_once_ships_one_record_per_identity(self):
-        cluster, report = self._run(
-            ThreatStoragePolicy.IDENTICAL_ONCE, distinct=6, occurrences=4
-        )
-        assert report.threat_sync_records == 6
-        assert report.threat_sync_batches == 1
-        assert report.satisfied_removed == 6
-        for node in NODES:
-            assert cluster.threat_stores[node].count_identities() == 0
+        cluster, report, obs = self._run(ThreatStoragePolicy.IDENTICAL_ONCE)
+        assert self._synced(obs) == [("c", 6)]
+        assert (report.threat_sync_batches, report.threat_sync_records) == (1, 6)
+        self._assert_resolved_everywhere(cluster, report, obs)
 
-    def test_no_digest_round_when_stores_empty(self):
+    @pytest.mark.parametrize("policy", list(ThreatStoragePolicy))
+    def test_the_coordinator_takes_its_missing_records_from_the_replies(self, policy):
+        # b and c both hold every record the isolated coordinator lacks and
+        # both offer them; the coordinator applies each once, and nobody
+        # needs a threat-sync message.
+        cluster, report, obs = self._run(policy, seller="b", isolated=("a",))
+        records = 24 if policy is ThreatStoragePolicy.FULL_HISTORY else 6
+        assert self._rounds(obs, "threat-digest") == 1
+        assert self._rounds(obs, "threat-sync") == 0
+        assert self._synced(obs) == [("a", records)]
+        assert report.threat_sync_records == records
+        self._assert_resolved_everywhere(cluster, report, obs)
+
+    def test_one_digest_round_even_when_stores_empty(self):
         obs = Observability()
         cluster = make_flight_cluster(obs=obs)
         cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.partition({"a"}, {"b", "c"})
         cluster.heal()
-        cluster.reconcile()
-        multicasts = obs.registry.counter("net_multicasts_total", "")
-        assert multicasts.value(kind="threat-digest") == 0
-        assert multicasts.value(kind="threat-sync") == 0
+        report = cluster.reconcile()
+        assert len(report.groups) == 1
+        assert self._rounds(obs, "threat-digest") == 1
+        assert self._rounds(obs, "threat-sync") == 0
+        assert self._rounds(obs, "threat-resolved") == 0
+
+    def test_one_digest_round_per_reconciled_group(self):
+        cluster, ref_d, _ = TestPartialHeal()._split_cluster(obs=Observability())
+        cluster.partition({"a", "b", "c"}, {"d", "e"})
+        report = cluster.reconcile(replica_handler=AdditiveSoldMerge({ref_d: 10}))
+        obs = cluster.obs
+        assert len(report.groups) == 2
+        assert self._rounds(obs, "threat-digest") == 2
+        # Only d, the pair's coordinator, lacked a record (e's ref_e
+        # threat), and it came in e's digest reply.
+        assert self._rounds(obs, "threat-sync") == 0
+        assert self._synced(obs) == [("d", 1)]
 
 
 class TestDigestDeterminism:

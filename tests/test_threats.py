@@ -219,3 +219,53 @@ class TestDigest:
     def test_empty_store_digest_empty(self, engine):
         store = ThreatStore(engine)
         assert store.digest() == {}
+
+
+class TestAntiEntropy:
+    """``missing_from`` answers what a peer with a given digest lacks;
+    ``apply_synced`` applies what peers offered, each record once."""
+
+    def _full_history_pair(self, engine):
+        ours = ThreatStore(engine, ThreatStoragePolicy.FULL_HISTORY)
+        shared = make_threat()
+        ours.record(shared)
+        extra = make_threat()
+        ours.record(extra)
+        other = make_threat(ref=OTHER)
+        ours.record(other)
+        peer = ThreatStore(engine, ThreatStoragePolicy.FULL_HISTORY)
+        peer.record(shared)
+        return ours, peer, extra, other
+
+    def test_full_history_misses_every_unknown_record_id(self, engine):
+        ours, peer, extra, other = self._full_history_pair(engine)
+        assert ours.missing_from(peer.digest()) == [extra, other]
+        assert ours.missing_from(ours.digest()) == []
+
+    def test_identical_once_misses_one_record_per_unknown_identity(self, engine):
+        ours = ThreatStore(engine)
+        ours.record(make_threat(ref=OTHER))
+        head, _ = ours.record(make_threat())
+        ours.record(make_threat())  # absorbed by head
+        peer = ThreatStore(engine)
+        peer.record(make_threat(ref=OTHER))  # a different record, same identity
+        assert ours.missing_from(peer.digest()) == [head]
+
+    def test_apply_synced_applies_each_record_once_in_catalog_order(self, engine):
+        ours, peer, extra, other = self._full_history_pair(engine)
+        fresh = ThreatStore(engine, ThreatStoragePolicy.FULL_HISTORY)
+        offered = ours.missing_from(fresh.digest())
+        before = engine.ledger.counts.get("threat_sync_record", 0)
+        assert fresh.apply_synced(list(reversed(offered)) + offered) == 3
+        assert engine.ledger.counts["threat_sync_record"] - before == 3
+        assert [threat.identity for threat in fresh.pending()] == [
+            ("TicketConstraint", REF),
+            ("TicketConstraint", OTHER),
+        ]
+        assert fresh.missing_from(ours.digest()) == []
+
+    def test_identical_once_keeps_the_lowest_record_per_identity(self, engine):
+        first, second = make_threat(), make_threat()
+        store = ThreatStore(engine)
+        assert store.apply_synced([second, first]) == 1
+        assert store.pending() == [first]
