@@ -1,7 +1,7 @@
 """CONC rules: lock discipline and event-loop safety (interprocedural).
 
-PR 9's real transport backends introduced genuine concurrency — daemon
-event-loop threads, handler executors, RLock tx guards, a timer thread —
+The real transport backends run genuinely concurrent code — per-node
+worker pools, RLock tx guards, a process worker's connection threads —
 which the per-module rules cannot reason about.  These five rules sit on
 the interprocedural index (``analysis/interproc.py``) and police the
 contracts that keep the backends correct:

@@ -30,7 +30,6 @@ from ..core import (
     OperationShedded,
 )
 from ..faults.resilience import CircuitOpenError
-from ..faults.schedule import FaultSchedule
 from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..obs import Observability
 from ..replication import WriteAccessDenied
@@ -52,12 +51,6 @@ BLOCKING_ERRORS = (
     OperationShedded,
     TransactionRolledBack,
 )
-
-#: Scenario params whose effect runs on the transport's clock, so only a
-#: deterministic transport replays them: adaptation ticks are timers that
-#: race the ops, and retry backoff and circuit-breaker timeouts measure
-#: wall time (with burst loss, 3 of 18 generated replays diverged).
-WALL_CLOCK_UNSAFE_PARAMS = frozenset({"adaptation", "resilience"})
 
 # A mutation is a test-only fault *in the middleware itself*: a callable
 # receiving the freshly built cluster and returning a context manager that
@@ -155,31 +148,10 @@ class OpDriver:
         scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
     def play(self, scenario: Scenario) -> None:
-        """Run the whole timeline.  A deterministic transport schedules it
-        and drains; on any other, a wall clock would race the events, so
-        they fire inline in the sim scheduler's FIFO order — by ``at``,
-        ops before faults at equal ``at``, each in index order."""
-        transport = self.cluster.transport
-        if transport.deterministic:
-            self.install(scenario, self.cluster.clock.now)
-            self.cluster.scheduler.drain()
-            return
-        timed = sorted(WALL_CLOCK_UNSAFE_PARAMS.intersection(scenario.params))
-        if timed:
-            raise ValueError(
-                f"params {timed} run on the clock, which the {transport.name} "
-                "transport cannot replay deterministically"
-            )
-        self._note_settable(scenario)
-        network = self.cluster.network
-        timeline = [(op.at, 0, op) for op in scenario.ops] + [
-            (event.at, 1, event) for event in scenario.shifted_fault_schedule(0.0)
-        ]
-        for _at, is_fault, item in sorted(timeline, key=lambda entry: entry[:2]):
-            if is_fault:
-                FaultSchedule.fire(network, item)
-            else:
-                self._run(scenario, item)
+        """Run the whole timeline on the cluster's scheduler, whatever
+        the transport: schedule it from now, then drain."""
+        self.install(scenario, self.cluster.clock.now)
+        self.cluster.scheduler.drain()
 
     def _note_settable(self, scenario: Scenario) -> None:
         methods: dict[int, set[str]] = {}

@@ -116,10 +116,10 @@ class ClusterConfig:
     # burst loss, delay, duplication, kind filters).
     fault_injector: FaultInjector | None = None
     # Execution substrate: ``"sim"`` (deterministic discrete-event
-    # simulator, the default), ``"asyncio"`` (in-process wall-clock
-    # backend: a worker-thread pool per node, real timers, real
-    # concurrency; the name is kept, there is no event loop), or a ready
-    # :class:`~repro.transport.Transport`.
+    # simulator, the default), ``"asyncio"`` (in-process threaded
+    # backend: a worker-thread pool per node on the simulator's clock and
+    # scheduler, real concurrency; the name is kept, there is no event
+    # loop), or a ready :class:`~repro.transport.Transport`.
     transport: "str | Transport" = "sim"
 
 
@@ -567,10 +567,10 @@ class DedisysCluster:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release transport resources (threads, mailboxes, timers).
+        """Release transport resources (the nodes' threads and mailboxes).
 
-        A no-op on the sim backend; required on real backends, where the
-        transport owns the nodes' worker threads and a timer thread.
+        A no-op on the sim backend; required on the threaded backend,
+        where the transport owns the nodes' worker threads.
         Clusters are also context managers: ``with DedisysCluster(cfg) as
         cluster: ...``.
         """

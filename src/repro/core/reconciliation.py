@@ -227,8 +227,8 @@ class ReconciliationManager:
         """Run both reconciliation phases for one merged partition group."""
         epoch = self.gms.epoch
         report = ReconciliationReport(merged_partition=merged, epoch=epoch)
-        clock = self.network.scheduler.clock
         coordinator = min(merged)
+        clock = self.nodes[coordinator].services.clock
         if self.obs.enabled:
             self._m_groups.inc()
             self.obs.emit(

@@ -17,9 +17,10 @@ which did not.
 On the simulator everything — fault times, fault choices, workload,
 backoff jitter, burst loss — derives from seeds, so one scenario maps to
 exactly one trace: replaying it twice yields byte-identical event traces
-and equal metric snapshots, which the test suite enforces.  On the
-threaded backend the trace is real time, but the outcome digest
-(:func:`~repro.check.runner.outcome_digest`) equals the simulator's.
+and equal metric snapshots, which the test suite enforces.  The threaded
+backend runs on the same clock and scheduler, so a replay there ends with
+the simulator's outcome digest (:func:`~repro.check.runner.outcome_digest`)
+at the simulator's simulated time.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ class ReplayReport:
     threats_recorded: int = 0
     # Threats the CCMgrs accepted, every occurrence counted.
     threats_accepted: int = 0
-    # Transport time (simulated on the sim backend) from the first
-    # scenario tick to the end of the final reconciliation, and the part
-    # of it spent reconciling.
+    # Simulated time from the first scenario tick to the end of the final
+    # reconciliation, and the part of it spent reconciling.
     simulated_seconds: float = 0.0
     reconciliation_seconds: float = 0.0
     invariants: list[InvariantResult] = field(default_factory=list)
@@ -173,9 +173,7 @@ def replay_scenario(
     (:meth:`~repro.check.runner.OpDriver.play`); after a heal + reconcile
     the checker's invariant registry is evaluated once.  The report
     carries the outcome digest and a bucketed availability curve over the
-    op window — the per-domain series the corpus sweep records.  A
-    transport that is not deterministic refuses params that run on the
-    clock (``ValueError``).
+    op window — the per-domain series the corpus sweep records.
     """
     # Imported here: ``repro.check`` imports the cluster, which imports us.
     from ..check.invariants import RunProbe, default_registry

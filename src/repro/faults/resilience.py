@@ -259,7 +259,7 @@ class ResilienceInterceptor(Interceptor):
         breaker = self._breakers.get(destination)
         if breaker is None:
             breaker = CircuitBreaker(
-                self.network.scheduler.clock,
+                self.node.services.clock,
                 self.config.breaker or BreakerConfig(),
                 destination=destination,
                 on_transition=self._on_breaker_transition,
@@ -273,7 +273,7 @@ class ResilienceInterceptor(Interceptor):
 
     # ------------------------------------------------------------------
     def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
-        clock = self.network.scheduler.clock
+        clock = self.node.services.clock
         if self.config.default_deadline is not None and invocation.deadline is None:
             invocation.deadline = clock.now + self.config.default_deadline
         retry = self.config.retry

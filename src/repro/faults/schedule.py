@@ -134,7 +134,7 @@ class FaultSchedule:
         installed = [
             scheduler.schedule_at(
                 event.at,
-                self.fire,
+                self._fire,
                 network,
                 event,
                 label=f"fault:{event.action}",
@@ -155,8 +155,8 @@ class FaultSchedule:
         return cancelled
 
     @staticmethod
-    def fire(network: "SimNetwork", event: FaultEvent) -> None:
-        """Apply one event now, traced like an installed one."""
+    def _fire(network: "SimNetwork", event: FaultEvent) -> None:
+        """Apply one installed event, traced."""
         if network.obs.enabled:
             network.obs.emit(
                 "fault_event",

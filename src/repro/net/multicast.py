@@ -22,7 +22,8 @@ class GroupChannel:
 
     Reliable within the reachable membership: uniform loss and fault
     injectors model *link* faults and are never consulted.  Other backends
-    subclass this, sharing the round prologue but not the delivery loop.
+    subclass this, sharing the round prologue (:meth:`_begin_round`, which
+    also charges the round) but not the delivery loop.
     """
 
     def __init__(self, network: Network, group: str = "dedisys") -> None:
@@ -81,15 +82,7 @@ class GroupChannel:
         departed member to be skipped (it neither receives the message nor
         appears in the returned replies).
         """
-        recipients = self._recipients(source)
-        costs: CostModel = self.network.costs
-        round_trips = 2 if await_acks else 1
-        duration = round_trips * (
-            costs.multicast_base + costs.multicast_per_node * len(recipients)
-        )
-        if recipients:
-            self.network.charge("multicast", duration)
-        self._record_round(source, kind, payload, recipients, await_acks)
+        recipients = self._begin_round(source, kind, payload, await_acks)
         replies: dict[NodeId, Any] = {}
         for node in recipients:
             # Re-check membership per delivery: a handler earlier in the
@@ -101,25 +94,27 @@ class GroupChannel:
             replies[node] = handler(message)
         return replies
 
-    def _recipients(self, source: NodeId) -> list[NodeId]:
-        """The round's recipient snapshot: every other reachable member."""
+    def _begin_round(
+        self, source: NodeId, kind: str, payload: Any, await_acks: bool
+    ) -> list[NodeId]:
+        """The round prologue every backend shares: snapshot the
+        recipients (every other reachable member), charge the whole
+        round, then record its one ``multicast`` event, which covers
+        every delivery.  Returns the snapshot."""
         if self.network.is_crashed(source):
             raise NodeCrashedError(source)
-        return [
+        recipients = [
             node
             for node in self.members
             if node != source and self.network.reachable(source, node)
         ]
-
-    def _record_round(
-        self,
-        source: NodeId,
-        kind: str,
-        payload: Any,
-        recipients: list[NodeId],
-        await_acks: bool,
-    ) -> None:
-        """The round's one ``multicast`` event; it covers every delivery."""
+        costs: CostModel = self.network.costs
+        round_trips = 2 if await_acks else 1
+        duration = round_trips * (
+            costs.multicast_base + costs.multicast_per_node * len(recipients)
+        )
+        if recipients:
+            self.network.charge("multicast", duration)
         if self.obs.enabled:
             self._m_multicasts.inc(kind=kind)
             self._m_recipients.inc(len(recipients), kind=kind)
@@ -131,3 +126,4 @@ class GroupChannel:
                 bytes=payload_size(payload),
                 await_acks=await_acks,
             )
+        return recipients

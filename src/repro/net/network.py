@@ -10,7 +10,7 @@ appears as a singleton partition to everyone else.
 
 The failure-model bookkeeping itself lives in the substrate-independent
 :class:`~repro.net.topology.Topology` base, and message *admission* in
-:class:`Network`; both are shared with the wall-clock threaded backend
+:class:`Network`; both are shared with the threaded backend
 (``repro.transport``).  What :class:`SimNetwork` adds is the
 *deterministic* delivery semantics: messages are delivered synchronously,
 charging simulated latency on the injected scheduler's clock.
@@ -42,10 +42,10 @@ class Network(Topology):
     """Message admission, decided once for every substrate.
 
     A subclass supplies only *delivery*: a ``send`` that calls
-    :meth:`_admit` and then hands the message to the destination, and
-    :meth:`_delay`, how an injected link delay passes on its clock.  The
-    uniform-loss roll takes no lock: only a single-threaded substrate may
-    set ``loss_probability``.
+    :meth:`_admit` and then hands the message to the destination.  An
+    injected link delay passes as its ``fault_delay`` charge, which moves
+    the clock every substrate shares.  The uniform-loss roll takes no
+    lock: only a single-threaded substrate may set ``loss_probability``.
     """
 
     def __init__(
@@ -127,7 +127,6 @@ class Network(Topology):
                 raise UnreachableError(source, destination)
             if decision.extra_delay > 0.0:
                 self.charge("fault_delay", decision.extra_delay)
-                self._delay(decision.extra_delay)
             duplicates = decision.duplicates
         message = Message(source, destination, kind, payload)
         if source != destination:
@@ -144,12 +143,6 @@ class Network(Topology):
                 bytes=size,
             )
         return message, duplicates
-
-    def _delay(self, seconds: float) -> None:
-        """Let an injected link delay, already charged, pass in real time.
-
-        Nothing to do where the charge itself moved the (simulated) clock.
-        """
 
     def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
         if self.obs.enabled:

@@ -1,7 +1,7 @@
 """Substrate-independent cluster topology bookkeeping.
 
 Both network backends — the deterministic :class:`~repro.net.network.SimNetwork`
-and the wall-clock :class:`~repro.transport.asyncio_backend.AsyncioNetwork` —
+and the threaded :class:`~repro.transport.asyncio_backend.AsyncioNetwork` —
 share one failure model (§1.1): the topology starts fully connected, links
 fail and heal individually or via ``partition``, nodes pause-crash, and
 *partitions* are derived from the link state as connected components.  A

@@ -317,7 +317,7 @@ class ReplicationManager:
                     raise
                 delay = policy.delay_for(attempt, self._retry_rng)
                 deadline = invocation.deadline
-                clock = self.network.scheduler.clock
+                clock = self.nodes[source].services.clock
                 if deadline is not None and clock.now + delay > deadline:
                     raise
                 if self.obs.enabled:
@@ -649,7 +649,7 @@ class ReplicationManager:
                 node=node,
                 version=version,
                 state=state,
-                timestamp=self.network.scheduler.clock.now,
+                timestamp=self.nodes[node].services.clock.now,
                 epoch=self.gms.epoch,
             )
         )

@@ -15,13 +15,6 @@ import math
 _INF = math.inf
 
 
-def rejected_advance(seconds: float) -> ValueError:
-    """Why a clock refuses to advance by ``seconds`` (NaN, ±∞, negative)."""
-    if not math.isfinite(seconds):
-        return ValueError(f"cannot advance clock by non-finite time: {seconds}")
-    return ValueError(f"cannot advance clock by negative time: {seconds}")
-
-
 class SimClock:
     """A monotonically advancing simulated clock.
 
@@ -52,7 +45,9 @@ class SimClock:
         if 0.0 <= seconds < _INF:
             self._now += seconds
             return self._now
-        raise rejected_advance(seconds)
+        if not math.isfinite(seconds):
+            raise ValueError(f"cannot advance clock by non-finite time: {seconds}")
+        raise ValueError(f"cannot advance clock by negative time: {seconds}")
 
     def advance_to(self, timestamp: float) -> float:
         """Jump the clock forward to ``timestamp``.

@@ -135,7 +135,7 @@ def charger(
     ``charge(category, seconds)`` a duration the caller computed.  It books
     the seconds under ``category`` in ``ledger`` and lets them pass on
     ``clock``, whose ``advance`` rejects NaN, infinite and negative
-    durations (a wall clock validates and stays put).
+    durations.
 
     The per-category seconds are read off the frozen ``costs`` here, once;
     the table is complete before the first charge and never changes, so

@@ -5,9 +5,9 @@ backends behind the :class:`Transport` seam:
 
 * ``"sim"`` — the historical deterministic discrete-event simulator
   (byte-identical traces, model checking, golden references);
-* ``"asyncio"`` — an in-process wall-clock backend where each node is a
-  pool of worker threads fed by a FIFO mailbox and heartbeats/adaptation
-  ticks are real timers (the name is kept; there is no event loop).
+* ``"asyncio"`` — an in-process threaded backend where each node is a
+  pool of worker threads fed by a FIFO mailbox, on the simulator's clock
+  and scheduler (the name is kept; there is no event loop).
 
 ``repro.transport.procnode`` additionally runs one node per **OS
 process** speaking length-prefixed JSON frames over local TCP sockets —
@@ -24,5 +24,5 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
     "asyncio_backend": ("AsyncioTransport",),
     "base": ("Transport", "build_transport"),
     "sim": ("SimTransport",),
-    "wallclock": ("RealScheduler", "WallClock", "read_perf_counter"),
+    "wallclock": ("read_perf_counter",),
 })

@@ -1,4 +1,4 @@
-"""In-process threaded backend: a worker pool per node, and wall time.
+"""In-process threaded backend: a worker pool per node, on the sim clock.
 
 Each node is a small **thread pool** whose FIFO work queue is the node's
 mailbox.  A ``send`` from a client thread or from another node's handler
@@ -20,27 +20,30 @@ whose source→destination route crosses a failed link is refused before it
 reaches the mailbox, surfacing the same :class:`UnreachableError` a real
 socket reset would.  A point-to-point ``send`` passes the shared
 :meth:`~repro.net.network.Network._admit`, so injected link faults act on
-it as on the simulator (a delay is a real ``time.sleep`` on the sender);
-group-channel deliveries bypass it, on either backend.
+it as on the simulator; group-channel deliveries bypass it, on either
+backend.
 
-What this backend intentionally does **not** give: determinism.  Message
-arrival interleaves with real timers (failure-detector heartbeats,
-adaptation ticks) and OS scheduling; traces are real but not replayable.
+Time is the simulator's: a :class:`~repro.sim.clock.SimClock` that
+charged costs move, and a :class:`~repro.sim.scheduler.Scheduler` that
+fires timers (heartbeats, adaptation ticks, scripted faults) only when a
+caller drives it: a drain, or a retry's backoff.  Every chain that
+charges runs under the transaction guard, so one thread at a time moves
+the clock, and a scenario replayed here ends at the same simulated time
+as on the simulator.  What the threads add is real concurrency between client
+threads and node workers, not a second notion of time.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from ..net import GroupChannel, Message, NodeCrashedError, NodeId, UnreachableError
 from ..net.network import Network
-from ..sim import CostModel
+from ..sim import CostModel, Scheduler, SimClock
 from .base import Transport
-from .wallclock import RealScheduler, WallClock
 
 #: Handler namespaces: point-to-point sends vs group-channel deliveries.
 _P2P = "p2p"
@@ -57,7 +60,7 @@ class AsyncioNetwork(Network):
     def __init__(
         self,
         nodes: Sequence[NodeId],
-        scheduler: RealScheduler,
+        scheduler: Scheduler,
         costs: CostModel | None = None,
         obs: Any = None,
         request_timeout: float = 10.0,
@@ -158,11 +161,6 @@ class AsyncioNetwork(Network):
             raise UnreachableError(source, destination)
         return self._post(Message(source, destination, kind, payload), _MEMBER)
 
-    def _delay(self, seconds: float) -> None:
-        # A delayed link really delays the sender: the middleware's sends
-        # are synchronous round trips.
-        time.sleep(seconds)
-
     def _post(self, message: Message, ns: str) -> Any:
         """Queue onto the destination node's workers; block for the result.
 
@@ -254,8 +252,7 @@ class AsyncioGroupChannel(GroupChannel):
         payload: Any = None,
         await_acks: bool = True,
     ) -> dict[NodeId, Any]:
-        recipients = self._recipients(source)
-        self._record_round(source, kind, payload, recipients, await_acks)
+        recipients = self._begin_round(source, kind, payload, await_acks)
         replies: dict[NodeId, Any] = {}
         for node in recipients:
             # A member may crash or partition away mid-round; like the
@@ -269,10 +266,9 @@ class AsyncioGroupChannel(GroupChannel):
 
 
 class AsyncioTransport(Transport):
-    """In-process wall-clock substrate: per-node threads + real timers."""
+    """In-process threaded substrate: per-node threads on the sim clock."""
 
     name = "asyncio"
-    deterministic = False
 
     def __init__(
         self,
@@ -281,8 +277,8 @@ class AsyncioTransport(Transport):
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
-        self.clock = WallClock()
-        self.scheduler = RealScheduler(self.clock)
+        self.clock = SimClock()
+        self.scheduler = Scheduler(self.clock)
         self.network = AsyncioNetwork(
             node_ids,
             scheduler=self.scheduler,
@@ -291,8 +287,9 @@ class AsyncioTransport(Transport):
             request_timeout=request_timeout,
         )
         # The middleware stack is not thread-safe; top-level business
-        # transactions from concurrent client threads serialize here while
-        # delivery, timers, and detection stay genuinely concurrent.
+        # transactions from concurrent client threads serialize here, and
+        # with them every chain that charges the clock, while delivery
+        # stays on the nodes' own threads.
         self._tx_lock = threading.RLock()
 
     def make_channel(self, group: str = "dedisys") -> AsyncioGroupChannel:
@@ -301,9 +298,5 @@ class AsyncioTransport(Transport):
     def tx_guard(self) -> Any:
         return self._tx_lock
 
-    def settle(self, seconds: float) -> None:
-        time.sleep(seconds)
-
     def close(self) -> None:
         self.network.close()
-        self.scheduler.close()

@@ -4,10 +4,12 @@ The middleware stack (CCMgr, replication, reconciliation, membership,
 adaptation) never talks to a concrete substrate.  Everything it needs from
 "the outside world" is bundled here as a :class:`Transport`:
 
-* a **clock** (``.now``, ``advance``) — simulated time that modelled costs
-  move forward, or a wall clock that cost charges cannot move;
+* a **clock** (``.now``, ``advance``) — the simulator's
+  :class:`~repro.sim.clock.SimClock`, which modelled costs move forward,
+  on every backend;
 * a **scheduler** (``schedule_after`` / ``run_until`` / ``drain``) — the
-  discrete-event queue, or real timers firing on a timer thread;
+  simulator's discrete-event queue, on every backend: timers fire only
+  when a caller drives it;
 * a **network** (a :class:`~repro.net.network.Network` subclass with
   ``send`` / ``register_handler``) — synchronous simulated delivery, or
   per-node mailboxes serviced by the node's own worker threads;
@@ -15,13 +17,15 @@ adaptation) never talks to a concrete substrate.  Everything it needs from
 * a **transaction guard** — a no-op on the single-threaded simulator, a
   re-entrant lock on backends where multiple client threads issue
   transactions concurrently (the middleware stack itself is not
-  thread-safe; the guard serializes top-level business transactions while
-  message delivery, timers, and failure detection stay concurrent).
+  thread-safe; the guard serializes top-level business transactions, and
+  with them every chain that charges the clock, while message delivery
+  runs on the nodes' own threads).
 
-The determinism boundary is the transport: golden traces, the model
-checker, and replint's clock rules apply to the sim backend only, while
-the asyncio backend trades replayability for wall-clock measurements and
-real concurrency.  See ``docs/TRANSPORT.md`` for the full contract.
+Backends differ in delivery only, so a scenario replayed on either ends
+with the same outcome at the same simulated time.  Golden traces and the
+model checker's schedule exploration stay on the sim backend, the only
+one whose delivery is a single thread.  See ``docs/TRANSPORT.md`` for
+the full contract.
 """
 
 from __future__ import annotations
@@ -43,12 +47,9 @@ class Transport:
 
     Concrete transports expose :attr:`clock`, :attr:`scheduler`,
     :attr:`network`, and a group channel via :meth:`make_channel`.
-    ``deterministic`` tells callers (tests, the model checker, golden
-    traces) whether same-seed replay is byte-identical.
     """
 
     name: str = "abstract"
-    deterministic: bool = False
 
     clock: Any
     scheduler: Any
@@ -67,17 +68,8 @@ class Transport:
         """
         return _NO_GUARD
 
-    def settle(self, seconds: float) -> None:
-        """Let ``seconds`` of transport time pass, firing due timers.
-
-        On the simulator this advances the simulated clock through the
-        scheduler; on real backends it sleeps wall-clock time while the
-        timer thread fires whatever comes due.
-        """
-        self.scheduler.run_until(self.clock.now + seconds)
-
     def close(self) -> None:
-        """Release substrate resources (threads, sockets, executors)."""
+        """Release substrate resources (the nodes' worker threads)."""
 
     def __enter__(self) -> "Transport":
         return self
@@ -95,8 +87,8 @@ def build_transport(
 ) -> Transport:
     """Resolve a :class:`~repro.cluster.ClusterConfig` transport spec.
 
-    ``"sim"`` builds the historical deterministic backend, ``"asyncio"``
-    the in-process wall-clock backend.  A ready :class:`Transport`
+    ``"sim"`` builds the historical single-threaded backend, ``"asyncio"``
+    the in-process threaded backend.  A ready :class:`Transport`
     instance passes through untouched (it must cover the same node ids).
     """
     if isinstance(spec, Transport):

@@ -5,8 +5,9 @@ This is the historical substrate — :class:`~repro.sim.clock.SimClock`,
 :class:`~repro.net.multicast.GroupChannel` — constructed in exactly the
 order :class:`~repro.cluster.DedisysCluster` always built them, so that
 same-seed traces stay byte-identical to the pre-transport code.  Golden
-traces, the model checker, chaos determinism, and replint all run on this
-backend only.
+traces and the model checker's schedule exploration run on this backend
+only; the threaded backend shares its clock and scheduler classes and
+differs in delivery alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class SimTransport(Transport):
     """Deterministic single-process substrate (the default)."""
 
     name = "sim"
-    deterministic = True
 
     def __init__(
         self,

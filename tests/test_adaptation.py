@@ -420,6 +420,21 @@ class TestEngine:
         assert first.adaptation_trace == second.adaptation_trace
         assert first.adaptation_trace  # non-trivial log
 
+    def test_the_threaded_backend_logs_the_same_decisions(self):
+        # Ticks and probes are scheduler events on the simulator's clock on
+        # every backend, so they interleave with the ops in the same order.
+        policy = self._tighten_policy(
+            probe_window=0.15,
+            rollback_if=[{"signal": "degraded", "op": ">=", "threshold": 1.0}],
+        )
+        scenario = _with_adaptation(self._two_window_scenario(), [policy], tick=0.1)
+        sim = replay_scenario(scenario)
+        threaded = replay_scenario(scenario, transport="asyncio")
+        assert "rollback" in _phases(sim)
+        assert threaded.adaptation_trace == sim.adaptation_trace
+        assert threaded.simulated_seconds == sim.simulated_seconds
+        assert threaded.all_invariants_hold, threaded.failed_invariants
+
     def test_engine_validation(self):
         cluster, _refs = _flight_scenario().build()
         policy = AdaptationPolicy(
@@ -558,6 +573,18 @@ class TestAdaptiveBeatsStaticExtremes:
     ]
 
     @staticmethod
+    def oscillating(seed):
+        """The always-tradeable oscillating flight-booking scenario (the
+        conformance suite replays it under ``ADAPTIVE`` on both backends)."""
+        return generate_scenario(
+            GeneratorConfig(
+                domain="flight_booking", seed=seed, nodes=5, entities=6, ops=120,
+                faults=6, fault_plan="oscillating", partition_sensitive=True,
+                params={"seats": 8},
+            )
+        )
+
+    @staticmethod
     def _effective_availability(report):
         rebooked = sum(
             excess
@@ -569,13 +596,7 @@ class TestAdaptiveBeatsStaticExtremes:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_adaptive_strictly_dominates_both_static_configs(self, seed):
-        always_config = generate_scenario(
-            GeneratorConfig(
-                domain="flight_booking", seed=seed, nodes=5, entities=6, ops=120,
-                faults=6, fault_plan="oscillating", partition_sensitive=True,
-                params={"seats": 8},
-            )
-        )
+        always_config = self.oscillating(seed)
         never_config = replace(
             always_config,
             params={**always_config.params, "adapt_initial": self.NEVER_TRADEABLE},

@@ -364,9 +364,10 @@ class TestNetworkIntegration:
         injector.set_link_model("a", "b", ExtraDelay(0.05))
         before = network.scheduler.clock.now
         network.send("a", "b", "k", None)
-        # The transport's own clock: simulated seconds on sim, wall time
-        # (the sender really slept) on the threaded backend.
-        assert network.scheduler.clock.now - before >= 0.05
+        # One clock on every substrate: the delay's charge moves it, as
+        # does the send's own one-way latency.
+        moved = network.scheduler.clock.now - before
+        assert moved == pytest.approx(0.05 + network.costs.network_latency)
         assert network.ledger.totals["fault_delay"] == pytest.approx(0.05)
 
     def test_duplicate_delivers_extra_copies(self, substrate):
@@ -420,6 +421,19 @@ class TestNetworkIntegration:
         assert "network_latency" not in network.ledger.totals
         types = [e.type for e in network.obs.events()]
         assert types.count("multicast") == 1 and "message_send" not in types
+
+    def test_a_multicast_round_charges_the_clock(self, substrate):
+        # The shared round prologue charges the whole synchronous round up
+        # front, so both substrates' clocks move by the same amount.
+        network, channel = substrate
+        for node in NODES:
+            channel.join(node, lambda message: "ack")
+        before = network.scheduler.clock.now
+        channel.multicast("a", "update", "payload")
+        costs = network.costs
+        expected = 2 * (costs.multicast_base + costs.multicast_per_node * 2)
+        assert network.scheduler.clock.now - before == pytest.approx(expected)
+        assert network.ledger.totals["multicast"] == pytest.approx(expected)
 
 
 class TestNetworkIntegrationThreaded(TestNetworkIntegration):

@@ -18,7 +18,8 @@ CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
 registry: no hand-written scenario script, and no post-run check beside
-the registry.
+the registry.  Every backend runs on the simulator's one clock and
+scheduler.
 """
 
 import ast
@@ -208,6 +209,21 @@ def test_no_hand_written_scenario_scripts():
         ("check/runner.py", "_run"),
         ("transport/procnode.py", "handle_invoke"),
     ]
+
+
+def test_one_clock_notion():
+    """Every backend runs on the simulator's clock and scheduler: no
+    wall-clock timer or param refusal grows back, only the transports
+    build a scheduler (and ``SimNetwork``, when built without one), and
+    the middleware reads its node's clock rather than the scheduler's."""
+    assert matches(r"\bWallClock\b|RealScheduler|WALL_CLOCK_UNSAFE_PARAMS|deterministic =") == []
+    assert matches(r"^\s*class ", "transport/wallclock.py") == []
+    assert matches(r"time\.sleep", "transport/asyncio_backend.py") == []
+    builders = {line.split(":", 1)[0] for line in matches(r"\bScheduler\(")}
+    assert builders == {"transport/sim.py", "transport/asyncio_backend.py", "net/network.py"}
+    substrate = ("sim/", "transport/", "net/", "faults/schedule.py", "membership/failure_detector.py")
+    readers = [line for line in matches(r"scheduler\.clock") if not line.startswith(substrate)]
+    assert readers == []
 
 
 def test_one_invariant_list():

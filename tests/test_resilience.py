@@ -30,7 +30,7 @@ from repro.sim import SimClock
 NODES = ("n1", "n2", "n3")
 
 
-def make_cluster(resilience=None, obs=None, replication=True, injector=None):
+def make_cluster(resilience=None, obs=None, replication=True, injector=None, transport="sim"):
     cluster = DedisysCluster(
         ClusterConfig(
             node_ids=NODES,
@@ -38,6 +38,7 @@ def make_cluster(resilience=None, obs=None, replication=True, injector=None):
             resilience=resilience,
             obs=obs,
             fault_injector=injector,
+            transport=transport,
         )
     )
     cluster.deploy(Record)
@@ -440,6 +441,74 @@ class TestRedirectRetries:
             cluster.txmgr.run(
                 lambda tx: cluster.replication.send_redirect("n2", invocation)
             )
+
+
+class TestOnTheThreadedBackend:
+    """The threaded backend runs on the simulator's clock and scheduler:
+    a backoff fires the events due meanwhile and costs exactly the
+    simulated time it does on the simulator, and deadlines and breaker
+    timeouts count simulated seconds, not wall time."""
+
+    @staticmethod
+    def transient_write(transport):
+        """The value written and the simulated seconds a write took while
+        a scripted fault cleared during its backoff."""
+        injector = FaultInjector()
+        injector.set_link_model("n1", "n2", DropKinds(["invocation"]), bidirectional=False)
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.0)
+        )
+        with make_cluster(
+            resilience=resilience, replication=False, injector=injector, transport=transport
+        ) as cluster:
+            ref = cluster.create_entity("n2", "Record", "r")
+            cluster.scheduler.schedule_after(0.15, injector.clear, label="fault-clears")
+            started = cluster.clock.now
+            cluster.invoke("n1", ref, "set_counter", 42, negotiation_handler=AcceptAllHandler())
+            return cluster.entity_on("n2", ref).get_counter(), cluster.clock.now - started
+
+    def test_a_backoff_takes_the_simulators_time(self):
+        written, seconds = self.transient_write("asyncio")
+        assert (written, seconds) == self.transient_write("sim")
+        assert written == 42 and seconds > 0.15
+
+    def test_a_deadline_counts_simulated_seconds(self):
+        injector = FaultInjector()
+        injector.set_link_model("n1", "n2", DropKinds(["invocation"]), bidirectional=False)
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=50, base_delay=0.5, jitter=0.0),
+            breaker=None,
+            default_deadline=1.0,
+        )
+        with make_cluster(
+            resilience=resilience, replication=False, injector=injector, transport="asyncio"
+        ) as cluster:
+            ref = cluster.create_entity("n2", "Record", "r")
+            started = cluster.clock.now
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                cluster.invoke("n1", ref, "get_counter")
+            # The budget starts after the client chain's own charges.
+            assert excinfo.value.deadline == pytest.approx(started + 1.0, abs=0.05)
+            assert 0.5 <= cluster.clock.now - started <= 1.05
+
+    def test_a_breaker_half_opens_after_simulated_seconds(self):
+        injector = FaultInjector()
+        injector.set_link_model("n1", "n2", DropKinds(["invocation"]), bidirectional=False)
+        resilience = ResilienceConfig(
+            retry=None, breaker=BreakerConfig(failure_threshold=2, reset_timeout=60.0)
+        )
+        with make_cluster(
+            resilience=resilience, replication=False, injector=injector, transport="asyncio"
+        ) as cluster:
+            ref = cluster.create_entity("n2", "Record", "r")
+            for _ in range(2):
+                with pytest.raises(UnreachableError):
+                    cluster.invoke("n1", ref, "get_counter")
+            assert cluster.breaker_states()["n1"]["n2"] is BreakerState.OPEN
+            injector.clear()
+            cluster.scheduler.run_until(cluster.clock.now + 60.0)  # no wall-clock wait
+            assert cluster.invoke("n1", ref, "get_counter") == 0
+            assert cluster.breaker_states()["n1"]["n2"] is BreakerState.CLOSED
 
 
 class TestServerSideDeadline:

@@ -313,7 +313,8 @@ def test_thread_census():
             [lambda: network.send("census-a", "census-b", "fan", (1, nodes))] * 4
         )
         names = [thread.name for thread in threading.enumerate()]
-        assert "repro-transport-loop" not in names
+        # No relay loop and no timer thread: only the nodes' own workers.
+        assert not {"repro-transport-loop", "repro-transport-timer"} & set(names)
         assert 0 < len(census()) <= len(nodes) * _NODE_WORKERS
     finally:
         transport.close()

@@ -1,25 +1,30 @@
 """Cross-backend conformance: one scenario, one outcome, on every backend.
 
 Each scenario below replays through :func:`repro.faults.replay_scenario`
-on the deterministic simulator and on the threaded backend
-(``transport="asyncio"``, where the op driver fires ops and faults inline
-in the simulator's FIFO order).  Their outcome digests
+on the simulator and on the threaded backend (``transport="asyncio"``),
+which runs on the simulator's own clock and scheduler: the op driver
+schedules ops, faults and adaptation ticks and drains, and retry backoff
+drives the same scheduler, on both.  Their outcome digests
 (:func:`repro.check.outcome_digest`: per-op results, committed entity
-states, threat stores, reconciliation counters, system modes — no timing)
-must be *equal*, not merely similar, and no invariant of
-:func:`repro.check.default_registry` may fail after the replay on either
-(``no_cross_partition_delivery`` has no step to look at in a replay, and
-the clean-reconciliation checks stand down when the closing round
-deferred work — ``docs/CORPUS.md`` lists them).  The sim trace stays the
-golden reference; the digest deliberately leaves out everything that
-depends on the clock.
+states, threat stores, reconciliation counters, system modes) must be
+*equal*, not merely similar, and so must the simulated seconds the replay
+and its reconciliations took and the adaptation engine's decision log.
+No invariant of :func:`repro.check.default_registry` may fail after the
+replay on either (``no_cross_partition_delivery`` has no step to look at
+in a replay, and the clean-reconciliation checks stand down when the
+closing round deferred work — ``docs/CORPUS.md`` lists them).  The sim
+trace stays the golden reference.
 
-The ``slow`` tier widens the generated part to seeds 0–9 of the
-``medium`` and ``chaos`` presets in every corpus domain (``RUN_SLOW=1``).
+The ``slow`` tier (``RUN_SLOW=1``) widens the generated part to seeds 0–9
+of the ``medium`` and ``chaos`` presets in every corpus domain, adds
+client-side resilience to seeds 0–2 of ``chaos`` and of ``medium`` with
+burst loss in every domain, and replays the adaptive oscillating
+flight-booking scenario for seeds 0–5, with and without resilience.
 """
 
 import json
 import os
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -30,9 +35,29 @@ from repro.corpus import generate_scenario, preset_config
 from repro.faults import replay_scenario
 from repro.transport import SimTransport, build_transport
 
+import test_adaptation  # the adaptive scenario and its policy live there
+
 
 def generated(domain, seed, preset, **overrides):
     return generate_scenario(preset_config(domain, seed, preset, **overrides))
+
+
+def resilient(domain, seed, preset, **overrides):
+    """A generated scenario whose clients retry and break circuits."""
+    return generated(domain, seed, preset, params={"resilience": {}}, **overrides)
+
+
+def adaptive(seed, resilience=False):
+    """test_adaptation's oscillating flight-booking scenario under its
+    ``ADAPTIVE`` policy, ticking every 0.05 simulated seconds."""
+    scenario = test_adaptation._with_adaptation(
+        test_adaptation.TestAdaptiveBeatsStaticExtremes.oscillating(seed),
+        test_adaptation.TestAdaptiveBeatsStaticExtremes.ADAPTIVE,
+        tick=0.05,
+    )
+    if resilience:
+        scenario = replace(scenario, params={**scenario.params, "resilience": {}})
+    return scenario
 
 
 CONFORMANCE = {
@@ -41,6 +66,8 @@ CONFORMANCE = {
     **{f"medium-{domain}": partial(generated, domain, 0, "medium") for domain in domain_names()},
     "oscillating-ats": partial(generated, "ats", 0, "medium", fault_plan="oscillating"),
     "burst_loss-dtms": partial(generated, "dtms", 0, "medium", burst_loss=0.05),
+    "adaptive-flight_booking": partial(adaptive, 0),
+    "burst_loss_resilience-ats": partial(resilient, "ats", 0, "medium", burst_loss=0.05),
 }
 
 
@@ -53,6 +80,11 @@ def nonconformance(scenario) -> list[str]:
     sim = replay_scenario(scenario)
     real = replay_scenario(scenario, transport="asyncio")
     problems = [] if canonical(real.digest) == canonical(sim.digest) else ["digests differ"]
+    problems += [
+        f"{name} differs"
+        for name in ("simulated_seconds", "reconciliation_seconds", "adaptation_trace")
+        if getattr(real, name) != getattr(sim, name)
+    ]
     for backend, report in (("sim", sim), ("asyncio", real)):
         problems += [f"{backend}: {result}" for result in report.failed_invariants]
     return problems
@@ -75,6 +107,36 @@ def test_generated_scenarios_conform_across_seeds():
         for domain in domain_names()
         for seed in range(10)
         if (problems := nonconformance(generated(domain, seed, preset)))
+    }
+    assert found == {}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("RUN_SLOW") != "1",
+    reason="48 resilience and adaptation replays on both backends; set RUN_SLOW=1",
+)
+def test_clocked_params_conform_across_seeds():
+    scenarios = {
+        **{
+            f"{preset}-resilience-{domain}-s{seed}": partial(resilient, domain, seed, preset, **extra)
+            for preset, extra in (("chaos", {}), ("medium", {"burst_loss": 0.05}))
+            for domain in domain_names()
+            for seed in range(3)
+        },
+        **{
+            f"adaptive-s{seed}{'-resilience' if resilience else ''}": partial(
+                adaptive, seed, resilience
+            )
+            for seed in range(6)
+            for resilience in (False, True)
+        },
+    }
+    assert len(scenarios) == 48
+    found = {
+        name: problems
+        for name, build in scenarios.items()
+        if (problems := nonconformance(build()))
     }
     assert found == {}
 
@@ -116,16 +178,6 @@ def test_digest_covers_the_guarantee_surface():
     assert [count for _ref, count in report.constraint_handlers[0].rebooked] == [2]
     (states,) = digest["states"].values()
     assert {dict(state)["sold"] for state in states.values()} == {80}
-
-
-@pytest.mark.parametrize(
-    "params", [{"adaptation": {"policies": []}}, {"resilience": {}}], ids=["adaptation", "resilience"]
-)
-def test_the_threaded_backend_refuses_params_that_run_on_the_clock(params):
-    scenario = generated("counter", 0, "small", params=params)
-    assert replay_scenario(scenario).all_invariants_hold
-    with pytest.raises(ValueError, match=next(iter(params))):
-        replay_scenario(scenario, transport="asyncio")
 
 
 def test_unknown_transport_spec_rejected():
