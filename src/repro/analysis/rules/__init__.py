@@ -18,6 +18,8 @@ Importing this package registers every rule family with the engine:
   (guarded-by lock coverage, event-loop blocking, lock ordering, locks
   across remote operations, unlocked lazy init), built on the
   interprocedural index in ``repro.analysis.interproc``.
+* ``NODE0xx`` — node ownership: ``core/`` and ``replication/`` index the
+  per-node tables only by the acting node, never by a loop over them.
 """
 
 from . import (
@@ -25,6 +27,7 @@ from . import (
     constraints,
     determinism,
     messages,
+    nodes,
     probes,
     registry_drift,
     transport,
@@ -35,6 +38,7 @@ __all__ = [
     "constraints",
     "determinism",
     "messages",
+    "nodes",
     "probes",
     "registry_drift",
     "transport",

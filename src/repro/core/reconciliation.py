@@ -30,11 +30,13 @@ reconciliation run processes **every** merged partition group whose
 membership changed since it was last reconciled — a partial heal that merges two
 minority partitions is reconciled even while a larger partition exists
 elsewhere.  The group's coordinator, ``min(merged)``, touches only its own
-threat store; the others change in their own handlers.  Threat records
-propagate by digest anti-entropy: each member answers the coordinator's
-digest with its own and with the records the coordinator lacks, and each
-member still missing records gets them in one ``threat-sync`` message.
-Resolved threats leave the other stores in one ``threat-resolved`` round.
+``Node``, threat store and update records; the others change in their own
+handlers.  Threat records propagate by digest anti-entropy: each member
+answers the coordinator's digest with its own and with the records the
+coordinator lacks, and each member still missing records gets them in one
+``threat-sync`` message.  Resolved threats leave the other stores in one
+``threat-resolved`` round, and the members' rollback history arrives in
+one ``replica-history`` round per rollback.
 """
 
 from __future__ import annotations
@@ -252,27 +254,21 @@ class ReconciliationManager:
         # their objects must keep answering ``had_replica_conflict`` and
         # keep the rollback history of this degraded period.  Every other
         # object's history is of a period now reconciled, and is dropped.
-        surviving = self._surviving_refs()
+        surviving = self._surviving_refs(self.threat_stores[coordinator])
+        closed = merged
         if self.replication is not None:
-            self.replication.clear_conflicts(surviving)
-        for node in merged:
-            history = self.nodes[node].state_history
-            for ref in history.objects():
-                if ref not in surviving:
-                    history.prune(ref)
+            closed = self.replication.finish_reconciliation(merged, surviving)
+        # A member that missed the closing round stays due.
+        for node in closed:
             self._reconciled_view[node] = self.gms.view_of(node).view_id
         return report
 
-    def _surviving_refs(self) -> set[ObjectRef]:
-        """Objects referenced by any threat still stored anywhere."""
-        refs: set[ObjectRef] = set()
-        for store in self.threat_stores.values():
-            for identity in store.identities():
-                for threat in store.occurrences_of(identity):
-                    refs.update(threat.affected_refs)
-                    if threat.context_ref is not None:
-                        refs.add(threat.context_ref)
-        return refs
+    @staticmethod
+    def _surviving_refs(store: ThreatStore) -> set[ObjectRef]:
+        """Objects of the threats the coordinator still stores (after the
+        digest round, every member stores the same identities)."""
+        threats = [t for identity in store.identities() for t in store.occurrences_of(identity)]
+        return {r for t in threats for r in (*t.affected_refs, t.context_ref) if r is not None}
 
     # ------------------------------------------------------------------
     # threat propagation (part of the replica phase)
@@ -432,16 +428,18 @@ class ReconciliationManager:
         affected objects degenerates into a complex optimization problem
         and recommends the roll-forward approach instead (§5.2).
         """
-        if threat.context_ref is None:
+        if threat.context_ref is None or self.replication is None:  # no history
             return False
         ref = threat.context_ref
         node = self.nodes[coordinator]
         if not node.container.has(ref):
             return False
         entity = node.container.resolve(ref)
-        candidates = []
-        for node_id in sorted(merged):
-            candidates.extend(self.nodes[node_id].state_history.versions_of(ref))
+        # The coordinator's own history, then the members' in one round.
+        replies = self.channel.multicast(coordinator, "replica-history", ref)
+        candidates = node.state_history.versions_of(ref) + [
+            version for member in sorted(replies) if member in merged for version in replies[member]
+        ]
         candidates.sort(key=lambda version: (-version.timestamp, -version.version))
         current_state = entity.state()
         current_version = entity.version

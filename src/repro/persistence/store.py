@@ -226,19 +226,10 @@ class StateHistory:
         """The objects that have any recorded history."""
         return list(self._history)
 
-    def latest(self, oid: Any) -> StateVersion | None:
-        versions = self._history.get(oid)
-        return versions[-1] if versions else None
-
-    def prune(self, oid: Any | None = None) -> int:
-        """Drop history (after reconciliation).  Returns entries dropped."""
-        if oid is not None:
-            dropped = len(self._history.get(oid, []))
-            self._history.pop(oid, None)
-            return dropped
-        dropped = sum(len(v) for v in self._history.values())
-        self._history.clear()
-        return dropped
+    def prune(self, oid: Any) -> int:
+        """Drop one object's history (after reconciliation).  Returns
+        entries dropped."""
+        return len(self._history.pop(oid, []))
 
     def total_entries(self) -> int:
         return sum(len(v) for v in self._history.values())

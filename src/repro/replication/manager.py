@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..membership import GroupMembershipService
@@ -53,8 +53,6 @@ class ReplicaInfo:
 class UpdateRecord:
     """One update applied somewhere during degraded mode."""
 
-    _ids = itertools.count(1)
-
     ref: ObjectRef
     kind: str  # "state", "create", or "delete"
     partition_key: frozenset[NodeId]
@@ -63,7 +61,7 @@ class UpdateRecord:
     state: dict[str, Any] | None
     timestamp: float
     epoch: int
-    record_id: int = field(default_factory=lambda: next(UpdateRecord._ids))
+    record_id: int = 0  # numbered by the manager that keeps it
 
 
 @dataclass
@@ -133,9 +131,12 @@ class ReplicationManager:
         # class listed here routes through its own protocol instead of the
         # cluster-wide default.
         self._protocol_overrides: dict[str, ReplicationProtocol] = {}
-        self._update_records: list[UpdateRecord] = []
-        self.conflicts_detected: list[ReplicaConflict] = []
-        # The refs of ``conflicts_detected``, kept in step with it.
+        # Each node's degraded-mode update records; only its writes append.
+        self._update_records: dict[NodeId, list[UpdateRecord]] = {n: [] for n in self.nodes}
+        self._record_ids = itertools.count(1)
+        # Record ids a coordinator reconciled but has not named to every member.
+        self._unclosed: dict[NodeId, frozenset[int]] = {}
+        # Objects whose write-write conflict a surviving threat may ask about.
         self._conflicted_refs: set[ObjectRef] = set()
 
     # ------------------------------------------------------------------
@@ -505,25 +506,27 @@ class ReplicationManager:
         write-write conflict, resolved by the application-provided replica
         consistency handler (or generically: the latest update wins).  The
         chosen state is applied to every replica in the merged partition.
-        Returns the conflicts found.
+        Returns the conflicts found.  The coordinator, ``min(merged_partition)``,
+        gathers the members' records in one ``replica-records`` round.
         """
+        coordinator = min(merged_partition)
+        replies = self.channel.multicast(coordinator, "replica-records")
+        gathered = self._update_records[coordinator] + [
+            r for node in sorted(replies) if node in merged_partition for r in replies[node]
+        ]
+        # Records a cut closing round left behind are named again, not merged again.
+        unclosed = self._unclosed.get(coordinator, frozenset())
+        self._unclosed[coordinator] = unclosed | {r.record_id for r in gathered}
         by_ref: dict[ObjectRef, list[UpdateRecord]] = {}
-        remaining: list[UpdateRecord] = []
-        for record in self._update_records:
-            if record.node in merged_partition:
+        for record in sorted(gathered, key=lambda r: r.record_id):
+            if record.record_id not in unclosed:
                 by_ref.setdefault(record.ref, []).append(record)
-            else:
-                remaining.append(record)
         conflicts: list[ReplicaConflict] = []
-        # Swap in the survivor list first: a still-degraded merge re-records
-        # its result below, and those records must land in the live list.
-        self._update_records = remaining
         for ref in sorted(by_ref, key=str):
             records = by_ref[ref]
             resolved = self._reconcile_object(ref, records, merged_partition, handler)
             if resolved is not None:
                 conflicts.append(resolved)
-        self.conflicts_detected.extend(conflicts)
         self._conflicted_refs.update(conflict.ref for conflict in conflicts)
         if self.obs.enabled and conflicts:
             self._m_conflicts.inc(len(conflicts))
@@ -538,23 +541,23 @@ class ReplicationManager:
                 )
         return conflicts
 
-    def clear_conflicts(self, surviving_refs: set[ObjectRef] | None = None) -> None:
-        """Forget resolved conflicts (called when reconciliation ends).
-
-        With ``surviving_refs`` given, conflicts on those objects are kept:
-        deferred/postponed threats still need ``had_replica_conflict``
-        answers when they are re-evaluated on a later run.
-        """
-        if surviving_refs is None:
-            self.conflicts_detected.clear()
-            self._conflicted_refs.clear()
-            return
-        self.conflicts_detected = [
-            conflict
-            for conflict in self.conflicts_detected
-            if conflict.ref in surviving_refs
-        ]
+    def finish_reconciliation(
+        self, merged_partition: frozenset[NodeId], surviving_refs: set[ObjectRef]
+    ) -> set[NodeId]:
+        """Keep conflicts and history only of ``surviving_refs`` (deferred /
+        postponed threats re-evaluate them later) and drop the gathered
+        records: one ``replica-reconciled`` round, applied by each member's
+        handler.  Returns the nodes that applied it; a member it missed keeps
+        both until the coordinator next reconciles the group."""
+        coordinator = min(merged_partition)
         self._conflicted_refs.intersection_update(surviving_refs)
+        refs, records = frozenset(surviving_refs), self._unclosed.pop(coordinator, frozenset())
+        replies = self.channel.multicast(coordinator, "replica-reconciled", (refs, records))
+        self._reconciled(self.nodes[coordinator], refs, records)
+        applied = {node for node in replies if node in merged_partition} | {coordinator}
+        if applied != merged_partition:
+            self._unclosed[coordinator] = records
+        return applied
 
     # ------------------------------------------------------------------
     # internals
@@ -595,34 +598,32 @@ class ReplicationManager:
                 if selected is not None:
                     chosen = selected
             conflict.chosen = chosen
-        self._apply_everywhere(ref, chosen, merged_partition)
+        coordinator = min(merged_partition)
+        self._apply_everywhere(ref, chosen, coordinator)
         if self._is_degraded(merged_partition):
             # A partial heal: the merge result is itself a degraded-mode
             # update of the (still minority) merged partition.  Keep a
             # record so a later, fuller merge propagates it — or detects
             # a genuine conflict with the other side's updates.  The
             # original write time is kept: merge time says nothing about
-            # which concurrent update is newer.
-            node = chosen.node if chosen.node in merged_partition else min(merged_partition)
-            self._update_records.append(
+            # which concurrent update is newer.  The coordinator holds it.
+            self._update_records[coordinator].append(
                 UpdateRecord(
                     ref=ref,
                     kind=chosen.kind,
                     partition_key=merged_partition,
-                    node=node,
+                    node=chosen.node if chosen.node in merged_partition else coordinator,
                     version=chosen.version,
                     state=chosen.state,
                     timestamp=chosen.timestamp,
                     epoch=self.gms.epoch,
+                    record_id=next(self._record_ids),
                 )
             )
         return conflict
 
-    def _apply_everywhere(
-        self, ref: ObjectRef, record: UpdateRecord, merged_partition: frozenset[NodeId]
-    ) -> None:
-        """Apply the chosen record to every replica in the partition."""
-        source = record.node if record.node in merged_partition else min(merged_partition)
+    def _apply_everywhere(self, ref: ObjectRef, record: UpdateRecord, source: NodeId) -> None:
+        """Apply the chosen record to ``source``'s copy and multicast it."""
         if record.kind == "delete":
             kind, payload = "replica-delete", {"ref": ref}
             self._replicas.pop(ref, None)
@@ -641,7 +642,7 @@ class ReplicationManager:
         state: dict[str, Any] | None,
         partition: frozenset[NodeId],
     ) -> None:
-        self._update_records.append(
+        self._update_records[node].append(
             UpdateRecord(
                 ref=ref,
                 kind=kind,
@@ -651,11 +652,13 @@ class ReplicationManager:
                 state=state,
                 timestamp=self.nodes[node].services.clock.now,
                 epoch=self.gms.epoch,
+                record_id=next(self._record_ids),
             )
         )
 
     def pending_update_records(self) -> list[UpdateRecord]:
-        return list(self._update_records)
+        records = (r for node_records in self._update_records.values() for r in node_records)
+        return sorted(records, key=lambda r: r.record_id)
 
     def _note_promotion(self, temporary: NodeId, protocol_name: str | None = None) -> None:
         """Protocol callback: a temporary primary replaced the designated
@@ -673,8 +676,9 @@ class ReplicationManager:
         return len(partition) < len(self.network.nodes)
 
     def make_member_handler(self, node_id: NodeId) -> Callable[[Message], Any]:
+        node = self.nodes[node_id]
+
         def handle(message: Message) -> Any:
-            node = self.nodes[node_id]
             payload = message.payload or {}
             kind = message.kind
             if kind == "replica-update":
@@ -698,9 +702,25 @@ class ReplicationManager:
                 return self._apply_replica(node, kind, payload)
             if kind == "replica-delete":
                 return self._apply_replica(node, kind, payload)
+            # Reconciliation rounds; the coordinator reads its own state directly.
+            if kind == "replica-records":
+                return list(self._update_records[node_id])
+            if kind == "replica-history":
+                return node.state_history.versions_of(payload)
+            if kind == "replica-reconciled":
+                return self._reconciled(node, *payload)
             return "ignored"
 
         return handle
+
+    def _reconciled(self, node: Node, refs: frozenset[ObjectRef], records: frozenset[int]) -> str:
+        """Drop ``node``'s history outside ``refs`` and its ``records``."""
+        for ref in node.state_history.objects():
+            if ref not in refs:
+                node.state_history.prune(ref)
+        own = self._update_records[node.node_id]
+        own[:] = [record for record in own if record.record_id not in records]
+        return "ack"
 
     def _apply_replica(self, node: Node, kind: str, payload: Mapping[str, Any]) -> str:
         """Apply one replica create / update / delete to ``node``'s copy —

@@ -45,7 +45,7 @@ def run_family(fixture: str, prefix: str):
 class TestEngine:
     def test_rule_registry_covers_every_family(self):
         prefixes = {rule.code[:3] for rule in all_rules()}
-        assert prefixes == {"DET", "REG", "MSG", "MET", "PRB", "TRN", "CON"}
+        assert prefixes == {"DET", "REG", "MSG", "MET", "PRB", "TRN", "CON", "NOD"}
 
     def test_rule_codes_are_unique_and_described(self):
         rules = all_rules()
@@ -211,6 +211,34 @@ class TestClockBoundaryRule:
         """No module outside repro.sim/repro.transport reads a clock."""
         result = run_analysis(SRC_REPRO, codes=frozenset({"TRN001"}))
         assert result.findings == [], codes_of(result)
+
+
+# ---------------------------------------------------------- node ownership
+
+
+class TestNodeOwnershipRule:
+    def test_loops_over_other_nodes_fire(self):
+        result = run_family("node_bad", "NODE")
+        assert [finding.location for finding in result.findings] == [
+            "core/recon.py:12",
+            "core/recon.py:18",
+            "core/recon.py:21",
+            "replication/records.py:5",
+        ]
+        messages = [finding.message for finding in result.findings]
+        assert "self.nodes[node] in prune() is keyed by a loop target" in messages[0]
+        assert "self.threat_stores.values() walks every node's entry" in messages[1]
+        assert "self.ccmgrs[member] in validators()" in messages[2]
+        assert "manager.nodes.items()" in messages[3]
+
+    def test_coordinator_access_and_wiring_pass(self):
+        result = run_family("node_good", "NODE")
+        assert result.findings == []
+
+    def test_package_touches_only_the_acting_nodes_state(self):
+        """Reconciliation reaches the other members by message alone."""
+        result = run_analysis(SRC_REPRO, codes=frozenset({"NODE001"}))
+        assert result.findings == [], [f.location for f in result.findings]
 
 
 # ----------------------------------------------------------- concurrency

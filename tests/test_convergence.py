@@ -90,6 +90,17 @@ def test_replicas_converge_under_primary_partition(commands):
 def test_no_update_records_left_after_reconciliation(commands):
     cluster, refs = run_commands(commands, protocol="p4")
     assert cluster.replication.pending_update_records() == []
+    # Each node pruned its own history in its handler: what is left is of
+    # objects its own store still threatens.
+    for node in NODES:
+        store = cluster.threat_stores[node]
+        threatened = {
+            ref
+            for identity in store.identities()
+            for threat in store.occurrences_of(identity)
+            for ref in (*threat.affected_refs, threat.context_ref)
+        }
+        assert set(cluster.nodes[node].state_history.objects()) <= threatened
 
 
 @given(

@@ -167,14 +167,6 @@ class TestCostsAndJournal:
 
 
 class TestStateHistory:
-    def test_record_and_latest(self, engine):
-        history = StateHistory(engine)
-        history.record("obj", 1, {"x": 1})
-        history.record("obj", 2, {"x": 2})
-        latest = history.latest("obj")
-        assert latest.version == 2
-        assert latest.state == {"x": 2}
-
     def test_versions_in_order(self, engine):
         history = StateHistory(engine)
         history.record("obj", 1, {"x": 1})
@@ -192,7 +184,7 @@ class TestStateHistory:
         state = {"x": [1]}
         history.record("obj", 1, state)
         state["x"].append(2)
-        assert history.latest("obj").state == {"x": [1]}
+        assert history.versions_of("obj")[-1].state == {"x": [1]}
 
     def test_prune_one_object(self, engine):
         history = StateHistory(engine)
@@ -201,16 +193,6 @@ class TestStateHistory:
         assert history.prune("a") == 1
         assert history.versions_of("a") == []
         assert history.total_entries() == 1
-
-    def test_prune_all(self, engine):
-        history = StateHistory(engine)
-        history.record("a", 1, {})
-        history.record("a", 2, {})
-        assert history.prune() == 2
-        assert history.total_entries() == 0
-
-    def test_latest_missing_is_none(self, engine):
-        assert StateHistory(engine).latest("nope") is None
 
     def test_timestamps_recorded(self, engine):
         history = StateHistory(engine)

@@ -28,6 +28,19 @@ def make_flight_cluster(**config_kwargs):
     return cluster
 
 
+def record_multicast_kinds(cluster):
+    """The kinds of every multicast round ``cluster`` sends from now on."""
+    kinds = []
+    multicast = cluster.channel.multicast
+
+    def recording(source, kind, *args, **kwargs):
+        kinds.append(kind)
+        return multicast(source, kind, *args, **kwargs)
+
+    cluster.channel.multicast = recording
+    return kinds
+
+
 def overbook_during_partition(cluster, sold_healthy=70, in_a=7, in_b=8):
     """Run the §1.3 scenario up to the heal: returns (ref, baselines)."""
     ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
@@ -152,6 +165,62 @@ class TestFlightBookingReconciliation:
         assert report.replica_conflicts == 0
 
 
+def cut_closing_round_to(cluster, member):
+    """Drop the next ``replica-reconciled`` delivery to ``member``: the
+    round is still sent (and charged), but ``member`` never applies it."""
+    multicast = cluster.channel.multicast
+
+    def cut(source, kind, *args, **kwargs):
+        if kind != "replica-reconciled":
+            return multicast(source, kind, *args, **kwargs)
+        cluster.channel.multicast = multicast
+        handler = cluster.channel._handlers.pop(member)
+        try:
+            return multicast(source, kind, *args, **kwargs)
+        finally:
+            cluster.channel._handlers[member] = handler
+
+    cluster.channel.multicast = cut
+
+
+class TestCutClosingRound:
+    """A member the closing round missed keeps its update records and
+    history; the next run names them again instead of merging them again."""
+
+    def finish_after_cut(self, cluster, baselines, constraint_handler=None):
+        cut_closing_round_to(cluster, "b")
+        first = cluster.reconcile(AdditiveSoldMerge(baselines), constraint_handler)
+        assert first.replica_conflicts == 1
+        after_first = [cluster.entity_on(node, ref).state() for node in NODES for ref in baselines]
+        assert {record.node for record in cluster.replication.pending_update_records()} == {"b"}
+        histories = [cluster.nodes[node].state_history.total_entries() for node in NODES]
+        assert histories == [0, 1, 0]
+
+        second = cluster.reconcile(AdditiveSoldMerge(baselines), constraint_handler)
+        assert [group.merged_partition for group in second.groups] == [frozenset(NODES)]
+        assert second.replica_conflicts == 0
+        assert [cluster.entity_on(node, ref).state() for node in NODES for ref in baselines] == after_first
+        assert cluster.replication.pending_update_records() == []
+        assert [cluster.nodes[node].state_history.total_entries() for node in NODES] == [0, 0, 0]
+        assert cluster.reconcile().groups == ()
+
+    def test_sold_is_counted_once(self):
+        cluster = make_flight_cluster()
+        ref, baselines = overbook_during_partition(cluster, sold_healthy=10, in_a=2, in_b=3)
+        self.finish_after_cut(cluster, baselines)
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_sold() == 15
+
+    def test_the_constraint_phase_clean_up_is_not_undone(self):
+        cluster = make_flight_cluster()
+        ref, baselines = overbook_during_partition(cluster)
+        handler = RebookingReconciliationHandler(lambda r: cluster.entity_on("a", r))
+        self.finish_after_cut(cluster, baselines, handler)
+        assert handler.rebooked == [(ref, 5)]
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_sold() == 80
+
+
 class TestThreatPropagation:
     def test_threats_from_both_partitions_merged(self):
         cluster = make_flight_cluster()
@@ -226,12 +295,16 @@ class TestRollbackPath:
         cluster.invoke("b", ref, "sell_tickets", 8, negotiation_handler=handler)
         cluster.heal()
         baselines = {ref: 70}
+        kinds = record_multicast_kinds(cluster)
         report = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
-        # rollback found the pre-overbooking state in the history
+        # rollback found the pre-overbooking state in the history: b's 78,
+        # the newest state, one undone update back from the merged 85
         assert report.resolved_by_rollback == 1
-        assert report.updates_rolled_back >= 1
-        final = cluster.entity_on("a", ref).get_sold()
-        assert final <= 80
+        assert report.updates_rolled_back == 1
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_sold() == 78
+        # The members' histories arrive in one round.
+        assert kinds.count("replica-history") == 1
 
     def test_conflict_notification_for_satisfied_threat(self):
         cluster = make_flight_cluster()

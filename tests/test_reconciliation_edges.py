@@ -182,19 +182,28 @@ class TestRollbackFallback:
             fixes.append(1)
             return True
 
+        kinds = []
+        multicast = cluster.channel.multicast
+
+        def recording(source, kind, *args, **kwargs):
+            kinds.append(kind)
+            return multicast(source, kind, *args, **kwargs)
+
+        cluster.channel.multicast = recording
         report = cluster.reconcile(
             replica_handler=AdditiveSoldMerge({ref: 10}), constraint_handler=fix
         )
         assert report.violations_found == 1
-        # rollback searched the history: every recorded state is part of
-        # an overbooked merge, but individual partition states (11 sold)
-        # are also violated after the merge applied 12; rollback may or
-        # may not find 11<=10 violated -> handler used
-        assert report.resolved_by_rollback + report.resolved_by_handler == 1
-        if report.resolved_by_handler:
-            assert fixes == [1]
+        # rollback searched the history: every recorded partition state
+        # (11 sold) violates the 10 seats too, so nothing is rolled back
+        # and the handler fixes the merged 12
+        assert (report.resolved_by_rollback, report.resolved_by_handler) == (0, 1)
+        assert report.updates_rolled_back == 0
+        assert fixes == [1]
         for node in NODES:
-            assert cluster.entity_on(node, ref).get_sold() <= 10
+            assert cluster.entity_on(node, ref).get_sold() == 10
+        # The members' histories arrived in one round all the same.
+        assert kinds.count("replica-history") == 1
 
 
 class TestLedgerIntrospection:

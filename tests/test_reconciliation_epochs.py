@@ -186,9 +186,8 @@ class TestConflictRetention:
         ref, baselines = self._overbook(cluster)
         first = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         assert first.deferred == 1
-        # Historically clear_conflicts() wiped this on every run without
-        # postponed threats — the deferred threat then lost its
-        # had_replica_conflict answer.
+        # Closing a run must not wipe this while a deferred threat still
+        # needs its had_replica_conflict answer.
         assert cluster.replication.had_replica_conflict(ref)
 
         answers = []
@@ -202,7 +201,7 @@ class TestConflictRetention:
         assert second.resolved_by_handler == 1
         assert answers == [True]
         # With no surviving threat the conflict is finally forgotten.
-        assert cluster.replication.conflicts_detected == []
+        assert not cluster.replication.had_replica_conflict(ref)
 
     def test_resolved_threat_removed_from_peer_stores(self):
         cluster = make_flight_cluster()

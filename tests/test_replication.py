@@ -251,7 +251,7 @@ class TestReplicaConflicts:
         cluster.heal()
         cluster.replication.reconcile_replicas(frozenset(NODES))
         assert cluster.replication.had_replica_conflict(ref)
-        cluster.replication.clear_conflicts()
+        cluster.replication.finish_reconciliation(frozenset(NODES), set())
         assert not cluster.replication.had_replica_conflict(ref)
 
 

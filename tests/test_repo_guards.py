@@ -8,10 +8,8 @@ reconciliation exists once; the GMS holds no network and learns views
 from reachability reports, which inside ``membership/`` only the sim
 adapter reads off the topology (it is also the topology's one
 subscriber), and a process worker keeps no peer table beside its
-cluster's view; reconciliation's coordinator touches no threat store
-but its own; a
-package ``__init__`` re-exports through the one helper of ``repro._lazy``;
-no module runs an event loop — a process-backend worker serves each
+cluster's view; a package ``__init__`` re-exports through the one
+helper of ``repro._lazy``; no module runs an event loop — a process-backend worker serves each
 frame on its connection's own thread, with no executor hop, and starts
 only as a fork of its cluster's one template process; and the
 CCMgr reads its membership view once per notification, asking about
@@ -19,7 +17,9 @@ staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
 registry: no hand-written scenario script, and no post-run check beside
 the registry.  Every backend runs on the simulator's one clock and
-scheduler.
+scheduler.  That reconciliation's coordinator touches no other node's
+store, history or update records is replint's ``NODE001``, not a guard
+here.
 """
 
 import ast
@@ -76,45 +76,6 @@ def test_a_worker_keeps_no_peer_table_beside_its_view():
 
 def test_no_constraint_phase_reimplementation_in_transport():
     assert matches(r"validate_registration|mark_deferred|SimpleNamespace", "transport") == []
-
-
-def test_reconciliation_touches_only_the_coordinators_threat_store():
-    """In ``core/reconciliation.py`` every ``threat_stores[...]`` subscript
-    is keyed by ``coordinator``, ``threat_stores.values()`` is read only in
-    ``_surviving_refs``, and no loop over ``merged`` touches a store: the
-    other members' stores change in their own handlers."""
-    tree = ast.parse((SRC / "core" / "reconciliation.py").read_text())
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-
-    def function_of(node: ast.AST) -> str:
-        while not isinstance(node, ast.FunctionDef):
-            node = parents[node]
-        return node.name
-
-    uses = set()
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Attribute) and node.attr == "threat_stores"):
-            continue
-        parent = parents[node]
-        if isinstance(parent, ast.Subscript):
-            uses.add(("subscript", ast.unparse(parent.slice)))
-        elif isinstance(parent, ast.Attribute) and isinstance(parents[parent], ast.Call):
-            uses.add((f".{parent.attr}()", function_of(node)))
-        else:
-            uses.add((type(parent).__name__, function_of(node)))
-    assert uses == {
-        ("Assign", "__init__"),
-        ("subscript", "coordinator"),
-        (".values()", "_surviving_refs"),
-    }
-    loops = [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.For) and "merged" in ast.unparse(node.iter)
-        or isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
-        and any("merged" in ast.unparse(generator.iter) for generator in node.generators)
-    ]
-    assert loops and [loop for loop in loops if "store" in loop] == []
 
 
 def test_a_package_init_imports_nothing_but_the_reexport_helper():
