@@ -80,9 +80,9 @@ class TestPinnedFigures:
         "configuration, served, threats, seconds, reconciling",
         [
             ("no-replication", 306, 0, 2.826058, 0.0392),
-            ("primary-partition", 394, 0, 5.464284, 0.3236),
-            ("adaptive-voting", 400, 6, 6.666446, 1.14325),
-            ("p4", 400, 19, 8.091096, 1.4185),
+            ("primary-partition", 394, 0, 5.542684, 0.402),
+            ("adaptive-voting", 400, 6, 6.744846, 1.22165),
+            ("p4", 400, 19, 8.169496, 1.4969),
         ],
     )
     def test_default_study(self, configuration, served, threats, seconds, reconciling):
