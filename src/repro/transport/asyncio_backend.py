@@ -1,13 +1,15 @@
-"""In-process threaded backend: a worker pool per node, on the sim clock.
+"""In-process threaded backend: a mailbox per node, on the sim clock.
 
-Each node is a small **thread pool** whose FIFO work queue is the node's
-mailbox.  A ``send`` from a client thread or from another node's handler
-submits the message to the destination's pool and blocks on the returned
-future; one of the destination's own threads runs the handler, so nested
-synchronous sends — the primary multicasting an update from inside a
-server-chain handler — re-enter a node on another of its workers (up to
-``_NODE_WORKERS`` deep).  That is two thread hand-offs per message:
-sender → node worker → sender.
+Each node is a **mailbox** — one FIFO ``queue.SimpleQueue`` — served by
+``_NODE_WORKERS`` daemon threads, started at the node's first delivery.
+A ``send`` from a client thread or from another node's handler puts the
+message on the destination's mailbox together with a one-shot reply
+slot (a pre-acquired lock and a cell) and blocks on that lock; one of
+the destination's own threads runs the handler, fills the cell and
+releases the lock.  Nested synchronous sends — the primary multicasting
+an update from inside a server-chain handler — re-enter a node on
+another of its workers (up to ``_NODE_WORKERS`` deep).  That is two
+thread hand-offs per message: sender → node worker → sender.
 
 There is no event loop here.  ``asyncio`` in the module, class and
 ``transport="asyncio"`` names is a kept identifier (callers, benchmark
@@ -35,9 +37,8 @@ threads and node workers, not a second notion of time.
 
 from __future__ import annotations
 
-import concurrent.futures
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from ..net import GroupChannel, Message, NodeCrashedError, NodeId, UnreachableError
@@ -49,13 +50,13 @@ from .base import Transport
 _P2P = "p2p"
 _MEMBER = "member"
 
-#: Per-node executor width: bounds nested re-entrant delivery depth (a
-#: handler on A sending to B whose handler calls back into A).
+#: Threads per node: bounds nested re-entrant delivery depth (a handler on
+#: A sending to B whose handler calls back into A).
 _NODE_WORKERS = 4
 
 
 class AsyncioNetwork(Network):
-    """Mailbox-per-node message substrate: one worker pool per node."""
+    """Mailbox-per-node message substrate: four worker threads per node."""
 
     def __init__(
         self,
@@ -79,14 +80,10 @@ class AsyncioNetwork(Network):
         # delivery is a read-modify-write.
         self.delivered_count = 0  # guarded-by: _delivered_lock
         self._delivered_lock = threading.Lock()
-        # One pool per node: its FIFO work queue is the node's mailbox,
-        # its threads are the node (started lazily, on first delivery).
-        self._executors: dict[NodeId, ThreadPoolExecutor] = {
-            node: ThreadPoolExecutor(
-                max_workers=_NODE_WORKERS, thread_name_prefix=f"repro-node-{node}"
-            )
-            for node in self.nodes
-        }
+        # A node's mailbox of (message, ns, reply lock, reply cell) and its
+        # threads appear at its first delivery.  Every put checks
+        # ``_closed`` under the lock, so none lands after close()'s drain.
+        self._mailboxes: dict[NodeId, queue.SimpleQueue] = {}  # guarded-by: _close_lock
         self._closed = False  # guarded-by: _close_lock
         self._close_lock = threading.Lock()
 
@@ -162,40 +159,61 @@ class AsyncioNetwork(Network):
         return self._post(Message(source, destination, kind, payload), _MEMBER)
 
     def _post(self, message: Message, ns: str) -> Any:
-        """Queue onto the destination node's workers; block for the result.
+        """Put on the destination node's mailbox; block for the reply.
 
         Two thread hand-offs per message: sender → node worker, and the
-        worker's reply back.  The sending thread — a client thread or
-        another node's handler — blocks on the future ``submit`` returns.
+        worker's release of the reply lock back to the sender.  The
+        sending thread — a client thread or another node's handler —
+        waits on that lock; each request has its own, so a reply that
+        arrives after its sender timed out reaches nobody.
         """
-        # replint: ignore[CONC001] - lock-free flag read: a bool load is
-        # atomic under the GIL, and a send that slips past an in-flight
-        # close() is refused or cancelled by the executor just below.
-        if self._closed:
-            raise RuntimeError("network is closed")
+        done = threading.Lock()
+        done.acquire()
+        reply: list = []
+        node = message.destination
+        with self._close_lock:
+            if self._closed:
+                raise RuntimeError("network is closed")
+            mailbox = self._mailboxes.get(node)
+            if mailbox is None:
+                mailbox = self._mailboxes[node] = self._open_mailbox(node)
+            mailbox.put((message, ns, done, reply))
         with self._delivered_lock:
             self._note_delivery(message)
-        try:
-            future = self._executors[message.destination].submit(
-                self._dispatch, message, ns
-            )
-        except RuntimeError:
-            # The pool refuses work once close() has shut it down.
-            raise RuntimeError("network is closed") from None
-        try:
-            return future.result(timeout=self.request_timeout)
-        except concurrent.futures.TimeoutError:
+        if not done.acquire(True, self.request_timeout):
             # Indistinguishable from a lost message at the sender (§1.1).
-            self._drop(message.source, message.destination, message.kind, "timeout")
-            raise UnreachableError(message.source, message.destination) from None
-        except concurrent.futures.CancelledError:
-            # close() emptied the mailbox before a worker got to this one.
-            raise RuntimeError("network is closed") from None
+            self._drop(message.source, node, message.kind, "timeout")
+            raise UnreachableError(message.source, node)
+        ok, value = reply[0]
+        if ok:
+            return value
+        raise value
+
+    def _open_mailbox(self, node: NodeId) -> queue.SimpleQueue:
+        mailbox: queue.SimpleQueue = queue.SimpleQueue()
+        for index in range(_NODE_WORKERS):
+            threading.Thread(
+                target=self._serve,
+                args=(mailbox,),
+                name=f"repro-node-{node}_{index}",
+                daemon=True,
+            ).start()
+        return mailbox
+
+    def _serve(self, mailbox: queue.SimpleQueue) -> None:
+        """A node worker: answer requests until close() sends ``None``."""
+        while (request := mailbox.get()) is not None:
+            message, ns, done, reply = request
+            try:
+                reply.append((True, self._dispatch(message, ns)))
+            except BaseException as exc:  # noqa: BLE001 - travels to the sender
+                reply.append((False, exc))
+            done.release()
 
     def _dispatch(self, message: Message, ns: str) -> Any:
         """Run the destination's handler; executes on that node's worker.
 
-        Whatever this raises reaches the blocked sender through the future.
+        Whatever this raises reaches the blocked sender through its reply.
         """
         node = message.destination
         if node in self._crashed:
@@ -218,11 +236,20 @@ class AsyncioNetwork(Network):
             if self._closed:
                 return
             self._closed = True
-        # Running handlers finish and answer their senders; queued frames
-        # are cancelled (their senders get "network is closed"); the
-        # worker threads then exit on their own.
-        for executor in self._executors.values():
-            executor.shutdown(wait=False, cancel_futures=True)
+            mailboxes = list(self._mailboxes.values())
+        # No put follows the flag.  Running handlers finish and answer
+        # their senders; queued frames are failed (their senders get
+        # "network is closed"); each worker then takes a ``None`` and exits.
+        for mailbox in mailboxes:
+            while True:
+                try:
+                    _, _, done, reply = mailbox.get_nowait()
+                except queue.Empty:
+                    break
+                reply.append((False, RuntimeError("network is closed")))
+                done.release()
+            for _ in range(_NODE_WORKERS):
+                mailbox.put(None)
 
 
 class AsyncioGroupChannel(GroupChannel):

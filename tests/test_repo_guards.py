@@ -11,7 +11,9 @@ subscriber), and a process worker keeps no peer table beside its
 cluster's view; a package ``__init__`` re-exports through the one
 helper of ``repro._lazy``; no module runs an event loop — a process-backend worker serves each
 frame on its connection's own thread, with no executor hop, and starts
-only as a fork of its cluster's one template process; and the
+only as a fork of its cluster's one template process; the threaded
+backend hands each message to its node's own mailbox, with no executor
+or future; and the
 CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
@@ -100,6 +102,10 @@ def test_the_helper_holds_the_only_module_getattr():
 def test_no_event_loop_and_no_executor_hop_in_the_worker():
     assert matches(r"^\s*(import|from) asyncio") == []
     assert matches(r"ThreadPoolExecutor|run_in_executor", "transport/procnode.py") == []
+
+
+def test_the_threaded_backend_hands_off_without_an_executor():
+    assert matches(r"ThreadPoolExecutor|concurrent\.futures", "transport/asyncio_backend.py") == []
 
 
 def test_a_worker_starts_only_as_a_fork_of_the_template():

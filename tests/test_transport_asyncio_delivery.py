@@ -1,7 +1,9 @@
 """The delivery contract of the in-process threaded ("asyncio") backend.
 
-A message goes sender → destination node's worker thread → sender; there
-is no relay in between.  These tests pin what that path promises:
+A message goes onto the destination node's mailbox, one of that node's
+worker threads runs the handler, and the sender wakes on the request's
+own reply lock; there is no relay in between.  These tests pin what that
+path promises:
 
 * one sender's messages reach a node's handler in send order;
 * a handler exception reaches the sender with its type and message;
@@ -10,13 +12,17 @@ is no relay in between.  These tests pin what that path promises:
 * nested A→B→A→B sends complete (re-entrant depth < ``_NODE_WORKERS``);
 * a handler outliving ``request_timeout`` costs the sender exactly one
   ``timeout`` drop event and an ``UnreachableError``;
+* a reply that arrives after its sender timed out reaches nobody: the
+  next send to that node returns its own result;
 * ``close()`` never strands a sender: a racing send returns its result or
-  raises ``RuntimeError("network is closed")``, promptly;
+  raises ``RuntimeError("network is closed")``, promptly — also when
+  ``close()`` starts while its put is still in flight;
 * only ``repro-node-*`` threads exist, and they exit after ``close()``.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 
@@ -112,7 +118,7 @@ def send_behind_parked(network, node, payload):
     sender = threading.Thread(target=send)
     sender.start()
     deadline = time.monotonic() + 5.0
-    while network._executors[node]._work_queue.empty():
+    while network._mailboxes[node].empty():
         assert time.monotonic() < deadline, "the message never reached the mailbox"
         time.sleep(0.001)
     return sender, outcome
@@ -210,6 +216,36 @@ def test_handler_outliving_the_timeout_is_one_timeout_drop():
         transport.close()
 
 
+def test_a_late_reply_reaches_nobody():
+    transport = AsyncioTransport(NODES, request_timeout=0.05)
+    network = transport.network
+    release = threading.Event()
+    returning = threading.Event()
+
+    def handler(message):
+        if message.payload == "slow":
+            assert release.wait(timeout=5.0)
+            returning.set()
+            return "late"
+        return message.payload
+
+    try:
+        network.register_handler("b", handler)
+        with pytest.raises(UnreachableError):
+            network.send("a", "b", "work", "slow")
+        network.request_timeout = 5.0  # the sends below must not time out
+        release.set()
+        assert returning.wait(timeout=5.0)
+        time.sleep(0.05)  # let the worker hand the late reply back
+        # Same sending thread: a reply slot shared between its requests
+        # would now hold "late".
+        assert network.send("a", "b", "work", "first") == "first"
+        assert network.send("a", "b", "work", "second") == "second"
+    finally:
+        release.set()
+        transport.close()
+
+
 def test_close_cancels_queued_messages_and_lets_running_ones_answer():
     transport = AsyncioTransport(NODES)
     network = transport.network
@@ -277,6 +313,70 @@ def test_senders_racing_close_finish_promptly():
     assert sum(outcomes[:-1]) > 0
     # Nobody sat out request_timeout: no spurious timeout drop.
     assert obs.events("message_drop") == []
+
+
+class PutAfterDrain:
+    """A node's mailbox whose put of one payload waits for ``close()`` to
+    drain the mailbox before landing — the interleaving a send that
+    passed the closed check while ``close()`` ran would produce."""
+
+    def __init__(self, inner, payload):
+        self.inner = inner
+        self.payload = payload
+        self.putting = threading.Event()
+        self.drained = threading.Event()
+
+    def put(self, request):
+        if request is not None and request[0].payload == self.payload:
+            self.putting.set()
+            # A close() that cannot start before this put returns has no
+            # drain to wait for.
+            self.drained.wait(timeout=0.3)
+        self.inner.put(request)
+
+    def get_nowait(self):
+        try:
+            return self.inner.get_nowait()
+        except queue.Empty:
+            self.drained.set()
+            raise
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_a_send_racing_close_past_the_drain_is_refused_promptly():
+    transport = AsyncioTransport(NODES, request_timeout=5.0)
+    network = transport.network
+    gate = threading.Event()
+    try:
+        # Busy workers keep the racing message queued until close() runs.
+        parked, _, ran = occupy_workers(network, "b", gate)
+        mailbox = PutAfterDrain(network._mailboxes["b"], "late")
+        network._mailboxes["b"] = mailbox
+        outcome: list = []
+
+        def send():
+            try:
+                outcome.append(network.send("a", "b", "work", "late"))
+            except BaseException as exc:  # noqa: BLE001 - the outcome under test
+                outcome.append(exc)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        assert mailbox.putting.wait(timeout=5.0)
+        closing_at = time.monotonic()
+        transport.close()
+        sender.join(timeout=5.0)
+        assert time.monotonic() - closing_at < 2.0, "the sender sat out request_timeout"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "network is closed"
+        assert "late" not in ran
+    finally:
+        gate.set()
+        transport.close()
+    for thread in parked:
+        thread.join(timeout=5.0)
 
 
 def test_thread_census():
