@@ -236,7 +236,11 @@ class ConstraintConsistencyManager:
             ctx = self._method_context(invocation, entity, env)
             registration.constraint.before_method_invocation(ctx)
             post_contexts.append((registration, ctx))
-        invocation.metadata["ccm_post_contexts"] = post_contexts
+        if post_contexts:
+            invocation.metadata["ccm_post_contexts"] = post_contexts
+        elif invocation.metadata:
+            # A retried invocation carries its earlier attempt's metadata.
+            invocation.metadata.pop("ccm_post_contexts", None)
 
     def after_invocation(self, invocation: Invocation, entity: Entity) -> None:
         if self._validating:

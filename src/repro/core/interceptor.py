@@ -64,14 +64,14 @@ class CCMInterceptor(Interceptor):
         entity = self.node.container.resolve(invocation.ref)
         if not self.obs.enabled:
             self.ccmgr.before_invocation(invocation, entity)
-            result = proceed()
+            result = proceed(invocation)
             self.ccmgr.after_invocation(invocation, entity)
             return result
         started = self._clock.now
         outcome = "ok"
         try:
             self.ccmgr.before_invocation(invocation, entity)
-            result = proceed()
+            result = proceed(invocation)
             self.ccmgr.after_invocation(invocation, entity)
             return result
         except BaseException as exc:

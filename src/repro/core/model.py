@@ -36,6 +36,9 @@ class ConstraintType(enum.Enum):
     INVARIANT_SOFT = "soft"
     INVARIANT_ASYNC = "async"
 
+    # Singletons: an identity hash in C, not Enum's Python-level one.
+    __hash__ = object.__hash__
+
     @property
     def is_invariant(self) -> bool:
         return self in (

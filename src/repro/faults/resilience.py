@@ -213,8 +213,9 @@ class ResilienceInterceptor(Interceptor):
     Sits between the cost interceptor and the transport interceptor.  The
     ``router`` callback (the transport's routing function) is consulted to
     key the circuit breaker by destination *before* paying a network
-    attempt; routing errors there are ignored — ``proceed()`` will raise
-    the same error through the normal path.
+    attempt; routing errors there are ignored — ``proceed(invocation)``
+    will raise the same error through the normal path.  Each retry calls
+    ``proceed(invocation)`` again, with the same invocation.
     """
 
     name = "resilience"
@@ -283,7 +284,7 @@ class ResilienceInterceptor(Interceptor):
             self._check_deadline(invocation, clock)
             breaker = self._admit(invocation)
             try:
-                result = proceed()
+                result = proceed(invocation)
             except UnreachableError as exc:
                 self._record_failure(breaker, exc)
                 if attempt >= attempts:

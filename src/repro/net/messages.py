@@ -35,10 +35,11 @@ THREAT_RESOLVED = "threat-resolved"
 THREAT_DIGEST = "threat-digest"
 THREAT_SYNC = "threat-sync"
 
-_sequence = itertools.count(1)
+# ``__next__`` of a C counter: numbering a message runs no Python frame.
+_next_sequence = itertools.count(1).__next__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A point-to-point or multicast message."""
 
@@ -46,7 +47,7 @@ class Message:
     destination: NodeId
     kind: str
     payload: Any = None
-    sequence: int = field(default_factory=lambda: next(_sequence))
+    sequence: int = field(default_factory=_next_sequence)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

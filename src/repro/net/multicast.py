@@ -27,10 +27,14 @@ class GroupChannel:
     """
 
     def __init__(self, network: Network, group: str = "dedisys") -> None:
-        self.network = network
-        self.group = group
+        self._bind(network, group)
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
         self._members: tuple[NodeId, ...] = ()
+
+    def _bind(self, network: Network, group: str) -> None:
+        """What every backend's round prologue reads; members are its own."""
+        self.network = network
+        self.group = group
         self.obs = network.obs
         self._m_multicasts = self.obs.registry.counter(
             "net_multicasts_total", "group multicast rounds, by message kind"

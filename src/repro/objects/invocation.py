@@ -27,6 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Invocation:
     """An explicit representation of one method invocation."""
 
+    __slots__ = (
+        "invocation_id", "ref", "method_name", "is_getter", "is_setter",
+        "is_write", "args", "caller_node", "execution_node", "result",
+        "redirected", "deadline", "metadata",
+    )
+
     _ids = itertools.count(1)
 
     def __init__(
@@ -70,36 +76,44 @@ class Invocation:
         )
 
 
-Proceed = Callable[[], Any]
+Proceed = Callable[[Invocation], Any]
 
 
 class Interceptor:
-    """Base interceptor: override :meth:`intercept`."""
+    """Base interceptor: override :meth:`intercept`, which continues the
+    call (once, once per retry, or not at all) with ``proceed(invocation)``."""
 
     name = "interceptor"
 
     def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
-        return proceed()
+        return proceed(invocation)
+
+
+def _fell_off_the_end(invocation: Invocation) -> Any:
+    raise RuntimeError("interceptor chain fell off the end — no dispatcher installed")
+
+
+def _step(interceptor: Interceptor, proceed: Proceed) -> Proceed:
+    # A closure, not ``functools.partial(..., proceed=...)``: a partial
+    # with a bound keyword copies its keyword dict on every call.
+    intercept = interceptor.intercept
+
+    def step(invocation: Invocation) -> Any:
+        return intercept(invocation, proceed)
+
+    return step
 
 
 class InterceptorChain:
-    """Runs an invocation through a fixed sequence of interceptors."""
+    """Runs an invocation through a fixed sequence of interceptors, composed
+    once, here: each step calls its interceptor with the next as ``proceed``."""
 
     def __init__(self, interceptors: Sequence[Interceptor]) -> None:
-        self.interceptors = list(interceptors)
-
-    def execute(self, invocation: Invocation) -> Any:
-        return self._proceed(invocation, 0)
-
-    def _proceed(self, invocation: Invocation, index: int) -> Any:
-        if index >= len(self.interceptors):
-            raise RuntimeError(
-                "interceptor chain fell off the end — no dispatcher installed"
-            )
-        interceptor = self.interceptors[index]
-        return interceptor.intercept(
-            invocation, lambda: self._proceed(invocation, index + 1)
-        )
+        self.interceptors = tuple(interceptors)
+        step: Proceed = _fell_off_the_end
+        for interceptor in reversed(self.interceptors):
+            step = _step(interceptor, step)
+        self.execute: Proceed = step
 
 
 class CostInterceptor(Interceptor):
@@ -113,7 +127,7 @@ class CostInterceptor(Interceptor):
 
     def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
         self.node.persistence.charge("interceptor_hop", self.cost)
-        return proceed()
+        return proceed(invocation)
 
 
 class ContainerInvoker(Interceptor):

@@ -75,7 +75,7 @@ class ReplicationServerInterceptor(Interceptor):
     def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
         ref = invocation.ref
         if not self.replication.is_replicated(ref):
-            return proceed()
+            return proceed(invocation)
         # Component-monitor pass-through (ADAPT framework, §5.1).
         self.node.persistence.charge("adapt_monitor")
         node_id = self.node.node_id
@@ -86,7 +86,7 @@ class ReplicationServerInterceptor(Interceptor):
                 return self.replication.send_redirect(node_id, invocation)
         entity = self.node.container.resolve(ref)
         version_before = entity.version
-        result = proceed()
+        result = proceed(invocation)
         if invocation.is_write and entity.version != version_before:
             self.replication.propagate_update(node_id, entity)
         return result
@@ -105,7 +105,7 @@ class PersistenceInterceptor(Interceptor):
         # Entity bean activation/load.
         self.node.persistence.charge("db_read")
         version_before = entity.version
-        result = proceed()
+        result = proceed(invocation)
         if invocation.is_write and entity.version != version_before:
             self.node.persistence.table("entities").put(
                 (invocation.ref.class_name, invocation.ref.oid), entity.state()

@@ -15,6 +15,7 @@ All costs are expressed in seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -134,14 +135,18 @@ def charger(
     ``charge(category)`` spends the cost model's seconds for that category,
     ``charge(category, seconds)`` a duration the caller computed.  It books
     the seconds under ``category`` in ``ledger`` and lets them pass on
-    ``clock``, whose ``advance`` rejects NaN, infinite and negative
-    durations.
+    ``clock``; a caller's duration goes through ``clock.advance``, which
+    rejects NaN, infinite and negative ones with the clock unmoved.
 
-    The per-category seconds are read off the frozen ``costs`` here, once;
-    the table is complete before the first charge and never changes, so
-    threads that share the ledger share nothing new.
+    The per-category seconds are read off the frozen ``costs`` here, once,
+    and range-checked here, once, so a charge by category skips
+    ``advance``.  The table never changes, so threads that share the
+    ledger share nothing new.
     """
     seconds_of = {name: getattr(costs, name) for name in costs.__dataclass_fields__}
+    for name, value in seconds_of.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"cost {name!r} must be finite and >= 0, got {value}")
     totals, counts = ledger.totals, ledger.counts
     advance = clock.advance
 
@@ -153,8 +158,10 @@ def charger(
                 raise AttributeError(
                     f"{type(costs).__name__!r} object has no attribute {category!r}"
                 ) from None
+            clock._now += seconds
+        else:
+            advance(seconds)
         totals[category] = totals.get(category, 0.0) + seconds
         counts[category] = counts.get(category, 0) + 1
-        advance(seconds)
 
     return charge

@@ -262,6 +262,9 @@ class AsyncioGroupChannel(GroupChannel):
 
     network: AsyncioNetwork
 
+    def __init__(self, network: AsyncioNetwork, group: str = "dedisys") -> None:
+        self._bind(network, group)  # no handler table of its own
+
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self.network.register_member_handler(node, handler)
 

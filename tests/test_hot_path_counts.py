@@ -8,6 +8,7 @@ not per access.
 """
 
 import copy
+from collections import Counter
 from unittest.mock import Mock
 
 import pytest
@@ -184,3 +185,68 @@ def test_healthy_ops_make_no_object_refs(counted, monkeypatch):
         cluster.invoke(node, ref, "get_sold")
     assert made.call_count == 0
     assert cluster.entity_on("n1", ref).ref is ref
+
+
+def _charges(cluster):
+    """Every charge booked so far, by category, over the cluster's ledger
+    and each node's (one shared ledger today; counted once each)."""
+    ledgers = {id(cluster.ledger): cluster.ledger}
+    for node in cluster.nodes.values():
+        ledgers.setdefault(id(node.persistence.ledger), node.persistence.ledger)
+    counts = Counter()
+    for ledger in ledgers.values():
+        counts.update(ledger.counts)
+    return counts
+
+
+def _one_op(cluster, node, ref, method, *args):
+    counts, started = _charges(cluster), cluster.clock.now
+    cluster.invoke(node, ref, method, *args)
+    return _charges(cluster) - counts, cluster.clock.now - started
+
+
+def test_the_modelled_cost_of_one_whole_op_is_pinned(counted):
+    """A healthy local read and a forwarded replicated write book exactly
+    these charges and move the clock by exactly their seconds: speeding up
+    the stack's Python may not add, drop or move a single one."""
+    cluster, ref, copies, deep, searches = counted
+    costs = cluster.config.costs
+    assert cluster.replication.route_write(ref, "n2") == "n1"
+
+    read, read_s = _one_op(cluster, "n2", ref, "get_sold")
+    assert read == {
+        "invocation_base": 1,
+        "interceptor_hop": 2,  # client chain, then server chain (two hops each)
+        "adapt_monitor": 1,
+        "ccm_notification": 2,
+        "db_read": 1,
+        "repository_lookup_cached": 5,  # one per constraint type
+    }
+    assert read_s == pytest.approx(
+        costs.invocation_base
+        + 4 * costs.interceptor_hop
+        + costs.adapt_monitor
+        + 2 * costs.ccm_notification
+        + costs.db_read
+        + 5 * costs.repository_lookup_cached,
+        rel=1e-12,
+    )
+
+    write, write_s = _one_op(cluster, "n2", ref, "sell_tickets", 1)
+    lookups = write.pop("repository_lookup_cached")
+    assert lookups == 5
+    assert write == {
+        "invocation_base": 1,
+        "interceptor_hop": 2,
+        "network_latency": 1,  # forwarded from n2 to the primary n1
+        "adapt_monitor": 1,
+        "ccm_notification": 2,
+        "db_read": 1,
+        "constraint_validate": 1,
+        "db_write": 3,  # the primary's row, then one per backup
+        "replica_detail_write": 1,
+        "multicast": 1,
+        "tx_remote_association": 2,
+    }
+    assert sum(write.values()) == 16
+    assert write_s == pytest.approx(0.046352, rel=1e-12)

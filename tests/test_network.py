@@ -4,11 +4,13 @@ import random
 import sys
 import threading
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net import GroupChannel, NodeCrashedError, SimNetwork, UnreachableError
+from repro.net.messages import Message
 from repro.net.topology import Topology
 
 NODES = ("a", "b", "c", "d")
@@ -157,6 +159,19 @@ class TestMessaging:
             ("c", "ping", 3),
         ]
         assert network.delivered_count == 3
+
+    def test_a_message_is_a_frozen_slotted_value_numbered_in_order(self):
+        first = Message("a", "b", "ping", 1)
+        second = Message("a", "b", "ping", 1)
+        assert second.sequence == first.sequence + 1
+        assert first != second  # the sequence takes part in equality
+        assert first == Message("a", "b", "ping", 1, sequence=first.sequence)
+        assert repr(first) == f"Message(#{first.sequence} ping a->b)"
+        assert not hasattr(first, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            first.kind = "pong"
+        with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+            first.extra = 1
 
     def test_topology_listener_fired(self, network):
         events = []

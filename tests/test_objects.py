@@ -2,7 +2,9 @@
 invocation interception."""
 
 import copy
+import inspect
 import pickle
+import types
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -362,7 +364,7 @@ class TestInterceptorChain:
 
             def intercept(self, invocation, proceed):
                 order.append(f"{self.tag}-in")
-                result = proceed()
+                result = proceed(invocation)
                 order.append(f"{self.tag}-out")
                 return result
 
@@ -404,7 +406,12 @@ class TestInvocationSemantics:
     )
     def test_read_or_write_is_decided_with_the_invocation(self, method, getter, setter, write):
         invocation = Invocation(ObjectRef("A", "1"), method, (), "n")
-        assert "is_write" in vars(invocation)  # a fact, not a property chain
+        # Facts stored in slots when the invocation is made, not a property
+        # chain: a property would show up here instead of a slot descriptor.
+        for fact in ("is_getter", "is_setter", "is_write"):
+            assert isinstance(
+                inspect.getattr_static(Invocation, fact), types.MemberDescriptorType
+            )
         assert (invocation.is_getter, invocation.is_setter, invocation.is_write) == (
             getter,
             setter,

@@ -13,7 +13,7 @@ helper of ``repro._lazy``; no module runs an event loop — a process-backend wo
 frame on its connection's own thread, with no executor hop, and starts
 only as a fork of its cluster's one template process; the threaded
 backend hands each message to its node's own mailbox, with no executor
-or future; and the
+or future; an interceptor chain is composed once, not per hop; and the
 CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
@@ -106,6 +106,15 @@ def test_no_event_loop_and_no_executor_hop_in_the_worker():
 
 def test_the_threaded_backend_hands_off_without_an_executor():
     assert matches(r"ThreadPoolExecutor|concurrent\.futures", "transport/asyncio_backend.py") == []
+
+
+def test_the_interceptor_chain_is_composed_once():
+    """No per-hop closure or index walk: the chain's steps are built when
+    the chain is, over a fixed tuple of interceptors."""
+    from repro.objects import InterceptorChain
+
+    assert matches(r"\blambda\b|_proceed", "objects/invocation.py") == []
+    assert isinstance(InterceptorChain([]).interceptors, tuple)
 
 
 def test_a_worker_starts_only_as_a_fork_of_the_template():

@@ -297,6 +297,25 @@ class TestCostLedger:
         with pytest.raises(ValueError):
             self.bound(CostLedger(), SimClock(), CostModel(db_read=bad))("db_read")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    def test_a_bad_cost_table_is_refused_when_the_charger_is_built(self, bad):
+        """The table is checked once, so a charge by name need not be."""
+        ledger, clock = CostLedger(), SimClock()
+        with pytest.raises(ValueError, match="'state_history_write' must be finite and >= 0"):
+            self.bound(ledger, clock, CostModel(state_history_write=bad))
+        assert clock.now == 0.0 and not ledger.totals
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -0.5])
+    def test_a_bad_duration_of_the_callers_is_refused_with_the_clock_unmoved(self, bad):
+        ledger, clock = CostLedger(), SimClock()
+        charge = self.bound(ledger, clock)
+        charge("db_read")
+        before = clock.now
+        with pytest.raises(ValueError, match="cannot advance clock"):
+            charge("multicast", bad)
+        assert clock.now == before
+        assert list(ledger.counts) == ["db_read"]
+
     def test_unknown_category_is_rejected(self):
         ledger = CostLedger()
         with pytest.raises(AttributeError, match="not_a_cost"):

@@ -423,3 +423,13 @@ def test_thread_census():
         time.sleep(0.01)
     assert census() == []
 
+
+
+def test_the_group_channel_keeps_members_only_in_the_networks_table(transport):
+    channel = transport.make_channel()
+    channel.join("a", lambda message: "ack-a")
+    channel.join("b", lambda message: "ack-b")
+    channel.leave("a")
+    assert channel.members == ("b",) == transport.network.member_nodes()
+    assert not {"_handlers", "_members"} & set(vars(channel))
+    assert channel.multicast("c", "noop", {}) == {"b": "ack-b"}
