@@ -84,18 +84,30 @@ class ConsistencyThreat:
         return (self.constraint_name, self.context_ref)
 
     def snapshot(self) -> dict[str, Any]:
-        """Serializable row for the persistence layer."""
+        """Serializable row for the persistence layer; the fields that
+        move once it is stored come from :meth:`moved_fields`."""
         return {
             "threat_id": self.threat_id,
             "constraint": self.constraint_name,
-            "degree": self.degree.name,
             "context": str(self.context_ref) if self.context_ref else None,
             "affected": [str(ref) for ref in self.affected_refs],
             "application_data": dict(self.application_data),
             "allow_rollback": self.instructions.allow_rollback,
-            "occurrences": self.occurrences,
             "timestamp": self.timestamp,
             "origin_node": self.origin_node,
+            **self.moved_fields(),
+        }
+
+    def moved_fields(self) -> dict[str, Any]:
+        """The :meth:`snapshot` fields that move once a threat is stored:
+        an absorbed occurrence changes ``occurrences`` and may lower
+        ``degree``, a deferral sets ``deferred``.  A row update writes all
+        three, because on the in-process backends a replicated record is
+        one object held by several nodes' stores, so any of them may have
+        moved since this store last wrote the row."""
+        return {
+            "degree": self.degree.name,
+            "occurrences": self.occurrences,
             "deferred": self.deferred,
         }
 
@@ -141,8 +153,11 @@ class ThreatStore:
 
         Returns ``(stored_threat, was_new)``.  Under ``IDENTICAL_ONCE`` an
         identical existing threat absorbs the new occurrence after a
-        read-only dedup check; under ``FULL_HISTORY`` every occurrence is
-        persisted (cheaper per-occurrence than the initial store).
+        read-only dedup check, and only its
+        :meth:`~ConsistencyThreat.moved_fields` are written to its row.
+        Under ``FULL_HISTORY`` every occurrence is persisted as a whole row
+        of its own (cheaper per-occurrence than the initial store).  A row
+        is replaced, never changed in place.
         """
         identity = threat.identity
         existing = self._threats.get(identity)
@@ -153,10 +168,8 @@ class ThreatStore:
                 head.occurrences += 1
                 if threat.degree < head.degree:
                     head.degree = threat.degree
-                # The absorbed occurrence mutated the head record
-                # (occurrence count, possibly degree) — rewrite its row so
-                # the persisted snapshot cannot go stale.
-                self._table.put(head.threat_id, head.snapshot(), cost="db_write")
+                # Rewrite what moved so the persisted row cannot go stale.
+                self._table.update(head.threat_id, head.moved_fields())
                 return head, False
             self.engine.charge("threat_persist_identical")
             existing.append(threat)
@@ -291,7 +304,7 @@ class ThreatStore:
             raise KeyError(f"no threat {identity!r}")
         for threat in threats:
             threat.deferred = True
-            self._table.put(threat.threat_id, threat.snapshot(), cost="db_write")
+            self._table.update(threat.threat_id, threat.moved_fields())
 
     def clear(self) -> None:
         self._threats.clear()

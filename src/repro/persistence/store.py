@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping, NamedTuple
 
 # The one import that reaches *up* a layer: the helper must know the frozen
 # ``ObjectRef``.  ``objects.values`` imports nothing but ``objects.refs``, so
@@ -29,8 +29,10 @@ from ..sim import CostLedger, CostModel, SimClock, charger
 JOURNAL_TAIL = 32
 
 
-@dataclass(frozen=True, slots=True)
-class JournalEntry:
+class JournalEntry(NamedTuple):
+    """One recorded mutation; a tuple, so building one costs no
+    ``__init__`` and assigning a field raises ``AttributeError``."""
+
     sequence: int
     timestamp: float
     table: str
@@ -116,9 +118,11 @@ class Table:
     Values are copied (:func:`~repro.objects.values.copy_value`) on the way
     in and out, giving the store the value semantics of serialized database
     rows: mutating a live object never silently mutates its persisted state
-    or its journal entry.  A row is replaced, never changed in place, so a
-    journal entry shares the stored copy while it is retained; a superseded
-    row is freed once its entry leaves the journal's tail.
+    or its journal entry.  A row is replaced — whole by :meth:`put`, or by
+    field by :meth:`update` — and never changed in place, so a journal
+    entry shares the stored copy while it is retained, and a row made by
+    :meth:`update` shares its unchanged values with the row it replaced; a
+    superseded row is freed once its entry leaves the journal's tail.
     """
 
     def __init__(self, name: str, engine: PersistenceEngine) -> None:
@@ -142,6 +146,16 @@ class Table:
     def put(self, key: Any, value: Any, cost: str = "db_write") -> None:
         self.engine.charge(cost)
         stored = self._rows[key] = copy_value(value)
+        self.engine._journal.record(self.name, "put", key, stored)
+
+    def update(self, key: Any, changes: Mapping[str, Any]) -> None:
+        """Replace the dict row at ``key`` by a copy with ``changes``
+        applied (SQL ``UPDATE … SET``), charging one ``db_write`` and
+        journaling the ``put`` that writing the whole new row would."""
+        if key not in self._rows:
+            raise KeyError(f"no row {key!r} in table {self.name!r}")
+        self.engine.charge("db_write")
+        stored = self._rows[key] = {**self._rows[key], **copy_value(changes)}
         self.engine._journal.record(self.name, "put", key, stored)
 
     def get(self, key: Any, cost: str = "db_read") -> Any:

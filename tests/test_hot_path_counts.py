@@ -19,15 +19,19 @@ from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import (
     AcceptAllHandler,
+    ConsistencyThreat,
     ConstraintType,
     PredicateConstraint,
     SatisfactionDegree,
+    ThreatStore,
 )
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
 from repro.net.topology import Topology
 from repro.objects import ObjectRef
 from repro.objects.values import copy_value
+from repro.persistence import PersistenceEngine
 from repro.replication.manager import ReplicationManager
+from repro.sim import SimClock
 
 NODES = ("n1", "n2", "n3")
 
@@ -250,3 +254,54 @@ def test_the_modelled_cost_of_one_whole_op_is_pinned(counted):
     }
     assert sum(write.values()) == 16
     assert write_s == pytest.approx(0.046352, rel=1e-12)
+
+
+def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
+    """An identical threat under ``IDENTICAL_ONCE`` books its dedup check
+    and one row write, and moves the clock by exactly their seconds."""
+    engine = PersistenceEngine(SimClock())
+    store = ThreatStore(engine)
+    ref = ObjectRef("Flight", "F1")
+    store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_SATISFIED, ref))
+    counts, started = Counter(engine.ledger.counts), engine.clock.now
+    store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_VIOLATED, ref))
+    assert Counter(engine.ledger.counts) - counts == {"threat_dedup_check": 1, "db_write": 1}
+    assert engine.clock.now - started == pytest.approx(
+        engine.costs.threat_dedup_check + engine.costs.db_write, rel=1e-12
+    )
+
+
+def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
+    """A forwarded write inside the majority partition whose threat an
+    earlier write already stored: it negotiates, absorbs the occurrence on
+    the primary, keeps one history state, and propagates to the one
+    reachable backup."""
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1", "n2"}, {"n3"})
+    assert cluster.replication.route_write(ref, "n2") == "n1"
+    accept = AcceptAllHandler()
+    cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
+
+    counts, started = _charges(cluster), cluster.clock.now
+    cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
+    write, write_s = _charges(cluster) - counts, cluster.clock.now - started
+    assert write.pop("repository_lookup_cached") == 5
+    assert write == {
+        "invocation_base": 1,
+        "interceptor_hop": 2,
+        "network_latency": 1,
+        "adapt_monitor": 1,
+        "ccm_notification": 2,
+        "db_read": 1,
+        "constraint_validate": 1,
+        "threat_negotiate": 1,
+        "threat_dedup_check": 1,  # absorbed: no threat_persist, no replication
+        "state_history_write": 1,
+        "db_write": 3,  # the primary's row, the threat row, the backup's row
+        "replica_detail_write": 1,
+        "multicast": 1,
+        "tx_remote_association": 1,
+    }
+    assert write_s == pytest.approx(0.053952, rel=1e-12)
+    (stored,) = cluster.threat_stores["n1"].pending()
+    assert stored.occurrences == 2

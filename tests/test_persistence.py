@@ -1,5 +1,7 @@
 """Tests for the journaled persistence engine and state history."""
 
+from collections import Counter
+
 import pytest
 
 from repro.persistence import Journal, PersistenceEngine, StateHistory
@@ -86,6 +88,60 @@ class TestTables:
         assert len(table) == 0
 
 
+class TestUpdate:
+    """``update`` is SQL ``UPDATE … SET``: one charge, a new row with the
+    changes applied, and the ``put`` entry writing that row would journal."""
+
+    ROW = {"occurrences": 1, "degree": "POSSIBLY_SATISFIED", "affected": ["a"]}
+
+    def test_charges_one_db_write(self, engine):
+        table = engine.table("t")
+        table.put("k", self.ROW)
+        counts, before = Counter(engine.ledger.counts), engine.clock.now
+        table.update("k", {"occurrences": 2})
+        assert Counter(engine.ledger.counts) - counts == {"db_write": 1}
+        assert engine.clock.now == before + engine.costs.db_write
+
+    def test_stores_the_old_row_with_the_changes_applied(self, engine):
+        table = engine.table("t")
+        table.put("k", self.ROW)
+        table.update("k", {"occurrences": 2, "deferred": True})
+        assert table.get("k") == {**self.ROW, "occurrences": 2, "deferred": True}
+
+    def test_value_semantics(self, engine):
+        table = engine.table("t")
+        table.put("k", self.ROW)
+        changes = {"affected": ["a", "b"]}
+        table.update("k", changes)
+        changes["affected"].append("c")
+        changes["occurrences"] = 9
+        table.get("k")["affected"].append("d")
+        assert table.get("k") == {**self.ROW, "affected": ["a", "b"]}
+        assert self.ROW["affected"] == ["a"]
+
+    def test_journals_one_put_of_the_new_row(self, engine):
+        table = engine.table("t")
+        table.put("k", self.ROW)
+        recorded = len(engine.journal())
+        table.update("k", {"occurrences": 2})
+        assert len(engine.journal()) == recorded + 1
+        entry = engine.journal()[-1]
+        assert (entry.table, entry.operation, entry.key) == ("t", "put", "k")
+        assert entry.value == table.get("k") == {**self.ROW, "occurrences": 2}
+
+    def test_missing_key_raises_with_nothing_charged_or_journaled(self, engine):
+        table = engine.table("t")
+        table.put("other", self.ROW)
+        recorded, before = len(engine.journal()), engine.clock.now
+        counts = dict(engine.ledger.counts)
+        with pytest.raises(KeyError):
+            table.update("missing", {"occurrences": 2})
+        assert engine.clock.now == before
+        assert dict(engine.ledger.counts) == counts
+        assert len(engine.journal()) == recorded
+        assert "missing" not in table
+
+
 class TestCostsAndJournal:
     def test_access_advances_clock(self, engine):
         table = engine.table("t")
@@ -156,6 +212,14 @@ class TestCostsAndJournal:
         for gone in (0, 4, -total, -JOURNAL_TAIL - 1, total):
             with pytest.raises(IndexError):
                 journal[gone]
+
+    def test_journal_entries_are_immutable(self, engine):
+        engine.table("t").put("k", 1)
+        entry = engine.journal()[-1]
+        for field in ("sequence", "timestamp", "table", "operation", "key", "value"):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, None)
+        assert entry.value == 1
 
     def test_charge_unknown_category_raises(self, engine):
         with pytest.raises(AttributeError):

@@ -19,9 +19,10 @@ staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
 registry: no hand-written scenario script, and no post-run check beside
 the registry.  Every backend runs on the simulator's one clock and
-scheduler.  That reconciliation's coordinator touches no other node's
-store, history or update records is replint's ``NODE001``, not a guard
-here.
+scheduler.  An absorbed threat occurrence and a deferral update their
+rows by field, and a journal entry is a tuple.  That reconciliation's
+coordinator touches no other node's store, history or update records is
+replint's ``NODE001``, not a guard here.
 """
 
 import ast
@@ -212,3 +213,30 @@ def test_one_invariant_list():
     }
     registered = {type(invariant).__name__ for invariant in default_registry().invariants}
     assert defined == registered
+
+
+def test_an_absorbed_threat_updates_its_row_by_field():
+    """An absorbed occurrence and a deferral rewrite only the fields they
+    change (``Table.update``), never the whole ``snapshot()`` row, and a
+    journal entry is a tuple, not a frozen dataclass."""
+    import dataclasses
+
+    from repro.persistence import JournalEntry
+
+    tree = ast.parse((SRC / "core" / "threats.py").read_text())
+    (store,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ThreatStore"]
+    methods = {node.name: node for node in store.body if isinstance(node, ast.FunctionDef)}
+    (absorbed,) = [
+        node
+        for node in ast.walk(methods["record"])
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("IDENTICAL_ONCE")
+    ]
+    for scope in (ast.Module(body=absorbed.body, type_ignores=[]), methods["mark_deferred"]):
+        called = [
+            node.func.attr
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        ]
+        assert "update" in called and "snapshot" not in called and "put" not in called
+    assert not dataclasses.is_dataclass(JournalEntry)
+    assert issubclass(JournalEntry, tuple)

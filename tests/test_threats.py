@@ -1,6 +1,7 @@
 """Tests for consistency threats and the persistent threat store."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import (
     ConsistencyThreat,
@@ -17,8 +18,31 @@ REF = ObjectRef("Flight", "LH1")
 OTHER = ObjectRef("Flight", "LH2")
 
 
-def make_threat(constraint="TicketConstraint", ref=REF, degree=SatisfactionDegree.POSSIBLY_SATISFIED):
-    return ConsistencyThreat(constraint_name=constraint, degree=degree, context_ref=ref)
+def make_threat(
+    constraint="TicketConstraint", ref=REF, degree=SatisfactionDegree.POSSIBLY_SATISFIED, data=False
+):
+    if not data:
+        return ConsistencyThreat(constraint_name=constraint, degree=degree, context_ref=ref)
+    # A row with a list and a dict one level down, like the middleware's.
+    return ConsistencyThreat(
+        constraint_name=constraint,
+        degree=degree,
+        context_ref=ref,
+        affected_refs=(REF, OTHER),
+        application_data={"seats": [1, 2], "flight": str(ref)},
+    )
+
+
+#: ``(action, identity, degree)`` steps over two constraints and three
+#: contexts; a later occurrence may carry a lower degree than the stored one.
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["record", "record", "sync", "defer", "remove"]),
+        st.tuples(st.sampled_from(["TicketConstraint", "Seats"]), st.sampled_from([REF, OTHER, None])),
+        st.sampled_from(list(SatisfactionDegree)),
+    ),
+    max_size=25,
+)
 
 
 @pytest.fixture
@@ -186,11 +210,45 @@ class TestResolution:
         store.apply_remote(make_threat())
         assert store.count_identities() == 1
 
-    def test_persisted_rows_match(self, engine):
-        store = ThreatStore(engine)
-        store.record(make_threat())
-        table = engine.table("consistency_threats")
-        assert len(table) == 1
+    @pytest.mark.parametrize("deferred_first", [True, False], ids=["defer-then-absorb", "absorb-then-defer"])
+    def test_a_shared_record_row_is_whole_after_each_write(self, deferred_first):
+        """A replicated threat is one object held by several stores, so
+        when one store writes its row, fields another store moved must be
+        written too: a deferral on A, then a lower-degree absorb on B, must
+        leave B's row with ``deferred`` set, and the reverse order must leave
+        A's row with B's occurrence count and degree."""
+        a = ThreatStore(PersistenceEngine(SimClock()))
+        b = ThreatStore(PersistenceEngine(SimClock()))
+        threat = make_threat(degree=SatisfactionDegree.POSSIBLY_VIOLATED)
+        a.apply_remote(threat)
+        b.apply_remote(threat)
+        defer = (a, lambda: a.mark_deferred(threat.identity))
+        absorb = (b, lambda: b.record(make_threat(degree=SatisfactionDegree.VIOLATED)))
+        for store, write in [defer, absorb] if deferred_first else [absorb, defer]:
+            write()
+            assert store.persisted_row(threat.threat_id) == threat.snapshot()
+        assert (threat.deferred, threat.occurrences, threat.degree) == (True, 2, SatisfactionDegree.VIOLATED)
+
+    @pytest.mark.parametrize("policy", list(ThreatStoragePolicy), ids=lambda policy: policy.name)
+    @given(steps=STEPS)
+    def test_persisted_rows_match(self, policy, steps):
+        """Whatever the store went through, each persisted row is its
+        threat's snapshot and the table holds exactly the stored records."""
+        store = ThreatStore(PersistenceEngine(SimClock()), policy)
+        for action, identity, degree in steps:
+            constraint, ref = identity
+            if action == "record":
+                store.record(make_threat(constraint, ref, degree, data=True))
+            elif action == "sync":
+                store.apply_synced([make_threat(constraint, ref, degree, data=True)])
+            elif action == "defer" and identity in store:
+                store.mark_deferred(identity)
+            elif action == "remove":
+                store.remove(identity)
+            for known in store.identities():
+                for threat in store.occurrences_of(known):
+                    assert store.persisted_row(threat.threat_id) == threat.snapshot()
+            assert store.persisted_records() == store.stored_records()
 
 
 class TestDigest:
