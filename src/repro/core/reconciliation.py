@@ -465,9 +465,7 @@ class ReconciliationManager:
             "replica-update",
             {"ref": ref, "state": entity.state(), "version": entity.version},
         )
-        self.nodes[source].persistence.table("entities").put(
-            (ref.class_name, ref.oid), entity.state()
-        )
+        entity.store(self.nodes[source].persistence.table("entities").put)
 
     def _resolve_context(self, node_id: NodeId, ref: ObjectRef | None) -> Any:
         if ref is None:

@@ -9,8 +9,8 @@ number used by tests to assert ordering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import FrozenInstanceError
+from typing import Any, NamedTuple
 
 NodeId = str
 
@@ -39,15 +39,41 @@ THREAT_SYNC = "threat-sync"
 _next_sequence = itertools.count(1).__next__
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A point-to-point or multicast message."""
-
+class _MessageFields(NamedTuple):
     source: NodeId
     destination: NodeId
     kind: str
-    payload: Any = None
-    sequence: int = field(default_factory=_next_sequence)
+    payload: Any
+    sequence: int
+
+
+class Message(_MessageFields):
+    """A point-to-point or multicast message.
+
+    An immutable, slotted value numbered in creation order; the sequence
+    takes part in equality.  A tuple, so building one runs one Python
+    frame and no per-field ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        source: NodeId,
+        destination: NodeId,
+        kind: str,
+        payload: Any = None,
+        sequence: int | None = None,
+    ) -> "Message":
+        if sequence is None:
+            sequence = _next_sequence()
+        return tuple.__new__(cls, (source, destination, kind, payload, sequence))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

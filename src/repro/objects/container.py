@@ -62,9 +62,7 @@ class Container:
         # hands out then matches by identity.
         self._instances[entity.ref] = entity
         if persist:
-            self.node.persistence.table("entities").insert(
-                (class_name, oid), entity.state()
-            )
+            entity.store(self.node.persistence.table("entities").insert)
         return entity
 
     def remove(self, ref: ObjectRef, persist: bool = True) -> None:

@@ -18,7 +18,7 @@ interface (§4.2.1), and participate in:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .refs import ObjectRef
 from .values import copy_value
@@ -177,12 +177,31 @@ class Entity:
         """
         return copy_value(self._attributes)
 
-    def apply_state(self, state: dict[str, Any], version: int | None = None) -> None:
-        """Overwrite attributes from a snapshot (update propagation)."""
-        self._attributes = copy_value(state)
+    def store(self, write: Callable[[tuple[str, str], dict[str, Any]], None]) -> None:
+        """Hand the attributes to ``write(key, attributes)`` under the row
+        key ``(class name, oid)``.
+
+        ``write`` is a copying table writer (``Table.put`` or
+        ``Table.insert``), so the stored row is the one copy made, not a
+        copy of a :meth:`state` snapshot.
+        """
+        write((self.ref.class_name, self.oid), self._attributes)
+
+    def apply_state(
+        self, state: dict[str, Any], version: int | None = None
+    ) -> dict[str, Any]:
+        """Overwrite attributes from a snapshot (update propagation).
+
+        The attributes are replaced wholesale by a copy of ``state``, never
+        changed in place, so the returned dict — the one replaced — is held
+        by nobody else: a caller may keep it as the previous state instead
+        of taking a :meth:`state` copy first.
+        """
+        replaced, self._attributes = self._attributes, copy_value(state)
         if version is not None:
             self.version = version
         self.last_update_time = self._now()
+        return replaced
 
     # ------------------------------------------------------------------
     # VersionedEntity (§4.2.1)

@@ -47,7 +47,7 @@ def copy_value(value: Any) -> Any:
     """
     if type(value) is dict:
         # Testing the leaf types inline spares a call per key and per item
-        # on the nine copies a replicated write makes.
+        # on the six copies a replicated write makes.
         leaves = _LEAVES
         nested: list[tuple[Any, Any]] = []
         for key, item in value.items():

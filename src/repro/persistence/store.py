@@ -59,8 +59,12 @@ class Journal:
 
     def record(self, table: str, operation: str, key: Any, value: Any = None) -> None:
         self.recorded = sequence = self.recorded + 1
+        # ``tuple.__new__`` directly: a NamedTuple's own ``__new__`` is a
+        # Python function.
         self._tail.append(
-            JournalEntry(sequence, self._clock.now, table, operation, key, value)
+            tuple.__new__(
+                JournalEntry, (sequence, self._clock.now, table, operation, key, value)
+            )
         )
 
     def __len__(self) -> int:

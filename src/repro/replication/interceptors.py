@@ -107,7 +107,5 @@ class PersistenceInterceptor(Interceptor):
         version_before = entity.version
         result = proceed(invocation)
         if invocation.is_write and entity.version != version_before:
-            self.node.persistence.table("entities").put(
-                (invocation.ref.class_name, invocation.ref.oid), entity.state()
-            )
+            entity.store(self.node.persistence.table("entities").put)
         return result

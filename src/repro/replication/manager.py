@@ -685,8 +685,7 @@ class ReplicationManager:
                 # Associate the propagated transaction context and apply
                 # the update within it (§4.3).
                 node.persistence.charge("tx_remote_association")
-                self._apply_replica(node, kind, payload)
-                return "ack"
+                return self._apply_replica(node, kind, payload)
             if kind == "replica-update-batch":
                 # One transaction-context association covers the whole
                 # coalesced round; each entry is acked individually.
@@ -740,9 +739,8 @@ class ReplicationManager:
             entity = node.container.resolve(ref)
         except ObjectNotFound:
             return "missing"
-        old_state = entity.state()
         old_version = entity.version
-        entity.apply_state(payload["state"], version=payload.get("version"))
+        old_state = entity.apply_state(payload["state"], version=payload.get("version"))
         node.persistence.table("entities").put(
             (ref.class_name, ref.oid), payload["state"]
         )

@@ -31,6 +31,10 @@ class TransactionStatus(enum.Enum):
     ROLLED_BACK = "rolled_back"
 
 
+#: The statuses in which a transaction still accepts work.
+_LIVE = frozenset({TransactionStatus.ACTIVE, TransactionStatus.MARKED_ROLLBACK})
+
+
 class TransactionRolledBack(RuntimeError):
     """Raised by ``commit`` when the transaction could not commit."""
 
@@ -94,10 +98,7 @@ class Transaction:
     # ------------------------------------------------------------------
     @property
     def is_active(self) -> bool:
-        return self.status in (
-            TransactionStatus.ACTIVE,
-            TransactionStatus.MARKED_ROLLBACK,
-        )
+        return self.status in _LIVE
 
     def set_rollback_only(self, reason: str = "") -> None:
         """Prevent the transaction from committing (CCMgr uses this on

@@ -1,5 +1,7 @@
 """Tests for replication protocols and the replication manager."""
 
+import copy
+
 import pytest
 
 from repro import ClusterConfig, DedisysCluster
@@ -188,6 +190,64 @@ class TestReplicationManager:
         before = cluster.gms.epoch
         cluster.partition({"a"}, {"b", "c"})
         assert cluster.gms.epoch > before
+
+
+class Aborted(Exception):
+    pass
+
+
+class TestBackupRollback:
+    """Per-write propagation ships a write to the backups at once and
+    relies on each backup's undo log when the transaction rolls back."""
+
+    BACKUPS = ("b", "c")
+
+    def test_a_rolled_back_write_restores_each_backup(self, cluster):
+        ref = cluster.create_entity("a", "Counter", "c1", {"value": 5, "label": "x"})
+        cluster.invoke("a", ref, "set_label", "y")
+        before = {
+            node: (cluster.entity_on(node, ref).state(), cluster.entity_on(node, ref).version)
+            for node in self.BACKUPS
+        }
+
+        def body(tx):
+            tx.invoke(ref, "set_value", 42)
+            for node in self.BACKUPS:
+                assert cluster.entity_on(node, ref).get_value() == 42  # propagated
+            raise Aborted
+
+        with pytest.raises(Aborted):
+            cluster.run_in_tx("a", body)
+        for node in self.BACKUPS:
+            entity = cluster.entity_on(node, ref)
+            assert (entity.state(), entity.version) == before[node]
+
+        key = (ref.class_name, ref.oid)
+        rows = {node: cluster.nodes[node].persistence.table("entities").get(key) for node in NODES}
+        journals = {
+            node: [(entry.sequence, copy.deepcopy(entry.value)) for entry in cluster.nodes[node].persistence.journal()]
+            for node in NODES
+        }
+        for node in self.BACKUPS:
+            # Outside a transaction: the attribute dict changes in place.
+            cluster.entity_on(node, ref).set_value(-1)
+            cluster.entity_on(node, ref).set_label("mutated")
+        for node in NODES:
+            assert cluster.nodes[node].persistence.table("entities").get(key) == rows[node]
+            assert [
+                (entry.sequence, entry.value) for entry in cluster.nodes[node].persistence.journal()
+            ] == journals[node]
+
+    def test_a_backup_without_the_replica_answers_missing_on_both_paths(self, cluster):
+        ref = cluster.create_entity("a", "Counter", "c1")
+        cluster.nodes["b"].container.remove(ref)
+        entry = {"ref": ref, "state": {"value": 1, "label": ""}, "version": 1}
+        channel = cluster.replication.channel
+        assert channel.multicast("a", "replica-update", entry) == {"b": "missing", "c": "ack"}
+        assert channel.multicast("a", "replica-update-batch", {"entries": [entry]}) == {
+            "b": {"acks": {str(ref): "missing"}},
+            "c": {"acks": {str(ref): "ack"}},
+        }
 
 
 class TestReplicaConflicts:

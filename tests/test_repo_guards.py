@@ -20,7 +20,10 @@ through one op driver on every backend, and its invariants are one
 registry: no hand-written scenario script, and no post-run check beside
 the registry.  Every backend runs on the simulator's one clock and
 scheduler.  An absorbed threat occurrence and a deferral update their
-rows by field, and a journal entry is a tuple.  That reconciliation's
+rows by field, and a journal entry is a tuple.  A replicated write's
+values are built in C: a message and a journal entry are tuples, a
+transaction's liveness is one set lookup, and a backup keeps the state it
+replaced instead of copying it.  That reconciliation's
 coordinator touches no other node's store, history or update records is
 replint's ``NODE001``, not a guard here.
 """
@@ -240,3 +243,32 @@ def test_an_absorbed_threat_updates_its_row_by_field():
         assert "update" in called and "snapshot" not in called and "put" not in called
     assert not dataclasses.is_dataclass(JournalEntry)
     assert issubclass(JournalEntry, tuple)
+
+
+def test_write_path_values_are_built_in_c():
+    """A message and a journal entry are tuples, not dataclasses whose
+    ``__init__`` sets each field; ``is_active`` builds no tuple per call;
+    a backup's undo keeps the dict ``apply_state`` replaced instead of
+    taking a ``state()`` copy first."""
+    import dataclasses
+
+    from repro.net import Message
+    from repro.persistence import JournalEntry
+
+    assert not dataclasses.is_dataclass(Message)
+    assert not dataclasses.is_dataclass(JournalEntry)
+
+    def method(module: str, cls: str, name: str) -> ast.FunctionDef:
+        tree = ast.parse((SRC / module).read_text())
+        (owner,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+        (found,) = [node for node in owner.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        return found
+
+    is_active = method("tx/transactions.py", "Transaction", "is_active")
+    assert not [node for node in ast.walk(is_active) if isinstance(node, ast.Tuple)]
+    apply_replica = method("replication/manager.py", "ReplicationManager", "_apply_replica")
+    assert not [
+        node
+        for node in ast.walk(apply_replica)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "state"
+    ]
