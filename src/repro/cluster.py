@@ -39,7 +39,7 @@ from .core import (
     register_negotiation_handler,
 )
 from .core.system_mode import SystemMode, SystemModeTracker
-from .faults import FaultInjector, ResilienceConfig, ResilienceInterceptor
+from .faults import ResilienceConfig, ResilienceInterceptor
 from .membership import topology_gms
 from .net import GroupChannel, Message, NodeCrashedError, NodeId, SimNetwork
 from .objects import (
@@ -98,9 +98,6 @@ class ClusterConfig:
     # throughput-engine dispatch table).  The CCMgr drives all three
     # through the same ``method_dispatch`` query.
     repository: str = "cached"
-    # Batch write propagation: coalesce the replica-update multicasts of
-    # one transaction into a single batched round with per-entry acks.
-    batch_updates: bool = False
     default_min_degree: SatisfactionDegree = SatisfactionDegree.SATISFIED
     node_weights: Mapping[NodeId, float] | None = None
     seed: int = 0
@@ -112,9 +109,6 @@ class ClusterConfig:
     # breakers).  ``None`` keeps the historical fail-fast behaviour: the
     # first transient ``UnreachableError`` surfaces to the caller.
     resilience: ResilienceConfig | None = None
-    # Optional fault injector installed on the simulated network (per-link
-    # burst loss, delay, duplication, kind filters).
-    fault_injector: FaultInjector | None = None
     # Execution substrate: ``"sim"`` (deterministic discrete-event
     # simulator, the default), ``"asyncio"`` (in-process threaded
     # backend: a worker-thread pool per node on the simulator's clock and
@@ -146,8 +140,6 @@ class DedisysCluster:
         # One ledger for the whole deployment: the network's, which its
         # charge function is already bound to.
         self.ledger = self.network.ledger
-        if self.config.fault_injector is not None:
-            self.network.install_fault_injector(self.config.fault_injector)
         self.gms = topology_gms(self.network, self.config.node_weights)
         self.mode_tracker = SystemModeTracker(self.gms, self.clock)
         self.channel = self.transport.make_channel()
@@ -184,7 +176,6 @@ class DedisysCluster:
                 self.gms,
                 self.channel,
                 protocol,
-                batch_updates=self.config.batch_updates,
             )
             if self.config.resilience is not None:
                 self.replication.configure_resilience(
@@ -476,10 +467,6 @@ class DedisysCluster:
 
     def heal(self) -> None:
         self.network.heal_all()
-
-    def install_fault_injector(self, injector: FaultInjector) -> FaultInjector:
-        """Attach per-link fault models to the simulated network."""
-        return self.network.install_fault_injector(injector)
 
     def build_protocol(self, spec: str | ReplicationProtocol) -> ReplicationProtocol:
         """A fresh protocol instance from its registry name (actuator API)."""

@@ -28,7 +28,6 @@ TRACE_EVENTS: dict[str, str] = {
     "repository_dispatch": "the compiled constraint dispatch table was rebuilt",
     # replication service
     "replication_update": "a primary-to-backup update round (create/state/delete)",
-    "replication_batch": "a batched write-propagation round shipped coalesced updates",
     "replication_conflict": "a write-write replica conflict was detected",
     "primary_promotion": "a temporary primary was promoted in a partition",
     # membership
@@ -82,8 +81,6 @@ METRICS: dict[str, str] = {
     "repository_dispatch_rebuilds_total": "compiled constraint dispatch-table rebuilds",
     # replication
     "repl_updates_total": "primary-to-backup update rounds, by kind",
-    "repl_update_batches_total": "batched write-propagation rounds shipped",
-    "repl_batched_updates_total": "entity updates coalesced into batched rounds",
     "repl_primary_promotions_total": "temporary-primary promotions (designated primary unreachable)",
     "repl_conflicts_total": "write-write replica conflicts detected",
     "repl_redirect_retries_total": "primary-redirect sends retried",

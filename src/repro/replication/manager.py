@@ -90,27 +90,15 @@ class ReplicationManager:
         channel: GroupChannel,
         protocol: ReplicationProtocol,
         obs: Any = None,
-        batch_updates: bool = False,
     ) -> None:
         self.nodes = dict(nodes)
         self.network = network
         self.gms = gms
         self.channel = channel
         self.protocol = protocol
-        # Batched write propagation (throughput engine): update multicasts
-        # issued inside one transaction are coalesced per entity and
-        # shipped as a single ``replica-update-batch`` round at commit.
-        self.batch_updates = batch_updates
-        self._pending_updates: dict[NodeId, dict[ObjectRef, dict[str, Any]]] = {}
         self.obs = ensure_obs(obs) if obs is not None else network.obs
         self._m_updates = self.obs.registry.counter(
             "repl_updates_total", "primary-to-backup update rounds, by kind"
-        )
-        self._m_update_batches = self.obs.registry.counter(
-            "repl_update_batches_total", "batched write-propagation rounds shipped"
-        )
-        self._m_batched_updates = self.obs.registry.counter(
-            "repl_batched_updates_total", "entity updates coalesced into batched rounds"
         )
         self._m_promotions = self.obs.registry.counter(
             "repl_primary_promotions_total",
@@ -230,9 +218,6 @@ class ReplicationManager:
         (serialized) creation request.  Replica metadata — JNDI name,
         primary key, creation request — is persisted per node (§5.1).
         """
-        # Ship any coalesced state updates first so backups never observe
-        # a create ordered before the writes that preceded it.
-        self.flush_updates()
         info = ReplicaInfo(ref, primary, tuple(self.nodes))
         self._replicas[ref] = info
         self.nodes[primary].persistence.charge("replica_metadata_write")
@@ -257,9 +242,6 @@ class ReplicationManager:
 
     def register_deleted(self, ref: ObjectRef, primary: NodeId) -> None:
         """Delete an entity everywhere reachable."""
-        # Pending coalesced updates (including this entity's final state)
-        # must not be reordered after the delete round.
-        self.flush_updates()
         # Remove the replica bookkeeping record on the primary.
         self.nodes[primary].persistence.charge("db_write")
         partition = self.gms.view_of(primary).members
@@ -355,15 +337,6 @@ class ReplicationManager:
         In degraded mode the primary additionally records the intermediate
         state in its history (for reconciliation rollback) and an update
         record (for conflict detection).
-
-        With :attr:`batch_updates` set and an active transaction, the
-        multicast is *deferred*: the entry is coalesced per entity (last
-        write wins) into a pending batch flushed as one
-        ``replica-update-batch`` round when the transaction commits.
-        Degraded-mode bookkeeping still happens here, at write time, so
-        reconciliation sees exactly the per-write records; backups simply
-        receive the net state one round later — within the same scheduler
-        step, so the same partitions produce the same stale replicas.
         """
         ref = entity.ref
         if ref not in self._replicas:
@@ -372,23 +345,13 @@ class ReplicationManager:
         self.nodes[primary].persistence.charge("replica_detail_write")
         partition = self.gms.view_of(primary).members
         state = entity.state()
-        tx = self._current_tx(primary)
-        batched = self.batch_updates and tx is not None
-        if batched:
-            pending = self._pending_updates.setdefault(primary, {})
-            pending[ref] = {"ref": ref, "state": state, "version": entity.version}
-            tx.enlist(self)
-        else:
-            self.channel.multicast(
-                primary,
-                "replica-update",
-                {"ref": ref, "state": state, "version": entity.version},
-            )
+        self.channel.multicast(
+            primary,
+            "replica-update",
+            {"ref": ref, "state": state, "version": entity.version},
+        )
         if self.obs.enabled:
             self._m_updates.inc(kind="state")
-            # The ``batched`` marker only appears on deferred updates so
-            # the default per-write trace stays byte-identical.
-            extra = {"batched": True} if batched else {}
             self.obs.emit(
                 "replication_update",
                 node=str(primary),
@@ -396,72 +359,12 @@ class ReplicationManager:
                 kind="state",
                 version=entity.version,
                 degraded=self._is_degraded(partition),
-                **extra,
             )
         if self._is_degraded(partition):
             self.nodes[primary].state_history.record(
                 ref, entity.version, state, partition_epoch=self.gms.epoch
             )
             self._record_update(ref, "state", primary, entity.version, state, partition)
-
-    def flush_updates(self) -> int:
-        """Ship every pending coalesced update batch; returns entries sent.
-
-        One ``replica-update-batch`` multicast round is issued per source
-        node holding pending entries, paying ``update_batch_entry`` per
-        coalesced entity for marshalling plus the usual multicast round
-        cost once — instead of one full round per entity write.  Each
-        recipient acknowledges per entry.
-        """
-        shipped = 0
-        while self._pending_updates:
-            source = next(iter(self._pending_updates))
-            entries = list(self._pending_updates.pop(source).values())
-            node = self.nodes[source]
-            for _ in entries:
-                node.persistence.charge("update_batch_entry")
-            replies = self.channel.multicast(
-                source, "replica-update-batch", {"entries": entries}
-            )
-            shipped += len(entries)
-            if self.obs.enabled:
-                acked = sum(
-                    1
-                    for reply in replies.values()
-                    for status in (reply.get("acks", {}) if isinstance(reply, dict) else {}).values()
-                    if status == "ack"
-                )
-                self._m_update_batches.inc()
-                self._m_batched_updates.inc(len(entries))
-                self.obs.emit(
-                    "replication_batch",
-                    node=str(source),
-                    entries=len(entries),
-                    recipients=sorted(replies),
-                    acked=acked,
-                )
-        return shipped
-
-    # ------------------------------------------------------------------
-    # TransactionalResource (batched write propagation)
-    # ------------------------------------------------------------------
-    def prepare(self, tx: Any) -> bool:
-        return True
-
-    def commit(self, tx: Any) -> None:
-        self.flush_updates()
-
-    def rollback(self, tx: Any) -> None:
-        # Nothing was multicast yet: aborted writes simply never leave the
-        # primary (per-write propagation instead ships them and relies on
-        # the backups' undo log).
-        self._pending_updates.clear()
-
-    def _current_tx(self, node_id: NodeId) -> Any:
-        current = self.nodes[node_id].services.txmgr.current
-        if current is not None and current.is_active:
-            return current
-        return None
 
     # ------------------------------------------------------------------
     # staleness (CCMgr interface)
@@ -686,16 +589,6 @@ class ReplicationManager:
                 # the update within it (§4.3).
                 node.persistence.charge("tx_remote_association")
                 return self._apply_replica(node, kind, payload)
-            if kind == "replica-update-batch":
-                # One transaction-context association covers the whole
-                # coalesced round; each entry is acked individually.
-                node.persistence.charge("tx_remote_association")
-                acks: dict[str, str] = {}
-                for entry in payload.get("entries", ()):
-                    acks[str(entry["ref"])] = self._apply_replica(
-                        node, "replica-update", entry
-                    )
-                return {"acks": acks}
             if kind == "replica-create":
                 node.persistence.charge("replica_metadata_write")
                 return self._apply_replica(node, kind, payload)
@@ -723,7 +616,7 @@ class ReplicationManager:
 
     def _apply_replica(self, node: Node, kind: str, payload: Mapping[str, Any]) -> str:
         """Apply one replica create / update / delete to ``node``'s copy —
-        a backup's (member handlers, per write or batched) or that of the
+        a backup's (member handlers) or that of the
         node reconciliation multicasts from.  Returns ``"ack"``, or
         ``"missing"`` when an update finds no replica to apply to."""
         ref: ObjectRef = payload["ref"]

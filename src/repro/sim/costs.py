@@ -52,9 +52,6 @@ class CostModel:
       every constraint type of a method at once (the throughput-engine
       repository); sized like a cached lookup, paid once per notification
       instead of per type.
-    * ``update_batch_entry`` — marshalling one entity entry into a batched
-      ``replica-update-batch`` multicast (the batched write path pays one
-      multicast round plus this per coalesced entry).
     * ``constraint_validate`` — executing one ``validate()`` body (R5).
     * ``threat_negotiate`` — one negotiation round (callback dispatch).
     * ``threat_persist`` — persisting one consistency threat (at least
@@ -85,7 +82,6 @@ class CostModel:
     repository_lookup_cached: float = 0.4e-6
     repository_search: float = 60.0e-6
     repository_dispatch: float = 0.4e-6
-    update_batch_entry: float = 0.5e-3
     constraint_validate: float = 50.0e-6
     threat_negotiate: float = 8.0e-3
     threat_persist: float = 45.0e-3

@@ -30,6 +30,9 @@ class TransactionStatus(enum.Enum):
     COMMITTED = "committed"
     ROLLED_BACK = "rolled_back"
 
+    # Singletons: an identity hash in C, not Enum's Python-level one.
+    __hash__ = object.__hash__
+
 
 #: The statuses in which a transaction still accepts work.
 _LIVE = frozenset({TransactionStatus.ACTIVE, TransactionStatus.MARKED_ROLLBACK})

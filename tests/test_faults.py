@@ -534,9 +534,9 @@ class TestLossDeterminism:
                     node_ids=("n1", "n2", "n3"),
                     seed=seed,
                     obs=obs,
-                    fault_injector=injector,
                 )
             )
+            cluster.network.install_fault_injector(injector)
             from repro.apps.counter import Record, counter_constraint_registration
 
             cluster.deploy(Record)
@@ -579,9 +579,8 @@ def test_replica_update_multicast_ignores_link_faults(transport, model):
 
     injector = FaultInjector()
     injector.set_default_model(model)
-    cluster = DedisysCluster(
-        ClusterConfig(node_ids=NODES, transport=transport, fault_injector=injector)
-    )
+    cluster = DedisysCluster(ClusterConfig(node_ids=NODES, transport=transport))
+    cluster.network.install_fault_injector(injector)
     try:
         cluster.deploy(Flight)
         cluster.register_constraint(ticket_constraint_registration())

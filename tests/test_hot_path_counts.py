@@ -4,10 +4,13 @@ No timing: the counts say what a healthy op is allowed to recompute.  State
 copies go through ``copy_value`` and never reach ``copy.deepcopy`` for the
 flat states the flight app has; partition components are searched once per
 topology, not once per call; object references are made with their entities,
-not per access.
+not per access.  A healthy read and a forwarded write run a pinned number
+of the package's Python frames, and none of ``enum``'s.
 """
 
 import copy
+import os
+import sys
 from collections import Counter
 from unittest.mock import Mock
 
@@ -306,3 +309,42 @@ def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
     assert write_s == pytest.approx(0.053952, rel=1e-12)
     (stored,) = cluster.threat_stores["n1"].pending()
     assert stored.occurrences == 2
+
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+# Python 3.12 inlines these into their caller; 3.10 and 3.11 give each a frame.
+COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def _frames(action):
+    """Run ``action``; return the Python frames it entered under
+    ``src/repro`` (comprehensions left out) and those in ``enum.py``."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(PACKAGE):
+                if code.co_name not in COMPREHENSIONS:
+                    counts["repro"] += 1
+            elif os.path.basename(code.co_filename) == "enum.py":
+                counts["enum"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return counts["repro"], counts["enum"]
+
+
+def test_the_python_frames_of_one_whole_op_are_pinned(counted):
+    """A healthy local read and a forwarded replicated write enter exactly
+    these many of the package's frames, and no ``enum`` frame at all: a
+    change that adds Python work to either op has to move this pin."""
+    cluster, ref, copies, deep, searches = counted
+    assert cluster.replication.route_write(ref, "n2") == "n1"
+    # The same on Python 3.10, 3.11 and 3.12.
+    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (89, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (227, 0)

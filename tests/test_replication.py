@@ -238,16 +238,12 @@ class TestBackupRollback:
                 (entry.sequence, entry.value) for entry in cluster.nodes[node].persistence.journal()
             ] == journals[node]
 
-    def test_a_backup_without_the_replica_answers_missing_on_both_paths(self, cluster):
+    def test_a_backup_without_the_replica_answers_missing(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")
         cluster.nodes["b"].container.remove(ref)
         entry = {"ref": ref, "state": {"value": 1, "label": ""}, "version": 1}
         channel = cluster.replication.channel
         assert channel.multicast("a", "replica-update", entry) == {"b": "missing", "c": "ack"}
-        assert channel.multicast("a", "replica-update-batch", {"entries": [entry]}) == {
-            "b": {"acks": {str(ref): "missing"}},
-            "c": {"acks": {str(ref): "ack"}},
-        }
 
 
 class TestReplicaConflicts:

@@ -23,7 +23,9 @@ scheduler.  An absorbed threat occurrence and a deferral update their
 rows by field, and a journal entry is a tuple.  A replicated write's
 values are built in C: a message and a journal entry are tuples, a
 transaction's liveness is one set lookup, and a backup keeps the state it
-replaced instead of copying it.  That reconciliation's
+replaced instead of copying it.  A replicated write propagates one way,
+in its own multicast round: no commit-time batch, and one route for a
+fault injector.  That reconciliation's
 coordinator touches no other node's store, history or update records is
 replint's ``NODE001``, not a guard here.
 """
@@ -272,3 +274,20 @@ def test_write_path_values_are_built_in_c():
         for node in ast.walk(apply_replica)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "state"
     ]
+
+
+def test_one_write_propagation_path():
+    """A write reaches the backups in ``propagate_update``'s own multicast
+    round (§4.3): no commit-time batch, so the replication manager is no
+    transactional resource, and a fault injector is installed on the
+    network, not through the cluster's configuration."""
+    import dataclasses
+
+    from repro.cluster import ClusterConfig
+    from repro.replication import ReplicationManager
+
+    batching = r"batch_updates|replica-update-batch|flush_updates|update_batch_entry|_pending_updates"
+    assert matches(batching) == []
+    assert not {"prepare", "commit", "rollback"} & set(vars(ReplicationManager))
+    fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+    assert not {"batch_updates", "fault_injector"} & fields

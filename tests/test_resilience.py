@@ -37,10 +37,11 @@ def make_cluster(resilience=None, obs=None, replication=True, injector=None, tra
             enable_replication=replication,
             resilience=resilience,
             obs=obs,
-            fault_injector=injector,
             transport=transport,
         )
     )
+    if injector is not None:
+        cluster.network.install_fault_injector(injector)
     cluster.deploy(Record)
     cluster.register_constraint(counter_constraint_registration())
     return cluster

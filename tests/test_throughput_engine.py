@@ -1,13 +1,13 @@
-"""Throughput engine: compiled dispatch table and batched propagation.
+"""Throughput engine: the compiled constraint dispatch table.
 
-Covers the two opt-in optimizations end to end: the
-:class:`CompiledConstraintRepository` dispatch table (correctness against
-linear search, runtime invalidation via register/remove/enable/disable
-and the §6.3 ``on_change`` hook, live ``enabled``/tradeability), the
-CCMgr integration (same outcomes, fewer repository charges), and batched
-write propagation (one multicast round per transaction, per-entry acks,
-rollback discard, identical staleness under partitions, byte-identical
-same-seed traces).
+Covers the opt-in :class:`CompiledConstraintRepository` end to end: the
+dispatch table (correctness against linear search, runtime invalidation
+via register/remove/enable/disable and the §6.3 ``on_change`` hook, live
+``enabled``/tradeability), the CCMgr integration (same outcomes, fewer
+repository charges), the one write-propagation path under every
+repository (one ``replica-update`` round per write, acked by each backup,
+undone on rollback, stale only across a partition), and byte-identical
+same-seed traces.
 """
 
 import io
@@ -188,12 +188,11 @@ class TestCompiledDispatch:
         assert charges == ["repository_dispatch", "repository_dispatch"]
 
 
-def build_cluster(repository="compiled", batch_updates=False, obs=None, nodes=3):
+def build_cluster(repository="compiled", obs=None, nodes=3):
     cluster = DedisysCluster(
         ClusterConfig(
             node_ids=tuple(f"node-{i + 1}" for i in range(nodes)),
             repository=repository,
-            batch_updates=batch_updates,
             obs=obs,
         )
     )
@@ -253,7 +252,10 @@ class TestCompiledClusterIntegration:
         assert elapsed["compiled"] < elapsed["cached"] < elapsed["linear"]
 
 
-class TestBatchedPropagation:
+class TestPerWritePropagation:
+    """Every write reaches the backups in its own ``replica-update`` round
+    (§4.3), whichever repository dispatches the constraints."""
+
     def two_flights_one_primary(self, cluster):
         return [
             cluster.create_entity(
@@ -262,64 +264,66 @@ class TestBatchedPropagation:
             for i in (1, 2)
         ]
 
-    def test_one_batched_round_per_transaction(self):
+    def test_one_replica_update_round_per_write(self):
         obs = Observability()
-        cluster = build_cluster(batch_updates=True, obs=obs)
+        cluster = build_cluster(obs=obs)
         refs = self.two_flights_one_primary(cluster)
         before = len(obs.events("multicast"))
         sell_pair(cluster, refs=refs)
-        rounds = obs.events("multicast")[before:]
-        kinds = [event.data["kind"] for event in rounds]
-        # Two writes, one coalesced replica-update-batch round — no
-        # per-write replica-update rounds at all.
-        assert kinds == ["replica-update-batch"]
+        kinds = [event.data["kind"] for event in obs.events("multicast")[before:]]
+        assert kinds == ["replica-update", "replica-update"]
         for node in cluster.config.node_ids:
             for ref in refs:
                 assert cluster.entity_on(node, ref).state()["sold"] == 1
 
     @pytest.mark.parametrize("repository", ["linear", "cached", "compiled"])
-    def test_batched_transaction_costs_less_simulated_time(self, repository):
-        # One multicast round per transaction instead of one per write.
-        elapsed = {}
-        for batched in (False, True):
-            cluster = build_cluster(repository=repository, batch_updates=batched)
-            refs = self.two_flights_one_primary(cluster)
-            start = cluster.clock.now
-            sell_pair(cluster, refs=refs)
-            elapsed[batched] = cluster.clock.now - start
-        assert elapsed[True] < elapsed[False]
-
-    def test_batch_round_carries_per_entry_acks(self):
-        obs = Observability()
-        cluster = build_cluster(batch_updates=True, obs=obs)
+    def test_each_write_pays_one_multicast_round(self, repository):
+        cluster = build_cluster(repository=repository)
         refs = self.two_flights_one_primary(cluster)
+        before = cluster.ledger.counts["multicast"]
         sell_pair(cluster, refs=refs)
-        (batch,) = obs.events("replication_batch")
-        assert batch.data["entries"] == 2
-        assert batch.data["recipients"] == ["node-2", "node-3"]
-        # Every recipient acked every entry.
-        assert batch.data["acked"] == 4
+        assert cluster.ledger.counts["multicast"] - before == len(refs)
 
-    def test_coalescing_is_last_write_wins(self):
-        cluster = build_cluster(batch_updates=True)
-        (ref,) = [
-            cluster.create_entity(
-                "node-1", "Flight", "f1", {"flight_number": "OS1", "seats": 9, "sold": 0}
-            )
-        ]
+    def test_every_backup_acks_every_write(self, monkeypatch):
+        cluster = build_cluster()
+        refs = self.two_flights_one_primary(cluster)
+        channel = cluster.replication.channel
+        multicast = channel.multicast
+        rounds = []
+
+        def recording(source, kind, payload, *args, **kwargs):
+            replies = multicast(source, kind, payload, *args, **kwargs)
+            rounds.append((kind, replies))
+            return replies
+
+        monkeypatch.setattr(channel, "multicast", recording)
+        sell_pair(cluster, refs=refs)
+        assert rounds == [("replica-update", {"node-2": "ack", "node-3": "ack"})] * 2
+
+    def test_repeated_writes_in_one_transaction_each_reach_the_backups(self):
+        obs = Observability()
+        cluster = build_cluster(obs=obs)
+        ref = cluster.create_entity(
+            "node-1", "Flight", "f1", {"flight_number": "OS1", "seats": 9, "sold": 0}
+        )
+        before = len(obs.events("multicast"))
 
         def body(proxy):
-            proxy.invoke(ref, "sell_tickets", 1)
-            proxy.invoke(ref, "sell_tickets", 1)
-            proxy.invoke(ref, "sell_tickets", 1)
+            for _ in range(3):
+                proxy.invoke(ref, "sell_tickets", 1)
 
         cluster.run_in_tx("node-1", body)
+        kinds = [event.data["kind"] for event in obs.events("multicast")[before:]]
+        assert kinds == ["replica-update"] * 3
+        primary = cluster.entity_on("node-1", ref)
         for node in cluster.config.node_ids:
-            assert cluster.entity_on(node, ref).state()["sold"] == 3
+            backup = cluster.entity_on(node, ref)
+            assert backup.state()["sold"] == 3
+            assert backup.version == primary.version
 
-    def test_rollback_discards_pending_batch(self):
+    def test_a_rolled_back_write_is_undone_on_every_backup(self):
         obs = Observability()
-        cluster = build_cluster(batch_updates=True, obs=obs)
+        cluster = build_cluster(obs=obs)
         refs = self.two_flights_one_primary(cluster)
         before = len(obs.events("multicast"))
 
@@ -329,44 +333,37 @@ class TestBatchedPropagation:
 
         with pytest.raises(RuntimeError):
             cluster.run_in_tx("node-1", body)
+        # The write was shipped before the abort ...
         kinds = [event.data["kind"] for event in obs.events("multicast")[before:]]
-        assert "replica-update-batch" not in kinds
+        assert kinds == ["replica-update"]
+        # ... and every backup's undo log took it back.
         for node in cluster.config.node_ids:
             assert cluster.entity_on(node, refs[0]).state()["sold"] == 0
 
-    def test_batched_staleness_matches_per_write_under_partition(self):
-        # The satellite requirement: batching must not change *which*
-        # backups go stale — only how the fresh ones hear about updates.
-        states = {}
-        for batched in (False, True):
-            cluster = build_cluster(batch_updates=batched)
-            refs = self.two_flights_one_primary(cluster)
-            cluster.partition({"node-1", "node-2"}, {"node-3"})
-            sell_pair(cluster, refs=refs)
-            states[batched] = {
-                node: [cluster.entity_on(node, ref).state()["sold"] for ref in refs]
-                for node in cluster.config.node_ids
-            }
-        # Majority-side replicas converged, minority replica stale — and
-        # identically so in both propagation modes.
-        assert states[True] == states[False]
-        assert states[True]["node-2"] == [1, 1]
-        assert states[True]["node-3"] == [0, 0]
+    def test_a_partition_leaves_only_the_minority_backup_stale(self):
+        cluster = build_cluster()
+        refs = self.two_flights_one_primary(cluster)
+        cluster.partition({"node-1", "node-2"}, {"node-3"})
+        sell_pair(cluster, refs=refs)
+        sold = {
+            node: [cluster.entity_on(node, ref).state()["sold"] for ref in refs]
+            for node in cluster.config.node_ids
+        }
+        assert sold == {"node-1": [1, 1], "node-2": [1, 1], "node-3": [0, 0]}
 
-    def test_batch_metrics_counted(self):
+    def test_update_rounds_are_counted(self):
         obs = Observability()
-        cluster = build_cluster(batch_updates=True, obs=obs)
+        cluster = build_cluster(obs=obs)
         refs = self.two_flights_one_primary(cluster)
         sell_pair(cluster, refs=refs)
         sell_pair(cluster, client="node-2", refs=refs)
-        metrics = obs.snapshot()["metrics"]
-        assert metrics["repl_update_batches_total"]["series"][""] == 2
-        assert metrics["repl_batched_updates_total"]["series"][""] == 4
+        series = obs.snapshot()["metrics"]["repl_updates_total"]["series"]
+        assert series == {"kind=create": 2, "kind=state": 4}
 
 
 def run_traced_scenario(seed=0):
     obs = Observability()
-    cluster = build_cluster(repository="compiled", batch_updates=True, obs=obs)
+    cluster = build_cluster(repository="compiled", obs=obs)
     refs = [
         cluster.create_entity(
             "node-1", "Flight", f"f{i}", {"flight_number": f"OS{i}", "seats": 9, "sold": 0}
@@ -381,7 +378,7 @@ def run_traced_scenario(seed=0):
     return obs
 
 
-def test_compiled_batched_trace_is_deterministic():
+def test_compiled_trace_is_deterministic():
     first, second = run_traced_scenario(), run_traced_scenario()
     streams = []
     for obs in (first, second):
