@@ -38,8 +38,6 @@ class _PolicyState:
     policy: AdaptationPolicy
     active: AppliedAction | None = None
     cooldown_until: float = 0.0
-    fires: int = 0
-    rollbacks: int = 0
 
 
 class AdaptationEngine:
@@ -65,7 +63,6 @@ class AdaptationEngine:
         self.signals = SignalReader(cluster)
         self.actuator = AdaptationActuator(cluster)
         self._states = {policy.name: _PolicyState(policy) for policy in policies}
-        self._end_at: float | None = None
         self.ticks = 0
         #: Ordered decision log: dicts with ``t``/``policy``/``phase``/....
         self.trace: list[dict[str, Any]] = []
@@ -95,7 +92,6 @@ class AdaptationEngine:
         the count is fixed.
         """
         now = self.cluster.clock.now
-        self._end_at = now + self.horizon
         count = max(1, int(round(self.horizon / self.tick)))
         for index in range(1, count + 1):
             at = now + index * self.tick
@@ -103,15 +99,6 @@ class AdaptationEngine:
 
     def state_of(self, policy_name: str) -> _PolicyState:
         return self._states[policy_name]
-
-    @property
-    def mode_switches(self) -> int:
-        """Protocol switches applied (fires of ``set_protocol`` policies)."""
-        return sum(
-            1
-            for entry in self.trace
-            if entry["phase"] == "fire" and entry["action"] == "set_protocol"
-        )
 
     def trace_lines(self) -> list[str]:
         """The decision log as canonical JSON lines (byte-comparable)."""
@@ -155,7 +142,6 @@ class AdaptationEngine:
             self._record(now, policy.name, "veto", policy.action, veto.reason)
             return
         state.active = applied
-        state.fires += 1
         if self.obs.enabled:
             self._m_firings.inc(policy=policy.name, phase="fire")
         self._record(now, policy.name, "fire", policy.action, applied.detail)
@@ -201,7 +187,6 @@ class AdaptationEngine:
             return
         self.actuator.release(applied, status="rolled_back")
         state.active = None
-        state.rollbacks += 1
         state.cooldown_until = now + policy.cooldown
         if self.obs.enabled:
             self._m_rollbacks.inc(policy=policy_name)

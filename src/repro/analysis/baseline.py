@@ -6,8 +6,9 @@ count::
 
     "DET001:study.py:reads the wall clock": 1
 
-or — required for the CONC concurrency family — an object carrying a
-written justification for why the hazard is tolerated::
+or — required for the CONC concurrency family and for REACH001's
+unreached definitions — an object carrying a written justification for
+why the finding is tolerated::
 
     "CONC001:transport/x.py:shared field ...": {
         "count": 1,
@@ -18,8 +19,8 @@ The comparison yields:
 
 * **new** — findings whose fingerprint is absent from the baseline (or
   occurs more often than the baselined count).  These fail the run.
-  A baselined CONC finding *without* a justification is also new: the
-  concurrency rules only accept suppressions someone has argued for.
+  A baselined CONC or REACH finding *without* a justification is also
+  new: those rules only accept suppressions someone has argued for.
 * **baselined** — findings covered by the baseline; reported but not
   fatal.
 * **expired** — baseline entries that no longer match any finding.  The
@@ -40,7 +41,7 @@ from .engine import Finding
 BASELINE_VERSION = 1
 
 #: Rule families whose baseline entries must carry a justification.
-JUSTIFICATION_REQUIRED_PREFIXES = ("CONC",)
+JUSTIFICATION_REQUIRED_PREFIXES = ("CONC", "REACH")
 
 
 def split_fingerprint(fingerprint: str) -> dict[str, str]:
@@ -132,7 +133,7 @@ def save_baseline(
         "comment": (
             "Grandfathered replint findings. Entries expire automatically: "
             "run `python -m repro.analysis --update-baseline` after fixing. "
-            "CONC entries must be objects with a `justification` field."
+            "CONC and REACH entries must be objects with a `justification` field."
         ),
         "findings": entries,
     }
@@ -150,8 +151,9 @@ def compare(
 
     When ``justifications`` is provided (the CLI passes the baseline's
     justification map), a baselined finding in a justification-required
-    family (CONC) with no written justification counts as **new** — the
-    baseline can postpone a concurrency hazard only with an argument.
+    family (CONC, REACH) with no written justification counts as **new** —
+    the baseline can keep a hazard or an unreached def only with an
+    argument.
     """
     comparison = BaselineComparison()
     remaining = dict(baseline)

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         default=None,
         help="comma-separated rule codes or family prefixes to run "
-        "(e.g. `--only CONC` runs CONC001..CONC005; combines with "
+        "(e.g. `--only CONC` runs every CONC rule; combines with "
         "--select by intersection)",
     )
     parser.add_argument(

@@ -15,24 +15,32 @@ The moving parts:
   project rules run once over the whole project (for cross-file
   invariants like registry drift or send/handle exhaustiveness).
 * :func:`run_analysis` — parse, run every enabled rule, apply pragmas,
-  and return findings in a deterministic order.
+  report the pragmas that suppressed nothing (``PRAGMA001``), and return
+  findings in a deterministic order.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 #: Pragma grammar: ``# replint: ignore`` silences every rule on the line,
 #: ``# replint: ignore[DET001]`` / ``ignore[DET001,REG002]`` silence the
 #: named codes.  A pragma on a comment-only line applies to the next
 #: non-comment line (so justifications can sit above the offending code).
+#: Only a comment that starts with the pragma is one: a string or a
+#: comment quoting the grammar is not.
 _PRAGMA = re.compile(r"#\s*replint:\s*ignore(?:\[(?P<codes>[A-Z0-9, ]+)\])?")
 
 _IGNORE_ALL = "*"
+
+#: The code of a pragma whose codes all ran and that suppressed nothing.
+UNUSED_PRAGMA = "PRAGMA001"
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,12 @@ class SourceModule:
         self.text = path.read_text(encoding="utf-8")
         self.lines = self.text.splitlines()
         self.tree = ast.parse(self.text, filename=str(path))
-        self.pragmas = self._collect_pragmas()
+        #: ``(comment line, target line or None, codes)`` per pragma.
+        self.pragma_sites = self._collect_pragmas()
+        self.pragmas: dict[int, frozenset[str]] = {}
+        for _, target, codes in self.pragma_sites:
+            if target is not None:
+                self.pragmas[target] = self.pragmas.get(target, frozenset()) | codes
         #: Module-level ``NAME = "literal"`` string constants.
         self.constants = self._collect_constants()
 
@@ -83,35 +96,36 @@ class SourceModule:
         """The module path as dots, without the ``.py`` suffix."""
         return self.rel_path.removesuffix(".py").replace("/", ".")
 
-    def _collect_pragmas(self) -> dict[int, frozenset[str]]:
-        pragmas: dict[int, frozenset[str]] = {}
-        pending: frozenset[str] | None = None
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _PRAGMA.search(line)
-            codes: frozenset[str] | None = None
-            if match:
-                raw = match.group("codes")
-                if raw is None:
-                    codes = frozenset({_IGNORE_ALL})
-                else:
-                    codes = frozenset(
-                        code.strip() for code in raw.split(",") if code.strip()
-                    )
-            stripped = line.strip()
-            if codes is not None:
-                if stripped.startswith("#"):
-                    # Comment-only pragma: applies to the next code line.
-                    pending = codes
-                else:
-                    pragmas[lineno] = pragmas.get(lineno, frozenset()) | codes
-                    pending = None
+    def _collect_pragmas(self) -> list[tuple[int, int | None, frozenset[str]]]:
+        comments: dict[int, tuple[frozenset[str], bool]] = {}
+        for token in tokenize.generate_tokens(io.StringIO(self.text).readline):
+            match = _PRAGMA.match(token.string) if token.type == tokenize.COMMENT else None
+            if match is None:
                 continue
+            raw = match.group("codes")
+            codes = (
+                frozenset({_IGNORE_ALL})
+                if raw is None
+                else frozenset(code.strip() for code in raw.split(",") if code.strip())
+            )
+            own_line = not token.line[: token.start[1]].strip()
+            comments[token.start[0]] = (codes, own_line)
+        sites: list[tuple[int, int | None, frozenset[str]]] = []
+        pending: list[tuple[int, frozenset[str]]] = []
+        for lineno, line in enumerate(self.lines, start=1):
+            comment = comments.get(lineno)
+            if comment is not None and comment[1]:
+                pending.append((lineno, comment[0]))  # applies to the next code line
+                continue
+            stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue  # blank/comment lines keep a pending pragma alive
-            if pending is not None:
-                pragmas[lineno] = pragmas.get(lineno, frozenset()) | pending
-                pending = None
-        return pragmas
+            if comment is not None:
+                sites.append((lineno, lineno, comment[0]))
+            sites.extend((at, lineno, codes) for at, codes in pending)
+            pending = []
+        sites.extend((at, None, codes) for at, codes in pending)
+        return sites
 
     def suppressed(self, code: str, line: int) -> bool:
         codes = self.pragmas.get(line)
@@ -170,11 +184,6 @@ class Project:
             return self.constants.get(node.id)
         return None
 
-    def iter_modules(self, prefixes: tuple[str, ...] = ()) -> Iterator[SourceModule]:
-        for module in self.modules:
-            if not prefixes or module.rel_path.startswith(prefixes):
-                yield module
-
 
 class Rule:
     """Base class for registered checks.
@@ -231,25 +240,22 @@ class AnalysisResult:
     rules: list[str] = field(default_factory=list)
 
 
-def load_project(root: Path, exclude: tuple[str, ...] = ("__pycache__",)) -> Project:
-    """Parse every ``*.py`` under ``root`` into a :class:`Project`."""
-    modules: list[SourceModule] = []
-    for path in sorted(root.rglob("*.py")):
-        if any(part in exclude for part in path.parts):
-            continue
-        modules.append(SourceModule(root, path))
+def load_project(root: Path) -> Project:
+    """Parse every ``*.py`` under ``root`` (outside ``__pycache__``)."""
+    modules = [
+        SourceModule(root, path)
+        for path in sorted(root.rglob("*.py"))
+        if "__pycache__" not in path.parts
+    ]
     return Project(root, modules)
 
 
-def run_analysis(
-    root: Path,
-    codes: frozenset[str] | None = None,
-    project_factory: Callable[[Path], Project] = load_project,
-) -> AnalysisResult:
+def run_analysis(root: Path, codes: frozenset[str] | None = None) -> AnalysisResult:
     """Run every registered rule (or the selected ``codes``) over ``root``."""
-    project = project_factory(root)
+    project = load_project(root)
     findings: list[Finding] = []
     suppressed = 0
+    used: dict[tuple[str, int], set[str]] = {}  # codes suppressed per line
     selected = [
         rule_cls()
         for rule_cls in all_rules()
@@ -264,8 +270,11 @@ def run_analysis(
             module = project.by_rel_path.get(finding.path)
             if module is not None and module.suppressed(finding.code, finding.line):
                 suppressed += 1
+                used.setdefault((finding.path, finding.line), set()).add(finding.code)
                 continue
             findings.append(finding)
+    ran = None if codes is None else {rule.code for rule in selected}
+    findings.extend(_unused_pragmas(project, ran, used))
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
     return AnalysisResult(
         root=str(root),
@@ -274,3 +283,25 @@ def run_analysis(
         files_scanned=len(project.modules),
         rules=[rule.code for rule in selected],
     )
+
+
+def _unused_pragmas(
+    project: Project, ran: set[str] | None, used: dict[tuple[str, int], set[str]]
+) -> Iterable[Finding]:
+    """Every pragma that suppressed nothing although each code it names
+    ran (``ran`` is None on a full run: every code ran, a misspelt one
+    included)."""
+    for module in project.modules:
+        for at, target, codes in module.pragma_sites:
+            if ran is not None and (_IGNORE_ALL in codes or not codes <= ran):
+                continue
+            hit = used.get((module.rel_path, target), set()) if target else set()
+            if hit and (_IGNORE_ALL in codes or hit & codes):
+                continue
+            named = "" if _IGNORE_ALL in codes else f"[{','.join(sorted(codes))}]"
+            yield Finding(
+                code=UNUSED_PRAGMA,
+                message=f"pragma ignore{named} suppresses no finding",
+                path=module.rel_path,
+                line=at,
+            )

@@ -6,14 +6,14 @@ transport backends (PR 9) introduced: data races and deadlocks that only
 exist *across* function boundaries.  This module grows the engine a
 project-wide view:
 
-* a **function index** — every ``def`` / ``async def`` in the project,
-  including methods and nested functions, with a stable qualname;
+* a **function index** — every ``def`` in the project, including
+  methods and nested functions, with a stable qualname;
 * a **class index** — methods, base classes, lock attributes
   (``self.x = threading.Lock()`` and friends), best-effort attribute
   types (``self.net = AsyncioNetwork(...)`` types ``self.net``), and
   ``# guarded-by: <lock>`` field declarations;
 * **per-function summaries** — guarded-field accesses, lock
-  acquisitions, blocking operations, awaits, and call sites, each with
+  acquisitions, blocking operations and call sites, each with
   the set of locks *held* at that point (tracked through ``with lock:``
   blocks);
 * a **call graph** — edges resolved by: local scope, typed attributes
@@ -24,14 +24,11 @@ project-wide view:
   purpose).  Calls routed through thread/executor boundaries
   (``Thread(target=...)``, ``run_in_executor``, ``executor.submit``)
   become *spawn* edges: the callee runs on another thread, so held
-  locks do not transfer and event-loop reachability stops there.
-  Callbacks handed to ``call_soon_threadsafe`` / ``call_soon`` /
-  ``call_later`` *do* run on the loop and are recorded as loop roots;
+  locks do not transfer;
 * **fixpoints** — ``holds(function, lock)`` (every path to the function
-  holds the lock: the interprocedural half of CONC001),
-  ``loop_reachable`` (BFS from coroutines and loop callbacks over
-  non-spawn edges: CONC002), transitive blocking/network closures
-  (CONC004), and the acquired-while-holding graph (CONC003).
+  holds the lock: the interprocedural half of CONC001), transitive
+  blocking/network closures (CONC004), and the acquired-while-holding
+  graph (CONC003).
 
 The annotation convention::
 
@@ -57,7 +54,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .engine import Project, SourceModule
 
@@ -69,22 +65,12 @@ _GUARDED_BY = re.compile(r"#\s*guarded-by:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 _LOCK_CTORS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 
 #: APIs whose function argument runs on another thread: locks held at
-#: the call site do NOT transfer, and the event loop is NOT entered.
+#: the call site do NOT transfer.
 _SPAWN_APIS = {"run_in_executor", "submit", "Thread", "start_new_thread"}
 
-#: APIs whose callback argument runs ON the event loop thread.
-_LOOP_CALLBACK_APIS = {"call_soon_threadsafe", "call_soon", "call_later", "call_at"}
-
-#: Positional index of the function argument for each spawn/loop API
+#: Positional index of the function argument for each spawn API
 #: (``run_in_executor(executor, fn, ...)`` → 1; the rest → 0).
-_FUNC_ARG_INDEX = {
-    "run_in_executor": 1,
-    "submit": 0,
-    "call_soon_threadsafe": 0,
-    "call_soon": 0,
-    "call_at": 1,
-    "call_later": 1,
-}
+_FUNC_ARG_INDEX = {"run_in_executor": 1, "submit": 0}
 
 #: Method names too generic for the name-matching fallback: resolving
 #: ``payload.get(...)`` to every project ``get`` would drown the call
@@ -191,7 +177,6 @@ class CallSite:
     held: frozenset[str]
     callees: tuple[str, ...] = ()  # resolved FunctionInfo qualnames
     spawn: bool = False  # runs on another thread (locks do not transfer)
-    awaited: bool = False
 
 
 @dataclass
@@ -213,12 +198,10 @@ class FunctionInfo:
     module: SourceModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None
-    is_coroutine: bool = False
     is_property: bool = False
     accesses: list[Access] = field(default_factory=list)
     acquires: list[Acquire] = field(default_factory=list)
     blocking: list[BlockingOp] = field(default_factory=list)
-    awaits: list[tuple[int, int, frozenset[str]]] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
     lazy_inits: list[LazyInit] = field(default_factory=list)
 
@@ -254,7 +237,6 @@ class InterprocIndex:
         self.locks: dict[str, str] = {}  # lock attr name -> kind
         self.guarded: dict[str, list[GuardDecl]] = {}  # field -> declarations
         self.property_names: dict[str, list[str]] = {}  # name -> qualnames
-        self.loop_roots: list[str] = []  # call_soon* callback targets
         #: reverse call graph: callee qualname -> [(caller qualname, site)]
         self.callers: dict[str, list[tuple[str, CallSite]]] = {}
         self._module_aliases: dict[str, dict[str, str | None]] = {}
@@ -354,7 +336,6 @@ class InterprocIndex:
             module=module,
             node=node,
             class_name=class_name,
-            is_coroutine=isinstance(node, ast.AsyncFunctionDef),
             is_property=is_property,
         )
         self.functions[qualname] = info
@@ -468,9 +449,6 @@ class InterprocIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def class_of(self, name: str) -> ClassInfo | None:
-        return self.classes.get(name)
-
     def lock_kind(self, lock: str) -> str | None:
         return self.locks.get(lock)
 
@@ -562,51 +540,6 @@ class InterprocIndex:
                     changed = True
         return holds
 
-    def loop_reachability(self) -> dict[str, tuple[str, ...]]:
-        """Functions that may execute on an event-loop thread.
-
-        Maps each reachable qualname to its (deterministic, shortest
-        discovered) chain of qualnames from a loop root.  Roots are every
-        coroutine plus every callback handed to ``call_soon*``; traversal
-        follows non-spawn call edges, and a coroutine callee is only
-        followed from another coroutine context (a sync function cannot
-        run a coroutine inline).
-        """
-        parents: dict[str, tuple[str, ...]] = {}
-        roots = sorted(
-            {
-                qualname
-                for qualname, info in self.functions.items()
-                if info.is_coroutine
-            }
-            | set(self.loop_roots)
-        )
-        queue: list[str] = []
-        for root in roots:
-            parents[root] = (root,)
-            queue.append(root)
-        while queue:
-            current = queue.pop(0)
-            info = self.functions.get(current)
-            if info is None:
-                continue
-            chain = parents[current]
-            for site in sorted(
-                info.calls, key=lambda s: (s.lineno, s.col, s.name)
-            ):
-                if site.spawn:
-                    continue
-                for callee in site.callees:
-                    target = self.functions.get(callee)
-                    if target is None or callee in parents:
-                        continue
-                    if target.is_coroutine and not site.awaited:
-                        # Scheduled, not called inline: still on the loop.
-                        pass
-                    parents[callee] = chain + (callee,)
-                    queue.append(callee)
-        return parents
-
     def transitive_blocking(self) -> dict[str, BlockingOp | None]:
         """Per function: one representative blocking/network op reachable
         through non-spawn call edges (``None`` when none is).  Used by
@@ -617,10 +550,6 @@ class InterprocIndex:
         result: dict[str, BlockingOp | None] = {}
         for qualname, info in self.functions.items():
             direct = [op for op in info.blocking if op.is_network]
-            direct += [
-                BlockingOp("await", line, col, held)
-                for line, col, held in info.awaits
-            ]
             result[qualname] = min(
                 direct, key=lambda op: (op.lineno, op.col), default=None
             )
@@ -768,21 +697,8 @@ class _Summarizer:
             for stmt in node.body:
                 self._visit(stmt, inner)
             return
-        if isinstance(node, ast.Await):
-            self.info.awaits.append(
-                (node.lineno, node.col_offset, held)
-            )
-            if isinstance(node.value, ast.Call):
-                self._handle_call(node.value, held, awaited=True)
-                for arg in ast.iter_child_nodes(node.value):
-                    if arg is not node.value.func:
-                        self._visit(arg, held)
-                self._visit_reads(node.value.func, held)
-                return
-            self._visit(node.value, held)
-            return
         if isinstance(node, ast.Call):
-            self._handle_call(node, held, awaited=False)
+            self._handle_call(node, held)
             for child in ast.iter_child_nodes(node):
                 if child is not node.func:
                     self._visit(child, held)
@@ -889,20 +805,18 @@ class _Summarizer:
             )
 
     # -- calls ----------------------------------------------------------
-    def _handle_call(
-        self, node: ast.Call, held: frozenset[str], awaited: bool
-    ) -> None:
+    def _handle_call(self, node: ast.Call, held: frozenset[str]) -> None:
         func = node.func
         name = _terminal(func)
         if name is None:
             for child in ast.iter_child_nodes(node):
                 self._visit(child, held)
             return
-        # Thread/executor/loop-callback boundary APIs.
-        if name in _SPAWN_APIS or name in _LOOP_CALLBACK_APIS:
+        # Thread/executor boundary APIs.
+        if name in _SPAWN_APIS:
             self._handle_boundary(node, name, held)
             return
-        blocking = self._blocking_reason(node, name, awaited)
+        blocking = self._blocking_reason(node, name)
         if blocking is not None:
             desc, is_network = blocking
             self.info.blocking.append(
@@ -917,14 +831,13 @@ class _Summarizer:
                 held=held,
                 callees=callees,
                 spawn=spawn,
-                awaited=awaited,
             )
         )
 
     def _handle_boundary(
         self, node: ast.Call, api: str, held: frozenset[str]
     ) -> None:
-        """Spawn / loop-callback APIs: classify the function argument."""
+        """Spawn APIs: the function argument runs on another thread."""
         fn_arg: ast.expr | None = None
         if api == "Thread":
             for kw in node.keywords:
@@ -943,38 +856,19 @@ class _Summarizer:
         if fn_name is None:
             return
         callees, _ = self._resolve_call(fn_arg, fn_name)
-        if api in _LOOP_CALLBACK_APIS:
-            for callee in callees:
-                self.index.loop_roots.append(callee)
-            # Locks at the registration site do not transfer either way.
-            self.info.calls.append(
-                CallSite(
-                    name=fn_name,
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                    held=frozenset(),
-                    callees=callees,
-                    spawn=True,
-                )
+        self.info.calls.append(
+            CallSite(
+                name=fn_name,
+                lineno=node.lineno,
+                col=node.col_offset,
+                held=held,
+                callees=callees,
+                spawn=True,
             )
-        else:
-            self.info.calls.append(
-                CallSite(
-                    name=fn_name,
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                    held=held,
-                    callees=callees,
-                    spawn=True,
-                )
-            )
+        )
 
-    def _blocking_reason(
-        self, node: ast.Call, name: str, awaited: bool
-    ) -> tuple[str, bool] | None:
+    def _blocking_reason(self, node: ast.Call, name: str) -> tuple[str, bool] | None:
         """(description, is_network) when the call can block a thread."""
-        if awaited:
-            return None
         func = node.func
         base = (
             _terminal(func.value) if isinstance(func, ast.Attribute) else None
@@ -1160,8 +1054,3 @@ def analyze(project: Project) -> InterprocIndex:
         cached = InterprocIndex(project)
         project._interproc_index = cached  # type: ignore[attr-defined]
     return cached
-
-
-def iter_guard_decls(index: InterprocIndex) -> Iterator[GuardDecl]:
-    for decls in index.guarded.values():
-        yield from decls

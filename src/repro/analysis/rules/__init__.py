@@ -29,6 +29,7 @@ from . import (
     messages,
     nodes,
     probes,
+    reach,
     registry_drift,
     transport,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "messages",
     "nodes",
     "probes",
+    "reach",
     "registry_drift",
     "transport",
 ]

@@ -1,8 +1,8 @@
-"""CONC rules: lock discipline and event-loop safety (interprocedural).
+"""CONC rules: lock discipline (interprocedural).
 
 The real transport backends run genuinely concurrent code — per-node
 worker pools, RLock tx guards, a process worker's connection threads —
-which the per-module rules cannot reason about.  These five rules sit on
+which the per-module rules cannot reason about.  These four rules sit on
 the interprocedural index (``analysis/interproc.py``) and police the
 contracts that keep the backends correct:
 
@@ -10,18 +10,12 @@ contracts that keep the backends correct:
   written on a path that does not hold the lock, where "holds" is
   computed interprocedurally: locally via ``with lock:`` nesting, or
   because *every* call chain into the function holds it.
-* **CONC002** — a blocking operation (``time.sleep``, lock acquire,
-  socket/frame I/O, ``Condition.wait``, ``Future.result``) is reachable
-  from event-loop context: any coroutine, or any callback handed to
-  ``call_soon_threadsafe``/``call_soon``/``call_later``.  Thread and
-  executor boundaries stop reachability — that is the sanctioned way to
-  block.
 * **CONC003** — a cycle in the acquired-while-holding graph: two (or
   more) locks acquired in conflicting orders on different paths, the
   classic deadlock shape.
 * **CONC004** — a lock held across an operation that can take
-  arbitrarily long: an ``await``, direct network I/O, or a call that
-  transitively reaches network I/O (a multicast, a frame request).
+  arbitrarily long: direct network I/O, or a call that transitively
+  reaches network I/O (a multicast, a frame request).
   Holding a lock across such a point stalls every contender for the
   lock's full round-trip and invites distributed deadlock.
 * **CONC005** — check-then-act lazy initialization of shared instance
@@ -29,7 +23,7 @@ contracts that keep the backends correct:
   class that owns locks or guarded fields (i.e. one whose instances are
   demonstrably shared across threads).
 
-All five are project rules: the index is built once per
+All four are project rules: the index is built once per
 :class:`~repro.analysis.engine.Project` and shared.  Messages are
 line-free so fingerprints survive unrelated edits; suppression uses the
 ordinary pragma grammar (``# replint: ignore[CONC001]``) with the
@@ -42,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..engine import Finding, Project, Rule, register
-from ..interproc import Access, BlockingOp, FunctionInfo, InterprocIndex, analyze
+from ..interproc import InterprocIndex, analyze
 
 
 def _dedupe(findings: Iterable[Finding]) -> Iterator[Finding]:
@@ -95,46 +89,6 @@ class UnguardedSharedFieldAccess(Rule):
                     )
                 )
         return _dedupe(findings)
-
-
-@register
-class BlockingCallOnEventLoop(Rule):
-    code = "CONC002"
-    name = "blocking-call-on-event-loop"
-    description = (
-        "A blocking operation (time.sleep, lock acquire, socket I/O, "
-        "Condition.wait, Future.result) is reachable from a coroutine or "
-        "an event-loop callback without an executor boundary in between."
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        index = analyze(project)
-        reachable = index.loop_reachability()
-        findings: list[Finding] = []
-        for qualname, chain in reachable.items():
-            info = index.functions.get(qualname)
-            if info is None:
-                continue
-            root = index.functions.get(chain[0])
-            root_short = root.short if root is not None else chain[0]
-            for op in info.blocking:
-                findings.append(self._finding(info, op, root_short))
-        return _dedupe(findings)
-
-    def _finding(
-        self, info: FunctionInfo, op: BlockingOp, root_short: str
-    ) -> Finding:
-        via = "" if root_short == info.short else f" (reached from {root_short})"
-        return Finding(
-            code=self.code,
-            message=(
-                f"blocking {op.desc} in {info.short} may run on the "
-                f"event-loop thread{via}"
-            ),
-            path=info.rel_path,
-            line=op.lineno,
-            col=op.col,
-        )
 
 
 @register
@@ -207,7 +161,7 @@ class LockHeldAcrossRemoteOp(Rule):
     code = "CONC004"
     name = "lock-held-across-remote-op"
     description = (
-        "A lock is held across an await, direct network I/O, or a call "
+        "A lock is held across direct network I/O, or a call "
         "that transitively performs network I/O (multicast, frame "
         "request) — stalling contenders for a full round-trip."
     )
@@ -217,19 +171,6 @@ class LockHeldAcrossRemoteOp(Rule):
         transitive = index.transitive_blocking()
         findings: list[Finding] = []
         for info in index.functions.values():
-            for lineno, col, held in info.awaits:
-                for lock in sorted(held):
-                    findings.append(
-                        Finding(
-                            code=self.code,
-                            message=(
-                                f"'{lock}' held across await in {info.short}"
-                            ),
-                            path=info.rel_path,
-                            line=lineno,
-                            col=col,
-                        )
-                    )
             for op in info.blocking:
                 if not op.is_network or not op.held:
                     continue

@@ -125,9 +125,3 @@ def dtms_constraint_registrations() -> list[ConstraintRegistration]:
             ),
         ),
     ]
-
-
-def wire_channel(endpoint_a: ChannelEndpoint, endpoint_b: ChannelEndpoint) -> None:
-    """Pair two endpoints into one logical channel."""
-    endpoint_a.set_peer(endpoint_b.ref)
-    endpoint_b.set_peer(endpoint_a.ref)

@@ -62,12 +62,6 @@ class Flight(Entity):
         return self._get("seats") - self._get("sold")
 
 
-class Person(Entity):
-    """A passenger."""
-
-    fields = {"name": "", "email": ""}
-
-
 class TicketConstraint(Constraint):
     """The number of sold tickets must not exceed the seats (Fig. 1.6)."""
 

@@ -23,14 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .invariants import InvariantRegistry, default_registry
+from .invariants import default_registry
 from .policies import ReplayPolicy
 from .runner import Mutation, RunResult, run_schedule
 from .scenario import Scenario
-
-RegistryFactory = Callable[[], InvariantRegistry]
 
 
 @dataclass
@@ -80,15 +78,12 @@ class Counterexample:
         return len(trimmed)
 
     def replay(
-        self,
-        registry_factory: RegistryFactory = default_registry,
-        mutation: Mutation | None = None,
-        max_steps: int = 10_000,
+        self, mutation: Mutation | None = None, max_steps: int = 10_000
     ) -> RunResult:
         return run_schedule(
             self.scenario,
             policy=ReplayPolicy(self.prescription, window=self.window),
-            registry=registry_factory(),
+            registry=default_registry(),
             mutation=mutation,
             max_steps=max_steps,
         )
@@ -157,12 +152,10 @@ class ModelChecker:
         self,
         scenario: Scenario,
         config: CheckConfig | None = None,
-        registry_factory: RegistryFactory = default_registry,
         mutation: Mutation | None = None,
     ) -> None:
         self.scenario = scenario
         self.config = config if config is not None else CheckConfig()
-        self.registry_factory = registry_factory
         self.mutation = mutation
 
     # ------------------------------------------------------------------
@@ -171,7 +164,7 @@ class ModelChecker:
         return run_schedule(
             self.scenario,
             policy=ReplayPolicy(prescription, window=self.config.window),
-            registry=self.registry_factory(),
+            registry=default_registry(),
             mutation=self.mutation,
             max_steps=self.config.max_steps,
         )
@@ -223,24 +216,9 @@ class ShrinkResult:
     shrunk: Counterexample
     runs: int = 0
 
-    @property
-    def shrink_ratio(self) -> float:
-        """Shrunk size over original size (decisions + faults + ops)."""
-
-        def size(counterexample: Counterexample) -> int:
-            return (
-                counterexample.decision_count
-                + len(counterexample.scenario.fault_events)
-                + len(counterexample.scenario.ops)
-            )
-
-        before = size(self.original)
-        return size(self.shrunk) / before if before else 1.0
-
 
 def shrink_counterexample(
     counterexample: Counterexample,
-    registry_factory: RegistryFactory = default_registry,
     mutation: Mutation | None = None,
     max_runs: int = 300,
 ) -> ShrinkResult:
@@ -259,7 +237,7 @@ def shrink_counterexample(
         if runs >= max_runs:
             return False
         runs += 1
-        result = candidate.replay(registry_factory, mutation)
+        result = candidate.replay(mutation)
         return any(violation.invariant == target for violation in result.violations)
 
     current = counterexample
@@ -302,7 +280,7 @@ def shrink_counterexample(
             index -= 1
 
     # Re-run the final form once to stamp the true fingerprint/violations.
-    final = current.replay(registry_factory, mutation)
+    final = current.replay(mutation)
     runs += 1
     if final.violations:
         current = Counterexample(

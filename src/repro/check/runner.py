@@ -253,7 +253,6 @@ def run_schedule(
     mutation: Mutation | None = None,
     max_steps: int = 10_000,
     collect_trace: bool = True,
-    obs: Observability | None = None,
 ) -> RunResult:
     """Run one schedule of ``scenario`` under ``policy``; check invariants.
 
@@ -263,7 +262,7 @@ def run_schedule(
     """
     policy = policy if policy is not None else FifoPolicy()
     registry = registry if registry is not None else default_registry()
-    obs = obs if obs is not None else Observability()
+    obs = Observability()
     cluster, refs = scenario.build(obs)
 
     m_steps = obs.registry.counter("check_steps_total", "scheduler steps driven by the checker")

@@ -32,7 +32,6 @@ from .core import (
     NullStalenessProvider,
     ReconciliationManager,
     ReconciliationReport,
-    SatisfactionDegree,
     ThreatStoragePolicy,
     ThreatStore,
     parse_xml_configuration,
@@ -98,7 +97,6 @@ class ClusterConfig:
     # throughput-engine dispatch table).  The CCMgr drives all three
     # through the same ``method_dispatch`` query.
     repository: str = "cached"
-    default_min_degree: SatisfactionDegree = SatisfactionDegree.SATISFIED
     node_weights: Mapping[NodeId, float] | None = None
     seed: int = 0
     # Optional observability hub (metrics + sim-time tracing).  ``None``
@@ -193,7 +191,7 @@ class DedisysCluster:
                     node,
                     self.repository,
                     store,
-                    negotiator=Negotiator(self.config.default_min_degree),
+                    negotiator=Negotiator(),
                     staleness=staleness,
                     obs=self.obs,
                 )
@@ -477,7 +475,6 @@ class DedisysCluster:
         policies: Iterable[Any],
         tick: float = 0.25,
         horizon: float = 10.0,
-        start: bool = True,
     ) -> Any:
         """Wire an adaptation engine over this cluster and start ticking.
 
@@ -492,8 +489,7 @@ class DedisysCluster:
         self.adaptation = AdaptationEngine(
             self, tuple(policies), tick=tick, horizon=horizon
         )
-        if start:
-            self.adaptation.start()
+        self.adaptation.start()
         return self.adaptation
 
     def breaker_states(self) -> dict[NodeId, dict[NodeId, Any]]:

@@ -5,8 +5,7 @@ from .._lazy import reexport
 
 __getattr__, __dir__, __all__ = reexport(globals(), {
     "ccmgr": (
-        "CCMConfig", "ConstraintConsistencyManager", "NullStalenessProvider",
-        "StalenessProvider",
+        "ConstraintConsistencyManager", "NullStalenessProvider", "StalenessProvider",
     ),
     "errors": ("ConsistencyThreatRejected", "ConstraintViolated", "OperationShedded"),
     "interceptor": ("CCMInterceptor",),

@@ -20,7 +20,6 @@ accepted threats for the reconciliation phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
 from ..net import NodeId, UnreachableError
@@ -110,18 +109,6 @@ class _Environment:
         self.stale_gate = stale_gate
 
 
-@dataclass
-class CCMConfig:
-    """Static configuration of the constraint consistency service."""
-
-    # If replica reconciliation merges conflicting replicas by *selecting*
-    # one copy, LCCs on intra-object constraints stay reliable (§3.1).
-    merge_by_selection: bool = True
-    # §5.5.3 asynchronous constraints: skip validation AND negotiation in
-    # degraded mode, storing the threat directly for reconciliation.
-    async_skip_validation_in_degraded: bool = True
-
-
 _SOFT_PENDING_KEY = "ccm_soft_pending"
 _ASYNC_PENDING_KEY = "ccm_async_pending"
 
@@ -136,7 +123,6 @@ class ConstraintConsistencyManager:
         threat_store: ThreatStore,
         negotiator: Negotiator | None = None,
         staleness: StalenessProvider | None = None,
-        config: CCMConfig | None = None,
         obs: Any = None,
     ) -> None:
         self.node = node
@@ -144,7 +130,6 @@ class ConstraintConsistencyManager:
         self.threat_store = threat_store
         self.negotiator = negotiator if negotiator is not None else Negotiator()
         self.staleness = staleness if staleness is not None else NullStalenessProvider()
-        self.config = config if config is not None else CCMConfig()
         self.obs = ensure_obs(obs)
         self._m_validations = self.obs.registry.counter(
             "ccm_validations_total", "constraint validations, by degree and category"
@@ -270,10 +255,11 @@ class ConstraintConsistencyManager:
             else:
                 self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
         # Asynchronous invariants (§5.5.3): soft in a healthy system; in
-        # degraded mode the threat is stored directly without validation.
+        # degraded mode validation AND negotiation are skipped and the
+        # threat is stored directly for reconciliation.
         for registration in dispatch.registrations(ConstraintType.INVARIANT_ASYNC):
             env = env or self._environment()
-            if env.degraded and self.config.async_skip_validation_in_degraded:
+            if env.degraded:
                 context_entity = self._prepare_context(registration, invocation, entity)
                 self._store_async_threat(registration, context_entity)
             elif tx is None:
@@ -369,14 +355,11 @@ class ConstraintConsistencyManager:
             stale = [entity for entity in accessed if self.staleness.is_possibly_stale(entity)]
         if category is not CheckCategory.NCC and stale:
             # LCC: validation not fully reliable; degrade the result —
-            # except for intra-object constraints under merge-by-selection
-            # reconciliation (§3.1).
+            # except for intra-object constraints: replica reconciliation
+            # merges conflicting replicas by *selecting* one copy, so an
+            # intra-object LCC stays reliable (§3.1).
             category = CheckCategory.LCC
-            intra_safe = (
-                constraint.scope is ConstraintScope.INTRA_OBJECT
-                and self.config.merge_by_selection
-            )
-            if not intra_safe:
+            if constraint.scope is not ConstraintScope.INTRA_OBJECT:
                 degree = degree.degrade_for_staleness()
         if self.obs.enabled:
             self._m_validations.inc(degree=degree.name, category=category.name)

@@ -136,7 +136,7 @@ CONSISTENCY_MODEL: tuple[Requirement, ...] = (
         (
             "core.repository.CachingConstraintRepository",
             "validation.adaptive.AdaptiveDispatchTable",
-            "core.ccmgr.CCMConfig",
+            "core.model.ConstraintType.INVARIANT_ASYNC",
         ),
         "cached lookups (0.25–0.52 µs), adaptive instrumentation, "
         "asynchronous constraints (§5.5.3)",

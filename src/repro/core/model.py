@@ -98,7 +98,9 @@ class SatisfactionDegree(enum.Enum):
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, SatisfactionDegree):
             return NotImplemented
-        return self.value < other.value
+        # ``_value_``, not ``value``: the property runs two ``enum.py``
+        # frames per read, and threats compare degrees on every occurrence.
+        return self._value_ < other._value_
 
     @property
     def is_threat(self) -> bool:

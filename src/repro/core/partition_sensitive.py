@@ -70,18 +70,6 @@ class DegradedBaseline:
             self._frozen[key] = self._healthy.get(key, value)
         return self._frozen[key]
 
-    def peek(self, key: Hashable) -> Any:
-        if key in self._frozen:
-            return self._frozen[key]
-        return self._healthy.get(key)
-
-    def reset(self, key: Hashable | None = None) -> None:
-        if key is None:
-            self._healthy.clear()
-            self._frozen.clear()
-        else:
-            self._healthy.pop(key, None)
-            self._frozen.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._frozen)

@@ -113,10 +113,6 @@ class ReconciliationReport:
     epoch: int = 0
     groups: tuple["ReconciliationReport", ...] = ()
 
-    @property
-    def total_seconds(self) -> float:
-        return self.replica_phase_seconds + self.constraint_phase_seconds
-
     _SUMMED = (
         "replica_conflicts",
         "threats_reevaluated",

@@ -320,10 +320,6 @@ class CachingConstraintRepository(ConstraintRepository):
         self._cache.clear()
         super()._invalidate()
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
 
 class CompiledConstraintRepository(ConstraintRepository):
     """Throughput-engine repository: one precomputed dispatch table.
@@ -372,12 +368,6 @@ class CompiledConstraintRepository(ConstraintRepository):
     def _invalidate(self) -> None:
         self._table = None
         super()._invalidate()
-
-    @property
-    def compiled_methods(self) -> int:
-        """Number of compiled method entries (builds the table if dirty)."""
-        table = self._table if self._table is not None else self._rebuild()
-        return len(table)
 
     def _rebuild(self) -> dict[tuple[str, str], MethodDispatch]:
         grouped: dict[

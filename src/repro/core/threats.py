@@ -106,7 +106,7 @@ class ConsistencyThreat:
         one object held by several nodes' stores, so any of them may have
         moved since this store last wrote the row."""
         return {
-            "degree": self.degree.name,
+            "degree": self.degree._name_,  # ``name`` is an enum.py property
             "occurrences": self.occurrences,
             "deferred": self.deferred,
         }
@@ -200,12 +200,6 @@ class ThreatStore:
     def count_identities(self) -> int:
         return len(self._threats)
 
-    def count_occurrences(self) -> int:
-        return sum(
-            sum(threat.occurrences for threat in threats)
-            for threats in self._threats.values()
-        )
-
     def stored_records(self) -> int:
         """Number of threat rows actually persisted (policy-dependent)."""
         return sum(len(threats) for threats in self._threats.values())
@@ -275,12 +269,6 @@ class ThreatStore:
                 self.engine.charge("threat_sync_record")
                 self.record(threat)
         return len(seen)
-
-    def persisted_row(self, threat_id: int) -> dict[str, Any] | None:
-        """The on-disk snapshot of one threat record (test introspection)."""
-        if threat_id in self._table:
-            return self._table.get(threat_id)
-        return None
 
     # ------------------------------------------------------------------
     # resolution

@@ -88,10 +88,6 @@ class ReplayReport:
         return sum(recon.violations_found for recon in self.reconciliations)
 
     @property
-    def all_invariants_hold(self) -> bool:
-        return all(result.ok for result in self.invariants)
-
-    @property
     def failed_invariants(self) -> list[InvariantResult]:
         return [result for result in self.invariants if not result.ok]
 

@@ -39,8 +39,6 @@ class FaultInjector:
         self._models: dict[LinkKey, LinkFaultModel] = {}
         self._default_factory: Callable[[], LinkFaultModel] | None = None
         self._rngs: dict[LinkKey, random.Random] = {}
-        self.decisions = 0
-        self.injected = 0
         self.bind_obs(obs)
 
     @classmethod
@@ -102,14 +100,6 @@ class FaultInjector:
         self._rngs.clear()
         self._default_factory = None
 
-    def reset(self) -> None:
-        """Reset every model chain and RNG to its initial state."""
-        for model in self._models.values():
-            model.reset()
-        self._rngs.clear()
-        self.decisions = 0
-        self.injected = 0
-
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
@@ -135,7 +125,6 @@ class FaultInjector:
                 return PASS
             model = self._default_factory()
             self._models[(source, destination)] = model
-        self.decisions += 1
         decision = model.decide(
             self._rng_for(source, destination), source, destination, kind, payload
         )
@@ -145,7 +134,6 @@ class FaultInjector:
             if self.obs.enabled:
                 self._m_decisions.inc(effect="pass")
             return PASS
-        self.injected += 1
         if self.obs.enabled:
             effect = (
                 "drop"

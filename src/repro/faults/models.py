@@ -85,9 +85,6 @@ class LinkFaultModel:
     ) -> FaultDecision:
         return PASS
 
-    def reset(self) -> None:
-        """Return the model to its initial state."""
-
 
 class GilbertElliottLoss(LinkFaultModel):
     """Two-state Markov burst-loss model (Gilbert–Elliott).
@@ -95,8 +92,7 @@ class GilbertElliottLoss(LinkFaultModel):
     The chain sits in a *good* or *bad* state; every message first
     advances the chain (``p_good_to_bad`` / ``p_bad_to_good``), then is
     lost with the state's loss rate.  The defaults model rare but heavy
-    loss bursts; :meth:`steady_state_loss` gives the long-run loss rate
-    for calibrating scenarios (e.g. "1% burst loss").
+    loss bursts.
     """
 
     name = "gilbert-elliott"
@@ -120,14 +116,6 @@ class GilbertElliottLoss(LinkFaultModel):
         self.loss_bad = loss_bad
         self.bad = False
 
-    def steady_state_loss(self) -> float:
-        """Long-run fraction of messages lost."""
-        total = self.p_good_to_bad + self.p_bad_to_good
-        if total == 0.0:
-            return self.loss_bad if self.bad else self.loss_good
-        bad_fraction = self.p_good_to_bad / total
-        return bad_fraction * self.loss_bad + (1.0 - bad_fraction) * self.loss_good
-
     def decide(
         self,
         rng: random.Random,
@@ -145,9 +133,6 @@ class GilbertElliottLoss(LinkFaultModel):
         if loss and rng.random() < loss:
             return FaultDecision(drop=True, reason="burst-loss")
         return PASS
-
-    def reset(self) -> None:
-        self.bad = False
 
 
 class ExtraDelay(LinkFaultModel):
@@ -260,7 +245,3 @@ class CompositeFault(LinkFaultModel):
                 model.decide(rng, source, destination, kind, payload)
             )
         return decision
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()

@@ -9,9 +9,8 @@ calls) the faults fire at their scripted times, which lets experiments
 interleave failures with business traffic deterministically — the
 Chapter-5 scenarios as *data* instead of imperative test code.
 
-Schedules serialize to plain tuples (:meth:`to_events` /
-:meth:`from_events`) so a chaos run can persist the exact fault script it
-generated.
+A schedule is built from plain ``(at, action, args)`` tuples
+(:meth:`from_events`), the form a scenario stores its fault script in.
 """
 
 from __future__ import annotations
@@ -100,13 +99,6 @@ class FaultSchedule:
 
     def heal_all(self, at: float) -> "FaultSchedule":
         return self.add(at, "heal_all")
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_events(self) -> list[tuple[float, str, tuple[Any, ...]]]:
-        """Plain-data view of the script (JSON-able modulo tuples)."""
-        return [(event.at, event.action, event.args) for event in self.events]
 
     @classmethod
     def from_events(

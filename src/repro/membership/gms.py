@@ -167,11 +167,3 @@ class GroupMembershipService:
             fraction = self.weight_of(members) / self.total_weight() if members else 0.0
             fractions[members] = fraction
         return fraction
-
-    def partition_weight_fraction(self, node: NodeId) -> float:
-        """Weight of ``node``'s partition relative to the whole system.
-
-        This is the value the middleware exposes to the application for
-        partition-sensitive constraint validation (§5.5.2).
-        """
-        return self.weight_fraction(self.view_of(node).members)

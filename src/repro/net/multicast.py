@@ -50,13 +50,9 @@ class GroupChannel:
         self._handlers[node] = handler
         self._members = tuple(sorted(self._handlers))
 
-    def leave(self, node: NodeId) -> None:
-        self._handlers.pop(node, None)
-        self._members = tuple(sorted(self._handlers))
-
     @property
     def members(self) -> tuple[NodeId, ...]:
-        """The group in sorted order; changes only on ``join`` / ``leave``."""
+        """The group in sorted order; changes only on ``join``."""
         return self._members
 
     def multicast(
@@ -80,22 +76,13 @@ class GroupChannel:
         :class:`NodeCrashedError` for a recipient that crashed mid-round)
         does not refund the remaining deliveries — earlier recipients have
         already applied the message and the round's time has been spent.
-
-        The recipient set is snapshotted before delivery; a handler that
-        makes a later recipient ``leave()`` mid-round simply causes that
-        departed member to be skipped (it neither receives the message nor
-        appears in the returned replies).
         """
         recipients = self._begin_round(source, kind, payload, await_acks)
+        handlers = self._handlers
         replies: dict[NodeId, Any] = {}
         for node in recipients:
-            # Re-check membership per delivery: a handler earlier in the
-            # round may have made this member leave() the group.
-            handler = self._handlers.get(node)
-            if handler is None:
-                continue
             message = Message(source, node, kind, payload)
-            replies[node] = handler(message)
+            replies[node] = handlers[node](message)
         return replies
 
     def _begin_round(

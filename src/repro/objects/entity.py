@@ -10,10 +10,7 @@ interface (§4.2.1), and participate in:
 * **access tracking** — while the constraint consistency manager validates
   a constraint it installs an :class:`ObjectAccessTracker`; every attribute
   read records the touched entity so the CCMgr can afterwards ask the
-  replication manager which accessed objects were possibly stale (Fig. 4.4);
-* **dirty tracking** — writes performed inside a transaction are collected
-  in the transaction context so the replication interceptor knows which
-  entities to propagate.
+  replication manager which accessed objects were possibly stale (Fig. 4.4).
 """
 
 from __future__ import annotations
@@ -154,8 +151,6 @@ class Entity:
                 self.last_update_time = old_update_time
 
             tx.log_undo(undo)
-            written: set[Entity] = tx.context.setdefault("written_entities", set())
-            written.add(self)
         self._attributes[name] = value
         self.version += 1
         self.last_update_time = self._now()

@@ -23,14 +23,6 @@ class NamingService:
             raise KeyError(f"name {name!r} already bound")
         self._bindings[name] = ref
 
-    def rebind(self, name: str, ref: ObjectRef) -> None:
-        self._bindings[name] = ref
-
-    def unbind(self, name: str) -> None:
-        if name not in self._bindings:
-            raise KeyError(f"name {name!r} not bound")
-        del self._bindings[name]
-
     def lookup(self, name: str) -> ObjectRef:
         if name not in self._bindings:
             raise KeyError(f"name {name!r} not bound")

@@ -73,11 +73,6 @@ class Instrument:
         with self._lock:
             return self._series.get(label_key(labels))
 
-    @property
-    def series_count(self) -> int:
-        with self._lock:
-            return len(self._series)
-
     def snapshot(self) -> dict[str, object]:
         with self._lock:
             series = {
@@ -187,18 +182,6 @@ class Histogram(Instrument):
             series.count += 1
             series.sum += value
 
-    def bucket_counts(self, **labels: object) -> dict[float, int]:
-        """Cumulative count per upper edge (``inf`` edge included)."""
-        series = self._get(labels)
-        if not isinstance(series, _HistogramSeries):
-            return {edge: 0 for edge in (*self.edges, math.inf)}
-        cumulative: dict[float, int] = {}
-        running = 0
-        for edge, count in zip((*self.edges, math.inf), series.bin_counts):
-            running += count
-            cumulative[edge] = running
-        return cumulative
-
     def count(self, **labels: object) -> int:
         series = self._get(labels)
         return series.count if isinstance(series, _HistogramSeries) else 0
@@ -272,10 +255,6 @@ class MetricsRegistry:
             instruments = sorted(self._instruments.items())
         return {name: instrument.snapshot() for name, instrument in instruments}
 
-    def reset(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
 
 # ----------------------------------------------------------------------
 # no-op variants — attached when observability is disabled
@@ -314,9 +293,6 @@ class NullHistogram:
     def sum(self, **labels: object) -> float:
         return 0.0
 
-    def bucket_counts(self, **labels: object) -> dict[float, int]:
-        return {}
-
 
 _NULL_COUNTER = NullCounter()
 _NULL_GAUGE = NullGauge()
@@ -343,6 +319,3 @@ class NullRegistry:
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         return {}
-
-    def reset(self) -> None:
-        pass

@@ -109,9 +109,6 @@ class Tracer:
         """Attach the simulated clock used to stamp events."""
         self._clock = clock
 
-    def add_sink(self, sink: "TraceSink") -> None:
-        self.sinks.append(sink)
-
     @property
     def now(self) -> float:
         return self._clock.now if self._clock is not None else 0.0
@@ -141,9 +138,6 @@ class NullTracer:
     now = 0.0
 
     def bind_clock(self, clock: "SimClock") -> None:
-        pass
-
-    def add_sink(self, sink: "TraceSink") -> None:
         pass
 
     def emit(self, type: str, node: str | None = None, **data: Any) -> None:

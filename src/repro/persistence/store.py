@@ -168,11 +168,6 @@ class Table:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
         return copy_value(self._rows[key])
 
-    def get_or_none(self, key: Any, cost: str = "db_read") -> Any:
-        self.engine.charge(cost)
-        value = self._rows.get(key)
-        return copy_value(value) if value is not None else None
-
     def delete(self, key: Any, cost: str = "db_delete") -> None:
         self.engine.charge(cost)
         if key not in self._rows:
@@ -248,6 +243,3 @@ class StateHistory:
         """Drop one object's history (after reconciliation).  Returns
         entries dropped."""
         return len(self._history.pop(oid, []))
-
-    def total_entries(self) -> int:
-        return sum(len(v) for v in self._history.values())

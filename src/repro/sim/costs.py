@@ -16,7 +16,7 @@ All costs are expressed in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -89,17 +89,6 @@ class CostModel:
     threat_dedup_check: float = 1.2e-3
     threat_sync_record: float = 0.5e-3
     network_latency: float = 0.3e-3
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every cost multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        values = {name: getattr(self, name) * factor for name in self.__dataclass_fields__}
-        return CostModel(**values)
-
-    def with_overrides(self, **overrides: float) -> "CostModel":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 @dataclass

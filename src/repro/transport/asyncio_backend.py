@@ -101,25 +101,18 @@ class AsyncioNetwork(Network):
         self._require_node(node)
         self._mutate_handlers(_MEMBER, node, handler)
 
-    def remove_member_handler(self, node: NodeId) -> None:
-        self._mutate_handlers(_MEMBER, node, None)
-
     def _mutate_handlers(
-        self, ns: str, node: NodeId, handler: Callable[[Message], Any] | None
+        self, ns: str, node: NodeId, handler: Callable[[Message], Any]
     ) -> None:
-        """Rebuild the handler table copy-on-write (``None`` removes).
+        """Rebuild the handler table copy-on-write.
 
-        Members join and leave from handler threads while other nodes'
-        workers dispatch; replacing the outer dict wholesale means every
-        reader sees either the old or the new table, never a dict
-        mid-mutation.
+        Members join from handler threads while other nodes' workers
+        dispatch; replacing the outer dict wholesale means every reader
+        sees either the old or the new table, never a dict mid-mutation.
         """
         with self._handlers_lock:
             updated = dict(self._handlers[ns])
-            if handler is None:
-                updated.pop(node, None)
-            else:
-                updated[node] = handler
+            updated[node] = handler
             self._handlers = {**self._handlers, ns: updated}
 
     def member_nodes(self) -> tuple[NodeId, ...]:
@@ -267,9 +260,6 @@ class AsyncioGroupChannel(GroupChannel):
 
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self.network.register_member_handler(node, handler)
-
-    def leave(self, node: NodeId) -> None:
-        self.network.remove_member_handler(node)
 
     @property
     def members(self) -> tuple[NodeId, ...]:

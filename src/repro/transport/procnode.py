@@ -420,11 +420,6 @@ class WorkerNode:
             # Demote inside the mutex: the flag write races another
             # connection's degraded/threat reads if it happens outside.
             self.staleness.flag = False
-            # replint: ignore[CONC004] - the call graph reaches the
-            # threaded channel's Future.result() through _broadcast_state
-            # and the threat-resolved round, but this cluster is one node
-            # on the sim transport: neither multicast has a recipient and
-            # nothing blocks.
             self.cluster.reconciliation.reconcile_constraints(
                 frozenset({self.name}), handler, report
             )

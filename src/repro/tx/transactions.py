@@ -72,7 +72,6 @@ class Transaction:
         self.rollback_reason: str | None = None
         self._resources: list[TransactionalResource] = []
         self._undo_log: list[Callable[[], None]] = []
-        self._after_completion: list[Callable[[bool], None]] = []
         # Arbitrary per-transaction context used by the middleware, e.g. the
         # negotiation handler registered for this use case (§3.2.1) and the
         # set of objects accessed during constraint validation.
@@ -91,10 +90,6 @@ class Transaction:
         """Record an undo action, executed in reverse order on rollback."""
         self._require_active()
         self._undo_log.append(undo)
-
-    def after_completion(self, callback: Callable[[bool], None]) -> None:
-        """Register ``callback(committed)`` to run after 2PC finishes."""
-        self._after_completion.append(callback)
 
     # ------------------------------------------------------------------
     # state transitions
@@ -143,7 +138,6 @@ class Transaction:
             resource.commit(self)
         self.status = TransactionStatus.COMMITTED
         self._undo_log.clear()
-        self._fire_after_completion(True)
 
     def _rollback(self) -> None:
         if self.status in (TransactionStatus.COMMITTED, TransactionStatus.ROLLED_BACK):
@@ -154,12 +148,6 @@ class Transaction:
         for resource in self._resources:
             resource.rollback(self)
         self.status = TransactionStatus.ROLLED_BACK
-        self._fire_after_completion(False)
-
-    def _fire_after_completion(self, committed: bool) -> None:
-        callbacks, self._after_completion = self._after_completion, []
-        for callback in callbacks:
-            callback(committed)
 
 
 class TransactionManager:
@@ -193,11 +181,6 @@ class TransactionManager:
                 f"transaction {self._current.txid} is still active"
             )
         self._current = Transaction(self)
-        return self._current
-
-    def require_current(self) -> Transaction:
-        if self._current is None or not self._current.is_active:
-            raise RuntimeError("no active transaction")
         return self._current
 
     def commit(self, tx: Transaction) -> None:

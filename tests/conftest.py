@@ -8,6 +8,9 @@ marked ``obs`` runs and records only lines of files inside
 ``src/repro/obs``.  ``tests/test_zz_obs_coverage.py`` (named so it runs
 last) compares the recorded lines against the package's executable lines
 and enforces the >=90% floor.
+
+It also holds the few read helpers several test modules share
+(``from conftest import ...``).
 """
 
 from __future__ import annotations
@@ -60,3 +63,13 @@ def pytest_configure(config: pytest.Config) -> None:
     plugin = ObsCoveragePlugin()
     config.obs_coverage = plugin  # type: ignore[attr-defined]
     config.pluginmanager.register(plugin, "obs-coverage")
+
+
+def history_entries(history: Any) -> int:
+    """Recorded versions over every object of a ``StateHistory``."""
+    return sum(len(history.versions_of(oid)) for oid in history.objects())
+
+
+def partition_fraction(gms: Any, node: Any) -> float:
+    """Weight of ``node``'s partition relative to the whole system (§5.5.2)."""
+    return gms.weight_fraction(gms.view_of(node).members)

@@ -1,11 +1,9 @@
 """Planted CONC004: locks held across remote operations.
 
-Three shapes: direct socket I/O under a lock, a call whose callee
-transitively reaches network I/O, and a threading lock held across an
-``await``.
+Two shapes: direct socket I/O under a lock, and a call whose callee
+transitively reaches network I/O.
 """
 
-import asyncio
 import socket
 import threading
 
@@ -25,12 +23,3 @@ class Sender:
     def _dial(self, host):
         conn = socket.create_connection((host, 9))
         conn.shutdown(0)
-
-
-class AsyncHolder:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    async def held_await(self):
-        with self._lock:
-            await asyncio.sleep(0)  # BUG: _lock held across await

@@ -2,11 +2,10 @@
 
 Guarded fields are touched under their lock (locally or provably via
 every caller), blocking work is pushed through executors, locks nest in
-one global order, nothing is held across network I/O or an await, and
-lazy init happens inside the lock.
+one global order, nothing is held across network I/O, and lazy init
+happens inside the lock.
 """
 
-import asyncio
 import socket
 import threading
 import time
@@ -45,10 +44,8 @@ class Disciplined:
         with self._inner:
             return repr(sorted(self._state)).encode()
 
-    async def pump(self):
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._slow)
-        await asyncio.sleep(0)
+    def pump(self, executor):
+        executor.submit(self._slow)  # runs on a worker thread
 
     def _slow(self):
         time.sleep(0.01)  # runs on an executor thread only

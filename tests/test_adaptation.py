@@ -350,7 +350,7 @@ class TestEngine:
             self._two_window_scenario(), [self._tighten_policy()], tick=0.1
         )
         report = replay_scenario(scenario)
-        assert report.all_invariants_hold
+        assert not report.failed_invariants
         # One fire + release per partition window; cooldown is short
         # enough for the second window to fire again.
         assert _phases(report) == ["fire", "release", "fire", "release"]
@@ -433,7 +433,7 @@ class TestEngine:
         assert "rollback" in _phases(sim)
         assert threaded.adaptation_trace == sim.adaptation_trace
         assert threaded.simulated_seconds == sim.simulated_seconds
-        assert threaded.all_invariants_hold, threaded.failed_invariants
+        assert not threaded.failed_invariants, threaded.failed_invariants
 
     def test_engine_validation(self):
         cluster, _refs = _flight_scenario().build()
@@ -607,7 +607,7 @@ class TestAdaptiveBeatsStaticExtremes:
             for scenario in (always_config, never_config, adaptive_config, adaptive_config)
         )
         for report in (always, never, adaptive):
-            assert report.all_invariants_hold, report.failed_invariants
+            assert not report.failed_invariants, report.failed_invariants
         assert self._effective_availability(adaptive) > self._effective_availability(always)
         assert self._effective_availability(adaptive) > self._effective_availability(never)
         assert adaptive.integrity_violations <= always.integrity_violations

@@ -7,6 +7,8 @@ from repro.administration import AdministrationService, AuthorizationError
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import AcceptAllHandler
 
+from conftest import partition_fraction
+
 NODES = ("a", "b", "c")
 
 
@@ -71,7 +73,7 @@ class TestRuntimeManagement:
     def test_set_node_weight(self, admin, cluster):
         admin.set_node_weight("alice", "a", 5.0)
         cluster.partition({"a"}, {"b", "c"})
-        assert cluster.gms.partition_weight_fraction("a") == pytest.approx(5 / 7)
+        assert partition_fraction(cluster.gms, "a") == pytest.approx(5 / 7)
 
 
 class TestInspection:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,9 @@ def run_family(fixture: str, prefix: str):
 class TestEngine:
     def test_rule_registry_covers_every_family(self):
         prefixes = {rule.code[:3] for rule in all_rules()}
-        assert prefixes == {"DET", "REG", "MSG", "MET", "PRB", "TRN", "CON", "NOD"}
+        assert prefixes == {
+            "DET", "REG", "MSG", "MET", "PRB", "TRN", "CON", "NOD", "REA",
+        }
 
     def test_rule_codes_are_unique_and_described(self):
         rules = all_rules()
@@ -253,17 +256,6 @@ class TestConcurrencyRules:
         assert "Store.snapshot" in message
         assert "'_lock'" in message
 
-    def test_blocking_call_reachable_from_coroutine(self):
-        result = run_family("conc002_bad", "CONC")
-        assert codes_of(result) == ["CONC002", "CONC002"]
-        messages = sorted(finding.message for finding in result.findings)
-        # Interprocedural: the sleep lives in a helper, the message names
-        # the coroutine it is reached from.
-        assert "time.sleep() in Pump._work" in messages[1]
-        assert "(reached from Pump.run)" in messages[1]
-        # call_soon_threadsafe callbacks are loop roots of their own.
-        assert "acquire of _lock in Pump._tick" in messages[0]
-
     def test_lock_order_inversion_across_functions(self):
         result = run_family("conc003_bad", "CONC")
         assert codes_of(result) == ["CONC003"]
@@ -272,14 +264,13 @@ class TestConcurrencyRules:
     def test_lock_held_across_remote_ops(self):
         result = run_family("conc004_bad", "CONC")
         held = [f.message for f in result.findings if f.code == "CONC004"]
-        assert len(held) == 3
+        assert len(held) == 2
         assert any("across socket sendall()" in m for m in held)
         assert any(
             "across call to _dial() in Sender.relay "
             "(reaches socket create_connection())" in m
             for m in held
         )
-        assert any("across await in AsyncHolder.held_await" in m for m in held)
 
     def test_unlocked_lazy_init(self):
         result = run_family("conc005_bad", "CONC")
@@ -295,7 +286,196 @@ class TestConcurrencyRules:
         assert result.findings == []
 
 
+# ----------------------------------------------------------------- reach
+
+
+class TestReachRule:
+    """``reach/`` is a checkout: ``src/pkg`` plus ``benchmarks/``,
+    ``examples/`` and a ``tests/`` file that calls ``only_tested``."""
+
+    ROOT = FIXTURES / "reach" / "src" / "pkg"
+
+    def unreached(self, root=ROOT):
+        result = run_analysis(root, codes=frozenset({"REACH001"}))
+        return {finding.message.split()[1] for finding in result.findings}
+
+    def test_defs_only_tests_or_nothing_reach_are_flagged(self):
+        assert self.unreached() == {"only_tested", "unused", "Record.orphan"}
+
+    def test_every_kind_of_entry_point_reaches(self):
+        # a _lazy re-export table, an apps/registry.py entry, a string in
+        # benchmarks/, a getattr prefix, examples/, a __main__ module, a dunder
+        unreached = self.unreached()
+        for name in (
+            "exported", "make_domain", "Handler", "Handler.handle",
+            "Handler._cmd_ping", "used", "Record", "main", "Record.__repr__",
+        ):
+            assert name not in unreached
+
+    def test_a_docstring_reaches_nothing(self):
+        text = (self.ROOT / "core.py").read_text()
+        assert "``only_tested``" in text and "only_tested" in self.unreached()
+
+    def test_silent_outside_a_checkout(self):
+        assert run_family("det_bad", "REACH").findings == []
+
+    def checkout(self, tmp_path, files):
+        """A checkout under ``tmp_path``: ``files`` maps paths relative to
+        it to their text; returns the package root ``src/pkg``."""
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return tmp_path / "src" / "pkg"
+
+    def test_a_nested_def_goes_with_its_function(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/pkg/mod.py": (
+                "def outer():\n    def inner():\n        return 1\n    return inner\n\n\n"
+                "def dead():\n    def helper():\n        return 2\n    return helper\n"
+            ),
+            "examples/run.py": "from pkg.mod import outer\nouter()\n",
+        })
+        assert self.unreached(root) == {"dead"}
+
+    def test_an_unreached_class_is_one_finding(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/pkg/mod.py": "class Dead:\n    def run(self):\n        return self.stop()\n\n"
+            "    def stop(self):\n        return 0\n",
+            "examples/run.py": "import pkg.mod\nprint(pkg.mod.__name__, 'run', 'stop')\n",
+        })
+        assert self.unreached(root) == {"Dead"}
+
+    def test_only_a_string_ending_in_an_underscore_is_a_dispatch_prefix(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/pkg/mod.py": (
+                "class Checks:\n"
+                "    def run(self, kind):\n"
+                "        return getattr(self, f\"_validate_{kind}\")(), f\"m{kind}\"\n\n"
+                "    def _validate_seats(self):\n        return True\n\n"
+                "    def mode(self):\n        return 0\n"
+            ),
+            "examples/run.py": "from pkg.mod import Checks\nChecks().run('seats')\n",
+        })
+        assert self.unreached(root) == {"Checks.mode"}
+
+    def test_only_a_name_built_for_getattr_is_a_dispatch_prefix(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/pkg/mod.py": (
+                "def accessor(field):\n"
+                "    def get():\n        return field\n"
+                "    get.__name__ = f\"get_{field}\"\n"
+                "    return get, \"_cmd_\" + field\n\n\n"
+                "class Record:\n"
+                "    def get_called(self):\n        return 0\n\n"
+                "    def _cmd_ping(self):\n        return 1\n"
+            ),
+            "examples/run.py": "from pkg.mod import accessor, Record\naccessor('x')\nRecord()\n",
+        })
+        assert self.unreached(root) == {"Record.get_called", "Record._cmd_ping"}
+
+    def test_a_module_nothing_imports_reaches_nothing(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/pkg/orphan.py": "from .helpers import helper\n\nVALUE = helper()\n",
+            "src/pkg/helpers.py": "def helper():\n    return 1\n",
+            "examples/run.py": "import pkg.helpers\n",
+        })
+        assert self.unreached(root) == {"helper"}
+
+    def test_an_uncalled_function_added_to_the_package_fails_replint(self, tmp_path, capsys):
+        checkout = Path(__file__).parents[1]
+        for tree in ("src/repro", "benchmarks", "examples", "analysis"):
+            shutil.copytree(
+                checkout / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__", "out")
+            )
+        module = tmp_path / "src" / "repro" / "cluster.py"
+        module.write_text(module.read_text() + "\n\ndef nobody_calls_this():\n    return 0\n")
+        rc = cli.main([
+            "--root", str(tmp_path / "src" / "repro"), "--select", "REACH001",
+            "--baseline", str(tmp_path / "analysis" / "baseline.json"),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "REACH001 function nobody_calls_this is reached from no entry point" in out
+        assert "1 new" in out and "0 expired" in out
+
+    def test_a_reach_entry_needs_a_justification(self):
+        finding = Finding(
+            code="REACH001", message="function f is reached from no entry point", path="m.py", line=1
+        )
+        bare = compare([finding], {finding.fingerprint: 1}, justifications={})
+        argued = compare(
+            [finding], {finding.fingerprint: 1}, justifications={finding.fingerprint: "why"}
+        )
+        assert (bare.new, argued.baselined) == ([finding], [finding])
+
+    def test_findings_are_line_free_and_anchored_at_the_def(self):
+        result = run_analysis(self.ROOT, codes=frozenset({"REACH001"}))
+        finding = next(f for f in result.findings if "unused" in f.message)
+        assert (finding.path, finding.line) == ("core.py", 13)
+        assert finding.fingerprint == (
+            "REACH001:core.py:function unused is reached from no entry point"
+        )
+
+
 # -------------------------------------------------------------- pragmas
+
+
+class TestUnusedPragma:
+    def write(self, tmp_path, text):
+        (tmp_path / "mod.py").write_text(text)
+        return tmp_path
+
+    def test_a_pragma_that_suppresses_nothing_fails(self, tmp_path, capsys):
+        root = self.write(tmp_path, "x = 1  # replint: ignore[DET001]\n")
+        result = run_analysis(root, codes=frozenset({"DET001"}))
+        assert [(f.code, f.line, f.message) for f in result.findings] == [
+            ("PRAGMA001", 1, "pragma ignore[DET001] suppresses no finding")
+        ]
+        assert cli.main(["--root", str(root), "--no-baseline"]) == 1
+        capsys.readouterr()
+
+    def test_only_pragmas_for_codes_that_ran_are_checked(self, tmp_path):
+        root = self.write(tmp_path, "x = 1  # replint: ignore[DET001]\ny = 2  # replint: ignore\n")
+        assert run_analysis(root, codes=frozenset({"DET002"})).findings == []
+        full = run_analysis(root)
+        assert [f.line for f in full.findings if f.code == "PRAGMA001"] == [1, 2]
+
+    def test_a_comment_line_pragma_is_checked_against_its_target(self, tmp_path):
+        root = self.write(
+            tmp_path,
+            "import time\n# why\n# replint: ignore[DET001]\n\nx = time.time()\n"
+            "# replint: ignore[DET001]\ny = 2\n",
+        )
+        result = run_analysis(root, codes=frozenset({"DET001"}))
+        assert [(f.code, f.line) for f in result.findings] == [("PRAGMA001", 6)]
+        assert result.suppressed == 1
+
+    def test_a_pragma_naming_another_code_is_unused(self, tmp_path):
+        root = self.write(tmp_path, "import time\nx = time.time()  # replint: ignore[DET003]\n")
+        result = run_analysis(root, codes=frozenset({"DET001", "DET003"}))
+        assert [(f.code, f.line) for f in result.findings] == [("DET001", 2), ("PRAGMA001", 2)]
+
+    def test_stacked_comment_pragmas_all_apply_to_the_next_code_line(self, tmp_path):
+        root = self.write(
+            tmp_path,
+            "import time\n# replint: ignore[DET001]\n# replint: ignore[DET003]\n"
+            "x = time.time() + id(time)\n",
+        )
+        result = run_analysis(root, codes=frozenset({"DET001", "DET003"}))
+        assert (result.findings, result.suppressed) == ([], 2)
+
+    def test_strings_and_quoting_comments_are_no_pragmas(self, tmp_path):
+        root = self.write(
+            tmp_path,
+            '"""Write ``# replint: ignore[DET001]`` after the line."""\n'
+            "#: ``# replint: ignore`` silences every rule\nx = 1\n",
+        )
+        assert not [f for f in run_analysis(root).findings if f.code == "PRAGMA001"]
+
+    def test_the_used_fixture_pragmas_report_nothing(self):
+        result = run_family("det_pragma", "DET")
+        assert not [f for f in result.findings if f.code == "PRAGMA001"]
 
 
 class TestPragmas:
@@ -585,7 +765,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rules"] == [
             "CONC001",
-            "CONC002",
             "CONC003",
             "CONC004",
             "CONC005",
@@ -664,19 +843,27 @@ class TestCli:
 
 
 class TestSelfCheck:
-    def test_package_is_clean_against_empty_baseline(self):
-        """src/repro carries no replint findings (the committed baseline
-        is empty); any new hazard fails here before it fails CI."""
-        result = run_analysis(SRC_REPRO)
-        assert compare(result.findings, {}).ok, [
-            f"{f.location}: {f.code} {f.message}" for f in result.findings
-        ]
+    BASELINE = Path(__file__).parents[1] / "analysis" / "baseline.json"
 
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(
-            Path(__file__).parents[1] / "analysis" / "baseline.json"
+    def test_package_is_clean_against_the_committed_baseline(self):
+        """src/repro carries no replint finding beyond the committed
+        baseline and the baseline has no expired entry; any new hazard or
+        unreached def fails here before it fails CI."""
+        result = run_analysis(SRC_REPRO)
+        comparison = compare(
+            result.findings,
+            load_baseline(self.BASELINE),
+            justifications=load_justifications(self.BASELINE),
         )
-        assert baseline == {}
+        assert comparison.ok, [
+            f"{f.location}: {f.code} {f.message}" for f in comparison.new
+        ] + comparison.expired
+
+    def test_the_committed_baseline_holds_only_justified_reach_entries(self):
+        baseline = load_baseline(self.BASELINE)
+        justifications = load_justifications(self.BASELINE)
+        assert {split_fingerprint(entry)["code"] for entry in baseline} <= {"REACH001"}
+        assert set(justifications) == set(baseline)
 
     def test_registry_matches_tracing_vocabulary(self):
         from repro.obs import EVENT_TYPES

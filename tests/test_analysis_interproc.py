@@ -3,7 +3,7 @@
 Runs against the dedicated fixture trees under
 ``tests/fixtures/analysis`` — ``interproc`` for the graph machinery
 itself and the ``conc*`` trees for the derived facts the CONC rules
-consume (loop reachability, acquisition edges, transitive blocking).
+consume (acquisition edges, transitive blocking).
 """
 
 from __future__ import annotations
@@ -128,32 +128,12 @@ class TestSummaries:
         assert init.accesses == []
 
     def test_spawn_boundary_recorded(self):
-        index = index_of("conc002_bad")
-        safe = index.functions["app/mod.py::Pump.safe"]
-        spawned = [site for site in safe.calls if site.spawn]
-        assert any(
-            "app/mod.py::Pump._work" in site.callees for site in spawned
-        )
-
-
-class TestLoopReachability:
-    def test_coroutine_chain_reaches_inline_callee(self):
-        index = index_of("conc002_bad")
-        reachable = index.loop_reachability()
-        chain = reachable["app/mod.py::Pump._work"]
-        assert chain[0] == "app/mod.py::Pump.run"
-
-    def test_call_soon_threadsafe_callback_is_a_root(self):
-        index = index_of("conc002_bad")
-        reachable = index.loop_reachability()
-        assert reachable["app/mod.py::Pump._tick"] == (
-            "app/mod.py::Pump._tick",
-        )
-
-    def test_executor_boundary_stops_reachability(self):
         index = index_of("conc_good")
-        reachable = index.loop_reachability()
-        assert "app/mod.py::Disciplined._slow" not in reachable
+        pump = index.functions["app/mod.py::Disciplined.pump"]
+        spawned = [site for site in pump.calls if site.spawn]
+        assert any(
+            "app/mod.py::Disciplined._slow" in site.callees for site in spawned
+        )
 
 
 class TestDerivedFacts:

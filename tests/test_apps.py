@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.apps.ats import ALLOWED_COMPONENTS, Alarm, RepairReport
-from repro.apps.dtms import ChannelEndpoint, Site, wire_channel
+from repro.apps.dtms import ChannelEndpoint, Site
 from repro.apps.flightbooking import (
     AdditiveSoldMerge,
     Flight,
     PartitionSensitiveTicketConstraint,
-    Person,
     TicketConstraint,
 )
 from repro.core import ConstraintValidationContext, SatisfactionDegree
@@ -38,10 +37,6 @@ class TestFlightEntity:
     def test_free_seats(self):
         flight = Flight("f1", seats=10, sold=4)
         assert flight.free_seats() == 6
-
-    def test_person_entity(self):
-        person = Person("p1", name="Ada")
-        assert person.get_name() == "Ada"
 
 
 class TestTicketConstraint:
@@ -109,19 +104,6 @@ class TestDegradedBaseline:
         baseline.capture("k", 15, degraded=True)
         baseline.capture("k", 30, degraded=False)
         assert baseline.capture("k", 35, degraded=True) == 30
-
-    def test_reset(self):
-        baseline = DegradedBaseline()
-        baseline.capture("k", 10, degraded=True)
-        baseline.reset("k")
-        assert len(baseline) == 0
-        assert baseline.peek("k") is None
-
-    def test_peek_prefers_frozen(self):
-        baseline = DegradedBaseline()
-        baseline.capture("k", 10, degraded=False)
-        baseline.capture("k", 20, degraded=True)
-        assert baseline.peek("k") == 10
 
 
 class TestPartitionSensitiveConstraint:
@@ -215,13 +197,6 @@ class TestAtsEntities:
 
 
 class TestDtmsEntities:
-    def test_wire_channel_sets_peers(self):
-        end_a = ChannelEndpoint("e1", channel_id="ch1")
-        end_b = ChannelEndpoint("e2", channel_id="ch1")
-        wire_channel(end_a, end_b)
-        assert end_a.get_peer() == end_b.ref
-        assert end_b.get_peer() == end_a.ref
-
     def test_configure_sets_both_parameters(self):
         endpoint = ChannelEndpoint("e1")
         endpoint.configure(118000, "g711")
@@ -296,5 +271,5 @@ class TestGeneratedWorkloads:
         from repro.faults.chaos import replay_scenario
 
         report = replay_scenario(self._partitioned(domain, seed=3))
-        assert report.all_invariants_hold, report.failed_invariants
+        assert not report.failed_invariants, report.failed_invariants
         assert report.attempted == 13

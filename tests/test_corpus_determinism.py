@@ -63,7 +63,7 @@ def test_replay_trace_matches_golden_fixture_and_repeats_byte_identically():
     assert first.trace_jsonl.encode("utf-8") == (
         FIXTURES / "auction_s11_replay_trace.jsonl"
     ).read_bytes()
-    assert first.all_invariants_hold, first.failed_invariants
+    assert not first.failed_invariants, first.failed_invariants
     assert first.snapshot == second.snapshot
 
 

@@ -44,7 +44,7 @@ def test_generated_scenarios_replay_with_every_invariant_holding(domain):
             GeneratorConfig(domain=domain, seed=seed, nodes=5, entities=4, ops=40, faults=2)
         )
         report = replay_scenario(scenario)
-        assert report.all_invariants_hold, (seed, report.failed_invariants)
+        assert not report.failed_invariants, (seed, report.failed_invariants)
 
 
 @pytest.mark.parametrize("domain", domain_names())

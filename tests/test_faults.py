@@ -78,13 +78,6 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             GilbertElliottLoss(p_good_to_bad=0.5, p_bad_to_good=0.0, loss_bad=1.0)
 
-    def test_steady_state_loss(self):
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.1, p_bad_to_good=0.3, loss_good=0.0, loss_bad=0.6
-        )
-        # bad fraction = 0.1 / 0.4 = 0.25; loss = 0.25 * 0.6 = 0.15
-        assert model.steady_state_loss() == pytest.approx(0.15)
-
     def test_chain_is_deterministic_per_rng_seed(self):
         def run(seed):
             model = GilbertElliottLoss(p_good_to_bad=0.2, p_bad_to_good=0.3)
@@ -114,13 +107,6 @@ class TestGilbertElliott:
             1 for i, d in enumerate(drops) if d and (i == 0 or not drops[i - 1])
         )
         assert runs < losses
-
-    def test_reset_returns_to_good_state(self):
-        model = GilbertElliottLoss(p_good_to_bad=1.0, p_bad_to_good=0.0, loss_bad=0.9)
-        model.decide(random.Random(0), "a", "b", "k", None)
-        assert model.bad
-        model.reset()
-        assert not model.bad
 
 
 class TestSimpleModels:
@@ -171,8 +157,6 @@ class TestSimpleModels:
         assert ge.bad
         assert decision.extra_delay == pytest.approx(0.1)
         assert decision.duplicates == 1
-        composite.reset()
-        assert not ge.bad
 
     def test_composite_needs_models(self):
         with pytest.raises(ValueError):
@@ -182,11 +166,17 @@ class TestSimpleModels:
 class TestFaultInjector:
     def test_bidirectional_shares_model_instance(self):
         injector = FaultInjector()
-        model = GilbertElliottLoss()
-        injector.set_link_model("a", "b", model)
+        consulted = []
+
+        class Recording(LinkFaultModel):
+            def decide(self, rng, source, destination, kind, payload):
+                consulted.append((source, destination))
+                return PASS
+
+        injector.set_link_model("a", "b", Recording())
         injector.on_send("a", "b", "k", None)
         injector.on_send("b", "a", "k", None)
-        assert injector.decisions == 2
+        assert consulted == [("a", "b"), ("b", "a")]
 
     def test_rejects_self_link(self):
         injector = FaultInjector()
@@ -219,7 +209,6 @@ class TestFaultInjector:
         injector.set_link_model("a", "b", DropKinds(["k"]))
         injector.enabled = False
         assert injector.on_send("a", "b", "k", None) is PASS
-        assert injector.decisions == 0
 
     def test_same_seed_same_decisions(self):
         def run(seed):
@@ -250,16 +239,15 @@ class TestFaultInjector:
 
         assert stream(True) == stream(False)
 
-    def test_reset_restores_initial_streams(self):
+    def test_clear_removes_every_model(self):
         injector = FaultInjector(seed=1)
         injector.set_default_model(
             lambda: GilbertElliottLoss(p_good_to_bad=0.4, p_bad_to_good=0.2)
         )
-        first = [injector.on_send("a", "b", "k", None).drop for _ in range(50)]
-        injector.reset()
-        second = [injector.on_send("a", "b", "k", None).drop for _ in range(50)]
-        assert first == second
+        injector.set_link_model("a", "c", DropKinds(["k"]))
+        assert injector.on_send("a", "c", "k", None).drop
         injector.clear()
+        assert injector.on_send("a", "c", "k", None) is PASS
         assert injector.on_send("a", "b", "k", None) is PASS
 
 
@@ -293,16 +281,6 @@ class TestFaultSchedule:
             "partition",
             "heal_all",
         }
-
-    def test_serialization_round_trip(self):
-        schedule = (
-            FaultSchedule()
-            .fail_link(1.0, "a", "b")
-            .partition(2.0, ("a",), ("b", "c"))
-            .heal_all(3.0)
-        )
-        copy = FaultSchedule.from_events(schedule.to_events())
-        assert copy.to_events() == schedule.to_events()
 
     def test_install_fires_at_scripted_times(self):
         network = make_network()
@@ -417,7 +395,6 @@ class TestNetworkIntegration:
         replies = channel.multicast("a", "update", "payload")
         assert replies == {"b": "ack", "c": "ack"}
         assert sorted(received) == ["b", "c"]
-        assert injector.decisions == 0
         assert "network_latency" not in network.ledger.totals
         types = [e.type for e in network.obs.events()]
         assert types.count("multicast") == 1 and "message_send" not in types
@@ -602,4 +579,3 @@ class TestCustomModel:
     def test_base_model_passes(self):
         model = LinkFaultModel()
         assert model.decide(random.Random(0), "a", "b", "k", None) is PASS
-        model.reset()  # no-op, must not raise

@@ -126,4 +126,4 @@ def test_a_corpus_scenario_replays_identically_without_foreign_stores(domain, mo
     stores, nodes = doubles[0]
     assert stores.used and nodes.used
     assert denied.trace_jsonl == expected.trace_jsonl
-    assert denied.all_invariants_hold, denied.failed_invariants
+    assert not denied.failed_invariants, denied.failed_invariants

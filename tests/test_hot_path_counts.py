@@ -4,8 +4,9 @@ No timing: the counts say what a healthy op is allowed to recompute.  State
 copies go through ``copy_value`` and never reach ``copy.deepcopy`` for the
 flat states the flight app has; partition components are searched once per
 topology, not once per call; object references are made with their entities,
-not per access.  A healthy read and a forwarded write run a pinned number
-of the package's Python frames, and none of ``enum``'s.
+not per access.  A healthy read, a forwarded write, a degraded forwarded
+write and an absorbed threat occurrence run a pinned number of the
+package's Python frames, and none of ``enum``'s.
 """
 
 import copy
@@ -195,6 +196,34 @@ def test_healthy_ops_make_no_object_refs(counted, monkeypatch):
     assert cluster.entity_on("n1", ref).ref is ref
 
 
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+# Python 3.12 inlines these into their caller; 3.10 and 3.11 give each a frame.
+COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def _frames(action):
+    """Run ``action``; return the Python frames it entered under
+    ``src/repro`` (comprehensions left out) and those in ``enum.py``."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(PACKAGE):
+                if code.co_name not in COMPREHENSIONS:
+                    counts["repro"] += 1
+            elif os.path.basename(code.co_filename) == "enum.py":
+                counts["enum"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return counts["repro"], counts["enum"]
+
+
 def _charges(cluster):
     """Every charge booked so far, by category, over the cluster's ledger
     and each node's (one shared ledger today; counted once each)."""
@@ -275,6 +304,17 @@ def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
     )
 
 
+def test_the_python_frames_of_one_absorbed_occurrence_are_pinned():
+    """Absorbing an identical threat enters exactly these many of the
+    package's frames and no ``enum`` frame: the degree comparison and the
+    row's degree name read the member's fields, not its properties."""
+    store = ThreatStore(PersistenceEngine(SimClock()))
+    ref = ObjectRef("Flight", "F1")
+    store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_SATISFIED, ref))
+    occurrence = ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_VIOLATED, ref)
+    assert _frames(lambda: store.record(occurrence)) == (11, 0)
+
+
 def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
     """A forwarded write inside the majority partition whose threat an
     earlier write already stored: it negotiates, absorbs the occurrence on
@@ -311,32 +351,16 @@ def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
     assert stored.occurrences == 2
 
 
-PACKAGE = os.path.dirname(repro.__file__) + os.sep
-# Python 3.12 inlines these into their caller; 3.10 and 3.11 give each a frame.
-COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
-
-
-def _frames(action):
-    """Run ``action``; return the Python frames it entered under
-    ``src/repro`` (comprehensions left out) and those in ``enum.py``."""
-    counts = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(PACKAGE):
-                if code.co_name not in COMPREHENSIONS:
-                    counts["repro"] += 1
-            elif os.path.basename(code.co_filename) == "enum.py":
-                counts["enum"] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(previous)
-    return counts["repro"], counts["enum"]
+def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
+    """The degraded forwarded write of the charge pin above, counted in
+    the package's Python frames; no ``enum`` frame either."""
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1", "n2"}, {"n3"})
+    accept = AcceptAllHandler()
+    cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
+    assert _frames(
+        lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
+    ) == (241, 0)
 
 
 def test_the_python_frames_of_one_whole_op_are_pinned(counted):
@@ -346,5 +370,5 @@ def test_the_python_frames_of_one_whole_op_are_pinned(counted):
     cluster, ref, copies, deep, searches = counted
     assert cluster.replication.route_write(ref, "n2") == "n1"
     # The same on Python 3.10, 3.11 and 3.12.
-    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (89, 0)
-    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (227, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (88, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (226, 0)

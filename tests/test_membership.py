@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from repro.membership import GroupMembershipService, reach_sets, topology_gms
 from repro.net import SimNetwork
 
+from conftest import partition_fraction
+
 NODES = ("a", "b", "c", "d")
 
 
@@ -141,17 +143,17 @@ class TestListeners:
 class TestWeights:
     def test_default_weights_are_uniform(self, gms):
         assert gms.total_weight() == 4.0
-        assert gms.partition_weight_fraction("a") == 1.0
+        assert partition_fraction(gms, "a") == 1.0
 
-    def test_partition_weight_fraction(self, network, gms):
+    def test_a_partitions_weight_fraction(self, network, gms):
         network.partition({"a"}, {"b", "c", "d"})
-        assert gms.partition_weight_fraction("a") == pytest.approx(0.25)
-        assert gms.partition_weight_fraction("b") == pytest.approx(0.75)
+        assert partition_fraction(gms, "a") == pytest.approx(0.25)
+        assert partition_fraction(gms, "b") == pytest.approx(0.75)
 
     def test_custom_weights(self, network):
         gms = topology_gms(network, weights={"a": 5.0})
         network.partition({"a"}, {"b", "c", "d"})
-        assert gms.partition_weight_fraction("a") == pytest.approx(5.0 / 8.0)
+        assert partition_fraction(gms, "a") == pytest.approx(5.0 / 8.0)
 
     def test_set_weight_validates(self, gms):
         with pytest.raises(ValueError):
@@ -161,7 +163,7 @@ class TestWeights:
 
     def test_crashed_node_weight_fraction_zero(self, network, gms):
         network.crash_node("a")
-        assert gms.partition_weight_fraction("a") == 0.0
+        assert partition_fraction(gms, "a") == 0.0
 
     def test_weight_of(self, gms):
         assert gms.weight_of(["a", "b"]) == 2.0
@@ -169,14 +171,14 @@ class TestWeights:
     def test_a_fraction_follows_weight_and_view_changes(self, network, gms):
         # weight_fraction remembers its answers; a new weight or a new
         # view must not be answered from memory.
-        assert gms.partition_weight_fraction("a") == 1.0
+        assert partition_fraction(gms, "a") == 1.0
         network.partition({"a"}, {"b", "c", "d"})
-        assert gms.partition_weight_fraction("a") == 0.25
+        assert partition_fraction(gms, "a") == 0.25
         gms.set_weight("a", 5.0)
-        assert gms.partition_weight_fraction("a") == 5.0 / 8.0
-        assert gms.partition_weight_fraction("b") == 3.0 / 8.0
+        assert partition_fraction(gms, "a") == 5.0 / 8.0
+        assert partition_fraction(gms, "b") == 3.0 / 8.0
         network.heal_all()
-        assert gms.partition_weight_fraction("b") == 1.0
+        assert partition_fraction(gms, "b") == 1.0
 
 
 class TestReports:
@@ -193,14 +195,14 @@ class TestReports:
 
     def test_a_first_named_node_joins_at_weight_one(self):
         gms = GroupMembershipService(("a",), weights={"a": 3.0})
-        assert gms.partition_weight_fraction("a") == 1.0
+        assert partition_fraction(gms, "a") == 1.0
         gms.observe({"a": frozenset({"a", "z", "b"})})
         assert gms.nodes == ("a", "b", "z")
         assert gms.total_weight() == 5.0
-        assert gms.partition_weight_fraction("a") == 1.0
+        assert partition_fraction(gms, "a") == 1.0
         assert gms.view_of("z").members == frozenset()
         gms.observe({"a": frozenset({"a", "b"})})
-        assert gms.partition_weight_fraction("a") == pytest.approx(4.0 / 5.0)
+        assert partition_fraction(gms, "a") == pytest.approx(4.0 / 5.0)
         assert gms.nodes == ("a", "b", "z") and gms.epoch == 2
 
     def test_the_adapter_reports_faults_made_before_it_attached(self, network):

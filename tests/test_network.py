@@ -223,56 +223,19 @@ class TestGroupChannel:
         assert channel.multicast("a", "update") == {}
         assert network.scheduler.clock.now == before
 
-    def test_leave_removes_member(self, network):
+    def test_members_tuple_is_rebuilt_by_join_only(self, network):
         channel = GroupChannel(network)
-        channel.join("a", lambda msg: "ack")
         channel.join("b", lambda msg: "ack")
-        channel.leave("b")
-        assert channel.members == ("a",)
-        # The tuple is rebuilt by join / leave only, not per read.
+        channel.join("a", lambda msg: "ack")
+        assert channel.members == ("a", "b")
         assert channel.members is channel.members
-        channel.leave("zzz")
         channel.join("a", lambda msg: "again")
-        assert channel.members == ("a",)
+        assert channel.members == ("a", "b")
 
     def test_join_unknown_node_rejected(self, network):
         channel = GroupChannel(network)
         with pytest.raises(KeyError):
             channel.join("zzz", lambda msg: None)
-
-    def test_handler_leaving_later_recipient_skips_it(self, network):
-        # Regression: a delivery handler making a *later* recipient leave
-        # the group mid-round must not blow up the delivery loop; the
-        # departed member is skipped and absent from the replies.
-        channel = GroupChannel(network)
-        delivered = []
-        channel.join("a", lambda msg: "ack")
-
-        def evict_d(msg):
-            delivered.append("b")
-            channel.leave("d")
-            return "ack"
-
-        channel.join("b", evict_d)
-        channel.join("c", lambda msg: delivered.append("c") or "ack")
-        channel.join("d", lambda msg: delivered.append("d") or "ack")
-        replies = channel.multicast("a", "update")
-        assert delivered == ["b", "c"]
-        assert set(replies) == {"b", "c"}
-        assert channel.members == ("a", "b", "c")
-
-    def test_handler_leaving_itself_still_replies(self, network):
-        channel = GroupChannel(network)
-        channel.join("a", lambda msg: "ack")
-
-        def leave_self(msg):
-            channel.leave("b")
-            return "bye"
-
-        channel.join("b", leave_self)
-        channel.join("c", lambda msg: "ack")
-        replies = channel.multicast("a", "update")
-        assert replies == {"b": "bye", "c": "ack"}
 
     def test_crash_mid_round_keeps_full_charge(self, network):
         # The round's cost is reserved up front (the Spread analogue hands

@@ -143,7 +143,7 @@ class TestSynthesisedAccessors:
         finally:
             pop_tracker()
         assert tracker.accessed == [account]
-        assert account.version == 1 and account in tx.context["written_entities"]
+        assert account.version == 1
         txmgr.rollback(tx)
         assert account.get_balance() == 5 and account.version == 0
 
@@ -262,14 +262,6 @@ class TestUndoLogging:
         txmgr.commit(tx)
         assert account.get_balance() == 100
 
-    def test_written_entities_tracked_in_tx(self, container):
-        txmgr = container.node.services.txmgr
-        account = container.create("Account", "a1")
-        tx = txmgr.begin()
-        account.set_balance(1)
-        assert account in tx.context["written_entities"]
-        txmgr.commit(tx)
-
 
 class TestContainer:
     def test_create_and_resolve(self, container):
@@ -332,15 +324,6 @@ class TestNamingAndLocation:
         naming.bind("x", ObjectRef("A", "1"))
         with pytest.raises(KeyError):
             naming.bind("x", ObjectRef("A", "2"))
-
-    def test_rebind_and_unbind(self):
-        naming = NamingService()
-        naming.bind("x", ObjectRef("A", "1"))
-        naming.rebind("x", ObjectRef("A", "2"))
-        assert naming.lookup("x").oid == "2"
-        naming.unbind("x")
-        with pytest.raises(KeyError):
-            naming.lookup("x")
 
     def test_location_service(self):
         location = LocationService()

@@ -68,7 +68,7 @@ class TestCounter:
         counter.inc(a="1", b="2")
         counter.inc(b="2", a="1")
         assert counter.value(a="1", b="2") == 2.0
-        assert counter.series_count == 1
+        assert len(counter.snapshot()["series"]) == 1
 
     def test_rejects_negative_increment(self):
         with pytest.raises(ValueError):
@@ -130,6 +130,11 @@ class TestLabelCardinality:
 # ----------------------------------------------------------------------
 # histograms
 # ----------------------------------------------------------------------
+def buckets(hist: Histogram) -> dict[str, int]:
+    """The unlabelled series' cumulative count per finite upper edge."""
+    return hist.snapshot()["series"][""]["buckets"]
+
+
 class TestHistogram:
     def test_value_on_edge_counts_into_that_bucket(self):
         # Prometheus ``le`` semantics: bucket edge is an inclusive upper
@@ -137,24 +142,27 @@ class TestHistogram:
         hist = Histogram("h", buckets=(1.0, 2.0, 5.0))
         hist.observe(1.0)
         hist.observe(2.0)
-        assert hist.bucket_counts() == {1.0: 1, 2.0: 2, 5.0: 2, math.inf: 2}
+        assert buckets(hist) == {"1.0": 1, "2.0": 2, "5.0": 2}
+        assert hist.count() == 2
 
     def test_value_above_last_edge_lands_in_inf(self):
         hist = Histogram("h", buckets=(1.0,))
         hist.observe(100.0)
-        assert hist.bucket_counts() == {1.0: 0, math.inf: 1}
+        assert buckets(hist) == {"1.0": 0}
+        assert hist.count() == 1
 
     def test_value_just_above_edge_goes_to_next_bucket(self):
         hist = Histogram("h", buckets=(1.0, 2.0))
         hist.observe(1.0000001)
-        assert hist.bucket_counts()[1.0] == 0
-        assert hist.bucket_counts()[2.0] == 1
+        assert buckets(hist)["1.0"] == 0
+        assert buckets(hist)["2.0"] == 1
 
     def test_counts_are_cumulative(self):
         hist = Histogram("h", buckets=(1.0, 2.0, 3.0))
         for value in (0.5, 1.5, 2.5, 2.6):
             hist.observe(value)
-        assert hist.bucket_counts() == {1.0: 1, 2.0: 2, 3.0: 4, math.inf: 4}
+        assert buckets(hist) == {"1.0": 1, "2.0": 2, "3.0": 4}
+        assert hist.count() == 4
 
     def test_count_and_sum(self):
         hist = Histogram("h", buckets=(1.0,))
@@ -167,7 +175,6 @@ class TestHistogram:
         hist = Histogram("h", buckets=(1.0,))
         assert hist.count(op="x") == 0
         assert hist.sum(op="x") == 0.0
-        assert hist.bucket_counts(op="x") == {1.0: 0, math.inf: 0}
 
     def test_rejects_empty_buckets(self):
         with pytest.raises(ValueError):
@@ -241,12 +248,6 @@ class TestMetricsRegistry:
         assert parsed["c"]["series"]["kind=a"] == 1.0
         assert parsed["h"]["series"][""]["count"] == 1
 
-    def test_reset_clears_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        assert registry.names() == ()
-
 
 # ----------------------------------------------------------------------
 # no-op variants: zero side effects
@@ -270,11 +271,9 @@ class TestNullVariants:
         assert gauge.value() == 0.0
         assert hist.count() == 0
         assert hist.sum() == 0.0
-        assert hist.bucket_counts() == {}
         assert registry.snapshot() == {}
         assert registry.names() == ()
         assert registry.get("c") is None
-        registry.reset()
 
     def test_null_instruments_share_singletons(self):
         assert NullRegistry().counter("x") is NullRegistry().counter("y")
@@ -291,11 +290,8 @@ class TestNullVariants:
 
     def test_null_tracer_emits_nothing(self):
         tracer = NullTracer()
-        ring = RingBufferSink()
-        tracer.add_sink(ring)
         assert tracer.emit("invocation", node="n1", method="m") is None
         assert tracer.emitted == 0
-        assert len(ring) == 0
         tracer.bind_clock(SimClock())
         tracer.close()
         assert tracer.now == 0.0
@@ -352,17 +348,15 @@ class TestTracer:
         assert tracer.emitted == 2
 
     def test_disabled_tracer_returns_none(self):
-        tracer = Tracer()
         ring = RingBufferSink()
-        tracer.add_sink(ring)
+        tracer = Tracer(sinks=[ring])
         tracer.enabled = False
         assert tracer.emit("invocation") is None
         assert len(ring) == 0
 
     def test_fan_out_to_all_sinks(self):
         ring_a, ring_b = RingBufferSink(), RingBufferSink()
-        tracer = Tracer(sinks=[ring_a])
-        tracer.add_sink(ring_b)
+        tracer = Tracer(sinks=[ring_a, ring_b])
         tracer.emit("invocation")
         assert len(ring_a) == len(ring_b) == 1
         tracer.close()

@@ -364,6 +364,7 @@ class TestReportAggregation:
             group.replica_conflicts for group in report.groups
         )
         assert report.postponed == sum(group.postponed for group in report.groups)
-        assert report.total_seconds == pytest.approx(
-            sum(group.total_seconds for group in report.groups)
-        )
+        for phase in ("replica_phase_seconds", "constraint_phase_seconds"):
+            assert getattr(report, phase) == pytest.approx(
+                sum(getattr(group, phase) for group in report.groups)
+            )

@@ -13,6 +13,9 @@ from repro.replication import (
     WriteAccessDenied,
 )
 
+from conftest import history_entries
+
+
 NODES = ("a", "b", "c")
 ALL = frozenset(NODES)
 
@@ -177,13 +180,13 @@ class TestReplicationManager:
         ref = cluster.create_entity("a", "Counter", "c1")
         cluster.partition({"a"}, {"b", "c"})
         cluster.invoke("a", ref, "set_value", 7)
-        assert cluster.nodes["a"].state_history.total_entries() == 1
+        assert history_entries(cluster.nodes["a"].state_history) == 1
         assert len(cluster.replication.pending_update_records()) == 1
 
     def test_healthy_writes_record_no_history(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")
         cluster.invoke("a", ref, "set_value", 7)
-        assert cluster.nodes["a"].state_history.total_entries() == 0
+        assert history_entries(cluster.nodes["a"].state_history) == 0
         assert cluster.replication.pending_update_records() == []
 
     def test_epoch_increments_on_topology_change(self, cluster):

@@ -106,7 +106,15 @@ def test_the_helper_holds_the_only_module_getattr():
 
 
 def test_no_event_loop_and_no_executor_hop_in_the_worker():
+    """No coroutine anywhere in ``src/``, so replint analyses no event loop."""
     assert matches(r"^\s*(import|from) asyncio") == []
+    coroutines = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.AsyncFunctionDef, ast.Await, ast.AsyncFor, ast.AsyncWith))
+    ]
+    assert coroutines == []
     assert matches(r"ThreadPoolExecutor|run_in_executor", "transport/procnode.py") == []
 
 
@@ -291,3 +299,31 @@ def test_one_write_propagation_path():
     assert not {"prepare", "commit", "rollback"} & set(vars(ReplicationManager))
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
     assert not {"batch_updates", "fault_injector"} & fields
+
+
+def test_options_no_caller_set_stay_constants():
+    """Options that no caller set are gone, their one branch kept; so are
+    the records nothing read (replint REACH001 holds the functions)."""
+    import dataclasses
+    import inspect
+
+    from repro.analysis import engine
+    from repro.check import explorer, runner
+    from repro.cluster import ClusterConfig, DedisysCluster
+    from repro.core.ccmgr import ConstraintConsistencyManager
+
+    assert matches(r"CCMConfig|registry_factory|RegistryFactory|written_entities|after_completion") == []
+    fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+    assert len(fields) == 12 and "default_min_degree" not in fields
+    removed = [
+        (ConstraintConsistencyManager.__init__, "config"),
+        (explorer.Counterexample.replay, "registry_factory"),
+        (explorer.ModelChecker.__init__, "registry_factory"),
+        (explorer.shrink_counterexample, "registry_factory"),
+        (runner.run_schedule, "obs"),
+        (DedisysCluster.attach_adaptation, "start"),
+        (engine.run_analysis, "project_factory"),
+        (engine.load_project, "exclude"),
+    ]
+    for function, parameter in removed:
+        assert parameter not in inspect.signature(function).parameters, function

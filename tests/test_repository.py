@@ -143,9 +143,9 @@ class TestCachingBehaviour:
     def test_cache_populated_on_first_query(self):
         repository = CachingConstraintRepository()
         repository.register(make_registration("c1"))
-        assert repository.cache_size == 0
+        assert len(repository._cache) == 0
         repository.affected_constraints("Flight", "sell")
-        assert repository.cache_size == 1
+        assert len(repository._cache) == 1
 
     def test_cached_result_is_copy(self):
         repository = CachingConstraintRepository()
@@ -160,7 +160,7 @@ class TestCachingBehaviour:
         repository.register(make_registration("c1"))
         repository.affected_constraints("Flight", "sell")
         repository.register(make_registration("c2"))
-        assert repository.cache_size == 0
+        assert len(repository._cache) == 0
 
     def test_cache_invalidated_on_disable(self):
         repository = CachingConstraintRepository()

@@ -94,7 +94,7 @@ class TestIdenticalOncePolicy:
         assert not was_new
         assert stored.occurrences == 2
         assert store.stored_records() == 1
-        assert store.count_occurrences() == 2
+        assert sum(t.occurrences for t in store.occurrences_of(stored.identity)) == 2
 
     def test_identical_uses_cheap_dedup_check(self, engine):
         store = ThreatStore(engine, ThreatStoragePolicy.IDENTICAL_ONCE)
@@ -124,8 +124,7 @@ class TestIdenticalOncePolicy:
         store = ThreatStore(engine, ThreatStoragePolicy.IDENTICAL_ONCE)
         head, _ = store.record(make_threat())
         store.record(make_threat(degree=SatisfactionDegree.POSSIBLY_VIOLATED))
-        row = store.persisted_row(head.threat_id)
-        assert row is not None
+        row = store._table.get(head.threat_id)
         assert row["occurrences"] == 2
         assert row["degree"] == "POSSIBLY_VIOLATED"
 
@@ -184,8 +183,7 @@ class TestResolution:
         second, _ = store.record(make_threat())
         store.mark_deferred(("TicketConstraint", REF))
         for threat_id in (first.threat_id, second.threat_id):
-            row = store.persisted_row(threat_id)
-            assert row is not None
+            row = store._table.get(threat_id)
             assert row["deferred"] is True
 
     def test_mark_deferred_missing_raises(self, engine):
@@ -226,7 +224,7 @@ class TestResolution:
         absorb = (b, lambda: b.record(make_threat(degree=SatisfactionDegree.VIOLATED)))
         for store, write in [defer, absorb] if deferred_first else [absorb, defer]:
             write()
-            assert store.persisted_row(threat.threat_id) == threat.snapshot()
+            assert store._table.get(threat.threat_id) == threat.snapshot()
         assert (threat.deferred, threat.occurrences, threat.degree) == (True, 2, SatisfactionDegree.VIOLATED)
 
     @pytest.mark.parametrize("policy", list(ThreatStoragePolicy), ids=lambda policy: policy.name)
@@ -247,7 +245,7 @@ class TestResolution:
                 store.remove(identity)
             for known in store.identities():
                 for threat in store.occurrences_of(known):
-                    assert store.persisted_row(threat.threat_id) == threat.snapshot()
+                    assert store._table.get(threat.threat_id) == threat.snapshot()
             assert store.persisted_records() == store.stored_records()
 
 

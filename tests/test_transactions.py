@@ -63,12 +63,6 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             txmgr.commit(tx)
 
-    def test_require_current(self, txmgr):
-        with pytest.raises(RuntimeError):
-            txmgr.require_current()
-        tx = txmgr.begin()
-        assert txmgr.require_current() is tx
-
 
 class TestTwoPhaseCommit:
     def test_resources_prepared_then_committed(self, txmgr):
@@ -149,18 +143,6 @@ class TestUndoLog:
         txmgr.commit(tx)
         with pytest.raises(RuntimeError):
             tx.log_undo(lambda: None)
-
-
-class TestAfterCompletion:
-    def test_callback_receives_commit_flag(self, txmgr):
-        outcomes = []
-        tx = txmgr.begin()
-        tx.after_completion(outcomes.append)
-        txmgr.commit(tx)
-        tx2 = txmgr.begin()
-        tx2.after_completion(outcomes.append)
-        txmgr.rollback(tx2)
-        assert outcomes == [True, False]
 
 
 class TestRunHelper:

@@ -2,7 +2,7 @@
 
 Each test here pins a concrete fix in the transport backends:
 
-* member join/leave churn vs. ``member_nodes``/``multicast`` — the
+* member join churn vs. ``member_nodes``/``multicast`` — the
   handler table is copy-on-write, so readers never iterate a dict that
   is being mutated (pre-fix: ``RuntimeError: dictionary changed size``);
 * concurrent ``close()`` — check-then-act on ``_closed`` now happens
@@ -74,27 +74,43 @@ def run_threads_switching_fast(targets):
 
 class TestHandlerTableChurn:
     def test_member_churn_vs_reads(self):
-        transport = AsyncioTransport(NODES)
+        # Every churn step joins a fresh member, so the table changes size
+        # while the readers iterate it.  The fresh members are crashed:
+        # they sit in the table without ever being delivered to.
+        fresh = tuple(f"m{i}" for i in range(1000))
+        transport = AsyncioTransport(NODES + fresh)
         channel = transport.make_channel()
+        start = threading.Barrier(3)
+        churned = threading.Event()
         try:
+            for node in fresh:
+                transport.network.crash_node(node)
             channel.join("a", lambda message: "ack-a")
+            channel.join("b", lambda message: "ack-b")
 
             def churn():
-                for _ in range(300):
-                    channel.join("b", lambda message: "ack-b")
-                    channel.leave("b")
+                start.wait()
+                for node in fresh:
+                    channel.join(node, lambda message: "ack")
+                churned.set()
 
             def read():
-                for _ in range(300):
-                    members = transport.network.member_nodes()
-                    assert "a" in members
+                start.wait()
+                while not churned.is_set():
+                    assert "a" in transport.network.member_nodes()
+                    # A table once read is never written again.
+                    table = transport.network._handlers["member"]
+                    size = len(table)
+                    assert sum(1 for _ in table) == size == len(table)
 
             def cast():
-                for _ in range(100):
+                start.wait()
+                while not churned.is_set():
                     replies = channel.multicast("a", "noop", {})
-                    assert set(replies) <= {"b", "c"}
+                    assert set(replies) == {"b"}
 
-            run_threads([churn, read, cast])
+            run_threads_switching_fast([churn, read, cast])
+            assert len(transport.network.member_nodes()) == 2 + len(fresh)
         finally:
             transport.close()
 
