@@ -1,15 +1,29 @@
 """In-process threaded backend: a mailbox per node, on the sim clock.
 
-Each node is a **mailbox** — one FIFO ``queue.SimpleQueue`` — served by
+Each node is a **mailbox** — a FIFO ``collections.deque`` of requests
+and one ``os.pipe()`` that carries a wake byte per request — served by
 ``_NODE_WORKERS`` daemon threads, started at the node's first delivery.
-A ``send`` from a client thread or from another node's handler puts the
-message on the destination's mailbox together with a one-shot reply
-slot (a pre-acquired lock and a cell) and blocks on that lock; one of
-the destination's own threads runs the handler, fills the cell and
-releases the lock.  Nested synchronous sends — the primary multicasting
-an update from inside a server-chain handler — re-enter a node on
-another of its workers (up to ``_NODE_WORKERS`` deep).  That is two
-thread hand-offs per message: sender → node worker → sender.
+A ``send`` from a client thread or from another node's handler appends
+the message to the destination's mailbox together with a fresh reply
+cell and writes one byte to the mailbox pipe; one of the node's
+workers, blocked reading that pipe, runs the handler, fills the cell and
+writes one byte to the sending thread's own **reply pipe**, on which the
+sender waits in ``poll`` for at most ``request_timeout``.  Nested
+synchronous sends — the primary multicasting an update from inside a
+server-chain handler — re-enter a node on another of its workers (up to
+``_NODE_WORKERS`` deep).  That is two thread hand-offs per message:
+sender → node worker → sender.
+
+The pipes are there for the GIL, not for the bytes.  A lock release or
+a queue put wakes the peer while the waker still holds the GIL, so on a
+busy CPU the woken thread runs, finds the GIL taken and sleeps again;
+``os.write``, ``os.read`` and ``poll`` let go of the GIL before they
+wake anyone or block, so the woken thread finds it free.  Each pipe is
+owned by one object (:class:`_Pipe`) and closed when that object's last
+holder lets go of it: a mailbox is held by its node's workers and by
+each sender while it posts, a reply pipe by its thread and by every
+request it sent that is still unanswered, so no descriptor is closed
+while a thread can still write to it.
 
 There is no event loop here.  ``asyncio`` in the module, class and
 ``transport="asyncio"`` names is a kept identifier (callers, benchmark
@@ -37,14 +51,17 @@ threads and node workers, not a second notion of time.
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import threading
+from collections import deque
 from typing import Any, Callable, Sequence
 
 from ..net import GroupChannel, Message, NodeCrashedError, NodeId, UnreachableError
 from ..net.network import Network
 from ..sim import CostModel, Scheduler, SimClock
 from .base import Transport
+from .wallclock import read_monotonic
 
 #: Handler namespaces: point-to-point sends vs group-channel deliveries.
 _P2P = "p2p"
@@ -53,6 +70,70 @@ _MEMBER = "member"
 #: Threads per node: bounds nested re-entrant delivery depth (a handler on
 #: A sending to B whose handler calls back into A).
 _NODE_WORKERS = 4
+
+
+class _Pipe:
+    """One ``os.pipe()``, closed when the last reference to it goes."""
+
+    _fds: tuple[int, ...] = ()  # until os.pipe() returns
+
+    def __init__(self) -> None:
+        self._fds = self.read_fd, self.write_fd = os.pipe()
+
+    def wake(self) -> None:
+        os.write(self.write_fd, b"\0")
+
+    def __del__(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+
+
+class _Mailbox(_Pipe):
+    """A node's requests, one wake byte each for its workers."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        # (message, ns, reply cell, reply pipe), or None: a worker's stop.
+        self.pending: deque = deque()
+
+
+class _ReplyPipe(_Pipe):
+    """A sending thread's own wake-up: one per thread, for all its sends."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._poll = select.poll()
+        self._poll.register(self.read_fd, select.POLLIN)
+
+    def wait(self, reply: list, timeout: float) -> bool:
+        """Wait until ``reply`` is filled; False after ``timeout`` seconds.
+
+        A byte may be stale — the late answer to an earlier request of
+        this thread that timed out — so a wake counts only once ``reply``
+        holds something, and the deadline stays where it started.
+        """
+        deadline = read_monotonic() + timeout
+        while True:
+            if not self._poll.poll(timeout * 1000.0):
+                return bool(reply)
+            os.read(self.read_fd, 4096)
+            if reply:
+                return True
+            timeout = deadline - read_monotonic()
+            if timeout <= 0:
+                return False
+
+
+_threads = threading.local()
+
+
+def _reply_pipe() -> _ReplyPipe:
+    """The calling thread's reply pipe; it closes when the thread ends."""
+    try:
+        return _threads.reply_pipe
+    except AttributeError:
+        pipe = _threads.reply_pipe = _ReplyPipe()
+        return pipe
 
 
 class AsyncioNetwork(Network):
@@ -69,22 +150,19 @@ class AsyncioNetwork(Network):
         super().__init__(nodes, scheduler, costs=costs, obs=obs)
         self.request_timeout = request_timeout
         # Copy-on-write: mutators rebuild the whole two-level dict under
-        # the lock, so member_nodes() can read a coherent snapshot without
-        # taking it.
+        # the lock, so readers take a coherent snapshot without it.
         self._handlers: dict[str, dict[NodeId, Callable[[Message], Any]]] = {  # guarded-by: _handlers_lock
             _P2P: {},
             _MEMBER: {},
         }
         self._handlers_lock = threading.Lock()
-        # Client threads and node workers deliver at once, and counting a
-        # delivery is a read-modify-write.
-        self.delivered_count = 0  # guarded-by: _delivered_lock
-        self._delivered_lock = threading.Lock()
-        # A node's mailbox of (message, ns, reply lock, reply cell) and its
-        # threads appear at its first delivery.  Every put checks
-        # ``_closed`` under the lock, so none lands after close()'s drain.
-        self._mailboxes: dict[NodeId, queue.SimpleQueue] = {}  # guarded-by: _close_lock
+        # A node's mailbox and its threads appear at its first delivery.
+        # Every append checks ``_closed`` under the lock, so none lands
+        # after close()'s drain; client threads and node workers deliver
+        # at once, so the count of deliveries is kept under it too.
+        self._mailboxes: dict[NodeId, _Mailbox] = {}  # guarded-by: _close_lock
         self._closed = False  # guarded-by: _close_lock
+        self.delivered_count = 0  # guarded-by: _close_lock
         self._close_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -152,17 +230,16 @@ class AsyncioNetwork(Network):
         return self._post(Message(source, destination, kind, payload), _MEMBER)
 
     def _post(self, message: Message, ns: str) -> Any:
-        """Put on the destination node's mailbox; block for the reply.
+        """Append to the destination node's mailbox; block for the reply.
 
-        Two thread hand-offs per message: sender → node worker, and the
-        worker's release of the reply lock back to the sender.  The
-        sending thread — a client thread or another node's handler —
-        waits on that lock; each request has its own, so a reply that
-        arrives after its sender timed out reaches nobody.
+        Two thread hand-offs per message: the mailbox byte wakes a node
+        worker, and the worker's byte on the sender's reply pipe wakes
+        the sender — a client thread or another node's handler.  Each
+        request has its own reply cell, so a reply that arrives after its
+        sender timed out reaches nobody.
         """
-        done = threading.Lock()
-        done.acquire()
         reply: list = []
+        reply_pipe = _reply_pipe()
         node = message.destination
         with self._close_lock:
             if self._closed:
@@ -170,10 +247,10 @@ class AsyncioNetwork(Network):
             mailbox = self._mailboxes.get(node)
             if mailbox is None:
                 mailbox = self._mailboxes[node] = self._open_mailbox(node)
-            mailbox.put((message, ns, done, reply))
-        with self._delivered_lock:
+            mailbox.pending.append((message, ns, reply, reply_pipe))
             self._note_delivery(message)
-        if not done.acquire(True, self.request_timeout):
+        mailbox.wake()
+        if not reply_pipe.wait(reply, self.request_timeout):
             # Indistinguishable from a lost message at the sender (§1.1).
             self._drop(message.source, node, message.kind, "timeout")
             raise UnreachableError(message.source, node)
@@ -182,8 +259,8 @@ class AsyncioNetwork(Network):
             return value
         raise value
 
-    def _open_mailbox(self, node: NodeId) -> queue.SimpleQueue:
-        mailbox: queue.SimpleQueue = queue.SimpleQueue()
+    def _open_mailbox(self, node: NodeId) -> _Mailbox:
+        mailbox = _Mailbox()
         for index in range(_NODE_WORKERS):
             threading.Thread(
                 target=self._serve,
@@ -193,31 +270,40 @@ class AsyncioNetwork(Network):
             ).start()
         return mailbox
 
-    def _serve(self, mailbox: queue.SimpleQueue) -> None:
-        """A node worker: answer requests until close() sends ``None``."""
-        while (request := mailbox.get()) is not None:
-            message, ns, done, reply = request
+    def _serve(self, mailbox: _Mailbox) -> None:
+        """A node worker: answer requests until close() appends ``None``."""
+        read_fd, pending = mailbox.read_fd, mailbox.pending
+        while True:
+            os.read(read_fd, 1)
             try:
-                reply.append((True, self._dispatch(message, ns)))
-            except BaseException as exc:  # noqa: BLE001 - travels to the sender
-                reply.append((False, exc))
-            done.release()
+                request = pending.popleft()
+            except IndexError:
+                continue  # the byte of a request close() already failed
+            if request is None:
+                return
+            message, ns, reply, reply_pipe = request
+            reply.append(self._dispatch(message, ns))
+            reply_pipe.wake()
 
-    def _dispatch(self, message: Message, ns: str) -> Any:
+    def _dispatch(self, message: Message, ns: str) -> tuple[bool, Any]:
         """Run the destination's handler; executes on that node's worker.
 
-        Whatever this raises reaches the blocked sender through its reply.
+        Returns the reply ``(ok, value)``: whatever the handler raises
+        reaches the blocked sender as raised.
         """
         node = message.destination
-        if node in self._crashed:
-            # Crashed between enqueue and dispatch: the frame dies in the
-            # socket buffer, the sender sees an unreachable peer.
-            raise UnreachableError(message.source, node)
-        with self._handlers_lock:
+        try:
+            if node in self._crashed:
+                # Crashed between enqueue and dispatch: the frame dies in
+                # the socket buffer, the sender sees an unreachable peer.
+                raise UnreachableError(message.source, node)
+            # replint: ignore[CONC001] - lock-free read of the copy-on-write
+            # handler table: the reference swap in _mutate_handlers is atomic
+            # under the GIL and the snapshot is never mutated in place.
             handler = self._handlers[ns].get(node)
-        if handler is None:
-            return None
-        return handler(message)
+            return True, None if handler is None else handler(message)
+        except BaseException as exc:  # noqa: BLE001 - travels to the sender
+            return False, exc
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -230,19 +316,24 @@ class AsyncioNetwork(Network):
                 return
             self._closed = True
             mailboxes = list(self._mailboxes.values())
-        # No put follows the flag.  Running handlers finish and answer
-        # their senders; queued frames are failed (their senders get
+            # The workers and the senders still posting hold the
+            # mailboxes now; each pipe closes when the last of them ends.
+            self._mailboxes.clear()
+        # No append follows the flag.  Running handlers finish and answer
+        # their senders; queued requests are failed (their senders get
         # "network is closed"); each worker then takes a ``None`` and exits.
         for mailbox in mailboxes:
+            pending = mailbox.pending
             while True:
                 try:
-                    _, _, done, reply = mailbox.get_nowait()
-                except queue.Empty:
+                    _, _, reply, reply_pipe = pending.popleft()
+                except IndexError:
                     break
                 reply.append((False, RuntimeError("network is closed")))
-                done.release()
+                reply_pipe.wake()
             for _ in range(_NODE_WORKERS):
-                mailbox.put(None)
+                pending.append(None)
+                mailbox.wake()
 
 
 class AsyncioGroupChannel(GroupChannel):

@@ -6,12 +6,14 @@ flat states the flight app has; partition components are searched once per
 topology, not once per call; object references are made with their entities,
 not per access.  A healthy read, a forwarded write, a degraded forwarded
 write and an absorbed threat occurrence run a pinned number of the
-package's Python frames, and none of ``enum``'s.
+package's Python frames, and none of ``enum``'s.  On the threaded backend
+a forwarded write wakes each peer once per message and builds no lock.
 """
 
 import copy
 import os
 import sys
+import threading
 from collections import Counter
 from unittest.mock import Mock
 
@@ -36,6 +38,7 @@ from repro.objects.values import copy_value
 from repro.persistence import PersistenceEngine
 from repro.replication.manager import ReplicationManager
 from repro.sim import SimClock
+from repro.transport.asyncio_backend import _Mailbox, _ReplyPipe
 
 NODES = ("n1", "n2", "n3")
 
@@ -372,3 +375,61 @@ def test_the_python_frames_of_one_whole_op_are_pinned(counted):
     # The same on Python 3.10, 3.11 and 3.12.
     assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (88, 0)
     assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (226, 0)
+
+
+class CountedLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self.inner = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+
+def test_a_threaded_forwarded_write_wakes_each_peer_once_and_builds_no_lock(monkeypatch):
+    """On the threaded backend a write forwarded from ``b`` is three
+    deliveries (the forward and one ``replica-update`` per backup); each
+    wakes its node's worker once and its sender once, builds no lock and
+    reads the handler table without its lock."""
+    cluster = DedisysCluster(ClusterConfig(node_ids=("a", "b", "c"), transport="asyncio"))
+    try:
+        cluster.deploy(Flight)
+        cluster.register_constraint(ticket_constraint_registration())
+        ref = cluster.create_entity(
+            "a", "Flight", "F1", {"flight_number": "F1", "seats": 10_000, "sold": 0}
+        )
+        for node in ("a", "b", "c"):
+            cluster.invoke(node, ref, "sell_tickets", 1)
+        assert cluster.replication.route_write(ref, "b") == "a"
+
+        network = cluster.network
+        wakes = Counter()
+
+        def counting(kind, wake):
+            def counted_wake(pipe):
+                wakes[kind] += 1
+                wake(pipe)
+
+            return counted_wake
+
+        monkeypatch.setattr(_Mailbox, "wake", counting("mailbox", _Mailbox.wake))
+        monkeypatch.setattr(_ReplyPipe, "wake", counting("reply", _ReplyPipe.wake))
+        handlers_lock = CountedLock()
+        monkeypatch.setattr(network, "_handlers_lock", handlers_lock)
+        built = Mock(wraps=threading.Lock)
+        monkeypatch.setattr(threading, "Lock", built)
+
+        delivered = network.delivered_count
+        cluster.invoke("b", ref, "sell_tickets", 1)
+        assert network.delivered_count - delivered == 3
+        assert wakes == {"mailbox": 3, "reply": 3}
+        assert built.call_count == 0
+        assert handlers_lock.taken == 0
+    finally:
+        cluster.close()

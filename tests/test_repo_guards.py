@@ -13,7 +13,7 @@ helper of ``repro._lazy``; no module runs an event loop — a process-backend wo
 frame on its connection's own thread, with no executor hop, and starts
 only as a fork of its cluster's one template process; the threaded
 backend hands each message to its node's own mailbox, with no executor
-or future; an interceptor chain is composed once, not per hop; and the
+or future, and wakes its peers through pipes, not a queue or a lock; an interceptor chain is composed once, not per hop; and the
 CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
@@ -120,6 +120,24 @@ def test_no_event_loop_and_no_executor_hop_in_the_worker():
 
 def test_the_threaded_backend_hands_off_without_an_executor():
     assert matches(r"ThreadPoolExecutor|concurrent\.futures", "transport/asyncio_backend.py") == []
+
+
+def test_the_threaded_backend_wakes_through_pipes_not_a_queue_or_a_lock():
+    """A message wakes its node's worker and its sender through pipes:
+    no ``SimpleQueue`` mailbox, and ``_post`` builds no reply lock."""
+    assert matches(r"SimpleQueue", "transport/asyncio_backend.py") == []
+    tree = ast.parse((SRC / "transport" / "asyncio_backend.py").read_text())
+    (post,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_post"
+    ]
+    built = [
+        ast.unparse(call.func)
+        for call in ast.walk(post)
+        if isinstance(call, ast.Call)
+        and re.search(r"Lock|Condition|Semaphore|Event|Barrier", ast.unparse(call.func))
+    ]
+    assert built == []
 
 
 def test_the_interceptor_chain_is_composed_once():

@@ -1,8 +1,9 @@
 """The delivery contract of the in-process threaded ("asyncio") backend.
 
-A message goes onto the destination node's mailbox, one of that node's
-worker threads runs the handler, and the sender wakes on the request's
-own reply lock; there is no relay in between.  These tests pin what that
+A message goes onto the destination node's mailbox, whose pipe wakes one
+of that node's worker threads; the worker runs the handler, and a byte
+on the sending thread's own reply pipe wakes the sender; there is no
+relay in between.  These tests pin what that
 path promises:
 
 * one sender's messages reach a node's handler in send order;
@@ -13,16 +14,20 @@ path promises:
 * a handler outliving ``request_timeout`` costs the sender exactly one
   ``timeout`` drop event and an ``UnreachableError``;
 * a reply that arrives after its sender timed out reaches nobody: the
-  next send to that node returns its own result;
+  next send to that node returns its own result, and when that reply
+  wakes its thread during a later send, the later send still gets its
+  own result and times out ``request_timeout`` after it started;
 * ``close()`` never strands a sender: a racing send returns its result or
   raises ``RuntimeError("network is closed")``, promptly — also when
   ``close()`` starts while its put is still in flight;
-* only ``repro-node-*`` threads exist, and they exit after ``close()``.
+* only ``repro-node-*`` threads exist, and they exit after ``close()``;
+* a closed transport leaves no pipe open but the calling thread's own
+  reply pipe.
 """
 
 from __future__ import annotations
 
-import queue
+import os
 import threading
 import time
 
@@ -118,7 +123,7 @@ def send_behind_parked(network, node, payload):
     sender = threading.Thread(target=send)
     sender.start()
     deadline = time.monotonic() + 5.0
-    while network._mailboxes[node].empty():
+    while not network._mailboxes[node].pending:
         assert time.monotonic() < deadline, "the message never reached the mailbox"
         time.sleep(0.001)
     return sender, outcome
@@ -246,6 +251,55 @@ def test_a_late_reply_reaches_nobody():
         transport.close()
 
 
+def test_a_stale_wake_neither_answers_nor_extends_the_next_send():
+    """The late reply of a timed-out request wakes its thread again while
+    that thread waits on its next send: the next send still gets its own
+    result, and still times out ``request_timeout`` after it started."""
+    transport = AsyncioTransport(NODES, request_timeout=0.05)
+    network = transport.network
+    late = [threading.Event(), threading.Event()]
+    answered = threading.Event()
+    hold = threading.Event()
+
+    def slow(message):
+        assert late[message.payload].wait(timeout=5.0)
+        answered.set()
+        return "late"
+
+    def wake_the_sender(message):
+        step, after = message.payload
+        time.sleep(after)  # into the sender's wait
+        answered.clear()
+        late[step].set()  # the late reply goes to this sender's pipe
+        assert answered.wait(timeout=5.0)
+        if step == 0:
+            time.sleep(0.05)  # its byte lands before this reply's
+            return "own"
+        assert hold.wait(timeout=5.0)
+
+    try:
+        network.register_handler("b", slow)
+        network.register_handler("c", wake_the_sender)
+        with pytest.raises(UnreachableError):
+            network.send("a", "b", "work", 0)
+        network.request_timeout = 5.0
+        assert network.send("a", "c", "work", (0, 0.0)) == "own"
+
+        network.request_timeout = 0.05
+        with pytest.raises(UnreachableError):
+            network.send("a", "b", "work", 1)
+        network.request_timeout = 1.0
+        started = time.monotonic()
+        with pytest.raises(UnreachableError):
+            network.send("a", "c", "work", (1, 0.6))
+        waited = time.monotonic() - started
+        assert 0.95 <= waited < 1.4, waited
+    finally:
+        for event in (*late, hold):
+            event.set()
+        transport.close()
+
+
 def test_close_cancels_queued_messages_and_lets_running_ones_answer():
     transport = AsyncioTransport(NODES)
     network = transport.network
@@ -316,9 +370,9 @@ def test_senders_racing_close_finish_promptly():
 
 
 class PutAfterDrain:
-    """A node's mailbox whose put of one payload waits for ``close()`` to
-    drain the mailbox before landing — the interleaving a send that
-    passed the closed check while ``close()`` ran would produce."""
+    """A node's mailbox queue whose append of one payload waits for
+    ``close()`` to drain the queue before landing — the interleaving a
+    send that passed the closed check while ``close()`` ran would produce."""
 
     def __init__(self, inner, payload):
         self.inner = inner
@@ -326,23 +380,20 @@ class PutAfterDrain:
         self.putting = threading.Event()
         self.drained = threading.Event()
 
-    def put(self, request):
+    def append(self, request):
         if request is not None and request[0].payload == self.payload:
             self.putting.set()
-            # A close() that cannot start before this put returns has no
-            # drain to wait for.
+            # A close() that cannot start before this append returns has
+            # no drain to wait for.
             self.drained.wait(timeout=0.3)
-        self.inner.put(request)
+        self.inner.append(request)
 
-    def get_nowait(self):
+    def popleft(self):
         try:
-            return self.inner.get_nowait()
-        except queue.Empty:
+            return self.inner.popleft()
+        except IndexError:
             self.drained.set()
             raise
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
 
 def test_a_send_racing_close_past_the_drain_is_refused_promptly():
@@ -352,8 +403,8 @@ def test_a_send_racing_close_past_the_drain_is_refused_promptly():
     try:
         # Busy workers keep the racing message queued until close() runs.
         parked, _, ran = occupy_workers(network, "b", gate)
-        mailbox = PutAfterDrain(network._mailboxes["b"], "late")
-        network._mailboxes["b"] = mailbox
+        mailbox = PutAfterDrain(network._mailboxes["b"].pending, "late")
+        network._mailboxes["b"].pending = mailbox
         outcome: list = []
 
         def send():
@@ -423,6 +474,59 @@ def test_thread_census():
         time.sleep(0.01)
     assert census() == []
 
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_transports_leave_no_descriptor_and_no_thread_behind():
+    """Every pipe is closed once nothing can write to it any more: a
+    hundred transports, each with nested sends, a timed-out send and a
+    sender thread that has ended, leave at most the calling thread's own
+    reply pipe open, and none of their workers running."""
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def census():
+        return [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-node-fd-")
+        ]
+
+    baseline = open_fds()
+    release = threading.Event()
+    for _ in range(100):
+        transport = AsyncioTransport(("fd-a", "fd-b"), request_timeout=5.0)
+        network = transport.network
+
+        def handler_a(message):
+            if message.payload == "slow":
+                assert release.wait(timeout=5.0)
+            return message.payload
+
+        def handler_b(message):
+            return network.send("fd-b", "fd-a", "back", message.payload)
+
+        network.register_handler("fd-a", handler_a)
+        network.register_handler("fd-b", handler_b)
+        assert network.send("fd-a", "fd-b", "nest", "x") == "x"  # A → B → A
+        network.request_timeout = 0.01
+        try:
+            network.send("fd-b", "fd-a", "work", "slow")
+        except UnreachableError:
+            pass
+        else:
+            raise AssertionError("the slow send did not time out")
+        network.request_timeout = 5.0
+        outcomes, _ = in_threads([lambda: network.send("fd-a", "fd-b", "nest", "y")])
+        assert outcomes == ["y"]
+        transport.close()
+    release.set()
+    deadline = time.monotonic() + 5.0
+    while census() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert census() == []
+    assert open_fds() <= baseline + 2  # the calling thread's reply pipe
 
 
 def test_the_group_channel_keeps_members_only_in_the_networks_table(transport):
