@@ -2,8 +2,9 @@
 
 Design-phase OCL (Fig. 1.6: ``context Flight inv: self.sold <= self.seats``)
 becomes a first-class runtime constraint without writing a constraint
-class — the §6.3 model-driven-generation direction.  Both evaluation
-strategies (compiled and interpreted) plug into the same middleware.
+class — the §6.3 model-driven-generation direction.  The expression is
+translated to Python once and compiled; the middleware validates the
+compiled form like any handwritten constraint.
 
 Run:  python examples/ocl_constraints.py
 """

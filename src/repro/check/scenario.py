@@ -163,7 +163,6 @@ class Scenario:
                     if weights
                     else None
                 ),
-                seed=int(self.params.get("seed", 0)),
                 transport=transport,
             )
         )

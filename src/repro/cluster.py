@@ -47,7 +47,6 @@ from .objects import (
     Entity,
     InterceptorChain,
     LocationService,
-    NamingService,
     Node,
     ObjectRef,
 )
@@ -98,7 +97,6 @@ class ClusterConfig:
     # through the same ``method_dispatch`` query.
     repository: str = "cached"
     node_weights: Mapping[NodeId, float] | None = None
-    seed: int = 0
     # Optional observability hub (metrics + sim-time tracing).  ``None``
     # attaches the shared no-op hub: zero instrumentation state, zero
     # simulated-time cost.
@@ -128,7 +126,6 @@ class DedisysCluster:
             self.config.transport,
             self.config.node_ids,
             costs=self.config.costs,
-            seed=self.config.seed,
             obs=self.obs,
         )
         self.clock = self.transport.clock
@@ -142,7 +139,6 @@ class DedisysCluster:
         self.mode_tracker = SystemModeTracker(self.gms, self.clock)
         self.channel = self.transport.make_channel()
         self.txmgr = TransactionManager(obs=self.obs)
-        self.naming = NamingService()
         self.location = LocationService()
 
         self.nodes: dict[NodeId, Node] = {}
@@ -363,7 +359,6 @@ class DedisysCluster:
         class_name: str,
         oid: str,
         attributes: dict[str, Any] | None = None,
-        bind_name: str | None = None,
     ) -> ObjectRef:
         """Create an entity with ``node_id`` as home/designated primary."""
         self._require_alive(node_id)
@@ -383,10 +378,7 @@ class DedisysCluster:
             return entity.ref
 
         with self.transport.tx_guard():
-            ref = self.txmgr.run(body)
-        if bind_name:
-            self.naming.bind(bind_name, ref)
-        return ref
+            return self.txmgr.run(body)
 
     def delete_entity(self, node_id: NodeId, ref: ObjectRef) -> None:
         self._require_alive(node_id)

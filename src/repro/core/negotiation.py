@@ -27,6 +27,10 @@ from .threats import ConsistencyThreat
 
 NEGOTIATION_HANDLER_KEY = "negotiation_handler"
 
+#: The application-wide minimum satisfaction degree: threats at or above it
+#: are acceptable when no other mechanism applies.
+DEFAULT_MIN_DEGREE = SatisfactionDegree.SATISFIED
+
 
 class NegotiationDecision(enum.Enum):
     ACCEPT = "accept"
@@ -118,21 +122,6 @@ class NegotiationResult:
 class Negotiator:
     """Implements the negotiation priority chain."""
 
-    def __init__(
-        self,
-        default_min_degree: SatisfactionDegree = SatisfactionDegree.SATISFIED,
-        static_bounds_dynamic: bool = False,
-    ) -> None:
-        # Application-wide minimum satisfaction degree: threats at or above
-        # it are acceptable when no other mechanism applies.
-        self.default_min_degree = default_min_degree
-        # §3.2.1's alternative design: instead of the dynamic handler
-        # simply taking priority, the descriptive declarations act as a
-        # *boundary* within which dynamic negotiation can be performed —
-        # a handler can then never accept a threat the static metadata
-        # would reject.
-        self.static_bounds_dynamic = static_bounds_dynamic
-
     def negotiate(
         self,
         constraint: Constraint,
@@ -146,10 +135,8 @@ class Negotiator:
         if tx is not None:
             handler = tx.context.get(NEGOTIATION_HANDLER_KEY)
         if handler is not None:
-            if self.static_bounds_dynamic:
-                static = self._static_decision(constraint, threat, outcome)
-                if static is NegotiationDecision.REJECT:
-                    return NegotiationResult(static, "static-boundary")
+            # §3.2.1: the dynamic handler takes priority outright; the
+            # static declarations do not bound what it may accept.
             decision = handler.negotiate(constraint, threat, ctx)
             return NegotiationResult(decision, "dynamic")
         static = self._static_decision(constraint, threat, outcome)
@@ -157,7 +144,7 @@ class Negotiator:
             return NegotiationResult(static, "static")
         decision = (
             NegotiationDecision.ACCEPT
-            if threat.degree >= self.default_min_degree
+            if threat.degree >= DEFAULT_MIN_DEGREE
             else NegotiationDecision.REJECT
         )
         return NegotiationResult(decision, "default")

@@ -12,12 +12,11 @@ turned directly into an explicit runtime constraint —
         priority=ConstraintPriority.RELAXABLE,
     )
 
-Two evaluation strategies are offered, mirroring the Chapter-2 trade-off:
-
-* ``interpreted`` — the parsed AST is walked per validation (flexible,
-  Dresden-OCL-style cost);
-* ``compiled`` — the OCL AST is translated once into Python source and
-  compiled, giving near-handwritten validation speed.
+The OCL AST is translated once into Python source and compiled, giving
+near-handwritten validation speed.  The Dresden-OCL-style interpreter of
+:mod:`repro.validation.ocl`, which walks the AST per evaluation, stays
+the Chapter-2 approach and the reference the compiled form is checked
+against (``tests/test_ocl_equivalence.py``).
 
 The entity model is bridged by an adapter giving OCL expressions natural
 attribute access (``self.sold``) over :class:`~repro.objects.Entity`
@@ -105,7 +104,7 @@ def _wrap(owner: Entity, value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# AST → Python source translation (the "compiled" strategy)
+# AST → Python source translation
 # ----------------------------------------------------------------------
 _BINARY_SOURCE = {
     "+": "+", "-": "-", "*": "*", "/": "/",
@@ -186,7 +185,6 @@ class OclConstraint(Constraint):
         name: str,
         context_class: str,
         expression: str,
-        strategy: str = "compiled",
         constraint_type: ConstraintType = ConstraintType.INVARIANT_HARD,
         priority: ConstraintPriority = ConstraintPriority.CRITICAL,
         scope: ConstraintScope = ConstraintScope.INTER_OBJECT,
@@ -194,27 +192,21 @@ class OclConstraint(Constraint):
         description: str = "",
     ) -> None:
         super().__init__(name)
-        if strategy not in ("compiled", "interpreted"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         if not constraint_type.is_invariant:
             raise ValueError("OCL constraints support invariants only")
         self.expression = expression
-        self.strategy = strategy
         self.context_class = context_class
         self.constraint_type = constraint_type
         self.priority = priority
         self.scope = scope
         self.min_satisfaction_degree = min_satisfaction_degree
         self.description = description or f"OCL: {expression}"
-        self._ast = parse(expression)
-        self._compiled = compile_ocl(expression) if strategy == "compiled" else None
+        self._compiled = compile_ocl(expression)
 
     def validate(self, ctx: ConstraintValidationContext) -> bool:
         adapter = OclEntityAdapter(ctx.get_context_object())
         try:
-            if self._compiled is not None:
-                return bool(self._compiled(adapter))
-            return bool(self._ast.evaluate({"self": adapter}))
+            return bool(self._compiled(adapter))
         except AttributeError as exc:
             raise OclError(f"{self.name}: {exc}") from exc
         except ConstraintUncheckable:

@@ -173,11 +173,11 @@ class ThreatStore:
                 return head, False
             self.engine.charge("threat_persist_identical")
             existing.append(threat)
-            self._table.put(threat.threat_id, threat.snapshot(), cost="db_write")
+            self._table.put(threat.threat_id, threat.snapshot())
             return threat, True
         self.engine.charge("threat_persist")
         self._threats[identity] = [threat]
-        self._table.put(threat.threat_id, threat.snapshot(), cost="db_write")
+        self._table.put(threat.threat_id, threat.snapshot())
         return threat, True
 
     def apply_remote(self, threat: ConsistencyThreat) -> None:
@@ -281,7 +281,7 @@ class ThreatStore:
         threats = self._threats.pop(identity, [])
         for threat in threats:
             if threat.threat_id in self._table:
-                self._table.delete(threat.threat_id, cost="db_delete")
+                self._table.delete(threat.threat_id)
         return len(threats)
 
     def mark_deferred(self, identity: ThreatIdentity) -> None:

@@ -20,21 +20,20 @@ from .network import Network, payload_size
 class GroupChannel:
     """View-synchronous multicast over the simulated network.
 
-    Reliable within the reachable membership: uniform loss and fault
-    injectors model *link* faults and are never consulted.  Other backends
-    subclass this, sharing the round prologue (:meth:`_begin_round`, which
-    also charges the round) but not the delivery loop.
+    Reliable within the reachable membership: fault injectors model *link*
+    faults and are never consulted.  Other backends subclass this, sharing
+    the round prologue (:meth:`_begin_round`, which also charges the
+    round) but not the delivery loop.
     """
 
-    def __init__(self, network: Network, group: str = "dedisys") -> None:
-        self._bind(network, group)
+    def __init__(self, network: Network) -> None:
+        self._bind(network)
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
         self._members: tuple[NodeId, ...] = ()
 
-    def _bind(self, network: Network, group: str) -> None:
+    def _bind(self, network: Network) -> None:
         """What every backend's round prologue reads; members are its own."""
         self.network = network
-        self.group = group
         self.obs = network.obs
         self._m_multicasts = self.obs.registry.counter(
             "net_multicasts_total", "group multicast rounds, by message kind"

@@ -18,7 +18,6 @@ charging simulated latency on the injected scheduler's clock.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..sim import CostLedger, CostModel, Scheduler, charger
@@ -44,8 +43,9 @@ class Network(Topology):
     A subclass supplies only *delivery*: a ``send`` that calls
     :meth:`_admit` and then hands the message to the destination.  An
     injected link delay passes as its ``fault_delay`` charge, which moves
-    the clock every substrate shares.  The uniform-loss roll takes no
-    lock: only a single-threaded substrate may set ``loss_probability``.
+    the clock every substrate shares.  Every link fault, a lost message
+    included, is the installed :class:`~repro.faults.FaultInjector`'s
+    decision.
     """
 
     def __init__(
@@ -53,19 +53,13 @@ class Network(Topology):
         nodes: Sequence[NodeId],
         scheduler: Any,
         costs: CostModel | None = None,
-        loss_probability: float = 0.0,
-        seed: int = 0,
         obs: Any = None,
     ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
         super().__init__(nodes, obs=obs)
         self.scheduler = scheduler
         self.costs = costs if costs is not None else CostModel()
         self.ledger = CostLedger()
         self.charge = charger(scheduler.clock, self.costs, self.ledger)
-        self.loss_probability = loss_probability
-        self._rng = random.Random(seed)
         self.injector: "FaultInjector | None" = None
         self.delivered_count = 0
         self._recorder: list[Message] | None = None
@@ -106,18 +100,16 @@ class Network(Topology):
         """Admit one point-to-point message; returns it and the extra copies to deliver.
 
         Raises :class:`UnreachableError` when no route exists and
-        :class:`NodeCrashedError` when the source itself crashed.  A lossy
-        link may drop the message (also surfaced as ``UnreachableError`` —
-        the sender cannot tell a lost message from a partition).
+        :class:`NodeCrashedError` when the source itself crashed.  A fault
+        injector may drop the message (also surfaced as
+        ``UnreachableError`` — the sender cannot tell a lost message from a
+        partition).
         """
         if source in self._crashed:
             self._drop(source, destination, kind, "source-crashed")
             raise NodeCrashedError(source)
         if not self.reachable(source, destination):
             self._drop(source, destination, kind, "unreachable")
-            raise UnreachableError(source, destination)
-        if self.loss_probability and self._rng.random() < self.loss_probability:
-            self._drop(source, destination, kind, "loss")
             raise UnreachableError(source, destination)
         duplicates = 0
         if self.injector is not None:
@@ -164,13 +156,11 @@ class SimNetwork(Network):
         nodes: Sequence[NodeId],
         scheduler: Scheduler | None = None,
         costs: CostModel | None = None,
-        loss_probability: float = 0.0,
-        seed: int = 0,
         obs: Any = None,
     ) -> None:
         if scheduler is None:
             scheduler = Scheduler()
-        super().__init__(nodes, scheduler, costs, loss_probability, seed, obs)
+        super().__init__(nodes, scheduler, costs, obs)
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
 
     def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:

@@ -1,4 +1,4 @@
-"""Distributed-object model: entities, containers, naming, interception."""
+"""Distributed-object model: entities, containers, location, interception."""
 
 from .._lazy import reexport
 
@@ -9,7 +9,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "ContainerInvoker", "CostInterceptor", "Interceptor", "InterceptorChain",
         "Invocation", "InvocationService",
     ),
-    "naming": ("LocationService", "NamingService"),
+    "naming": ("LocationService",),
     "node": ("Node", "NodeServices"),
     "refs": ("ObjectNotFound", "ObjectRef"),
 })

@@ -50,7 +50,6 @@ class Container:
         class_name: str,
         oid: str,
         attributes: dict[str, Any] | None = None,
-        persist: bool = True,
     ) -> Entity:
         """Instantiate and persist a new entity (or a backup replica)."""
         entity_cls = self.deployed_class(class_name)
@@ -61,19 +60,17 @@ class Container:
         # Keyed by the entity's own ref: a lookup with the ref the entity
         # hands out then matches by identity.
         self._instances[entity.ref] = entity
-        if persist:
-            entity.store(self.node.persistence.table("entities").insert)
+        entity.store(self.node.persistence.table("entities").insert)
         return entity
 
-    def remove(self, ref: ObjectRef, persist: bool = True) -> None:
+    def remove(self, ref: ObjectRef) -> None:
         """Remove an entity instance (and its persisted row)."""
         entity = self.resolve(ref)
         entity.deleted = True
         del self._instances[ref]
-        if persist:
-            table = self.node.persistence.table("entities")
-            if (ref.class_name, ref.oid) in table:
-                table.delete((ref.class_name, ref.oid))
+        table = self.node.persistence.table("entities")
+        if (ref.class_name, ref.oid) in table:
+            table.delete((ref.class_name, ref.oid))
 
     # ------------------------------------------------------------------
     # resolution

@@ -1,35 +1,16 @@
-"""Naming and location services (JNDI analogue).
+"""Location service.
 
-The naming service binds names to object references; the location service
-records the *home node* of every logical object — the node with strong
-ownership of the object (§1.4), which also serves as the designated primary
-under the P4 replication protocol in a healthy system.
+The location service records the *home node* of every logical object —
+the node with strong ownership of the object (§1.4), which also serves as
+the designated primary under the P4 replication protocol in a healthy
+system.  Clients reach an object by its
+:class:`~repro.objects.refs.ObjectRef`, not by a bound name.
 """
 
 from __future__ import annotations
 
 from ..net import NodeId
 from .refs import ObjectNotFound, ObjectRef
-
-
-class NamingService:
-    """Name → object reference bindings."""
-
-    def __init__(self) -> None:
-        self._bindings: dict[str, ObjectRef] = {}
-
-    def bind(self, name: str, ref: ObjectRef) -> None:
-        if name in self._bindings:
-            raise KeyError(f"name {name!r} already bound")
-        self._bindings[name] = ref
-
-    def lookup(self, name: str) -> ObjectRef:
-        if name not in self._bindings:
-            raise KeyError(f"name {name!r} not bound")
-        return self._bindings[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._bindings)
 
 
 class LocationService:

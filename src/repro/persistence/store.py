@@ -140,15 +140,15 @@ class Table:
     def __contains__(self, key: Any) -> bool:
         return key in self._rows
 
-    def insert(self, key: Any, value: Any, cost: str = "db_create") -> None:
+    def insert(self, key: Any, value: Any) -> None:
         if key in self._rows:
             raise KeyError(f"duplicate key {key!r} in table {self.name!r}")
-        self.engine.charge(cost)
+        self.engine.charge("db_create")
         stored = self._rows[key] = copy_value(value)
         self.engine._journal.record(self.name, "insert", key, stored)
 
-    def put(self, key: Any, value: Any, cost: str = "db_write") -> None:
-        self.engine.charge(cost)
+    def put(self, key: Any, value: Any) -> None:
+        self.engine.charge("db_write")
         stored = self._rows[key] = copy_value(value)
         self.engine._journal.record(self.name, "put", key, stored)
 
@@ -162,14 +162,14 @@ class Table:
         stored = self._rows[key] = {**self._rows[key], **copy_value(changes)}
         self.engine._journal.record(self.name, "put", key, stored)
 
-    def get(self, key: Any, cost: str = "db_read") -> Any:
-        self.engine.charge(cost)
+    def get(self, key: Any) -> Any:
+        self.engine.charge("db_read")
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
         return copy_value(self._rows[key])
 
-    def delete(self, key: Any, cost: str = "db_delete") -> None:
-        self.engine.charge(cost)
+    def delete(self, key: Any) -> None:
+        self.engine.charge("db_delete")
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
         del self._rows[key]
@@ -178,9 +178,9 @@ class Table:
     def keys(self) -> list[Any]:
         return list(self._rows.keys())
 
-    def scan(self, cost: str = "db_read") -> Iterator[tuple[Any, Any]]:
+    def scan(self) -> Iterator[tuple[Any, Any]]:
         """Iterate a snapshot of all rows, charging one read."""
-        self.engine.charge(cost)
+        self.engine.charge("db_read")
         for key, value in list(self._rows.items()):
             yield key, copy_value(value)
 
@@ -196,8 +196,6 @@ class StateVersion:
     version: int
     state: dict[str, Any]
     timestamp: float
-    partition_epoch: int = 0
-    txid: int | None = None
 
 
 class StateHistory:
@@ -213,21 +211,12 @@ class StateHistory:
         self.engine = engine
         self._history: dict[Any, list[StateVersion]] = {}
 
-    def record(
-        self,
-        oid: Any,
-        version: int,
-        state: dict[str, Any],
-        partition_epoch: int = 0,
-        txid: int | None = None,
-    ) -> StateVersion:
+    def record(self, oid: Any, version: int, state: dict[str, Any]) -> StateVersion:
         self.engine.charge("state_history_write")
         entry = StateVersion(
             version=version,
             state=copy_value(state),
             timestamp=self.engine.clock.now,
-            partition_epoch=partition_epoch,
-            txid=txid,
         )
         self._history.setdefault(oid, []).append(entry)
         return entry

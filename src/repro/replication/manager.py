@@ -361,9 +361,7 @@ class ReplicationManager:
                 degraded=self._is_degraded(partition),
             )
         if self._is_degraded(partition):
-            self.nodes[primary].state_history.record(
-                ref, entity.version, state, partition_epoch=self.gms.epoch
-            )
+            self.nodes[primary].state_history.record(ref, entity.version, state)
             self._record_update(ref, "state", primary, entity.version, state, partition)
 
     # ------------------------------------------------------------------

@@ -138,29 +138,15 @@ class PrimaryPartitionProtocol(ReplicationProtocol):
 class AdaptiveVotingProtocol(ReplicationProtocol):
     """Quorum-based protocol with degraded-mode quorum adaptation.
 
-    With per-node votes, a healthy write needs a majority quorum.  In a
-    partition lacking the quorum, the protocol *adapts*: the quorum is
-    reduced to the partition, the write proceeds on a temporary primary,
-    and — because another partition may do the same — local views count as
-    possibly stale, producing consistency threats that the constraint
-    middleware negotiates.
+    With one vote per replica node, a healthy write needs a majority
+    quorum.  In a partition lacking the quorum, the protocol *adapts*: the
+    quorum is reduced to the partition, the write proceeds on a temporary
+    primary, and — because another partition may do the same — local views
+    count as possibly stale, producing consistency threats that the
+    constraint middleware negotiates.
     """
 
     name = "adaptive-voting"
-
-    def __init__(self, votes: dict[NodeId, int] | None = None, adaptive: bool = True) -> None:
-        self.votes = dict(votes) if votes else {}
-        self.adaptive = adaptive
-
-    def _vote(self, node: NodeId) -> int:
-        return self.votes.get(node, 1)
-
-    def _has_write_quorum(
-        self, replica_nodes: Sequence[NodeId], partition: frozenset[NodeId]
-    ) -> bool:
-        total = sum(self._vote(node) for node in replica_nodes)
-        present = sum(self._vote(node) for node in replica_nodes if node in partition)
-        return present * 2 > total
 
     def write_node(
         self,
@@ -168,8 +154,6 @@ class AdaptiveVotingProtocol(ReplicationProtocol):
         replica_nodes: Sequence[NodeId],
         partition: frozenset[NodeId],
     ) -> NodeId | None:
-        if not self._has_write_quorum(replica_nodes, partition) and not self.adaptive:
-            return None
         if designated_primary in partition:
             return designated_primary
         return self._temporary_primary(replica_nodes, partition)
@@ -180,7 +164,8 @@ class AdaptiveVotingProtocol(ReplicationProtocol):
         replica_nodes: Sequence[NodeId],
         partition: frozenset[NodeId],
     ) -> bool:
-        if self._has_write_quorum(replica_nodes, partition):
+        present = sum(node in partition for node in replica_nodes)
+        if present * 2 > len(replica_nodes):
             # A majority quorum guarantees no disjoint partition can also
             # have written.
             return False

@@ -346,8 +346,8 @@ class AsyncioGroupChannel(GroupChannel):
 
     network: AsyncioNetwork
 
-    def __init__(self, network: AsyncioNetwork, group: str = "dedisys") -> None:
-        self._bind(network, group)  # no handler table of its own
+    def __init__(self, network: AsyncioNetwork) -> None:
+        self._bind(network)  # no handler table of its own
 
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self.network.register_member_handler(node, handler)
@@ -403,8 +403,8 @@ class AsyncioTransport(Transport):
         # stays on the nodes' own threads.
         self._tx_lock = threading.RLock()
 
-    def make_channel(self, group: str = "dedisys") -> AsyncioGroupChannel:
-        return AsyncioGroupChannel(self.network, group)
+    def make_channel(self) -> AsyncioGroupChannel:
+        return AsyncioGroupChannel(self.network)
 
     def tx_guard(self) -> Any:
         return self._tx_lock

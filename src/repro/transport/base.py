@@ -55,7 +55,7 @@ class Transport:
     scheduler: Any
     network: Any
 
-    def make_channel(self, group: str = "dedisys") -> Any:
+    def make_channel(self) -> Any:
         """Build the view-synchronous multicast channel for this backend."""
         raise NotImplementedError
 
@@ -82,7 +82,6 @@ def build_transport(
     spec: "str | Transport",
     node_ids: Sequence[NodeId],
     costs: CostModel | None = None,
-    seed: int = 0,
     obs: Any = None,
 ) -> Transport:
     """Resolve a :class:`~repro.cluster.ClusterConfig` transport spec.
@@ -102,7 +101,7 @@ def build_transport(
     if kind == "sim":
         from .sim import SimTransport
 
-        return SimTransport(node_ids, costs=costs, seed=seed, obs=obs)
+        return SimTransport(node_ids, costs=costs, obs=obs)
     if kind == "asyncio":
         from .asyncio_backend import AsyncioTransport
 

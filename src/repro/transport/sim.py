@@ -28,7 +28,6 @@ class SimTransport(Transport):
         self,
         node_ids: Sequence[NodeId],
         costs: CostModel | None = None,
-        seed: int = 0,
         obs: Any = None,
     ) -> None:
         self.clock = SimClock()
@@ -37,9 +36,8 @@ class SimTransport(Transport):
             node_ids,
             scheduler=self.scheduler,
             costs=costs if costs is not None else CostModel(),
-            seed=seed,
             obs=obs,
         )
 
-    def make_channel(self, group: str = "dedisys") -> GroupChannel:
-        return GroupChannel(self.network, group)
+    def make_channel(self) -> GroupChannel:
+        return GroupChannel(self.network)

@@ -348,13 +348,3 @@ class TestRunInTx:
         with pytest.raises(ConstraintViolated):
             cluster.run_in_tx("a", business)
         assert cluster.entity_on("a", ref).get_sold() == 0
-
-
-class TestNamingIntegration:
-    def test_bind_name_on_create(self):
-        cluster = DedisysCluster(ClusterConfig(node_ids=NODES))
-        cluster.deploy(Flight)
-        ref = cluster.create_entity(
-            "a", "Flight", "LH1", {"seats": 80}, bind_name="flights/LH1"
-        )
-        assert cluster.naming.lookup("flights/LH1") == ref

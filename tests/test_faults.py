@@ -475,11 +475,12 @@ class TestTopologyNotifications:
 
 
 class TestLossDeterminism:
-    """Satellite: loss probability paths and seeded-loss reproducibility."""
+    """Seeded loss is reproducible, on a bare network and on a cluster."""
 
-    def test_uniform_loss_drops_deterministically(self):
+    def test_burst_loss_drops_deterministically(self):
         def drops(seed):
-            network = make_network(loss_probability=0.3, seed=seed)
+            network = make_network()
+            network.install_fault_injector(FaultInjector.burst_loss(0.3, seed=seed))
             outcomes = []
             for _ in range(100):
                 try:
@@ -493,6 +494,17 @@ class TestLossDeterminism:
         assert first == drops(11)
         assert first != drops(12)
         assert 0 < sum(first) < 100
+
+    def test_a_scenarios_seed_param_seeds_its_burst_loss(self):
+        from repro.check.scenario import Scenario
+
+        def injector(params):
+            cluster, _ = Scenario(name="s", params=params).build()
+            return cluster.network.injector
+
+        assert injector({"seed": 5}) is None
+        assert injector({"burst_loss": 0.1}).seed == 0
+        assert injector({"burst_loss": 0.1, "seed": 5}).seed == 5
 
     def test_two_clusters_same_seed_byte_identical_traces(self):
         from repro.cluster import ClusterConfig, DedisysCluster
@@ -509,7 +521,6 @@ class TestLossDeterminism:
             cluster = DedisysCluster(
                 ClusterConfig(
                     node_ids=("n1", "n2", "n3"),
-                    seed=seed,
                     obs=obs,
                 )
             )

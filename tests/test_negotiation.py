@@ -82,12 +82,13 @@ class TestPriorityChain:
 
     def test_default_when_no_static_config(self, txmgr):
         constraint = make_constraint()  # strict default, no freshness
-        negotiator = Negotiator(default_min_degree=SatisfactionDegree.UNCHECKABLE)
+        negotiator = Negotiator()
         tx = txmgr.begin()
+        # Accepted at the application-wide minimum degree, SATISFIED.
         result = negotiator.negotiate(
             constraint,
-            make_threat(),
-            make_outcome(constraint, SatisfactionDegree.POSSIBLY_SATISFIED),
+            make_threat(SatisfactionDegree.SATISFIED),
+            make_outcome(constraint, SatisfactionDegree.SATISFIED),
             ConstraintValidationContext(),
             tx,
         )
@@ -257,41 +258,10 @@ class TestHandlers:
         assert threat.application_data == {"note": "checked by ops"}
 
 
-class TestStaticBoundary:
-    """§3.2.1 alternative: static declarations bound dynamic negotiation."""
+class TestDynamicPriority:
+    """§3.2.1: a dynamic handler decides outright, static metadata or not."""
 
-    def test_dynamic_cannot_exceed_static_boundary(self, txmgr):
-        constraint = make_constraint(min_degree=SatisfactionDegree.POSSIBLY_SATISFIED)
-        negotiator = Negotiator(static_bounds_dynamic=True)
-        tx = txmgr.begin()
-        register_negotiation_handler(tx, AcceptAllHandler())
-        result = negotiator.negotiate(
-            constraint,
-            make_threat(SatisfactionDegree.POSSIBLY_VIOLATED),
-            make_outcome(constraint, SatisfactionDegree.POSSIBLY_VIOLATED),
-            ConstraintValidationContext(),
-            tx,
-        )
-        assert result.decision is NegotiationDecision.REJECT
-        assert result.mechanism == "static-boundary"
-
-    def test_dynamic_decides_within_boundary(self, txmgr):
-        constraint = make_constraint(min_degree=SatisfactionDegree.POSSIBLY_SATISFIED)
-        negotiator = Negotiator(static_bounds_dynamic=True)
-        tx = txmgr.begin()
-        register_negotiation_handler(tx, RejectAllHandler())
-        result = negotiator.negotiate(
-            constraint,
-            make_threat(SatisfactionDegree.POSSIBLY_SATISFIED),
-            make_outcome(constraint, SatisfactionDegree.POSSIBLY_SATISFIED),
-            ConstraintValidationContext(),
-            tx,
-        )
-        # inside the boundary the handler still has the final word
-        assert result.decision is NegotiationDecision.REJECT
-        assert result.mechanism == "dynamic"
-
-    def test_boundary_disabled_by_default(self, txmgr):
+    def test_dynamic_wins_over_a_stricter_static_degree(self, txmgr):
         constraint = make_constraint(min_degree=SatisfactionDegree.POSSIBLY_SATISFIED)
         negotiator = Negotiator()
         tx = txmgr.begin()
@@ -300,20 +270,6 @@ class TestStaticBoundary:
             constraint,
             make_threat(SatisfactionDegree.POSSIBLY_VIOLATED),
             make_outcome(constraint, SatisfactionDegree.POSSIBLY_VIOLATED),
-            ConstraintValidationContext(),
-            tx,
-        )
-        assert result.accepted  # plain priority: dynamic wins outright
-
-    def test_boundary_without_static_config_defers_to_dynamic(self, txmgr):
-        constraint = make_constraint()  # no static configuration at all
-        negotiator = Negotiator(static_bounds_dynamic=True)
-        tx = txmgr.begin()
-        register_negotiation_handler(tx, AcceptAllHandler())
-        result = negotiator.negotiate(
-            constraint,
-            make_threat(SatisfactionDegree.UNCHECKABLE),
-            make_outcome(constraint, SatisfactionDegree.UNCHECKABLE),
             ConstraintValidationContext(),
             tx,
         )

@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.faults import FaultInjector, GilbertElliottLoss
 from repro.net import GroupChannel, NodeCrashedError, SimNetwork, UnreachableError
 from repro.net.messages import Message
 from repro.net.topology import Topology
@@ -139,13 +140,16 @@ class TestMessaging:
         assert network.scheduler.clock.now == before
 
     def test_lossy_link_drops(self):
-        network = SimNetwork(("a", "b"), loss_probability=0.999999, seed=1)
+        network = SimNetwork(("a", "b"))
+        injector = FaultInjector(seed=1)
+        injector.set_default_model(lambda: GilbertElliottLoss(loss_good=0.999999))
+        network.install_fault_injector(injector)
         with pytest.raises(UnreachableError):
             network.send("a", "b", "ping")
 
     def test_invalid_loss_probability(self):
         with pytest.raises(ValueError):
-            SimNetwork(("a",), loss_probability=1.0)
+            FaultInjector.burst_loss(1.0)
 
     def test_delivered_messages_recorded(self, network):
         network.send("a", "b", "ping", 1)

@@ -1,4 +1,4 @@
-"""Tests for the distributed-object layer: entities, containers, naming,
+"""Tests for the distributed-object layer: entities, containers, location,
 invocation interception."""
 
 import copy
@@ -17,7 +17,6 @@ from repro.objects import (
     InterceptorChain,
     Invocation,
     LocationService,
-    NamingService,
     Node,
     ObjectAccessTracker,
     ObjectNotFound,
@@ -301,6 +300,14 @@ class TestContainer:
         with pytest.raises(ObjectNotFound):
             container.resolve(entity.ref)
 
+    def test_remove_deletes_the_persisted_row(self, container):
+        entity = container.create("Account", "a1", {"balance": 5})
+        table = container.node.persistence.table("entities")
+        assert ("Account", "a1") in table
+        container.remove(entity.ref)
+        assert ("Account", "a1") not in table
+        assert table.keys() == []
+
     def test_instances_of(self, container):
         container.create("Account", "a2")
         container.create("Account", "a1")
@@ -312,19 +319,7 @@ class TestContainer:
         assert len(container) == 1
 
 
-class TestNamingAndLocation:
-    def test_bind_lookup(self):
-        naming = NamingService()
-        ref = ObjectRef("Account", "a1")
-        naming.bind("acct", ref)
-        assert naming.lookup("acct") == ref
-
-    def test_bind_duplicate_rejected(self):
-        naming = NamingService()
-        naming.bind("x", ObjectRef("A", "1"))
-        with pytest.raises(KeyError):
-            naming.bind("x", ObjectRef("A", "2"))
-
+class TestLocation:
     def test_location_service(self):
         location = LocationService()
         ref = ObjectRef("A", "1")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import AcceptAllHandler, ConstraintViolated
 from repro.evaluation.ch5 import build_cluster, measure_operations
+from repro.faults import FaultInjector
 from repro.membership import HeartbeatFailureDetector
 from repro.net import NodeCrashedError, SimNetwork, UnreachableError
 from repro.obs import Observability, read_jsonl
@@ -118,7 +119,8 @@ class TestEventCountsMatchComponentBookkeeping:
 class TestDropAndSuspicionPaths:
     def test_lossy_link_drops_are_traced(self):
         obs = Observability()
-        network = SimNetwork(("a", "b"), loss_probability=0.4, seed=7, obs=obs)
+        network = SimNetwork(("a", "b"), obs=obs)
+        network.install_fault_injector(FaultInjector.burst_loss(0.4, seed=7))
         obs.bind_clock(network.scheduler.clock)
         losses = 0
         for index in range(50):
@@ -129,9 +131,9 @@ class TestDropAndSuspicionPaths:
         assert 0 < losses < 50
         drop_events = obs.events("message_drop")
         assert len(drop_events) == losses
-        assert {event.data["reason"] for event in drop_events} == {"loss"}
+        assert {event.data["reason"] for event in drop_events} == {"burst-loss"}
         dropped = obs.registry.get("net_messages_dropped_total")
-        assert dropped.value(reason="loss") == losses
+        assert dropped.value(reason="burst-loss") == losses
 
     def test_unreachable_drop_reason(self):
         obs = Observability()

@@ -73,17 +73,6 @@ class TestOclConstraint:
         flight.set_sold(81)
         assert not constraint.validate(ConstraintValidationContext(context_object=flight))
 
-    def test_interpreted_validation(self):
-        constraint = ocl_invariant(
-            "Cap", "Flight", "self.sold <= self.seats", strategy="interpreted"
-        )
-        flight = Flight("f1", sold=81)
-        assert not constraint.validate(ConstraintValidationContext(context_object=flight))
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            ocl_invariant("X", "Flight", "true", strategy="quantum")
-
     def test_only_invariants_supported(self):
         with pytest.raises(ValueError):
             ocl_invariant(

@@ -1,8 +1,8 @@
 """Property test: compiled OCL is semantically equivalent to interpretation.
 
-The adaptive middleware may run either strategy (§2's performance trade-off
-made configurable by ``OclConstraint``); this generates random expression
-trees and checks both evaluation paths agree.
+``OclConstraint`` validates through the compiled form; the interpreter of
+``repro.validation.ocl`` is the reference.  This generates random
+expression trees and checks both evaluation paths agree.
 """
 
 from hypothesis import given, strategies as st

@@ -157,6 +157,23 @@ class TestCostsAndJournal:
         table.get("k")
         assert engine.clock.now == before + engine.costs.db_read
 
+    def test_delete_charges_delete(self, engine):
+        table = engine.table("t")
+        table.put("k", 1)
+        counts, before = Counter(engine.ledger.counts), engine.clock.now
+        table.delete("k")
+        assert Counter(engine.ledger.counts) - counts == {"db_delete": 1}
+        assert engine.clock.now == before + engine.costs.db_delete
+
+    def test_scan_charges_one_read_for_all_rows(self, engine):
+        table = engine.table("t")
+        for key in range(3):
+            table.put(key, key)
+        counts, before = Counter(engine.ledger.counts), engine.clock.now
+        assert list(table.scan()) == [(0, 0), (1, 1), (2, 2)]
+        assert Counter(engine.ledger.counts) - counts == {"db_read": 1}
+        assert engine.clock.now == before + engine.costs.db_read
+
     def test_journal_records_mutations(self, engine):
         table = engine.table("t")
         table.insert("k", 1)

@@ -91,21 +91,18 @@ class TestAdaptiveVoting:
         protocol = AdaptiveVotingProtocol()
         assert not protocol.is_possibly_stale("a", NODES, frozenset({"a", "b"}))
 
+    def test_an_even_split_is_no_quorum(self):
+        protocol = AdaptiveVotingProtocol()
+        replicas = ("a", "b", "c", "d")
+        for half in (frozenset({"a", "b"}), frozenset({"c", "d"})):
+            assert protocol.is_possibly_stale("a", replicas, half)
+        assert not protocol.is_possibly_stale("a", replicas, frozenset({"a", "b", "c"}))
+
     def test_minority_adapts_and_is_stale(self):
         protocol = AdaptiveVotingProtocol()
         partition = frozenset({"c"})
         assert protocol.write_node("a", NODES, partition) == "c"
         assert protocol.is_possibly_stale("a", NODES, partition)
-
-    def test_non_adaptive_blocks_minority(self):
-        protocol = AdaptiveVotingProtocol(adaptive=False)
-        assert protocol.write_node("a", NODES, frozenset({"c"})) is None
-
-    def test_weighted_votes(self):
-        protocol = AdaptiveVotingProtocol(votes={"a": 3})
-        # a alone has 3 of 5 votes: a majority quorum.
-        assert not protocol.is_possibly_stale("a", NODES, frozenset({"a"}))
-        assert protocol.is_possibly_stale("a", NODES, frozenset({"b", "c"}))
 
 
 class TestReplicationManager:

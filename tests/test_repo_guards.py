@@ -25,7 +25,11 @@ values are built in C: a message and a journal entry are tuples, a
 transaction's liveness is one set lookup, and a backup keeps the state it
 replaced instead of copying it.  A replicated write propagates one way,
 in its own multicast round: no commit-time batch, and one route for a
-fault injector.  That reconciliation's
+fault injector.  A setting with one value in use is a constant: every
+link fault is a fault injector's decision, an OCL constraint validates
+its compiled form, a dynamic negotiation handler decides outright,
+adaptive voting always adapts on one vote per node, and an object is
+reached by its reference, not by a bound name.  That reconciliation's
 coordinator touches no other node's store, history or update records is
 replint's ``NODE001``, not a guard here.
 """
@@ -332,7 +336,7 @@ def test_options_no_caller_set_stay_constants():
 
     assert matches(r"CCMConfig|registry_factory|RegistryFactory|written_entities|after_completion") == []
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
-    assert len(fields) == 12 and "default_min_degree" not in fields
+    assert len(fields) == 11 and "default_min_degree" not in fields
     removed = [
         (ConstraintConsistencyManager.__init__, "config"),
         (explorer.Counterexample.replay, "registry_factory"),
@@ -345,3 +349,96 @@ def test_options_no_caller_set_stay_constants():
     ]
     for function, parameter in removed:
         assert parameter not in inspect.signature(function).parameters, function
+
+
+def test_settings_with_one_value_in_use_are_constants():
+    """Each of these parameters had one value outside the tests; it is a
+    constant now, or gone with the branch it selected."""
+    import dataclasses
+    import inspect
+
+    from repro.cluster import ClusterConfig, DedisysCluster
+    from repro.core.negotiation import Negotiator
+    from repro.core.ocl_constraints import OclConstraint
+    from repro.net import GroupChannel, Network, SimNetwork
+    from repro.objects import Container
+    from repro.persistence import StateHistory, StateVersion, Table
+    from repro.replication import AdaptiveVotingProtocol
+    from repro.transport import build_transport
+    from repro.transport.asyncio_backend import AsyncioGroupChannel, AsyncioTransport
+    from repro.transport.base import Transport
+    from repro.transport.sim import SimTransport
+
+    removed = [
+        (Network.__init__, ("loss_probability", "seed")),
+        (SimNetwork.__init__, ("loss_probability", "seed")),
+        (SimTransport.__init__, ("seed",)),
+        (build_transport, ("seed",)),
+        (ClusterConfig, ("seed",)),
+        (OclConstraint.__init__, ("strategy",)),
+        (Negotiator.__init__, ("default_min_degree", "static_bounds_dynamic")),
+        (AdaptiveVotingProtocol.__init__, ("votes", "adaptive")),
+        (DedisysCluster.create_entity, ("bind_name",)),
+        (Container.create, ("persist",)),
+        (Container.remove, ("persist",)),
+        (Table.insert, ("cost",)),
+        (Table.put, ("cost",)),
+        (Table.get, ("cost",)),
+        (Table.delete, ("cost",)),
+        (Table.scan, ("cost",)),
+        (GroupChannel.__init__, ("group",)),
+        (AsyncioGroupChannel.__init__, ("group",)),
+        (Transport.make_channel, ("group",)),
+        (SimTransport.make_channel, ("group",)),
+        (AsyncioTransport.make_channel, ("group",)),
+        (StateHistory.record, ("partition_epoch", "txid")),
+    ]
+    assert len(removed) == 22 and sum(len(names) for _, names in removed) == 27
+    for function, names in removed:
+        assert not set(names) & set(inspect.signature(function).parameters), function
+    assert {field.name for field in dataclasses.fields(StateVersion)} == {
+        "version", "state", "timestamp"
+    }
+    assert matches(r"\.group\b", "net/multicast.py", "transport") == []
+
+
+def test_every_link_fault_is_an_injector_decision():
+    """A network rolls no loss of its own: a lost message is a drop the
+    installed fault injector decided, on every substrate."""
+    assert matches(r"loss_probability|_rng\b|import random", "net", "transport") == []
+
+
+def test_an_ocl_constraint_validates_its_compiled_form():
+    """The AST walk is ``validation.ocl``'s interpreter, the reference the
+    compiled form is checked against; a constraint never walks it."""
+    assert matches(r"evaluate\(|_ast\b|strategy", "core/ocl_constraints.py") == []
+
+
+def test_a_dynamic_handler_decides_outright():
+    """§3.2.1: static metadata does not bound the dynamic handler."""
+    assert matches(r"static_bounds_dynamic|static-boundary") == []
+
+
+def test_adaptive_voting_always_adapts_on_one_vote_per_node():
+    import inspect
+    import textwrap
+
+    from repro.replication import AdaptiveVotingProtocol
+
+    assert not {"__init__", "_vote", "_has_write_quorum"} & set(vars(AdaptiveVotingProtocol))
+    source = textwrap.dedent(inspect.getsource(AdaptiveVotingProtocol.write_node))
+    refusals = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is None
+    ]
+    assert refusals == []
+
+
+def test_an_object_is_reached_by_its_reference_not_a_bound_name():
+    import repro.objects
+
+    assert "NamingService" not in repro.objects.__all__
+    assert matches(r"NamingService|bind_name|\.naming\b") == []

@@ -30,10 +30,7 @@ PROTOCOLS = {
     PrimaryPartitionProtocol: lambda draw: PrimaryPartitionProtocol(
         draw(st.integers(1, 2 * len(POOL)))
     ),
-    AdaptiveVotingProtocol: lambda draw: AdaptiveVotingProtocol(
-        draw(st.dictionaries(st.sampled_from(POOL), st.integers(0, 3))),
-        adaptive=draw(st.booleans()),
-    ),
+    AdaptiveVotingProtocol: lambda draw: AdaptiveVotingProtocol(),
 }
 
 
