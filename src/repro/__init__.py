@@ -35,8 +35,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "shrink_counterexample",
     ),
     "faults": (
-        "FaultInjector", "FaultSchedule", "GilbertElliottLoss", "ResilienceConfig",
-        "RetryPolicy",
+        "FaultInjector", "FaultSchedule", "GilbertElliottLoss",
     ),
     "objects": ("Entity", "ObjectRef"),
     "obs": ("Observability",),

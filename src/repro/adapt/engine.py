@@ -118,7 +118,6 @@ class AdaptationEngine:
                 tick=self.ticks,
                 degraded=signals["degraded"],
                 threat_backlog=signals["threat_backlog"],
-                breaker_open_fraction=round(signals["breaker_open_fraction"], 6),
             )
         for policy in self.policies:
             state = self._states[policy.name]

@@ -21,7 +21,6 @@ SIGNALS: dict[str, str] = {
     "partition_count": "number of reachability components",
     "threat_backlog": "distinct threat identities pending across all stores",
     "threat_rate": "threat-backlog growth per simulated second since last read",
-    "breaker_open_fraction": "fraction of client circuit breakers currently open",
     "reconciliation_backlog": "deferred/postponed recon decisions plus queued update records",
 }
 
@@ -64,7 +63,6 @@ class SignalReader:
             "partition_count": float(len(cluster.network.partitions())),
             "threat_backlog": float(backlog),
             "threat_rate": rate,
-            "breaker_open_fraction": self._breaker_open_fraction(),
             "reconciliation_backlog": float(self._reconciliation_backlog()),
         }
 
@@ -74,17 +72,6 @@ class SignalReader:
         for node_id in sorted(self.cluster.threat_stores):
             identities.update(self.cluster.threat_stores[node_id].identities())
         return len(identities)
-
-    def _breaker_open_fraction(self) -> float:
-        total = 0
-        opened = 0
-        states = self.cluster.breaker_states()
-        for node_id in sorted(states):
-            for _dest, state in sorted(states[node_id].items()):
-                total += 1
-                if getattr(state, "value", state) == "open":
-                    opened += 1
-        return opened / total if total else 0.0
 
     def _reconciliation_backlog(self) -> int:
         backlog = 0

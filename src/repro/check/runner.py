@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager
 
@@ -29,8 +28,7 @@ from ..core import (
     ConstraintViolated,
     OperationShedded,
 )
-from ..faults.resilience import CircuitOpenError
-from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
+from ..net import NodeCrashedError, UnreachableError
 from ..obs import Observability
 from ..replication import WriteAccessDenied
 from ..tx import TransactionRolledBack
@@ -43,8 +41,6 @@ from .scenario import Op, Scenario
 BLOCKING_ERRORS = (
     UnreachableError,
     NodeCrashedError,
-    DeadlineExceededError,
-    CircuitOpenError,
     WriteAccessDenied,
     ConsistencyThreatRejected,
     ConstraintViolated,
@@ -109,7 +105,6 @@ class OpDriver:
         self.settable: dict[tuple[int, str], list[Any]] = {}
         self.reconcile_seconds = 0.0  # on the transport's clock
         self._handler = AcceptAllHandler()
-        self._due: deque[Op] = deque()  # the op in flight, then those waiting
 
     @property
     def attempted(self) -> int:
@@ -143,7 +138,7 @@ class OpDriver:
         # (building charges simulated cost, so absolute zero is long gone).
         for op in scenario.ops:
             self.cluster.scheduler.schedule_at(
-                start + op.at, self._fire, scenario, op, label=op.label()
+                start + op.at, self._run, scenario, op, label=op.label()
             )
         scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
@@ -183,17 +178,6 @@ class OpDriver:
         self.reconcile_seconds += cluster.clock.now - began
         self.rounds.append((stored, report))
         return report
-
-    def _fire(self, scenario: Scenario, op: Op) -> None:
-        # A retry that backs off drives the scheduler from inside its
-        # invocation; an op coming due meanwhile waits for it, like the
-        # next request of one busy client (one transaction at a time).
-        self._due.append(op)
-        if len(self._due) > 1:
-            return
-        while self._due:
-            self._run(scenario, self._due[0])
-            self._due.popleft()
 
     def _run(self, scenario: Scenario, op: Op) -> None:
         try:

@@ -38,7 +38,6 @@ from typing import Any, Mapping, Sequence
 
 from ..apps.registry import Domain, get_domain
 from ..cluster import ClusterConfig, DedisysCluster
-from ..faults.resilience import ResilienceConfig
 from ..faults.schedule import FaultSchedule
 
 
@@ -108,9 +107,8 @@ class Scenario:
     flight, one alarm/report pair, one wired channel, ...); ``params``
     carries domain and topology knobs (``seats``, ``healthy_sold``,
     ``reserve_price``, ``node_weights``, ``burst_loss``, ``partition_sensitive``,
-    ``resilience`` as :meth:`ResilienceConfig.from_dict` reads it, ...) and
-    must stay JSON-native — construction canonicalizes tuples to lists so
-    serialization round-trips to an equal scenario.
+    ...) and must stay JSON-native — construction canonicalizes tuples to
+    lists so serialization round-trips to an equal scenario.
     """
 
     name: str
@@ -148,7 +146,6 @@ class Scenario:
         """
         spec = self.domain_spec
         weights = self.params.get("node_weights")
-        resilience = self.params.get("resilience")
         cluster = DedisysCluster(
             ClusterConfig(
                 node_ids=self.node_ids,
@@ -156,7 +153,6 @@ class Scenario:
                 # copy per entity, and the protocol name is never built.
                 enable_replication=self.protocol != "no-replication",
                 protocol=self.protocol,
-                resilience=None if resilience is None else ResilienceConfig.from_dict(resilience),
                 obs=obs,
                 node_weights=(
                     {str(node): float(weight) for node, weight in weights.items()}

@@ -38,7 +38,6 @@ from .core import (
     register_negotiation_handler,
 )
 from .core.system_mode import SystemMode, SystemModeTracker
-from .faults import ResilienceConfig, ResilienceInterceptor
 from .membership import topology_gms
 from .net import GroupChannel, Message, NodeCrashedError, NodeId, SimNetwork
 from .objects import (
@@ -101,10 +100,6 @@ class ClusterConfig:
     # attaches the shared no-op hub: zero instrumentation state, zero
     # simulated-time cost.
     obs: Observability | NullObservability | None = None
-    # Optional client-side resilience (retries, deadlines, circuit
-    # breakers).  ``None`` keeps the historical fail-fast behaviour: the
-    # first transient ``UnreachableError`` surfaces to the caller.
-    resilience: ResilienceConfig | None = None
     # Execution substrate: ``"sim"`` (deterministic discrete-event
     # simulator, the default), ``"asyncio"`` (in-process threaded
     # backend: a worker-thread pool per node on the simulator's clock and
@@ -171,10 +166,6 @@ class DedisysCluster:
                 self.channel,
                 protocol,
             )
-            if self.config.resilience is not None:
-                self.replication.configure_resilience(
-                    self.config.resilience.retry, seed=self.config.resilience.seed
-                )
 
         self.threat_stores: dict[NodeId, ThreatStore] = {}
         self.ccmgrs: dict[NodeId, ConstraintConsistencyManager] = {}
@@ -222,23 +213,11 @@ class DedisysCluster:
     # wiring
     # ------------------------------------------------------------------
     def _wire_chains(self) -> None:
-        self.resilience_interceptors: dict[NodeId, ResilienceInterceptor] = {}
         for node_id, node in self.nodes.items():
             transport = TransportInterceptor(
                 node, self.network, self.gms, self.location, self.replication
             )
-            client: list[Any] = [CostInterceptor(node, hops=2)]  # proxy + client chain
-            if self.config.resilience is not None:
-                resilience = ResilienceInterceptor(
-                    node,
-                    self.network,
-                    self.config.resilience,
-                    router=transport._route,
-                    obs=self.obs,
-                )
-                self.resilience_interceptors[node_id] = resilience
-                client.append(resilience)
-            client.append(transport)
+            client = [CostInterceptor(node, hops=2), transport]  # proxy + client chain
             server: list[Any] = [CostInterceptor(node, hops=2)]
             if self.replication is not None:
                 server.append(ReplicationServerInterceptor(node, self.replication))
@@ -483,15 +462,6 @@ class DedisysCluster:
         )
         self.adaptation.start()
         return self.adaptation
-
-    def breaker_states(self) -> dict[NodeId, dict[NodeId, Any]]:
-        """Circuit-breaker states per client node (empty without resilience)."""
-        return {
-            node_id: interceptor.breaker_states()
-            for node_id, interceptor in getattr(
-                self, "resilience_interceptors", {}
-            ).items()
-        }
 
     def reconcile(
         self,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..net import DeadlineExceededError
 from ..obs import ensure_obs
 from ..objects import Interceptor, Invocation, Node
 from .ccmgr import ConstraintConsistencyManager
@@ -39,7 +38,7 @@ class CCMInterceptor(Interceptor):
     ) -> None:
         self.node = node
         self.ccmgr = ccmgr
-        # The clock is consulted up to three times per interception (hot
+        # The clock is consulted twice per observed interception (hot
         # path); resolve the service chain once instead of per call.
         self._clock = node.services.clock
         self.obs = ensure_obs(obs)
@@ -53,14 +52,6 @@ class CCMInterceptor(Interceptor):
         )
 
     def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
-        # Deadline propagation (server side): a call that arrives — after
-        # transport latency and redirects — later than its deadline allows
-        # is refused before any validation work is spent on it.
-        deadline = invocation.deadline
-        if deadline is not None and self._clock.now > deadline:
-            raise DeadlineExceededError(
-                invocation.ref, deadline, self._clock.now
-            )
         entity = self.node.container.resolve(invocation.ref)
         if not self.obs.enabled:
             self.ccmgr.before_invocation(invocation, entity)

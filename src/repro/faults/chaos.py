@@ -3,8 +3,8 @@
 A chaos run is scenario *data*: the corpus generator's ``chaos`` preset
 (``generate_scenario(preset_config("counter", seed, "chaos"))``) draws a
 seeded random walk of link failures, heals, crashes, recoveries and
-partitions over a bounded-counter workload, with burst loss and
-client-side resilience as scenario ``params``.  :func:`replay_scenario`
+partitions over a bounded-counter workload (a ``burst_loss`` override
+adds seeded burst loss as a scenario param).  :func:`replay_scenario`
 runs it, like any other :class:`~repro.check.scenario.Scenario`, through
 the checker's own :class:`~repro.check.runner.OpDriver` on any transport,
 then heals everything, reconciles, and evaluates the checker's own
@@ -15,7 +15,7 @@ recovery to the HEALTHY mode — hold on every backend or the report says
 which did not.
 
 On the simulator everything — fault times, fault choices, workload,
-backoff jitter, burst loss — derives from seeds, so one scenario maps to
+burst loss — derives from seeds, so one scenario maps to
 exactly one trace: replaying it twice yields byte-identical event traces
 and equal metric snapshots, which the test suite enforces.  The threaded
 backend runs on the same clock and scheduler, so a replay there ends with

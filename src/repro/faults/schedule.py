@@ -4,7 +4,7 @@ A :class:`FaultSchedule` is a timestamped list of topology actions —
 ``fail_link``, ``heal_link``, ``crash_node``, ``recover_node``,
 ``partition``, ``heal_all`` — that :meth:`install` registers on the sim
 :class:`~repro.sim.scheduler.Scheduler`.  As the simulated clock advances
-(driven by workload, retries backing off, or explicit ``run_until``
+(driven by workload, a drain, or explicit ``run_until``
 calls) the faults fire at their scripted times, which lets experiments
 interleave failures with business traffic deterministically — the
 Chapter-5 scenarios as *data* instead of imperative test code.

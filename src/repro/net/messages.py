@@ -101,21 +101,3 @@ class NodeCrashedError(RuntimeError):
     def __init__(self, node: NodeId) -> None:
         super().__init__(f"node {node} has crashed")
         self.node = node
-
-
-class DeadlineExceededError(RuntimeError):
-    """An invocation's simulated-time deadline passed before completion.
-
-    Raised client-side when retries would back off past the deadline, and
-    server-side when a call arrives (after transport latency) later than
-    its deadline allows — the middleware then refuses to spend validation
-    work on a result the caller no longer waits for.
-    """
-
-    def __init__(self, what: Any, deadline: float, now: float) -> None:
-        super().__init__(
-            f"deadline {deadline:.6f} exceeded for {what} (now {now:.6f})"
-        )
-        self.what = what
-        self.deadline = deadline
-        self.now = now

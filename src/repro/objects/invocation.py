@@ -30,7 +30,7 @@ class Invocation:
     __slots__ = (
         "invocation_id", "ref", "method_name", "is_getter", "is_setter",
         "is_write", "args", "caller_node", "execution_node", "result",
-        "redirected", "deadline", "metadata",
+        "redirected", "metadata",
     )
 
     _ids = itertools.count(1)
@@ -56,10 +56,6 @@ class Invocation:
         self.execution_node: NodeId | None = None
         self.result: Any = None
         self.redirected = False
-        # Absolute simulated-time deadline; ``None`` means unbounded.  Set
-        # by the client-side resilience interceptor (or the caller) and
-        # enforced at client retry points and server interception points.
-        self.deadline: float | None = None
         # Arbitrary payload associated by interceptors (security context,
         # transaction context, ... — "any desired additional payload can be
         # added to such an invocation", §5.3).
@@ -81,7 +77,7 @@ Proceed = Callable[[Invocation], Any]
 
 class Interceptor:
     """Base interceptor: override :meth:`intercept`, which continues the
-    call (once, once per retry, or not at all) with ``proceed(invocation)``."""
+    call (once, or not at all) with ``proceed(invocation)``."""
 
     name = "interceptor"
 

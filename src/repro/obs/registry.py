@@ -44,13 +44,9 @@ TRACE_EVENTS: dict[str, str] = {
     # transactions
     "tx_commit": "a transaction committed",
     "tx_rollback": "a transaction rolled back, with reason",
-    # fault injection & resilience
+    # fault injection
     "fault_injected": "a fault model perturbed a message (drop/delay/duplicate)",
     "fault_event": "a scripted fault-schedule event fired (fail/heal/crash/recover)",
-    "retry": "a client-side retry was scheduled, with backoff",
-    "breaker_transition": "a circuit breaker changed state",
-    "breaker_fast_fail": "an open circuit refused a call without sending",
-    "deadline_exceeded": "an invocation was abandoned at its deadline",
     # model checker
     "check_schedule": "one explored schedule finished, with fingerprint",
     # scenario corpus
@@ -83,7 +79,6 @@ METRICS: dict[str, str] = {
     "repl_updates_total": "primary-to-backup update rounds, by kind",
     "repl_primary_promotions_total": "temporary-primary promotions (designated primary unreachable)",
     "repl_conflicts_total": "write-write replica conflicts detected",
-    "repl_redirect_retries_total": "primary-redirect sends retried",
     # membership
     "gms_view_changes_total": "per-node membership view changes",
     "fd_suspicion_events_total": "suspicion raise/clear events",
@@ -94,14 +89,8 @@ METRICS: dict[str, str] = {
     "reconcile_groups": "merged partition groups reconciled",
     "threat_sync_batches": "anti-entropy threat-record batches applied",
     "threat_sync_records": "threat records shipped during anti-entropy",
-    # fault injection & resilience
+    # fault injection
     "fault_decisions_total": "fault-model consultations, by effect",
-    "resilience_retries_total": "client-side retry attempts, by error",
-    "resilience_retries_exhausted_total": "invocations that ran out of attempts",
-    "resilience_deadline_exceeded_total": "invocations abandoned at their deadline",
-    "resilience_breaker_transitions_total": "circuit state changes, by target state and transition",
-    "resilience_breaker_fast_fails_total": "calls refused by an open circuit",
-    "resilience_breaker_open": "circuits currently open, per client node",
     # model checker
     "check_steps_total": "scheduler steps driven by the checker",
     "check_decisions_total": "non-trivial scheduling choice points",

@@ -83,7 +83,7 @@ class ReplicationServerInterceptor(Interceptor):
             target = self.replication.route_write(ref, node_id)
             if target != node_id:
                 invocation.redirected = True
-                return self.replication.send_redirect(node_id, invocation)
+                return self.replication.network.send(node_id, target, "invocation", invocation)
         entity = self.node.container.resolve(ref)
         version_before = entity.version
         result = proceed(invocation)

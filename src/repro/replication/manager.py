@@ -14,19 +14,14 @@ happened in an unreachable part of the system.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..membership import GroupMembershipService
 from ..net import GroupChannel, Message, NodeId, SimNetwork, UnreachableError
 from ..objects import Entity, Node, ObjectNotFound, ObjectRef
 from ..obs import ensure_obs
 from .protocols import ReplicationProtocol
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..faults.resilience import RetryPolicy
-    from ..objects import Invocation
 
 
 class WriteAccessDenied(RuntimeError):
@@ -108,11 +103,6 @@ class ReplicationManager:
             "repl_conflicts_total", "write-write replica conflicts detected"
         )
         protocol.promotion_hook = self._note_promotion
-        self.retry_policy: "RetryPolicy | None" = None
-        self._retry_rng = random.Random(0)
-        self._m_redirect_retries = self.obs.registry.counter(
-            "repl_redirect_retries_total", "primary-redirect sends retried"
-        )
         self._replicas: dict[ObjectRef, ReplicaInfo] = {}
         self._replicated_classes: set[str] = set()
         # Runtime per-class protocol overrides (adaptation actuator): a
@@ -274,48 +264,6 @@ class ReplicationManager:
         if target is None:
             raise WriteAccessDenied(ref, partition)
         return target
-
-    def configure_resilience(self, policy: "RetryPolicy | None", seed: int = 0) -> None:
-        """Enable retrying of primary-redirect sends with ``policy``."""
-        self.retry_policy = policy
-        self._retry_rng = random.Random(f"repl:{seed}")
-
-    def send_redirect(self, source: NodeId, invocation: "Invocation") -> Any:
-        """Forward a write to the current primary, riding out transients.
-
-        The write target is *recomputed per attempt*: a topology change
-        during the backoff (a scripted heal, a P4 temporary-primary
-        promotion) legitimately changes where the write must go.  Without
-        a retry policy this is a single routed send, exactly the previous
-        behaviour.
-        """
-        attempt = 1
-        policy = self.retry_policy
-        while True:
-            target = self.route_write(invocation.ref, source)
-            try:
-                return self.network.send(source, target, "invocation", invocation)
-            except UnreachableError:
-                if policy is None or attempt >= policy.max_attempts:
-                    raise
-                delay = policy.delay_for(attempt, self._retry_rng)
-                deadline = invocation.deadline
-                clock = self.nodes[source].services.clock
-                if deadline is not None and clock.now + delay > deadline:
-                    raise
-                if self.obs.enabled:
-                    self._m_redirect_retries.inc()
-                    self.obs.emit(
-                        "retry",
-                        node=str(source),
-                        ref=invocation.ref,
-                        method=invocation.method_name,
-                        attempt=attempt,
-                        delay=delay,
-                        destination=target,
-                    )
-                self.network.scheduler.run_until(clock.now + delay)
-                attempt += 1
 
     def route_read(self, ref: ObjectRef, caller: NodeId) -> NodeId:
         """Reads are served locally whenever a replica exists (§4.3)."""

@@ -42,7 +42,7 @@ backend.
 Time is the simulator's: a :class:`~repro.sim.clock.SimClock` that
 charged costs move, and a :class:`~repro.sim.scheduler.Scheduler` that
 fires timers (heartbeats, adaptation ticks, scripted faults) only when a
-caller drives it: a drain, or a retry's backoff.  Every chain that
+caller drives it (a ``drain`` or ``run_until``).  Every chain that
 charges runs under the transaction guard, so one thread at a time moves
 the clock, and a scenario replayed here ends at the same simulated time
 as on the simulator.  What the threads add is real concurrency between client

@@ -101,7 +101,7 @@ class TestPolicyGrammar:
             args={"entity_class": "Flight", "tradeable": False},
             cooldown=0.5,
             probe_window=0.25,
-            rollback_if=(Condition("breaker_open_fraction", ">", 0.5),),
+            rollback_if=(Condition("reconciliation_backlog", ">", 50.0),),
         )
 
     def test_json_round_trip(self):

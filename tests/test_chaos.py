@@ -3,9 +3,8 @@
 The headline guarantees: a seeded run with >= 20 fault events on >= 5
 nodes is fully deterministic (same seed -> byte-identical trace and
 equal metrics snapshot), every post-run invariant holds across seeds,
-the script is well-formed enough for the validator and the model
-checker, and client-side retries strictly improve availability under
-burst loss.
+and the script is well-formed enough for the validator and the model
+checker.
 """
 
 import json
@@ -24,8 +23,6 @@ from repro.faults import ReplayReport, replay_scenario
 
 SEEDS = [0, 1, 2, 7, 13]
 CHAOS = PRESETS["chaos"]
-
-RETRY = {"retry": {"max_attempts": 4, "base_delay": 0.05}}
 
 
 def chaos(seed, **overrides):
@@ -47,8 +44,6 @@ class TestConfig:
             run(0, ops=5, burst_loss=0.0)
         with pytest.raises(ValueError):
             run(0, ops=5, burst_loss=0.7)
-        with pytest.raises(TypeError):
-            run(0, ops=5, params={"resilience": {"retries": 3}})
         # A cluster of no nodes, a workload over no entities.
         codes = {issue.code for issue in validate_scenario(chaos(0, nodes=0, ops=0))}
         assert "unknown-node" in codes
@@ -73,8 +68,8 @@ class TestInvariants:
         assert len(scenario.fault_events) == CHAOS["faults"] + 1
         assert not report.failed_invariants, report.failed_invariants
 
-    def test_invariants_hold_with_resilience_and_burst_loss(self):
-        report = run(3, burst_loss=0.02, params={"resilience": {}})
+    def test_invariants_hold_with_burst_loss(self):
+        report = run(3, burst_loss=0.02)
         assert not report.failed_invariants, report.failed_invariants
 
     def test_invariant_names(self):
@@ -169,10 +164,9 @@ class TestDeterminism:
         assert first.errors == second.errors
         assert first.availability == second.availability
 
-    def test_same_seed_with_resilience_and_loss(self):
-        config = dict(burst_loss=0.02, params={"resilience": RETRY})
-        first = run(11, **config)
-        second = run(11, **config)
+    def test_same_seed_with_burst_loss(self):
+        first = run(11, burst_loss=0.02)
+        second = run(11, burst_loss=0.02)
         assert first.trace_jsonl == second.trace_jsonl
         assert first.snapshot == second.snapshot
 
@@ -222,26 +216,28 @@ class TestFaultScript:
             assert peak >= 2, seed
 
 
-class TestResilienceEffect:
-    def test_retries_strictly_improve_availability_under_burst_loss(self):
-        # Same seed, same Gilbert-Elliott loss; only the client-side
-        # resilience differs.  Sum over a few seeds to keep the margin
-        # robust against individual lucky runs.
-        baseline_served = resilient_served = attempted = 0
-        retry = {"retry": {"max_attempts": 4, "base_delay": 0.02, "jitter": 0.1}}
-        for seed in (1, 2, 3):
-            base = run(seed, ops=120, faults=0, burst_loss=0.03)
-            resilient = run(
-                seed, ops=120, faults=0, burst_loss=0.03, params={"resilience": retry}
-            )
-            assert base.attempted == resilient.attempted
-            # No seed regresses, and a retried op is never counted twice.
-            assert base.served <= resilient.served <= resilient.attempted
-            baseline_served += base.served
-            resilient_served += resilient.served
-            attempted += base.attempted
-        assert resilient_served > baseline_served
-        assert resilient_served / attempted > baseline_served / attempted
+class TestBurstLossFailsFast:
+    """With no scripted fault, burst loss alone blocks ops: a lost call
+    is not retried, so the op driver counts it once, as blocked by an
+    ``UnreachableError``."""
+
+    @staticmethod
+    def lossy(seed, burst_loss=0.05):
+        return run(seed, ops=120, faults=0, burst_loss=burst_loss)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_lost_op_is_blocked_once(self, seed):
+        base = run(seed, ops=120, faults=0)
+        lossy = self.lossy(seed)
+        assert base.served == base.attempted == lossy.attempted
+        assert lossy.served + lossy.blocked == lossy.attempted
+        assert lossy.errors == ({"UnreachableError": lossy.blocked} if lossy.blocked else {})
+        assert len(lossy.outcomes) == lossy.attempted
+        assert sum(1 for _, served in lossy.outcomes if not served) == lossy.blocked
+
+    def test_burst_loss_alone_blocks_ops(self):
+        blocked = [self.lossy(seed).blocked for seed in SEEDS]
+        assert sum(blocked) > 0, blocked
 
 
 class TestAvailabilityCurve:

@@ -5,6 +5,7 @@ import pytest
 from repro.membership import HeartbeatFailureDetector
 from repro.membership.failure_detector import EVENT_TAIL
 from repro.net import SimNetwork
+from repro.transport.asyncio_backend import AsyncioTransport
 
 NODES = ("a", "b", "c")
 
@@ -151,3 +152,40 @@ class TestDetection:
         # advancing the clock without rounds changes nothing
         detector.scheduler.run_until(detector.scheduler.clock.now + 10.0)
         assert not detector.is_suspected("a", "b")
+
+
+class TestOnTheThreadedBackend:
+    """The detector's rounds are scheduler events, and the threaded
+    backend's scheduler is the simulator's: timeouts count simulated
+    seconds there too, and a run takes no wall-clock wait."""
+
+    @staticmethod
+    def crash_run(network):
+        detector = HeartbeatFailureDetector(network, period=0.5, timeout=1.6)
+        detector.run_for(2.0)
+        network.crash_node("b")
+        detector.run_for(0.5)
+        early = detector.is_suspected("a", "b")
+        detector.run_for(3600.0)
+        return early, detector.detection_latency("a", "b"), network.scheduler.clock.now
+
+    def test_crash_detected_with_the_simulators_latency(self):
+        with AsyncioTransport(NODES) as transport:
+            threaded = self.crash_run(transport.network)
+        early, latency, now = threaded
+        assert not early and latency is not None
+        assert now == 2.0 + 0.5 + 3600.0
+        assert threaded == self.crash_run(SimNetwork(NODES))
+
+    def test_suspicion_cleared_on_recovery(self):
+        with AsyncioTransport(NODES) as transport:
+            network = transport.network
+            detector = HeartbeatFailureDetector(network, period=0.5, timeout=1.6)
+            detector.run_for(2.0)
+            network.partition({"a"}, {"b", "c"})
+            detector.run_for(3.0)
+            assert detector.suspects("b") == frozenset({"a"})
+            network.heal_all()
+            detector.run_for(3.0)
+            for observer in NODES:
+                assert detector.suspects(observer) == frozenset()

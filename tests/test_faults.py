@@ -2,13 +2,15 @@
 
 Covers the per-link fault models (Gilbert-Elliott burst loss, extra
 delay, duplication, kind filters), the injector's determinism guarantees,
-scheduled fault scripts on the sim scheduler, and the network-level
+scheduled fault scripts on either backend's scheduler, the network-level
 integration — including the state-change-only topology notifications and
-the loss-path determinism the observability trace depends on.
+the loss-path determinism the observability trace depends on, and
+calls that fail fast when a fault drops them.
 """
 
 import io
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.faults import (
     GilbertElliottLoss,
     LinkFaultModel,
 )
+from repro.core import AcceptAllHandler
 from repro.net import GroupChannel, SimNetwork, UnreachableError
 from repro.obs import Observability
 from repro.transport.asyncio_backend import AsyncioGroupChannel, AsyncioTransport
@@ -251,7 +254,45 @@ class TestFaultInjector:
         assert injector.on_send("a", "b", "k", None) is PASS
 
 
-class TestFaultSchedule:
+class ScheduleInstallContract:
+    """A fault script installed on a network fires on that network's
+    scheduler at its scripted simulated times; the subclasses run it on
+    each substrate."""
+
+    def test_install_fires_at_scripted_times(self, network):
+        schedule = (
+            FaultSchedule().fail_link(1.0, "a", "b").heal_link(2.0, "a", "b")
+        )
+        schedule.install(network)
+        network.scheduler.run_until(1.5)
+        assert not network.link_up("a", "b")
+        network.scheduler.run_until(2.5)
+        assert network.link_up("a", "b")
+
+    def test_install_rejects_past_events(self, network):
+        network.scheduler.run_until(5.0)
+        with pytest.raises(ValueError, match="past"):
+            FaultSchedule().fail_link(1.0, "a", "b").install(network)
+
+    def test_cancel_prevents_pending_events(self, network):
+        schedule = FaultSchedule().crash_node(1.0, "c")
+        schedule.install(network)
+        assert schedule.cancel() == 1
+        network.scheduler.run_until(2.0)
+        assert not network.is_crashed("c")
+
+    def test_partition_event_applies_groups(self, network):
+        FaultSchedule().partition(1.0, ("a",), ("b", "c")).install(network)
+        network.scheduler.run_until(1.0)
+        assert network.partition_of("a") == frozenset({"a"})
+        assert network.partition_of("b") == frozenset({"b", "c"})
+
+
+class TestFaultSchedule(ScheduleInstallContract):
+    @pytest.fixture
+    def network(self):
+        return make_network()
+
     def test_builders_keep_events_sorted(self):
         schedule = (
             FaultSchedule()
@@ -282,37 +323,16 @@ class TestFaultSchedule:
             "heal_all",
         }
 
-    def test_install_fires_at_scripted_times(self):
-        network = make_network()
-        schedule = (
-            FaultSchedule().fail_link(1.0, "a", "b").heal_link(2.0, "a", "b")
-        )
-        schedule.install(network)
-        network.scheduler.run_until(1.5)
-        assert not network.link_up("a", "b")
-        network.scheduler.run_until(2.5)
-        assert network.link_up("a", "b")
 
-    def test_install_rejects_past_events(self):
-        network = make_network()
-        network.scheduler.run_until(5.0)
-        with pytest.raises(ValueError, match="past"):
-            FaultSchedule().fail_link(1.0, "a", "b").install(network)
+class TestFaultScheduleThreaded(ScheduleInstallContract):
+    """Same script on the threaded backend, whose scheduler is the
+    simulator's: events fire when the caller drives it, in simulated
+    seconds."""
 
-    def test_cancel_prevents_pending_events(self):
-        network = make_network()
-        schedule = FaultSchedule().crash_node(1.0, "c")
-        schedule.install(network)
-        assert schedule.cancel() == 1
-        network.scheduler.run_until(2.0)
-        assert not network.is_crashed("c")
-
-    def test_partition_event_applies_groups(self):
-        network = make_network()
-        FaultSchedule().partition(1.0, ("a",), ("b", "c")).install(network)
-        network.scheduler.run_until(1.0)
-        assert network.partition_of("a") == frozenset({"a"})
-        assert network.partition_of("b") == frozenset({"b", "c"})
+    @pytest.fixture
+    def network(self):
+        with AsyncioTransport(NODES) as transport:
+            yield echo_handlers(transport.network)
 
 
 class TestNetworkIntegration:
@@ -584,6 +604,96 @@ def test_replica_update_multicast_ignores_link_faults(transport, model):
         assert "fault_delay" not in cluster.ledger.counts
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("transport", ["sim", "asyncio"])
+class TestCallsFailFast:
+    """The middleware never retries a call: a lost invocation surfaces
+    to the caller as ``UnreachableError`` even when the fault would
+    clear moments later — on every backend."""
+
+    @staticmethod
+    @contextmanager
+    def lossy(transport):
+        """An unreplicated cluster whose ``a -> b`` link drops every
+        invocation, and a record homed on ``b``.  Unreplicated: P4 would
+        promote a temporary primary on the caller's side and hide the
+        lost send."""
+        from repro.apps.counter import Record, counter_constraint_registration
+        from repro.cluster import ClusterConfig, DedisysCluster
+
+        injector = FaultInjector()
+        injector.set_link_model("a", "b", DropKinds(["invocation"]), bidirectional=False)
+        config = ClusterConfig(
+            node_ids=NODES, enable_replication=False, obs=Observability(), transport=transport
+        )
+        with DedisysCluster(config) as cluster:
+            cluster.network.install_fault_injector(injector)
+            cluster.deploy(Record)
+            cluster.register_constraint(counter_constraint_registration())
+            yield cluster, injector, cluster.create_entity("b", "Record", "r")
+
+    def test_a_lost_invocation_fails_fast(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            cluster.scheduler.schedule_after(0.15, injector.clear, label="fault-clears")
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "set_counter", 42, negotiation_handler=AcceptAllHandler())
+            assert cluster.entity_on("b", ref).get_counter() == 0
+
+    def test_a_lost_read_fails_fast(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "get_counter")
+
+    def test_the_error_names_the_lost_link(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            with pytest.raises(UnreachableError) as excinfo:
+                cluster.invoke("a", ref, "get_counter")
+            assert (excinfo.value.source, excinfo.value.destination) == ("a", "b")
+
+    def test_a_failed_call_is_one_send(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            delivered = cluster.network.delivered_count
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "get_counter")
+            dropped = cluster.obs.registry.get("net_messages_dropped_total")
+            assert dropped.value(reason="kind-filter:invocation") == 1
+            assert cluster.network.delivered_count == delivered
+
+    def test_the_next_call_after_the_fault_clears_is_served(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            cluster.scheduler.schedule_after(0.15, injector.clear, label="fault-clears")
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "get_counter")
+            # The failed call fired nothing due later; the caller's own
+            # scheduler drive does.
+            assert len(cluster.scheduler) == 1
+            cluster.scheduler.run_until(cluster.clock.now + 0.15)
+            assert len(cluster.scheduler) == 0
+            cluster.invoke("a", ref, "set_counter", 42, negotiation_handler=AcceptAllHandler())
+            assert cluster.entity_on("b", ref).get_counter() == 42
+
+    def test_a_local_call_is_served_while_the_link_drops(self, transport):
+        with self.lossy(transport) as (cluster, injector, ref):
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "get_counter")
+            cluster.invoke("b", ref, "set_counter", 7, negotiation_handler=AcceptAllHandler())
+            assert cluster.invoke("b", ref, "get_counter") == 7
+            # Another caller's link to the home node is untouched.
+            assert cluster.invoke("c", ref, "get_counter") == 7
+
+
+def test_a_failed_call_takes_the_same_simulated_time_on_every_backend():
+    def failed_call(transport):
+        with TestCallsFailFast.lossy(transport) as (cluster, injector, ref):
+            started = cluster.clock.now
+            with pytest.raises(UnreachableError):
+                cluster.invoke("a", ref, "get_counter")
+            return cluster.clock.now - started
+
+    seconds = failed_call("sim")
+    assert seconds > 0
+    assert failed_call("asyncio") == seconds
 
 
 class TestCustomModel:

@@ -192,6 +192,70 @@ class TestReplicationManager:
         assert cluster.gms.epoch > before
 
 
+class TestServerSideRedirect:
+    """A write that reaches a backup's server chain unrouted (a nested
+    call made on the backup) is sent on to the primary by
+    ``ReplicationServerInterceptor``; a lost send fails the call at once,
+    with no retry — on every backend."""
+
+    @pytest.fixture(params=["sim", "asyncio"])
+    def cluster(self, request):
+        from repro.obs import Observability
+
+        config = ClusterConfig(node_ids=NODES, obs=Observability(), transport=request.param)
+        with DedisysCluster(config) as cluster:
+            cluster.deploy(Counter)
+            yield cluster
+
+    @staticmethod
+    def write_on_backup(cluster, ref):
+        return cluster.txmgr.run(
+            lambda tx: cluster.nodes["b"].invocation_service.invoke_local(
+                ref, "set_value", (42,)
+            )
+        )
+
+    @staticmethod
+    def drop_redirects(cluster):
+        from repro.faults import DropKinds, FaultInjector
+
+        injector = FaultInjector()
+        injector.set_link_model("b", "a", DropKinds(["invocation"]), bidirectional=False)
+        cluster.network.install_fault_injector(injector)
+
+    def test_a_write_on_a_backup_runs_on_the_primary(self, cluster):
+        ref = cluster.create_entity("a", "Counter", "c1")
+        delivered = cluster.network.record_deliveries()
+        self.write_on_backup(cluster, ref)
+        assert [(m.source, m.destination) for m in delivered if m.kind == "invocation"] == [
+            ("b", "a")
+        ]
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_value() == 42
+
+    def test_a_lost_redirect_fails_fast(self, cluster):
+        from repro.net import UnreachableError
+
+        self.drop_redirects(cluster)
+        ref = cluster.create_entity("a", "Counter", "c1")
+        with pytest.raises(UnreachableError):
+            self.write_on_backup(cluster, ref)
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_value() == 0
+
+    def test_a_lost_redirect_is_one_send(self, cluster):
+        from repro.net import UnreachableError
+
+        self.drop_redirects(cluster)
+        ref = cluster.create_entity("a", "Counter", "c1")
+        delivered = cluster.network.record_deliveries()
+        with pytest.raises(UnreachableError):
+            self.write_on_backup(cluster, ref)
+        dropped = cluster.obs.registry.get("net_messages_dropped_total")
+        assert dropped.value(reason="kind-filter:invocation") == 1
+        assert [m for m in delivered if m.kind == "invocation"] == []
+
+
 class Aborted(Exception):
     pass
 

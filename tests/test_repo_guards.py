@@ -29,7 +29,9 @@ fault injector.  A setting with one value in use is a constant: every
 link fault is a fault injector's decision, an OCL constraint validates
 its compiled form, a dynamic negotiation handler decides outright,
 adaptive voting always adapts on one vote per node, and an object is
-reached by its reference, not by a bound name.  That reconciliation's
+reached by its reference, not by a bound name.  A lost call fails fast:
+no client retry, deadline or circuit breaker beside the degraded modes.
+That reconciliation's
 coordinator touches no other node's store, history or update records is
 replint's ``NODE001``, not a guard here.
 """
@@ -336,7 +338,7 @@ def test_options_no_caller_set_stay_constants():
 
     assert matches(r"CCMConfig|registry_factory|RegistryFactory|written_entities|after_completion") == []
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
-    assert len(fields) == 11 and "default_min_degree" not in fields
+    assert len(fields) == 10 and "default_min_degree" not in fields
     removed = [
         (ConstraintConsistencyManager.__init__, "config"),
         (explorer.Counterexample.replay, "registry_factory"),
@@ -442,3 +444,24 @@ def test_an_object_is_reached_by_its_reference_not_a_bound_name():
 
     assert "NamingService" not in repro.objects.__all__
     assert matches(r"NamingService|bind_name|\.naming\b") == []
+
+
+def test_a_lost_call_fails_fast_with_no_retry_deadline_or_breaker():
+    """The paper degrades (P4, threats, reconciliation) and never retries
+    a client call: an ``UnreachableError`` reaches the caller at once."""
+    import dataclasses
+
+    import repro
+    import repro.faults
+    from repro.adapt.signals import SIGNALS
+    from repro.cluster import ClusterConfig
+    from repro.objects import Invocation
+
+    fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+    assert len(fields) == 10 and "resilience" not in fields
+    assert "deadline" not in Invocation.__slots__
+    resilience = re.compile(r"Resilience|Retry|Breaker|Circuit|Deadline")
+    assert [name for name in repro.__all__ if resilience.search(name)] == []
+    assert [name for name in repro.faults.__all__ if resilience.search(name)] == []
+    assert "breaker_open_fraction" not in SIGNALS
+    assert matches(r"send_redirect|retry_policy|ResilienceConfig") == []

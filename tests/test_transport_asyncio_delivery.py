@@ -23,6 +23,8 @@ path promises:
 * only ``repro-node-*`` threads exist, and they exit after ``close()``;
 * a closed transport leaves no pipe open but the calling thread's own
   reply pipe.
+* a timer on the shared scheduler fires only when a caller drives it,
+  on that caller's thread, however far a send moved the clock.
 """
 
 from __future__ import annotations
@@ -536,3 +538,19 @@ def test_the_group_channel_keeps_members_only_in_the_networks_table(transport):
     assert channel.members == ("a", "b") == transport.network.member_nodes()
     assert not {"_handlers", "_members"} & set(vars(channel))
     assert channel.multicast("c", "noop", {}) == {"a": "ack-a", "b": "ack-b"}
+
+
+def test_timers_fire_only_when_the_caller_drives_the_scheduler(transport):
+    network = transport.network
+    network.register_handler("b", lambda message: "ok")
+    fired: list[str] = []
+    transport.scheduler.schedule_after(
+        1e-9, lambda: fired.append(threading.current_thread().name), label="timer"
+    )
+    assert network.send("a", "b", "work", None) == "ok"
+    # The send's latency moved the shared clock past the timer, and no
+    # node thread fired it.
+    assert transport.clock.now > 1e-9
+    assert fired == []
+    assert transport.scheduler.run_until(transport.clock.now) == 1
+    assert fired == [threading.current_thread().name]

@@ -3,8 +3,8 @@
 Each scenario below replays through :func:`repro.faults.replay_scenario`
 on the simulator and on the threaded backend (``transport="asyncio"``),
 which runs on the simulator's own clock and scheduler: the op driver
-schedules ops, faults and adaptation ticks and drains, and retry backoff
-drives the same scheduler, on both.  Their outcome digests
+schedules ops, faults and adaptation ticks and drains the same
+scheduler, on both.  Their outcome digests
 (:func:`repro.check.outcome_digest`: per-op results, committed entity
 states, threat stores, reconciliation counters, system modes) must be
 *equal*, not merely similar, and so must the simulated seconds the replay
@@ -16,15 +16,13 @@ closing round deferred work — ``docs/CORPUS.md`` lists them).  The sim
 trace stays the golden reference.
 
 The ``slow`` tier (``RUN_SLOW=1``) widens the generated part to seeds 0–9
-of the ``medium`` and ``chaos`` presets in every corpus domain, adds
-client-side resilience to seeds 0–2 of ``chaos`` and of ``medium`` with
-burst loss in every domain, and replays the adaptive oscillating
-flight-booking scenario for seeds 0–5, with and without resilience.
+of the ``medium`` and ``chaos`` presets in every corpus domain, replays
+seeds 0–2 of ``medium`` with burst loss in every domain, and replays the
+adaptive oscillating flight-booking scenario for seeds 0–5.
 """
 
 import json
 import os
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -42,22 +40,14 @@ def generated(domain, seed, preset, **overrides):
     return generate_scenario(preset_config(domain, seed, preset, **overrides))
 
 
-def resilient(domain, seed, preset, **overrides):
-    """A generated scenario whose clients retry and break circuits."""
-    return generated(domain, seed, preset, params={"resilience": {}}, **overrides)
-
-
-def adaptive(seed, resilience=False):
+def adaptive(seed):
     """test_adaptation's oscillating flight-booking scenario under its
     ``ADAPTIVE`` policy, ticking every 0.05 simulated seconds."""
-    scenario = test_adaptation._with_adaptation(
+    return test_adaptation._with_adaptation(
         test_adaptation.TestAdaptiveBeatsStaticExtremes.oscillating(seed),
         test_adaptation.TestAdaptiveBeatsStaticExtremes.ADAPTIVE,
         tick=0.05,
     )
-    if resilience:
-        scenario = replace(scenario, params={**scenario.params, "resilience": {}})
-    return scenario
 
 
 CONFORMANCE = {
@@ -67,7 +57,6 @@ CONFORMANCE = {
     "oscillating-ats": partial(generated, "ats", 0, "medium", fault_plan="oscillating"),
     "burst_loss-dtms": partial(generated, "dtms", 0, "medium", burst_loss=0.05),
     "adaptive-flight_booking": partial(adaptive, 0),
-    "burst_loss_resilience-ats": partial(resilient, "ats", 0, "medium", burst_loss=0.05),
 }
 
 
@@ -114,25 +103,20 @@ def test_generated_scenarios_conform_across_seeds():
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("RUN_SLOW") != "1",
-    reason="48 resilience and adaptation replays on both backends; set RUN_SLOW=1",
+    reason="24 burst-loss and adaptation replays on both backends; set RUN_SLOW=1",
 )
 def test_clocked_params_conform_across_seeds():
     scenarios = {
         **{
-            f"{preset}-resilience-{domain}-s{seed}": partial(resilient, domain, seed, preset, **extra)
-            for preset, extra in (("chaos", {}), ("medium", {"burst_loss": 0.05}))
+            f"medium-burst_loss-{domain}-s{seed}": partial(
+                generated, domain, seed, "medium", burst_loss=0.05
+            )
             for domain in domain_names()
             for seed in range(3)
         },
-        **{
-            f"adaptive-s{seed}{'-resilience' if resilience else ''}": partial(
-                adaptive, seed, resilience
-            )
-            for seed in range(6)
-            for resilience in (False, True)
-        },
+        **{f"adaptive-s{seed}": partial(adaptive, seed) for seed in range(6)},
     }
-    assert len(scenarios) == 48
+    assert len(scenarios) == 24
     found = {
         name: problems
         for name, build in scenarios.items()
