@@ -33,11 +33,9 @@ READONLY_API = frozenset(
         "pending",
         "count_identities",
         "persisted_records",
-        # ReplicationManager / AdaptationEngine observation API
-        # (adaptation guardrails read the action ledger and replica info)
+        # ReplicationManager observation API
         "is_replicated",
         "info",
-        "state_of",
         # plain-data helpers
         "items",
         "values",

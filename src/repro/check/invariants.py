@@ -26,8 +26,6 @@ Built-ins:
   network, every node holds byte-identical replica state per object.
 * :class:`NoCrossPartitionDelivery` — no message is delivered between
   nodes that were unreachable from each other when it was sent.
-* :class:`AdaptationGuardrails` — the adaptation loop agrees with its
-  own action ledger.
 * :class:`CommittedStateSurvives` — a field the scenario drives through
   plain setters only ever holds its creation value or one a served write
   set.
@@ -251,65 +249,6 @@ class NoCrossPartitionDelivery(Invariant):
         return None
 
 
-class AdaptationGuardrails(Invariant):
-    """Runtime adaptation must stay consistent with its own ledger.
-
-    The adaptation loop switches modes *mid-flight*: the other five
-    invariants already guarantee no switch breaks routing, the lattice,
-    threat accounting, convergence, or delivery — this one pins the
-    loop's own bookkeeping at every step:
-
-    * the cluster-wide shed flag on every CCMgr matches the ledger of
-      applied-but-not-undone ``shed_load`` actions;
-    * every designated primary (after any ``rehome_primaries``) is one
-      of the object's replica holders;
-    * the engine never re-fires a policy before its cooldown elapsed
-      after a release or rollback.
-    """
-
-    name = "adaptation_guardrails"
-
-    def check(self, probe: RunProbe) -> str | None:
-        cluster = probe.cluster
-        actions = getattr(cluster, "adaptation_actions", [])
-        shed_expected = any(
-            action.action == "shed_load" and not action.undone for action in actions
-        )
-        for node_id in sorted(cluster.ccmgrs):
-            flag = cluster.ccmgrs[node_id].shed_tradeable_writes
-            if flag != shed_expected:
-                return (
-                    f"node {node_id}: shed flag {flag} disagrees with the "
-                    f"action ledger (expected {shed_expected})"
-                )
-        if cluster.replication is not None:
-            for ref in probe.refs:
-                if not cluster.replication.is_replicated(ref):
-                    continue
-                info = cluster.replication.info(ref)
-                if info.designated_primary not in info.replica_nodes:
-                    return (
-                        f"{ref}: designated primary {info.designated_primary} "
-                        f"holds no replica ({sorted(info.replica_nodes)})"
-                    )
-        engine = getattr(cluster, "adaptation", None)
-        if engine is not None:
-            released_at: dict[str, tuple[float, float]] = {}
-            for entry in engine.trace:
-                policy_name = entry["policy"]
-                if entry["phase"] in ("release", "rollback", "veto"):
-                    cooldown = engine.state_of(policy_name).policy.cooldown
-                    released_at[policy_name] = (entry["t"], cooldown)
-                elif entry["phase"] == "fire" and policy_name in released_at:
-                    since, cooldown = released_at[policy_name]
-                    if entry["t"] - since < cooldown - 1e-9:
-                        return (
-                            f"policy {policy_name!r} re-fired {entry['t'] - since:.6f}s "
-                            f"after release; cooldown is {cooldown}s"
-                        )
-        return None
-
-
 class CommittedStateSurvives(Invariant):
     """Committed updates survive: on an entity the scenario drives through
     ``set_<field>`` / ``get_<field>`` only, each set field holds its
@@ -394,7 +333,6 @@ def default_registry() -> InvariantRegistry:
             ThreatAccounting(),
             ReplicaConvergence(),
             NoCrossPartitionDelivery(),
-            AdaptationGuardrails(),
             CommittedStateSurvives(),
             ClusterHealthyAgain(),
         )

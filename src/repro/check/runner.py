@@ -26,7 +26,6 @@ from ..core import (
     AcceptAllHandler,
     ConsistencyThreatRejected,
     ConstraintViolated,
-    OperationShedded,
 )
 from ..net import NodeCrashedError, UnreachableError
 from ..obs import Observability
@@ -44,7 +43,6 @@ BLOCKING_ERRORS = (
     WriteAccessDenied,
     ConsistencyThreatRejected,
     ConstraintViolated,
-    OperationShedded,
     TransactionRolledBack,
 )
 

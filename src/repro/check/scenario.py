@@ -136,14 +136,7 @@ class Scenario:
         self, obs: Any = None, transport: Any = "sim"
     ) -> tuple[DedisysCluster, tuple[Any, ...]]:
         """A fresh cluster on ``transport`` with the entities deployed
-        (faults NOT installed).
-
-        ``params["adapt_initial"]`` (one-shot actuator actions — how the
-        static policy extremes are pinned) and ``params["adaptation"]``
-        (policies/tick/horizon for a live engine) are applied here, so
-        the chaos replayer, the corpus, and the model checker all get
-        the adaptation loop for free.
-        """
+        (faults NOT installed)."""
         spec = self.domain_spec
         weights = self.params.get("node_weights")
         cluster = DedisysCluster(
@@ -172,30 +165,6 @@ class Scenario:
                 FaultInjector.burst_loss(
                     float(burst_loss), seed=int(self.params.get("seed", 0))
                 )
-            )
-        initial_actions = self.params.get("adapt_initial")
-        if initial_actions:
-            from ..adapt import AdaptationActuator
-
-            actuator = AdaptationActuator(cluster)
-            for item in initial_actions:
-                actuator.apply(
-                    str(item["action"]), dict(item.get("args", {})), policy="initial"
-                )
-        adaptation = self.params.get("adaptation")
-        if adaptation:
-            from ..adapt import AdaptationPolicy
-
-            policies = [
-                AdaptationPolicy.from_dict(p) for p in adaptation.get("policies", ())
-            ]
-            horizon = adaptation.get("horizon")
-            if horizon is None:
-                horizon = max((op.at for op in self.ops), default=0.0) + 1.0
-            cluster.attach_adaptation(
-                policies,
-                tick=float(adaptation.get("tick", 0.25)),
-                horizon=float(horizon),
             )
         return cluster, refs
 

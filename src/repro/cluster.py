@@ -203,11 +203,6 @@ class DedisysCluster:
         # The most recent reconciliation outcome; invariant probes consult
         # it to decide what "converged" and "accounted for" must mean now.
         self.last_reconciliation: ReconciliationReport | None = None
-        # The adaptation loop, when attached (see attach_adaptation), and
-        # the shared ledger of actuator actions applied to this cluster —
-        # one-shot or engine-driven — consulted by the guardrail invariant.
-        self.adaptation: Any = None
-        self.adaptation_actions: list[Any] = []
 
     # ------------------------------------------------------------------
     # wiring
@@ -437,32 +432,6 @@ class DedisysCluster:
     def heal(self) -> None:
         self.network.heal_all()
 
-    def build_protocol(self, spec: str | ReplicationProtocol) -> ReplicationProtocol:
-        """A fresh protocol instance from its registry name (actuator API)."""
-        return _build_protocol(spec, len(self.config.node_ids))
-
-    def attach_adaptation(
-        self,
-        policies: Iterable[Any],
-        tick: float = 0.25,
-        horizon: float = 10.0,
-    ) -> Any:
-        """Wire an adaptation engine over this cluster and start ticking.
-
-        The engine observes through the cluster's obs hub, decides via the
-        declarative ``policies``, and acts through an
-        :class:`~repro.adapt.AdaptationActuator`.  Ticks are ordinary
-        scheduler events bounded by ``horizon`` simulated seconds, so
-        ``scheduler.drain()`` always terminates.
-        """
-        from .adapt import AdaptationEngine
-
-        self.adaptation = AdaptationEngine(
-            self, tuple(policies), tick=tick, horizon=horizon
-        )
-        self.adaptation.start()
-        return self.adaptation
-
     def reconcile(
         self,
         replica_handler: Any = None,
@@ -519,10 +488,6 @@ class DedisysCluster:
         Clusters are also context managers: ``with DedisysCluster(cfg) as
         cluster: ...``.
         """
-        if self.adaptation is not None:
-            stop = getattr(self.adaptation, "stop", None)
-            if callable(stop):
-                stop()
         self.transport.close()
 
     def __enter__(self) -> "DedisysCluster":
@@ -547,9 +512,7 @@ class DedisysCluster:
         if self.replication is None or not self.replication.is_replicated(ref):
             return {}
         targets: dict[frozenset, tuple[NodeId, ...]] = {}
-        # Per-class overrides (adaptation) mean the routing protocol is a
-        # property of the ref, not of the cluster.
-        protocol = self.replication.protocol_for(ref)
+        protocol = self.replication.protocol
         hook, protocol.promotion_hook = protocol.promotion_hook, None
         try:
             for partition in self.network.partitions():

@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
     "ccmgr": (
         "ConstraintConsistencyManager", "NullStalenessProvider", "StalenessProvider",
     ),
-    "errors": ("ConsistencyThreatRejected", "ConstraintViolated", "OperationShedded"),
+    "errors": ("ConsistencyThreatRejected", "ConstraintViolated"),
     "interceptor": ("CCMInterceptor",),
     "metadata": (
         "AffectedMethod", "CalledObjectIsContextObject", "ConfigurationError",

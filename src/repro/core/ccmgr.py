@@ -34,7 +34,7 @@ from ..objects import (
     push_tracker,
 )
 from ..tx import Transaction
-from .errors import ConsistencyThreatRejected, ConstraintViolated, OperationShedded
+from .errors import ConsistencyThreatRejected, ConstraintViolated
 from .metadata import ConstraintRegistration
 from .model import (
     CheckCategory,
@@ -46,7 +46,7 @@ from .model import (
     ValidationOutcome,
 )
 from .negotiation import NegotiationResult, Negotiator
-from .repository import ConstraintRepository, MethodDispatch
+from .repository import ConstraintRepository
 from .threats import ConsistencyThreat, ThreatStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,9 +140,6 @@ class ConstraintConsistencyManager:
         self._m_violations = self.obs.registry.counter(
             "ccm_violations_total", "definite constraint violations"
         )
-        self._m_shed = self.obs.registry.counter(
-            "adapt_shed_ops_total", "tradeable writes refused while shedding load"
-        )
         # Set by the cluster facade; used for partition-weight exposure and
         # degraded-mode detection.
         self.gms: Any = None
@@ -158,10 +155,6 @@ class ConstraintConsistencyManager:
         # validation code may invoke entity methods through the middleware,
         # which must not trigger constraint validation again (§5.3).
         self._validating = False
-        # Graceful degradation (adaptation loop): while set, invocations
-        # affecting at least one tradeable constraint are refused up front
-        # with OperationShedded — no validation, no negotiation, no threat.
-        self.shed_tradeable_writes = False
         # Statistics for tests and benchmarks.
         self.stats: dict[str, int] = {
             "validations": 0,
@@ -199,8 +192,6 @@ class ConstraintConsistencyManager:
         class_name = invocation.ref.class_name
         method = invocation.method_name
         dispatch = self.repository.method_dispatch(class_name, method)
-        if self.shed_tradeable_writes:
-            self._maybe_shed(invocation, tx, dispatch)
         env: _Environment | None = None
         # Preconditions: bound to and checked before the invocation (§1.6).
         # They share one validation context — none of them snapshots @pre
@@ -457,33 +448,6 @@ class ConstraintConsistencyManager:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _maybe_shed(
-        self,
-        invocation: Invocation,
-        tx: Transaction | None,
-        dispatch: MethodDispatch,
-    ) -> None:
-        """Refuse the invocation when load shedding is active and any
-        affected constraint is tradeable (the op could only proceed by
-        accumulating more threat backlog — exactly what shedding stops).
-        Non-tradeable work passes through: critical constraints still
-        guard it and reads carry no affected constraints at all."""
-        if not dispatch.any_tradeable():
-            return
-        class_name = invocation.ref.class_name
-        method = invocation.method_name
-        if self.obs.enabled:
-            self._m_shed.inc(method=f"{class_name}.{method}")
-            self.obs.emit(
-                "adapt_shed",
-                node=str(self.node.node_id),
-                ref=invocation.ref,
-                method=method,
-            )
-        if tx is not None:
-            tx.set_rollback_only(f"tradeable write {class_name}.{method} shed")
-        raise OperationShedded(class_name, method, invocation.ref)
-
     def _check_invariant(
         self,
         registration: ConstraintRegistration,

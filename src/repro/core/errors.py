@@ -23,27 +23,6 @@ class ConstraintViolated(RuntimeError):
         self.context_ref = context_ref
 
 
-class OperationShedded(RuntimeError):
-    """The adaptation loop is shedding tradeable writes (graceful
-    degradation): the operation was refused before any validation or
-    negotiation ran, so no threat is recorded and nothing commits."""
-
-    def __init__(
-        self,
-        class_name: str,
-        method_name: str,
-        context_ref: ObjectRef | None = None,
-    ) -> None:
-        where = f" on {context_ref}" if context_ref else ""
-        super().__init__(
-            f"tradeable write {class_name}.{method_name} shed by the "
-            f"adaptation loop{where}"
-        )
-        self.class_name = class_name
-        self.method_name = method_name
-        self.context_ref = context_ref
-
-
 class ConsistencyThreatRejected(RuntimeError):
     """A consistency threat was not accepted; the operation aborts."""
 

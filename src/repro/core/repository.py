@@ -29,9 +29,9 @@ calling it on demand, so every ``repository_search`` /
 ``repository_lookup_cached`` charge lands where the manager asks.
 
 All three stay runtime-mutable: constraints can be added, removed, enabled
-and disabled at any time, and ``enabled``/tradeability are honoured at
-query time so even direct toggles on the :class:`Constraint` object are
-picked up immediately.
+and disabled at any time, and ``enabled`` is honoured at query time so
+even direct toggles on the :class:`Constraint` object are picked up
+immediately.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ class MethodDispatch:
             if registration.constraint.enabled
         )
 
-    def any_tradeable(self) -> bool:
-        """Whether any enabled affected constraint is currently tradeable.
-
-        Tradeability is adaptation-mutable (the actuator flips priorities
-        at runtime), so it is evaluated live rather than precomputed.
-        """
-        return any(
-            registration.constraint.is_tradeable()
-            for registration in self._all
-            if registration.constraint.enabled
-        )
-
     def __len__(self) -> int:
         return len(self._all)
 
@@ -123,14 +111,6 @@ class _QueriedDispatch(MethodDispatch):
         class_name, method_name = self.key
         return self._repository.affected_constraints(
             class_name, method_name, constraint_type
-        )
-
-    def any_tradeable(self) -> bool:
-        # One query per type, stopping at the first tradeable hit.
-        return any(
-            registration.constraint.is_tradeable()
-            for constraint_type in ConstraintType
-            for registration in self.registrations(constraint_type)
         )
 
     def __len__(self) -> int:

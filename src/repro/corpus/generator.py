@@ -198,9 +198,8 @@ def _sample_oscillating_plan(
     third cycle, each closed by its heal and followed by a mid-run
     reconcile (whose timestamps are returned for op insertion).
 
-    The mix is deliberately adaptation-stressing: a policy without
-    hysteresis/cooldown flaps on the short dwells, and one that never
-    degrades gracefully bleeds integrity through the long ones.
+    The short dwells churn membership views and reconciliations; the
+    long ones let degraded-mode threats pile up before the heal.
     """
     events: list[tuple[float, str, tuple[Any, ...]]] = []
     reconcile_ats: list[float] = []
@@ -290,8 +289,7 @@ def _sample_random_walk_plan(
 
 #: Fault-plan shapes the generator knows.  ``episodes`` is the classic
 #: disjoint-window sampler; ``oscillating`` alternates short and long
-#: partition dwells with a reconcile after every heal — the schedule that
-#: punishes hysteresis-free adaptation policies; ``random_walk`` lets
+#: partition dwells with a reconcile after every heal; ``random_walk`` lets
 #: link failures, crashes and partitions pile up on each other.
 FAULT_PLANS = {
     "episodes": _sample_fault_plan,

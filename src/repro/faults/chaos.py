@@ -70,9 +70,6 @@ class ReplayReport:
     constraint_handlers: list[Any] = field(default_factory=list)
     # Availability over time: one entry per bucket of the op window.
     availability_curve: list[dict[str, Any]] = field(default_factory=list)
-    # Canonical JSON lines from the adaptation engine's decision log
-    # (empty when the scenario attached no policies).
-    adaptation_trace: list[str] = field(default_factory=list)
     # The backend-independent outcome (see ``check.runner.outcome_digest``).
     digest: dict[str, Any] = field(default_factory=dict)
     snapshot: dict[str, Any] = field(default_factory=dict)
@@ -231,8 +228,6 @@ def replay_scenario(
             "corpus_replay_ops_total", "workload ops replayed from corpus scenarios"
         ).inc(report.attempted, domain=scenario.domain)
 
-        if cluster.adaptation is not None:
-            report.adaptation_trace = cluster.adaptation.trace_lines()
         report.snapshot = cluster.snapshot()
         stream = io.StringIO()
         cluster.export_trace(stream)

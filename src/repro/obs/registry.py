@@ -52,12 +52,6 @@ TRACE_EVENTS: dict[str, str] = {
     # scenario corpus
     "corpus_scenario": "the corpus generator produced one scenario",
     "corpus_replay": "one corpus scenario replayed end to end, with outcome",
-    # adaptation loop
-    "adapt_eval": "one policy-engine tick evaluated its signals and policies",
-    "adapt_action": "an actuator action applied, released, or was vetoed",
-    "adapt_rollback": "a probe window showed regression; the action was undone",
-    "adapt_mode_switch": "an entity class switched replication protocol at runtime",
-    "adapt_shed": "a tradeable write was refused while shedding load",
 }
 
 #: Metric instrument names (counters/gauges/histograms), by name.
@@ -101,11 +95,4 @@ METRICS: dict[str, str] = {
     "corpus_validation_issues_total": "structural problems found in scenarios",
     "corpus_replay_ops_total": "workload ops replayed from corpus scenarios",
     "corpus_violations_total": "invariant violations observed during corpus replays",
-    # adaptation loop
-    "adapt_evals_total": "policy-engine ticks evaluated",
-    "adapt_policy_firings_total": "policy firings, by policy and phase",
-    "adapt_actions_total": "actuator actions, by action and status",
-    "adapt_rollbacks_total": "actions undone after a regressing probe window",
-    "adapt_shed_ops_total": "tradeable writes refused while shedding load",
-    "adapt_threat_backlog": "distinct threat identities pending across stores",
 }

@@ -105,10 +105,6 @@ class ReplicationManager:
         protocol.promotion_hook = self._note_promotion
         self._replicas: dict[ObjectRef, ReplicaInfo] = {}
         self._replicated_classes: set[str] = set()
-        # Runtime per-class protocol overrides (adaptation actuator): a
-        # class listed here routes through its own protocol instead of the
-        # cluster-wide default.
-        self._protocol_overrides: dict[str, ReplicationProtocol] = {}
         # Each node's degraded-mode update records; only its writes append.
         self._update_records: dict[NodeId, list[UpdateRecord]] = {n: [] for n in self.nodes}
         self._record_ids = itertools.count(1)
@@ -146,55 +142,6 @@ class ReplicationManager:
             (ref for ref in self._replicas if ref.class_name == class_name),
             key=str,
         )
-
-    # ------------------------------------------------------------------
-    # runtime protocol control (adaptation actuator)
-    # ------------------------------------------------------------------
-    def protocol_for(self, ref: ObjectRef) -> ReplicationProtocol:
-        """The protocol routing ``ref``: its class override, else the
-        cluster-wide default."""
-        return self._protocol_overrides.get(ref.class_name, self.protocol)
-
-    def set_class_protocol(
-        self, class_name: str, protocol: ReplicationProtocol | None
-    ) -> ReplicationProtocol | None:
-        """Install (or with ``None`` drop) a per-class protocol override.
-
-        The override gets the manager's promotion hook so temporary-primary
-        promotions stay observable.  Returns the previous override (``None``
-        when the class was on the default), so callers can undo.
-        """
-        previous = self._protocol_overrides.get(class_name)
-        if protocol is None:
-            self._protocol_overrides.pop(class_name, None)
-        else:
-            protocol.promotion_hook = (
-                lambda temporary, _name=protocol.name: self._note_promotion(
-                    temporary, _name
-                )
-            )
-            self._protocol_overrides[class_name] = protocol
-        return previous
-
-    def rehome_primary(self, ref: ObjectRef, new_primary: NodeId) -> NodeId:
-        """Move ``ref``'s designated primary to ``new_primary``.
-
-        The target must already hold a replica; placement itself does not
-        change.  Returns the previous designated primary, so callers can
-        undo.
-        """
-        info = self.info(ref)
-        if new_primary not in info.replica_nodes:
-            raise ValueError(
-                f"{new_primary!r} holds no replica of {ref} "
-                f"(replicas: {list(info.replica_nodes)})"
-            )
-        self._replicas[ref] = ReplicaInfo(
-            ref=ref,
-            designated_primary=new_primary,
-            replica_nodes=info.replica_nodes,
-        )
-        return info.designated_primary
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -258,7 +205,7 @@ class ReplicationManager:
         """The node that must execute a write issued from ``caller``."""
         info = self.info(ref)
         partition = self.gms.view_of(caller).members
-        target = self.protocol_for(ref).write_node(
+        target = self.protocol.write_node(
             info.designated_primary, info.replica_nodes, partition
         )
         if target is None:
@@ -332,7 +279,7 @@ class ReplicationManager:
             return False
         node = entity.container.node.node_id
         partition = self.gms.view_of(node).members
-        return self.protocol_for(ref).is_possibly_stale(
+        return self.protocol.is_possibly_stale(
             info.designated_primary, info.replica_nodes, partition
         )
 
@@ -509,16 +456,15 @@ class ReplicationManager:
         records = (r for node_records in self._update_records.values() for r in node_records)
         return sorted(records, key=lambda r: r.record_id)
 
-    def _note_promotion(self, temporary: NodeId, protocol_name: str | None = None) -> None:
+    def _note_promotion(self, temporary: NodeId) -> None:
         """Protocol callback: a temporary primary replaced the designated
         one (the P4 promotion of §4.3)."""
         if self.obs.enabled:
-            name = protocol_name if protocol_name is not None else self.protocol.name
-            self._m_promotions.inc(protocol=name)
+            self._m_promotions.inc(protocol=self.protocol.name)
             self.obs.emit(
                 "primary_promotion",
                 node=str(temporary),
-                protocol=name,
+                protocol=self.protocol.name,
             )
 
     def _is_degraded(self, partition: frozenset[NodeId]) -> bool:

@@ -1,7 +1,7 @@
 """The transport interface: network + scheduler + clock behind one seam.
 
-The middleware stack (CCMgr, replication, reconciliation, membership,
-adaptation) never talks to a concrete substrate.  Everything it needs from
+The middleware stack (CCMgr, replication, reconciliation, membership)
+never talks to a concrete substrate.  Everything it needs from
 "the outside world" is bundled here as a :class:`Transport`:
 
 * a **clock** (``.now``, ``advance``) — the simulator's

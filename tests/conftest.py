@@ -10,7 +10,8 @@ last) compares the recorded lines against the package's executable lines
 and enforces the >=90% floor.
 
 It also holds the few read helpers several test modules share
-(``from conftest import ...``).
+(``from conftest import ...``) and the one full replint run over
+``src/repro`` that the package self-checks share.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def pytest_configure(config: pytest.Config) -> None:
     plugin = ObsCoveragePlugin()
     config.obs_coverage = plugin  # type: ignore[attr-defined]
     config.pluginmanager.register(plugin, "obs-coverage")
+
+
+@pytest.fixture(scope="session")
+def package_analysis() -> Any:
+    """Every replint rule over ``src/repro``, run once per session."""
+    from repro.analysis.engine import run_analysis
+
+    return run_analysis(Path(__file__).parents[1] / "src" / "repro")
 
 
 def history_entries(history: Any) -> int:

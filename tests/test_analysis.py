@@ -26,7 +26,6 @@ from repro.analysis.engine import (
 from repro.analysis.reporting import REPORT_VERSION, render_json, render_text
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
-SRC_REPRO = Path(__file__).parents[1] / "src" / "repro"
 
 
 def codes_of(result) -> list[str]:
@@ -210,10 +209,10 @@ class TestClockBoundaryRule:
         result = run_family("trn_good", "TRN")
         assert result.findings == []
 
-    def test_package_respects_the_clock_boundary(self):
+    def test_package_respects_the_clock_boundary(self, package_analysis):
         """No module outside repro.sim/repro.transport reads a clock."""
-        result = run_analysis(SRC_REPRO, codes=frozenset({"TRN001"}))
-        assert result.findings == [], codes_of(result)
+        found = [f for f in package_analysis.findings if f.code == "TRN001"]
+        assert found == [], [f.location for f in found]
 
 
 # ---------------------------------------------------------- node ownership
@@ -238,10 +237,10 @@ class TestNodeOwnershipRule:
         result = run_family("node_good", "NODE")
         assert result.findings == []
 
-    def test_package_touches_only_the_acting_nodes_state(self):
+    def test_package_touches_only_the_acting_nodes_state(self, package_analysis):
         """Reconciliation reaches the other members by message alone."""
-        result = run_analysis(SRC_REPRO, codes=frozenset({"NODE001"}))
-        assert result.findings == [], [f.location for f in result.findings]
+        found = [f for f in package_analysis.findings if f.code == "NODE001"]
+        assert found == [], [f.location for f in found]
 
 
 # ----------------------------------------------------------- concurrency
@@ -845,13 +844,12 @@ class TestCli:
 class TestSelfCheck:
     BASELINE = Path(__file__).parents[1] / "analysis" / "baseline.json"
 
-    def test_package_is_clean_against_the_committed_baseline(self):
+    def test_package_is_clean_against_the_committed_baseline(self, package_analysis):
         """src/repro carries no replint finding beyond the committed
         baseline and the baseline has no expired entry; any new hazard or
         unreached def fails here before it fails CI."""
-        result = run_analysis(SRC_REPRO)
         comparison = compare(
-            result.findings,
+            package_analysis.findings,
             load_baseline(self.BASELINE),
             justifications=load_justifications(self.BASELINE),
         )

@@ -256,7 +256,6 @@ class TestGeneratedWorkloads:
             "threat_accounting",
             "replica_convergence",
             "no_cross_partition_delivery",
-            "adaptation_guardrails",
             "committed_state_survives",
             "cluster_healthy_again",
         }

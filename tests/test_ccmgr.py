@@ -16,7 +16,6 @@ from repro.core import (
     ConstraintUncheckable,
     ConstraintViolated,
     Negotiator,
-    OperationShedded,
     PredicateConstraint,
     SatisfactionDegree,
     ThreatStore,
@@ -408,23 +407,19 @@ REPOSITORY_KINDS = {
     "cached": CachingConstraintRepository,
     "compiled": CompiledConstraintRepository,
 }
-# Per kind: what one full invocation, a repeat of it, and a shed refusal
-# charge (the shed check stops at the first tradeable hit, a HARD one).
+# Per kind: what one full invocation and a repeat of it charge.
 EXPECTED_CHARGES = {
     "linear": {
         "first": ["repository_search"] * 5,
         "repeat": ["repository_search"] * 5,
-        "shed": ["repository_search"] * 3,
     },
     "cached": {
         "first": ["repository_search"] * 5,
         "repeat": ["repository_lookup_cached"] * 5,
-        "shed": ["repository_lookup_cached"] * 3,
     },
     "compiled": {
         "first": ["repository_dispatch"] * 2,
         "repeat": ["repository_dispatch"] * 2,
-        "shed": ["repository_dispatch"],
     },
 }
 
@@ -460,7 +455,7 @@ class TestOneDispatchPathForEveryRepository:
             del charges[:], queries[:]
             try:
                 result = harness.invoke("sell", *args, handler=handler)
-            except (ConstraintViolated, OperationShedded) as exc:
+            except ConstraintViolated as exc:
                 result = type(exc).__name__
             return result, list(charges), list(queries)
 
@@ -476,13 +471,6 @@ class TestOneDispatchPathForEveryRepository:
         harness.ccmgr.gms = FakeGms(visible=("n1",))
         harness.ccmgr.staleness.stale = True
         assert step(1, handler=AcceptAllHandler())[0] == 16
-        # load shedding refuses the same write before any validation
-        harness.ccmgr.shed_tradeable_writes = True
-        assert step(1, handler=AcceptAllHandler()) == (
-            "OperationShedded",
-            EXPECTED_CHARGES[kind]["shed"],
-            per_type[:3],
-        )
         assert harness.flight.get_sold() == 16
 
         assert harness.ccmgr.stats == {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,48 @@ def test_presets_scale_and_unknown_preset_raises():
 def test_unknown_domain_raises_at_generation():
     with pytest.raises(KeyError):
         generate_scenario(GeneratorConfig(domain="warehouse", seed=0))
+
+
+class TestCorpusOscillatingPlan:
+    def test_deterministic_and_valid(self):
+        cfg = GeneratorConfig(
+            domain="flight_booking", seed=5, nodes=4, entities=3, ops=30,
+            faults=4, fault_plan="oscillating",
+        )
+        first = generate_scenario(cfg)
+        second = generate_scenario(cfg)
+        assert first.to_dict() == second.to_dict()
+        assert first.params["fault_plan"] == "oscillating"
+        assert validate_scenario(first) == []
+
+    def test_oscillation_shape(self):
+        scenario = generate_scenario(
+            GeneratorConfig(
+                domain="flight_booking", seed=5, nodes=4, entities=3, ops=30,
+                faults=4, fault_plan="oscillating",
+            )
+        )
+        partitions = [e for e in scenario.fault_events if e[1] == "partition"]
+        assert len(partitions) == 4
+        # Mid-run reconcile ops interleave with the workload (plus the
+        # terminal one after the horizon).
+        reconciles = [op for op in scenario.ops if op.kind == "reconcile"]
+        assert len(reconciles) == 5
+
+    def test_unknown_plan_rejected_by_generator_and_validator(self):
+        with pytest.raises(KeyError):
+            generate_scenario(
+                GeneratorConfig(domain="flight_booking", seed=0, fault_plan="bogus")
+            )
+        good = generate_scenario(GeneratorConfig(domain="flight_booking", seed=0))
+        params = dict(good.params)
+        params["fault_plan"] = "bogus"
+        issues = validate_scenario(replace(good, params=params))
+        assert any(issue.code == "unknown-fault-plan" for issue in issues)
+
+    def test_episode_plan_unchanged_by_default(self):
+        scenario = generate_scenario(GeneratorConfig(domain="flight_booking", seed=0))
+        assert "fault_plan" not in scenario.params
 
 
 # ----------------------------------------------------------------------

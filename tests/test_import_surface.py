@@ -34,7 +34,7 @@ PACKAGES = sorted(
 #: Nothing of these may be loaded by a default sim cluster's life cycle.
 UNUSED_BY_A_DEFAULT_CLUSTER = (
     "repro.check", "repro.corpus", "repro.evaluation", "repro.analysis",
-    "repro.validation", "repro.web", "repro.adapt", "repro.administration",
+    "repro.validation", "repro.web", "repro.administration",
     "repro.faults.chaos", "repro.transport.asyncio_backend",
     "repro.transport.proccluster", "repro.transport.procnode", "repro.transport.frames",
     "asyncio", "ssl", "xml", "subprocess", "logging",

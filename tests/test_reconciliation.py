@@ -1,5 +1,7 @@
 """Tests for the reconciliation phase (§3.3, §4.4, Fig. 4.6)."""
 
+import pytest
+
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import (
     AdditiveSoldMerge,
@@ -27,6 +29,15 @@ def make_flight_cluster(**config_kwargs):
     cluster.deploy(Flight)
     cluster.register_constraint(ticket_constraint_registration())
     return cluster
+
+
+@pytest.fixture
+def cluster(request):
+    """A flight cluster on the backend the test's class names
+    (``transport``, the simulator by default)."""
+    transport = getattr(request.cls, "transport", "sim")
+    with make_flight_cluster(transport=transport) as cluster:
+        yield cluster
 
 
 def record_multicast_kinds(cluster):
@@ -57,8 +68,7 @@ def overbook_during_partition(cluster, sold_healthy=70, in_a=7, in_b=8):
 class TestFlightBookingReconciliation:
     """The complete §1.3 story."""
 
-    def test_additive_merge_overbooks(self):
-        cluster = make_flight_cluster()
+    def test_additive_merge_overbooks(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         handler = RebookingReconciliationHandler(lambda r: cluster.entity_on("a", r))
         report = cluster.reconcile(
@@ -71,8 +81,7 @@ class TestFlightBookingReconciliation:
         for node in NODES:
             assert cluster.entity_on(node, ref).get_sold() == 80
 
-    def test_threats_removed_after_resolution(self):
-        cluster = make_flight_cluster()
+    def test_threats_removed_after_resolution(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         histories = [cluster.nodes[node].state_history for node in NODES]
         assert sum(history_entries(history) for history in histories) == 2
@@ -85,17 +94,15 @@ class TestFlightBookingReconciliation:
         # The degraded period is reconciled: nothing is left to roll back to.
         assert [history_entries(history) for history in histories] == [0, 0, 0]
 
-    def test_satisfied_threat_removed_without_handler(self):
+    def test_satisfied_threat_removed_without_handler(self, cluster):
         # Selling few enough tickets that the merge stays within capacity.
-        cluster = make_flight_cluster()
         ref, baselines = overbook_during_partition(cluster, sold_healthy=10, in_a=2, in_b=3)
         report = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         assert report.violations_found == 0
         assert report.satisfied_removed >= 1
         assert cluster.entity_on("c", ref).get_sold() == 15
 
-    def test_without_handler_violation_deferred(self):
-        cluster = make_flight_cluster()
+    def test_without_handler_violation_deferred(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         report = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         assert report.violations_found == 1
@@ -108,16 +115,14 @@ class TestFlightBookingReconciliation:
         assert [v.state["sold"] for v in cluster.nodes["a"].state_history.versions_of(ref)] == [77]
         assert [v.state["sold"] for v in cluster.nodes["b"].state_history.versions_of(ref)] == [78]
 
-    def test_deferred_cleanup_via_business_operation(self):
-        cluster = make_flight_cluster()
+    def test_deferred_cleanup_via_business_operation(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         # later the operator cancels the excess tickets as a business op
         cluster.invoke("a", ref, "cancel_tickets", 5)
         assert cluster.threat_stores["a"].count_identities() == 0
 
-    def test_handler_returning_false_defers(self):
-        cluster = make_flight_cluster()
+    def test_handler_returning_false_defers(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         notified = []
 
@@ -132,8 +137,7 @@ class TestFlightBookingReconciliation:
         assert notified == ["TicketConstraint"]
         assert report.deferred == 1
 
-    def test_handler_lying_about_resolution_retries(self):
-        cluster = make_flight_cluster()
+    def test_handler_lying_about_resolution_retries(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         calls = []
 
@@ -148,15 +152,13 @@ class TestFlightBookingReconciliation:
         assert len(calls) == 3  # max retries
         assert report.deferred == 1
 
-    def test_report_timing_fields(self):
-        cluster = make_flight_cluster()
+    def test_report_timing_fields(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         report = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         assert report.replica_phase_seconds > 0
         assert report.constraint_phase_seconds > 0
 
-    def test_reconcile_in_healthy_system_is_noop(self):
-        cluster = make_flight_cluster()
+    def test_reconcile_in_healthy_system_is_noop(self, cluster):
         cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         report = cluster.reconcile()
         assert report.threats_reevaluated == 0
@@ -205,15 +207,13 @@ class TestCutClosingRound:
         assert [history_entries(cluster.nodes[node].state_history) for node in NODES] == [0, 0, 0]
         assert cluster.reconcile().groups == ()
 
-    def test_sold_is_counted_once(self):
-        cluster = make_flight_cluster()
+    def test_sold_is_counted_once(self, cluster):
         ref, baselines = overbook_during_partition(cluster, sold_healthy=10, in_a=2, in_b=3)
         self.finish_after_cut(cluster, baselines)
         for node in NODES:
             assert cluster.entity_on(node, ref).get_sold() == 15
 
-    def test_the_constraint_phase_clean_up_is_not_undone(self):
-        cluster = make_flight_cluster()
+    def test_the_constraint_phase_clean_up_is_not_undone(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         handler = RebookingReconciliationHandler(lambda r: cluster.entity_on("a", r))
         self.finish_after_cut(cluster, baselines, handler)
@@ -223,8 +223,7 @@ class TestCutClosingRound:
 
 
 class TestThreatPropagation:
-    def test_threats_from_both_partitions_merged(self):
-        cluster = make_flight_cluster()
+    def test_threats_from_both_partitions_merged(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         # before reconciliation, node a only knows its own threat
         # occurrence; afterwards all stores agree
@@ -234,8 +233,7 @@ class TestThreatPropagation:
         }
         assert identities["a"] == identities["b"] == identities["c"]
 
-    def test_threats_replicated_within_partition_when_accepted(self):
-        cluster = make_flight_cluster()
+    def test_threats_replicated_within_partition_when_accepted(self, cluster):
         ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.partition({"a"}, {"b", "c"})
         cluster.invoke(
@@ -248,8 +246,7 @@ class TestThreatPropagation:
 
 
 class TestPostponedThreats:
-    def test_still_partitioned_threat_postponed(self):
-        cluster = make_flight_cluster()
+    def test_still_partitioned_threat_postponed(self, cluster):
         ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.invoke("a", ref, "sell_tickets", 70)
         cluster.partition({"a"}, {"b"}, {"c"})
@@ -262,8 +259,7 @@ class TestPostponedThreats:
         assert report.postponed == 1
         assert cluster.threat_stores["a"].count_identities() == 1
 
-    def test_postponed_threat_resolves_after_full_heal(self):
-        cluster = make_flight_cluster()
+    def test_postponed_threat_resolves_after_full_heal(self, cluster):
         ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.invoke("a", ref, "sell_tickets", 70)
         cluster.partition({"a"}, {"b"}, {"c"})
@@ -279,8 +275,7 @@ class TestPostponedThreats:
 
 
 class TestRollbackPath:
-    def test_rollback_to_consistent_state(self):
-        cluster = make_flight_cluster()
+    def test_rollback_to_consistent_state(self, cluster):
         ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.invoke("a", ref, "sell_tickets", 70)
         cluster.partition({"a"}, {"b", "c"})
@@ -307,8 +302,7 @@ class TestRollbackPath:
         # The members' histories arrive in one round.
         assert kinds.count("replica-history") == 1
 
-    def test_conflict_notification_for_satisfied_threat(self):
-        cluster = make_flight_cluster()
+    def test_conflict_notification_for_satisfied_threat(self, cluster):
         ref = cluster.create_entity("a", "Flight", "LH1", {"seats": 80})
         cluster.invoke("a", ref, "sell_tickets", 10)
         cluster.partition({"a"}, {"b", "c"})
@@ -335,10 +329,34 @@ class TestRollbackPath:
 
 
 class TestRemovedConstraint:
-    def test_threat_for_removed_constraint_dropped(self):
-        cluster = make_flight_cluster()
+    def test_threat_for_removed_constraint_dropped(self, cluster):
         ref, baselines = overbook_during_partition(cluster)
         cluster.repository.remove("TicketConstraint")
         report = cluster.reconcile(replica_handler=AdditiveSoldMerge(baselines))
         assert report.threats_reevaluated == 1
         assert cluster.threat_stores["a"].count_identities() == 0
+
+
+# The same reconciliation stories on the threaded backend: the threat
+# digests, replica records, histories and closing rounds cross real
+# threads there, and every outcome must equal the simulator's.
+
+
+class TestFlightBookingReconciliationThreaded(TestFlightBookingReconciliation):
+    transport = "asyncio"
+
+
+class TestThreatPropagationThreaded(TestThreatPropagation):
+    transport = "asyncio"
+
+
+class TestPostponedThreatsThreaded(TestPostponedThreats):
+    transport = "asyncio"
+
+
+class TestRollbackPathThreaded(TestRollbackPath):
+    transport = "asyncio"
+
+
+class TestRemovedConstraintThreaded(TestRemovedConstraint):
+    transport = "asyncio"

@@ -29,10 +29,13 @@ class Counter(Entity):
 
 
 @pytest.fixture
-def cluster():
-    cluster = DedisysCluster(ClusterConfig(node_ids=NODES))
-    cluster.deploy(Counter)
-    return cluster
+def cluster(request):
+    """A three-node cluster on the backend the test's class names
+    (``transport``, the simulator by default)."""
+    transport = getattr(request.cls, "transport", "sim")
+    with DedisysCluster(ClusterConfig(node_ids=NODES, transport=transport)) as cluster:
+        cluster.deploy(Counter)
+        yield cluster
 
 
 class TestP4Protocol:
@@ -190,6 +193,13 @@ class TestReplicationManager:
         before = cluster.gms.epoch
         cluster.partition({"a"}, {"b", "c"})
         assert cluster.gms.epoch > before
+
+
+class TestReplicationManagerThreaded(TestReplicationManager):
+    """P4's routing, propagation and degraded-mode bookkeeping, the same
+    on the threaded backend."""
+
+    transport = "asyncio"
 
 
 class TestServerSideRedirect:
@@ -373,6 +383,17 @@ class TestReplicaConflicts:
         assert cluster.replication.had_replica_conflict(ref)
         cluster.replication.finish_reconciliation(frozenset(NODES), set())
         assert not cluster.replication.had_replica_conflict(ref)
+
+
+class TestBackupRollbackThreaded(TestBackupRollback):
+    transport = "asyncio"
+
+
+class TestReplicaConflictsThreaded(TestReplicaConflicts):
+    """Replica conflicts of a P4 partition are found and merged the same
+    way on the threaded backend."""
+
+    transport = "asyncio"
 
 
 class TestPrimaryPartitionCluster:

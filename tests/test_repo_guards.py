@@ -31,7 +31,9 @@ its compiled form, a dynamic negotiation handler decides outright,
 adaptive voting always adapts on one vote per node, and an object is
 reached by its reference, not by a bound name.  A lost call fails fast:
 no client retry, deadline or circuit breaker beside the degraded modes.
-That reconciliation's
+The middleware adapts through tradeable constraints, threat negotiation
+and degraded-mode replication, with no runtime policy loop or per-op
+hook beside them.  That reconciliation's
 coordinator touches no other node's store, history or update records is
 replint's ``NODE001``, not a guard here.
 """
@@ -345,7 +347,6 @@ def test_options_no_caller_set_stay_constants():
         (explorer.ModelChecker.__init__, "registry_factory"),
         (explorer.shrink_counterexample, "registry_factory"),
         (runner.run_schedule, "obs"),
-        (DedisysCluster.attach_adaptation, "start"),
         (engine.run_analysis, "project_factory"),
         (engine.load_project, "exclude"),
     ]
@@ -453,7 +454,6 @@ def test_a_lost_call_fails_fast_with_no_retry_deadline_or_breaker():
 
     import repro
     import repro.faults
-    from repro.adapt.signals import SIGNALS
     from repro.cluster import ClusterConfig
     from repro.objects import Invocation
 
@@ -463,5 +463,21 @@ def test_a_lost_call_fails_fast_with_no_retry_deadline_or_breaker():
     resilience = re.compile(r"Resilience|Retry|Breaker|Circuit|Deadline")
     assert [name for name in repro.__all__ if resilience.search(name)] == []
     assert [name for name in repro.faults.__all__ if resilience.search(name)] == []
-    assert "breaker_open_fraction" not in SIGNALS
-    assert matches(r"send_redirect|retry_policy|ResilienceConfig") == []
+    assert matches(r"send_redirect|retry_policy|ResilienceConfig|breaker_open_fraction") == []
+
+
+def test_no_runtime_adaptation_loop_beside_the_degraded_modes():
+    """The policy engine, its actuator and the core hooks only it used
+    (per-class protocol overrides, primary re-homing, write shedding,
+    its guardrail invariant) are gone.  The pattern leaves
+    ``adapt_monitor``, the ADAPT framework's cost charge, alone."""
+    import importlib.util
+
+    from repro.check import default_registry
+
+    assert importlib.util.find_spec("repro.adapt") is None
+    assert matches(
+        r"attach_adaptation|protocol_for|set_class_protocol|rehome_primary"
+        r"|shed_tradeable|OperationShedded|adaptation_trace|AdaptationGuardrails"
+    ) == []
+    assert len(default_registry().invariants) == 7

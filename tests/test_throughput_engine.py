@@ -18,7 +18,6 @@ from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.cluster import ClusterConfig, DedisysCluster
 from repro.core import (
     CompiledConstraintRepository,
-    ConstraintPriority,
     ConstraintRepository,
     ConstraintType,
     PredicateConstraint,
@@ -74,7 +73,6 @@ class TestCompiledDispatch:
         dispatch = compiled.method_dispatch("Flight", "unknown")
         assert len(dispatch) == 0
         assert dispatch.registrations() == ()
-        assert not dispatch.any_tradeable()
 
     def test_register_invalidates_table(self):
         compiled = CompiledConstraintRepository()
@@ -154,19 +152,6 @@ class TestCompiledDispatch:
         registration.constraint.enabled = True
         assert len(dispatch.registrations()) == 1
         assert compiled.rebuilds == rebuilds
-
-    def test_tradeability_evaluated_live(self):
-        # The adaptation actuator flips priorities directly on the
-        # Constraint; any_tradeable() must follow without a rebuild.
-        compiled = CompiledConstraintRepository()
-        registration = make_registration("c1")
-        compiled.register(registration)
-        dispatch = compiled.method_dispatch("Flight", "sell")
-        assert not dispatch.any_tradeable()
-        registration.constraint.priority = ConstraintPriority.RELAXABLE
-        assert dispatch.any_tradeable()
-        registration.constraint.priority = ConstraintPriority.CRITICAL
-        assert not dispatch.any_tradeable()
 
     def test_duplicate_affected_method_triggers_once(self):
         compiled = CompiledConstraintRepository()

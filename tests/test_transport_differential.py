@@ -3,12 +3,11 @@
 Each scenario below replays through :func:`repro.faults.replay_scenario`
 on the simulator and on the threaded backend (``transport="asyncio"``),
 which runs on the simulator's own clock and scheduler: the op driver
-schedules ops, faults and adaptation ticks and drains the same
-scheduler, on both.  Their outcome digests
-(:func:`repro.check.outcome_digest`: per-op results, committed entity
-states, threat stores, reconciliation counters, system modes) must be
-*equal*, not merely similar, and so must the simulated seconds the replay
-and its reconciliations took and the adaptation engine's decision log.
+schedules ops and faults and drains the same scheduler, on both.  Their
+outcome digests (:func:`repro.check.outcome_digest`: per-op results,
+committed entity states, threat stores, reconciliation counters, system
+modes) must be *equal*, not merely similar, and so must the simulated
+seconds the replay and its reconciliations took.
 No invariant of :func:`repro.check.default_registry` may fail after the
 replay on either (``no_cross_partition_delivery`` has no step to look at
 in a replay, and the clean-reconciliation checks stand down when the
@@ -16,9 +15,8 @@ closing round deferred work — ``docs/CORPUS.md`` lists them).  The sim
 trace stays the golden reference.
 
 The ``slow`` tier (``RUN_SLOW=1``) widens the generated part to seeds 0–9
-of the ``medium`` and ``chaos`` presets in every corpus domain, replays
-seeds 0–2 of ``medium`` with burst loss in every domain, and replays the
-adaptive oscillating flight-booking scenario for seeds 0–5.
+of the ``medium`` and ``chaos`` presets in every corpus domain and
+replays seeds 0–2 of ``medium`` with burst loss in every domain.
 """
 
 import json
@@ -33,30 +31,20 @@ from repro.corpus import generate_scenario, preset_config
 from repro.faults import replay_scenario
 from repro.transport import SimTransport, build_transport
 
-import test_adaptation  # the adaptive scenario and its policy live there
-
 
 def generated(domain, seed, preset, **overrides):
     return generate_scenario(preset_config(domain, seed, preset, **overrides))
-
-
-def adaptive(seed):
-    """test_adaptation's oscillating flight-booking scenario under its
-    ``ADAPTIVE`` policy, ticking every 0.05 simulated seconds."""
-    return test_adaptation._with_adaptation(
-        test_adaptation.TestAdaptiveBeatsStaticExtremes.oscillating(seed),
-        test_adaptation.TestAdaptiveBeatsStaticExtremes.ADAPTIVE,
-        tick=0.05,
-    )
 
 
 CONFORMANCE = {
     **BOOKING_SCENARIOS,
     **CANONICAL_SCENARIOS,
     **{f"medium-{domain}": partial(generated, domain, 0, "medium") for domain in domain_names()},
-    "oscillating-ats": partial(generated, "ats", 0, "medium", fault_plan="oscillating"),
+    **{
+        f"oscillating-{domain}": partial(generated, domain, 0, "medium", fault_plan="oscillating")
+        for domain in domain_names()
+    },
     "burst_loss-dtms": partial(generated, "dtms", 0, "medium", burst_loss=0.05),
-    "adaptive-flight_booking": partial(adaptive, 0),
 }
 
 
@@ -71,7 +59,7 @@ def nonconformance(scenario) -> list[str]:
     problems = [] if canonical(real.digest) == canonical(sim.digest) else ["digests differ"]
     problems += [
         f"{name} differs"
-        for name in ("simulated_seconds", "reconciliation_seconds", "adaptation_trace")
+        for name in ("simulated_seconds", "reconciliation_seconds")
         if getattr(real, name) != getattr(sim, name)
     ]
     for backend, report in (("sim", sim), ("asyncio", real)):
@@ -103,20 +91,17 @@ def test_generated_scenarios_conform_across_seeds():
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("RUN_SLOW") != "1",
-    reason="24 burst-loss and adaptation replays on both backends; set RUN_SLOW=1",
+    reason="18 burst-loss replays on both backends; set RUN_SLOW=1",
 )
 def test_clocked_params_conform_across_seeds():
     scenarios = {
-        **{
-            f"medium-burst_loss-{domain}-s{seed}": partial(
-                generated, domain, seed, "medium", burst_loss=0.05
-            )
-            for domain in domain_names()
-            for seed in range(3)
-        },
-        **{f"adaptive-s{seed}": partial(adaptive, seed) for seed in range(6)},
+        f"medium-burst_loss-{domain}-s{seed}": partial(
+            generated, domain, seed, "medium", burst_loss=0.05
+        )
+        for domain in domain_names()
+        for seed in range(3)
     }
-    assert len(scenarios) == 24
+    assert len(scenarios) == 18
     found = {
         name: problems
         for name, build in scenarios.items()
