@@ -24,15 +24,8 @@ from typing import TYPE_CHECKING, Any, Protocol
 
 from ..net import NodeId, UnreachableError
 from ..obs import ensure_obs
-from ..objects import (
-    Entity,
-    Invocation,
-    ObjectAccessTracker,
-    ObjectNotFound,
-    ObjectRef,
-    pop_tracker,
-    push_tracker,
-)
+from ..objects import Entity, Invocation, ObjectNotFound, ObjectRef
+from ..objects.entity import trackers
 from ..tx import Transaction
 from .errors import ConsistencyThreatRejected, ConstraintViolated
 from .metadata import ConstraintRegistration
@@ -313,8 +306,8 @@ class ConstraintConsistencyManager:
     ) -> ValidationOutcome:
         constraint = registration.constraint
         self.stats["validations"] += 1
-        tracker = ObjectAccessTracker()
-        push_tracker(tracker)
+        tracker: dict[ObjectRef, Entity] = {}
+        trackers.append(tracker)
         self._validating = True
         degree = SatisfactionDegree.SATISFIED
         category = CheckCategory.FCC
@@ -337,8 +330,8 @@ class ConstraintConsistencyManager:
                 unreachable.append(exc.ref)
         finally:
             self._validating = False
-            pop_tracker()
-        accessed = list(tracker.accessed)
+            trackers.pop()
+        accessed = list(tracker.values())
         if context_entity is not None and context_entity not in accessed:
             accessed.append(context_entity)
         stale: list[Entity] = []

@@ -37,6 +37,9 @@ class Topology:
         self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self._failed_links: set[frozenset[NodeId]] = set()
         self._crashed: set[NodeId] = set()
+        # The nodes not crashed: ``reachable`` checks each end with one
+        # membership test.  Changed only beside ``_crashed``.
+        self._live: set[NodeId] = set(nodes)
         # Connected component per start node, valid for the current
         # ``_failed_links`` / ``_crashed``.  Lock-free on purpose (it is read
         # on every send): a mutator *replaces* the dict right after changing
@@ -127,6 +130,7 @@ class Topology:
             return
         self._failed_links.clear()
         self._crashed.clear()
+        self._live.update(self.nodes)
         self._components = {}
         self._notify_topology()
 
@@ -136,6 +140,7 @@ class Topology:
         if node in self._crashed:
             return
         self._crashed.add(node)
+        self._live.discard(node)
         self._components = {}
         self._notify_topology()
 
@@ -144,6 +149,7 @@ class Topology:
         if node not in self._crashed:
             return
         self._crashed.discard(node)
+        self._live.add(node)
         self._components = {}
         self._notify_topology()
 
@@ -163,15 +169,15 @@ class Topology:
         """Whether ``destination`` can be reached from ``source``.
 
         Routing goes through intermediate live nodes, so reachability is
-        graph connectivity over the healthy links.
+        graph connectivity over the healthy links.  An unknown node is a
+        ``KeyError``; a crashed one reaches nothing.
         """
+        live = self._live
+        if source in live and destination in live:
+            return source == destination or destination in self._component_of(source)
         self._require_node(source)
         self._require_node(destination)
-        if source in self._crashed or destination in self._crashed:
-            return False
-        if source == destination:
-            return True
-        return destination in self._component_of(source)
+        return False
 
     def partitions(self) -> list[frozenset[NodeId]]:
         """Connected components of live nodes, largest first.

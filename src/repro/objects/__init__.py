@@ -4,7 +4,7 @@ from .._lazy import reexport
 
 __getattr__, __dir__, __all__ = reexport(globals(), {
     "container": ("Container",),
-    "entity": ("Entity", "ObjectAccessTracker", "pop_tracker", "push_tracker"),
+    "entity": ("Entity",),
     "invocation": (
         "ContainerInvoker", "CostInterceptor", "Interceptor", "InterceptorChain",
         "Invocation", "InvocationService",

@@ -23,10 +23,8 @@ class Container:
         self.node = node
         self._classes: dict[str, type[Entity]] = {}
         self._instances: dict[ObjectRef, Entity] = {}
-
-    @property
-    def clock(self) -> Any:
-        return self.node.services.clock
+        # The node's clock, read by every entity write.
+        self.clock = node.services.clock
 
     # ------------------------------------------------------------------
     # deployment

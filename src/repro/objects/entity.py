@@ -8,9 +8,10 @@ interface (§4.2.1), and participate in:
 * **undo logging** — every attribute write registers an undo action with
   the current transaction so rollback restores the previous state;
 * **access tracking** — while the constraint consistency manager validates
-  a constraint it installs an :class:`ObjectAccessTracker`; every attribute
-  read records the touched entity so the CCMgr can afterwards ask the
-  replication manager which accessed objects were possibly stale (Fig. 4.4).
+  a constraint it pushes an access tracker onto :data:`trackers`; every
+  attribute read or write records the touched entity so the CCMgr can
+  afterwards ask the replication manager which accessed objects were
+  possibly stale (Fig. 4.4).
 """
 
 from __future__ import annotations
@@ -24,34 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .container import Container
 
 
-class ObjectAccessTracker:
-    """Records the entities touched during one constraint validation."""
-
-    def __init__(self) -> None:
-        self.accessed: list["Entity"] = []
-        self._seen: set[tuple[str, str]] = set()
-
-    def record(self, entity: "Entity") -> None:
-        key = (entity.class_name(), entity.oid)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.accessed.append(entity)
+#: The installed access trackers, innermost last.  A tracker is a dict
+#: from the ref of each entity read, written or resolved while it is
+#: innermost to that entity, first access first; an entity records itself
+#: with one ``setdefault``, so a tracker costs a healthy op no frame.
+trackers: list[dict[ObjectRef, "Entity"]] = []
 
 
-_tracker_stack: list[ObjectAccessTracker] = []
-
-
-def push_tracker(tracker: ObjectAccessTracker) -> None:
-    _tracker_stack.append(tracker)
-
-
-def pop_tracker() -> ObjectAccessTracker:
-    return _tracker_stack.pop()
-
-
-def _record_access(entity: "Entity") -> None:
-    if _tracker_stack:
-        _tracker_stack[-1].record(entity)
+def _no_field(entity: "Entity", name: str) -> AttributeError:
+    return AttributeError(f"{type(entity).__name__} has no field {name!r}")
 
 
 def _accessors(field: str) -> tuple[Any, Any]:
@@ -108,9 +90,7 @@ class Entity:
         }
         for name, value in attributes.items():
             if name not in self._attributes:
-                raise AttributeError(
-                    f"{type(self).__name__} has no field {name!r}"
-                )
+                raise _no_field(self, name)
             self._attributes[name] = value
         self.version = 0
         self.last_update_time = self._now()
@@ -131,15 +111,26 @@ class Entity:
     # ------------------------------------------------------------------
     def _get(self, name: str) -> Any:
         """Read an attribute, recording the access for threat detection."""
-        self._require_field(name)
-        _record_access(self)
-        return self._attributes[name]
+        try:
+            value = self._attributes[name]
+        except KeyError:
+            raise _no_field(self, name) from None
+        if trackers:
+            trackers[-1].setdefault(self.ref, self)
+        return value
 
     def _set(self, name: str, value: Any) -> None:
-        """Write an attribute with undo logging and version bump."""
-        self._require_field(name)
-        _record_access(self)
-        old_value = self._attributes[name]
+        """Write an attribute with undo logging and version bump.
+
+        The undo also puts the restored attributes back into this node's
+        ``entities`` row, which the write's persistence step overwrote.
+        """
+        try:
+            old_value = self._attributes[name]
+        except KeyError:
+            raise _no_field(self, name) from None
+        if trackers:
+            trackers[-1].setdefault(self.ref, self)
         old_version = self.version
         old_update_time = self.last_update_time
         tx = self._current_tx()
@@ -149,17 +140,12 @@ class Entity:
                 self._attributes[name] = old_value
                 self.version = old_version
                 self.last_update_time = old_update_time
+                self.restore_row()
 
             tx.log_undo(undo)
         self._attributes[name] = value
         self.version += 1
         self.last_update_time = self._now()
-
-    def _require_field(self, name: str) -> None:
-        if name not in self._attributes:
-            raise AttributeError(
-                f"{type(self).__name__} has no field {name!r}"
-            )
 
     # ------------------------------------------------------------------
     # state snapshots (used by replication)
@@ -181,6 +167,13 @@ class Entity:
         copy of a :meth:`state` snapshot.
         """
         write((self.ref.class_name, self.oid), self._attributes)
+
+    def restore_row(self) -> None:
+        """Put the attributes a rollback restored back into this node's
+        ``entities`` row (:meth:`~repro.persistence.Table.restore`)."""
+        self.container.node.persistence.table("entities").restore(
+            (self.ref.class_name, self.oid), self._attributes
+        )
 
     def apply_state(
         self, state: dict[str, Any], version: int | None = None
@@ -231,14 +224,15 @@ class Entity:
         if isinstance(ref, Entity):
             # Direct entity references occur in unwired (single-process)
             # object graphs; the local view is the entity itself.
-            _record_access(ref)
-            return ref
-        if self.container is None:
+            entity = ref
+        elif self.container is None:
             raise RuntimeError(
                 f"{self.ref} is not attached to a container; cannot resolve {ref}"
             )
-        entity = self.container.resolve(ref)
-        _record_access(entity)
+        else:
+            entity = self.container.resolve(ref)
+        if trackers:
+            trackers[-1].setdefault(entity.ref, entity)
         return entity
 
     def resolve_all(self, refs: Iterable[ObjectRef]) -> list["Entity"]:

@@ -5,6 +5,12 @@ Application data are encapsulated by objects and their relationships
 analogue of an EJB handle: a (class name, object id) pair that the local
 container resolves to its *local view* of the logical object, which in a
 replicated setting may be a possibly-stale backup replica.
+
+A ref is *interned*: the process holds one instance per (class name, object
+id), so equal refs are the same object and ``==`` and ``hash`` are
+``object``'s identity slots, run in C.  Every layer keys a ``dict`` by
+refs (container, location service, replica placement, access trackers), so
+each of those lookups hashes and compares no strings.
 """
 
 from __future__ import annotations
@@ -12,39 +18,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+#: The one instance of each ref, by its two fields.  Refs are never
+#: dropped: a process names a bounded set of objects, and each entity
+#: holds its ref for its whole life anyway.
+_interned: dict[tuple[str, str], "ObjectRef"] = {}
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class ObjectRef:
     """Identity of a logical distributed object.
 
-    Immutable, so its hash is fixed at construction: every layer keys a
-    ``dict`` by refs (container, location service, replica placement), and
-    a lookup costs one attribute read instead of building and hashing a
-    tuple.  Equality is by value, with the identity test first — layers
-    that pass one instance along never compare the strings.
+    ``ObjectRef(class_name, oid)`` returns the interned instance, building
+    it on first use; two threads that build the same ref get that one
+    instance, because ``dict.setdefault`` keeps whichever arrived first.
+    Pickle, :func:`copy.copy` and :func:`copy.deepcopy` rebuild through the
+    constructor, so they return the interned instance too.  A ref is not a
+    tuple and never equals one.
     """
 
-    __slots__ = ("class_name", "oid", "_hash")
+    __slots__ = ("class_name", "oid")
 
     class_name: str
     oid: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.class_name, self.oid)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: Any) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return self.oid == other.oid and self.class_name == other.class_name
-        return NotImplemented
+    def __new__(cls, class_name: str, oid: str) -> "ObjectRef":
+        ref = _interned.get((class_name, oid))
+        if ref is None:
+            ref = object.__new__(cls)
+            object.__setattr__(ref, "class_name", class_name)
+            object.__setattr__(ref, "oid", oid)
+            ref = _interned.setdefault((class_name, oid), ref)
+        return ref
 
     def __reduce__(self) -> tuple[Any, ...]:
-        # Rebuild from the two fields: string hashes differ between
-        # interpreter processes, so the stored hash must not travel.
+        # Rebuild from the two fields, through the interning constructor.
         return (self.__class__, (self.class_name, self.oid))
 
     def __str__(self) -> str:

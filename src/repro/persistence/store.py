@@ -162,6 +162,15 @@ class Table:
         stored = self._rows[key] = {**self._rows[key], **copy_value(changes)}
         self.engine._journal.record(self.name, "put", key, stored)
 
+    def restore(self, key: Any, value: Any) -> None:
+        """Put back the row at ``key`` that a rolled-back write replaced.
+
+        Uncharged, as the cost model prices no rollback, and unjournaled;
+        a row the transaction deleted stays deleted.
+        """
+        if key in self._rows:
+            self._rows[key] = copy_value(value)
+
     def get(self, key: Any) -> Any:
         self.engine.charge("db_read")
         if key not in self._rows:

@@ -531,7 +531,10 @@ class ReplicationManager:
         )
         tx = node.services.txmgr.current
         if tx is not None and tx.is_active:
-            tx.log_undo(
-                lambda e=entity, s=old_state, v=old_version: e.apply_state(s, version=v)
-            )
+
+            def undo() -> None:
+                entity.apply_state(old_state, version=old_version)
+                entity.restore_row()
+
+            tx.log_undo(undo)
         return "ack"

@@ -24,6 +24,10 @@ class SimClock:
     Non-finite moves (``NaN``, ``inf``) are rejected for the same reason:
     ``NaN < 0`` is false, so without the explicit check a single ``NaN``
     cost would silently poison every later timestamp.
+
+    :attr:`now` is a plain attribute, so reading the time is one attribute
+    load.  Only :meth:`advance`, :meth:`advance_to` and the charge function
+    of :func:`~repro.sim.costs.charger` move it; nothing else assigns it.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -31,20 +35,16 @@ class SimClock:
             raise ValueError(f"clock start must be finite, got {start}")
         if start < 0:
             raise ValueError("clock cannot start before time zero")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: Current simulated time in seconds.
+        self.now = float(start)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         # One chained comparison admits exactly the finite, non-negative
         # durations: NaN fails the first half, +inf the second.
         if 0.0 <= seconds < _INF:
-            self._now += seconds
-            return self._now
+            self.now += seconds
+            return self.now
         if not math.isfinite(seconds):
             raise ValueError(f"cannot advance clock by non-finite time: {seconds}")
         raise ValueError(f"cannot advance clock by negative time: {seconds}")
@@ -56,15 +56,15 @@ class SimClock:
         """
         if not math.isfinite(timestamp):
             raise ValueError(f"cannot move clock to non-finite time: {timestamp}")
-        if timestamp < self._now:
+        if timestamp < self.now:
             raise ValueError(
-                f"cannot move clock backwards: now={self._now}, target={timestamp}"
+                f"cannot move clock backwards: now={self.now}, target={timestamp}"
             )
-        self._now = float(timestamp)
-        return self._now
+        self.now = float(timestamp)
+        return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f})"
+        return f"SimClock(now={self.now:.6f})"
 
 
 class Stopwatch:

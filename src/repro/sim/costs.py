@@ -143,7 +143,7 @@ def charger(
                 raise AttributeError(
                     f"{type(costs).__name__!r} object has no attribute {category!r}"
                 ) from None
-            clock._now += seconds
+            clock.now += seconds
         else:
             advance(seconds)
         totals[category] = totals.get(category, 0.0) + seconds

@@ -34,10 +34,6 @@ class TransactionStatus(enum.Enum):
     __hash__ = object.__hash__
 
 
-#: The statuses in which a transaction still accepts work.
-_LIVE = frozenset({TransactionStatus.ACTIVE, TransactionStatus.MARKED_ROLLBACK})
-
-
 class TransactionRolledBack(RuntimeError):
     """Raised by ``commit`` when the transaction could not commit."""
 
@@ -61,7 +57,13 @@ class TransactionalResource(Protocol):
 
 
 class Transaction:
-    """A single business transaction."""
+    """A single business transaction.
+
+    :attr:`is_active` — whether it still accepts work, i.e. its status is
+    ``ACTIVE`` or ``MARKED_ROLLBACK`` — is a stored field that every
+    status change sets beside :attr:`status`, since every entity write and
+    every CCMgr notification reads it.
+    """
 
     _ids = itertools.count(1)
 
@@ -69,6 +71,7 @@ class Transaction:
         self.txid = next(Transaction._ids)
         self.manager = manager
         self.status = TransactionStatus.ACTIVE
+        self.is_active = True
         self.rollback_reason: str | None = None
         self._resources: list[TransactionalResource] = []
         self._undo_log: list[Callable[[], None]] = []
@@ -94,10 +97,6 @@ class Transaction:
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
-    @property
-    def is_active(self) -> bool:
-        return self.status in _LIVE
-
     def set_rollback_only(self, reason: str = "") -> None:
         """Prevent the transaction from committing (CCMgr uses this on
         constraint violations, §4.2.3)."""
@@ -121,6 +120,7 @@ class Transaction:
             )
         self._require_active()
         self.status = TransactionStatus.PREPARING
+        self.is_active = False
         prepared: list[TransactionalResource] = []
         for resource in self._resources:
             vote = resource.prepare(self)
@@ -130,6 +130,7 @@ class Transaction:
                 # rollback-only during prepare (e.g. a violated soft
                 # constraint).
                 self.status = TransactionStatus.MARKED_ROLLBACK
+                self.is_active = True
                 self._rollback()
                 raise TransactionRolledBack(
                     self, self.rollback_reason or "resource vetoed prepare"
@@ -137,6 +138,7 @@ class Transaction:
         for resource in self._resources:
             resource.commit(self)
         self.status = TransactionStatus.COMMITTED
+        self.is_active = False
         self._undo_log.clear()
 
     def _rollback(self) -> None:
@@ -148,6 +150,7 @@ class Transaction:
         for resource in self._resources:
             resource.rollback(self)
         self.status = TransactionStatus.ROLLED_BACK
+        self.is_active = False
 
 
 class TransactionManager:
@@ -156,11 +159,12 @@ class TransactionManager:
     The simulated cluster runs one request at a time, so the manager keeps
     a single "current" transaction (with support for joining an existing
     one, which models nested EJB invocations running in the caller's
-    transaction context).
+    transaction context).  :attr:`current` is that transaction, or
+    ``None``: a stored field, read on every entity write.
     """
 
     def __init__(self, obs: Any = None) -> None:
-        self._current: Transaction | None = None
+        self.current: Transaction | None = None
         self.committed_count = 0
         self.rolled_back_count = 0
         self.obs = ensure_obs(obs)
@@ -171,17 +175,13 @@ class TransactionManager:
             "tx_rollbacks_total", "transactions rolled back"
         )
 
-    @property
-    def current(self) -> Transaction | None:
-        return self._current
-
     def begin(self) -> Transaction:
-        if self._current is not None and self._current.is_active:
+        if self.current is not None and self.current.is_active:
             raise RuntimeError(
-                f"transaction {self._current.txid} is still active"
+                f"transaction {self.current.txid} is still active"
             )
-        self._current = Transaction(self)
-        return self._current
+        self.current = Transaction(self)
+        return self.current
 
     def commit(self, tx: Transaction) -> None:
         self._require_current(tx)
@@ -196,7 +196,7 @@ class TransactionManager:
             self._note_rollback(tx)
             raise
         finally:
-            self._current = None
+            self.current = None
 
     def rollback(self, tx: Transaction) -> None:
         self._require_current(tx)
@@ -205,7 +205,7 @@ class TransactionManager:
             self.rolled_back_count += 1
             self._note_rollback(tx)
         finally:
-            self._current = None
+            self.current = None
 
     def _note_rollback(self, tx: Transaction) -> None:
         if self.obs.enabled:
@@ -229,7 +229,7 @@ class TransactionManager:
         return result
 
     def _require_current(self, tx: Transaction) -> None:
-        if tx is not self._current:
+        if tx is not self.current:
             raise RuntimeError(
                 f"transaction {tx.txid} is not the current transaction"
             )

@@ -27,6 +27,7 @@ from repro.core import (
     AcceptAllHandler,
     ConsistencyThreat,
     ConstraintType,
+    ConstraintViolated,
     PredicateConstraint,
     SatisfactionDegree,
     ThreatStore,
@@ -292,6 +293,32 @@ def test_the_modelled_cost_of_one_whole_op_is_pinned(counted):
     assert write_s == pytest.approx(0.046352, rel=1e-12)
 
 
+def test_the_modelled_cost_of_one_refused_write_is_pinned(counted):
+    """A forwarded write that the ticket constraint refuses books its
+    charges up to the refusal and none for the rollback: the primary's
+    row is put back uncharged, so it reads what the last commit wrote."""
+    cluster, ref, copies, deep, searches = counted
+    sold = cluster.invoke("n1", ref, "get_sold")
+    counts, started = _charges(cluster), cluster.clock.now
+    with pytest.raises(ConstraintViolated):
+        cluster.invoke("n2", ref, "sell_tickets", 20_000)
+    refused, refused_s = _charges(cluster) - counts, cluster.clock.now - started
+    assert refused == {
+        "invocation_base": 1,
+        "interceptor_hop": 2,
+        "network_latency": 1,
+        "adapt_monitor": 1,
+        "ccm_notification": 2,
+        "db_read": 1,
+        "constraint_validate": 1,
+        "db_write": 1,  # the primary's row, which the rollback puts back
+        "repository_lookup_cached": 3,
+    }
+    assert refused_s == pytest.approx(0.0129512, rel=1e-12)
+    row = cluster.nodes["n1"].persistence.table("entities").get(("Flight", "F1"))
+    assert row["sold"] == sold
+
+
 def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
     """An identical threat under ``IDENTICAL_ONCE`` books its dedup check
     and one row write, and moves the clock by exactly their seconds."""
@@ -315,7 +342,7 @@ def test_the_python_frames_of_one_absorbed_occurrence_are_pinned():
     ref = ObjectRef("Flight", "F1")
     store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_SATISFIED, ref))
     occurrence = ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_VIOLATED, ref)
-    assert _frames(lambda: store.record(occurrence)) == (11, 0)
+    assert _frames(lambda: store.record(occurrence)) == (9, 0)
 
 
 def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
@@ -363,7 +390,7 @@ def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
     assert _frames(
         lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
-    ) == (238, 0)
+    ) == (182, 0)
 
 
 def test_the_python_frames_of_one_whole_op_are_pinned(counted):
@@ -373,8 +400,8 @@ def test_the_python_frames_of_one_whole_op_are_pinned(counted):
     cluster, ref, copies, deep, searches = counted
     assert cluster.replication.route_write(ref, "n2") == "n1"
     # The same on Python 3.10, 3.11 and 3.12.
-    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (88, 0)
-    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (224, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (70, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (166, 0)
 
 
 class CountedLock:

@@ -3,7 +3,9 @@ invocation interception."""
 
 import copy
 import inspect
+import json
 import pickle
+import threading
 import types
 from dataclasses import FrozenInstanceError
 
@@ -18,12 +20,10 @@ from repro.objects import (
     Invocation,
     LocationService,
     Node,
-    ObjectAccessTracker,
     ObjectNotFound,
     ObjectRef,
-    pop_tracker,
-    push_tracker,
 )
+from repro.objects.entity import trackers
 from repro.sim import CostLedger, CostModel, SimClock
 from repro.tx import TransactionManager
 
@@ -52,7 +52,8 @@ class TestObjectRef:
     def test_equal_refs_from_different_constructions(self):
         one = ObjectRef("Flight", "F1")
         other = ObjectRef("".join(["Fli", "ght"]), "".join(["F", "1"]))
-        assert one is not other and one == other and not one != other
+        # Interned: the second construction returns the first's instance.
+        assert one is other and one == other and not one != other
         assert hash(one) == hash(other)
         assert {one: "row"}[other] == "row" and other in {one}
         assert one != ObjectRef("Flight", "F2") and one != ObjectRef("Person", "F1")
@@ -87,10 +88,45 @@ class TestObjectRef:
         again = clone(ref)
         assert again == ref and hash(again) == hash(ref) and {ref: 1}[again] == 1
 
-    def test_pickle_carries_the_fields_not_the_hash(self):
-        # String hashes differ between interpreter processes; a stored
-        # hash that travelled would miss every dict entry on arrival.
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda ref: pickle.loads(pickle.dumps(ref))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_return_the_interned_ref(self, clone):
+        ref = ObjectRef("Flight", "F1")
+        assert clone(ref) is ref
+        assert clone([ref, {ref: ref}]) == [ref, {ref: ref}]
+
+    def test_pickle_carries_the_fields_not_the_identity(self):
+        # Identities differ between interpreter processes; the receiving
+        # process interns the two fields into its own instance.
         assert ObjectRef("Flight", "F1").__reduce__() == (ObjectRef, ("Flight", "F1"))
+
+    def test_threads_that_build_one_ref_get_one_object(self):
+        oid = f"race-{id(object())}"  # a ref no other test has built
+        start = threading.Barrier(8)
+        built = []
+
+        def build():
+            start.wait()
+            built.extend(ObjectRef("Flight", oid) for _ in range(200))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(built) == 8 * 200
+        assert len({id(ref) for ref in built}) == 1
+        assert built[0] is ObjectRef("Flight", oid)
+
+    def test_a_ref_is_no_tuple_to_json_or_to_comparison(self):
+        ref = ObjectRef("Flight", "F1")
+        assert not isinstance(ref, tuple)
+        assert json.dumps(ref, default=str) == '"Flight#F1"'
+        assert ref != ("Flight", "F1")
+        assert ("Flight", "F1") != ref
 
 
 class Savings(Account):
@@ -135,13 +171,13 @@ class TestSynthesisedAccessors:
         account = container.create("Account", "a1", {"balance": 5})
         txmgr = container.node.services.txmgr
         tx = txmgr.begin()
-        tracker = ObjectAccessTracker()
-        push_tracker(tracker)
+        tracker = {}
+        trackers.append(tracker)
         try:
             account.set_balance(account.get_balance() + 1)
         finally:
-            pop_tracker()
-        assert tracker.accessed == [account]
+            trackers.pop()
+        assert tracker == {account.ref: account}
         assert account.version == 1
         txmgr.rollback(tx)
         assert account.get_balance() == 5 and account.version == 0
@@ -219,24 +255,24 @@ class TestVersioning:
 class TestAccessTracking:
     def test_reads_recorded_by_tracker(self):
         account = Account("a1")
-        tracker = ObjectAccessTracker()
-        push_tracker(tracker)
+        tracker = {}
+        trackers.append(tracker)
         try:
             account.get_balance()
         finally:
-            pop_tracker()
-        assert tracker.accessed == [account]
+            trackers.pop()
+        assert tracker == {account.ref: account}
 
     def test_each_entity_recorded_once(self):
         account = Account("a1")
-        tracker = ObjectAccessTracker()
-        push_tracker(tracker)
+        tracker = {}
+        trackers.append(tracker)
         try:
             account.get_balance()
             account.get_owner()
         finally:
-            pop_tracker()
-        assert len(tracker.accessed) == 1
+            trackers.pop()
+        assert list(tracker.values()) == [account]
 
     def test_no_tracker_no_error(self):
         Account("a1").get_balance()

@@ -96,17 +96,17 @@ class TestOclConstraint:
         assert "OCL" in constraint.description
 
     def test_adapter_access_tracking(self):
-        from repro.objects import ObjectAccessTracker, pop_tracker, push_tracker
+        from repro.objects.entity import trackers
 
         flight = Flight("f1")
         constraint = ocl_invariant("Cap", "Flight", "self.sold <= self.seats")
-        tracker = ObjectAccessTracker()
-        push_tracker(tracker)
+        tracker = {}
+        trackers.append(tracker)
         try:
             constraint.validate(ConstraintValidationContext(context_object=flight))
         finally:
-            pop_tracker()
-        assert flight in tracker.accessed
+            trackers.pop()
+        assert tracker[flight.ref] is flight
 
     def test_adapter_navigates_references(self):
         primary = Flight("f1", sold=5)

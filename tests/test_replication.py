@@ -298,6 +298,8 @@ class TestBackupRollback:
 
         key = (ref.class_name, ref.oid)
         rows = {node: cluster.nodes[node].persistence.table("entities").get(key) for node in NODES}
+        # The rollback put every node's row back, the primary's included.
+        assert rows == {node: cluster.entity_on(node, ref).state() for node in NODES}
         journals = {
             node: [(entry.sequence, copy.deepcopy(entry.value)) for entry in cluster.nodes[node].persistence.journal()]
             for node in NODES
@@ -311,6 +313,29 @@ class TestBackupRollback:
             assert [
                 (entry.sequence, entry.value) for entry in cluster.nodes[node].persistence.journal()
             ] == journals[node]
+
+    def test_a_refused_sale_leaves_every_row_at_the_last_commit(self):
+        """The quickstart's oversale: 70 of 80 seats sold, then a sale of 20
+        that the ticket constraint refuses after the primary stored its row.
+        Rolling back restores the row on every node."""
+        from repro.apps.flightbooking import Flight, ticket_constraint_registration
+        from repro.core import ConstraintViolated
+
+        nodes = ("vienna", "graz", "linz")
+        config = ClusterConfig(node_ids=nodes, transport=getattr(self, "transport", "sim"))
+        with DedisysCluster(config) as cluster:
+            cluster.deploy(Flight)
+            cluster.register_constraint(ticket_constraint_registration())
+            flight = cluster.create_entity(
+                "vienna", "Flight", "OS-101", {"flight_number": "OS 101", "seats": 80}
+            )
+            cluster.invoke("vienna", flight, "sell_tickets", 70)
+            with pytest.raises(ConstraintViolated):
+                cluster.invoke("vienna", flight, "sell_tickets", 20)
+            for node in nodes:
+                row = cluster.nodes[node].persistence.table("entities").get(("Flight", "OS-101"))
+                assert row == cluster.entity_on(node, flight).state()
+                assert row["sold"] == 70, node
 
     def test_a_backup_without_the_replica_answers_missing(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")

@@ -22,8 +22,10 @@ the registry.  Every backend runs on the simulator's one clock and
 scheduler.  An absorbed threat occurrence and a deferral update their
 rows by field, and a journal entry is a tuple.  A replicated write's
 values are built in C: a message and a journal entry are tuples, a
-transaction's liveness is one set lookup, and a backup keeps the state it
-replaced instead of copying it.  A replicated write propagates one way,
+transaction's liveness is a stored field, and a backup keeps the state it
+replaced instead of copying it.  A healthy op loads what it reads: the
+clock's time and the current transaction are stored fields, and an
+interned object reference hashes and compares by identity.  A replicated write propagates one way,
 in its own multicast round: no commit-time batch, and one route for a
 fault injector.  A setting with one value in use is a constant: every
 link fault is a fault injector's decision, an OCL constraint validates
@@ -35,14 +37,16 @@ The middleware adapts through tradeable constraints, threat negotiation
 and degraded-mode replication, with no runtime policy loop or per-op
 hook beside them.  That reconciliation's
 coordinator touches no other node's store, history or update records is
-replint's ``NODE001``, not a guard here.
+replint's ``NODE001``, not a guard here.  Every run record under
+``docs/runs/`` is linked from CHANGES.md.
 """
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def matches(pattern: str, *packages: str) -> list[str]:
@@ -283,9 +287,10 @@ def test_an_absorbed_threat_updates_its_row_by_field():
 
 def test_write_path_values_are_built_in_c():
     """A message and a journal entry are tuples, not dataclasses whose
-    ``__init__`` sets each field; ``is_active`` builds no tuple per call;
-    a backup's undo keeps the dict ``apply_state`` replaced instead of
-    taking a ``state()`` copy first."""
+    ``__init__`` sets each field; a liveness check builds no tuple, as
+    ``is_active`` is a stored bool that each status change assigns a
+    constant; a backup's undo keeps the dict ``apply_state`` replaced
+    instead of taking a ``state()`` copy first."""
     import dataclasses
 
     from repro.net import Message
@@ -300,14 +305,64 @@ def test_write_path_values_are_built_in_c():
         (found,) = [node for node in owner.body if isinstance(node, ast.FunctionDef) and node.name == name]
         return found
 
-    is_active = method("tx/transactions.py", "Transaction", "is_active")
-    assert not [node for node in ast.walk(is_active) if isinstance(node, ast.Tuple)]
+    tree = ast.parse((SRC / "tx" / "transactions.py").read_text())
+    (transaction,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Transaction"
+    ]
+    assert "is_active" not in {
+        node.name for node in transaction.body if isinstance(node, ast.FunctionDef)
+    }
+    liveness = [
+        node.value
+        for node in ast.walk(transaction)
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["self.is_active"]
+    ]
+    assert liveness and all(
+        isinstance(value, ast.Constant) and isinstance(value.value, bool) for value in liveness
+    )
     apply_replica = method("replication/manager.py", "ReplicationManager", "_apply_replica")
     assert not [
         node
         for node in ast.walk(apply_replica)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "state"
     ]
+
+
+def test_per_op_reads_are_stored_fields_and_refs_compare_by_identity():
+    """The clock's time, the current transaction and its liveness are
+    stored fields, not properties; only the simulator moves a clock; and an
+    interned ``ObjectRef`` leaves ``==`` and ``hash`` to ``object``'s
+    identity slots, without becoming a tuple."""
+    from repro.objects import ObjectRef
+    from repro.sim import SimClock
+    from repro.tx import Transaction, TransactionManager
+
+    for owner, name in (
+        (SimClock, "now"), (TransactionManager, "current"), (Transaction, "is_active")
+    ):
+        assert name not in vars(owner), f"{owner.__name__}.{name} is a class attribute"
+    manager = TransactionManager()
+    assert "current" in vars(manager) and "now" in vars(SimClock())
+    assert "is_active" in vars(manager.begin())
+
+    assert not {"__hash__", "__eq__"} & set(vars(ObjectRef))
+    assert ObjectRef.__hash__ is object.__hash__ and ObjectRef.__eq__ is object.__eq__
+    assert not issubclass(ObjectRef, tuple)
+
+    writers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if not path.relative_to(SRC).parts[0] == "sim"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for target in (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+            else []
+        )
+        if isinstance(target, ast.Attribute) and target.attr == "now"
+    ]
+    assert writers == []
 
 
 def test_one_write_propagation_path():
@@ -481,3 +536,10 @@ def test_no_runtime_adaptation_loop_beside_the_degraded_modes():
         r"|shed_tradeable|OperationShedded|adaptation_trace|AdaptationGuardrails"
     ) == []
     assert len(default_registry().invariants) == 7
+
+
+def test_every_run_record_is_linked_from_changes():
+    records = sorted(path.name for path in (ROOT / "docs" / "runs").glob("PR-*.md"))
+    changes = (ROOT / "CHANGES.md").read_text()
+    assert records
+    assert [name for name in records if f"docs/runs/{name}" not in changes] == []
