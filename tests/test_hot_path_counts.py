@@ -6,7 +6,9 @@ flat states the flight app has; partition components are searched once per
 topology, not once per call; object references are made with their entities,
 not per access.  A healthy read, a forwarded write, a degraded forwarded
 write and an absorbed threat occurrence run a pinned number of the
-package's Python frames, and none of ``enum``'s.  On the threaded backend
+package's Python frames, and none of ``enum``'s; a read, a forwarded write
+and a refused write make a pinned sequence of charges, bit for bit on the
+clock.  On the threaded backend
 a forwarded write wakes each peer once per message and builds no lock.
 """
 
@@ -21,6 +23,7 @@ import pytest
 
 import repro.objects.entity
 import repro.persistence.store
+import repro.sim.costs
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import (
@@ -317,6 +320,101 @@ def test_the_modelled_cost_of_one_refused_write_is_pinned(counted):
     assert refused_s == pytest.approx(0.0129512, rel=1e-12)
     row = cluster.nodes["n1"].persistence.table("entities").get(("Flight", "F1"))
     assert row["sold"] == sold
+
+
+#: The inner ``charge`` function every charger builds (one code object).
+CHARGE_CODE = next(
+    const
+    for const in repro.sim.costs.charger.__code__.co_consts
+    if getattr(const, "co_name", None) == "charge"
+)
+
+
+def _charge_sequence(cluster, action, *raises):
+    """Run ``action``; return ``(category, clock.now.hex())`` after every
+    charge it made, in order, whoever bound the charge function."""
+    sequence = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is CHARGE_CODE:
+            sequence.append((frame.f_locals["category"], cluster.clock.now.hex()))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    except raises:
+        pass
+    finally:
+        sys.setprofile(previous)
+    return sequence
+
+
+def test_the_charge_sequence_of_three_ops_is_pinned_bit_for_bit(counted):
+    """A healthy read, a forwarded write and a refused forwarded write make
+    exactly these charges in exactly this order, and the clock reads
+    exactly these bits after each: the clock is a float sum, so moving one
+    charge past another changes the bits even where the count pins hold."""
+    cluster, ref, copies, deep, searches = counted
+    read = _charge_sequence(cluster, lambda: cluster.invoke("n2", ref, "get_sold"))
+    assert read == [
+        ("invocation_base", "0x1.274751ce28edbp-2"),
+        ("interceptor_hop", "0x1.277bbf93ff263p-2"),
+        ("interceptor_hop", "0x1.27b02d59d55ebp-2"),
+        ("adapt_monitor", "0x1.29d6adf71eb03p-2"),
+        ("ccm_notification", "0x1.2a0b1bbcf4e8bp-2"),
+        ("repository_lookup_cached", "0x1.2a0b3694e7837p-2"),  # PRECONDITION
+        ("repository_lookup_cached", "0x1.2a0b516cda1e3p-2"),  # POSTCONDITION
+        ("db_read", "0x1.2c9aad95cfe0cp-2"),
+        ("ccm_notification", "0x1.2ccf1b5ba6194p-2"),
+        ("repository_lookup_cached", "0x1.2ccf363398b40p-2"),  # INVARIANT_HARD
+        ("repository_lookup_cached", "0x1.2ccf510b8b4ecp-2"),  # INVARIANT_SOFT
+        ("repository_lookup_cached", "0x1.2ccf6be37de98p-2"),  # INVARIANT_ASYNC
+    ]
+    write = _charge_sequence(cluster, lambda: cluster.invoke("n2", ref, "sell_tickets", 1))
+    assert write == [
+        ("invocation_base", "0x1.30e7ff583a540p-2"),
+        ("interceptor_hop", "0x1.311c6d1e108c8p-2"),
+        ("network_latency", "0x1.316b11c6d1e15p-2"),
+        ("interceptor_hop", "0x1.319f7f8ca819dp-2"),
+        ("adapt_monitor", "0x1.33c60029f16b5p-2"),
+        ("ccm_notification", "0x1.33fa6defc7a3dp-2"),
+        ("repository_lookup_cached", "0x1.33fa88c7ba3e9p-2"),
+        ("repository_lookup_cached", "0x1.33faa39facd95p-2"),
+        ("db_read", "0x1.3689ffc8a29bep-2"),
+        ("db_write", "0x1.39d0dc2606244p-2"),
+        ("ccm_notification", "0x1.3a0549ebdc5ccp-2"),
+        ("repository_lookup_cached", "0x1.3a0564c3cef78p-2"),
+        ("constraint_validate", "0x1.3a1280354485ap-2"),  # the hard invariant
+        ("repository_lookup_cached", "0x1.3a129b0d37206p-2"),
+        ("repository_lookup_cached", "0x1.3a12b5e529bb2p-2"),
+        ("replica_detail_write", "0x1.3f316e3715404p-2"),
+        ("multicast", "0x1.534373f316e3bp-2"),
+        ("tx_remote_association", "0x1.547e06961c36dp-2"),
+        ("db_write", "0x1.57c4e2f37fbf3p-2"),
+        ("tx_remote_association", "0x1.58ff759685125p-2"),
+        ("db_write", "0x1.5c4651f3e89abp-2"),
+    ]
+    refused = _charge_sequence(
+        cluster,
+        lambda: cluster.invoke("n2", ref, "sell_tickets", 20_000),
+        ConstraintViolated,
+    )
+    assert refused == [
+        ("invocation_base", "0x1.605ee568a5053p-2"),
+        ("interceptor_hop", "0x1.6093532e7b3dbp-2"),
+        ("network_latency", "0x1.60e1f7d73c928p-2"),
+        ("interceptor_hop", "0x1.6116659d12cb0p-2"),
+        ("adapt_monitor", "0x1.633ce63a5c1c8p-2"),
+        ("ccm_notification", "0x1.6371540032550p-2"),
+        ("repository_lookup_cached", "0x1.63716ed824efcp-2"),
+        ("repository_lookup_cached", "0x1.637189b0178a8p-2"),
+        ("db_read", "0x1.6600e5d90d4d1p-2"),
+        ("db_write", "0x1.6947c23670d57p-2"),
+        ("ccm_notification", "0x1.697c2ffc470dfp-2"),
+        ("repository_lookup_cached", "0x1.697c4ad439a8bp-2"),
+        ("constraint_validate", "0x1.69896645af36dp-2"),
+    ]
 
 
 def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
