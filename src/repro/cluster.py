@@ -420,7 +420,7 @@ class DedisysCluster:
         return self.nodes[node_id].container.resolve(ref)
 
     def _require_alive(self, node_id: NodeId) -> None:
-        if self.network.is_crashed(node_id):
+        if node_id in self.network.crashed:
             raise NodeCrashedError(node_id)
 
     # ------------------------------------------------------------------

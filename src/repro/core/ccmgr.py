@@ -102,6 +102,7 @@ class _Environment:
         self.stale_gate = stale_gate
 
 
+_POST_CONTEXTS_KEY = "ccm_post_contexts"
 _SOFT_PENDING_KEY = "ccm_soft_pending"
 _ASYNC_PENDING_KEY = "ccm_async_pending"
 
@@ -181,75 +182,92 @@ class ConstraintConsistencyManager:
         if self._validating:
             return
         self.node.persistence.charge("ccm_notification")
-        tx = self._current_tx()
-        class_name = invocation.ref.class_name
-        method = invocation.method_name
-        dispatch = self.repository.method_dispatch(class_name, method)
+        dispatch = self.repository.method_dispatch(
+            invocation.ref.class_name, invocation.method_name
+        )
+        # Nothing below is built until a registration needs it: a method
+        # without constraints costs its charges and nothing else.
         env: _Environment | None = None
         # Preconditions: bound to and checked before the invocation (§1.6).
         # They share one validation context — none of them snapshots @pre
         # state — so it is built once per invocation, not per registration.
-        pre_ctx: ConstraintValidationContext | None = None
-        for registration in dispatch.registrations(ConstraintType.PRECONDITION):
-            if pre_ctx is None:
-                env = self._environment()
-                pre_ctx = self._method_context(invocation, entity, env)
-            outcome = self._validate(registration, pre_ctx, entity, env.stale_gate)
-            self._handle_outcome(registration, outcome, pre_ctx, tx)
+        preconditions = dispatch.registrations(ConstraintType.PRECONDITION)
+        if preconditions:
+            tx = self._current_tx()
+            env = self._environment()
+            pre_ctx = self._method_context(invocation, entity, env)
+            for registration in preconditions:
+                outcome = self._validate(registration, pre_ctx, entity, env.stale_gate)
+                self._handle_outcome(registration, outcome, pre_ctx, tx)
         # Postconditions get their @pre snapshot now (§4.2.1); the snapshot
         # lands in the context's scratch space, so these contexts stay
         # per-registration.
-        post_contexts: list[tuple[ConstraintRegistration, ConstraintValidationContext]] = []
-        for registration in dispatch.registrations(ConstraintType.POSTCONDITION):
+        postconditions = dispatch.registrations(ConstraintType.POSTCONDITION)
+        if postconditions:
             env = env or self._environment()
-            ctx = self._method_context(invocation, entity, env)
-            registration.constraint.before_method_invocation(ctx)
-            post_contexts.append((registration, ctx))
-        if post_contexts:
-            invocation.metadata["ccm_post_contexts"] = post_contexts
+            post_contexts = []
+            for registration in postconditions:
+                ctx = self._method_context(invocation, entity, env)
+                registration.constraint.before_method_invocation(ctx)
+                post_contexts.append((registration, ctx))
+            invocation.metadata[_POST_CONTEXTS_KEY] = post_contexts
         elif invocation.metadata:
             # A retried invocation carries its earlier attempt's metadata.
-            invocation.metadata.pop("ccm_post_contexts", None)
+            invocation.metadata.pop(_POST_CONTEXTS_KEY, None)
 
     def after_invocation(self, invocation: Invocation, entity: Entity) -> None:
         if self._validating:
             return
         self.node.persistence.charge("ccm_notification")
-        tx = self._current_tx()
-        class_name = invocation.ref.class_name
-        method = invocation.method_name
-        dispatch = self.repository.method_dispatch(class_name, method)
+        dispatch = self.repository.method_dispatch(
+            invocation.ref.class_name, invocation.method_name
+        )
+        # As before the call: the transaction and the environment are read
+        # by the first registration that needs them, and not otherwise.
+        tx: Transaction | None = None
         env: _Environment | None = None
         # Postconditions: checked after the invocation with its result.
-        for registration, ctx in invocation.metadata.get("ccm_post_contexts", ()):
-            env = env or self._environment()
-            ctx.method_result = invocation.result
-            outcome = self._validate(registration, ctx, entity, env.stale_gate)
-            self._handle_outcome(registration, outcome, ctx, tx)
+        post_contexts = invocation.metadata.get(_POST_CONTEXTS_KEY)
+        if post_contexts:
+            tx = self._current_tx()
+            env = self._environment()
+            for registration, ctx in post_contexts:
+                ctx.method_result = invocation.result
+                outcome = self._validate(registration, ctx, entity, env.stale_gate)
+                self._handle_outcome(registration, outcome, ctx, tx)
         # Hard invariants: checked at the end of the operation (§1.6).
-        for registration in dispatch.registrations(ConstraintType.INVARIANT_HARD):
+        hard = dispatch.registrations(ConstraintType.INVARIANT_HARD)
+        if hard:
+            tx = tx or self._current_tx()
             env = env or self._environment()
-            self._check_invariant(registration, invocation, entity, tx, env)
+            for registration in hard:
+                self._check_invariant(registration, invocation, entity, tx, env)
         # Soft invariants: deferred to the end of the transaction [JQ92];
         # without one they are checked now, like hard ones.
-        for registration in dispatch.registrations(ConstraintType.INVARIANT_SOFT):
-            if tx is None:
-                env = env or self._environment()
-                self._check_invariant(registration, invocation, entity, None, env)
-            else:
-                self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
+        soft = dispatch.registrations(ConstraintType.INVARIANT_SOFT)
+        if soft:
+            tx = tx or self._current_tx()
+            for registration in soft:
+                if tx is None:
+                    env = env or self._environment()
+                    self._check_invariant(registration, invocation, entity, None, env)
+                else:
+                    self._defer(tx, _SOFT_PENDING_KEY, registration, invocation, entity)
         # Asynchronous invariants (§5.5.3): soft in a healthy system; in
         # degraded mode validation AND negotiation are skipped and the
         # threat is stored directly for reconciliation.
-        for registration in dispatch.registrations(ConstraintType.INVARIANT_ASYNC):
+        asynchronous = dispatch.registrations(ConstraintType.INVARIANT_ASYNC)
+        if asynchronous:
+            tx = tx or self._current_tx()
             env = env or self._environment()
-            if env.degraded:
-                context_entity = self._prepare_context(registration, invocation, entity)
-                self._store_async_threat(registration, context_entity)
-            elif tx is None:
-                self._check_invariant(registration, invocation, entity, None, env)
-            else:
-                self._defer(tx, _ASYNC_PENDING_KEY, registration, invocation, entity)
+            for registration in asynchronous:
+                if env.degraded:
+                    context_entity = self._prepare_context(registration, invocation, entity)
+                    self._store_async_threat(registration, context_entity)
+                elif tx is None:
+                    self._check_invariant(registration, invocation, entity, None, env)
+                else:
+                    self._defer(tx, _ASYNC_PENDING_KEY, registration, invocation, entity)
 
     # ------------------------------------------------------------------
     # TransactionalResource (2PC, §4.2.3)
@@ -381,7 +399,8 @@ class ConstraintConsistencyManager:
             identity = (constraint.name, outcome.context_ref)
             if identity in self.threat_store:
                 self.threat_store.remove(identity)
-                self._note_threat("resolved", constraint.name, outcome.degree)
+                if self.obs.enabled:
+                    self._note_threat("resolved", constraint.name, outcome.degree)
                 if self.threat_resolver is not None:
                     self.threat_resolver(identity)
             return
@@ -391,9 +410,12 @@ class ConstraintConsistencyManager:
             if tx is not None:
                 tx.set_rollback_only(f"constraint {constraint.name} violated")
             raise ConstraintViolated(constraint.name, outcome.context_ref)
-        # A consistency threat.
+        # A consistency threat.  Threat events are noted only when
+        # observed: an unobserved threat enters no probe frame.
         self.stats["threats_detected"] += 1
-        self._note_threat("detected", constraint.name, outcome.degree)
+        observed = self.obs.enabled
+        if observed:
+            self._note_threat("detected", constraint.name, outcome.degree)
         threat = ConsistencyThreat(
             constraint_name=constraint.name,
             degree=outcome.degree,
@@ -406,9 +428,10 @@ class ConstraintConsistencyManager:
             # Threats for non-tradeable constraints are automatically
             # rejected (§3.2).
             self.stats["threats_rejected"] += 1
-            self._note_threat(
-                "rejected", constraint.name, outcome.degree, mechanism="non-tradeable"
-            )
+            if observed:
+                self._note_threat(
+                    "rejected", constraint.name, outcome.degree, mechanism="non-tradeable"
+                )
             if tx is not None:
                 tx.set_rollback_only(
                     f"threat for non-tradeable constraint {constraint.name}"
@@ -422,9 +445,10 @@ class ConstraintConsistencyManager:
         )
         if not result.accepted:
             self.stats["threats_rejected"] += 1
-            self._note_threat(
-                "rejected", constraint.name, outcome.degree, mechanism=result.mechanism
-            )
+            if observed:
+                self._note_threat(
+                    "rejected", constraint.name, outcome.degree, mechanism=result.mechanism
+                )
             if tx is not None:
                 tx.set_rollback_only(
                     f"threat for constraint {constraint.name} rejected"
@@ -433,9 +457,10 @@ class ConstraintConsistencyManager:
                 constraint.name, outcome.degree.name, result.mechanism, outcome.context_ref
             )
         self.stats["threats_accepted"] += 1
-        self._note_threat(
-            "accepted", constraint.name, outcome.degree, mechanism=result.mechanism
-        )
+        if observed:
+            self._note_threat(
+                "accepted", constraint.name, outcome.degree, mechanism=result.mechanism
+            )
         self._persist_threat(threat)
 
     # ------------------------------------------------------------------
@@ -518,13 +543,14 @@ class ConstraintConsistencyManager:
         )
         self.stats["threats_detected"] += 1
         self.stats["threats_accepted"] += 1
-        self._note_threat("detected", registration.name, SatisfactionDegree.UNCHECKABLE)
-        self._note_threat(
-            "accepted",
-            registration.name,
-            SatisfactionDegree.UNCHECKABLE,
-            mechanism="async-direct",
-        )
+        if self.obs.enabled:
+            self._note_threat("detected", registration.name, SatisfactionDegree.UNCHECKABLE)
+            self._note_threat(
+                "accepted",
+                registration.name,
+                SatisfactionDegree.UNCHECKABLE,
+                mechanism="async-direct",
+            )
         self._persist_threat(threat)
 
     def _note_threat(
@@ -534,8 +560,7 @@ class ConstraintConsistencyManager:
         degree: SatisfactionDegree,
         mechanism: str | None = None,
     ) -> None:
-        if not self.obs.enabled:
-            return
+        """Count and emit one threat event; callers ask only when observed."""
         self._m_threats.inc(action=action)
         self.obs.emit(
             "threat",

@@ -13,14 +13,11 @@ with the outcome — ``ok`` or the raised error's class name.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..obs import ensure_obs
 from ..objects import Interceptor, Invocation, Node
 from .ccmgr import ConstraintConsistencyManager
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..objects.invocation import Proceed
 
 # Simulated per-invocation latencies sit in the sub-millisecond to
 # tens-of-milliseconds range (Ch. 5 cost model); edges chosen to resolve
@@ -51,18 +48,18 @@ class CCMInterceptor(Interceptor):
             buckets=_LATENCY_BUCKETS,
         )
 
-    def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
-        entity = self.node.container.resolve(invocation.ref)
+    def intercept(self, invocation: Invocation) -> Any:
+        entity = invocation.entity or self.node.container.resolve_target(invocation)
         if not self.obs.enabled:
             self.ccmgr.before_invocation(invocation, entity)
-            result = proceed(invocation)
+            result = self.proceed(invocation)
             self.ccmgr.after_invocation(invocation, entity)
             return result
         started = self._clock.now
         outcome = "ok"
         try:
             self.ccmgr.before_invocation(invocation, entity)
-            result = proceed(invocation)
+            result = self.proceed(invocation)
             self.ccmgr.after_invocation(invocation, entity)
             return result
         except BaseException as exc:

@@ -24,9 +24,11 @@ The consistency manager has one query, whatever the strategy:
 :class:`MethodDispatch` per notification and it asks that for the
 registrations of each constraint type.  ``affected_constraints`` is the
 per-type primitive underneath — the Chapter-2 study code calls it
-directly, and the linear and caching strategies answer a dispatch by
-calling it on demand, so every ``repository_search`` /
-``repository_lookup_cached`` charge lands where the manager asks.
+directly, and the linear strategy answers a dispatch by calling it on
+demand.  The caching strategy's view answers a cached question from the
+cache itself and calls it only on the first question after a change.
+Either way every ``repository_search`` / ``repository_lookup_cached``
+charge lands where the manager asks.
 
 All three stay runtime-mutable: constraints can be added, removed, enabled
 and disabled at any time, and ``enabled`` is honoured at query time so
@@ -117,8 +119,35 @@ class _QueriedDispatch(MethodDispatch):
         return len(self._repository._search(*self.key, None, only_enabled=False))
 
 
+class _CachedDispatch(_QueriedDispatch):
+    """The caching repository's view: a question whose answer is cached is
+    answered here, in one frame, with the ``repository_lookup_cached``
+    charge ``affected_constraints`` would make; a question after a change
+    goes on to ``affected_constraints``, which searches and charges
+    ``repository_search``."""
+
+    __slots__ = ()
+
+    def registrations(
+        self, constraint_type: ConstraintType | None = None
+    ) -> Sequence[ConstraintRegistration]:
+        class_name, method_name = self.key
+        repository = self._repository
+        cached = repository._cache.get((class_name, method_name, constraint_type))
+        if cached is None:
+            return repository.affected_constraints(class_name, method_name, constraint_type)
+        if repository._charge is not None:
+            repository._charge("repository_lookup_cached")
+        if not cached:
+            return ()
+        return [registration for registration in cached if registration.constraint.enabled]
+
+
 class ConstraintRepository:
     """Linear-search repository of constraint registrations."""
+
+    #: The per-method view :meth:`method_dispatch` hands out.
+    _view: Callable[["ConstraintRepository", tuple[str, str]], MethodDispatch] = _QueriedDispatch
 
     def __init__(self, charge: ChargeFn | None = None) -> None:
         self._registrations: list[ConstraintRegistration] = []
@@ -208,12 +237,13 @@ class ConstraintRepository:
         an invocation of the given method, grouped by constraint type.
 
         This strategy (and the caching one) hands out one memoised view
-        per method that runs ``affected_constraints`` per question.
+        per method that asks ``affected_constraints`` per question (the
+        caching one's view answers a cached question itself).
         """
         key = (class_name, method_name)
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = _QueriedDispatch(self, key)
+            view = self._views[key] = self._view(self, key)
         return view
 
     def invariants(self) -> list[ConstraintRegistration]:
@@ -264,6 +294,8 @@ class CachingConstraintRepository(ConstraintRepository):
     :class:`Constraint` object (bypassing ``enable``/``disable`` and hence
     the invalidation hook) never yields stale results.
     """
+
+    _view = _CachedDispatch
 
     def __init__(self, charge: ChargeFn | None = None) -> None:
         super().__init__(charge)

@@ -91,7 +91,7 @@ class GroupChannel:
         recipients (every other reachable member), charge the whole
         round, then record its one ``multicast`` event, which covers
         every delivery.  Returns the snapshot."""
-        if self.network.is_crashed(source):
+        if source in self.network.crashed:
             raise NodeCrashedError(source)
         recipients = [
             node

@@ -105,7 +105,7 @@ class Network(Topology):
         ``UnreachableError`` — the sender cannot tell a lost message from a
         partition).
         """
-        if source in self._crashed:
+        if source in self.crashed:
             self._drop(source, destination, kind, "source-crashed")
             raise NodeCrashedError(source)
         if not self.reachable(source, destination):

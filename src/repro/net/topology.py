@@ -36,12 +36,14 @@ class Topology:
             raise ValueError("network needs at least one node")
         self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self._failed_links: set[frozenset[NodeId]] = set()
-        self._crashed: set[NodeId] = set()
+        # The crashed nodes, read with one membership test on every op;
+        # only ``crash_node``, ``recover_node`` and ``heal_all`` change it.
+        self.crashed: set[NodeId] = set()
         # The nodes not crashed: ``reachable`` checks each end with one
-        # membership test.  Changed only beside ``_crashed``.
+        # membership test.  Changed only beside ``crashed``.
         self._live: set[NodeId] = set(nodes)
         # Connected component per start node, valid for the current
-        # ``_failed_links`` / ``_crashed``.  Lock-free on purpose (it is read
+        # ``_failed_links`` / ``crashed``.  Lock-free on purpose (it is read
         # on every send): a mutator *replaces* the dict right after changing
         # the link state, and a reader stores only into the dict it picked up
         # before searching — so a search that overlapped a mutation lands in
@@ -126,10 +128,10 @@ class Topology:
 
         Notifies listeners only when there was something to repair.
         """
-        if not self._failed_links and not self._crashed:
+        if not self._failed_links and not self.crashed:
             return
         self._failed_links.clear()
-        self._crashed.clear()
+        self.crashed.clear()
         self._live.update(self.nodes)
         self._components = {}
         self._notify_topology()
@@ -137,31 +139,31 @@ class Topology:
     def crash_node(self, node: NodeId) -> None:
         """Crash ``node`` (pause-crash: state survives, §1.1)."""
         self._require_node(node)
-        if node in self._crashed:
+        if node in self.crashed:
             return
-        self._crashed.add(node)
+        self.crashed.add(node)
         self._live.discard(node)
         self._components = {}
         self._notify_topology()
 
     def recover_node(self, node: NodeId) -> None:
         """Recover a previously crashed node (no-op when not crashed)."""
-        if node not in self._crashed:
+        if node not in self.crashed:
             return
-        self._crashed.discard(node)
+        self.crashed.discard(node)
         self._live.add(node)
         self._components = {}
         self._notify_topology()
 
     def is_crashed(self, node: NodeId) -> bool:
-        return node in self._crashed
+        return node in self.crashed
 
     # ------------------------------------------------------------------
     # reachability / partitions
     # ------------------------------------------------------------------
     def link_up(self, a: NodeId, b: NodeId) -> bool:
         """Whether the direct link between two live nodes is usable."""
-        if a in self._crashed or b in self._crashed:
+        if a in self.crashed or b in self.crashed:
             return False
         return frozenset((a, b)) not in self._failed_links
 
@@ -174,7 +176,12 @@ class Topology:
         """
         live = self._live
         if source in live and destination in live:
-            return source == destination or destination in self._component_of(source)
+            if source == destination:
+                return True
+            # The component is a plain load once searched; only a miss
+            # enters ``_component_of``.
+            component = self._components.get(source) or self._component_of(source)
+            return destination in component
         self._require_node(source)
         self._require_node(destination)
         return False
@@ -186,7 +193,7 @@ class Topology:
         indistinguishable from singleton partitions, but they execute
         nothing until recovered.
         """
-        remaining = [n for n in self.nodes if n not in self._crashed]
+        remaining = [n for n in self.nodes if n not in self.crashed]
         seen: set[NodeId] = set()
         components: list[frozenset[NodeId]] = []
         for node in remaining:
@@ -201,13 +208,13 @@ class Topology:
     def partition_of(self, node: NodeId) -> frozenset[NodeId]:
         """The set of live nodes in ``node``'s partition."""
         self._require_node(node)
-        if node in self._crashed:
+        if node in self.crashed:
             return frozenset()
         return self._component_of(node)
 
     def is_healthy(self) -> bool:
         """True when no failures are present (one partition, no crashes)."""
-        return not self._crashed and len(self.partitions()) == 1
+        return not self.crashed and len(self.partitions()) == 1
 
     # ------------------------------------------------------------------
     # internals
@@ -226,7 +233,7 @@ class Topology:
         while frontier:
             current = frontier.popleft()
             for other in self.nodes:
-                if other in component or other in self._crashed:
+                if other in component or other in self.crashed:
                     continue
                 if self.link_up(current, other):
                     component.add(other)
@@ -243,7 +250,7 @@ class Topology:
             self.obs.emit(
                 "topology_change",
                 partitions=[sorted(p) for p in self.partitions()],
-                crashed=sorted(self._crashed),
+                crashed=sorted(self.crashed),
                 failed_links=sorted(sorted(link) for link in self._failed_links),
             )
         for listener in self._topology_listeners:

@@ -13,6 +13,7 @@ from .entity import Entity
 from .refs import ObjectNotFound, ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .invocation import Invocation
     from .node import Node
 
 
@@ -79,6 +80,15 @@ class Container:
             return self._instances[ref]
         except KeyError:
             raise ObjectNotFound(ref) from None
+
+    def resolve_target(self, invocation: "Invocation") -> Entity:
+        """Resolve an invocation's target into its ``entity`` slot, where
+        the rest of its server-chain pass reads it."""
+        try:
+            entity = invocation.entity = self._instances[invocation.ref]
+        except KeyError:
+            raise ObjectNotFound(invocation.ref) from None
+        return entity
 
     def has(self, ref: ObjectRef) -> bool:
         return ref in self._instances

@@ -21,6 +21,7 @@ from ..net import NodeId
 from .refs import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .entity import Entity
     from .node import Node
 
 
@@ -29,8 +30,8 @@ class Invocation:
 
     __slots__ = (
         "invocation_id", "ref", "method_name", "is_getter", "is_setter",
-        "is_write", "args", "caller_node", "execution_node", "result",
-        "redirected", "metadata",
+        "is_write", "args", "caller_node", "execution_node", "entity",
+        "result", "redirected", "metadata",
     )
 
     _ids = itertools.count(1)
@@ -54,6 +55,11 @@ class Invocation:
         self.args = args
         self.caller_node = caller_node
         self.execution_node: NodeId | None = None
+        # The target entity on the execution node, resolved by the first
+        # server interceptor that needs it and read by the rest; cleared
+        # whenever a server chain starts, so a forwarded call resolves the
+        # replica of the node that runs it.
+        self.entity: "Entity | None" = None
         self.result: Any = None
         self.redirected = False
         # Arbitrary payload associated by interceptors (security context,
@@ -75,41 +81,40 @@ class Invocation:
 Proceed = Callable[[Invocation], Any]
 
 
-class Interceptor:
-    """Base interceptor: override :meth:`intercept`, which continues the
-    call (once, or not at all) with ``proceed(invocation)``."""
-
-    name = "interceptor"
-
-    def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
-        return proceed(invocation)
-
-
 def _fell_off_the_end(invocation: Invocation) -> Any:
     raise RuntimeError("interceptor chain fell off the end — no dispatcher installed")
 
 
-def _step(interceptor: Interceptor, proceed: Proceed) -> Proceed:
-    # A closure, not ``functools.partial(..., proceed=...)``: a partial
-    # with a bound keyword copies its keyword dict on every call.
-    intercept = interceptor.intercept
+class Interceptor:
+    """Base interceptor: override :meth:`intercept`, which continues the
+    call (once, or not at all) with ``self.proceed(invocation)``.
 
-    def step(invocation: Invocation) -> Any:
-        return intercept(invocation, proceed)
+    ``proceed`` is the successor's ``intercept``, bound once, when an
+    :class:`InterceptorChain` links this interceptor; an interceptor
+    belongs to one chain.
+    """
 
-    return step
+    name = "interceptor"
+    proceed: Proceed | None = None
+
+    def intercept(self, invocation: Invocation) -> Any:
+        return self.proceed(invocation)
 
 
 class InterceptorChain:
-    """Runs an invocation through a fixed sequence of interceptors, composed
-    once, here: each step calls its interceptor with the next as ``proceed``."""
+    """Runs an invocation through a fixed sequence of interceptors, linked
+    once, here: each interceptor gets its successor's ``intercept`` as its
+    ``proceed``, so a hop is one call, with no wrapper between them."""
 
     def __init__(self, interceptors: Sequence[Interceptor]) -> None:
         self.interceptors = tuple(interceptors)
-        step: Proceed = _fell_off_the_end
+        proceed: Proceed = _fell_off_the_end
         for interceptor in reversed(self.interceptors):
-            step = _step(interceptor, step)
-        self.execute: Proceed = step
+            if interceptor.proceed is not None:
+                raise ValueError(f"{interceptor!r} is already linked into a chain")
+            interceptor.proceed = proceed
+            proceed = interceptor.intercept
+        self.execute: Proceed = proceed
 
 
 class CostInterceptor(Interceptor):
@@ -121,9 +126,9 @@ class CostInterceptor(Interceptor):
         self.node = node
         self.cost = node.services.costs.interceptor_hop * hops
 
-    def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
+    def intercept(self, invocation: Invocation) -> Any:
         self.node.persistence.charge("interceptor_hop", self.cost)
-        return proceed(invocation)
+        return self.proceed(invocation)
 
 
 class ContainerInvoker(Interceptor):
@@ -134,8 +139,8 @@ class ContainerInvoker(Interceptor):
     def __init__(self, node: "Node") -> None:
         self.node = node
 
-    def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
-        entity = self.node.container.resolve(invocation.ref)
+    def intercept(self, invocation: Invocation) -> Any:
+        entity = invocation.entity or self.node.container.resolve_target(invocation)
         method = getattr(entity, invocation.method_name)
         invocation.result = method(*invocation.args)
         return invocation.result
@@ -168,4 +173,5 @@ class InvocationService:
 
     def run_server_chain(self, invocation: Invocation) -> Any:
         invocation.execution_node = self.node.node_id
+        invocation.entity = None
         return self.server_chain.execute(invocation)

@@ -15,15 +15,12 @@ entity row is loaded per invocation and stored after writes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..membership import GroupMembershipService
 from ..net import SimNetwork, UnreachableError
 from ..objects import Interceptor, Invocation, LocationService, Node
 from .manager import ReplicationManager
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..objects.invocation import Proceed
 
 
 class TransportInterceptor(Interceptor):
@@ -45,7 +42,7 @@ class TransportInterceptor(Interceptor):
         self.location = location
         self.replication = replication
 
-    def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
+    def intercept(self, invocation: Invocation) -> Any:
         target = self._route(invocation)
         if target == self.node.node_id:
             return self.node.invocation_service.run_server_chain(invocation)
@@ -72,10 +69,10 @@ class ReplicationServerInterceptor(Interceptor):
         self.node = node
         self.replication = replication
 
-    def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
+    def intercept(self, invocation: Invocation) -> Any:
         ref = invocation.ref
         if not self.replication.is_replicated(ref):
-            return proceed(invocation)
+            return self.proceed(invocation)
         # Component-monitor pass-through (ADAPT framework, §5.1).
         self.node.persistence.charge("adapt_monitor")
         node_id = self.node.node_id
@@ -84,9 +81,9 @@ class ReplicationServerInterceptor(Interceptor):
             if target != node_id:
                 invocation.redirected = True
                 return self.replication.network.send(node_id, target, "invocation", invocation)
-        entity = self.node.container.resolve(ref)
+        entity = invocation.entity or self.node.container.resolve_target(invocation)
         version_before = entity.version
-        result = proceed(invocation)
+        result = self.proceed(invocation)
         if invocation.is_write and entity.version != version_before:
             self.replication.propagate_update(node_id, entity)
         return result
@@ -100,12 +97,12 @@ class PersistenceInterceptor(Interceptor):
     def __init__(self, node: Node) -> None:
         self.node = node
 
-    def intercept(self, invocation: Invocation, proceed: "Proceed") -> Any:
-        entity = self.node.container.resolve(invocation.ref)
+    def intercept(self, invocation: Invocation) -> Any:
+        entity = invocation.entity or self.node.container.resolve_target(invocation)
         # Entity bean activation/load.
         self.node.persistence.charge("db_read")
         version_before = entity.version
-        result = proceed(invocation)
+        result = self.proceed(invocation)
         if invocation.is_write and entity.version != version_before:
             entity.store(self.node.persistence.table("entities").put)
         return result

@@ -203,7 +203,7 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     def route_write(self, ref: ObjectRef, caller: NodeId) -> NodeId:
         """The node that must execute a write issued from ``caller``."""
-        info = self.info(ref)
+        info = self._replicas.get(ref) or self.info(ref)  # info() raises
         partition = self.gms.view_of(caller).members
         target = self.protocol.write_node(
             info.designated_primary, info.replica_nodes, partition
@@ -214,7 +214,7 @@ class ReplicationManager:
 
     def route_read(self, ref: ObjectRef, caller: NodeId) -> NodeId:
         """Reads are served locally whenever a replica exists (§4.3)."""
-        info = self.info(ref)
+        info = self._replicas.get(ref) or self.info(ref)  # info() raises
         if caller in info.replica_nodes:
             return caller
         partition = self.gms.view_of(caller).members

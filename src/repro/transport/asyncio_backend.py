@@ -221,7 +221,7 @@ class AsyncioNetwork(Network):
         """One group-channel delivery (used by :class:`AsyncioGroupChannel`):
         no admission, only a re-check that neither end crashed or partitioned
         away since the round's recipient snapshot."""
-        if source in self._crashed:
+        if source in self.crashed:
             self._drop(source, destination, kind, "source-crashed")
             raise NodeCrashedError(source)
         if not self.reachable(source, destination):
@@ -293,7 +293,7 @@ class AsyncioNetwork(Network):
         """
         node = message.destination
         try:
-            if node in self._crashed:
+            if node in self.crashed:
                 # Crashed between enqueue and dispatch: the frame dies in
                 # the socket buffer, the sender sees an unreachable peer.
                 raise UnreachableError(message.source, node)

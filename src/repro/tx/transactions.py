@@ -85,13 +85,15 @@ class Transaction:
     # ------------------------------------------------------------------
     def enlist(self, resource: TransactionalResource) -> None:
         """Enlist a resource; duplicates are ignored."""
-        self._require_active()
+        if not self.is_active:
+            self._require_active()
         if resource not in self._resources:
             self._resources.append(resource)
 
     def log_undo(self, undo: Callable[[], None]) -> None:
         """Record an undo action, executed in reverse order on rollback."""
-        self._require_active()
+        if not self.is_active:
+            self._require_active()
         self._undo_log.append(undo)
 
     # ------------------------------------------------------------------
@@ -106,6 +108,8 @@ class Transaction:
             self.rollback_reason = reason
 
     def _require_active(self) -> None:
+        # Callers test ``is_active`` first, so a live transaction's per-op
+        # path never enters this frame.
         if not self.is_active:
             raise RuntimeError(
                 f"transaction {self.txid} is {self.status.value}, not active"
@@ -118,7 +122,8 @@ class Transaction:
             raise TransactionRolledBack(
                 self, self.rollback_reason or "marked rollback-only"
             )
-        self._require_active()
+        if not self.is_active:
+            self._require_active()
         self.status = TransactionStatus.PREPARING
         self.is_active = False
         prepared: list[TransactionalResource] = []

@@ -66,12 +66,28 @@ def pytest_configure(config: pytest.Config) -> None:
     config.pluginmanager.register(plugin, "obs-coverage")
 
 
-@pytest.fixture(scope="session")
-def package_analysis() -> Any:
-    """Every replint rule over ``src/repro``, run once per session."""
-    from repro.analysis.engine import run_analysis
+SRC_REPRO = Path(__file__).parents[1] / "src" / "repro"
 
-    return run_analysis(Path(__file__).parents[1] / "src" / "repro")
+
+@pytest.fixture(scope="session")
+def package_project() -> Any:
+    """``src/repro`` as replint loads it, parsed once per session; its
+    interprocedural index is built once too, by the first rule that asks."""
+    from repro.analysis.engine import load_project
+
+    return load_project(SRC_REPRO)
+
+
+@pytest.fixture(scope="session")
+def package_analysis(package_project: Any) -> Any:
+    """Every replint rule over ``src/repro``, run once per session, over
+    the session's loaded package rather than a second parse of it."""
+    from unittest.mock import patch
+
+    from repro.analysis import engine
+
+    with patch.object(engine, "load_project", lambda root: package_project):
+        return engine.run_analysis(SRC_REPRO)
 
 
 def history_entries(history: Any) -> int:

@@ -14,7 +14,6 @@ from repro.analysis.engine import load_project
 from repro.analysis.interproc import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
-SRC_REPRO = Path(__file__).parents[1] / "src" / "repro"
 
 
 def index_of(fixture: str):
@@ -159,10 +158,10 @@ class TestDerivedFacts:
         assert op.desc == "socket create_connection()" and not op.held
         assert index.guarded["_idle"][0].lock == "_pool_lock"
 
-    def test_frames_request_is_still_a_network_op(self):
+    def test_frames_request_is_still_a_network_op(self, package_project):
         # CONC004 on procnode/proccluster depends on this chain:
         # frames.request -> ConnectionPool.checkout -> create_connection.
-        index = analyze(load_project(SRC_REPRO))
+        index = analyze(package_project)
         op = index.transitive_blocking()["transport/frames.py::request"]
         assert op is not None and op.is_network and not op.held
 

@@ -424,21 +424,30 @@ EXPECTED_CHARGES = {
 }
 
 
+class RecordingDispatch:
+    """A repository's dispatch that records each per-type question."""
+
+    def __init__(self, dispatch, queries):
+        self._dispatch = dispatch
+        self._queries = queries
+
+    def registrations(self, constraint_type=None):
+        self._queries.append(constraint_type)
+        return self._dispatch.registrations(constraint_type)
+
+
 class TestOneDispatchPathForEveryRepository:
-    """The CCMgr asks every repository kind the same question and gets
+    """The CCMgr asks every repository kind the same questions and gets
     the same behaviour; only the charges differ, and they are pinned."""
 
     @pytest.mark.parametrize("kind", sorted(REPOSITORY_KINDS))
     def test_same_outcomes_and_pinned_charges(self, kind):
         charges, queries = [], []
         repository = REPOSITORY_KINDS[kind](charge=charges.append)
-        affected_constraints = repository.affected_constraints
-
-        def recording_query(class_name, method_name, constraint_type=None):
-            queries.append(constraint_type)
-            return affected_constraints(class_name, method_name, constraint_type)
-
-        repository.affected_constraints = recording_query
+        method_dispatch = repository.method_dispatch
+        repository.method_dispatch = lambda class_name, method_name: RecordingDispatch(
+            method_dispatch(class_name, method_name), queries
+        )
         harness = Harness(repository=repository)
         harness.register(
             PredicateConstraint(
@@ -459,7 +468,7 @@ class TestOneDispatchPathForEveryRepository:
                 result = type(exc).__name__
             return result, list(charges), list(queries)
 
-        per_type = [] if kind == "compiled" else [PRE, POST, HARD, SOFT, ASYNC]
+        per_type = [PRE, POST, HARD, SOFT, ASYNC]
         # healthy write, first sight of the method, then a repeat
         assert step(10) == (10, EXPECTED_CHARGES[kind]["first"], per_type)
         assert step(5) == (15, EXPECTED_CHARGES[kind]["repeat"], per_type)

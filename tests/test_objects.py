@@ -376,16 +376,29 @@ class TestInterceptorChain:
             def __init__(self, tag):
                 self.tag = tag
 
-            def intercept(self, invocation, proceed):
+            def intercept(self, invocation):
                 order.append(f"{self.tag}-in")
-                result = proceed(invocation)
+                result = self.proceed(invocation)
                 order.append(f"{self.tag}-out")
                 return result
 
-        chain = InterceptorChain([Tagger("outer"), Tagger("inner"), ContainerInvoker(node)])
+        outer, inner, invoker = Tagger("outer"), Tagger("inner"), ContainerInvoker(node)
+        chain = InterceptorChain([outer, inner, invoker])
+        # Linked once: each interceptor holds its successor's intercept.
+        assert chain.execute == outer.intercept
+        assert outer.proceed == inner.intercept and inner.proceed == invoker.intercept
         invocation = Invocation(ObjectRef("Account", "a1"), "deposit", (5,), "n1")
         assert chain.execute(invocation) == 5
         assert order == ["outer-in", "inner-in", "inner-out", "outer-out"]
+
+    def test_an_interceptor_links_into_one_chain_only(self, node):
+        invoker = ContainerInvoker(node)
+        InterceptorChain([invoker])
+        with pytest.raises(ValueError, match="already linked"):
+            InterceptorChain([CostInterceptor(node), invoker])
+        shared = CostInterceptor(node)
+        with pytest.raises(ValueError, match="already linked"):
+            InterceptorChain([shared, shared, ContainerInvoker(node)])
 
     def test_chain_without_dispatcher_raises(self):
         chain = InterceptorChain([])

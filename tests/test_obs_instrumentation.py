@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro import ClusterConfig, DedisysCluster
+from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import AcceptAllHandler, ConstraintViolated
 from repro.evaluation.ch5 import build_cluster, measure_operations
 from repro.faults import FaultInjector
@@ -35,6 +37,20 @@ def partition_cluster():
     cluster.heal()
     cluster.reconcile()
     return cluster, obs
+
+
+def warm_flight_cluster(obs):
+    """A 3-node flight cluster whose caches are warm on every node."""
+    cluster = DedisysCluster(ClusterConfig(node_ids=("n1", "n2", "n3"), obs=obs))
+    cluster.deploy(Flight)
+    cluster.register_constraint(ticket_constraint_registration())
+    ref = cluster.create_entity(
+        "n1", "Flight", "F1", {"flight_number": "F1", "seats": 10_000, "sold": 0}
+    )
+    for node in ("n1", "n2", "n3"):
+        cluster.invoke(node, ref, "sell_tickets", 1)
+        cluster.invoke(node, ref, "get_sold")
+    return cluster, ref
 
 
 class TestEventCountsMatchComponentBookkeeping:
@@ -107,6 +123,31 @@ class TestEventCountsMatchComponentBookkeeping:
             for series in histogram.snapshot()["series"].values()
         )
         assert total == len(invocations)
+
+    def test_each_call_emits_one_invocation_event_with_its_simulated_latency(self):
+        """A read, a forwarded write and a refused write each emit one
+        ``invocation`` event, from the node that ran the CCM, with the
+        simulated time spent inside the CCM interceptor, bit for bit; the
+        observed cluster's clock reads what an unobserved one's does."""
+        obs = Observability()
+        observed, ref = warm_flight_cluster(obs)
+        bare, bare_ref = warm_flight_cluster(None)
+        calls = (
+            (("get_sold",), ("n2", "ok", "0x1.7c5ef62f9ca80p-9")),
+            (("sell_tickets", 1), ("n1", "ok", "0x1.932d6ece13f40p-8")),
+            (("sell_tickets", 20_000), ("n1", "ConstraintViolated", "0x1.932002d4c6940p-8")),
+        )
+        for args, expected in calls:
+            before = len(obs.events("invocation"))
+            for cluster, target in ((observed, ref), (bare, bare_ref)):
+                try:
+                    cluster.invoke("n2", target, *args)
+                except ConstraintViolated:
+                    pass
+            (event,) = obs.events("invocation")[before:]
+            assert event.data["method"] == args[0]
+            assert (event.node, event.data["outcome"], event.data["latency"].hex()) == expected
+            assert observed.clock.now == bare.clock.now
 
     def test_replication_updates_are_traced(self):
         cluster, obs = partition_cluster()

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro import ClusterConfig, DedisysCluster
-from repro.objects import Entity, ObjectNotFound, ObjectRef
+from repro.objects import Entity, Invocation, ObjectNotFound, ObjectRef
 from repro.replication import (
     AdaptiveVotingProtocol,
     PrimaryPartitionProtocol,
@@ -242,6 +242,31 @@ class TestServerSideRedirect:
         ]
         for node in NODES:
             assert cluster.entity_on(node, ref).get_value() == 42
+
+    def test_a_redirected_write_runs_on_the_replica_of_the_node_that_executes_it(
+        self, cluster, monkeypatch
+    ):
+        """The invocation's target slot is cleared whenever a server chain
+        starts: a slot left over from an earlier pass (here: ``b``'s
+        replica) never reaches the primary's chain."""
+        ref = cluster.create_entity("a", "Counter", "c1")
+        ran_on = []
+        increment = Counter.increment
+
+        def spying(entity):
+            ran_on.append(entity.container.node.node_id)
+            return increment(entity)
+
+        monkeypatch.setattr(Counter, "increment", spying)
+        invocation = Invocation(ref, "increment", (), "b")
+        invocation.entity = cluster.entity_on("b", ref)
+        cluster.txmgr.run(
+            lambda tx: cluster.nodes["b"].invocation_service.run_server_chain(invocation)
+        )
+        assert ran_on == ["a"]
+        assert invocation.entity is cluster.entity_on("a", ref)
+        for node in NODES:
+            assert cluster.entity_on(node, ref).get_value() == 1
 
     def test_a_lost_redirect_fails_fast(self, cluster):
         from repro.net import UnreachableError

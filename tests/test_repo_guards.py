@@ -13,7 +13,8 @@ helper of ``repro._lazy``; no module runs an event loop — a process-backend wo
 frame on its connection's own thread, with no executor hop, and starts
 only as a fork of its cluster's one template process; the threaded
 backend hands each message to its node's own mailbox, with no executor
-or future, and wakes its peers through pipes, not a queue or a lock; an interceptor chain is composed once, not per hop; and the
+or future, and wakes its peers through pipes, not a queue or a lock; an interceptor chain is linked once, each interceptor calling its
+successor with no wrapper between hops; and the
 CCMgr reads its membership view once per notification, asking about
 staleness per entity only behind the provider's gate.  A scenario runs
 through one op driver on every backend, and its invariants are one
@@ -159,6 +160,44 @@ def test_the_interceptor_chain_is_composed_once():
 
     assert matches(r"\blambda\b|_proceed", "objects/invocation.py") == []
     assert isinstance(InterceptorChain([]).interceptors, tuple)
+
+
+def test_interceptors_are_linked_with_no_wrapper_between_hops():
+    """An interceptor calls its successor's ``intercept`` directly, through
+    the ``proceed`` the chain linked once: the chain module builds no
+    closure for a hop (it defines no nested function), nothing named
+    ``_step`` is left in the package, and no wired interceptor takes a
+    ``proceed`` argument."""
+    import inspect
+
+    import repro.core.interceptor
+    import repro.replication.interceptors
+    from repro.objects import Interceptor
+
+    tree = ast.parse((SRC / "objects" / "invocation.py").read_text())
+    nested = [
+        f"{outer.name}.{getattr(inner, 'name', 'lambda')}"
+        for outer in ast.walk(tree)
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert nested == []
+    assert matches(r"\b_step\b") == []
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    wired = {
+        cls.__name__: list(inspect.signature(cls.intercept).parameters)
+        for cls in subclasses(Interceptor)
+        if cls.__module__.startswith("repro.")
+    }
+    assert {"CCMInterceptor", "TransportInterceptor", "ContainerInvoker"} <= set(wired)
+    assert {name: params for name, params in wired.items() if params != ["self", "invocation"]} == {}
 
 
 def test_a_worker_starts_only_as_a_fork_of_the_template():
