@@ -43,21 +43,21 @@ class TransportInterceptor(Interceptor):
         self.replication = replication
 
     def intercept(self, invocation: Invocation) -> Any:
-        target = self._route(invocation)
-        if target == self.node.node_id:
-            return self.node.invocation_service.run_server_chain(invocation)
-        return self.network.send(self.node.node_id, target, "invocation", invocation)
-
-    def _route(self, invocation: Invocation) -> str:
         ref = invocation.ref
-        if self.replication is not None and self.replication.is_replicated(ref):
+        node_id = self.node.node_id
+        replication = self.replication
+        if replication is not None and replication.is_replicated(ref):
             if invocation.is_write:
-                return self.replication.route_write(ref, self.node.node_id)
-            return self.replication.route_read(ref, self.node.node_id)
-        home = self.location.home_of(ref)
-        if home not in self.gms.view_of(self.node.node_id):
-            raise UnreachableError(self.node.node_id, home)
-        return home
+                target = replication.route_write(ref, node_id)
+            else:
+                target = replication.route_read(ref, node_id)
+        else:
+            target = self.location.home_of(ref)
+            if target not in self.gms.view_of(node_id):
+                raise UnreachableError(node_id, target)
+        if target == node_id:
+            return self.node.invocation_service.run_server_chain(invocation)
+        return self.network.send(node_id, target, "invocation", invocation)
 
 
 class ReplicationServerInterceptor(Interceptor):

@@ -120,8 +120,9 @@ def charger(
     ``charge(category)`` spends the cost model's seconds for that category,
     ``charge(category, seconds)`` a duration the caller computed.  It books
     the seconds under ``category`` in ``ledger`` and lets them pass on
-    ``clock``; a caller's duration goes through ``clock.advance``, which
-    rejects NaN, infinite and negative ones with the clock unmoved.
+    ``clock``; a caller's duration is checked the way ``clock.advance``
+    checks one, and a NaN, infinite or negative one goes to ``advance``,
+    which rejects it with the clock unmoved.
 
     The per-category seconds are read off the frozen ``costs`` here, once,
     and range-checked here, once, so a charge by category skips
@@ -133,7 +134,7 @@ def charger(
         if not 0.0 <= value < math.inf:
             raise ValueError(f"cost {name!r} must be finite and >= 0, got {value}")
     totals, counts = ledger.totals, ledger.counts
-    advance = clock.advance
+    advance, inf = clock.advance, math.inf
 
     def charge(category: str, seconds: float | None = None) -> None:
         if seconds is None:
@@ -144,8 +145,12 @@ def charger(
                     f"{type(costs).__name__!r} object has no attribute {category!r}"
                 ) from None
             clock.now += seconds
+        elif 0.0 <= seconds < inf:
+            # ``advance``'s own test: a finite, non-negative duration
+            # passes without entering it.
+            clock.now += seconds
         else:
-            advance(seconds)
+            advance(seconds)  # raises, with the clock unmoved
         totals[category] = totals.get(category, 0.0) + seconds
         counts[category] = counts.get(category, 0) + 1
 

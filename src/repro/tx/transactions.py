@@ -189,7 +189,8 @@ class TransactionManager:
         return self.current
 
     def commit(self, tx: Transaction) -> None:
-        self._require_current(tx)
+        if tx is not self.current:
+            self._require_current(tx)
         try:
             tx._commit()
             self.committed_count += 1
@@ -204,7 +205,8 @@ class TransactionManager:
             self.current = None
 
     def rollback(self, tx: Transaction) -> None:
-        self._require_current(tx)
+        if tx is not self.current:
+            self._require_current(tx)
         try:
             tx._rollback()
             self.rolled_back_count += 1
