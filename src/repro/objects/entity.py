@@ -40,7 +40,15 @@ def _accessors(field: str) -> tuple[Any, Any]:
     """The ``get_<field>`` / ``set_<field>`` pair of one declared field."""
 
     def getter(self: "Entity") -> Any:
-        return self._get(field)
+        # ``Entity._get`` inlined: a getter is a read's whole business
+        # method, so it enters no second frame.
+        try:
+            value = self._attributes[field]
+        except KeyError:
+            raise _no_field(self, field) from None
+        if trackers:
+            trackers[-1].setdefault(self.ref, self)
+        return value
 
     def setter(self: "Entity", value: Any) -> None:
         self._set(field, value)

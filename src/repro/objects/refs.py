@@ -31,8 +31,9 @@ class ObjectRef:
     ``ObjectRef(class_name, oid)`` returns the interned instance, building
     it on first use; two threads that build the same ref get that one
     instance, because ``dict.setdefault`` keeps whichever arrived first.
-    Pickle, :func:`copy.copy` and :func:`copy.deepcopy` rebuild through the
-    constructor, so they return the interned instance too.  A ref is not a
+    Pickle, a shallow copy and a deep copy (the ``copy`` module's two
+    functions) rebuild through the constructor, so they return the
+    interned instance too.  A ref is not a
     tuple and never equals one.
     """
 
