@@ -147,7 +147,7 @@ class ConstraintRepository:
     """Linear-search repository of constraint registrations."""
 
     #: The per-method view :meth:`method_dispatch` hands out.
-    _view: Callable[["ConstraintRepository", tuple[str, str]], MethodDispatch] = _QueriedDispatch
+    _view: type[_QueriedDispatch] = _QueriedDispatch
 
     def __init__(self, charge: ChargeFn | None = None) -> None:
         self._registrations: list[ConstraintRegistration] = []

@@ -33,8 +33,7 @@ class ObjectRef:
     instance, because ``dict.setdefault`` keeps whichever arrived first.
     Pickle, a shallow copy and a deep copy (the ``copy`` module's two
     functions) rebuild through the constructor, so they return the
-    interned instance too.  A ref is not a
-    tuple and never equals one.
+    interned instance too.  A ref is not a tuple and never equals one.
     """
 
     __slots__ = ("class_name", "oid")

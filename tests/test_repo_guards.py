@@ -154,7 +154,7 @@ def test_the_threaded_backend_wakes_through_pipes_not_a_queue_or_a_lock():
 
 
 def test_the_interceptor_chain_is_composed_once():
-    """No per-hop closure or index walk: the chain's steps are built when
+    """No per-hop closure or index walk: the chain's links are made when
     the chain is, over a fixed tuple of interceptors."""
     from repro.objects import InterceptorChain
 
