@@ -23,6 +23,7 @@ READONLY_API = frozenset(
         "write_targets",
         "replica_states",
         "diverged_replicas",
+        "mismatched_rows",
         "threat_accounting",
         "mode_of",
         # SimNetwork observation API

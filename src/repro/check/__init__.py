@@ -27,7 +27,8 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
     "invariants": (
         "AtMostOnePrimaryPerPartition", "ClusterHealthyAgain", "CommittedStateSurvives",
         "Invariant", "InvariantRegistry", "LatticeMonotonicity", "NoCrossPartitionDelivery",
-        "ReplicaConvergence", "RunProbe", "ThreatAccounting", "Violation", "default_registry",
+        "ReplicaConvergence", "RowsMatchEntities", "RunProbe", "ThreatAccounting", "Violation",
+        "default_registry",
     ),
     "mutations": ("skipped_threat_reevaluation", "split_brain_primaries"),
     "policies": (

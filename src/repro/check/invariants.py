@@ -31,6 +31,9 @@ Built-ins:
   set.
 * :class:`ClusterHealthyAgain` — a clean reconciliation of a healthy
   network brings every node back to the HEALTHY system mode.
+* :class:`RowsMatchEntities` — after a reconciliation, each node's
+  ``entities`` row of every entity it holds equals that entity's
+  attributes.
 """
 
 from __future__ import annotations
@@ -291,6 +294,21 @@ class ClusterHealthyAgain(Invariant):
         return f"nodes not HEALTHY after a clean reconciliation: {stuck}" if stuck else None
 
 
+class RowsMatchEntities(Invariant):
+    """After a reconciliation, every node's ``entities`` row equals the
+    attributes of the entity it stores: a write, its propagation and its
+    rollback leave the two agreeing.  Mid-operation a write has changed the
+    entity before its row, so only a reconciling step is checked."""
+
+    name = "rows_match_entities"
+
+    def check(self, probe: RunProbe) -> str | None:
+        if probe.just_reconciled is None:
+            return None
+        mismatched = probe.cluster.mismatched_rows()
+        return mismatched[0] if mismatched else None
+
+
 class InvariantRegistry:
     """An ordered set of invariants evaluated together at each step."""
 
@@ -335,5 +353,6 @@ def default_registry() -> InvariantRegistry:
             NoCrossPartitionDelivery(),
             CommittedStateSurvives(),
             ClusterHealthyAgain(),
+            RowsMatchEntities(),
         )
     )

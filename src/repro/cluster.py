@@ -560,6 +560,21 @@ class DedisysCluster:
                 diverged.append(f"{ref}: {sorted(map(str, states))}")
         return diverged
 
+    def mismatched_rows(self) -> list[str]:
+        """``"<node>: <ref> row <row> but entity <state>"`` per entity whose
+        node's ``entities`` row differs from its attributes.  Reads rows
+        with :meth:`~repro.persistence.Table.peek`, so nothing is charged;
+        ``RowsMatchEntities`` asks this."""
+        mismatched: list[str] = []
+        for node_id, node in self.nodes.items():
+            table = node.persistence.table("entities")
+            for ref in node.container.refs():
+                state = node.container.resolve(ref).state()
+                row = table.peek((ref.class_name, ref.oid))
+                if row != state:
+                    mismatched.append(f"{node_id}: {ref} row {row!r} but entity {state!r}")
+        return mismatched
+
     def threat_accounting(self) -> dict[NodeId, tuple[int, int]]:
         """Per node: ``(in-memory threat records, persisted rows)``.
 

@@ -102,7 +102,6 @@ class _Environment:
         self.stale_gate = stale_gate
 
 
-_POST_CONTEXTS_KEY = "ccm_post_contexts"
 _SOFT_PENDING_KEY = "ccm_soft_pending"
 _ASYNC_PENDING_KEY = "ccm_async_pending"
 
@@ -210,10 +209,7 @@ class ConstraintConsistencyManager:
                 ctx = self._method_context(invocation, entity, env)
                 registration.constraint.before_method_invocation(ctx)
                 post_contexts.append((registration, ctx))
-            invocation.metadata[_POST_CONTEXTS_KEY] = post_contexts
-        elif invocation.metadata:
-            # A retried invocation carries its earlier attempt's metadata.
-            invocation.metadata.pop(_POST_CONTEXTS_KEY, None)
+            invocation.post_contexts = post_contexts
 
     def after_invocation(self, invocation: Invocation, entity: Entity) -> None:
         if self._validating:
@@ -227,7 +223,7 @@ class ConstraintConsistencyManager:
         tx: Transaction | None = None
         env: _Environment | None = None
         # Postconditions: checked after the invocation with its result.
-        post_contexts = invocation.metadata.get(_POST_CONTEXTS_KEY)
+        post_contexts = invocation.post_contexts
         if post_contexts:
             tx = self._current_tx()
             env = self._environment()

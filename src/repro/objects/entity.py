@@ -5,8 +5,8 @@ EJB naming convention the replication service uses to detect writes, §4.3),
 carry a version counter implementing the paper's ``VersionedEntity``
 interface (§4.2.1), and participate in:
 
-* **undo logging** — every attribute write registers an undo action with
-  the current transaction so rollback restores the previous state;
+* **the undo map** — an entity's first write in a transaction notes its
+  prior state there, and rollback hands it back to :meth:`Entity.roll_back`;
 * **access tracking** — while the constraint consistency manager validates
   a constraint it pushes an access tracker onto :data:`trackers`; every
   attribute read or write records the touched entity so the CCMgr can
@@ -63,8 +63,8 @@ class Entity:
 
     Subclasses declare their attributes via the ``fields`` class attribute
     (name → default) and add business methods on top.  Attribute access
-    goes through :meth:`_get`/:meth:`_set`, which implement tracking, undo
-    logging and version bumping; ``get_x()``/``set_x(v)`` accessors are
+    goes through :meth:`_get`/:meth:`_set`, which implement tracking, the
+    undo map and version bumping; ``get_x()``/``set_x(v)`` accessors are
     synthesised for every declared field *when the class is created*, so
     ``fields`` must be declared in the class body — a field added to the
     mapping afterwards gets no accessor.  A method the class (or a base,
@@ -128,32 +128,29 @@ class Entity:
         return value
 
     def _set(self, name: str, value: Any) -> None:
-        """Write an attribute with undo logging and version bump.
-
-        The undo also puts the restored attributes back into this node's
-        ``entities`` row, which the write's persistence step overwrote.
-        """
-        try:
-            old_value = self._attributes[name]
-        except KeyError:
-            raise _no_field(self, name) from None
+        """Write an attribute and bump the version.  The first write in a
+        transaction notes the entity's image in its undo map; a shallow
+        copy of the attributes suffices, as a write replaces a value."""
+        attributes = self._attributes
+        if name not in attributes:
+            raise _no_field(self, name)
         if trackers:
             trackers[-1].setdefault(self.ref, self)
-        old_version = self.version
-        old_update_time = self.last_update_time
-        tx = self._current_tx()
-        if tx is not None:
-
-            def undo() -> None:
-                self._attributes[name] = old_value
-                self.version = old_version
-                self.last_update_time = old_update_time
-                self.restore_row()
-
-            tx.log_undo(undo)
-        self._attributes[name] = value
+        if self.container is not None:
+            tx = self.container.node.services.txmgr.current
+            if tx is not None and tx.is_active and self not in tx.undo:
+                tx.undo[self] = (dict(attributes), self.version, self.last_update_time)
+        attributes[name] = value
         self.version += 1
         self.last_update_time = self._now()
+
+    def roll_back(self, image: tuple[dict[str, Any], int, float]) -> None:
+        """Return to the state before a rolled-back transaction's first
+        write, and put this node's ``entities`` row back with it."""
+        self._attributes, self.version, self.last_update_time = image
+        self.container.node.persistence.table("entities").restore(
+            (self.ref.class_name, self.oid), self._attributes
+        )
 
     # ------------------------------------------------------------------
     # state snapshots (used by replication)
@@ -175,13 +172,6 @@ class Entity:
         copy of a :meth:`state` snapshot.
         """
         write((self.ref.class_name, self.oid), self._attributes)
-
-    def restore_row(self) -> None:
-        """Put the attributes a rollback restored back into this node's
-        ``entities`` row (:meth:`~repro.persistence.Table.restore`)."""
-        self.container.node.persistence.table("entities").restore(
-            (self.ref.class_name, self.oid), self._attributes
-        )
 
     def apply_state(
         self, state: dict[str, Any], version: int | None = None
@@ -265,15 +255,6 @@ class Entity:
         if self.container is not None:
             return self.container.clock.now
         return 0.0
-
-    def _current_tx(self) -> Any:
-        if self.container is None:
-            return None
-        txmgr = self.container.node.services.txmgr
-        current = txmgr.current
-        if current is not None and current.is_active:
-            return current
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.class_name()} {self.oid} v{self.version}>"

@@ -31,7 +31,7 @@ class Invocation:
     __slots__ = (
         "invocation_id", "ref", "method_name", "is_getter", "is_setter",
         "is_write", "args", "caller_node", "execution_node", "entity",
-        "result", "redirected", "metadata",
+        "result", "redirected", "post_contexts",
     )
 
     _ids = itertools.count(1)
@@ -62,10 +62,10 @@ class Invocation:
         self.entity: "Entity | None" = None
         self.result: Any = None
         self.redirected = False
-        # Arbitrary payload associated by interceptors (security context,
-        # transaction context, ... — "any desired additional payload can be
-        # added to such an invocation", §5.3).
-        self.metadata: dict[str, Any] = {}
+        # The CCMgr's postcondition contexts with their @pre snapshots,
+        # set before the call for a method that has postconditions and read
+        # after it — the payload an interceptor adds to an invocation (§5.3).
+        self.post_contexts: list[tuple[Any, Any]] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # The process-global invocation_id stays out of the repr: the

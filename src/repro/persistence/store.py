@@ -5,10 +5,10 @@ Every access charges the simulated clock per the cost model — persistence
 cost is what dominates create/delete throughput in Fig. 5.1/5.4 and threat
 storage cost in the degraded-mode measurements, so the engine accounts for
 it explicitly.  Every mutation is counted and the last few are kept in a
-:class:`Journal` for introspection.  The journal is **not** a recovery log:
-nothing is replayed from it, and what the middleware needs to read back —
-consistency threats, replica state history — lives in tables and in
-:class:`StateHistory`.
+:class:`Journal` for introspection, a rollback's :meth:`Table.restore`
+included.  Nothing is replayed from the journal: a rollback's images live
+in the transaction's undo map, and consistency threats and replica state
+history in tables and in :class:`StateHistory`.
 """
 
 from __future__ import annotations
@@ -165,11 +165,16 @@ class Table:
     def restore(self, key: Any, value: Any) -> None:
         """Put back the row at ``key`` that a rolled-back write replaced.
 
-        Uncharged, as the cost model prices no rollback, and unjournaled;
-        a row the transaction deleted stays deleted.
+        Uncharged, as the cost model prices no rollback, and journaled as a
+        ``restore``; a row the transaction deleted stays deleted.
         """
         if key in self._rows:
-            self._rows[key] = copy_value(value)
+            stored = self._rows[key] = copy_value(value)
+            self.engine._journal.record(self.name, "restore", key, stored)
+
+    def peek(self, key: Any) -> Any:
+        """The stored row at ``key`` or ``None``; uncharged, for checkers."""
+        return self._rows.get(key)
 
     def get(self, key: Any) -> Any:
         self.engine.charge("db_read")
@@ -236,6 +241,12 @@ class StateHistory:
     def objects(self) -> list[Any]:
         """The objects that have any recorded history."""
         return list(self._history)
+
+    def discard(self, oid: Any, entry: StateVersion) -> None:
+        """Drop an entry :meth:`record` returned; uncharged."""
+        self._history[oid].remove(entry)
+        if not self._history[oid]:
+            del self._history[oid]
 
     def prune(self, oid: Any) -> int:
         """Drop one object's history (after reconciliation).  Returns

@@ -231,7 +231,8 @@ class ReplicationManager:
 
         In degraded mode the primary additionally records the intermediate
         state in its history (for reconciliation rollback) and an update
-        record (for conflict detection).
+        record (for conflict detection), both noted in a transaction's
+        undo map under the manager's own entry (:meth:`roll_back`).
         """
         ref = entity.ref
         if ref not in self._replicas:
@@ -256,8 +257,18 @@ class ReplicationManager:
                 degraded=self._is_degraded(partition),
             )
         if self._is_degraded(partition):
-            self.nodes[primary].state_history.record(ref, entity.version, state)
+            entry = self.nodes[primary].state_history.record(ref, entity.version, state)
             self._record_update(ref, "state", primary, entity.version, state, partition)
+            tx = self.nodes[primary].services.txmgr.current
+            if tx is not None and tx.is_active:
+                tx.undo.setdefault(self, []).append((entry, self._update_records[primary][-1]))
+
+    def roll_back(self, noted: list[tuple[Any, UpdateRecord]]) -> None:
+        """Drop the history entries and update records that a rolled-back
+        transaction's writes noted; uncharged, like every rollback."""
+        for entry, record in noted:
+            self.nodes[record.node].state_history.discard(record.ref, entry)
+            self._update_records[record.node].remove(record)
 
     # ------------------------------------------------------------------
     # staleness (CCMgr interface)
@@ -524,17 +535,12 @@ class ReplicationManager:
             entity = node.container.resolve(ref)
         except ObjectNotFound:
             return "missing"
-        old_version = entity.version
-        old_state = entity.apply_state(payload["state"], version=payload.get("version"))
+        version, updated = entity.version, entity.last_update_time
+        replaced = entity.apply_state(payload["state"], version=payload.get("version"))
         node.persistence.table("entities").put(
             (ref.class_name, ref.oid), payload["state"]
         )
         tx = node.services.txmgr.current
-        if tx is not None and tx.is_active:
-
-            def undo() -> None:
-                entity.apply_state(old_state, version=old_version)
-                entity.restore_row()
-
-            tx.log_undo(undo)
+        if tx is not None and tx.is_active and entity not in tx.undo:
+            tx.undo[entity] = (replaced, version, updated)
         return "ack"

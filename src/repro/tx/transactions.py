@@ -10,7 +10,7 @@ rollback-only, preventing a successful commit.
 
 The simulation executes one business operation at a time, so isolation is
 trivially provided; what matters for the reproduction is the commit
-protocol, rollback-only marking, undo logging, and the per-transaction
+protocol, rollback-only marking, the undo map, and the per-transaction
 registration of negotiation handlers (§3.2.1).
 """
 
@@ -63,6 +63,10 @@ class Transaction:
     ``ACTIVE`` or ``MARKED_ROLLBACK`` — is a stored field that every
     status change sets beside :attr:`status`, since every entity write and
     every CCMgr notification reads it.
+
+    :attr:`undo` maps each object a write changed to the image its first
+    change noted; rollback hands them back newest first, as
+    ``obj.roll_back(image)``, and completion sets it to ``None``.
     """
 
     _ids = itertools.count(1)
@@ -74,7 +78,7 @@ class Transaction:
         self.is_active = True
         self.rollback_reason: str | None = None
         self._resources: list[TransactionalResource] = []
-        self._undo_log: list[Callable[[], None]] = []
+        self.undo: dict[Any, Any] | None = {}
         # Arbitrary per-transaction context used by the middleware, e.g. the
         # negotiation handler registered for this use case (§3.2.1) and the
         # set of objects accessed during constraint validation.
@@ -89,12 +93,6 @@ class Transaction:
             self._require_active()
         if resource not in self._resources:
             self._resources.append(resource)
-
-    def log_undo(self, undo: Callable[[], None]) -> None:
-        """Record an undo action, executed in reverse order on rollback."""
-        if not self.is_active:
-            self._require_active()
-        self._undo_log.append(undo)
 
     # ------------------------------------------------------------------
     # state transitions
@@ -144,14 +142,14 @@ class Transaction:
             resource.commit(self)
         self.status = TransactionStatus.COMMITTED
         self.is_active = False
-        self._undo_log.clear()
+        self.undo = None
 
     def _rollback(self) -> None:
         if self.status in (TransactionStatus.COMMITTED, TransactionStatus.ROLLED_BACK):
             raise RuntimeError(f"transaction {self.txid} already completed")
-        for undo in reversed(self._undo_log):
-            undo()
-        self._undo_log.clear()
+        undo, self.undo = self.undo, None
+        for obj, image in reversed(undo.items()):
+            obj.roll_back(image)
         for resource in self._resources:
             resource.rollback(self)
         self.status = TransactionStatus.ROLLED_BACK

@@ -258,6 +258,7 @@ class TestGeneratedWorkloads:
             "no_cross_partition_delivery",
             "committed_state_survives",
             "cluster_healthy_again",
+            "rows_match_entities",
         }
         result = run_schedule(self._partitioned(domain, seed), registry=registry)
         assert result.ok, result.violations

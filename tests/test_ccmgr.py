@@ -22,7 +22,7 @@ from repro.core import (
     register_negotiation_handler,
 )
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
-from repro.objects import ContainerInvoker, Entity, InterceptorChain, Invocation, Node
+from repro.objects import ContainerInvoker, Entity, InterceptorChain, Node
 from repro.sim import CostLedger, CostModel, SimClock
 from repro.tx import TransactionManager, TransactionRolledBack
 
@@ -352,26 +352,6 @@ class TestRecursionGuard:
         harness.register(constraint)
         harness.invoke("sell", 1)
         assert len(depth) == 1
-
-
-class TestRetriedInvocation:
-    def test_a_retry_never_validates_an_earlier_attempts_postconditions(self):
-        """An attempt that failed between the two notifications leaves its
-        postcondition contexts on the invocation; the retry, which finds no
-        postcondition any more, must not validate them."""
-        harness = Harness()
-        harness.register(
-            PredicateConstraint(
-                "NeverHolds", lambda ctx: False, constraint_type=ConstraintType.POSTCONDITION
-            )
-        )
-        invocation = Invocation(harness.flight.ref, "sell", (1,), "n1")
-        harness.ccmgr.before_invocation(invocation, harness.flight)  # attempt 1 fails here
-        assert invocation.metadata
-        harness.repository.remove("NeverHolds")
-        service = harness.node.invocation_service
-        assert harness.txmgr.run(lambda tx: service.run_server_chain(invocation)) == 1
-        assert "ccm_post_contexts" not in invocation.metadata
 
 
 class TestPartitionWeightExposure:

@@ -68,6 +68,22 @@ class TestInvariants:
         assert len(scenario.fault_events) == CHAOS["faults"] + 1
         assert not report.failed_invariants, report.failed_invariants
 
+    def test_a_tampered_row_is_reported_after_a_reconciliation(self):
+        from repro.check import RowsMatchEntities, RunProbe
+
+        cluster, refs = chaos(0).build()
+        invariant = RowsMatchEntities()
+        probe = RunProbe(cluster, refs, just_reconciled=cluster.reconcile())
+        assert invariant.check(probe) is None
+        node = sorted(cluster.nodes)[-1]
+        key = (refs[0].class_name, refs[0].oid)
+        cluster.nodes[node].persistence.table("entities").put(key, {"tampered": True})
+        assert invariant.check(RunProbe(cluster, refs)) is None  # not a reconciling step
+        assert invariant.check(probe) == (
+            f"{node}: {refs[0]} row {{'tampered': True}} but entity "
+            f"{cluster.entity_on(node, refs[0]).state()!r}"
+        )
+
     def test_invariants_hold_with_burst_loss(self):
         report = run(3, burst_loss=0.02)
         assert not report.failed_invariants, report.failed_invariants

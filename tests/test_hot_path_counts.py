@@ -488,7 +488,7 @@ def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
     assert _frames(
         lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
-    ) == (147, 0)
+    ) == (144, 0)
 
 
 def test_the_python_frames_of_one_whole_op_are_pinned(counted):
@@ -499,7 +499,7 @@ def test_the_python_frames_of_one_whole_op_are_pinned(counted):
     assert cluster.replication.route_write(ref, "n2") == "n1"
     # The same on Python 3.10, 3.11 and 3.12.
     assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (45, 0)
-    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (132, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (128, 0)
 
 
 class CountedLock:

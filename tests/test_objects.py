@@ -167,7 +167,7 @@ class TestSynthesisedAccessors:
             Savings("s1").get_nope
         assert not hasattr(Account("a1"), "get_rate")
 
-    def test_accessors_track_log_undo_and_bump_the_version(self, container):
+    def test_accessors_track_fill_the_undo_map_and_bump_the_version(self, container):
         account = container.create("Account", "a1", {"balance": 5})
         txmgr = container.node.services.txmgr
         tx = txmgr.begin()
@@ -181,6 +181,20 @@ class TestSynthesisedAccessors:
         assert account.version == 1
         txmgr.rollback(tx)
         assert account.get_balance() == 5 and account.version == 0
+
+    def test_an_entitys_first_write_in_a_transaction_sets_its_undo_entry(self, container):
+        account = container.create("Account", "a1", {"balance": 5, "owner": "ann"})
+        before = (account.state(), account.version, account.last_update_time)
+        txmgr = container.node.services.txmgr
+        tx = txmgr.begin()
+        account.deposit(1)
+        account.set_owner("bob")
+        account.deposit(1)
+        assert tx.undo == {account: before}
+        txmgr.rollback(tx)
+        assert (account.get_balance(), account.get_owner(), account.version) == (5, "ann", 0)
+        row = container.node.persistence.table("entities").get(("Account", "a1"))
+        assert row == account.state()
 
 
 class TestEntityBasics:

@@ -297,7 +297,8 @@ class Aborted(Exception):
 
 class TestBackupRollback:
     """Per-write propagation ships a write to the backups at once and
-    relies on each backup's undo log when the transaction rolls back."""
+    relies on each backup's entry in the transaction's undo map when the
+    transaction rolls back."""
 
     BACKUPS = ("b", "c")
 
@@ -361,6 +362,46 @@ class TestBackupRollback:
                 row = cluster.nodes[node].persistence.table("entities").get(("Flight", "OS-101"))
                 assert row == cluster.entity_on(node, flight).state()
                 assert row["sold"] == 70, node
+            # The journal's newest entry for the row is the rollback's, so a
+            # replay of it rebuilds the committed state, not the refused one.
+            newest = next(
+                entry
+                for entry in reversed(list(cluster.nodes["vienna"].persistence.journal()))
+                if entry.key == ("Flight", "OS-101")
+            )
+            assert (newest.operation, newest.value["sold"]) == ("restore", 70)
+
+    def test_a_rolled_back_degraded_write_stays_rolled_back_after_reconciliation(self):
+        """Alone in its partition, vienna sells 5 seats on F1 and then 50
+        on the 10-seat F2 in one transaction.  The second leg's threat is
+        rejected, so the first leg rolls back with it: its history entry
+        and update record go too, and reconciliation has nothing to replay."""
+        from repro.apps.flightbooking import Flight, ticket_constraint_registration
+        from repro.core import ConsistencyThreatRejected
+
+        nodes = ("vienna", "graz", "linz")
+        config = ClusterConfig(node_ids=nodes, transport=getattr(self, "transport", "sim"))
+        with DedisysCluster(config) as cluster:
+            cluster.deploy(Flight)
+            cluster.register_constraint(ticket_constraint_registration())
+            f1 = cluster.create_entity("vienna", "Flight", "F1", {"seats": 80})
+            f2 = cluster.create_entity("vienna", "Flight", "F2", {"seats": 10})
+            cluster.partition({"vienna"}, {"graz", "linz"})
+
+            def body(tx):
+                tx.invoke(f1, "sell_tickets", 5)
+                tx.invoke(f2, "sell_tickets", 50)
+
+            with pytest.raises(ConsistencyThreatRejected):
+                cluster.run_in_tx("vienna", body)
+            assert cluster.replication.pending_update_records() == []
+            assert history_entries(cluster.nodes["vienna"].state_history) == 0
+            cluster.heal()
+            cluster.reconcile()
+            for flight in (f1, f2):
+                assert {node: cluster.entity_on(node, flight).get_sold() for node in nodes} == (
+                    dict.fromkeys(nodes, 0)
+                )
 
     def test_a_backup_without_the_replica_answers_missing(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")

@@ -70,6 +70,12 @@ def test_no_topology_oracle_read_in_replication_or_core():
     assert matches(oracle, "replication", "core") == []
 
 
+def test_a_transaction_undoes_through_one_map():
+    """Rollback hands each object its image from ``Transaction.undo``: no
+    write logs a closure of its own."""
+    assert matches(r"log_undo|_undo_log|^\s+def undo\(") == []
+
+
 def test_one_epoch_counter():
     found = matches(r"epoch \+= 1")
     assert len(found) == 1 and found[0].startswith("membership/gms.py:"), found
@@ -574,7 +580,7 @@ def test_no_runtime_adaptation_loop_beside_the_degraded_modes():
         r"attach_adaptation|protocol_for|set_class_protocol|rehome_primary"
         r"|shed_tradeable|OperationShedded|adaptation_trace|AdaptationGuardrails"
     ) == []
-    assert len(default_registry().invariants) == 7
+    assert len(default_registry().invariants) == 8
 
 
 def test_every_run_record_is_linked_from_changes():

@@ -321,7 +321,7 @@ class TestPerWritePropagation:
         # The write was shipped before the abort ...
         kinds = [event.data["kind"] for event in obs.events("multicast")[before:]]
         assert kinds == ["replica-update"]
-        # ... and every backup's undo log took it back.
+        # ... and every backup's undo map entry took it back.
         for node in cluster.config.node_ids:
             assert cluster.entity_on(node, refs[0]).state()["sold"] == 0
 

@@ -113,36 +113,47 @@ class TestTwoPhaseCommit:
             txmgr.commit(tx)
 
 
-class TestUndoLog:
-    def test_undo_runs_in_reverse_order(self, txmgr):
-        undone = []
+class Restorable:
+    """An object in a transaction's undo map: rollback hands its image
+    back to ``roll_back``."""
+
+    def __init__(self, handed_back):
+        self.handed_back = handed_back
+
+    def roll_back(self, image):
+        self.handed_back.append(image)
+
+
+class TestUndoMap:
+    def test_entries_are_handed_back_newest_first(self, txmgr):
+        handed_back = []
         tx = txmgr.begin()
-        tx.log_undo(lambda: undone.append(1))
-        tx.log_undo(lambda: undone.append(2))
+        tx.undo[Restorable(handed_back)] = 1
+        tx.undo[Restorable(handed_back)] = 2
         txmgr.rollback(tx)
-        assert undone == [2, 1]
+        assert handed_back == [2, 1]
 
-    def test_undo_not_run_on_commit(self, txmgr):
-        undone = []
+    def test_nothing_is_handed_back_on_commit(self, txmgr):
+        handed_back = []
         tx = txmgr.begin()
-        tx.log_undo(lambda: undone.append(1))
+        tx.undo[Restorable(handed_back)] = 1
         txmgr.commit(tx)
-        assert undone == []
+        assert handed_back == []
 
-    def test_undo_runs_when_commit_fails(self, txmgr):
-        undone = []
+    def test_entries_are_handed_back_when_prepare_vetoes(self, txmgr):
+        handed_back = []
         tx = txmgr.begin()
-        tx.log_undo(lambda: undone.append(1))
+        tx.undo[Restorable(handed_back)] = 1
         tx.enlist(RecordingResource(vote=False))
         with pytest.raises(TransactionRolledBack):
             txmgr.commit(tx)
-        assert undone == [1]
+        assert handed_back == [1]
 
-    def test_log_undo_requires_active(self, txmgr):
+    def test_an_inactive_transaction_refuses_an_entry(self, txmgr):
         tx = txmgr.begin()
         txmgr.commit(tx)
-        with pytest.raises(RuntimeError):
-            tx.log_undo(lambda: None)
+        with pytest.raises(TypeError):
+            tx.undo[Restorable([])] = 1
 
 
 class TestRunHelper:
@@ -155,7 +166,7 @@ class TestRunHelper:
         undone = []
 
         def body(tx):
-            tx.log_undo(lambda: undone.append(1))
+            tx.undo[Restorable(undone)] = 1
             raise ValueError("boom")
 
         with pytest.raises(ValueError):

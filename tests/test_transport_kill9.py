@@ -58,7 +58,7 @@ def test_kill9_mid_transaction_degrades_and_reconciles(cluster):
     baseline = reply["result"]
 
     # Background client traffic: zero-count sales are full write
-    # transactions (undo log, version bump, propagation) without moving
+    # transactions (undo map, version bump, propagation) without moving
     # the total — the kill lands somewhere inside this stream.
     replies: list[dict] = []
     stop = threading.Event()

@@ -201,3 +201,9 @@ class TestMultipleNegotiationsPerRequest:
         # the accepted first write was rolled back with the transaction
         assert cluster.entity_on("a", ref_a).get_sold() == 10
         assert cluster.entity_on("a", ref_b).get_sold() == 0
+        # and reconciliation does not bring it back
+        cluster.heal()
+        cluster.reconcile()
+        assert {node: cluster.entity_on(node, ref_a).get_sold() for node in NODES} == dict.fromkeys(
+            NODES, 10
+        )
