@@ -13,6 +13,7 @@ digest anti-entropy against the historical rescan-and-multicast scheme.
 """
 
 import string
+from collections import Counter
 
 from conftest import print_table
 from repro import ClusterConfig, DedisysCluster
@@ -109,9 +110,9 @@ def run_digest_scenario(node_count, distinct, occurrences):
     )
     cluster.heal()
     report = cluster.reconcile()
-    multicasts = obs.registry.counter("net_multicasts_total", "")
-    digest_multicasts = int(multicasts.value(kind="threat-digest"))
-    sync_multicasts = int(multicasts.value(kind="threat-sync"))
+    rounds = Counter(event.data["kind"] for event in obs.events("multicast"))
+    digest_multicasts = rounds["threat-digest"]
+    sync_multicasts = rounds["threat-sync"]
     return {
         "node_count": node_count,
         "distinct_threats": distinct,

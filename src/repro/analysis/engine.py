@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 #: Pragma grammar: ``# replint: ignore`` silences every rule on the line,
-#: ``# replint: ignore[DET001]`` / ``ignore[DET001,REG002]`` silence the
+#: ``# replint: ignore[DET001]`` / ``ignore[DET001,REG001]`` silence the
 #: named codes.  A pragma on a comment-only line applies to the next
 #: non-comment line (so justifications can sit above the offending code).
 #: Only a comment that starts with the pragma is one: a string or a

@@ -4,8 +4,8 @@ Importing this package registers every rule family with the engine:
 
 * ``DET0xx`` — determinism of sim-reachable code (wall clock, global
   RNG, ``id()``, unordered set iteration).
-* ``REG0xx`` — observability registry drift (emitted trace events and
-  metric names vs. the canonical ``repro.obs.registry``).
+* ``REG0xx`` — observability registry drift (emitted trace events vs.
+  the canonical ``repro.obs.registry``).
 * ``MSG0xx`` — message-kind exhaustiveness (every sent kind handled,
   every handled kind sent).
 * ``META0xx`` — constraint metadata consistency (paper §4.2.2):

@@ -1,9 +1,9 @@
 """Observability registry drift rules (``REG``).
 
-``repro.obs.registry`` is the canonical vocabulary of trace-event types
-and metric names.  Docs, dashboards, and golden-trace tests key off
-those strings, so an event emitted under an unregistered type — or a
-registry entry nothing emits any more — is drift worth failing CI over.
+``repro.obs.registry`` is the canonical vocabulary of trace-event types.
+Docs, dashboards, and golden-trace tests key off those strings, so an
+event emitted under an unregistered type — or a registry entry nothing
+emits any more — is drift worth failing CI over.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from ..engine import Finding, Project, Rule, SourceModule, register
 
 REGISTRY_REL_PATH = "obs/registry.py"
 
-_METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 
-
-def _dict_keys(module: SourceModule, names: tuple[str, ...]) -> dict[str, int]:
-    """String keys (with line numbers) of module-level dict assignments."""
+def _dict_keys(module: SourceModule, name: str) -> dict[str, int]:
+    """String keys (with line numbers) of a module-level dict assignment."""
     keys: dict[str, int] = {}
     for node in module.tree.body:
         targets: list[ast.expr] = []
@@ -31,7 +29,7 @@ def _dict_keys(module: SourceModule, names: tuple[str, ...]) -> dict[str, int]:
         for target in targets:
             if (
                 isinstance(target, ast.Name)
-                and target.id in names
+                and target.id == name
                 and isinstance(value, ast.Dict)
             ):
                 for key in value.keys:
@@ -68,22 +66,6 @@ def _emit_sites(project: Project) -> Iterator[tuple[SourceModule, ast.Call, str]
                     yield module, node, value
 
 
-def _metric_sites(project: Project) -> Iterator[tuple[SourceModule, ast.Call, str]]:
-    for module in project.modules:
-        if module.rel_path.endswith(REGISTRY_REL_PATH):
-            continue
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METRIC_FACTORIES
-                and node.args
-            ):
-                value = project.resolve_string(module, node.args[0])
-                if value is not None:
-                    yield module, node, value
-
-
 @register
 class UnregisteredEventRule(Rule):
     code = "REG001"
@@ -109,41 +91,13 @@ class UnregisteredEventRule(Rule):
                     line=node.lineno,
                 )
             return
-        known = _dict_keys(registry, ("TRACE_EVENTS",))
+        known = _dict_keys(registry, "TRACE_EVENTS")
         for module, node, value in sites:
             if value not in known:
                 yield Finding(
                     code=self.code,
                     message=(
                         f"trace event {value!r} is not in TRACE_EVENTS "
-                        f"({registry.rel_path}); register it with a description"
-                    ),
-                    path=module.rel_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                )
-
-
-@register
-class UnregisteredMetricRule(Rule):
-    code = "REG002"
-    name = "unregistered-metric"
-    description = (
-        "every metrics counter/gauge/histogram name must appear in "
-        "repro.obs.registry.METRICS"
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        registry = _find_registry(project)
-        if registry is None:
-            return
-        known = _dict_keys(registry, ("METRICS",))
-        for module, node, value in _metric_sites(project):
-            if value not in known:
-                yield Finding(
-                    code=self.code,
-                    message=(
-                        f"metric {value!r} is not in METRICS "
                         f"({registry.rel_path}); register it with a description"
                     ),
                     path=module.rel_path,
@@ -166,20 +120,11 @@ class DeadRegistryEntryRule(Rule):
         if registry is None:
             return
         emitted = {value for _, _, value in _emit_sites(project)}
-        created = {value for _, _, value in _metric_sites(project)}
-        for name, line in sorted(_dict_keys(registry, ("TRACE_EVENTS",)).items()):
+        for name, line in sorted(_dict_keys(registry, "TRACE_EVENTS").items()):
             if name not in emitted:
                 yield Finding(
                     code=self.code,
                     message=f"TRACE_EVENTS entry {name!r} has no emit() call site",
-                    path=registry.rel_path,
-                    line=line,
-                )
-        for name, line in sorted(_dict_keys(registry, ("METRICS",)).items()):
-            if name not in created:
-                yield Finding(
-                    code=self.code,
-                    message=f"METRICS entry {name!r} has no counter/gauge/histogram call site",
                     path=registry.rel_path,
                     line=line,
                 )

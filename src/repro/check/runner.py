@@ -247,11 +247,6 @@ def run_schedule(
     obs = Observability()
     cluster, refs = scenario.build(obs)
 
-    m_steps = obs.registry.counter("check_steps_total", "scheduler steps driven by the checker")
-    m_decisions = obs.registry.counter("check_decisions_total", "non-trivial scheduling choice points")
-    m_evals = obs.registry.counter("check_invariant_evals_total", "invariant evaluations performed")
-    m_violations = obs.registry.counter("check_violations_total", "invariant violations found")
-
     delivered = cluster.network.record_deliveries()
     driver = OpDriver(cluster, refs)
     driver.install(scenario, cluster.clock.now)
@@ -275,7 +270,6 @@ def run_schedule(
                 steps += 1
                 probe.step = steps
                 violations = registry.evaluate(probe)
-                m_evals.inc(len(registry.invariants))
                 if violations:
                     break
                 if steps >= max_steps:
@@ -286,10 +280,6 @@ def run_schedule(
         scheduler.set_ordering_policy(None)
 
     fingerprint = policy.fingerprint()
-    m_steps.inc(steps)
-    m_decisions.inc(len(policy.decisions))
-    if violations:
-        m_violations.inc(len(violations))
     obs.emit(
         "check_schedule",
         scenario=scenario.name,

@@ -61,7 +61,7 @@ from .replication import (
     TransportInterceptor,
 )
 from .sim import CostModel
-from .transport import Transport, build_transport
+from .transport import build_transport
 from .tx import TransactionManager
 
 
@@ -96,7 +96,7 @@ class ClusterConfig:
     # through the same ``method_dispatch`` query.
     repository: str = "cached"
     node_weights: Mapping[NodeId, float] | None = None
-    # Optional observability hub (metrics + sim-time tracing).  ``None``
+    # Optional observability hub (sim-time tracing).  ``None``
     # attaches the shared no-op hub: zero instrumentation state, zero
     # simulated-time cost.
     obs: Observability | NullObservability | None = None
@@ -104,8 +104,8 @@ class ClusterConfig:
     # simulator, the default), ``"asyncio"`` (in-process threaded
     # backend: a worker-thread pool per node on the simulator's clock and
     # scheduler, real concurrency; the name is kept, there is no event
-    # loop), or a ready :class:`~repro.transport.Transport`.
-    transport: "str | Transport" = "sim"
+    # loop).
+    transport: str = "sim"
 
 
 class DedisysCluster:
@@ -245,11 +245,14 @@ class DedisysCluster:
             else None
         )
 
+        txmgr = self.nodes[node_id].services.txmgr
+
         def handle(message: Message) -> Any:
             if message.kind.startswith("replica-") and replica_handler is not None:
                 return replica_handler(message)
             store = self.threat_stores[node_id]
             if message.kind == "threat-replicate":
+                store.note(txmgr.current, message.payload.identity)
                 store.apply_remote(message.payload)
                 return "ack"
             if message.kind == "threat-resolved":
@@ -594,7 +597,7 @@ class DedisysCluster:
     # observability
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Metrics + trace digest of everything observed so far.
+        """Trace digest of everything observed so far.
 
         Returns the no-op hub's empty snapshot when no observability was
         attached via :attr:`ClusterConfig.obs`.

@@ -124,15 +124,6 @@ class ConstraintConsistencyManager:
         self.negotiator = negotiator if negotiator is not None else Negotiator()
         self.staleness = staleness if staleness is not None else NullStalenessProvider()
         self.obs = ensure_obs(obs)
-        self._m_validations = self.obs.registry.counter(
-            "ccm_validations_total", "constraint validations, by degree and category"
-        )
-        self._m_threats = self.obs.registry.counter(
-            "ccm_threats_total", "consistency threats, by action taken"
-        )
-        self._m_violations = self.obs.registry.counter(
-            "ccm_violations_total", "definite constraint violations"
-        )
         # Set by the cluster facade; used for partition-weight exposure and
         # degraded-mode detection.
         self.gms: Any = None
@@ -360,7 +351,6 @@ class ConstraintConsistencyManager:
             if constraint.scope is not ConstraintScope.INTRA_OBJECT:
                 degree = degree.degrade_for_staleness()
         if self.obs.enabled:
-            self._m_validations.inc(degree=degree.name, category=category.name)
             self.obs.emit(
                 "validation",
                 node=str(self.node.node_id),
@@ -402,7 +392,6 @@ class ConstraintConsistencyManager:
             return
         if outcome.degree is SatisfactionDegree.VIOLATED:
             self.stats["violations"] += 1
-            self._m_violations.inc(constraint=constraint.name)
             if tx is not None:
                 tx.set_rollback_only(f"constraint {constraint.name} violated")
             raise ConstraintViolated(constraint.name, outcome.context_ref)
@@ -556,8 +545,7 @@ class ConstraintConsistencyManager:
         degree: SatisfactionDegree,
         mechanism: str | None = None,
     ) -> None:
-        """Count and emit one threat event; callers ask only when observed."""
-        self._m_threats.inc(action=action)
+        """Emit one threat event; callers ask only when observed."""
         self.obs.emit(
             "threat",
             node=str(self.node.node_id),
@@ -568,6 +556,7 @@ class ConstraintConsistencyManager:
         )
 
     def _persist_threat(self, threat: ConsistencyThreat) -> None:
+        self.threat_store.note(self.node.services.txmgr.current, threat.identity)
         stored, was_new = self.threat_store.record(threat)
         if was_new and self.threat_replicator is not None:
             self.threat_replicator(stored)

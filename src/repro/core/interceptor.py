@@ -19,11 +19,6 @@ from ..obs import ensure_obs
 from ..objects import Interceptor, Invocation, Node
 from .ccmgr import ConstraintConsistencyManager
 
-# Simulated per-invocation latencies sit in the sub-millisecond to
-# tens-of-milliseconds range (Ch. 5 cost model); edges chosen to resolve
-# that band.
-_LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1)
-
 
 class CCMInterceptor(Interceptor):
     """Triggers constraint validation around each intercepted invocation."""
@@ -39,14 +34,6 @@ class CCMInterceptor(Interceptor):
         # path); resolve the service chain once instead of per call.
         self._clock = node.services.clock
         self.obs = ensure_obs(obs)
-        self._m_invocations = self.obs.registry.counter(
-            "ccm_invocations_total", "intercepted invocations, by method and outcome"
-        )
-        self._m_latency = self.obs.registry.histogram(
-            "ccm_invocation_latency_seconds",
-            "simulated end-to-end latency of intercepted invocations",
-            buckets=_LATENCY_BUCKETS,
-        )
 
     def intercept(self, invocation: Invocation) -> Any:
         entity = invocation.entity or self.node.container.resolve_target(invocation)
@@ -66,14 +53,11 @@ class CCMInterceptor(Interceptor):
             outcome = type(exc).__name__
             raise
         finally:
-            latency = self._clock.now - started
-            self._m_invocations.inc(method=invocation.method_name, outcome=outcome)
-            self._m_latency.observe(latency, method=invocation.method_name)
             self.obs.emit(
                 "invocation",
                 node=str(self.node.node_id),
                 ref=invocation.ref,
                 method=invocation.method_name,
-                latency=latency,
+                latency=self._clock.now - started,
                 outcome=outcome,
             )

@@ -171,15 +171,6 @@ class ReconciliationManager:
         # for notification (§3.3).
         self.on_conflict_notification: Callable[[ConsistencyThreat], None] | None = None
         self.obs = network.obs
-        self._m_groups = self.obs.registry.counter(
-            "reconcile_groups", "merged partition groups reconciled"
-        )
-        self._m_sync_batches = self.obs.registry.counter(
-            "threat_sync_batches", "anti-entropy threat-record batches applied"
-        )
-        self._m_sync_records = self.obs.registry.counter(
-            "threat_sync_records", "threat records shipped during anti-entropy"
-        )
         # The view each node's group was last reconciled in (or, for a
         # singleton, last seen in).
         self._reconciled_view: dict[NodeId, int] = {
@@ -228,7 +219,6 @@ class ReconciliationManager:
         coordinator = min(merged)
         clock = self.nodes[coordinator].services.clock
         if self.obs.enabled:
-            self._m_groups.inc()
             self.obs.emit(
                 "reconcile_group",
                 node=str(coordinator),
@@ -304,8 +294,6 @@ class ReconciliationManager:
         report.threat_sync_batches += 1
         report.threat_sync_records += records
         if self.obs.enabled:
-            self._m_sync_batches.inc()
-            self._m_sync_records.inc(records)
             self.obs.emit("threat_sync", node=str(node), source=str(source), records=records)
 
     # ------------------------------------------------------------------

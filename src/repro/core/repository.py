@@ -352,10 +352,6 @@ class CompiledConstraintRepository(ConstraintRepository):
     def __init__(self, charge: ChargeFn | None = None, obs: Any = None) -> None:
         super().__init__(charge)
         self.obs = ensure_obs(obs)
-        self._m_rebuilds = self.obs.registry.counter(
-            "repository_dispatch_rebuilds_total",
-            "compiled constraint dispatch-table rebuilds",
-        )
         self._table: dict[tuple[str, str], MethodDispatch] | None = None
         self.rebuilds = 0
 
@@ -414,7 +410,6 @@ class CompiledConstraintRepository(ConstraintRepository):
         self._table = table
         self.rebuilds += 1
         if self.obs.enabled:
-            self._m_rebuilds.inc()
             self.obs.emit(
                 "repository_dispatch",
                 methods=len(table),

@@ -22,11 +22,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..objects import ObjectRef
 from ..persistence import PersistenceEngine
 from .model import SatisfactionDegree
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..tx import Transaction
 
 ThreatIdentity = tuple[str, ObjectRef | None]
 
@@ -183,6 +186,43 @@ class ThreatStore:
     def apply_remote(self, threat: ConsistencyThreat) -> None:
         """Apply a threat replicated from another node (no re-negotiation)."""
         self.record(threat)
+
+    # ------------------------------------------------------------------
+    # the transaction's undo map
+    # ------------------------------------------------------------------
+    def note(self, tx: "Transaction | None", identity: ThreatIdentity) -> None:
+        """Before a live transaction ``tx`` first changes ``identity`` here,
+        note this store's image of it in the transaction's undo map: the
+        occurrence list, the head's ``occurrences`` and ``degree`` and its
+        row, or ``None`` when the store does not hold the identity."""
+        if tx is None or not tx.is_active:
+            return
+        images = tx.undo.setdefault(self, {})
+        if identity not in images:
+            threats = self._threats.get(identity)
+            if threats:
+                head = threats[0]
+                images[identity] = (
+                    list(threats), head.occurrences, head.degree, self._table.peek(head.threat_id)
+                )
+            else:
+                images[identity] = None
+
+    def roll_back(self, images: dict[ThreatIdentity, Any]) -> None:
+        """Return each identity a rolled-back transaction changed to its
+        noted image; rows go back through ``Table.restore``, uncharged and
+        journaled, and a row the transaction added is dropped."""
+        for identity, image in images.items():
+            kept_ids = {threat.threat_id for threat in image[0]} if image else set()
+            for threat in self._threats.pop(identity, []):
+                if threat.threat_id not in kept_ids:
+                    self._table.restore(threat.threat_id, None)
+            if image is not None:
+                kept, occurrences, degree, row = image
+                head = kept[0]
+                head.occurrences, head.degree = occurrences, degree
+                self._table.restore(head.threat_id, row)
+                self._threats[identity] = kept
 
     # ------------------------------------------------------------------
     # queries

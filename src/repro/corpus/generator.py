@@ -399,8 +399,7 @@ def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
         ops=tuple(ops),
         fault_events=fault_events,
     )
-    hub = ensure_obs(obs)
-    hub.emit(
+    ensure_obs(obs).emit(
         "corpus_scenario",
         scenario=scenario.name,
         domain=scenario.domain,
@@ -410,9 +409,6 @@ def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
         ops=len(scenario.ops),
         faults=len(scenario.fault_events),
     )
-    hub.registry.counter(
-        "corpus_scenarios_total", "scenarios produced by the corpus generator"
-    ).inc(domain=config.domain)
     return scenario
 
 

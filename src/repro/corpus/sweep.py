@@ -22,7 +22,6 @@ from typing import Any, Iterable
 
 from ..apps.registry import domain_names
 from ..faults.chaos import replay_scenario
-from ..obs import ensure_obs
 from .generator import preset_config, generate_scenario
 from .validator import validate_scenario
 
@@ -36,7 +35,6 @@ def run_sweep(
     obs: Any = None,
 ) -> dict[str, Any]:
     """The full sweep result as a sorted-key-stable, JSON-able dict."""
-    hub = ensure_obs(obs)
     chosen = sorted(domains) if domains is not None else domain_names()
     per_domain_results: dict[str, Any] = {}
     total_violations = 0
@@ -49,7 +47,7 @@ def run_sweep(
             overrides = {"faults": 0} if healthy else {}
             config = preset_config(domain, seed + offset, preset, **overrides)
             scenario = generate_scenario(config, obs=obs)
-            issues = validate_scenario(scenario, obs=obs)
+            issues = validate_scenario(scenario)
             entry: dict[str, Any] = {
                 "name": scenario.name,
                 "seed": config.seed,
@@ -61,13 +59,7 @@ def run_sweep(
             if not issues:
                 report = replay_scenario(scenario, buckets=buckets)
                 entry.update(report.to_dict())
-                failed = len(report.failed_invariants)
-                if failed:
-                    domain_violations += failed
-                    hub.registry.counter(
-                        "corpus_violations_total",
-                        "invariant violations observed during corpus replays",
-                    ).inc(failed, domain=domain)
+                domain_violations += len(report.failed_invariants)
                 availabilities.append(report.availability)
             entries.append(entry)
         total_violations += domain_violations

@@ -18,12 +18,10 @@ tests assert on codes and humans read messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..apps.registry import DOMAINS, get_domain
 from ..check.scenario import Scenario
 from ..faults.schedule import ACTIONS
-from ..obs import ensure_obs
 from .generator import FAULT_PLANS
 
 
@@ -174,7 +172,7 @@ def _validate_ops(
                 break
 
 
-def validate_scenario(scenario: Scenario, obs: Any = None) -> list[Issue]:
+def validate_scenario(scenario: Scenario) -> list[Issue]:
     """All structural problems of ``scenario`` (empty list == well-formed)."""
     issues: list[Issue] = []
     if scenario.domain not in DOMAINS:
@@ -183,7 +181,6 @@ def validate_scenario(scenario: Scenario, obs: Any = None) -> list[Issue]:
             "unknown-domain",
             f"unknown domain {scenario.domain!r}; registered: {sorted(DOMAINS)}",
         )
-        _report(scenario, issues, obs)
         return issues
     if not scenario.node_ids:
         _issue(issues, "unknown-node", "scenario has no nodes")
@@ -197,13 +194,5 @@ def validate_scenario(scenario: Scenario, obs: Any = None) -> list[Issue]:
             f"unknown fault plan {fault_plan!r}; known: {sorted(FAULT_PLANS)}",
         )
     _validate_ops(scenario, issues, _validate_faults(scenario, issues))
-    _report(scenario, issues, obs)
     return issues
-
-
-def _report(scenario: Scenario, issues: list[Issue], obs: Any) -> None:
-    if issues:
-        ensure_obs(obs).registry.counter(
-            "corpus_validation_issues_total", "structural problems found in scenarios"
-        ).inc(len(issues), domain=scenario.domain)
 

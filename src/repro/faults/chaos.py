@@ -17,7 +17,7 @@ which did not.
 On the simulator everything — fault times, fault choices, workload,
 burst loss — derives from seeds, so one scenario maps to
 exactly one trace: replaying it twice yields byte-identical event traces
-and equal metric snapshots, which the test suite enforces.  The threaded
+and equal snapshots, which the test suite enforces.  The threaded
 backend runs on the same clock and scheduler, so a replay there ends with
 the simulator's outcome digest (:func:`~repro.check.runner.outcome_digest`)
 at the simulator's simulated time.
@@ -224,9 +224,6 @@ def replay_scenario(
             blocked=report.blocked,
             violations=[result.name for result in report.failed_invariants],
         )
-        obs.registry.counter(
-            "corpus_replay_ops_total", "workload ops replayed from corpus scenarios"
-        ).inc(report.attempted, domain=scenario.domain)
 
         report.snapshot = cluster.snapshot()
         stream = io.StringIO()

@@ -106,9 +106,6 @@ class FaultInjector:
     def bind_obs(self, obs: Any) -> None:
         """Attach an observability hub (done by the network on install)."""
         self.obs = ensure_obs(obs)
-        self._m_decisions = self.obs.registry.counter(
-            "fault_decisions_total", "fault-model consultations, by effect"
-        )
 
     # ------------------------------------------------------------------
     # the hook Network._admit calls
@@ -131,8 +128,6 @@ class FaultInjector:
         if decision is PASS or (
             not decision.drop and decision.extra_delay == 0.0 and decision.duplicates == 0
         ):
-            if self.obs.enabled:
-                self._m_decisions.inc(effect="pass")
             return PASS
         if self.obs.enabled:
             effect = (
@@ -140,7 +135,6 @@ class FaultInjector:
                 if decision.drop
                 else ("duplicate" if decision.duplicates else "delay")
             )
-            self._m_decisions.inc(effect=effect)
             self.obs.emit(
                 "fault_injected",
                 node=str(source),

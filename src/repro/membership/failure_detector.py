@@ -61,9 +61,6 @@ class HeartbeatFailureDetector:
             raise ValueError("need 0 < period < timeout")
         self.network = network
         self.obs = ensure_obs(obs) if obs is not None else network.obs
-        self._m_suspicions = self.obs.registry.counter(
-            "fd_suspicion_events_total", "suspicion raise/clear events"
-        )
         self.scheduler = scheduler if scheduler is not None else network.scheduler
         self.period = period
         self.timeout = timeout
@@ -152,7 +149,6 @@ class HeartbeatFailureDetector:
         if suspected:
             self._last_raised[observer, subject] = event
         if self.obs.enabled:
-            self._m_suspicions.inc(suspected=suspected)
             self.obs.emit(
                 "suspicion",
                 node=str(observer),

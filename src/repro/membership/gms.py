@@ -58,9 +58,6 @@ class GroupMembershipService:
         obs: "object | None" = None,
     ) -> None:
         self.obs = ensure_obs(obs)
-        self._m_view_changes = self.obs.registry.counter(
-            "gms_view_changes_total", "per-node membership view changes"
-        )
         self._view_ids = itertools.count(1)
         # Reports taken so far: the partition epoch that update records
         # and reconciliation reports are stamped with.
@@ -124,7 +121,6 @@ class GroupMembershipService:
             self._fractions = {}
         if self.obs.enabled:
             for node, old, new in changes:
-                self._m_view_changes.inc(node=node)
                 self.obs.emit(
                     "view_change",
                     node=str(node),

@@ -27,20 +27,10 @@ class GroupChannel:
     """
 
     def __init__(self, network: Network) -> None:
-        self._bind(network)
-        self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
-        self._members: tuple[NodeId, ...] = ()
-
-    def _bind(self, network: Network) -> None:
-        """What every backend's round prologue reads; members are its own."""
         self.network = network
         self.obs = network.obs
-        self._m_multicasts = self.obs.registry.counter(
-            "net_multicasts_total", "group multicast rounds, by message kind"
-        )
-        self._m_recipients = self.obs.registry.counter(
-            "net_multicast_deliveries_total", "per-recipient multicast deliveries"
-        )
+        self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
+        self._members: tuple[NodeId, ...] = ()
 
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         """Register ``node`` as a group member with a delivery handler."""
@@ -106,8 +96,6 @@ class GroupChannel:
         if recipients:
             self.network.charge("multicast", duration)
         if self.obs.enabled:
-            self._m_multicasts.inc(kind=kind)
-            self._m_recipients.inc(len(recipients), kind=kind)
             self.obs.emit(
                 "multicast",
                 node=str(source),

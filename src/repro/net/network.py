@@ -63,15 +63,6 @@ class Network(Topology):
         self.injector: "FaultInjector | None" = None
         self.delivered_count = 0
         self._recorder: list[Message] | None = None
-        self._m_sent = self.obs.registry.counter(
-            "net_messages_sent_total", "point-to-point messages delivered, by kind"
-        )
-        self._m_dropped = self.obs.registry.counter(
-            "net_messages_dropped_total", "messages not delivered, by reason"
-        )
-        self._m_link_bytes = self.obs.registry.counter(
-            "net_link_bytes_total", "estimated payload bytes per directed link"
-        )
 
     def install_fault_injector(self, injector: "FaultInjector") -> "FaultInjector":
         """Attach a fault injector consulted on every point-to-point send."""
@@ -124,21 +115,17 @@ class Network(Topology):
         if source != destination:
             self.charge("network_latency")
         if self.obs.enabled:
-            size = payload_size(payload)
-            self._m_sent.inc(kind=kind)
-            self._m_link_bytes.inc(size, link=f"{source}->{destination}")
             self.obs.emit(
                 "message_send",
                 node=str(source),
                 destination=destination,
                 kind=kind,
-                bytes=size,
+                bytes=payload_size(payload),
             )
         return message, duplicates
 
     def _drop(self, source: NodeId, destination: NodeId, kind: str, reason: str) -> None:
         if self.obs.enabled:
-            self._m_dropped.inc(reason=reason)
             self.obs.emit(
                 "message_drop",
                 node=str(source),

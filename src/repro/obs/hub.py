@@ -1,13 +1,15 @@
 """The observability hub attached to a cluster (or used standalone).
 
-An :class:`Observability` bundles one :class:`MetricsRegistry` and one
-:class:`Tracer` (with an in-memory ring buffer always attached) and offers
-the ``snapshot()`` / ``export_jsonl()`` API the benchmarks and tests use.
+An :class:`Observability` wraps one :class:`Tracer` (with an in-memory
+ring buffer always attached) and offers the ``snapshot()`` /
+``export_jsonl()`` API the benchmarks and tests use.  The tracer's
+per-type tally is the one count of what happened; the ring keeps the
+most recent events themselves.
 
 Observability is strictly optional: components default to the shared
-:data:`NULL_OBS`, whose registry and tracer are no-ops, so the healthy
-path pays nothing but a handful of no-op calls — and, crucially, never a
-single simulated-clock tick.
+:data:`NULL_OBS`, whose tracer is a no-op, so the healthy path pays
+nothing but a handful of no-op calls — and, crucially, never a single
+simulated-clock tick.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable
 
-from .metrics import MetricsRegistry, NullRegistry
-from .sinks import RingBufferSink, SummarySink, TraceSink, write_jsonl
+from .sinks import RingBufferSink, TraceSink, summary_text, write_jsonl
 from .tracing import NullTracer, TraceEvent, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Observability:
-    """Metrics + tracing for one simulated deployment."""
+    """Tracing for one simulated deployment."""
 
     enabled = True
 
@@ -34,7 +35,6 @@ class Observability:
         ring_capacity: int | None = 65536,
         sinks: Iterable[TraceSink] = (),
     ) -> None:
-        self.registry = MetricsRegistry()
         self.ring = RingBufferSink(ring_capacity)
         self.tracer = Tracer(clock, sinks=[self.ring, *sinks])
 
@@ -52,22 +52,20 @@ class Observability:
         return [event for event in events if event.type == type]
 
     def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.ring:
-            counts[event.type] = counts.get(event.type, 0) + 1
-        return counts
+        """Every event emitted so far, by type, sorted by type; exact even
+        after the ring buffer has dropped some."""
+        return self.tracer.counts()
 
     def snapshot(self) -> dict[str, Any]:
         """One JSON-able view of everything recorded so far."""
         return {
-            "metrics": self.registry.snapshot(),
             "events": {
                 # replint: ignore[CONC001] - lone read of an int that is
                 # only ever written under the tracer's lock.
                 "emitted": self.tracer.emitted,
                 "buffered": len(self.ring),
                 "dropped": self.ring.dropped,
-                "by_type": dict(sorted(self.event_counts().items())),
+                "by_type": self.event_counts(),
             },
         }
 
@@ -76,11 +74,14 @@ class Observability:
         return write_jsonl(self.ring.events(), target)
 
     def summary(self) -> str:
-        """Human-readable trace digest."""
-        sink = SummarySink()
-        for event in self.ring:
-            sink.record(event)
-        return sink.summary()
+        """Human-readable trace digest: exact per-type counts, and the
+        sim-time span of the buffered events."""
+        events = self.ring.events()
+        return summary_text(
+            self.event_counts(),
+            events[0].timestamp if events else None,
+            events[-1].timestamp if events else None,
+        )
 
 
 class NullObservability:
@@ -89,7 +90,6 @@ class NullObservability:
     enabled = False
 
     def __init__(self) -> None:
-        self.registry = NullRegistry()
         self.tracer = NullTracer()
 
     def bind_clock(self, clock: "SimClock") -> None:
@@ -105,10 +105,7 @@ class NullObservability:
         return {}
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            "metrics": {},
-            "events": {"emitted": 0, "buffered": 0, "dropped": 0, "by_type": {}},
-        }
+        return {"events": {"emitted": 0, "buffered": 0, "dropped": 0, "by_type": {}}}
 
     def export_jsonl(self, target: str | Path | IO[str]) -> int:
         return 0

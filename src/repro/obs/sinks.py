@@ -14,7 +14,7 @@ import threading
 from collections import Counter as _TallyCounter
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Mapping
 
 from .tracing import TraceEvent
 
@@ -138,14 +138,18 @@ class SummarySink(TraceSink):
         return sum(self.counts.values())
 
     def summary(self) -> str:
-        out = io.StringIO()
-        out.write("trace summary\n")
-        if self.first_timestamp is not None and self.last_timestamp is not None:
-            out.write(
-                f"  sim-time span: {self.first_timestamp:.6f}s"
-                f" .. {self.last_timestamp:.6f}s\n"
-            )
-        out.write(f"  events: {self.total()}\n")
-        for event_type in sorted(self.counts):
-            out.write(f"    {event_type:<22} {self.counts[event_type]}\n")
-        return out.getvalue()
+        return summary_text(self.counts, self.first_timestamp, self.last_timestamp)
+
+
+def summary_text(
+    counts: Mapping[str, int], first: float | None, last: float | None
+) -> str:
+    """The human-readable digest of per-type ``counts`` over a sim-time span."""
+    out = io.StringIO()
+    out.write("trace summary\n")
+    if first is not None and last is not None:
+        out.write(f"  sim-time span: {first:.6f}s .. {last:.6f}s\n")
+    out.write(f"  events: {sum(counts.values())}\n")
+    for event_type in sorted(counts):
+        out.write(f"    {event_type:<22} {counts[event_type]}\n")
+    return out.getvalue()

@@ -104,6 +104,9 @@ class Tracer:
         self._lock = threading.Lock()
         self.emitted = 0  # guarded-by: _lock
         self._next_seq = 0  # guarded-by: _lock
+        # Every event ever emitted, by type: exact however many events
+        # a bounded sink has since evicted.
+        self._by_type: dict[str, int] = {}  # guarded-by: _lock
 
     def bind_clock(self, clock: "SimClock") -> None:
         """Attach the simulated clock used to stamp events."""
@@ -121,9 +124,15 @@ class Tracer:
             event = TraceEvent(self._next_seq, self.now, type, node, data)
             self._next_seq += 1
             self.emitted += 1
+            self._by_type[type] = self._by_type.get(type, 0) + 1
             for sink in self.sinks:
                 sink.record(event)
         return event
+
+    def counts(self) -> dict[str, int]:
+        """How many events of each type were emitted, sorted by type."""
+        with self._lock:
+            return dict(sorted(self._by_type.items()))
 
     def close(self) -> None:
         for sink in self.sinks:

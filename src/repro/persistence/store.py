@@ -163,13 +163,18 @@ class Table:
         self.engine._journal.record(self.name, "put", key, stored)
 
     def restore(self, key: Any, value: Any) -> None:
-        """Put back the row at ``key`` that a rolled-back write replaced.
+        """Put back the row at ``key`` that a rolled-back write replaced,
+        or drop it when ``value`` is ``None``: the write added it.
 
         Uncharged, as the cost model prices no rollback, and journaled as a
         ``restore``; a row the transaction deleted stays deleted.
         """
         if key in self._rows:
-            stored = self._rows[key] = copy_value(value)
+            if value is None:
+                del self._rows[key]
+                stored = None
+            else:
+                stored = self._rows[key] = copy_value(value)
             self.engine._journal.record(self.name, "restore", key, stored)
 
     def peek(self, key: Any) -> Any:

@@ -92,16 +92,6 @@ class ReplicationManager:
         self.channel = channel
         self.protocol = protocol
         self.obs = ensure_obs(obs) if obs is not None else network.obs
-        self._m_updates = self.obs.registry.counter(
-            "repl_updates_total", "primary-to-backup update rounds, by kind"
-        )
-        self._m_promotions = self.obs.registry.counter(
-            "repl_primary_promotions_total",
-            "temporary-primary promotions (designated primary unreachable)",
-        )
-        self._m_conflicts = self.obs.registry.counter(
-            "repl_conflicts_total", "write-write replica conflicts detected"
-        )
         protocol.promotion_hook = self._note_promotion
         self._replicas: dict[ObjectRef, ReplicaInfo] = {}
         self._replicated_classes: set[str] = set()
@@ -165,7 +155,6 @@ class ReplicationManager:
             {"ref": ref, "state": state},
         )
         if self.obs.enabled:
-            self._m_updates.inc(kind="create")
             self.obs.emit(
                 "replication_update",
                 node=str(primary),
@@ -184,7 +173,6 @@ class ReplicationManager:
         partition = self.gms.view_of(primary).members
         self.channel.multicast(primary, "replica-delete", {"ref": ref})
         if self.obs.enabled:
-            self._m_updates.inc(kind="delete")
             self.obs.emit(
                 "replication_update",
                 node=str(primary),
@@ -247,7 +235,6 @@ class ReplicationManager:
             {"ref": ref, "state": state, "version": entity.version},
         )
         if self.obs.enabled:
-            self._m_updates.inc(kind="state")
             self.obs.emit(
                 "replication_update",
                 node=str(primary),
@@ -336,7 +323,6 @@ class ReplicationManager:
                 conflicts.append(resolved)
         self._conflicted_refs.update(conflict.ref for conflict in conflicts)
         if self.obs.enabled and conflicts:
-            self._m_conflicts.inc(len(conflicts))
             for conflict in conflicts:
                 self.obs.emit(
                     "replication_conflict",
@@ -471,7 +457,6 @@ class ReplicationManager:
         """Protocol callback: a temporary primary replaced the designated
         one (the P4 promotion of §4.3)."""
         if self.obs.enabled:
-            self._m_promotions.inc(protocol=self.protocol.name)
             self.obs.emit(
                 "primary_promotion",
                 node=str(temporary),

@@ -347,7 +347,9 @@ class AsyncioGroupChannel(GroupChannel):
     network: AsyncioNetwork
 
     def __init__(self, network: AsyncioNetwork) -> None:
-        self._bind(network)  # no handler table of its own
+        # No handler table of its own: members live in the network's.
+        self.network = network
+        self.obs = network.obs
 
     def join(self, node: NodeId, handler: Callable[[Message], Any]) -> None:
         self.network.register_member_handler(node, handler)

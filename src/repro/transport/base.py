@@ -79,7 +79,7 @@ class Transport:
 
 
 def build_transport(
-    spec: "str | Transport",
+    spec: str,
     node_ids: Sequence[NodeId],
     costs: CostModel | None = None,
     obs: Any = None,
@@ -87,16 +87,8 @@ def build_transport(
     """Resolve a :class:`~repro.cluster.ClusterConfig` transport spec.
 
     ``"sim"`` builds the historical single-threaded backend, ``"asyncio"``
-    the in-process threaded backend.  A ready :class:`Transport`
-    instance passes through untouched (it must cover the same node ids).
+    the in-process threaded backend.
     """
-    if isinstance(spec, Transport):
-        if tuple(spec.network.nodes) != tuple(node_ids):
-            raise ValueError(
-                f"transport covers nodes {spec.network.nodes}, "
-                f"cluster wants {tuple(node_ids)}"
-            )
-        return spec
     kind = spec.lower()
     if kind == "sim":
         from .sim import SimTransport

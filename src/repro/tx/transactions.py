@@ -171,12 +171,6 @@ class TransactionManager:
         self.committed_count = 0
         self.rolled_back_count = 0
         self.obs = ensure_obs(obs)
-        self._m_commits = self.obs.registry.counter(
-            "tx_commits_total", "transactions committed"
-        )
-        self._m_rollbacks = self.obs.registry.counter(
-            "tx_rollbacks_total", "transactions rolled back"
-        )
 
     def begin(self) -> Transaction:
         if self.current is not None and self.current.is_active:
@@ -193,7 +187,6 @@ class TransactionManager:
             tx._commit()
             self.committed_count += 1
             if self.obs.enabled:
-                self._m_commits.inc()
                 self.obs.emit("tx_commit")
         except TransactionRolledBack:
             self.rolled_back_count += 1
@@ -214,7 +207,6 @@ class TransactionManager:
 
     def _note_rollback(self, tx: Transaction) -> None:
         if self.obs.enabled:
-            self._m_rollbacks.inc()
             self.obs.emit("tx_rollback", reason=tx.rollback_reason)
 
     def run(self, body: Callable[[Transaction], Any]) -> Any:

@@ -1,11 +1,6 @@
-"""Fixture registry with one dead event and one dead metric."""
+"""Fixture registry with one dead event."""
 
 TRACE_EVENTS: dict[str, str] = {
     "known_event": "an event the emitter really emits",
     "dead_event": "nothing emits this any more",
-}
-
-METRICS: dict[str, str] = {
-    "known_total": "a counter the emitter really creates",
-    "dead_total": "nothing creates this any more",
 }

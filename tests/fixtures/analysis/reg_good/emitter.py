@@ -1,9 +1,7 @@
-"""Every emitted name is registered; kind constants resolve too."""
+"""Every emitted type is registered; kind constants resolve too."""
 
 KNOWN_EVENT = "known_event"
 
 
 def wire(obs):
     obs.tracer.emit(KNOWN_EVENT, node="a")
-    obs.metrics.counter("known_total", "a registered counter")
-    obs.metrics.histogram("known_seconds", "a registered histogram")

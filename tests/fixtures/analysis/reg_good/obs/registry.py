@@ -3,8 +3,3 @@
 TRACE_EVENTS: dict[str, str] = {
     "known_event": "an event the emitter really emits",
 }
-
-METRICS: dict[str, str] = {
-    "known_total": "a counter the emitter really creates",
-    "known_seconds": "a histogram the emitter really creates",
-}

@@ -2,7 +2,7 @@
 
 The headline guarantees: a seeded run with >= 20 fault events on >= 5
 nodes is fully deterministic (same seed -> byte-identical trace and
-equal metrics snapshot), every post-run invariant holds across seeds,
+equal snapshot), every post-run invariant holds across seeds,
 and the script is well-formed enough for the validator and the model
 checker.
 """

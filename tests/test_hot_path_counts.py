@@ -481,14 +481,15 @@ def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
 
 def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     """The degraded forwarded write of the charge pin above, counted in
-    the package's Python frames; no ``enum`` frame either."""
+    the package's Python frames; no ``enum`` frame either.  Three of them
+    note the threat store's image in the transaction's undo map."""
     cluster, ref, copies, deep, searches = counted
     cluster.partition({"n1", "n2"}, {"n3"})
     accept = AcceptAllHandler()
     cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
     assert _frames(
         lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
-    ) == (144, 0)
+    ) == (147, 0)
 
 
 def test_the_python_frames_of_one_whole_op_are_pinned(counted):

@@ -2,7 +2,7 @@
 
 The simulation is deterministic (seeded RNG, simulated clock), so running
 the same scenario twice — in the same interpreter, back to back — must
-produce byte-identical JSON-lines traces and equal metric snapshots.
+produce byte-identical JSON-lines traces and equal snapshots.
 This guards against accidentally leaking process-global state (object
 ids, interpreter counters, wall-clock time, dict iteration over
 unordered sets) into events.
@@ -52,7 +52,7 @@ class TestTraceDeterminism:
         second = run_partition_scenario()
         assert trace_bytes(first) == trace_bytes(second)
 
-    def test_same_scenario_yields_equal_metric_snapshots(self):
+    def test_same_scenario_yields_equal_snapshots(self):
         first = run_partition_scenario()
         second = run_partition_scenario()
         assert json.dumps(first.snapshot(), sort_keys=True) == json.dumps(

@@ -2,17 +2,18 @@
 
 The scenarios cross-check trace event counts against the components' own
 bookkeeping (``ccmgr.stats``, transaction manager counters, delivered
-messages), exercise the drop/suspicion paths, and verify the acceptance
+messages, detector events), exercise the drop/suspicion paths, and verify the acceptance
 criterion that attaching observability costs zero *simulated* time.
 """
 
 import json
+import math
 
 import pytest
 
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
-from repro.core import AcceptAllHandler, ConstraintViolated
+from repro.core import AcceptAllHandler, ConstraintViolated, SatisfactionDegree
 from repro.evaluation.ch5 import build_cluster, measure_operations
 from repro.faults import FaultInjector
 from repro.membership import HeartbeatFailureDetector
@@ -88,10 +89,15 @@ class TestEventCountsMatchComponentBookkeeping:
         assert len(obs.events("tx_rollback")) == 1
         reasons = [event.data["reason"] for event in obs.events("tx_rollback")]
         assert any("AlwaysViolated" in (reason or "") for reason in reasons)
-        violations = obs.registry.get("ccm_violations_total")
-        assert violations.value(constraint="AlwaysViolated") == 1.0
+        violated = [
+            event.data["constraint"]
+            for event in obs.events("validation")
+            if event.data["degree"] is SatisfactionDegree.VIOLATED
+        ]
+        assert violated == ["AlwaysViolated"]
+        assert cluster.ccmgrs["n1"].stats["violations"] == 1
 
-    def test_message_send_events_match_network_metrics(self):
+    def test_message_send_events_match_network_deliveries(self):
         # Writes from a backup node are routed to the primary over the
         # point-to-point network (multicast traffic does not use it).
         obs = Observability()
@@ -99,30 +105,30 @@ class TestEventCountsMatchComponentBookkeeping:
         bean = cluster.create_entity("n1", "TestBean", "b")
         for index in range(3):
             cluster.invoke("n2", bean, "set_text", f"v{index}")
-        sent = obs.registry.get("net_messages_sent_total")
         send_events = obs.events("message_send")
         assert len(send_events) > 0
-        assert sent.total() == len(send_events) == cluster.network.delivered_count
-        link_bytes = obs.registry.get("net_link_bytes_total")
-        assert link_bytes.value(link="n2->n1") > 0
+        assert len(send_events) == cluster.network.delivered_count
+        link_bytes = sum(
+            event.data["bytes"]
+            for event in send_events
+            if (event.node, event.data["destination"]) == ("n2", "n1")
+        )
+        assert link_bytes > 0
 
-    def test_view_change_events_match_gms_counter(self):
+    def test_each_node_installs_one_view_per_topology_change(self):
         cluster, obs = partition_cluster()
-        counter = obs.registry.get("gms_view_changes_total")
-        events = obs.events("view_change")
-        assert len(events) > 0
-        assert counter.total() == len(events)
+        per_node = {}
+        for event in obs.events("view_change"):
+            per_node[event.node] = per_node.get(event.node, 0) + 1
+        # The partition and the heal each give every node a new view.
+        assert per_node == {"n1": 2, "n2": 2, "n3": 2}
 
-    def test_invocation_latency_histogram_matches_invocation_events(self):
+    def test_every_invocation_event_carries_its_simulated_latency(self):
         cluster, obs = partition_cluster()
-        histogram = obs.registry.get("ccm_invocation_latency_seconds")
         invocations = obs.events("invocation")
         assert len(invocations) > 0
-        total = sum(
-            series["count"]
-            for series in histogram.snapshot()["series"].values()
-        )
-        assert total == len(invocations)
+        latencies = [event.data["latency"] for event in invocations]
+        assert all(math.isfinite(latency) and latency > 0.0 for latency in latencies)
 
     def test_each_call_emits_one_invocation_event_with_its_simulated_latency(self):
         """A read, a forwarded write and a refused write each emit one
@@ -152,9 +158,9 @@ class TestEventCountsMatchComponentBookkeeping:
     def test_replication_updates_are_traced(self):
         cluster, obs = partition_cluster()
         events = obs.events("replication_update")
-        assert {event.data["kind"] for event in events} >= {"create"}
-        counter = obs.registry.get("repl_updates_total")
-        assert counter.total() == len(events)
+        kinds = [event.data["kind"] for event in events]
+        # Three beans created; threat_op reads, so no state round follows.
+        assert kinds == ["create", "create", "create"]
 
 
 class TestDropAndSuspicionPaths:
@@ -173,8 +179,6 @@ class TestDropAndSuspicionPaths:
         drop_events = obs.events("message_drop")
         assert len(drop_events) == losses
         assert {event.data["reason"] for event in drop_events} == {"burst-loss"}
-        dropped = obs.registry.get("net_messages_dropped_total")
-        assert dropped.value(reason="burst-loss") == losses
 
     def test_unreachable_drop_reason(self):
         obs = Observability()
@@ -215,8 +219,7 @@ class TestDropAndSuspicionPaths:
         events = obs.events("suspicion")
         assert len(events) == len(detector.events) > 0
         raised = [event for event in events if event.data["suspected"]]
-        counter = obs.registry.get("fd_suspicion_events_total")
-        assert counter.value(suspected=True) == len(raised)
+        assert len(raised) == sum(event.suspected for event in detector.events) > 0
 
 
 class TestExportedTrace:
@@ -237,8 +240,9 @@ class TestExportedTrace:
     def test_cluster_snapshot_is_json_serializable(self):
         cluster, _ = partition_cluster()
         parsed = json.loads(json.dumps(cluster.snapshot(), sort_keys=True))
+        assert list(parsed) == ["events"]
         assert parsed["events"]["emitted"] > 0
-        assert "ccm_invocations_total" in parsed["metrics"]
+        assert parsed["events"]["by_type"]["invocation"] > 0
 
     def test_cluster_summary_mentions_event_types(self):
         cluster, _ = partition_cluster()
@@ -249,7 +253,6 @@ class TestExportedTrace:
         cluster = build_cluster(nodes=1, replication=False)
         cluster.create_entity("n1", "TestBean", "b")
         assert cluster.snapshot() == {
-            "metrics": {},
             "events": {"emitted": 0, "buffered": 0, "dropped": 0, "by_type": {}},
         }
         assert cluster.obs_summary() == "observability disabled\n"

@@ -1,27 +1,19 @@
 """Unit tests for the observability primitives.
 
-Covers the satellite requirements: histogram bucket-edge (``le``)
-semantics, label cardinality bounds, no-op instruments and sinks having
-zero side effects, and JSON-lines traces round-tripping through
-``json.loads``.
+Covers the tracer's exact per-type tally (however many events a bounded
+ring buffer drops), no-op tracers and sinks having zero side effects,
+and JSON-lines traces round-tripping through ``json.loads``.
 """
 
 import io
 import json
-import math
 
 import pytest
 
 from repro.obs import (
     NULL_OBS,
-    Counter,
-    Gauge,
-    Histogram,
     JsonLinesSink,
-    LabelCardinalityError,
-    MetricsRegistry,
     NullObservability,
-    NullRegistry,
     NullSink,
     NullTracer,
     Observability,
@@ -31,11 +23,9 @@ from repro.obs import (
     Tracer,
     TraceSink,
     ensure_obs,
-    label_key,
     read_jsonl,
     write_jsonl,
 )
-from repro.obs.metrics import NullCounter, NullGauge, NullHistogram
 from repro.obs.tracing import EVENT_TYPES, jsonable
 from repro.sim import SimClock
 
@@ -43,244 +33,9 @@ pytestmark = pytest.mark.obs
 
 
 # ----------------------------------------------------------------------
-# counters and gauges
-# ----------------------------------------------------------------------
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("c").value() == 0.0
-
-    def test_inc_accumulates(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value() == 3.5
-
-    def test_labels_are_independent_series(self):
-        counter = Counter("c")
-        counter.inc(kind="a")
-        counter.inc(3, kind="b")
-        assert counter.value(kind="a") == 1.0
-        assert counter.value(kind="b") == 3.0
-        assert counter.total() == 4.0
-
-    def test_label_order_does_not_matter(self):
-        counter = Counter("c")
-        counter.inc(a="1", b="2")
-        counter.inc(b="2", a="1")
-        assert counter.value(a="1", b="2") == 2.0
-        assert len(counter.snapshot()["series"]) == 1
-
-    def test_rejects_negative_increment(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
-
-    def test_rejects_empty_name(self):
-        with pytest.raises(ValueError):
-            Counter("")
-
-    def test_snapshot_shape(self):
-        counter = Counter("c", help="things")
-        counter.inc(kind="x")
-        snap = counter.snapshot()
-        assert snap["kind"] == "counter"
-        assert snap["help"] == "things"
-        assert snap["series"] == {"kind=x": 1.0}
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = Gauge("g")
-        gauge.set(5.0)
-        gauge.add(-2.0)
-        assert gauge.value() == 3.0
-
-    def test_add_on_fresh_series_starts_at_zero(self):
-        gauge = Gauge("g")
-        gauge.add(1.5, node="a")
-        assert gauge.value(node="a") == 1.5
-
-    def test_unset_series_reads_zero(self):
-        assert Gauge("g").value(node="missing") == 0.0
-
-
-class TestLabelCardinality:
-    def test_bound_is_enforced(self):
-        counter = Counter("c", max_series=2)
-        counter.inc(kind="a")
-        counter.inc(kind="b")
-        with pytest.raises(LabelCardinalityError) as excinfo:
-            counter.inc(kind="c")
-        assert excinfo.value.name == "c"
-        assert excinfo.value.max_series == 2
-
-    def test_existing_series_still_updatable_at_bound(self):
-        counter = Counter("c", max_series=1)
-        counter.inc(kind="a")
-        counter.inc(kind="a")
-        assert counter.value(kind="a") == 2.0
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            Counter("c", max_series=0)
-
-    def test_label_key_is_sorted_and_stringified(self):
-        assert label_key({"b": 2, "a": "x"}) == (("a", "x"), ("b", "2"))
-
-
-# ----------------------------------------------------------------------
-# histograms
-# ----------------------------------------------------------------------
-def buckets(hist: Histogram) -> dict[str, int]:
-    """The unlabelled series' cumulative count per finite upper edge."""
-    return hist.snapshot()["series"][""]["buckets"]
-
-
-class TestHistogram:
-    def test_value_on_edge_counts_into_that_bucket(self):
-        # Prometheus ``le`` semantics: bucket edge is an inclusive upper
-        # bound, so an observation exactly on an edge lands in it.
-        hist = Histogram("h", buckets=(1.0, 2.0, 5.0))
-        hist.observe(1.0)
-        hist.observe(2.0)
-        assert buckets(hist) == {"1.0": 1, "2.0": 2, "5.0": 2}
-        assert hist.count() == 2
-
-    def test_value_above_last_edge_lands_in_inf(self):
-        hist = Histogram("h", buckets=(1.0,))
-        hist.observe(100.0)
-        assert buckets(hist) == {"1.0": 0}
-        assert hist.count() == 1
-
-    def test_value_just_above_edge_goes_to_next_bucket(self):
-        hist = Histogram("h", buckets=(1.0, 2.0))
-        hist.observe(1.0000001)
-        assert buckets(hist)["1.0"] == 0
-        assert buckets(hist)["2.0"] == 1
-
-    def test_counts_are_cumulative(self):
-        hist = Histogram("h", buckets=(1.0, 2.0, 3.0))
-        for value in (0.5, 1.5, 2.5, 2.6):
-            hist.observe(value)
-        assert buckets(hist) == {"1.0": 1, "2.0": 2, "3.0": 4}
-        assert hist.count() == 4
-
-    def test_count_and_sum(self):
-        hist = Histogram("h", buckets=(1.0,))
-        hist.observe(0.25)
-        hist.observe(0.5)
-        assert hist.count() == 2
-        assert hist.sum() == pytest.approx(0.75)
-
-    def test_empty_series_reads_zero(self):
-        hist = Histogram("h", buckets=(1.0,))
-        assert hist.count(op="x") == 0
-        assert hist.sum(op="x") == 0.0
-
-    def test_rejects_empty_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
-
-    def test_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(1.0, 1.0, 2.0))
-
-    def test_rejects_nonfinite_edge(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(1.0, math.inf))
-
-    def test_rejects_nonfinite_observation(self):
-        hist = Histogram("h", buckets=(1.0,))
-        with pytest.raises(ValueError):
-            hist.observe(math.nan)
-
-    def test_label_cardinality_applies(self):
-        hist = Histogram("h", buckets=(1.0,), max_series=1)
-        hist.observe(0.5, op="a")
-        with pytest.raises(LabelCardinalityError):
-            hist.observe(0.5, op="b")
-
-    def test_snapshot_buckets_are_cumulative(self):
-        hist = Histogram("h", buckets=(1.0, 2.0))
-        hist.observe(0.5, op="x")
-        hist.observe(1.5, op="x")
-        snap = hist.snapshot()
-        assert snap["series"]["op=x"] == {
-            "buckets": {"1.0": 1, "2.0": 2},
-            "count": 2,
-            "sum": 2.0,
-        }
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-class TestMetricsRegistry:
-    def test_same_name_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("m")
-        with pytest.raises(TypeError):
-            registry.gauge("m")
-
-    def test_names_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("b")
-        registry.gauge("a")
-        registry.histogram("c")
-        assert registry.names() == ("a", "b", "c")
-
-    def test_get(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        assert registry.get("c") is counter
-        assert registry.get("missing") is None
-
-    def test_snapshot_is_json_serializable(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(kind="a")
-        registry.gauge("g").set(2.0)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        text = json.dumps(registry.snapshot(), sort_keys=True)
-        parsed = json.loads(text)
-        assert parsed["c"]["series"]["kind=a"] == 1.0
-        assert parsed["h"]["series"][""]["count"] == 1
-
-
-# ----------------------------------------------------------------------
 # no-op variants: zero side effects
 # ----------------------------------------------------------------------
 class TestNullVariants:
-    def test_null_registry_hands_out_shared_noops(self):
-        registry = NullRegistry()
-        assert registry.counter("a") is registry.counter("b")
-        assert registry.gauge("a") is registry.gauge("b")
-        assert registry.histogram("a") is registry.histogram("b")
-
-    def test_null_instruments_record_nothing(self):
-        registry = NullRegistry()
-        counter, gauge, hist = registry.counter("c"), registry.gauge("g"), registry.histogram("h")
-        counter.inc(5, kind="x")
-        gauge.set(3.0)
-        gauge.add(1.0)
-        hist.observe(0.5)
-        assert counter.value(kind="x") == 0.0
-        assert counter.total() == 0.0
-        assert gauge.value() == 0.0
-        assert hist.count() == 0
-        assert hist.sum() == 0.0
-        assert registry.snapshot() == {}
-        assert registry.names() == ()
-        assert registry.get("c") is None
-
-    def test_null_instruments_share_singletons(self):
-        assert NullRegistry().counter("x") is NullRegistry().counter("y")
-        assert isinstance(NullRegistry().counter("x"), NullCounter)
-        assert isinstance(NullRegistry().gauge("x"), NullGauge)
-        assert isinstance(NullRegistry().histogram("x"), NullHistogram)
-
     def test_null_sink_retains_nothing(self):
         sink = NullSink()
         event = TraceEvent(0, 0.0, "invocation", "n1", {})
@@ -303,7 +58,6 @@ class TestNullVariants:
         assert obs.events() == []
         assert obs.event_counts() == {}
         assert obs.snapshot() == {
-            "metrics": {},
             "events": {"emitted": 0, "buffered": 0, "dropped": 0, "by_type": {}},
         }
         assert obs.export_jsonl(io.StringIO()) == 0
@@ -353,6 +107,20 @@ class TestTracer:
         tracer.enabled = False
         assert tracer.emit("invocation") is None
         assert len(ring) == 0
+        assert tracer.counts() == {}
+
+    def test_counts_tally_every_emitted_event_by_type(self):
+        tracer = Tracer()
+        for event_type in ("threat", "invocation", "threat"):
+            tracer.emit(event_type)
+        assert tracer.counts() == {"invocation": 1, "threat": 2}
+        assert sum(tracer.counts().values()) == tracer.emitted
+
+    def test_counts_is_a_copy(self):
+        tracer = Tracer()
+        tracer.emit("threat")
+        tracer.counts()["threat"] = 99
+        assert tracer.counts() == {"threat": 1}
 
     def test_fan_out_to_all_sinks(self):
         ring_a, ring_b = RingBufferSink(), RingBufferSink()
@@ -497,13 +265,12 @@ class TestSummarySink:
 # the hub
 # ----------------------------------------------------------------------
 class TestObservabilityHub:
-    def test_snapshot_reflects_metrics_and_events(self):
+    def test_snapshot_reflects_events(self):
         obs = Observability()
-        obs.registry.counter("c").inc()
         obs.emit("invocation", node="n1")
         obs.emit("threat", node="n1")
         snap = obs.snapshot()
-        assert snap["metrics"]["c"]["series"][""] == 1.0
+        assert list(snap) == ["events"]
         assert snap["events"]["emitted"] == 2
         assert snap["events"]["by_type"] == {"invocation": 1, "threat": 1}
 
@@ -521,6 +288,39 @@ class TestObservabilityHub:
         snap = obs.snapshot()
         assert snap["events"]["buffered"] == 1
         assert snap["events"]["dropped"] == 1
+
+    def test_counts_stay_exact_after_the_ring_wraps(self):
+        # The ring keeps the newest events; the per-type tally counts
+        # every event ever emitted, so a wrapped ring undercounts nothing.
+        obs = Observability(ring_capacity=2)
+        for _ in range(5):
+            obs.emit("tx_commit")
+        obs.emit("tx_rollback")
+        assert obs.event_counts() == {"tx_commit": 5, "tx_rollback": 1}
+        events = obs.snapshot()["events"]
+        assert (events["emitted"], events["buffered"], events["dropped"]) == (6, 2, 4)
+        assert events["by_type"] == {"tx_commit": 5, "tx_rollback": 1}
+        text = obs.summary()
+        assert "events: 6\n" in text
+        assert "tx_commit" in text and " 5\n" in text
+
+    def test_by_type_is_sorted_by_type(self):
+        obs = Observability()
+        for event_type in ("threat", "invocation", "validation", "invocation"):
+            obs.emit(event_type)
+        assert list(obs.event_counts().items()) == [
+            ("invocation", 2), ("threat", 1), ("validation", 1),
+        ]
+
+    def test_summary_spans_the_buffered_events(self):
+        clock = SimClock()
+        obs = Observability(clock, ring_capacity=2)
+        for step in range(3):
+            clock.advance(1.0)
+            obs.emit("invocation")
+        text = obs.summary()
+        assert "2.000000s .. 3.000000s" in text
+        assert "events: 3\n" in text
 
     def test_extra_sinks_receive_events(self):
         extra = SummarySink()

@@ -239,7 +239,7 @@ class TestDigestAntiEntropy:
 
     @staticmethod
     def _rounds(obs, kind):
-        return obs.registry.counter("net_multicasts_total", "").value(kind=kind)
+        return sum(event.data["kind"] == kind for event in obs.events("multicast"))
 
     @staticmethod
     def _synced(obs):

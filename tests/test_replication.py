@@ -286,8 +286,8 @@ class TestServerSideRedirect:
         delivered = cluster.network.record_deliveries()
         with pytest.raises(UnreachableError):
             self.write_on_backup(cluster, ref)
-        dropped = cluster.obs.registry.get("net_messages_dropped_total")
-        assert dropped.value(reason="kind-filter:invocation") == 1
+        drops = cluster.obs.events("message_drop")
+        assert sum(e.data["reason"] == "kind-filter:invocation" for e in drops) == 1
         assert [m for m in delivered if m.kind == "invocation"] == []
 
 
@@ -402,6 +402,101 @@ class TestBackupRollback:
                 assert {node: cluster.entity_on(node, flight).get_sold() for node in nodes} == (
                     dict.fromkeys(nodes, 0)
                 )
+
+    def test_a_refused_transaction_leaves_no_accepted_threat_behind(self):
+        """vienna and graz share a partition, linz is alone.  One
+        transaction sells 5 seats on F1 (a threat, accepted and replicated
+        to graz) and is then refused on the 10-seat F2.  The rollback takes
+        the accepted threat out of both stores and puts every threat row
+        back, journaling the drop as a ``restore``."""
+        from repro.apps.flightbooking import Flight, ticket_constraint_registration
+        from repro.core import ConsistencyThreatRejected
+
+        nodes = ("vienna", "graz", "linz")
+        config = ClusterConfig(node_ids=nodes, transport=getattr(self, "transport", "sim"))
+        with DedisysCluster(config) as cluster:
+            cluster.deploy(Flight)
+            cluster.register_constraint(ticket_constraint_registration())
+            f1 = cluster.create_entity("vienna", "Flight", "F1", {"seats": 80})
+            f2 = cluster.create_entity("vienna", "Flight", "F2", {"seats": 10})
+            cluster.partition({"vienna", "graz"}, {"linz"})
+            tables = {
+                node: cluster.nodes[node].persistence.table("consistency_threats")
+                for node in nodes
+            }
+            rows = {
+                node: {key: table.peek(key) for key in table.keys()}
+                for node, table in tables.items()
+            }
+
+            def body(tx):
+                tx.invoke(f1, "sell_tickets", 5)
+                assert cluster.threat_stores["graz"].count_identities() == 1  # replicated
+                tx.invoke(f2, "sell_tickets", 50)
+
+            with pytest.raises(ConsistencyThreatRejected):
+                cluster.run_in_tx("vienna", body)
+            assert {node: cluster.entity_on(node, f1).get_sold() for node in nodes} == (
+                dict.fromkeys(nodes, 0)
+            )
+            for node in nodes:
+                store = cluster.threat_stores[node]
+                assert store.count_identities() == 0, node
+                assert store.persisted_records() == 0, node
+                assert {key: tables[node].peek(key) for key in tables[node].keys()} == rows[node]
+            newest = next(
+                entry
+                for entry in reversed(list(cluster.nodes["vienna"].persistence.journal()))
+                if entry.table == "consistency_threats"
+            )
+            assert (newest.operation, newest.value) == ("restore", None)
+
+    @pytest.mark.parametrize("policy", ["IDENTICAL_ONCE", "FULL_HISTORY"])
+    def test_a_refused_transaction_leaves_an_earlier_threat_as_committed(self, policy):
+        """The same partition, after a committed sale already stored F1's
+        threat.  A second sale on F1 adds an occurrence (absorbed, or a
+        record of its own under full history) before F2 refuses: every
+        store ends with the committed records, counts and rows."""
+        from repro.apps.flightbooking import Flight, ticket_constraint_registration
+        from repro.core import ConsistencyThreatRejected, ThreatStoragePolicy
+
+        nodes = ("vienna", "graz", "linz")
+        config = ClusterConfig(
+            node_ids=nodes,
+            threat_policy=ThreatStoragePolicy[policy],
+            transport=getattr(self, "transport", "sim"),
+        )
+        with DedisysCluster(config) as cluster:
+            cluster.deploy(Flight)
+            cluster.register_constraint(ticket_constraint_registration())
+            f1 = cluster.create_entity("vienna", "Flight", "F1", {"seats": 80})
+            f2 = cluster.create_entity("vienna", "Flight", "F2", {"seats": 10})
+            cluster.partition({"vienna", "graz"}, {"linz"})
+            cluster.invoke("vienna", f1, "sell_tickets", 5)
+
+            def image(node):
+                store = cluster.threat_stores[node]
+                table = cluster.nodes[node].persistence.table("consistency_threats")
+                records = [
+                    (threat.threat_id, threat.occurrences, threat.degree)
+                    for identity in store.identities()
+                    for threat in store.occurrences_of(identity)
+                ]
+                return records, {key: table.peek(key) for key in table.keys()}
+
+            committed = {node: image(node) for node in nodes}
+            assert [len(committed[node][0]) for node in nodes] == [1, 1, 0]
+
+            def body(tx):
+                tx.invoke(f1, "sell_tickets", 5)
+                tx.invoke(f2, "sell_tickets", 50)
+
+            with pytest.raises(ConsistencyThreatRejected):
+                cluster.run_in_tx("vienna", body)
+            assert {node: image(node) for node in nodes} == committed
+            assert {node: cluster.entity_on(node, f1).get_sold() for node in nodes} == {
+                "vienna": 5, "graz": 5, "linz": 0
+            }
 
     def test_a_backup_without_the_replica_answers_missing(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")

@@ -38,7 +38,8 @@ The middleware adapts through tradeable constraints, threat negotiation
 and degraded-mode replication, with no runtime policy loop or per-op
 hook beside them.  That reconciliation's
 coordinator touches no other node's store, history or update records is
-replint's ``NODE001``, not a guard here.  Every run record under
+replint's ``NODE001``, not a guard here.  The trace is the only
+instrument: no metrics registry and no counter beside an emit.  Every run record under
 ``docs/runs/`` is linked from CHANGES.md.
 """
 
@@ -74,6 +75,13 @@ def test_a_transaction_undoes_through_one_map():
     """Rollback hands each object its image from ``Transaction.undo``: no
     write logs a closure of its own."""
     assert matches(r"log_undo|_undo_log|^\s+def undo\(") == []
+
+
+def test_the_trace_is_the_only_instrument():
+    """Every fact the middleware records is one trace event: no metrics
+    registry, no instrument beside the emit."""
+    assert not (SRC / "obs" / "metrics.py").exists()
+    assert matches(r"\bMETRICS\b|registry\.(counter|gauge|histogram)\(|self\._m_") == []
 
 
 def test_one_epoch_counter():
@@ -437,8 +445,12 @@ def test_options_no_caller_set_stay_constants():
     from repro.check import explorer, runner
     from repro.cluster import ClusterConfig, DedisysCluster
     from repro.core.ccmgr import ConstraintConsistencyManager
+    from repro.corpus import validate_scenario
 
     assert matches(r"CCMConfig|registry_factory|RegistryFactory|written_entities|after_completion") == []
+    # A cluster's transport is named, never handed in ready-made.
+    assert matches(r"isinstance\(spec, Transport\)", "transport") == []
+    assert ClusterConfig.__annotations__["transport"] in (str, "str")
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
     assert len(fields) == 10 and "default_min_degree" not in fields
     removed = [
@@ -449,6 +461,7 @@ def test_options_no_caller_set_stay_constants():
         (runner.run_schedule, "obs"),
         (engine.run_analysis, "project_factory"),
         (engine.load_project, "exclude"),
+        (validate_scenario, "obs"),
     ]
     for function, parameter in removed:
         assert parameter not in inspect.signature(function).parameters, function

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.objects import ObjectRef
 from repro.persistence import PersistenceEngine
 from repro.sim import SimClock
+from repro.tx import TransactionManager
 
 REF = ObjectRef("Flight", "LH1")
 OTHER = ObjectRef("Flight", "LH2")
@@ -325,3 +326,86 @@ class TestAntiEntropy:
         store = ThreatStore(engine)
         assert store.apply_synced([second, first]) == 1
         assert store.pending() == [first]
+
+
+class TestTransactionUndo:
+    """A store notes its image of an identity in the transaction's undo
+    map before the transaction first changes it; rollback puts the image
+    back, uncharged and journaled."""
+
+    @staticmethod
+    def rows(store):
+        table = store.engine.table("consistency_threats")
+        return {key: table.peek(key) for key in table.keys()}
+
+    @staticmethod
+    def rolled_back(store, *threats):
+        """Record ``threats`` in one transaction, then roll it back;
+        returns whether the rollback booked no charge, and the operations
+        of the journal entries it added."""
+        txmgr = TransactionManager()
+        tx = txmgr.begin()
+        for threat in threats:
+            store.note(tx, threat.identity)
+            store.record(threat)
+        charges = dict(store.engine.ledger.counts)
+        journal = store.engine.journal()
+        journaled = len(journal)
+        txmgr.rollback(tx)
+        added = [journal[index].operation for index in range(journaled, len(journal))]
+        return dict(store.engine.ledger.counts) == charges, added
+
+    def test_a_new_identity_is_dropped_with_its_row(self, engine):
+        store = ThreatStore(engine)
+        uncharged, journaled = self.rolled_back(store, make_threat(), make_threat())
+        assert store.count_identities() == 0
+        assert self.rows(store) == {}
+        assert uncharged and journaled == ["restore"]
+
+    def test_an_absorbed_occurrence_restores_the_head_and_its_row(self, engine):
+        store = ThreatStore(engine)
+        head, _ = store.record(make_threat(degree=SatisfactionDegree.POSSIBLY_SATISFIED))
+        before = self.rows(store)
+        uncharged, journaled = self.rolled_back(
+            store, make_threat(degree=SatisfactionDegree.POSSIBLY_VIOLATED), make_threat()
+        )
+        assert store.pending() == [head]
+        assert (head.occurrences, head.degree) == (1, SatisfactionDegree.POSSIBLY_SATISFIED)
+        assert self.rows(store) == before
+        assert uncharged and journaled == ["restore"]
+
+    def test_a_full_history_occurrence_drops_only_its_own_row(self, engine):
+        store = ThreatStore(engine, ThreatStoragePolicy.FULL_HISTORY)
+        first, _ = store.record(make_threat())
+        before = self.rows(store)
+        uncharged, journaled = self.rolled_back(store, make_threat(), make_threat())
+        assert store.occurrences_of(first.identity) == [first]
+        assert self.rows(store) == before
+        assert store.persisted_records() == store.stored_records() == 1
+        # Two rows dropped, and the kept head's row put back.
+        assert uncharged and journaled == ["restore"] * 3
+
+    def test_only_the_identities_the_transaction_changed_move(self, engine):
+        store = ThreatStore(engine)
+        kept, _ = store.record(make_threat(ref=OTHER))
+        self.rolled_back(store, make_threat())
+        assert store.pending() == [kept]
+        assert kept.occurrences == 1
+
+    def test_the_first_image_in_a_transaction_is_the_one_kept(self, engine):
+        store = ThreatStore(engine)
+        txmgr = TransactionManager()
+        tx = txmgr.begin()
+        store.note(tx, make_threat().identity)
+        store.record(make_threat())
+        store.note(tx, make_threat().identity)  # the store holds it now
+        assert tx.undo[store] == {make_threat().identity: None}
+
+    def test_nothing_is_noted_outside_a_live_transaction(self, engine):
+        store = ThreatStore(engine)
+        store.note(None, make_threat().identity)
+        txmgr = TransactionManager()
+        tx = txmgr.begin()
+        txmgr.commit(tx)
+        store.note(tx, make_threat().identity)
+        assert tx.undo is None

@@ -14,13 +14,12 @@ Each test here pins a concrete fix in the transport backends:
   its cluster's membership view, reported to only when a peer's
   outcome changes;
 * the observability hub — node workers and client threads share one
-  registry and one tracer, whose read-modify-writes (``Counter.inc``,
-  ``Gauge.add``, ``Histogram.observe``, the tracer's sequence number) now
-  happen under a lock (pre-fix: lost increments and duplicate ``seq``);
-  registering one new name from several threads yields one instrument
-  (pre-fix: two, one of which lost its counts), and a reader snapshots
-  the ring buffer while others emit (pre-fix: ``RuntimeError: deque
-  mutated during iteration``).
+  tracer, whose read-modify-writes (the sequence number, the emitted
+  count, the per-type tally) happen under its lock (unlocked: lost
+  counts and duplicate ``seq``); the first events of one new type from
+  several threads make one tally entry with every count, and a reader
+  snapshots the ring buffer while others emit (pre-fix: ``RuntimeError:
+  deque mutated during iteration``).
 """
 
 from __future__ import annotations
@@ -273,33 +272,27 @@ class TestSharedObservabilityHub:
     THREADS = 8
     ROUNDS = 2000
 
-    def test_no_update_and_no_sequence_number_is_lost(self):
+    def test_no_event_and_no_sequence_number_is_lost(self):
         cluster = DedisysCluster(
             ClusterConfig(node_ids=NODES, transport="asyncio", obs=Observability())
         )
         obs = cluster.obs
-        counter = obs.registry.counter("stress_total")
-        gauge = obs.registry.gauge("stress_level")
-        histogram = obs.registry.histogram("stress_seconds")
-        before = obs.tracer.emitted
+        before = obs.event_counts()
 
         def hammer():
             for _ in range(self.ROUNDS):
-                counter.inc(node="a")
-                gauge.add(1.0)
-                histogram.observe(0.001)
                 obs.emit("stress", node="a")
+                obs.emit("stress_echo", node="a")
 
         try:
             run_threads_switching_fast([hammer] * self.THREADS)
         finally:
             cluster.close()
         expected = self.THREADS * self.ROUNDS
-        assert counter.value(node="a") == expected
-        assert gauge.value() == expected
-        assert histogram.count() == expected
-        assert obs.tracer.emitted == before + expected
-        assert [event.seq for event in obs.events()] == list(range(before + expected))
+        emitted = sum(before.values()) + 2 * expected
+        assert obs.tracer.emitted == emitted
+        assert obs.event_counts() == {**before, "stress": expected, "stress_echo": expected}
+        assert [event.seq for event in obs.events()] == list(range(emitted))
 
     def test_a_reader_snapshots_the_ring_while_threads_emit(self):
         obs = Observability(ring_capacity=4096)
@@ -318,7 +311,8 @@ class TestSharedObservabilityHub:
                 while len(obs.ring) < 4096 and len(emitted) < self.THREADS:
                     pass
                 for _ in range(50):
-                    assert sum(obs.event_counts().values()) <= 4096
+                    counted = sum(obs.event_counts().values())
+                    assert counted <= obs.tracer.emitted
                     assert len(list(obs.ring)) <= 4096
                     assert obs.snapshot()["events"]["dropped"] >= 0
                     assert "events:" in obs.summary()
@@ -328,18 +322,18 @@ class TestSharedObservabilityHub:
         run_threads_switching_fast([emit] * self.THREADS + [read])
         assert obs.tracer.emitted == sum(emitted) > 4096
         assert obs.ring.dropped == sum(emitted) - 4096
+        assert obs.event_counts() == {"stress": sum(emitted)}
 
-    def test_one_name_registered_by_many_threads_is_one_instrument(self):
-        registry = Observability().registry
-        names = [f"race_{number}_total" for number in range(300)]
+    def test_one_type_first_emitted_by_many_threads_is_one_tally(self):
+        obs = Observability(ring_capacity=1)
+        types = [f"race_{number}" for number in range(300)]
         barrier = threading.Barrier(self.THREADS)
 
-        def register():
-            for name in names:
+        def emit():
+            for event_type in types:
                 barrier.wait(timeout=30)
-                registry.counter(name).inc()
+                obs.emit(event_type)
 
-        run_threads_switching_fast([register] * self.THREADS)
-        assert {name: registry.get(name).value() for name in names} == dict.fromkeys(
-            names, self.THREADS
-        )
+        run_threads_switching_fast([emit] * self.THREADS)
+        assert obs.event_counts() == dict.fromkeys(sorted(types), self.THREADS)
+        assert obs.tracer.emitted == len(types) * self.THREADS

@@ -29,7 +29,7 @@ from repro.apps.registry import domain_names
 from repro.check import BOOKING_SCENARIOS, CANONICAL_SCENARIOS
 from repro.corpus import generate_scenario, preset_config
 from repro.faults import replay_scenario
-from repro.transport import SimTransport, build_transport
+from repro.transport import build_transport
 
 
 def generated(domain, seed, preset, **overrides):
@@ -152,12 +152,3 @@ def test_digest_covers_the_guarantee_surface():
 def test_unknown_transport_spec_rejected():
     with pytest.raises(ValueError):
         build_transport("carrier-pigeon", ("a", "b"))
-
-
-def test_transport_instance_node_mismatch_rejected():
-    transport = SimTransport(("a", "b"))
-    try:
-        with pytest.raises(ValueError):
-            build_transport(transport, ("a", "b", "c"))
-    finally:
-        transport.close()
