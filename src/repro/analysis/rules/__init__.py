@@ -4,8 +4,6 @@ Importing this package registers every rule family with the engine:
 
 * ``DET0xx`` — determinism of sim-reachable code (wall clock, global
   RNG, ``id()``, unordered set iteration).
-* ``REG0xx`` — observability registry drift (emitted trace events vs.
-  the canonical ``repro.obs.registry``).
 * ``MSG0xx`` — message-kind exhaustiveness (every sent kind handled,
   every handled kind sent).
 * ``META0xx`` — constraint metadata consistency (paper §4.2.2):
@@ -30,7 +28,6 @@ from . import (
     nodes,
     probes,
     reach,
-    registry_drift,
     transport,
 )
 
@@ -42,6 +39,5 @@ __all__ = [
     "nodes",
     "probes",
     "reach",
-    "registry_drift",
     "transport",
 ]

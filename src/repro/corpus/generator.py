@@ -26,7 +26,6 @@ from typing import Any, Iterable, Sequence
 
 from ..apps.registry import get_domain
 from ..check.scenario import Op, Scenario
-from ..obs import ensure_obs
 from .grammars import OpTemplate, grammar_for
 
 #: Node-weight palette for weighted topologies: most nodes are ordinary,
@@ -321,7 +320,7 @@ def _pick_template(rng: random.Random, grammar: tuple[OpTemplate, ...]) -> OpTem
     return grammar[-1]
 
 
-def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
+def generate_scenario(config: GeneratorConfig) -> Scenario:
     """One deterministic scenario from one config.
 
     The RNG stream is keyed by domain and seed only, so any two calls with
@@ -389,7 +388,7 @@ def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
     # the run always ends connected and conflict-free.
     ops.append(Op(at=_round(horizon + 0.1), kind="reconcile"))
 
-    scenario = Scenario(
+    return Scenario(
         name=config.scenario_name(),
         domain=config.domain,
         node_ids=node_ids,
@@ -399,17 +398,6 @@ def generate_scenario(config: GeneratorConfig, obs: Any = None) -> Scenario:
         ops=tuple(ops),
         fault_events=fault_events,
     )
-    ensure_obs(obs).emit(
-        "corpus_scenario",
-        scenario=scenario.name,
-        domain=scenario.domain,
-        seed=config.seed,
-        nodes=config.nodes,
-        entities=config.entities,
-        ops=len(scenario.ops),
-        faults=len(scenario.fault_events),
-    )
-    return scenario
 
 
 def generate_corpus(
@@ -417,7 +405,6 @@ def generate_corpus(
     per_domain: int,
     domains: Iterable[str] | None = None,
     preset: str = "small",
-    obs: Any = None,
     **overrides: Any,
 ) -> list[Scenario]:
     """``per_domain`` scenarios for each domain, seeds ``seed..seed+n-1``."""
@@ -428,6 +415,6 @@ def generate_corpus(
     for domain in chosen:
         for offset in range(per_domain):
             config = preset_config(domain, seed + offset, preset, **overrides)
-            corpus.append(generate_scenario(config, obs=obs))
+            corpus.append(generate_scenario(config))
     return corpus
 

@@ -32,7 +32,6 @@ def run_sweep(
     domains: Iterable[str] | None = None,
     preset: str = "small",
     buckets: int = 8,
-    obs: Any = None,
 ) -> dict[str, Any]:
     """The full sweep result as a sorted-key-stable, JSON-able dict."""
     chosen = sorted(domains) if domains is not None else domain_names()
@@ -46,7 +45,7 @@ def run_sweep(
             healthy = offset % 2 == 0
             overrides = {"faults": 0} if healthy else {}
             config = preset_config(domain, seed + offset, preset, **overrides)
-            scenario = generate_scenario(config, obs=obs)
+            scenario = generate_scenario(config)
             issues = validate_scenario(scenario)
             entry: dict[str, Any] = {
                 "name": scenario.name,

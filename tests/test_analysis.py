@@ -46,7 +46,7 @@ class TestEngine:
     def test_rule_registry_covers_every_family(self):
         prefixes = {rule.code[:3] for rule in all_rules()}
         assert prefixes == {
-            "DET", "REG", "MSG", "MET", "PRB", "TRN", "CON", "NOD", "REA",
+            "DET", "MSG", "MET", "PRB", "TRN", "CON", "NOD", "REA",
         }
 
     def test_rule_codes_are_unique_and_described(self):
@@ -93,34 +93,6 @@ class TestDeterminismRules:
             assert finding.path == "mod.py"
             assert finding.line > 0
             assert finding.location == f"mod.py:{finding.line}"
-
-
-# ------------------------------------------------------------- registry
-
-
-class TestRegistryRules:
-    def test_unregistered_event(self):
-        result = run_family("reg_bad", "REG")
-        unregistered = [f.message for f in result.findings if f.code == "REG001"]
-        assert len(unregistered) == 1
-        assert "mystery_event" in unregistered[0]
-
-    def test_dead_entries_flagged_on_the_registry_file(self):
-        result = run_family("reg_bad", "REG")
-        dead = [f for f in result.findings if f.code == "REG003"]
-        assert {f.path for f in dead} == {"obs/registry.py"}
-        assert [f.message for f in dead] == [
-            "TRACE_EVENTS entry 'dead_event' has no emit() call site",
-        ]
-
-    def test_good_fixture_is_clean(self):
-        result = run_family("reg_good", "REG")
-        assert result.findings == []
-
-    def test_missing_registry_is_itself_a_finding(self):
-        result = run_family("reg_missing", "REG")
-        assert codes_of(result) == ["REG001"]
-        assert "no obs/registry.py" in result.findings[0].message
 
 
 # ------------------------------------------------------------- messages
@@ -521,11 +493,11 @@ class TestBaseline:
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "baseline.json"
-        save_baseline(path, [_finding(), _finding(), _finding(code="REG001")])
+        save_baseline(path, [_finding(), _finding(), _finding(code="META001")])
         loaded = load_baseline(path)
         assert loaded == {
             "DET001:mod.py:boom": 2,
-            "REG001:mod.py:boom": 1,
+            "META001:mod.py:boom": 1,
         }
 
     def test_missing_file_is_empty(self, tmp_path):
@@ -533,13 +505,13 @@ class TestBaseline:
         assert load_baseline(None) == {}
 
     def test_new_vs_baselined_vs_expired(self):
-        findings = [_finding(), _finding(code="REG001")]
+        findings = [_finding(), _finding(code="META001")]
         baseline = {
             _finding().fingerprint: 1,
             "MSG001:gone.py:fixed long ago": 1,
         }
         comparison = compare(findings, baseline)
-        assert [f.code for f in comparison.new] == ["REG001"]
+        assert [f.code for f in comparison.new] == ["META001"]
         assert [f.code for f in comparison.baselined] == ["DET001"]
         assert comparison.expired == ["MSG001:gone.py:fixed long ago"]
         assert not comparison.ok
@@ -831,7 +803,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "REG001", "MSG001", "META001", "PRB001"):
+        for code in ("DET001", "MSG001", "META001", "PRB001", "NODE001"):
             assert code in out
 
 
@@ -865,4 +837,4 @@ class TestSelfCheck:
         from repro.obs.registry import TRACE_EVENTS
 
         assert EVENT_TYPES == frozenset(TRACE_EVENTS)
-        assert all(description for description in TRACE_EVENTS.values())
+        assert all(description for description, _ in TRACE_EVENTS.values())

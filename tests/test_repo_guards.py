@@ -1,46 +1,8 @@
-"""Source guards for mechanisms that were replaced and may not grow back.
+"""Source guards: mechanisms that were replaced and may not grow back.
 
-CI's ``lint`` job runs this file; being tier-1 it also runs wherever the
-test suite does.  One guard per replaced mechanism: ``replication/`` and
-``core/`` ask the membership view and never the topology oracle, one
-counter counts topology changes, and the constraint phase of
-reconciliation exists once; the GMS holds no network and learns views
-from reachability reports, which inside ``membership/`` only the sim
-adapter reads off the topology (it is also the topology's one
-subscriber), and a process worker keeps no peer table beside its
-cluster's view; a package ``__init__`` re-exports through the one
-helper of ``repro._lazy``; no module runs an event loop — a process-backend worker serves each
-frame on its connection's own thread, with no executor hop, and starts
-only as a fork of its cluster's one template process; the threaded
-backend hands each message to its node's own mailbox, with no executor
-or future, and wakes its peers through pipes, not a queue or a lock; an interceptor chain is linked once, each interceptor calling its
-successor with no wrapper between hops; and the
-CCMgr reads its membership view once per notification, asking about
-staleness per entity only behind the provider's gate.  A scenario runs
-through one op driver on every backend, and its invariants are one
-registry: no hand-written scenario script, and no post-run check beside
-the registry.  Every backend runs on the simulator's one clock and
-scheduler.  An absorbed threat occurrence and a deferral update their
-rows by field, and a journal entry is a tuple.  A replicated write's
-values are built in C: a message and a journal entry are tuples, a
-transaction's liveness is a stored field, and a backup keeps the state it
-replaced instead of copying it.  A healthy op loads what it reads: the
-clock's time and the current transaction are stored fields, and an
-interned object reference hashes and compares by identity.  A replicated write propagates one way,
-in its own multicast round: no commit-time batch, and one route for a
-fault injector.  A setting with one value in use is a constant: every
-link fault is a fault injector's decision, an OCL constraint validates
-its compiled form, a dynamic negotiation handler decides outright,
-adaptive voting always adapts on one vote per node, and an object is
-reached by its reference, not by a bound name.  A lost call fails fast:
-no client retry, deadline or circuit breaker beside the degraded modes.
-The middleware adapts through tradeable constraints, threat negotiation
-and degraded-mode replication, with no runtime policy loop or per-op
-hook beside them.  That reconciliation's
-coordinator touches no other node's store, history or update records is
-replint's ``NODE001``, not a guard here.  The trace is the only
-instrument: no metrics registry and no counter beside an emit.  Every run record under
-``docs/runs/`` is linked from CHANGES.md.
+Tier-1 runs this file, and so does CI's ``lint`` job.  Each guard's name
+and docstring say what it holds; most read source lines through
+:func:`matches`.
 """
 
 import ast
@@ -51,16 +13,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 
-def matches(pattern: str, *packages: str) -> list[str]:
-    """``path:line: text`` for every source line under ``packages`` (files
-    or directories; all of ``src/repro`` when none is given) that matches
-    ``pattern``."""
+def matches(pattern: str, *packages: str, root: Path = SRC) -> list[str]:
+    """``path:line: text`` for every Python source line under ``packages``
+    (files, directories or globs relative to ``root``; all of ``root`` when
+    none is given) that matches ``pattern``."""
     regex = re.compile(pattern)
-    roots = [SRC / package for package in packages] or [SRC]
+    roots = []
+    for package in packages:
+        found = sorted(root.glob(package))
+        assert found, f"{package} names nothing under {root}"
+        roots += found
     return [
-        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
-        for root in roots
-        for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for start in roots or [root]
+        for path in ([start] if start.is_file() else sorted(start.rglob("*.py")))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if regex.search(line)
     ]
@@ -82,6 +48,68 @@ def test_the_trace_is_the_only_instrument():
     registry, no instrument beside the emit."""
     assert not (SRC / "obs" / "metrics.py").exists()
     assert matches(r"\bMETRICS\b|registry\.(counter|gauge|histogram)\(|self\._m_") == []
+
+
+def test_one_dispatch_path_and_one_repository_knob():
+    """The CCMgr keeps no per-strategy fork, and the repository no second
+    option."""
+    assert matches(r"dispatch is not None|caching_repository") == []
+
+
+def test_one_value_copy_helper():
+    """Every state or row copy goes through ``objects.values.copy_value``,
+    which deep-copies only what a shallow copy would leave shared."""
+    found = matches(r"copy\.deepcopy", "objects", "persistence")
+    assert len(found) == 1 and found[0].startswith("objects/values.py:"), found
+
+
+def test_per_call_derivations_are_made_once():
+    """Entity accessors are built with the class, with no per-access
+    ``__getattr__``; an Invocation's read-or-write facts are attributes set
+    in ``__init__``, not properties; the cost ledger is written by the one
+    charge function of ``sim/costs.py``; ``cluster.py`` imports
+    ``repro.net`` once, at module level."""
+    assert matches(r"def __getattr__", "objects/entity.py") == []
+    properties = [
+        node.name
+        for node in ast.walk(ast.parse((SRC / "objects" / "invocation.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "property" in [ast.unparse(decorator) for decorator in node.decorator_list]
+    ]
+    assert [name for name in properties if re.match(r"is_(write|getter|setter)", name)] == []
+    writers = matches(r"totals\[[^]]+\] *\+?=[^=]")
+    assert len(writers) == 1 and writers[0].startswith("sim/costs.py:"), writers
+    assert matches(r"ledger\.charge\(") == []
+    assert matches(r"^\s+from \.net import", "cluster.py") == []
+
+
+def test_one_workload_loop():
+    """A chaos run and the availability study are scenario data replayed by
+    ``check.runner.OpDriver``: no bespoke runner, private counter entity or
+    tally loop, and one place catches the errors that block an op."""
+    bespoke = r"ChaosRunner|ChaosRecord|_drive_workload|_chaos_constraint|_record_constraint"
+    assert matches(bespoke) == []
+    assert len(matches(r"except BLOCKING_ERRORS")) == 1
+
+
+def test_no_log_that_only_grows():
+    """The persistence journal is a count and a short tail handed out
+    without a copy, and a network keeps a delivered message only in the
+    recorder a checker attached (``Network.record_deliveries``)."""
+    assert matches(r"list\(self\._journal\)") == []
+    assert matches(r"_delivered: list|_delivered\.append\(|delivered_since|delivered_messages") == []
+
+
+def test_one_measurement_estate():
+    """Wall-clock numbers come from ``benchmarks/ledger``, the
+    dissertation's simulated-time figures from the nine scripts of
+    DESIGN.md §4, and anything else that is true is a test: no tenth
+    script, no root ``BENCH_*.json`` snapshot, no JSON writer or
+    quick-mode knob in a figure script."""
+    assert len(list((ROOT / "benchmarks").glob("bench_*.py"))) == 9
+    assert list(ROOT.glob("BENCH_*.json")) == []
+    writers = r"RESULTS_DIR|write_metrics|write_text|json\.dump|BENCH_(QUICK|PROFILE)"
+    assert matches(writers, "benchmarks/bench_*.py", "benchmarks/conftest.py", root=ROOT) == []
 
 
 def test_one_epoch_counter():
@@ -146,7 +174,19 @@ def test_no_event_loop_and_no_executor_hop_in_the_worker():
 
 
 def test_the_threaded_backend_hands_off_without_an_executor():
-    assert matches(r"ThreadPoolExecutor|concurrent\.futures", "transport/asyncio_backend.py") == []
+    """A send goes straight onto its destination's mailbox: no event loop
+    relays it and no thread pool's future carries it."""
+    relay = r"new_event_loop|call_soon_threadsafe|run_in_executor|ThreadPoolExecutor|concurrent\.futures"
+    assert matches(relay, "transport/asyncio_backend.py") == []
+
+
+def test_one_admission_path_for_every_network():
+    """Admission (reachability, injected link faults, latency charge, send
+    accounting) is ``net.network.Network._admit``: the threaded backend
+    keeps no copy of it, and the fault injector has that one caller."""
+    assert matches(r"on_send|_m_dropped|payload_size", "transport/asyncio_backend.py") == []
+    callers = matches(r"\.on_send\(")
+    assert len(callers) == 1 and callers[0].startswith("net/network.py:"), callers
 
 
 def test_the_threaded_backend_wakes_through_pipes_not_a_queue_or_a_lock():
@@ -476,6 +516,7 @@ def test_settings_with_one_value_in_use_are_constants():
     from repro.cluster import ClusterConfig, DedisysCluster
     from repro.core.negotiation import Negotiator
     from repro.core.ocl_constraints import OclConstraint
+    from repro.corpus import generate_corpus, generate_scenario, run_sweep
     from repro.net import GroupChannel, Network, SimNetwork
     from repro.objects import Container
     from repro.persistence import StateHistory, StateVersion, Table
@@ -508,8 +549,11 @@ def test_settings_with_one_value_in_use_are_constants():
         (SimTransport.make_channel, ("group",)),
         (AsyncioTransport.make_channel, ("group",)),
         (StateHistory.record, ("partition_epoch", "txid")),
+        (generate_scenario, ("obs",)),
+        (generate_corpus, ("obs",)),
+        (run_sweep, ("obs",)),
     ]
-    assert len(removed) == 22 and sum(len(names) for _, names in removed) == 27
+    assert len(removed) == 25 and sum(len(names) for _, names in removed) == 30
     for function, names in removed:
         assert not set(names) & set(inspect.signature(function).parameters), function
     assert {field.name for field in dataclasses.fields(StateVersion)} == {
@@ -521,7 +565,8 @@ def test_settings_with_one_value_in_use_are_constants():
 def test_every_link_fault_is_an_injector_decision():
     """A network rolls no loss of its own: a lost message is a drop the
     installed fault injector decided, on every substrate."""
-    assert matches(r"loss_probability|_rng\b|import random", "net", "transport") == []
+    assert matches(r"_rng\b|import random", "net", "transport") == []
+    assert matches(r"loss_probability") == []
 
 
 def test_an_ocl_constraint_validates_its_compiled_form():
