@@ -20,6 +20,7 @@ accepted threats for the reconciliation phase.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Protocol
 
 from ..net import NodeId, UnreachableError
@@ -101,6 +102,9 @@ class _Environment:
         self.degraded = degraded
         self.stale_gate = stale_gate
 
+
+#: An accessed entity's reference, read in C.
+_ref_of = attrgetter("ref")
 
 _SOFT_PENDING_KEY = "ccm_soft_pending"
 _ASYNC_PENDING_KEY = "ccm_async_pending"
@@ -341,7 +345,10 @@ class ConstraintConsistencyManager:
             accessed.append(context_entity)
         stale: list[Entity] = []
         if stale_gate:
-            stale = [entity for entity in accessed if self.staleness.is_possibly_stale(entity)]
+            # A loop, not a comprehension: Python 3.11 enters a frame for one.
+            for entity in accessed:
+                if self.staleness.is_possibly_stale(entity):
+                    stale.append(entity)
         if category is not CheckCategory.NCC and stale:
             # LCC: validation not fully reliable; degrade the result —
             # except for intra-object constraints: replica reconciliation
@@ -405,7 +412,7 @@ class ConstraintConsistencyManager:
             constraint_name=constraint.name,
             degree=outcome.degree,
             context_ref=outcome.context_ref,
-            affected_refs=tuple(entity.ref for entity in outcome.accessed),
+            affected_refs=tuple(map(_ref_of, outcome.accessed)),
             timestamp=self.node.services.clock.now,
             origin_node=self.node.node_id,
         )

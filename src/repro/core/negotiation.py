@@ -18,8 +18,7 @@ the threat for re-evaluation during reconciliation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from ..tx import Transaction
 from .model import Constraint, ConstraintValidationContext, SatisfactionDegree, ValidationOutcome
@@ -109,14 +108,21 @@ def register_negotiation_handler(tx: Transaction, handler: NegotiationHandler) -
     tx.context[NEGOTIATION_HANDLER_KEY] = handler
 
 
-@dataclass
-class NegotiationResult:
-    decision: NegotiationDecision
-    mechanism: str  # "dynamic", "static", or "default"
+class NegotiationResult(NamedTuple):
+    """A negotiation's decision, the mechanism that made it (``"dynamic"``,
+    ``"static"`` or ``"default"``), and whether the decision accepts the
+    threat.  A tuple, which :meth:`Negotiator.negotiate` builds in C, so
+    ``accepted`` is a stored field, not a property."""
 
-    @property
-    def accepted(self) -> bool:
-        return self.decision is NegotiationDecision.ACCEPT
+    decision: NegotiationDecision
+    mechanism: str
+    accepted: bool
+
+
+# ``tuple.__new__`` directly: a NamedTuple's own ``__new__`` is a Python
+# function.
+_result = tuple.__new__
+_ACCEPT = NegotiationDecision.ACCEPT
 
 
 class Negotiator:
@@ -138,16 +144,16 @@ class Negotiator:
             # §3.2.1: the dynamic handler takes priority outright; the
             # static declarations do not bound what it may accept.
             decision = handler.negotiate(constraint, threat, ctx)
-            return NegotiationResult(decision, "dynamic")
+            return _result(NegotiationResult, (decision, "dynamic", decision is _ACCEPT))
         static = self._static_decision(constraint, threat, outcome)
         if static is not None:
-            return NegotiationResult(static, "static")
+            return _result(NegotiationResult, (static, "static", static is _ACCEPT))
         decision = (
             NegotiationDecision.ACCEPT
-            if threat.degree >= DEFAULT_MIN_DEGREE
+            if threat.degree._value_ >= DEFAULT_MIN_DEGREE._value_
             else NegotiationDecision.REJECT
         )
-        return NegotiationResult(decision, "default")
+        return _result(NegotiationResult, (decision, "default", decision is _ACCEPT))
 
     def _static_decision(
         self,
@@ -167,7 +173,7 @@ class Negotiator:
         )
         if not has_static_config:
             return None
-        if threat.degree < constraint.min_satisfaction_degree:
+        if threat.degree._value_ < constraint.min_satisfaction_degree._value_:
             return NegotiationDecision.REJECT
         for criterion in constraint.freshness_criteria:
             for entity in outcome.stale:

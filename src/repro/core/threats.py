@@ -43,9 +43,13 @@ def _catalog_order(threat: ConsistencyThreat) -> tuple[tuple[str, str], int]:
     return (_identity_order(threat.identity), threat.threat_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconciliationInstructions:
-    """Application-provided guidance stored with a threat (§3.2.2)."""
+    """Application-provided guidance stored with a threat (§3.2.2).
+
+    A value: a handler attaches new instructions to a threat by assigning
+    ``threat.instructions``, so every threat can start out sharing
+    :data:`NO_INSTRUCTIONS`."""
 
     # Whether rollback/undo to intermediate states may be performed during
     # reconciliation (enables the history-based path of §3.3).
@@ -55,36 +59,69 @@ class ReconciliationInstructions:
     notify_on_replica_conflict: bool = False
 
 
-@dataclass
-class ConsistencyThreat:
-    """One accepted (or pending) consistency threat."""
+#: The instructions of a threat no handler gave any.
+NO_INSTRUCTIONS = ReconciliationInstructions()
 
-    _ids = itertools.count(1)
+# ``__next__`` of a C counter: numbering a threat runs no Python frame.
+_next_threat_id = itertools.count(1).__next__
+
+
+@dataclass(init=False)
+class ConsistencyThreat:
+    """One accepted (or pending) consistency threat.
+
+    Mutable, as negotiation handlers attach application data and
+    instructions to it and a store moves ``occurrences``, ``degree`` and
+    ``deferred``.  Built by one Python frame: the defaults are a literal,
+    a shared frozen value and a C counter, and :attr:`identity` is made
+    once, here, from the two fields that define it, which nothing changes
+    afterwards.
+    """
 
     constraint_name: str
     degree: SatisfactionDegree
     context_ref: ObjectRef | None = None
     affected_refs: tuple[ObjectRef, ...] = ()
-    application_data: dict[str, Any] = field(default_factory=dict)
-    instructions: ReconciliationInstructions = field(
-        default_factory=ReconciliationInstructions
-    )
+    application_data: dict[str, Any]
+    instructions: ReconciliationInstructions = NO_INSTRUCTIONS
     timestamp: float = 0.0
     origin_node: str = ""
     # repr=False: threat_id is a process-global counter, and payload sizes
     # are estimated from ``repr`` — a run-dependent id width would break
     # same-seed trace equality (see repro.obs.tracing).
-    threat_id: int = field(
-        default_factory=lambda: next(ConsistencyThreat._ids), repr=False
-    )
+    threat_id: int = field(repr=False)
     occurrences: int = 1
     deferred: bool = False
+    #: Two threats are identical iff they refer to the same constraint
+    #: and — if applicable — the same context object (§3.2.2).
+    identity: ThreatIdentity = field(init=False, repr=False, compare=False)
 
-    @property
-    def identity(self) -> ThreatIdentity:
-        """Two threats are identical iff they refer to the same constraint
-        and — if applicable — the same context object (§3.2.2)."""
-        return (self.constraint_name, self.context_ref)
+    def __init__(
+        self,
+        constraint_name: str,
+        degree: SatisfactionDegree,
+        context_ref: ObjectRef | None = None,
+        affected_refs: tuple[ObjectRef, ...] = (),
+        application_data: dict[str, Any] | None = None,
+        instructions: ReconciliationInstructions = NO_INSTRUCTIONS,
+        timestamp: float = 0.0,
+        origin_node: str = "",
+        threat_id: int | None = None,
+        occurrences: int = 1,
+        deferred: bool = False,
+    ) -> None:
+        self.constraint_name = constraint_name
+        self.degree = degree
+        self.context_ref = context_ref
+        self.affected_refs = affected_refs
+        self.application_data = {} if application_data is None else application_data
+        self.instructions = instructions
+        self.timestamp = timestamp
+        self.origin_node = origin_node
+        self.threat_id = _next_threat_id() if threat_id is None else threat_id
+        self.occurrences = occurrences
+        self.deferred = deferred
+        self.identity = (constraint_name, context_ref)
 
     def snapshot(self) -> dict[str, Any]:
         """Serializable row for the persistence layer; the fields that
@@ -169,7 +206,8 @@ class ThreatStore:
                 self.engine.charge("threat_dedup_check")
                 head = existing[0]
                 head.occurrences += 1
-                if threat.degree < head.degree:
+                # The lattice order of the two degrees, compared in C.
+                if threat.degree._value_ < head.degree._value_:
                     head.degree = threat.degree
                 # Rewrite what moved so the persisted row cannot go stale.
                 self._table.update(head.threat_id, head.moved_fields())

@@ -2,7 +2,8 @@
 
 Entities hand out snapshots of their attributes and tables store and
 return rows *by value*: neither side may see the other's later mutations.
-:func:`copy_value` is the one place that copy is made.
+:func:`copy_value` is the one place that copy is made; a dict built in C
+from values whose type is one of :data:`LEAVES` needs none.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ from typing import Any
 
 from .refs import ObjectRef
 
-# Exact types (no subclasses) whose instances cannot change, so a copy may
-# share them with the original.
-_LEAVES = frozenset(
+#: Exact types (no subclasses) whose instances cannot change, so a copy may
+#: share them with the original.
+LEAVES = frozenset(
     {type(None), bool, int, float, complex, str, bytes, ObjectRef}
 )
 
 
 def _immutable(value: Any) -> bool:
     kind = type(value)
-    return kind in _LEAVES or (
+    return kind in LEAVES or (
         (kind is tuple or kind is frozenset) and all(map(_immutable, value))
     )
 
@@ -48,7 +49,7 @@ def copy_value(value: Any) -> Any:
     if type(value) is dict:
         # Testing the leaf types inline spares a call per key and per item
         # on the six copies a replicated write makes.
-        leaves = _LEAVES
+        leaves = LEAVES
         nested: list[tuple[Any, Any]] = []
         for key, item in value.items():
             if type(item) not in leaves and not _immutable(item):

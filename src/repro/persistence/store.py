@@ -20,7 +20,7 @@ from typing import Any, Iterator, Mapping, NamedTuple
 # The one import that reaches *up* a layer: the helper must know the frozen
 # ``ObjectRef``.  ``objects.values`` imports nothing but ``objects.refs``, so
 # it is complete by the time ``objects.node`` pulls this module in.
-from ..objects.values import copy_value
+from ..objects.values import LEAVES, copy_value
 from ..sim import CostLedger, CostModel, SimClock, charger
 
 
@@ -155,11 +155,17 @@ class Table:
     def update(self, key: Any, changes: Mapping[str, Any]) -> None:
         """Replace the dict row at ``key`` by a copy with ``changes``
         applied (SQL ``UPDATE … SET``), charging one ``db_write`` and
-        journaling the ``put`` that writing the whole new row would."""
+        journaling the ``put`` that writing the whole new row would.
+
+        Changes whose values are all leaves (an absorbed threat's degree
+        name, count and flag) are merged as they are: under ``str`` field
+        names the merged dict is already the copy."""
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
         self.engine.charge("db_write")
-        stored = self._rows[key] = {**self._rows[key], **copy_value(changes)}
+        if not LEAVES.issuperset(map(type, changes.values())):
+            changes = copy_value(changes)
+        stored = self._rows[key] = {**self._rows[key], **changes}
         self.engine._journal.record(self.name, "put", key, stored)
 
     def restore(self, key: Any, value: Any) -> None:
@@ -231,12 +237,11 @@ class StateHistory:
         self._history: dict[Any, list[StateVersion]] = {}
 
     def record(self, oid: Any, version: int, state: dict[str, Any]) -> StateVersion:
+        """Append ``state`` as ``oid``'s ``version``.  The history keeps the
+        dict it is handed: a snapshot nobody changes in place afterwards,
+        as the one ``Entity.state()`` returns for an update's propagation."""
         self.engine.charge("state_history_write")
-        entry = StateVersion(
-            version=version,
-            state=copy_value(state),
-            timestamp=self.engine.clock.now,
-        )
+        entry = StateVersion(version=version, state=state, timestamp=self.engine.clock.now)
         self._history.setdefault(oid, []).append(entry)
         return entry
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..membership import GroupMembershipService
 from ..net import GroupChannel, Message, NodeId, SimNetwork, UnreachableError
@@ -44,9 +45,11 @@ class ReplicaInfo:
     replica_nodes: tuple[NodeId, ...]
 
 
-@dataclass
-class UpdateRecord:
-    """One update applied somewhere during degraded mode."""
+class UpdateRecord(NamedTuple):
+    """One update applied somewhere during degraded mode.
+
+    A tuple, so the manager builds one in C; a replica consistency
+    handler may build its choice by keyword."""
 
     ref: ObjectRef
     kind: str  # "state", "create", or "delete"
@@ -57,6 +60,17 @@ class UpdateRecord:
     timestamp: float
     epoch: int
     record_id: int = 0  # numbered by the manager that keeps it
+
+
+# ``tuple.__new__`` directly: a NamedTuple's own ``__new__`` is a Python
+# function.
+_record = tuple.__new__
+
+# A record's sort keys, read in C: a tuple's field costs more to read from
+# Python than an instance attribute, and reconciliation sorts every record.
+_by_id = attrgetter("record_id")
+_by_replay_order = attrgetter("epoch", "timestamp", "record_id")
+_by_recency = attrgetter("timestamp", "version", "record_id")
 
 
 @dataclass
@@ -102,6 +116,9 @@ class ReplicationManager:
         self._unclosed: dict[NodeId, frozenset[int]] = {}
         # Objects whose write-write conflict a surviving threat may ask about.
         self._conflicted_refs: set[ObjectRef] = set()
+        # The protocol's staleness answers by (designated primary, replica
+        # nodes, partition); threads filling one entry at once agree.
+        self._stale: dict[tuple[NodeId, tuple[NodeId, ...], frozenset[NodeId]], bool] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -244,11 +261,14 @@ class ReplicationManager:
                 degraded=self._is_degraded(partition),
             )
         if self._is_degraded(partition):
-            entry = self.nodes[primary].state_history.record(ref, entity.version, state)
-            self._record_update(ref, "state", primary, entity.version, state, partition)
-            tx = self.nodes[primary].services.txmgr.current
+            # The history, the update record and the backups share the one
+            # snapshot ``state()`` made: none of them changes it in place.
+            node = self.nodes[primary]
+            entry = node.state_history.record(ref, entity.version, state)
+            record = self._record_update(ref, "state", primary, entity.version, state, partition)
+            tx = node.services.txmgr.current
             if tx is not None and tx.is_active:
-                tx.undo.setdefault(self, []).append((entry, self._update_records[primary][-1]))
+                tx.undo.setdefault(self, []).append((entry, record))
 
     def roll_back(self, noted: list[tuple[Any, UpdateRecord]]) -> None:
         """Drop the history entries and update records that a rolled-back
@@ -271,15 +291,18 @@ class ReplicationManager:
         return self._is_degraded(self.gms.view_of(node).members)
 
     def is_possibly_stale(self, entity: Entity) -> bool:
-        ref = entity.ref
-        info = self._replicas.get(ref)
+        """The protocol's answer for the entity's placement and its node's
+        partition, asked once per distinct (designated primary, replica
+        nodes, partition): it is a pure function of the three."""
+        info = self._replicas.get(entity.ref)
         if info is None or entity.container is None:
             return False
-        node = entity.container.node.node_id
-        partition = self.gms.view_of(node).members
-        return self.protocol.is_possibly_stale(
-            info.designated_primary, info.replica_nodes, partition
-        )
+        partition = self.gms.view_of(entity.container.node.node_id).members
+        key = (info.designated_primary, info.replica_nodes, partition)
+        stale = self._stale.get(key)
+        if stale is None:
+            stale = self._stale[key] = self.protocol.is_possibly_stale(*key)
+        return stale
 
     def had_replica_conflict(self, ref: ObjectRef) -> bool:
         return ref in self._conflicted_refs
@@ -312,7 +335,7 @@ class ReplicationManager:
         unclosed = self._unclosed.get(coordinator, frozenset())
         self._unclosed[coordinator] = unclosed | {r.record_id for r in gathered}
         by_ref: dict[ObjectRef, list[UpdateRecord]] = {}
-        for record in sorted(gathered, key=lambda r: r.record_id):
+        for record in sorted(gathered, key=_by_id):
             if record.record_id not in unclosed:
                 by_ref.setdefault(record.ref, []).append(record)
         conflicts: list[ReplicaConflict] = []
@@ -373,7 +396,7 @@ class ReplicationManager:
         # one epoch and {2,3} during the next would bridge two genuinely
         # independent lines of updates.
         chains: list[frozenset[NodeId]] = []  # current partition key per chain
-        ordered = sorted(records, key=lambda r: (r.epoch, r.timestamp, r.record_id))
+        ordered = sorted(records, key=_by_replay_order)
         for record in ordered:
             for index, current_key in enumerate(chains):
                 if record.node in current_key:
@@ -381,7 +404,7 @@ class ReplicationManager:
                     break
             else:
                 chains.append(record.partition_key)
-        latest = max(records, key=lambda r: (r.timestamp, r.version, r.record_id))
+        latest = max(records, key=_by_recency)
         conflict: ReplicaConflict | None = None
         chosen = latest
         if len(chains) > 1:
@@ -434,24 +457,20 @@ class ReplicationManager:
         version: int,
         state: dict[str, Any] | None,
         partition: frozenset[NodeId],
-    ) -> None:
-        self._update_records[node].append(
-            UpdateRecord(
-                ref=ref,
-                kind=kind,
-                partition_key=partition,
-                node=node,
-                version=version,
-                state=state,
-                timestamp=self.nodes[node].services.clock.now,
-                epoch=self.gms.epoch,
-                record_id=next(self._record_ids),
-            )
+    ) -> UpdateRecord:
+        record = _record(
+            UpdateRecord,
+            (
+                ref, kind, partition, node, version, state,
+                self.nodes[node].services.clock.now, self.gms.epoch, next(self._record_ids),
+            ),
         )
+        self._update_records[node].append(record)
+        return record
 
     def pending_update_records(self) -> list[UpdateRecord]:
         records = (r for node_records in self._update_records.values() for r in node_records)
-        return sorted(records, key=lambda r: r.record_id)
+        return sorted(records, key=_by_id)
 
     def _note_promotion(self, temporary: NodeId) -> None:
         """Protocol callback: a temporary primary replaced the designated

@@ -21,9 +21,12 @@ views are possibly stale.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..net import NodeId
+
+#: A temporary primary not yet chosen (``None`` is a valid choice: nobody).
+_UNCHOSEN = object()
 
 
 class ReplicationProtocol:
@@ -36,10 +39,16 @@ class ReplicationProtocol:
     # replication manager; ``None`` means nobody is watching.
     promotion_hook: Callable[[NodeId], None] | None = None
 
+    def __init__(self) -> None:
+        # (replica nodes, partition) -> the temporary primary, a pure
+        # function of the two; a threaded backend's concurrent callers may
+        # both fill an entry, with the same value.
+        self._temporaries: dict[tuple[tuple[NodeId, ...], frozenset[NodeId]], NodeId | None] = {}
+
     def write_node(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> NodeId | None:
         """The node that must execute a write in this partition, or
@@ -49,23 +58,28 @@ class ReplicationProtocol:
     def is_possibly_stale(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> bool:
         """Whether local views in ``partition`` may have missed updates."""
         raise NotImplementedError
 
     def _temporary_primary(
-        self, replica_nodes: Sequence[NodeId], partition: frozenset[NodeId]
+        self, replica_nodes: tuple[NodeId, ...], partition: frozenset[NodeId]
     ) -> NodeId | None:
         """Deterministic choice of a temporary primary: the smallest
-        replica node id inside the partition."""
-        candidates = sorted(node for node in replica_nodes if node in partition)
-        if not candidates:
-            return None
-        if self.promotion_hook is not None:
-            self.promotion_hook(candidates[0])
-        return candidates[0]
+        replica node id inside the partition, chosen once per (replica
+        nodes, partition) and announced to the promotion hook on every
+        call."""
+        key = (replica_nodes, partition)
+        chosen = self._temporaries.get(key, _UNCHOSEN)
+        if chosen is _UNCHOSEN:
+            chosen = self._temporaries[key] = min(
+                (node for node in replica_nodes if node in partition), default=None
+            )
+        if chosen is not None and self.promotion_hook is not None:
+            self.promotion_hook(chosen)
+        return chosen
 
 
 class PrimaryPerPartitionProtocol(ReplicationProtocol):
@@ -76,7 +90,7 @@ class PrimaryPerPartitionProtocol(ReplicationProtocol):
     def write_node(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> NodeId | None:
         if designated_primary in partition:
@@ -86,7 +100,7 @@ class PrimaryPerPartitionProtocol(ReplicationProtocol):
     def is_possibly_stale(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> bool:
         # Under P4 objects are possibly stale in *every* partition (§3.1)
@@ -104,6 +118,7 @@ class PrimaryPartitionProtocol(ReplicationProtocol):
     def __init__(self, total_nodes: int) -> None:
         if total_nodes < 1:
             raise ValueError("total_nodes must be at least 1")
+        super().__init__()
         self.total_nodes = total_nodes
 
     def _is_primary_partition(self, partition: frozenset[NodeId]) -> bool:
@@ -112,7 +127,7 @@ class PrimaryPartitionProtocol(ReplicationProtocol):
     def write_node(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> NodeId | None:
         if not self._is_primary_partition(partition):
@@ -124,7 +139,7 @@ class PrimaryPartitionProtocol(ReplicationProtocol):
     def is_possibly_stale(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> bool:
         # Each object accessed in a non-primary partition is possibly
@@ -151,7 +166,7 @@ class AdaptiveVotingProtocol(ReplicationProtocol):
     def write_node(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> NodeId | None:
         if designated_primary in partition:
@@ -161,7 +176,7 @@ class AdaptiveVotingProtocol(ReplicationProtocol):
     def is_possibly_stale(
         self,
         designated_primary: NodeId,
-        replica_nodes: Sequence[NodeId],
+        replica_nodes: tuple[NodeId, ...],
         partition: frozenset[NodeId],
     ) -> bool:
         present = sum(node in partition for node in replica_nodes)

@@ -5,9 +5,10 @@ copies go through ``copy_value`` and never reach ``copy.deepcopy`` for the
 flat states the flight app has; partition components are searched once per
 topology, not once per call; object references are made with their entities,
 not per access.  A healthy read, a forwarded write, a degraded forwarded
-write and an absorbed threat occurrence run a pinned number of the
-package's Python frames, and none of ``enum``'s; a read, a forwarded write
-and a refused write make a pinned sequence of charges, bit for bit on the
+write, an absorbed threat occurrence and one more absorbed threat on a
+degraded write run a pinned number of the package's Python frames, and
+none of ``enum``'s; a read, a forwarded write, a refused write and three
+degraded writes make a pinned sequence of charges, bit for bit on the
 clock.  On the threaded backend
 a forwarded write wakes each peer once per message and builds no lock.
 """
@@ -29,6 +30,7 @@ from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.core import (
     AcceptAllHandler,
     ConsistencyThreat,
+    ConstraintPriority,
     ConstraintType,
     ConstraintViolated,
     PredicateConstraint,
@@ -434,13 +436,15 @@ def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
 
 def test_the_python_frames_of_one_absorbed_occurrence_are_pinned():
     """Absorbing an identical threat enters exactly these many of the
-    package's frames and no ``enum`` frame: the degree comparison and the
-    row's degree name read the member's fields, not its properties."""
+    package's frames and no ``enum`` frame: ``record``, its two charges,
+    the moved fields, the row update and its journal entry.  The identity
+    is a stored field, the degrees compare by value in C, and a row
+    update of leaves copies nothing beyond the merged dict."""
     store = ThreatStore(PersistenceEngine(SimClock()))
     ref = ObjectRef("Flight", "F1")
     store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_SATISFIED, ref))
     occurrence = ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_VIOLATED, ref)
-    assert _frames(lambda: store.record(occurrence)) == (9, 0)
+    assert _frames(lambda: store.record(occurrence)) == (6, 0)
 
 
 def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
@@ -481,7 +485,7 @@ def test_the_modelled_cost_of_one_whole_degraded_write_is_pinned(counted):
 
 def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     """The degraded forwarded write of the charge pin above, counted in
-    the package's Python frames; no ``enum`` frame either.  Three of them
+    the package's Python frames; no ``enum`` frame either.  Two of them
     note the threat store's image in the transaction's undo map."""
     cluster, ref, copies, deep, searches = counted
     cluster.partition({"n1", "n2"}, {"n3"})
@@ -489,7 +493,163 @@ def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
     assert _frames(
         lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
-    ) == (147, 0)
+    ) == (134, 0)
+
+
+def _bystanders(cluster, first, count):
+    """Register ``count`` always-true invariants on ``Flight.sell_tickets``
+    whose context object is the flight, as the ledger's corpus bystanders
+    are: tradeable, statically acceptable down to ``UNCHECKABLE``."""
+    for index in range(first, first + count):
+        cluster.register_constraint(
+            ConstraintRegistration(
+                PredicateConstraint(
+                    f"bystander-{index}",
+                    lambda ctx: True,
+                    priority=ConstraintPriority.RELAXABLE,
+                    min_satisfaction_degree=SatisfactionDegree.UNCHECKABLE,
+                    context_class="Flight",
+                ),
+                (AffectedMethod("Flight", "sell_tickets"),),
+            )
+        )
+
+
+def test_the_charge_sequence_of_three_degraded_writes_is_pinned_bit_for_bit(counted):
+    """Inside the majority partition, a forwarded write that stores a new
+    threat (one ``threat-replicate`` round), one whose occurrence the
+    stored threat absorbs, and an absorbed write with four bystander
+    threats beside the ticket constraint's make exactly these charges in
+    exactly this order, bit for bit on the clock."""
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1", "n2"}, {"n3"})
+    accept = AcceptAllHandler()
+
+    def write():
+        cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
+
+    stored = _charge_sequence(cluster, write)
+    assert stored == [
+        ("invocation_base", "0x1.274751ce28edbp-2"),
+        ("interceptor_hop", "0x1.277bbf93ff263p-2"),
+        ("network_latency", "0x1.27ca643cc07b0p-2"),
+        ("interceptor_hop", "0x1.27fed20296b38p-2"),
+        ("adapt_monitor", "0x1.2a25529fe0050p-2"),
+        ("ccm_notification", "0x1.2a59c065b63d8p-2"),
+        ("repository_lookup_cached", "0x1.2a59db3da8d84p-2"),
+        ("repository_lookup_cached", "0x1.2a59f6159b730p-2"),
+        ("db_read", "0x1.2ce9523e91359p-2"),
+        ("db_write", "0x1.30302e9bf4bdfp-2"),
+        ("ccm_notification", "0x1.30649c61caf67p-2"),
+        ("repository_lookup_cached", "0x1.3064b739bd913p-2"),
+        ("constraint_validate", "0x1.3071d2ab331f5p-2"),
+        ("threat_negotiate", "0x1.38a2f994abf45p-2"),
+        ("threat_persist", "0x1.66b77475f3a26p-2"),  # the primary n1 stores it
+        ("db_write", "0x1.69fe50d3572acp-2"),
+        ("multicast", "0x1.7c387a9ad0d17p-2"),  # threat-replicate to n2
+        ("threat_persist", "0x1.aa4cf57c187f8p-2"),
+        ("db_write", "0x1.ad93d1d97c07ep-2"),
+        ("repository_lookup_cached", "0x1.ad93ecb16ea2ap-2"),
+        ("repository_lookup_cached", "0x1.ad940789613d6p-2"),
+        ("replica_detail_write", "0x1.b2b2bfdb4cc28p-2"),
+        ("multicast", "0x1.c4ece9a2c6693p-2"),
+        ("tx_remote_association", "0x1.c6277c45cbbc5p-2"),
+        ("db_write", "0x1.c96e58a32f44bp-2"),
+        ("state_history_write", "0x1.cadd590c0ad06p-2"),
+    ]
+    absorbed = _charge_sequence(cluster, write)
+    assert absorbed == [
+        ("invocation_base", "0x1.cef5ec80c73aep-2"),
+        ("interceptor_hop", "0x1.cf2a5a469d736p-2"),
+        ("network_latency", "0x1.cf78feef5ec83p-2"),
+        ("interceptor_hop", "0x1.cfad6cb53500bp-2"),
+        ("adapt_monitor", "0x1.d1d3ed527e523p-2"),
+        ("ccm_notification", "0x1.d2085b18548abp-2"),
+        ("repository_lookup_cached", "0x1.d20875f047257p-2"),
+        ("repository_lookup_cached", "0x1.d20890c839c03p-2"),
+        ("db_read", "0x1.d497ecf12f82cp-2"),
+        ("db_write", "0x1.d7dec94e930b2p-2"),
+        ("ccm_notification", "0x1.d81337146943ap-2"),
+        ("repository_lookup_cached", "0x1.d81351ec5bde6p-2"),
+        ("constraint_validate", "0x1.d8206d5dd16c8p-2"),
+        ("threat_negotiate", "0x1.e05194474a418p-2"),
+        ("threat_dedup_check", "0x1.e18c26ea4f94ap-2"),  # absorbed: no round
+        ("db_write", "0x1.e4d30347b31d0p-2"),
+        ("repository_lookup_cached", "0x1.e4d31e1fa5b7cp-2"),
+        ("repository_lookup_cached", "0x1.e4d338f798528p-2"),
+        ("replica_detail_write", "0x1.e9f1f14983d7ap-2"),
+        ("multicast", "0x1.fc2c1b10fd7e5p-2"),
+        ("tx_remote_association", "0x1.fd66adb402d17p-2"),
+        ("db_write", "0x1.0056c508b32cfp-1"),
+        ("state_history_write", "0x1.010e453d20f2cp-1"),
+    ]
+    _bystanders(cluster, 0, 4)
+    write()  # stores the four bystander threats
+    bystanders = _charge_sequence(cluster, write)
+    assert bystanders == [
+        ("invocation_base", "0x1.0c9fb6134ce3ep+0"),
+        ("interceptor_hop", "0x1.0cacd184c2720p+0"),
+        ("network_latency", "0x1.0cc07aaef2c73p+0"),
+        ("interceptor_hop", "0x1.0ccd962068555p+0"),
+        ("adapt_monitor", "0x1.0d573647baa9bp+0"),
+        ("ccm_notification", "0x1.0d6451b93037dp+0"),
+        ("repository_lookup_cached", "0x1.0d64586f2cde8p+0"),
+        ("repository_lookup_cached", "0x1.0d645f2529853p+0"),
+        ("db_read", "0x1.0e08362f66f5dp+0"),
+        ("db_write", "0x1.0ed9ed46bfd7fp+0"),
+        ("ccm_notification", "0x1.0ee708b835661p+0"),
+        ("repository_lookup_cached", "0x1.0ee70f6e320ccp+0"),
+        ("constraint_validate", "0x1.0eea564a8f705p+0"),
+        ("threat_negotiate", "0x1.10f6a004eda59p+0"),
+        ("threat_dedup_check", "0x1.114544adaefa6p+0"),
+        ("db_write", "0x1.1216fbc507dc8p+0"),
+        ("constraint_validate", "0x1.121a42a165401p+0"),  # bystander-0
+        ("threat_negotiate", "0x1.14268c5bc3755p+0"),
+        ("threat_dedup_check", "0x1.1475310484ca2p+0"),
+        ("db_write", "0x1.1546e81bddac4p+0"),
+        ("constraint_validate", "0x1.154a2ef83b0fdp+0"),
+        ("threat_negotiate", "0x1.175678b299451p+0"),
+        ("threat_dedup_check", "0x1.17a51d5b5a99ep+0"),
+        ("db_write", "0x1.1876d472b37c0p+0"),
+        ("constraint_validate", "0x1.187a1b4f10df9p+0"),
+        ("threat_negotiate", "0x1.1a8665096f14dp+0"),
+        ("threat_dedup_check", "0x1.1ad509b23069ap+0"),
+        ("db_write", "0x1.1ba6c0c9894bcp+0"),
+        ("constraint_validate", "0x1.1baa07a5e6af5p+0"),
+        ("threat_negotiate", "0x1.1db6516044e49p+0"),
+        ("threat_dedup_check", "0x1.1e04f60906396p+0"),
+        ("db_write", "0x1.1ed6ad205f1b8p+0"),
+        ("repository_lookup_cached", "0x1.1ed6b3d65bc23p+0"),
+        ("repository_lookup_cached", "0x1.1ed6ba8c5868ep+0"),
+        ("replica_detail_write", "0x1.201e68a0d34a2p+0"),
+        ("multicast", "0x1.24acf312b1b3dp+0"),
+        ("tx_remote_association", "0x1.24fb97bb7308ap+0"),
+        ("db_write", "0x1.25cd4ed2cbeacp+0"),
+        ("state_history_write", "0x1.26290eed02cdbp+0"),
+    ]
+    assert [threat.occurrences for threat in cluster.threat_stores["n1"].pending()] == [
+        4, 2, 2, 2, 2
+    ]
+
+
+def test_the_python_frames_of_one_more_absorbed_threat_are_pinned(counted):
+    """One more bystander threat on an absorbed degraded write enters
+    exactly this many more of the package's frames: validation, staleness,
+    negotiation, the undo note and the absorbing row update, per threat."""
+    cluster, ref, copies, deep, searches = counted
+    cluster.partition({"n1", "n2"}, {"n3"})
+    accept = AcceptAllHandler()
+
+    def write():
+        cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
+
+    frames = []
+    for first in range(3):
+        _bystanders(cluster, first, 1)
+        write()  # stores the new bystander's threat
+        frames.append(_frames(write))
+    per_threat = {(after[0] - before[0], after[1]) for before, after in zip(frames, frames[1:])}
+    assert per_threat == {(27, 0)}
 
 
 def test_the_python_frames_of_one_whole_op_are_pinned(counted):

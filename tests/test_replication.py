@@ -183,6 +183,21 @@ class TestReplicationManager:
         assert history_entries(cluster.nodes["a"].state_history) == 1
         assert len(cluster.replication.pending_update_records()) == 1
 
+    def test_a_degraded_write_shares_one_snapshot_that_later_writes_leave_alone(self, cluster):
+        """The history entry, the update record and the backups' payload
+        hold the one ``state()`` copy of the write; the next writes to the
+        entity, here and on the backup, change none of it."""
+        ref = cluster.create_entity("a", "Counter", "c1")
+        cluster.partition({"a", "b"}, {"c"})
+        cluster.invoke("a", ref, "set_value", 7)
+        (entry,) = cluster.nodes["a"].state_history.versions_of(ref)
+        (record,) = cluster.replication.pending_update_records()
+        assert entry.state is record.state
+        cluster.invoke("a", ref, "increment")
+        cluster.invoke("a", ref, "set_label", "later")
+        assert cluster.entity_on("b", ref).get_value() == 8
+        assert entry.state == record.state == {"value": 7, "label": ""}
+
     def test_healthy_writes_record_no_history(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1")
         cluster.invoke("a", ref, "set_value", 7)

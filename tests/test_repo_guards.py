@@ -646,3 +646,146 @@ def test_every_run_record_is_linked_from_changes():
     changes = (ROOT / "CHANGES.md").read_text()
     assert records
     assert [name for name in records if f"docs/runs/{name}" not in changes] == []
+
+
+def _method(module: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    (owner,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    (found,) = [node for node in owner.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+def _calls(function: ast.AST) -> list[str]:
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_a_threat_is_built_in_one_frame_with_one_identity():
+    """A threat's defaults are a literal, a shared frozen value and a C
+    counter (no default factory, no lambda), and its identity is a field
+    made once, not a property built on every read."""
+    import dataclasses
+
+    from repro.core import ConsistencyThreat, ReconciliationInstructions
+
+    assert matches(r"lambda|default_factory=ReconciliationInstructions", "core/threats.py") == []
+    assert "__init__" in vars(ConsistencyThreat)
+    assert not isinstance(vars(ConsistencyThreat).get("identity"), property)
+    assert ReconciliationInstructions.__dataclass_params__.frozen
+    (identity,) = [
+        field for field in dataclasses.fields(ConsistencyThreat) if field.name == "identity"
+    ]
+    assert not identity.init and not identity.repr and not identity.compare
+
+
+def test_a_negotiation_result_is_a_tuple_built_in_c():
+    """``accepted`` is a stored field of a tuple, not a dataclass
+    property, and ``negotiate`` builds each result with ``tuple.__new__``."""
+    import dataclasses
+
+    from repro.core import NegotiationResult
+
+    assert not dataclasses.is_dataclass(NegotiationResult)
+    assert issubclass(NegotiationResult, tuple) and "accepted" in NegotiationResult._fields
+    returns = [
+        ast.unparse(node.value.func)
+        for node in ast.walk(_method("core/negotiation.py", "Negotiator", "negotiate"))
+        if isinstance(node, ast.Return)
+    ]
+    assert returns == ["_result"] * 3
+
+
+def test_an_absorbed_occurrence_compares_degrees_by_value():
+    """The lattice comparison of a new occurrence's degree with the
+    stored head's reads the members' values; no ``SatisfactionDegree``
+    operator (``__lt__``, or ``total_ordering``'s ``__ge__``) runs on the
+    threat path."""
+    comparisons = [
+        ast.unparse(node)
+        for path in ("core/threats.py", "core/negotiation.py", "core/ccmgr.py")
+        for node in ast.walk(ast.parse((SRC / path).read_text()))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+        and "degree" in ast.unparse(node)
+    ]
+    assert comparisons and all("._value_" in comparison for comparison in comparisons)
+
+
+def test_a_row_update_of_leaves_is_its_own_copy():
+    """``Table.update`` hands ``copy_value`` only changes that hold more
+    than leaves: the merged dict already copies a leaf-only change."""
+    update = _method("persistence/store.py", "Table", "update")
+    (guarded,) = [
+        node
+        for node in ast.walk(update)
+        if isinstance(node, ast.If) and "copy_value" in _calls(node)
+    ]
+    assert "LEAVES.issuperset" in ast.unparse(guarded.test)
+    assert _calls(update).count("copy_value") == 1
+
+
+def test_staleness_is_asked_once_per_placement_and_partition():
+    """``is_possibly_stale`` still asks each entity's node's view (one
+    ``view_of`` per call) but asks the protocol only for a (designated
+    primary, replica nodes, partition) it has not answered yet."""
+    stale = _method("replication/manager.py", "ReplicationManager", "is_possibly_stale")
+    calls = _calls(stale)
+    assert calls.count("self.gms.view_of") == 1
+    asked = [
+        node
+        for node in ast.walk(stale)
+        if isinstance(node, ast.If) and "self.protocol.is_possibly_stale" in _calls(node)
+    ]
+    assert [ast.unparse(node.test) for node in asked] == ["stale is None"]
+
+
+def test_a_temporary_primary_is_chosen_once_and_announced_every_time():
+    """No sort per ``route_write``: the smallest replica node inside the
+    partition is chosen once per (replica nodes, partition), and the
+    promotion hook still fires on every call."""
+    choose = _method("replication/protocols.py", "ReplicationProtocol", "_temporary_primary")
+    calls = _calls(choose)
+    assert "sorted" not in calls and "self.promotion_hook" in calls
+    chosen = [
+        node
+        for node in ast.walk(choose)
+        if isinstance(node, ast.If) and "min" in _calls(node)
+    ]
+    assert [ast.unparse(node.test) for node in chosen] == ["chosen is _UNCHOSEN"]
+
+
+def test_a_degraded_write_keeps_one_snapshot_and_a_tuple_record():
+    """The history entry, the update record and the backups share the one
+    ``state()`` copy a degraded write makes, and its update record is a
+    tuple built in C, not a nine-field dataclass; reconciliation sorts
+    the records by C key functions, not by lambdas reading their fields."""
+    import dataclasses
+
+    from repro.replication import UpdateRecord
+
+    assert not dataclasses.is_dataclass(UpdateRecord) and issubclass(UpdateRecord, tuple)
+    assert matches(r"key=lambda", "replication/manager.py") == []
+    assert "copy_value" not in _calls(_method("persistence/store.py", "StateHistory", "record"))
+    propagate = _method("replication/manager.py", "ReplicationManager", "propagate_update")
+    assert _calls(propagate).count("entity.state") == 1
+    assert "_record" in _calls(_method("replication/manager.py", "ReplicationManager", "_record_update"))
+
+
+def test_no_tracked_file_is_ignored():
+    """Nothing ``.gitignore`` excludes (build metadata, caches, ledger
+    output) is committed beside the code."""
+    import shutil
+    import subprocess
+
+    import pytest
+
+    if shutil.which("git") is None or not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    tracked = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert tracked == []
