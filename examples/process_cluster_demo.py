@@ -66,7 +66,7 @@ def main() -> None:
         print(f"availability preserved: {degraded_ops / elapsed:.0f} degraded ops/sec")
 
         # 5. Restart the killed primary and run the reconciliation round:
-        #    state-dump -> additive merge -> state-apply -> revalidate.
+        #    state-dump -> AdditiveSoldMerge -> state-apply -> revalidate.
         cluster.restart("vienna")
         report = cluster.reconcile(additive={"Flight|OS-101": {"sold": baseline}})
         print("\nreconciliation report:", report)

@@ -7,13 +7,15 @@ the reconciliation round the GMS coordinator would run in the full
 system:
 
 1. ``state-dump`` from every reachable worker;
-2. merge replicas — additive fields (ticket sales, §1.3) are summed as
-   per-partition deltas over the healthy baseline, everything else is
-   last-writer-wins by version;
+2. merge replicas (:func:`merge_dumps`) — the driver picks one copy per
+   lineage and hands them to the flight domain's own §1.3 handler,
+   :class:`~repro.apps.flightbooking.AdditiveSoldMerge`; an object
+   without a sold baseline is last-writer-wins by version;
 3. ``state-apply`` the merged snapshot everywhere;
 4. ``revalidate``: each worker re-checks its pending threats on merged
-   state with its own CCMgr and reports what was satisfied, rebooked, or
-   deferred; repaired state is re-broadcast.
+   state with its own CCMgr and answers with what was satisfied,
+   rebooked or deferred, and with each repaired object's state, which
+   is re-broadcast.
 
 ``kill(node)`` delivers a real signal (``SIGKILL`` by default) — the
 degrade-then-reconcile story of the dissertation on actual processes —
@@ -185,6 +187,57 @@ class WorkerProcess:
         self.send_signal(signal.SIGKILL)
 
 
+def merge_dumps(
+    dumps: Mapping[str, Mapping[str, Any]], primary: str, baselines: Mapping[str, int]
+) -> dict[str, dict[str, Any]]:
+    """Every object of ``dumps`` (``state-dump`` answers by node) merged
+    by :class:`~repro.apps.flightbooking.AdditiveSoldMerge` from one update
+    record per lineage, with ``baselines`` (``"Cls|oid"`` → sold before
+    the partition); the newest copy wins where it declines.  Each merged
+    entry is one version past its newest copy.
+    """
+    # Imported here, so that importing the driver loads none of the stack.
+    from ..apps.flightbooking import AdditiveSoldMerge
+    from ..objects import ObjectRef
+    from ..replication import ReplicaConflict, UpdateRecord
+
+    merge = AdditiveSoldMerge({ObjectRef(*key.split("|", 1)): sold for key, sold in baselines.items()})
+    # Deltas must come from *authoritative* copies only — the designated
+    # primary plus each temporary primary.  A passive replica mirrors its
+    # partition's primary via replica-updates; counting it too would
+    # double every delta.
+    authoritative = {
+        node for node, dump in dumps.items() if node == primary or dump.get("temp_primary")
+    } or set(dumps)
+    merged: dict[str, dict[str, Any]] = {}
+    for key in sorted({key for dump in dumps.values() for key in dump["objects"]}):
+        copies = {node: dump["objects"][key] for node, dump in dumps.items() if key in dump["objects"]}
+        # ... and not two copies of one lineage either: a worker that
+        # gave up on a slow peer and promoted itself keeps mirroring the
+        # partition's acting primary, so a copy written by another
+        # counted worker's replica frame is already in that worker's
+        # delta.
+        holders = authoritative & copies.keys()
+        lineages = {
+            node: entry
+            for node, entry in sorted(copies.items())
+            if node in holders and entry.get("mirror_of") not in holders - {node}
+        } or copies
+        ref = ObjectRef(*key.split("|", 1))
+        # A copy's version stands in for its timestamp, so the handler
+        # keeps the newest lineage's other fields.
+        record = merge(ReplicaConflict(ref, [
+            UpdateRecord(ref, "state", frozenset({node}), node,
+                         entry["version"], entry["state"], entry["version"], 0)
+            for node, entry in lineages.items()
+        ]))
+        newest = max(copies.values(), key=lambda entry: entry["version"])
+        state = newest["state"] if record is None else record.state
+        version = newest["version"] + 1
+        merged[key] = {"cls": ref.class_name, "oid": ref.oid, "state": state, "version": version}
+    return merged
+
+
 class ProcessCluster:
     """Spawn, address, kill, restart, and reconcile worker processes."""
 
@@ -320,17 +373,18 @@ class ProcessCluster:
 
     def states(self, cls: str, oid: str) -> dict[str, dict[str, Any] | None]:
         """Per-worker committed state of one object (``None`` if down)."""
-        key = f"{cls}|{oid}"
-        result: dict[str, dict[str, Any] | None] = {}
+        entries = {node: dump["objects"].get(f"{cls}|{oid}") for node, dump in self._dumps().items()}
+        return {node: (entries.get(node) or {}).get("state") for node in self.node_ids}
+
+    def _dumps(self) -> dict[str, dict[str, Any]]:
+        """The ``state-dump`` answer of every reachable worker."""
+        dumps = {}
         for node in self.node_ids:
             try:
-                dump = self.request(node, {"kind": "state-dump"})
+                dumps[node] = self.request(node, {"kind": "state-dump"})
             except (OSError, frames.FrameError):
-                result[node] = None
                 continue
-            entry = dump["objects"].get(key)
-            result[node] = entry["state"] if entry else None
-        return result
+        return dumps
 
     # ------------------------------------------------------------------
     # driver-coordinated reconciliation
@@ -340,93 +394,36 @@ class ProcessCluster:
     ) -> dict[str, Any]:
         """Merge replicas across all reachable workers, then revalidate.
 
-        ``additive`` maps ``"Cls|oid"`` to ``{field: healthy_baseline}``:
-        those fields merge as baseline + Σ per-worker deltas (the §1.3
-        additive ticket merge); all other fields and unlisted objects are
-        last-writer-wins by replica version.
+        ``additive`` maps ``"Cls|oid"`` to ``{"sold": healthy_baseline}``:
+        those flights merge their sales additively (§1.3), unlisted
+        objects are last-writer-wins by replica version
+        (:func:`merge_dumps`).
         """
-        additive = dict(additive or {})
-        dumps: dict[str, dict[str, Any]] = {}
-        for node in self.node_ids:
-            try:
-                dumps[node] = self.request(node, {"kind": "state-dump"})
-            except (OSError, frames.FrameError):
-                continue
+        dumps = self._dumps()
         if not dumps:
             raise WorkerDied("no worker reachable for reconciliation")
-
-        # Additive deltas must come from *authoritative* copies only — the
-        # designated primary plus each temporary primary.  A passive
-        # replica mirrors its partition's primary via replica-updates;
-        # counting it too would double every delta.
-        authoritative = {
-            node
-            for node, dump in dumps.items()
-            if node == self.primary or dump.get("temp_primary")
-        } or set(dumps)
-
-        merged: dict[str, dict[str, Any]] = {}
-        for key in sorted({key for dump in dumps.values() for key in dump["objects"]}):
-            replicas = [
-                dump["objects"][key] for dump in dumps.values() if key in dump["objects"]
-            ]
-            # ... and not two copies of one lineage either: a worker that
-            # gave up on a slow peer and promoted itself keeps mirroring
-            # the partition's acting primary, so a copy written by another
-            # counted worker's replica frame is already in that worker's
-            # delta.
-            holders = {node for node in authoritative if key in dumps[node]["objects"]}
-            primaries = [
-                dumps[node]["objects"][key]
-                for node in sorted(holders)
-                if dumps[node]["objects"][key].get("mirror_of") not in holders - {node}
-            ] or replicas
-            winner = max(replicas, key=lambda entry: entry["version"])
-            state = dict(winner["state"])
-            for field, baseline in additive.get(key, {}).items():
-                deltas = sum(
-                    replica["state"][field] - baseline
-                    for replica in primaries
-                    if field in replica["state"]
-                )
-                state[field] = baseline + deltas
-            merged[key] = {
-                "cls": winner["cls"],
-                "oid": winner["oid"],
-                "state": state,
-                "version": max(entry["version"] for entry in replicas) + 1,
-            }
+        baselines = {key: fields["sold"] for key, fields in (additive or {}).items()}
+        merged = merge_dumps(dumps, self.primary, baselines)
 
         for node in dumps:
             self.request(node, {"kind": "state-apply", "objects": merged})
 
+        counters = ("threats_reevaluated", "satisfied_removed", "resolved_by_handler", "deferred")
         report: dict[str, Any] = {
             "participants": sorted(dumps),
             "objects_merged": len(merged),
-            "threats_reevaluated": 0,
-            "satisfied_removed": 0,
-            "resolved_by_handler": 0,
-            "deferred": 0,
+            **dict.fromkeys(counters, 0),
             "rebooked": [],
         }
         repaired: dict[str, dict[str, Any]] = {}
         for node in sorted(dumps):
             outcome = self.request(node, {"kind": "revalidate"}, timeout=10.0)
-            for counter in (
-                "threats_reevaluated",
-                "satisfied_removed",
-                "resolved_by_handler",
-                "deferred",
-            ):
+            for counter in counters:
                 report[counter] += outcome[counter]
             report["rebooked"].extend(tuple(item) for item in outcome["rebooked"])
-            for key, _count in outcome["rebooked"]:
-                # The handler repaired this object on ``node``; fetch its
-                # post-repair state for the final broadcast round.
-                dump = self.request(node, {"kind": "state-dump"})
-                entry = dump["objects"][key]
-                entry = dict(entry, version=merged[key]["version"] + 1)
-                repaired[key] = entry
+            # Objects the handler repaired on ``node``, for a final round.
+            for key, entry in outcome["repaired"].items():
+                repaired[key] = dict(entry, version=merged[key]["version"] + 1)
         if repaired:
             for node in dumps:
                 self.request(node, {"kind": "state-apply", "objects": repaired})

@@ -85,7 +85,7 @@ from typing import IO, Any, NoReturn
 from ..apps.flightbooking import Flight, RebookingReconciliationHandler, ticket_constraint_registration
 from ..cluster import ClusterConfig, DedisysCluster
 from ..core import ConsistencyThreatRejected, ConstraintViolated, ReconciliationReport
-from ..objects import ObjectRef
+from ..objects import ObjectNotFound, ObjectRef
 from . import frames
 from .wallclock import read_monotonic
 
@@ -189,6 +189,19 @@ class WorkerNode:
 
     def _entity(self, ref: ObjectRef) -> Any:
         return self.cluster.entity_on(self.name, ref)
+
+    def _entity_or_create_locked(self, ref: ObjectRef, state: dict[str, Any]) -> Any:
+        """``ref``'s replica here, created from ``state`` if there is none."""
+        try:
+            return self._entity(ref)
+        except ObjectNotFound:
+            self.cluster.create_entity(self.name, ref.class_name, ref.oid, state)
+            return self._entity(ref)
+
+    def _entry_locked(self, ref: ObjectRef) -> dict[str, Any]:
+        """One object's ``state-dump`` entry; the caller holds ``_mutex``."""
+        entity = self._entity(ref)
+        return {"cls": ref.class_name, "oid": ref.oid, "state": entity.state(), "version": entity.version}
 
     def _peer_request(self, peer: str, payload: dict[str, Any]) -> dict[str, Any] | None:
         """Frame exchange with a peer; ``None`` marks it unreachable.
@@ -334,13 +347,7 @@ class WorkerNode:
     def handle_replica_create(self, payload: dict[str, Any]) -> dict[str, Any]:
         ref = self._ref(payload)
         with self._mutex:
-            try:
-                entity = self._entity(ref)
-            except Exception:
-                self.cluster.create_entity(
-                    self.name, payload["cls"], payload["oid"], payload["state"]
-                )
-                entity = self._entity(ref)
+            entity = self._entity_or_create_locked(ref, payload["state"])
             entity.apply_state(payload["state"], version=payload["version"])
             self._mirror_of[ref] = payload["origin"]
             self._publish_status_locked()
@@ -351,7 +358,7 @@ class WorkerNode:
         with self._mutex:
             try:
                 entity = self._entity(ref)
-            except Exception:
+            except ObjectNotFound:
                 return {"ok": False, "error": "unknown-object"}
             if payload["version"] > entity.version:
                 entity.apply_state(payload["state"], version=payload["version"])
@@ -369,24 +376,16 @@ class WorkerNode:
         objects = {}
         with self._mutex:
             replication = self.cluster.replication
-            if replication is not None:
-                for class_name in replication.replicated_classes():
-                    for ref in replication.refs_of_class(class_name):
-                        entity = self._entity(ref)
-                        objects[f"{ref.class_name}|{ref.oid}"] = {
-                            "cls": ref.class_name,
-                            "oid": ref.oid,
-                            "state": entity.state(),
-                            "version": entity.version,
-                            "mirror_of": self._mirror_of.get(ref),
-                        }
-            store = self.cluster.threat_stores[self.name]
+            for class_name in replication.replicated_classes():
+                for ref in replication.refs_of_class(class_name):
+                    objects[f"{ref.class_name}|{ref.oid}"] = {
+                        **self._entry_locked(ref),
+                        "mirror_of": self._mirror_of.get(ref),
+                    }
             return {
                 "ok": True,
                 "node": self.name,
                 "objects": objects,
-                "threats": store.count_identities(),
-                "stored": store.stored_records(),
                 "temp_primary": self.staleness.flag,
             }
 
@@ -395,11 +394,7 @@ class WorkerNode:
         with self._mutex:
             for entry in payload["objects"].values():
                 ref = ObjectRef(entry["cls"], entry["oid"])
-                try:
-                    entity = self._entity(ref)
-                except Exception:
-                    self.cluster.create_entity(self.name, entry["cls"], entry["oid"], entry["state"])
-                    entity = self._entity(ref)
+                entity = self._entity_or_create_locked(ref, entry["state"])
                 entity.apply_state(entry["state"], version=entry["version"])
                 self._mirror_of.pop(ref, None)
                 applied += 1
@@ -411,8 +406,9 @@ class WorkerNode:
 
         Runs after ``state-apply``: the temporary-primary flag drops, so
         the CCMgr validates against full-consistency semantics again.
-        Genuine violations go to the rebooking clean-up handler; a repair
-        that re-validates is what the driver re-broadcasts.
+        Genuine violations go to the rebooking clean-up handler; the
+        answer carries each repaired object's entry, read under the same
+        mutex, which the driver re-broadcasts.
         """
         handler = RebookingReconciliationHandler(self._entity)
         report = ReconciliationReport()
@@ -423,6 +419,10 @@ class WorkerNode:
             self.cluster.reconciliation.reconcile_constraints(
                 frozenset({self.name}), handler, report
             )
+            repaired = {
+                f"{ref.class_name}|{ref.oid}": self._entry_locked(ref)
+                for ref, _count in handler.rebooked
+            }
             self._publish_status_locked()
         return {
             "ok": True,
@@ -435,6 +435,7 @@ class WorkerNode:
                 [f"{ref.class_name}|{ref.oid}", count]
                 for ref, count in handler.rebooked
             ],
+            "repaired": repaired,
         }
 
     # ------------------------------------------------------------------

@@ -174,6 +174,9 @@ class TestWhatAProcessLoads:
         # stack and the page-copying helper load in the template only.
         assert under("ctypes", loaded) == under("repro.cluster", loaded) == []
         assert "repro.transport.procnode" not in loaded
+        # The merge imports the flight domain's handler when it first runs.
+        for package in ("repro.apps", "repro.core", "repro.replication"):
+            assert under(package, loaded) == []
 
     def test_a_process_worker_imports_no_event_loop(self):
         loaded = modules_after("import repro.transport.procnode")

@@ -141,6 +141,35 @@ def test_no_constraint_phase_reimplementation_in_transport():
     assert matches(r"validate_registration|mark_deferred|SimpleNamespace", "transport") == []
 
 
+def _driver() -> ast.Module:
+    return ast.parse((SRC / "transport" / "proccluster.py").read_text())
+
+
+def test_the_process_driver_merges_through_the_flight_domain_handler():
+    """The §1.3 additive merge lives in ``AdditiveSoldMerge`` alone: the
+    driver picks lineages and sums no deltas of its own."""
+    assert matches(r"\bsum\(|deltas|baseline\s*[-+]|[-+]\s*baseline", "transport/proccluster.py") == []
+    (merge,) = [node for node in _driver().body if getattr(node, "name", "") == "merge_dumps"]
+    assert "AdditiveSoldMerge" in _calls(merge)
+
+
+def test_the_driver_dumps_state_only_in_its_first_round():
+    """``revalidate`` answers with each repaired entry, so a ``state-dump``
+    goes out only from ``states()`` and ``reconcile``'s first round."""
+    (driver,) = [node for node in _driver().body if getattr(node, "name", "") == "ProcessCluster"]
+    methods = {node.name: node for node in driver.body if isinstance(node, ast.FunctionDef)}
+    dumping = [
+        name for name, method in methods.items()
+        if any(getattr(node, "value", None) == "state-dump" for node in ast.walk(method))
+    ]
+    assert dumping == ["_dumps"] and len(matches(r'"state-dump"', "transport/proccluster.py")) == 1
+    callers = {name: _calls(method).count("self._dumps") for name, method in methods.items()}
+    assert {name: count for name, count in callers.items() if count} == {"states": 1, "reconcile": 1}
+    reconcile = list(ast.walk(methods["reconcile"]))
+    (dump,) = [node.lineno for node in reconcile if isinstance(node, ast.Call) and ast.unparse(node) == "self._dumps()"]
+    assert dump < min(node.lineno for node in reconcile if getattr(node, "value", None) == "revalidate")
+
+
 def test_a_package_init_imports_nothing_but_the_reexport_helper():
     # ``analysis/rules`` registers its rule families by importing them.
     eager = [
@@ -646,6 +675,25 @@ def test_every_run_record_is_linked_from_changes():
     changes = (ROOT / "CHANGES.md").read_text()
     assert records
     assert [name for name in records if f"docs/runs/{name}" not in changes] == []
+
+
+#: EXPERIMENTS.md keeps the paper tables, the divergences and one
+#: paragraph per campaign; a campaign's log goes to ``docs/runs/``.
+EXPERIMENTS_BUDGET = 52_000
+#: A CHANGES.md line from PR 53 on is one paragraph with a link to its
+#: run record, which holds the test lists and tables.
+CHANGES_LINE_BUDGET = 3_000
+
+
+def test_the_record_stays_within_its_size_budget():
+    assert len((ROOT / "EXPERIMENTS.md").read_bytes()) < EXPERIMENTS_BUDGET
+    lines = (ROOT / "CHANGES.md").read_text().splitlines()
+    first = next(
+        (number for number, line in enumerate(lines)
+         if (found := re.match(r"PR (\d+) ", line)) and int(found.group(1)) >= 53),
+        len(lines),
+    )
+    assert [line[:60] for line in lines[first:] if len(line) > CHANGES_LINE_BUDGET] == []
 
 
 def _method(module: str, cls: str, name: str) -> ast.FunctionDef:

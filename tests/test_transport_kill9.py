@@ -345,6 +345,9 @@ def test_revalidation_is_the_cluster_own_constraint_phase(monkeypatch):
     assert outcome["threats_reevaluated"] == 1 and outcome["resolved_by_handler"] == 1
     assert outcome["satisfied_removed"] == 0 and outcome["deferred"] == 0
     assert outcome["rebooked"] == [["Flight|K9", 3]]
+    # The answer carries the repaired entry the driver re-broadcasts.
+    (repaired,) = outcome["repaired"].values()
+    assert repaired["state"]["sold"] == 80 and outcome["repaired"].keys() == {"Flight|K9"}
     assert worker.cluster.threat_stores["b"].count_identities() == 0
     assert worker.handle_status({})["threats"] == 0 and not worker.staleness.flag
     assert worker.handle_invoke({**sale, "method": "get_sold", "args": []})["result"] == 80
@@ -361,7 +364,7 @@ def test_revalidation_is_the_cluster_own_constraint_phase(monkeypatch):
     outcome = worker.handle_revalidate({})
     assert len(claims) == MAX_HANDLER_RETRIES
     assert outcome["resolved_by_handler"] == 0 and outcome["deferred"] == 1
-    assert outcome["rebooked"] == []
+    assert outcome["rebooked"] == [] and outcome["repaired"] == {}
     assert worker.cluster.threat_stores["b"].count_identities() == 1
 
 
