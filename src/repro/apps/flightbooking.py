@@ -15,6 +15,7 @@ so that (in the absence of cancellations) no overbooking arises at all.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 from ..core import (
@@ -135,6 +136,10 @@ def ticket_constraint_registration(
     return ConstraintRegistration(constraint, TICKET_AFFECTED_METHODS)
 
 
+# A record's recency, read in C: newer timestamp, then higher version.
+_by_recency = attrgetter("timestamp", "version")
+
+
 class AdditiveSoldMerge:
     """Replica consistency handler merging partitioned ticket sales.
 
@@ -152,37 +157,25 @@ class AdditiveSoldMerge:
         if baseline is None:
             return None  # fall back to latest-update-wins
         # One final state per conflicting partition: take the newest
-        # record of each partition key.
+        # record of each partition key (the first seen wins a tie).
         latest_per_partition: dict[frozenset, UpdateRecord] = {}
         for record in conflict.candidates:
             if record.kind != "state" or record.state is None:
                 continue
             current = latest_per_partition.get(record.partition_key)
-            if current is None or (record.timestamp, record.version) > (
-                current.timestamp,
-                current.version,
-            ):
+            if current is None or _by_recency(record) > _by_recency(current):
                 latest_per_partition[record.partition_key] = record
         if not latest_per_partition:
             return None
-        merged_sold = baseline + sum(
-            record.state["sold"] - baseline
-            for record in latest_per_partition.values()
-        )
-        chosen = max(
-            latest_per_partition.values(), key=lambda r: (r.timestamp, r.version)
-        )
-        merged_state = dict(chosen.state or {})
+        latest = latest_per_partition.values()
+        merged_sold = baseline + sum(record.state["sold"] - baseline for record in latest)
+        chosen = max(latest, key=_by_recency)
+        merged_state = dict(chosen.state)
         merged_state["sold"] = merged_sold
         return UpdateRecord(
-            ref=conflict.ref,
-            kind="state",
-            partition_key=chosen.partition_key,
-            node=chosen.node,
-            version=max(r.version for r in latest_per_partition.values()) + 1,
-            state=merged_state,
-            timestamp=chosen.timestamp,
-            epoch=chosen.epoch,
+            conflict.ref, "state", chosen.partition_key, chosen.node,
+            max(record.version for record in latest) + 1, merged_state,
+            chosen.timestamp, chosen.epoch,
         )
 
 

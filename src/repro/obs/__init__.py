@@ -2,9 +2,10 @@
 
 The dissertation evaluates the middleware by counting things —
 invocations, validations, threats, multicasts, reconciliation rounds.
-The trace is the one instrument that records them: a :class:`Tracer`
-stamps typed events with *simulated* time and fans them out to pluggable
-sinks, and every count is a count of events (by type, or by a field).
+The trace is the one instrument that records them: one :class:`Tracer`
+stamps typed events with *simulated* time and, under one lock per event,
+tallies them by type and keeps the most recent in a ring; every count is
+a count of events (by type, or by a field).
 Attach an :class:`Observability` hub via ``ClusterConfig(obs=...)``;
 without one, every hook is a no-op.
 """
@@ -12,11 +13,10 @@ without one, every hook is a no-op.
 from .._lazy import reexport
 
 __getattr__, __dir__, __all__ = reexport(globals(), {
-    "hub": ("NULL_OBS", "NullObservability", "Observability", "ensure_obs"),
-    "sinks": (
-        "JsonLinesSink", "NullSink", "RingBufferSink", "SummarySink", "TraceSink",
+    "hub": (
+        "NULL_OBS", "NullObservability", "Observability", "ensure_obs",
         "read_jsonl", "write_jsonl",
     ),
     "registry": ("TRACE_EVENTS",),
-    "tracing": ("EVENT_TYPES", "NullTracer", "TraceEvent", "Tracer", "jsonable"),
+    "tracing": ("TraceEvent", "Tracer", "jsonable"),
 })

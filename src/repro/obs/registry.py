@@ -3,14 +3,11 @@
 Every trace-event type the middleware emits lives here, with a one-line
 description and the keyword fields each emit of it carries.  The trace is
 the only instrument — a count is a count of events, by type or by a
-field — so this table is the single decision of what gets recorded:
-
-* :data:`~repro.obs.tracing.EVENT_TYPES` is derived from
-  :data:`TRACE_EVENTS`, so the tracer and the registry cannot drift;
-* ``tests/test_obs_vocabulary.py`` reads every ``emit()`` call site under
-  ``src/repro`` and holds it to this table (a literal, registered type
-  with exactly its fields; no entry nothing emits), and holds the event
-  table of ``docs/TUTORIAL.md`` to its names and descriptions.
+field — so this table is the single decision of what gets recorded.
+``tests/test_obs_vocabulary.py`` reads every ``emit()`` call site under
+``src/repro`` and holds it to this table (a literal, registered type with
+exactly its fields; no entry nothing emits), and holds the event table of
+``docs/TUTORIAL.md`` to its names and descriptions.
 
 Applications may emit their own event types on top of this vocabulary;
 the middleware itself sticks to the registered names.

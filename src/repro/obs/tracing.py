@@ -17,18 +17,11 @@ from __future__ import annotations
 import enum
 import json
 import threading
-from typing import TYPE_CHECKING, Any, Iterable
-
-from .registry import TRACE_EVENTS
+from collections import deque
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.clock import SimClock
-    from .sinks import TraceSink
-
-# The event vocabulary emitted by the built-in instrumentation.  Tracers
-# accept unknown types too (applications may emit their own), but the
-# middleware sticks to the canonical registry.
-EVENT_TYPES = frozenset(TRACE_EVENTS)
 
 
 def jsonable(value: Any) -> Any:
@@ -89,24 +82,24 @@ class TraceEvent:
 
 
 class Tracer:
-    """Fans typed events out to the attached sinks."""
+    """The one recorder: numbers, tallies and keeps every event.
 
-    def __init__(
-        self,
-        clock: "SimClock | None" = None,
-        sinks: Iterable["TraceSink"] = (),
-    ) -> None:
-        self._clock = clock
-        self.sinks: list[TraceSink] = list(sinks)
-        self.enabled = True
-        # Threads of the threaded backend emit concurrently; the lock also
-        # serialises the sinks, which therefore see events in ``seq`` order.
+    Threads of the threaded backend emit while a reader may look, so one
+    lock covers the sequence number (which is ``emitted``), the per-type
+    tally and the ring of the most recent events, and every view is read
+    under it: a snapshot's four numbers always agree.
+    """
+
+    def __init__(self, ring_capacity: int | None = 65536) -> None:
+        if ring_capacity is not None and ring_capacity < 1:
+            raise ValueError("ring buffer capacity must be positive")
+        self._clock: SimClock | None = None
         self._lock = threading.Lock()
         self.emitted = 0  # guarded-by: _lock
-        self._next_seq = 0  # guarded-by: _lock
         # Every event ever emitted, by type: exact however many events
-        # a bounded sink has since evicted.
+        # the bounded ring has since evicted.
         self._by_type: dict[str, int] = {}  # guarded-by: _lock
+        self._ring: deque[TraceEvent] = deque(maxlen=ring_capacity)  # guarded-by: _lock
 
     def bind_clock(self, clock: "SimClock") -> None:
         """Attach the simulated clock used to stamp events."""
@@ -116,41 +109,33 @@ class Tracer:
     def now(self) -> float:
         return self._clock.now if self._clock is not None else 0.0
 
-    def emit(self, type: str, node: str | None = None, **data: Any) -> TraceEvent | None:
-        """Record one event; returns it, or ``None`` when disabled."""
-        if not self.enabled:
-            return None
+    def emit(self, type: str, node: str | None = None, **data: Any) -> TraceEvent:
+        """Record one event and return it."""
         with self._lock:
-            event = TraceEvent(self._next_seq, self.now, type, node, data)
-            self._next_seq += 1
+            event = TraceEvent(self.emitted, self.now, type, node, data)
             self.emitted += 1
             self._by_type[type] = self._by_type.get(type, 0) + 1
-            for sink in self.sinks:
-                sink.record(event)
+            self._ring.append(event)
         return event
+
+    def events(self) -> list[TraceEvent]:
+        """The buffered events, oldest first."""
+        with self._lock:
+            return list(self._ring)
 
     def counts(self) -> dict[str, int]:
         """How many events of each type were emitted, sorted by type."""
         with self._lock:
             return dict(sorted(self._by_type.items()))
 
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
-class NullTracer:
-    """Tracer stand-in: drops everything, no side effects."""
-
-    enabled = False
-    emitted = 0
-    now = 0.0
-
-    def bind_clock(self, clock: "SimClock") -> None:
-        pass
-
-    def emit(self, type: str, node: str | None = None, **data: Any) -> None:
-        return None
-
-    def close(self) -> None:
-        pass
+    def snapshot(self) -> dict[str, Any]:
+        """Emitted, buffered and dropped counts and the per-type tally,
+        read together."""
+        with self._lock:
+            buffered = len(self._ring)
+            return {
+                "emitted": self.emitted,
+                "buffered": buffered,
+                "dropped": self.emitted - buffered,
+                "by_type": dict(sorted(self._by_type.items())),
+            }

@@ -833,8 +833,8 @@ class TestSelfCheck:
         assert set(justifications) == set(baseline)
 
     def test_registry_matches_tracing_vocabulary(self):
-        from repro.obs import EVENT_TYPES
+        import repro.obs
         from repro.obs.registry import TRACE_EVENTS
 
-        assert EVENT_TYPES == frozenset(TRACE_EVENTS)
+        assert repro.obs.TRACE_EVENTS is TRACE_EVENTS
         assert all(description for description, _ in TRACE_EVENTS.values())

@@ -1,8 +1,8 @@
 """Unit tests for the observability primitives.
 
-Covers the tracer's exact per-type tally (however many events a bounded
-ring buffer drops), no-op tracers and sinks having zero side effects,
-and JSON-lines traces round-tripping through ``json.loads``.
+Covers the tracer's exact per-type tally (however many events its bounded
+ring drops), the disabled hub having zero side effects, and JSON-lines
+traces round-tripping through ``json.loads``.
 """
 
 import io
@@ -12,21 +12,17 @@ import pytest
 
 from repro.obs import (
     NULL_OBS,
-    JsonLinesSink,
+    TRACE_EVENTS,
     NullObservability,
-    NullSink,
-    NullTracer,
     Observability,
-    RingBufferSink,
-    SummarySink,
     TraceEvent,
     Tracer,
-    TraceSink,
     ensure_obs,
+    jsonable,
     read_jsonl,
     write_jsonl,
 )
-from repro.obs.tracing import EVENT_TYPES, jsonable
+from repro.obs.hub import summary_text
 from repro.sim import SimClock
 
 pytestmark = pytest.mark.obs
@@ -36,21 +32,6 @@ pytestmark = pytest.mark.obs
 # no-op variants: zero side effects
 # ----------------------------------------------------------------------
 class TestNullVariants:
-    def test_null_sink_retains_nothing(self):
-        sink = NullSink()
-        event = TraceEvent(0, 0.0, "invocation", "n1", {})
-        sink.record(event)
-        sink.close()
-        assert not hasattr(sink, "events")
-
-    def test_null_tracer_emits_nothing(self):
-        tracer = NullTracer()
-        assert tracer.emit("invocation", node="n1", method="m") is None
-        assert tracer.emitted == 0
-        tracer.bind_clock(SimClock())
-        tracer.close()
-        assert tracer.now == 0.0
-
     def test_null_observability_is_inert(self):
         obs = NullObservability()
         assert obs.enabled is False
@@ -69,11 +50,16 @@ class TestNullVariants:
         hub = Observability()
         assert ensure_obs(hub) is hub
 
-    def test_base_sink_interface(self):
-        sink = TraceSink()
-        with pytest.raises(NotImplementedError):
-            sink.record(TraceEvent(0, 0.0, "invocation", None, {}))
-        sink.close()
+    def test_null_observability_retains_nothing(self):
+        for _ in range(3):
+            NULL_OBS.emit("invocation", node="n1")
+        assert NULL_OBS.events() == []
+        assert NULL_OBS.event_counts() == {}
+        assert not hasattr(NULL_OBS, "tracer")
+
+    def test_null_snapshot_has_the_hub_shape(self):
+        # Readers of a snapshot need not know whether tracing is on.
+        assert NullObservability().snapshot() == Observability().snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +68,8 @@ class TestNullVariants:
 class TestTracer:
     def test_events_are_stamped_with_sim_time(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = Tracer()
+        tracer.bind_clock(clock)
         clock.advance(1.5)
         event = tracer.emit("invocation", node="n1")
         assert event.timestamp == 1.5
@@ -101,14 +88,6 @@ class TestTracer:
         assert (first.seq, second.seq) == (0, 1)
         assert tracer.emitted == 2
 
-    def test_disabled_tracer_returns_none(self):
-        ring = RingBufferSink()
-        tracer = Tracer(sinks=[ring])
-        tracer.enabled = False
-        assert tracer.emit("invocation") is None
-        assert len(ring) == 0
-        assert tracer.counts() == {}
-
     def test_counts_tally_every_emitted_event_by_type(self):
         tracer = Tracer()
         for event_type in ("threat", "invocation", "threat"):
@@ -122,16 +101,21 @@ class TestTracer:
         tracer.counts()["threat"] = 99
         assert tracer.counts() == {"threat": 1}
 
-    def test_fan_out_to_all_sinks(self):
-        ring_a, ring_b = RingBufferSink(), RingBufferSink()
-        tracer = Tracer(sinks=[ring_a, ring_b])
-        tracer.emit("invocation")
-        assert len(ring_a) == len(ring_b) == 1
-        tracer.close()
+    def test_snapshot_reads_its_counts_together(self):
+        tracer = Tracer(ring_capacity=2)
+        for event_type in ("threat", "invocation", "threat"):
+            tracer.emit(event_type)
+        snapshot = tracer.snapshot()
+        assert snapshot == {
+            "emitted": 3, "buffered": 2, "dropped": 1,
+            "by_type": {"invocation": 1, "threat": 2},
+        }
+        snapshot["by_type"]["threat"] = 99
+        assert tracer.counts() == {"invocation": 1, "threat": 2}
 
     def test_event_vocabulary_covers_instrumentation(self):
         assert {"invocation", "validation", "threat", "replication_update",
-                "view_change", "message_send", "message_drop"} <= EVENT_TYPES
+                "view_change", "message_send", "message_drop"} <= TRACE_EVENTS.keys()
 
     def test_repr_is_compact(self):
         event = TraceEvent(3, 1.25, "threat", "n2", {})
@@ -174,34 +158,33 @@ class TestJsonable:
 
 
 # ----------------------------------------------------------------------
-# sinks
+# the ring
 # ----------------------------------------------------------------------
-class TestRingBufferSink:
+class TestRing:
     def test_keeps_most_recent_events(self):
-        ring = RingBufferSink(capacity=2)
-        for seq in range(3):
-            ring.record(TraceEvent(seq, 0.0, "invocation", None, {}))
-        assert [event.seq for event in ring.events()] == [1, 2]
-        assert ring.recorded == 3
-        assert ring.dropped == 1
-        assert len(ring) == 2
+        obs = Observability(ring_capacity=2)
+        for _ in range(3):
+            obs.emit("invocation")
+        assert [event.seq for event in obs.events()] == [1, 2]
+        events = obs.snapshot()["events"]
+        assert (events["emitted"], events["buffered"], events["dropped"]) == (3, 2, 1)
 
     def test_unbounded_when_capacity_none(self):
-        ring = RingBufferSink(capacity=None)
-        for seq in range(100):
-            ring.record(TraceEvent(seq, 0.0, "invocation", None, {}))
-        assert ring.dropped == 0
+        obs = Observability(ring_capacity=None)
+        for _ in range(100):
+            obs.emit("invocation")
+        assert len(obs.events()) == 100
+        assert obs.snapshot()["events"]["dropped"] == 0
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
+            Observability(ring_capacity=0)
 
-    def test_clear_and_iter(self):
-        ring = RingBufferSink()
-        ring.record(TraceEvent(0, 0.0, "invocation", None, {}))
-        assert [event.seq for event in ring] == [0]
-        ring.clear()
-        assert len(ring) == 0
+    def test_events_is_a_copy(self):
+        obs = Observability()
+        obs.emit("invocation")
+        obs.events().clear()
+        assert [event.seq for event in obs.events()] == [0]
 
 
 class TestJsonLines:
@@ -233,32 +216,29 @@ class TestJsonLines:
         assert " " not in text
         assert text.index('"a"') < text.index('"b"')
 
-    def test_sink_counts_written_lines(self, tmp_path):
-        sink = JsonLinesSink(tmp_path / "trace.jsonl")
-        for event in self._events():
-            sink.record(event)
-        sink.close()
-        assert sink.written == 2
+    def test_write_counts_written_lines(self, tmp_path):
+        # A path is truncated, not appended to.
+        path = tmp_path / "trace.jsonl"
+        assert write_jsonl(self._events(), path) == 2
+        assert write_jsonl(self._events()[:1], path) == 1
+        assert [entry["seq"] for entry in read_jsonl(path)] == [0]
 
     def test_read_skips_blank_lines(self):
         stream = io.StringIO('{"seq":0}\n\n{"seq":1}\n')
         assert [entry["seq"] for entry in read_jsonl(stream)] == [0, 1]
 
 
-class TestSummarySink:
+class TestSummaryText:
     def test_counts_and_span(self):
-        sink = SummarySink()
-        sink.record(TraceEvent(0, 1.0, "invocation", None, {}))
-        sink.record(TraceEvent(1, 2.0, "invocation", None, {}))
-        sink.record(TraceEvent(2, 3.0, "threat", None, {}))
-        assert sink.total() == 3
-        text = sink.summary()
+        text = summary_text({"invocation": 2, "threat": 1}, 1.0, 3.0)
         assert "invocation" in text and "threat" in text
-        assert "1.000000s" in text and "3.000000s" in text
+        assert "1.000000s .. 3.000000s" in text
+        assert "events: 3\n" in text
 
     def test_empty_summary(self):
-        text = SummarySink().summary()
+        text = Observability().summary()
         assert "events: 0" in text
+        assert "sim-time span" not in text
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +294,8 @@ class TestObservabilityHub:
 
     def test_summary_spans_the_buffered_events(self):
         clock = SimClock()
-        obs = Observability(clock, ring_capacity=2)
+        obs = Observability(ring_capacity=2)
+        obs.bind_clock(clock)
         for step in range(3):
             clock.advance(1.0)
             obs.emit("invocation")
@@ -322,18 +303,21 @@ class TestObservabilityHub:
         assert "2.000000s .. 3.000000s" in text
         assert "events: 3\n" in text
 
-    def test_extra_sinks_receive_events(self):
-        extra = SummarySink()
-        obs = Observability(sinks=[extra])
-        obs.emit("invocation")
-        assert extra.total() == 1
-
     def test_export_jsonl(self, tmp_path):
         obs = Observability()
         obs.emit("invocation", node="n1", method="get_text")
         path = tmp_path / "trace.jsonl"
         assert obs.export_jsonl(path) == 1
         assert read_jsonl(path)[0]["data"]["method"] == "get_text"
+
+    def test_export_jsonl_writes_only_the_buffered_events(self):
+        obs = Observability(ring_capacity=2)
+        for _ in range(3):
+            obs.emit("invocation")
+        stream = io.StringIO()
+        assert obs.export_jsonl(stream) == 2
+        stream.seek(0)
+        assert [entry["seq"] for entry in read_jsonl(stream)] == [1, 2]
 
     def test_summary_text(self):
         obs = Observability()
@@ -346,3 +330,10 @@ class TestObservabilityHub:
         obs.bind_clock(clock)
         clock.advance(2.0)
         assert obs.emit("invocation").timestamp == 2.0
+
+    def test_emitting_never_advances_the_clock(self):
+        clock = SimClock(1.0)
+        for obs in (Observability(), NullObservability()):
+            obs.bind_clock(clock)
+            obs.emit("invocation")
+        assert clock.now == 1.0

@@ -308,21 +308,49 @@ class TestSharedObservabilityHub:
 
         def read():
             try:
-                while len(obs.ring) < 4096 and len(emitted) < self.THREADS:
+                while len(obs.events()) < 4096 and len(emitted) < self.THREADS:
                     pass
                 for _ in range(50):
                     counted = sum(obs.event_counts().values())
-                    assert counted <= obs.tracer.emitted
-                    assert len(list(obs.ring)) <= 4096
+                    assert counted <= obs.snapshot()["events"]["emitted"]
+                    assert len(obs.events()) <= 4096
                     assert obs.snapshot()["events"]["dropped"] >= 0
                     assert "events:" in obs.summary()
             finally:
                 reader_done.set()
 
         run_threads_switching_fast([emit] * self.THREADS + [read])
-        assert obs.tracer.emitted == sum(emitted) > 4096
-        assert obs.ring.dropped == sum(emitted) - 4096
+        events = obs.snapshot()["events"]
+        assert events["emitted"] == sum(emitted) > 4096
+        assert events["dropped"] == sum(emitted) - 4096
         assert obs.event_counts() == {"stress": sum(emitted)}
+
+    def test_every_snapshot_agrees_with_itself_while_threads_emit(self):
+        # The four numbers of a snapshot are read together: every event
+        # emitted is either buffered or dropped, and tallied once by type.
+        obs = Observability(ring_capacity=64)
+        reader_done = threading.Event()
+        torn = []
+
+        def emit():
+            types = ("stress", "stress_echo")
+            count = 0
+            while not reader_done.is_set():
+                obs.emit(types[count % 2], node="a")
+                count += 1
+
+        def read():
+            try:
+                for _ in range(2000):
+                    events = obs.snapshot()["events"]
+                    total = sum(events["by_type"].values())
+                    if not events["emitted"] == events["buffered"] + events["dropped"] == total:
+                        torn.append(events)
+            finally:
+                reader_done.set()
+
+        run_threads_switching_fast([emit] * self.THREADS + [read])
+        assert torn == []
 
     def test_one_type_first_emitted_by_many_threads_is_one_tally(self):
         obs = Observability(ring_capacity=1)
