@@ -39,6 +39,6 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
     ),
     "objects": ("Entity", "ObjectRef"),
     "obs": ("Observability",),
-    "sim": ("CostModel",),
+    "sim": ("COSTS",),
 })
 __all__.append("__version__")

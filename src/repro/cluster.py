@@ -18,7 +18,7 @@ entry point of the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -60,7 +60,6 @@ from .replication import (
     ReplicationServerInterceptor,
     TransportInterceptor,
 )
-from .sim import CostModel
 from .transport import build_transport
 from .tx import TransactionManager
 
@@ -83,7 +82,6 @@ class ClusterConfig:
     """Static configuration of a simulated cluster."""
 
     node_ids: Sequence[NodeId] = ("node-1", "node-2", "node-3")
-    costs: CostModel = field(default_factory=CostModel)
     # Explicit constraint consistency management (the DeDiSys service).
     enable_ccm: bool = True
     # Replication support (P4 by default).
@@ -118,10 +116,7 @@ class DedisysCluster:
         # sim backend builds them exactly as this constructor historically
         # did, so default traces stay byte-identical.
         self.transport = build_transport(
-            self.config.transport,
-            self.config.node_ids,
-            costs=self.config.costs,
-            obs=self.obs,
+            self.config.transport, self.config.node_ids, obs=self.obs
         )
         self.clock = self.transport.clock
         self.scheduler = self.transport.scheduler
@@ -138,7 +133,7 @@ class DedisysCluster:
 
         self.nodes: dict[NodeId, Node] = {}
         for node_id in self.config.node_ids:
-            node = Node(node_id, self.clock, self.config.costs, self.ledger, self.txmgr)
+            node = Node(node_id, self.clock, self.ledger, self.txmgr)
             self.nodes[node_id] = node
 
         # One application-wide repository (constraint names are unique per
@@ -299,18 +294,11 @@ class DedisysCluster:
     # ------------------------------------------------------------------
     # application deployment
     # ------------------------------------------------------------------
-    def deploy(self, entity_cls: type[Entity], replicated: bool | None = None) -> None:
-        """Deploy an entity class on every node.
-
-        ``replicated`` defaults to whether replication is enabled.
-        """
+    def deploy(self, entity_cls: type[Entity]) -> None:
+        """Deploy an entity class on every node; with replication enabled,
+        each of its entities is replicated."""
         for node in self.nodes.values():
             node.container.deploy(entity_cls)
-        should_replicate = (
-            replicated if replicated is not None else self.replication is not None
-        )
-        if should_replicate and self.replication is not None:
-            self.replication.replicate_class(entity_cls.class_name())
 
     def register_constraint(self, registration: ConstraintRegistration) -> None:
         self.repository.register(registration)
@@ -348,9 +336,7 @@ class DedisysCluster:
                 node.persistence.charge("ccm_notification")
             entity = node.container.create(class_name, oid, attributes)
             self.location.register(entity.ref, node_id)
-            if self.replication is not None and self.replication.is_replicated_class(
-                class_name
-            ):
+            if self.replication is not None:
                 self.replication.register_created(entity.ref, node_id, entity.state())
             return entity.ref
 
@@ -608,10 +594,6 @@ class DedisysCluster:
         """Write the buffered event trace as JSON lines to ``target``
         (path or text stream); returns the number of lines written."""
         return self.obs.export_jsonl(target)
-
-    def obs_summary(self) -> str:
-        """Human-readable per-event-type digest of the buffered trace."""
-        return self.obs.summary()
 
     # ------------------------------------------------------------------
     # measurement helpers

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..sim import CostModel
+from ..sim import COSTS
 from .messages import Message, NodeCrashedError, NodeId
 from .network import Network, payload_size
 
@@ -88,10 +88,9 @@ class GroupChannel:
             for node in self.members
             if node != source and self.network.reachable(source, node)
         ]
-        costs: CostModel = self.network.costs
         round_trips = 2 if await_acks else 1
         duration = round_trips * (
-            costs.multicast_base + costs.multicast_per_node * len(recipients)
+            COSTS["multicast_base"] + COSTS["multicast_per_node"] * len(recipients)
         )
         if recipients:
             self.network.charge("multicast", duration)

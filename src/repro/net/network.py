@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..sim import CostLedger, CostModel, Scheduler, charger
+from ..sim import CostLedger, Scheduler, charger
 from .messages import Message, NodeCrashedError, NodeId, UnreachableError
 from .topology import Topology
 
@@ -52,14 +52,12 @@ class Network(Topology):
         self,
         nodes: Sequence[NodeId],
         scheduler: Any,
-        costs: CostModel | None = None,
         obs: Any = None,
     ) -> None:
         super().__init__(nodes, obs=obs)
         self.scheduler = scheduler
-        self.costs = costs if costs is not None else CostModel()
         self.ledger = CostLedger()
-        self.charge = charger(scheduler.clock, self.costs, self.ledger)
+        self.charge = charger(scheduler.clock, self.ledger)
         self.injector: "FaultInjector | None" = None
         self.delivered_count = 0
         self._recorder: list[Message] | None = None
@@ -142,12 +140,11 @@ class SimNetwork(Network):
         self,
         nodes: Sequence[NodeId],
         scheduler: Scheduler | None = None,
-        costs: CostModel | None = None,
         obs: Any = None,
     ) -> None:
         if scheduler is None:
             scheduler = Scheduler()
-        super().__init__(nodes, scheduler, costs, obs)
+        super().__init__(nodes, scheduler, obs)
         self._handlers: dict[NodeId, Callable[[Message], Any]] = {}
 
     def register_handler(self, node: NodeId, handler: Callable[[Message], Any]) -> None:

@@ -18,6 +18,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..net import NodeId
+from ..sim import COSTS
 from .refs import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -124,7 +125,7 @@ class CostInterceptor(Interceptor):
 
     def __init__(self, node: "Node", hops: int = 1) -> None:
         self.node = node
-        self.cost = node.services.costs.interceptor_hop * hops
+        self.cost = COSTS["interceptor_hop"] * hops
 
     def intercept(self, invocation: Invocation) -> Any:
         self.node.persistence.charge("interceptor_hop", self.cost)

@@ -6,7 +6,7 @@ from typing import Any
 
 from ..net import NodeId
 from ..persistence import PersistenceEngine, StateHistory
-from ..sim import CostLedger, CostModel, SimClock
+from ..sim import CostLedger, SimClock
 from ..tx import TransactionManager
 from .container import Container
 from .invocation import InvocationService
@@ -19,12 +19,10 @@ class NodeServices:
     def __init__(
         self,
         clock: SimClock,
-        costs: CostModel,
         ledger: CostLedger,
         txmgr: TransactionManager,
     ) -> None:
         self.clock = clock
-        self.costs = costs
         self.ledger = ledger
         self.txmgr = txmgr
         self.invocation_service: InvocationService | None = None
@@ -45,13 +43,12 @@ class Node:
         self,
         node_id: NodeId,
         clock: SimClock,
-        costs: CostModel,
         ledger: CostLedger,
         txmgr: TransactionManager,
     ) -> None:
         self.node_id = node_id
-        self.services = NodeServices(clock, costs, ledger, txmgr)
-        self.persistence = PersistenceEngine(clock, costs, ledger)
+        self.services = NodeServices(clock, ledger, txmgr)
+        self.persistence = PersistenceEngine(clock, ledger)
         self.state_history = StateHistory(self.persistence)
         self.container = Container(self)
         self.invocation_service = InvocationService(self)

@@ -21,7 +21,7 @@ from typing import Any, Iterator, Mapping, NamedTuple
 # ``ObjectRef``.  ``objects.values`` imports nothing but ``objects.refs``, so
 # it is complete by the time ``objects.node`` pulls this module in.
 from ..objects.values import LEAVES, copy_value
-from ..sim import CostLedger, CostModel, SimClock, charger
+from ..sim import CostLedger, SimClock, charger
 
 
 #: Entries a :class:`Journal` retains.  Short on purpose: the tail is all
@@ -96,13 +96,11 @@ class PersistenceEngine:
     def __init__(
         self,
         clock: SimClock,
-        costs: CostModel | None = None,
         ledger: CostLedger | None = None,
     ) -> None:
         self.clock = clock
-        self.costs = costs if costs is not None else CostModel()
         self.ledger = ledger if ledger is not None else CostLedger()
-        self.charge = charger(clock, self.costs, self.ledger)
+        self.charge = charger(clock, self.ledger)
         self._tables: dict[str, "Table"] = {}
         self._journal = Journal(clock)
 

@@ -108,7 +108,6 @@ class ReplicationManager:
         self.obs = ensure_obs(obs) if obs is not None else network.obs
         protocol.promotion_hook = self._note_promotion
         self._replicas: dict[ObjectRef, ReplicaInfo] = {}
-        self._replicated_classes: set[str] = set()
         # Each node's degraded-mode update records; only its writes append.
         self._update_records: dict[NodeId, list[UpdateRecord]] = {n: [] for n in self.nodes}
         self._record_ids = itertools.count(1)
@@ -123,19 +122,12 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def replicate_class(self, class_name: str) -> None:
-        """Mark a deployed entity class as replicated."""
-        self._replicated_classes.add(class_name)
-
     def is_replicated(self, ref: ObjectRef) -> bool:
         return ref in self._replicas
 
-    def is_replicated_class(self, class_name: str) -> bool:
-        return class_name in self._replicated_classes
-
     def replicated_classes(self) -> list[str]:
-        """Names of the replicated entity classes, sorted."""
-        return sorted(self._replicated_classes)
+        """Names of the classes with a replicated entity, sorted."""
+        return sorted({ref.class_name for ref in self._replicas})
 
     def info(self, ref: ObjectRef) -> ReplicaInfo:
         try:

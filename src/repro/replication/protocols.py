@@ -52,8 +52,14 @@ class ReplicationProtocol:
         partition: frozenset[NodeId],
     ) -> NodeId | None:
         """The node that must execute a write in this partition, or
-        ``None`` when writing is not allowed here."""
-        raise NotImplementedError
+        ``None`` when writing is not allowed here.
+
+        The P4 rule, which every protocol applies where it allows a
+        write: the designated primary where it is present, else the
+        partition's temporary primary."""
+        if designated_primary in partition:
+            return designated_primary
+        return self._temporary_primary(replica_nodes, partition)
 
     def is_possibly_stale(
         self,
@@ -86,16 +92,6 @@ class PrimaryPerPartitionProtocol(ReplicationProtocol):
     """P4: write access in every partition via temporary primaries."""
 
     name = "P4"
-
-    def write_node(
-        self,
-        designated_primary: NodeId,
-        replica_nodes: tuple[NodeId, ...],
-        partition: frozenset[NodeId],
-    ) -> NodeId | None:
-        if designated_primary in partition:
-            return designated_primary
-        return self._temporary_primary(replica_nodes, partition)
 
     def is_possibly_stale(
         self,
@@ -132,9 +128,7 @@ class PrimaryPartitionProtocol(ReplicationProtocol):
     ) -> NodeId | None:
         if not self._is_primary_partition(partition):
             return None
-        if designated_primary in partition:
-            return designated_primary
-        return self._temporary_primary(replica_nodes, partition)
+        return super().write_node(designated_primary, replica_nodes, partition)
 
     def is_possibly_stale(
         self,
@@ -162,16 +156,6 @@ class AdaptiveVotingProtocol(ReplicationProtocol):
     """
 
     name = "adaptive-voting"
-
-    def write_node(
-        self,
-        designated_primary: NodeId,
-        replica_nodes: tuple[NodeId, ...],
-        partition: frozenset[NodeId],
-    ) -> NodeId | None:
-        if designated_primary in partition:
-            return designated_primary
-        return self._temporary_primary(replica_nodes, partition)
 
     def is_possibly_stale(
         self,

@@ -59,7 +59,7 @@ from typing import Any, Callable, Sequence
 
 from ..net import GroupChannel, Message, NodeCrashedError, NodeId, UnreachableError
 from ..net.network import Network
-from ..sim import CostModel, Scheduler, SimClock
+from ..sim import Scheduler, SimClock
 from .base import Transport
 from .wallclock import read_monotonic
 
@@ -143,11 +143,10 @@ class AsyncioNetwork(Network):
         self,
         nodes: Sequence[NodeId],
         scheduler: Scheduler,
-        costs: CostModel | None = None,
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
-        super().__init__(nodes, scheduler, costs=costs, obs=obs)
+        super().__init__(nodes, scheduler, obs=obs)
         self.request_timeout = request_timeout
         # Copy-on-write: mutators rebuild the whole two-level dict under
         # the lock, so readers take a coherent snapshot without it.
@@ -386,7 +385,6 @@ class AsyncioTransport(Transport):
     def __init__(
         self,
         node_ids: Sequence[NodeId],
-        costs: CostModel | None = None,
         obs: Any = None,
         request_timeout: float = 10.0,
     ) -> None:
@@ -395,7 +393,6 @@ class AsyncioTransport(Transport):
         self.network = AsyncioNetwork(
             node_ids,
             scheduler=self.scheduler,
-            costs=costs,
             obs=obs,
             request_timeout=request_timeout,
         )

@@ -34,7 +34,6 @@ from contextlib import nullcontext
 from typing import Any, ContextManager, Sequence
 
 from ..net import NodeId
-from ..sim import CostModel
 
 
 #: The single-threaded backends' transaction guard: stateless, so one
@@ -81,7 +80,6 @@ class Transport:
 def build_transport(
     spec: str,
     node_ids: Sequence[NodeId],
-    costs: CostModel | None = None,
     obs: Any = None,
 ) -> Transport:
     """Resolve a :class:`~repro.cluster.ClusterConfig` transport spec.
@@ -93,9 +91,9 @@ def build_transport(
     if kind == "sim":
         from .sim import SimTransport
 
-        return SimTransport(node_ids, costs=costs, obs=obs)
+        return SimTransport(node_ids, obs=obs)
     if kind == "asyncio":
         from .asyncio_backend import AsyncioTransport
 
-        return AsyncioTransport(node_ids, costs=costs, obs=obs)
+        return AsyncioTransport(node_ids, obs=obs)
     raise ValueError(f"unknown transport {spec!r} (expected 'sim' or 'asyncio')")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..net import GroupChannel, NodeId, SimNetwork
-from ..sim import CostModel, Scheduler, SimClock
+from ..sim import Scheduler, SimClock
 from .base import Transport
 
 
@@ -24,20 +24,10 @@ class SimTransport(Transport):
 
     name = "sim"
 
-    def __init__(
-        self,
-        node_ids: Sequence[NodeId],
-        costs: CostModel | None = None,
-        obs: Any = None,
-    ) -> None:
+    def __init__(self, node_ids: Sequence[NodeId], obs: Any = None) -> None:
         self.clock = SimClock()
         self.scheduler = Scheduler(self.clock)
-        self.network = SimNetwork(
-            node_ids,
-            scheduler=self.scheduler,
-            costs=costs if costs is not None else CostModel(),
-            obs=obs,
-        )
+        self.network = SimNetwork(node_ids, scheduler=self.scheduler, obs=obs)
 
     def make_channel(self) -> GroupChannel:
         return GroupChannel(self.network)

@@ -11,7 +11,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.availability import availability_scenario
 from repro.corpus.generator import two_way_partition
-from repro.sim import CostModel
+from repro.sim import COSTS
 import random
 
 
@@ -34,8 +34,7 @@ class TestSingleRuns:
         assert result.threats_accepted == 0
         # Nothing to ship, but each of the two heals reunifies all three
         # nodes, and a reconciled group always runs its one digest round.
-        costs = CostModel()
-        digest_round = 2 * (costs.multicast_base + 2 * costs.multicast_per_node)
+        digest_round = 2 * (COSTS["multicast_base"] + 2 * COSTS["multicast_per_node"])
         assert result.reconciliation_seconds == pytest.approx(2 * digest_round)
 
     def test_primary_partition_blocks_minority_writes(self):

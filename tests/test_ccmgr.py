@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
 from repro.objects import ContainerInvoker, Entity, InterceptorChain, Node
-from repro.sim import CostLedger, CostModel, SimClock
+from repro.sim import CostLedger, SimClock
 from repro.tx import TransactionManager, TransactionRolledBack
 
 
@@ -71,7 +71,7 @@ class FakeStaleness:
 class Harness:
     def __init__(self, degraded=False, stale=False, negotiator=None, repository=None):
         self.txmgr = TransactionManager()
-        self.node = Node("n1", SimClock(), CostModel(), CostLedger(), self.txmgr)
+        self.node = Node("n1", SimClock(), CostLedger(), self.txmgr)
         self.node.container.deploy(Flight)
         self.repository = (
             repository if repository is not None else CachingConstraintRepository()

@@ -31,6 +31,7 @@ from repro.faults import (
 from repro.core import AcceptAllHandler
 from repro.net import GroupChannel, SimNetwork, UnreachableError
 from repro.obs import Observability
+from repro.sim import COSTS
 from repro.transport.asyncio_backend import AsyncioGroupChannel, AsyncioTransport
 
 NODES = ("a", "b", "c")
@@ -365,7 +366,7 @@ class TestNetworkIntegration:
         # One clock on every substrate: the delay's charge moves it, as
         # does the send's own one-way latency.
         moved = network.scheduler.clock.now - before
-        assert moved == pytest.approx(0.05 + network.costs.network_latency)
+        assert moved == pytest.approx(0.05 + COSTS["network_latency"])
         assert network.ledger.totals["fault_delay"] == pytest.approx(0.05)
 
     def test_duplicate_delivers_extra_copies(self, substrate):
@@ -426,8 +427,7 @@ class TestNetworkIntegration:
             channel.join(node, lambda message: "ack")
         before = network.scheduler.clock.now
         channel.multicast("a", "update", "payload")
-        costs = network.costs
-        expected = 2 * (costs.multicast_base + costs.multicast_per_node * 2)
+        expected = 2 * (COSTS["multicast_base"] + COSTS["multicast_per_node"] * 2)
         assert network.scheduler.clock.now - before == pytest.approx(expected)
         assert network.ledger.totals["multicast"] == pytest.approx(expected)
 

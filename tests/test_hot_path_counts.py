@@ -43,7 +43,7 @@ from repro.objects import ObjectRef
 from repro.objects.values import copy_value
 from repro.persistence import PersistenceEngine
 from repro.replication.manager import ReplicationManager
-from repro.sim import SimClock
+from repro.sim import COSTS, SimClock
 from repro.transport.asyncio_backend import _Mailbox, _ReplyPipe
 
 NODES = ("n1", "n2", "n3")
@@ -256,7 +256,6 @@ def test_the_modelled_cost_of_one_whole_op_is_pinned(counted):
     these charges and move the clock by exactly their seconds: speeding up
     the stack's Python may not add, drop or move a single one."""
     cluster, ref, copies, deep, searches = counted
-    costs = cluster.config.costs
     assert cluster.replication.route_write(ref, "n2") == "n1"
 
     read, read_s = _one_op(cluster, "n2", ref, "get_sold")
@@ -269,12 +268,12 @@ def test_the_modelled_cost_of_one_whole_op_is_pinned(counted):
         "repository_lookup_cached": 5,  # one per constraint type
     }
     assert read_s == pytest.approx(
-        costs.invocation_base
-        + 4 * costs.interceptor_hop
-        + costs.adapt_monitor
-        + 2 * costs.ccm_notification
-        + costs.db_read
-        + 5 * costs.repository_lookup_cached,
+        COSTS["invocation_base"]
+        + 4 * COSTS["interceptor_hop"]
+        + COSTS["adapt_monitor"]
+        + 2 * COSTS["ccm_notification"]
+        + COSTS["db_read"]
+        + 5 * COSTS["repository_lookup_cached"],
         rel=1e-12,
     )
 
@@ -430,7 +429,7 @@ def test_the_modelled_cost_of_one_absorbed_occurrence_is_pinned():
     store.record(ConsistencyThreat("TicketConstraint", SatisfactionDegree.POSSIBLY_VIOLATED, ref))
     assert Counter(engine.ledger.counts) - counts == {"threat_dedup_check": 1, "db_write": 1}
     assert engine.clock.now - started == pytest.approx(
-        engine.costs.threat_dedup_check + engine.costs.db_write, rel=1e-12
+        COSTS["threat_dedup_check"] + COSTS["db_write"], rel=1e-12
     )
 
 

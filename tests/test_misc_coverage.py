@@ -34,16 +34,6 @@ class TestClusterHelpers:
         with pytest.raises(RuntimeError):
             cluster.throughput(lambda i: None, 5)
 
-    def test_deploy_unreplicated_class_on_replicated_cluster(self):
-        cluster = DedisysCluster(ClusterConfig(node_ids=NODES))
-        cluster.deploy(Flight, replicated=False)
-        ref = cluster.create_entity("b", "Flight", "f1", {"seats": 5})
-        # unreplicated: only the home node hosts it
-        assert cluster.nodes["b"].container.has(ref)
-        assert not cluster.nodes["a"].container.has(ref)
-        # remote access routes to the home node
-        assert cluster.invoke("a", ref, "get_seats") == 5
-
     def test_ledger_total_matches_clock(self):
         cluster = DedisysCluster(ClusterConfig(node_ids=NODES))
         cluster.deploy(Flight)

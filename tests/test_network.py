@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from repro.faults import FaultInjector, GilbertElliottLoss
 from repro.net import GroupChannel, NodeCrashedError, SimNetwork, UnreachableError
+from repro.sim import COSTS
 from repro.net.messages import Message
 from repro.net.topology import Topology
 
@@ -132,7 +133,7 @@ class TestMessaging:
     def test_send_charges_latency(self, network):
         before = network.scheduler.clock.now
         network.send("a", "b", "ping")
-        assert network.scheduler.clock.now == before + network.costs.network_latency
+        assert network.scheduler.clock.now == before + COSTS["network_latency"]
 
     def test_local_send_is_free(self, network):
         before = network.scheduler.clock.now
@@ -217,7 +218,7 @@ class TestGroupChannel:
             channel.join(node, lambda msg: "ack")
         before = network.scheduler.clock.now
         channel.multicast("a", "update")
-        expected = 2 * (network.costs.multicast_base + 3 * network.costs.multicast_per_node)
+        expected = 2 * (COSTS["multicast_base"] + 3 * COSTS["multicast_per_node"])
         assert network.scheduler.clock.now == pytest.approx(before + expected)
 
     def test_multicast_no_recipients_is_free(self, network):
@@ -257,7 +258,7 @@ class TestGroupChannel:
         before = network.scheduler.clock.now
         with pytest.raises(NodeCrashedError):
             channel.multicast("a", "update")
-        expected = 2 * (network.costs.multicast_base + 3 * network.costs.multicast_per_node)
+        expected = 2 * (COSTS["multicast_base"] + 3 * COSTS["multicast_per_node"])
         assert network.scheduler.clock.now == pytest.approx(before + expected)
 
 

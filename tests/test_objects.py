@@ -24,7 +24,7 @@ from repro.objects import (
     ObjectRef,
 )
 from repro.objects.entity import trackers
-from repro.sim import CostLedger, CostModel, SimClock
+from repro.sim import COSTS, CostLedger, SimClock
 from repro.tx import TransactionManager
 
 
@@ -39,7 +39,7 @@ class Account(Entity):
 @pytest.fixture
 def node():
     clock = SimClock()
-    return Node("n1", clock, CostModel(), CostLedger(), TransactionManager())
+    return Node("n1", clock, CostLedger(), TransactionManager())
 
 
 @pytest.fixture
@@ -425,7 +425,7 @@ class TestInterceptorChain:
         before = node.services.clock.now
         chain.execute(Invocation(ObjectRef("Account", "a1"), "get_balance", (), "n1"))
         assert node.services.clock.now == pytest.approx(
-            before + 3 * node.services.costs.interceptor_hop
+            before + 3 * COSTS["interceptor_hop"]
         )
 
 
@@ -472,4 +472,4 @@ class TestInvocationSemantics:
         node.invocation_service.client_chain = InterceptorChain([ContainerInvoker(node)])
         before = node.services.clock.now
         node.invocation_service.invoke(ObjectRef("Account", "a1"), "get_balance")
-        assert node.services.clock.now >= before + node.services.costs.invocation_base
+        assert node.services.clock.now >= before + COSTS["invocation_base"]

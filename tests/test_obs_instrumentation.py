@@ -246,7 +246,7 @@ class TestExportedTrace:
 
     def test_cluster_summary_mentions_event_types(self):
         cluster, _ = partition_cluster()
-        text = cluster.obs_summary()
+        text = cluster.obs.summary()
         assert "invocation" in text and "threat" in text
 
     def test_unattached_cluster_reports_empty_snapshot(self):
@@ -255,7 +255,7 @@ class TestExportedTrace:
         assert cluster.snapshot() == {
             "events": {"emitted": 0, "buffered": 0, "dropped": 0, "by_type": {}},
         }
-        assert cluster.obs_summary() == "observability disabled\n"
+        assert cluster.obs.summary() == "observability disabled\n"
 
 
 class TestZeroSimulatedOverhead:

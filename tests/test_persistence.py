@@ -6,7 +6,7 @@ import pytest
 
 from repro.persistence import Journal, PersistenceEngine, StateHistory
 from repro.persistence.store import JOURNAL_TAIL
-from repro.sim import SimClock
+from repro.sim import COSTS, SimClock
 
 from conftest import history_entries
 
@@ -96,7 +96,7 @@ class TestUpdate:
         counts, before = Counter(engine.ledger.counts), engine.clock.now
         table.update("k", {"occurrences": 2})
         assert Counter(engine.ledger.counts) - counts == {"db_write": 1}
-        assert engine.clock.now == before + engine.costs.db_write
+        assert engine.clock.now == before + COSTS["db_write"]
 
     def test_stores_the_old_row_with_the_changes_applied(self, engine):
         table = engine.table("t")
@@ -143,19 +143,19 @@ class TestCostsAndJournal:
         table = engine.table("t")
         before = engine.clock.now
         table.put("k", 1)
-        assert engine.clock.now == before + engine.costs.db_write
+        assert engine.clock.now == before + COSTS["db_write"]
 
     def test_insert_charges_create(self, engine):
         before = engine.clock.now
         engine.table("t").insert("k", 1)
-        assert engine.clock.now == before + engine.costs.db_create
+        assert engine.clock.now == before + COSTS["db_create"]
 
     def test_read_charges_read(self, engine):
         table = engine.table("t")
         table.put("k", 1)
         before = engine.clock.now
         table.get("k")
-        assert engine.clock.now == before + engine.costs.db_read
+        assert engine.clock.now == before + COSTS["db_read"]
 
     def test_delete_charges_delete(self, engine):
         table = engine.table("t")
@@ -163,7 +163,7 @@ class TestCostsAndJournal:
         counts, before = Counter(engine.ledger.counts), engine.clock.now
         table.delete("k")
         assert Counter(engine.ledger.counts) - counts == {"db_delete": 1}
-        assert engine.clock.now == before + engine.costs.db_delete
+        assert engine.clock.now == before + COSTS["db_delete"]
 
     def test_scan_charges_one_read_for_all_rows(self, engine):
         table = engine.table("t")
@@ -172,7 +172,7 @@ class TestCostsAndJournal:
         counts, before = Counter(engine.ledger.counts), engine.clock.now
         assert list(table.scan()) == [(0, 0), (1, 1), (2, 2)]
         assert Counter(engine.ledger.counts) - counts == {"db_read": 1}
-        assert engine.clock.now == before + engine.costs.db_read
+        assert engine.clock.now == before + COSTS["db_read"]
 
     def test_journal_records_mutations(self, engine):
         table = engine.table("t")
@@ -254,7 +254,7 @@ class TestStateHistory:
         history = StateHistory(engine)
         before = engine.clock.now
         history.record("obj", 1, {})
-        assert engine.clock.now == before + engine.costs.state_history_write
+        assert engine.clock.now == before + COSTS["state_history_write"]
 
     def test_record_keeps_the_snapshot_it_is_handed(self, engine):
         """The caller hands over a snapshot nobody changes (a degraded

@@ -109,6 +109,16 @@ class TestAdaptiveVoting:
 
 
 class TestReplicationManager:
+    def test_replicated_classes_are_those_of_replicated_entities(self, cluster):
+        """On a replicated cluster every deployed class is replicated; the
+        process worker's state dump walks these lists."""
+        assert cluster.replication.replicated_classes() == []
+        ref = cluster.create_entity("a", "Counter", "c1")
+        assert cluster.replication.replicated_classes() == ["Counter"]
+        assert cluster.replication.refs_of_class("Counter") == [ref]
+        cluster.delete_entity("b", ref)
+        assert cluster.replication.replicated_classes() == []
+
     def test_create_replicates_to_all_nodes(self, cluster):
         ref = cluster.create_entity("a", "Counter", "c1", {"value": 5})
         for node in NODES:

@@ -532,7 +532,7 @@ def test_options_no_caller_set_stay_constants():
     assert matches(r"isinstance\(spec, Transport\)", "transport") == []
     assert ClusterConfig.__annotations__["transport"] in (str, "str")
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
-    assert len(fields) == 10 and "default_min_degree" not in fields
+    assert len(fields) == 9 and not {"default_min_degree", "costs"} & fields
     removed = [
         (ConstraintConsistencyManager.__init__, "config"),
         (explorer.Counterexample.replay, "registry_factory"),
@@ -558,21 +558,34 @@ def test_settings_with_one_value_in_use_are_constants():
     from repro.core.ocl_constraints import OclConstraint
     from repro.corpus import generate_corpus, generate_scenario, run_sweep
     from repro.net import GroupChannel, Network, SimNetwork
-    from repro.objects import Container
+    from repro.objects import Container, Node
+    from repro.objects.node import NodeServices
     from repro.obs import Observability
-    from repro.persistence import StateHistory, StateVersion, Table
+    from repro.persistence import PersistenceEngine, StateHistory, StateVersion, Table
     from repro.replication import AdaptiveVotingProtocol
+    from repro.sim import charger
     from repro.transport import build_transport
-    from repro.transport.asyncio_backend import AsyncioGroupChannel, AsyncioTransport
+    from repro.transport.asyncio_backend import (
+        AsyncioGroupChannel,
+        AsyncioNetwork,
+        AsyncioTransport,
+    )
     from repro.transport.base import Transport
     from repro.transport.sim import SimTransport
 
     removed = [
-        (Network.__init__, ("loss_probability", "seed")),
-        (SimNetwork.__init__, ("loss_probability", "seed")),
-        (SimTransport.__init__, ("seed",)),
-        (build_transport, ("seed",)),
-        (ClusterConfig, ("seed",)),
+        (Network.__init__, ("loss_probability", "seed", "costs")),
+        (SimNetwork.__init__, ("loss_probability", "seed", "costs")),
+        (SimTransport.__init__, ("seed", "costs")),
+        (build_transport, ("seed", "costs")),
+        (ClusterConfig, ("seed", "costs")),
+        (AsyncioTransport.__init__, ("costs",)),
+        (AsyncioNetwork.__init__, ("costs",)),
+        (Node.__init__, ("costs",)),
+        (NodeServices.__init__, ("costs",)),
+        (PersistenceEngine.__init__, ("costs",)),
+        (charger, ("costs",)),
+        (DedisysCluster.deploy, ("replicated",)),
         (OclConstraint.__init__, ("strategy",)),
         (Negotiator.__init__, ("default_min_degree", "static_bounds_dynamic")),
         (AdaptiveVotingProtocol.__init__, ("votes", "adaptive")),
@@ -595,13 +608,50 @@ def test_settings_with_one_value_in_use_are_constants():
         (run_sweep, ("obs",)),
         (Observability.__init__, ("clock", "sinks")),
     ]
-    assert len(removed) == 26 and sum(len(names) for _, names in removed) == 32
+    assert len(removed) == 33 and sum(len(names) for _, names in removed) == 44
     for function, names in removed:
         assert not set(names) & set(inspect.signature(function).parameters), function
     assert {field.name for field in dataclasses.fields(StateVersion)} == {
         "version", "state", "timestamp"
     }
     assert matches(r"\.group\b", "net/multicast.py", "transport") == []
+    # The testbed's costs are one constant table: nothing holds or builds
+    # a cost model of its own.
+    assert matches(r"\bcosts\s*[:=]|(?<!sim)\.costs\b|CostModel|\breplicate_class\b") == []
+
+
+def count_settable(root: Path = SRC) -> int:
+    """Every parameter with a default (positional or keyword-only) of
+    every def, plus every field with a default of every ``@dataclass``
+    class, under ``root``."""
+
+    def is_dataclass(node: ast.ClassDef) -> bool:
+        return any(
+            (isinstance(d, ast.Name) and d.id == "dataclass")
+            or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+            for d in node.decorator_list
+        )
+
+    total = 0
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                total += len(node.args.defaults)
+                total += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                total += sum(
+                    isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body
+                )
+    return total
+
+
+#: Settable values under ``src/repro``, as :func:`count_settable` counts them.
+#: A change that raises it says why in CHANGES.md, as for a frame pin.
+SETTABLE_VALUES = 499
+
+
+def test_the_settable_values_are_pinned():
+    assert count_settable() == SETTABLE_VALUES
 
 
 def test_every_link_fault_is_an_injector_decision():
@@ -640,6 +690,21 @@ def test_adaptive_voting_always_adapts_on_one_vote_per_node():
     assert refusals == []
 
 
+def test_the_p4_write_rule_is_written_once():
+    """P4 and adaptive voting inherit the one rule; primary-partition
+    applies it behind its majority gate."""
+    from repro.replication import protocols
+
+    owners = [
+        name
+        for name, value in vars(protocols).items()
+        if isinstance(value, type) and "write_node" in vars(value)
+    ]
+    assert owners == ["ReplicationProtocol", "PrimaryPartitionProtocol"]
+    gated = _method("replication/protocols.py", "PrimaryPartitionProtocol", "write_node")
+    assert sorted(_calls(gated)) == ["self._is_primary_partition", "super", "super().write_node"]
+
+
 def test_an_object_is_reached_by_its_reference_not_a_bound_name():
     import repro.objects
 
@@ -658,7 +723,7 @@ def test_a_lost_call_fails_fast_with_no_retry_deadline_or_breaker():
     from repro.objects import Invocation
 
     fields = {field.name for field in dataclasses.fields(ClusterConfig)}
-    assert len(fields) == 10 and "resilience" not in fields
+    assert len(fields) == 9 and "resilience" not in fields
     assert "deadline" not in Invocation.__slots__
     resilience = re.compile(r"Resilience|Retry|Breaker|Circuit|Deadline")
     assert [name for name in repro.__all__ if resilience.search(name)] == []

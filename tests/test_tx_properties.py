@@ -7,7 +7,7 @@ after rollback and exactly their net effect after commit.
 from hypothesis import given, strategies as st
 
 from repro.objects import Entity, Node
-from repro.sim import CostLedger, CostModel, SimClock
+from repro.sim import CostLedger, SimClock
 from repro.tx import TransactionManager, TransactionRolledBack
 
 
@@ -17,7 +17,7 @@ class Sheet(Entity):
 
 def make_node():
     txmgr = TransactionManager()
-    node = Node("n1", SimClock(), CostModel(), CostLedger(), txmgr)
+    node = Node("n1", SimClock(), CostLedger(), txmgr)
     node.container.deploy(Sheet)
     return node, txmgr
 
