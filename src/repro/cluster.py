@@ -42,7 +42,6 @@ from .membership import topology_gms
 from .net import GroupChannel, Message, NodeCrashedError, NodeId, SimNetwork
 from .objects import (
     ContainerInvoker,
-    CostInterceptor,
     Entity,
     InterceptorChain,
     LocationService,
@@ -207,15 +206,14 @@ class DedisysCluster:
             transport = TransportInterceptor(
                 node, self.network, self.gms, self.location, self.replication
             )
-            client = [CostInterceptor(node, hops=2), transport]  # proxy + client chain
-            server: list[Any] = [CostInterceptor(node, hops=2)]
+            server: list[Any] = []
             if self.replication is not None:
                 server.append(ReplicationServerInterceptor(node, self.replication))
             if node_id in self.ccmgrs:
                 server.append(CCMInterceptor(node, self.ccmgrs[node_id], obs=self.obs))
             server.append(PersistenceInterceptor(node))
             server.append(ContainerInvoker(node))
-            node.invocation_service.client_chain = InterceptorChain(client)
+            node.invocation_service.client_chain = InterceptorChain([transport])
             node.invocation_service.server_chain = InterceptorChain(server)
 
     def _wire_messaging(self) -> None:

@@ -25,8 +25,10 @@ The consistency manager has one query, whatever the strategy:
 registrations of each constraint type.  ``affected_constraints`` is the
 per-type primitive underneath — the Chapter-2 study code calls it
 directly, and the linear strategy answers a dispatch by calling it on
-demand.  The caching strategy's view answers a cached question from the
-cache itself and calls it only on the first question after a change.
+demand.  The caching strategy's view answers a cached question with one
+subscript of the repository's cache, which it holds (a change clears the
+cache in place), under a cache key it built with the view, and calls
+``affected_constraints`` only on the first question after a change.
 Either way every ``repository_search`` / ``repository_lookup_cached``
 charge lands where the manager asks.
 
@@ -120,24 +122,32 @@ class _QueriedDispatch(MethodDispatch):
 
 
 class _CachedDispatch(_QueriedDispatch):
-    """The caching repository's view: a question whose answer is cached is
-    answered here, in one frame, with the ``repository_lookup_cached``
+    """The caching repository's view.  It holds the repository's cache
+    (cleared in place on every change), one prebuilt cache key per
+    constraint type and the repository's charge, so a question whose
+    answer is cached is one subscript plus the ``repository_lookup_cached``
     charge ``affected_constraints`` would make; a question after a change
     goes on to ``affected_constraints``, which searches and charges
     ``repository_search``."""
 
-    __slots__ = ()
+    __slots__ = ("_cache", "_keys", "_charge")
+
+    def __init__(self, repository: "CachingConstraintRepository", key: tuple[str, str]) -> None:
+        super().__init__(repository, key)
+        self._cache = repository._cache
+        self._keys = {kind: (*key, kind) for kind in (None, *ConstraintType)}
+        self._charge = repository._charge
 
     def registrations(
         self, constraint_type: ConstraintType | None = None
     ) -> Sequence[ConstraintRegistration]:
-        class_name, method_name = self.key
-        repository = self._repository
-        cached = repository._cache.get((class_name, method_name, constraint_type))
-        if cached is None:
-            return repository.affected_constraints(class_name, method_name, constraint_type)
-        if repository._charge is not None:
-            repository._charge("repository_lookup_cached")
+        key = self._keys[constraint_type]
+        try:
+            cached = self._cache[key]
+        except KeyError:
+            return self._repository.affected_constraints(*key)
+        if self._charge is not None:
+            self._charge("repository_lookup_cached")
         if not cached:
             return ()
         return [registration for registration in cached if registration.constraint.enabled]

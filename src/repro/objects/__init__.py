@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
     "container": ("Container",),
     "entity": ("Entity",),
     "invocation": (
-        "ContainerInvoker", "CostInterceptor", "Interceptor", "InterceptorChain",
+        "ContainerInvoker", "Interceptor", "InterceptorChain",
         "Invocation", "InvocationService",
     ),
     "naming": ("LocationService",),

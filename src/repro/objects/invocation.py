@@ -9,12 +9,12 @@ container invoker — dispatches to the entity method.
 
 Adding middleware services is, as in the paper, just a matter of putting a
 new interceptor into the chain; the constraint-consistency and replication
-services plug in exactly this way.
+services plug in exactly this way.  No interceptor only charges: the
+chains' hops are charged by :class:`InvocationService` where a chain starts.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..net import NodeId
@@ -30,12 +30,9 @@ class Invocation:
     """An explicit representation of one method invocation."""
 
     __slots__ = (
-        "invocation_id", "ref", "method_name", "is_getter", "is_setter",
-        "is_write", "args", "caller_node", "execution_node", "entity",
-        "result", "redirected", "post_contexts",
+        "ref", "method_name", "is_write", "args", "caller_node",
+        "execution_node", "entity", "result", "redirected", "post_contexts",
     )
-
-    _ids = itertools.count(1)
 
     def __init__(
         self,
@@ -44,15 +41,12 @@ class Invocation:
         args: tuple[Any, ...],
         caller_node: NodeId,
     ) -> None:
-        self.invocation_id = next(Invocation._ids)
         self.ref = ref
         self.method_name = method_name
-        # EJB-convention write detection (§4.3), decided here once: setters
-        # are writes, getters are reads, and anything else is treated as a
-        # write "to be on the safe side" (§5.1).
-        self.is_getter = method_name.startswith("get_")
-        self.is_setter = method_name.startswith("set_")
-        self.is_write = not self.is_getter
+        # EJB-convention write detection (§4.3), decided here once: getters
+        # are reads, and setters and anything else are treated as writes
+        # "to be on the safe side" (§5.1).
+        self.is_write = not method_name.startswith("get_")
         self.args = args
         self.caller_node = caller_node
         self.execution_node: NodeId | None = None
@@ -69,10 +63,8 @@ class Invocation:
         self.post_contexts: list[tuple[Any, Any]] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        # The process-global invocation_id stays out of the repr: the
-        # network's payload-size estimate is ``len(repr(payload))``, and a
-        # run-dependent id width would leak into traces and byte counters,
-        # breaking same-seed trace equality.
+        # The network's payload-size estimate is ``len(repr(payload))``, so
+        # the repr holds only what is the same in every same-seed run.
         return (
             f"Invocation({self.ref}.{self.method_name}"
             f" from {self.caller_node})"
@@ -80,6 +72,9 @@ class Invocation:
 
 
 Proceed = Callable[[Invocation], Any]
+
+#: The seconds one chain's traversal charges: two hops, the proxy and the chain.
+_HOPS_S = 2 * COSTS["interceptor_hop"]
 
 
 def _fell_off_the_end(invocation: Invocation) -> Any:
@@ -118,20 +113,6 @@ class InterceptorChain:
         self.execute: Proceed = proceed
 
 
-class CostInterceptor(Interceptor):
-    """Charges the modelled cost of traversing one interceptor hop."""
-
-    name = "cost"
-
-    def __init__(self, node: "Node", hops: int = 1) -> None:
-        self.node = node
-        self.cost = COSTS["interceptor_hop"] * hops
-
-    def intercept(self, invocation: Invocation) -> Any:
-        self.node.persistence.charge("interceptor_hop", self.cost)
-        return self.proceed(invocation)
-
-
 class ContainerInvoker(Interceptor):
     """Final server-side interceptor: dispatch to the bean instance."""
 
@@ -150,11 +131,13 @@ class ContainerInvoker(Interceptor):
 class InvocationService:
     """Per-node entry point for invocations.
 
-    ``invoke`` runs the full client chain (which typically ends in the
+    ``invoke`` charges ``invocation_base`` and the client chain's
+    ``interceptor_hop`` and runs that chain (which typically ends in the
     transport interceptor routing the call to the execution node's server
-    chain).  ``invoke_local``/``run_server_chain`` enter the server chain
-    directly — the path used for nested invocations intercepted AOP-style
-    (§4.2.4) and for calls arriving over the network.
+    chain).  ``invoke_local``/``run_server_chain`` charge the server chain's
+    ``interceptor_hop`` and enter it directly — the path used for nested
+    invocations intercepted AOP-style (§4.2.4) and for calls arriving over
+    the network.
     """
 
     def __init__(self, node: "Node") -> None:
@@ -163,16 +146,20 @@ class InvocationService:
         self.server_chain = InterceptorChain([])
 
     def invoke(self, ref: ObjectRef, method_name: str, args: tuple[Any, ...] = ()) -> Any:
-        self.node.persistence.charge("invocation_base")
+        charge = self.node.persistence.charge
+        charge("invocation_base")
+        charge("interceptor_hop", _HOPS_S)
         invocation = Invocation(ref, method_name, args, self.node.node_id)
         return self.client_chain.execute(invocation)
 
     def invoke_local(self, ref: ObjectRef, method_name: str, args: tuple[Any, ...] = ()) -> Any:
         invocation = Invocation(ref, method_name, args, self.node.node_id)
         invocation.execution_node = self.node.node_id
+        self.node.persistence.charge("interceptor_hop", _HOPS_S)
         return self.server_chain.execute(invocation)
 
     def run_server_chain(self, invocation: Invocation) -> Any:
         invocation.execution_node = self.node.node_id
         invocation.entity = None
+        self.node.persistence.charge("interceptor_hop", _HOPS_S)
         return self.server_chain.execute(invocation)

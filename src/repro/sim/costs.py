@@ -18,7 +18,6 @@ reproduction, like the testbed it stands in for, not a setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
@@ -93,23 +92,42 @@ _SECONDS: dict[str, float] = {
 COSTS: Mapping[str, float] = MappingProxyType(_SECONDS)
 
 
-@dataclass
 class CostLedger:
-    """Charged costs by category, for introspection in tests.
-
-    Written only by the :func:`charger` functions bound to it.
+    """Charged costs by category, written only by the :func:`charger`
+    functions bound to it.  Every charge books its count in ``counts``; a
+    charge by category books nothing else, and ``totals`` folds its
+    seconds in when read: one addition per charge, in charge order, so
+    every total has a running sum's bits.  A caller's duration folds its
+    category's pending table charges first, then adds itself.
     """
 
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = {}
+        self._sums: dict[str, float] = {}  # seconds folded in so far
+        self._folded: dict[str, int] = {}  # charges folded in so far
+
+    @property
+    def totals(self) -> dict[str, float]:
+        """Seconds charged by category, in first-charge order."""
+        return {category: self._fold(category) for category in self.counts}
+
+    def _fold(self, category: str) -> float:
+        count = self.counts[category]
+        total = self._sums.get(category, 0.0)
+        for _ in range(count - self._folded.get(category, 0)):
+            total += _SECONDS[category]
+        self._sums[category] = total
+        self._folded[category] = count
+        return total
 
     def total(self) -> float:
         return sum(self.totals.values())
 
     def summary(self) -> dict[str, Any]:
+        totals = self.totals
         return {
-            name: {"count": self.counts[name], "seconds": self.totals[name]}
-            for name in sorted(self.totals)
+            name: {"count": self.counts[name], "seconds": totals[name]}
+            for name in sorted(totals)
         }
 
 
@@ -119,33 +137,38 @@ def charger(clock: Any, ledger: CostLedger) -> Callable[..., None]:
     Every modelled cost is spent through such a function, in one call:
     ``charge(category)`` spends the seconds :data:`COSTS` gives that
     category, ``charge(category, seconds)`` a duration the caller
-    computed.  It books the seconds under ``category`` in ``ledger`` and
-    lets them pass on ``clock``; a caller's duration is checked the way
+    computed.  It lets the seconds pass on ``clock`` and books the charge
+    in ``ledger``; a caller's duration is checked the way
     ``clock.advance`` checks one, and a NaN, infinite or negative one goes
     to ``advance``, which rejects it with the clock unmoved.
 
     Every entry of the table is finite and >= 0 (``tests/test_sim.py``
-    holds it), so a charge by category skips ``advance``.  The table never
-    changes, so threads that share the ledger share nothing new.
+    holds it), so a charge by category skips ``advance`` and is one
+    addition to the clock and one count: its seconds reach the ledger's
+    ``totals`` when they are read.  The table never changes; threads that
+    share a ledger share its dicts, as before.
     """
     seconds_of = _SECONDS
-    totals, counts = ledger.totals, ledger.counts
+    counts, sums, folded = ledger.counts, ledger._sums, ledger._folded
     advance, inf = clock.advance, math.inf
 
     def charge(category: str, seconds: float | None = None) -> None:
         if seconds is None:
             try:
-                seconds = seconds_of[category]
+                clock.now += seconds_of[category]
+                counts[category] = counts.get(category, 0) + 1
             except KeyError:
                 raise AttributeError(f"no cost category {category!r}") from None
-            clock.now += seconds
         elif 0.0 <= seconds < inf:
             # ``advance``'s own test: a finite, non-negative duration
             # passes without entering it.
             clock.now += seconds
+            count = counts.get(category, 0)
+            if count != folded.get(category, 0):
+                ledger._fold(category)
+            sums[category] = sums.get(category, 0.0) + seconds
+            counts[category] = folded[category] = count + 1
         else:
             advance(seconds)  # raises, with the clock unmoved
-        totals[category] = totals.get(category, 0.0) + seconds
-        counts[category] = counts.get(category, 0) + 1
 
     return charge

@@ -9,7 +9,9 @@ write, an absorbed threat occurrence and one more absorbed threat on a
 degraded write run a pinned number of the package's Python frames, and
 none of ``enum``'s; a read, a forwarded write, a refused write and three
 degraded writes make a pinned sequence of charges, bit for bit on the
-clock.  On the threaded backend
+clock.  Each of those charges is a frame of its own, so a charge by
+category is pinned in bytecode instructions too, per Python version: it
+adds to the clock and books a count, and nothing else.  On the threaded backend
 a forwarded write wakes each peer once per message and builds no lock.
 """
 
@@ -231,6 +233,70 @@ def _frames(action):
     finally:
         sys.setprofile(previous)
     return counts["repro"], counts["enum"]
+
+
+def _instructions(function, *args):
+    """Call ``function(*args)``; return the bytecode instructions executed
+    in its own code object.  Python 3.12 and later count them with
+    ``sys.monitoring``: on 3.12.1, ``f_trace_opcodes`` set from a trace
+    function's call event reports no instruction at all."""
+    code, count = function.__code__, 0
+
+    def on_instruction(*_):
+        nonlocal count
+        count += 1
+
+    if sys.version_info >= (3, 12):
+        monitoring, tool = sys.monitoring, sys.monitoring.PROFILER_ID
+        monitoring.use_tool_id(tool, "instruction-count")
+        monitoring.register_callback(tool, monitoring.events.INSTRUCTION, on_instruction)
+        monitoring.set_local_events(tool, code, monitoring.events.INSTRUCTION)
+        try:
+            function(*args)
+        finally:
+            monitoring.set_local_events(tool, code, 0)
+            monitoring.register_callback(tool, monitoring.events.INSTRUCTION, None)
+            monitoring.free_tool_id(tool)
+        return count
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            on_instruction()
+        return local
+
+    def trace(frame, event, arg):
+        if frame.f_code is code:
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+#: Instructions of one charge by category, per ``sys.version_info[:2]``
+#: (bytecode differs by version).
+TABLE_CHARGE_INSTRUCTIONS = {(3, 10): 27, (3, 11): 25, (3, 12): 23}
+
+
+def test_a_charge_by_category_is_one_addition_and_one_count():
+    """A table charge adds its seconds to the clock and books its count;
+    its seconds reach the ledger's totals when they are read."""
+    version = sys.version_info[:2]
+    if version not in TABLE_CHARGE_INSTRUCTIONS:
+        pytest.skip(f"no instruction pin for Python {version}")
+    clock = SimClock()
+    ledger = repro.sim.costs.CostLedger()
+    charge = repro.sim.costs.charger(clock, ledger)
+    charge("db_read")  # the category's first charge takes the same path
+    assert _instructions(charge, "db_read") == TABLE_CHARGE_INSTRUCTIONS[version]
+    assert ledger.counts == {"db_read": 2}
+    assert clock.now == ledger.totals["db_read"] == COSTS["db_read"] + COSTS["db_read"]
 
 
 def _charges(cluster):
@@ -492,7 +558,7 @@ def test_the_python_frames_of_one_whole_degraded_write_are_pinned(counted):
     cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)  # stores it
     assert _frames(
         lambda: cluster.invoke("n2", ref, "sell_tickets", 1, negotiation_handler=accept)
-    ) == (134, 0)
+    ) == (132, 0)
 
 
 def _bystanders(cluster, first, count):
@@ -658,8 +724,8 @@ def test_the_python_frames_of_one_whole_op_are_pinned(counted):
     cluster, ref, copies, deep, searches = counted
     assert cluster.replication.route_write(ref, "n2") == "n1"
     # The same on Python 3.10, 3.11 and 3.12.
-    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (45, 0)
-    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (128, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "get_sold")) == (43, 0)
+    assert _frames(lambda: cluster.invoke("n2", ref, "sell_tickets", 1)) == (126, 0)
 
 
 class CountedLock:

@@ -7,13 +7,13 @@ import json
 import pickle
 import threading
 import types
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from repro.objects import (
     ContainerInvoker,
-    CostInterceptor,
     Entity,
     Interceptor,
     InterceptorChain,
@@ -409,8 +409,8 @@ class TestInterceptorChain:
         invoker = ContainerInvoker(node)
         InterceptorChain([invoker])
         with pytest.raises(ValueError, match="already linked"):
-            InterceptorChain([CostInterceptor(node), invoker])
-        shared = CostInterceptor(node)
+            InterceptorChain([Interceptor(), invoker])
+        shared = Interceptor()
         with pytest.raises(ValueError, match="already linked"):
             InterceptorChain([shared, shared, ContainerInvoker(node)])
 
@@ -419,14 +419,29 @@ class TestInterceptorChain:
         with pytest.raises(RuntimeError):
             chain.execute(Invocation(ObjectRef("A", "1"), "m", (), "n1"))
 
-    def test_cost_interceptor_advances_clock(self, node, container):
+    @pytest.mark.parametrize("entry", ["run_server_chain", "invoke_local"])
+    def test_a_server_chain_books_one_hop_where_it_starts(self, node, container, entry):
+        """No interceptor charges: entering a server chain books exactly one
+        ``interceptor_hop`` of two hops' seconds, before the chain runs."""
         container.create("Account", "a1")
-        chain = InterceptorChain([CostInterceptor(node, hops=3), ContainerInvoker(node)])
-        before = node.services.clock.now
-        chain.execute(Invocation(ObjectRef("Account", "a1"), "get_balance", (), "n1"))
-        assert node.services.clock.now == pytest.approx(
-            before + 3 * COSTS["interceptor_hop"]
-        )
+        ledger = node.persistence.ledger
+        before, seen = Counter(ledger.counts), []
+
+        class Probe(Interceptor):
+            def intercept(self, invocation):
+                seen.append(Counter(ledger.counts) - before)
+                return self.proceed(invocation)
+
+        service = node.invocation_service
+        service.server_chain = InterceptorChain([Probe(), ContainerInvoker(node)])
+        ref = ObjectRef("Account", "a1")
+        if entry == "run_server_chain":
+            assert service.run_server_chain(Invocation(ref, "get_balance", (), "n1")) == 0
+        else:
+            assert service.invoke_local(ref, "get_balance") == 0
+        assert seen == [{"interceptor_hop": 1}]
+        assert Counter(ledger.counts) - before == {"interceptor_hop": 1}
+        assert ledger.totals["interceptor_hop"] == 2 * COSTS["interceptor_hop"]
 
 
 class TestInvocationSemantics:
@@ -437,27 +452,18 @@ class TestInvocationSemantics:
         assert Invocation(ObjectRef("A", "1"), "do_stuff", (), "n").is_write
 
     @pytest.mark.parametrize(
-        "method, getter, setter, write",
-        [
-            ("get_x", True, False, False),
-            ("set_x", False, True, True),
-            ("book", False, False, True),
-            ("getaway", False, False, True),
-        ],
+        "method, write",
+        [("get_x", False), ("set_x", True), ("book", True), ("getaway", True)],
     )
-    def test_read_or_write_is_decided_with_the_invocation(self, method, getter, setter, write):
+    def test_read_or_write_is_decided_with_the_invocation(self, method, write):
         invocation = Invocation(ObjectRef("A", "1"), method, (), "n")
-        # Facts stored in slots when the invocation is made, not a property
-        # chain: a property would show up here instead of a slot descriptor.
-        for fact in ("is_getter", "is_setter", "is_write"):
-            assert isinstance(
-                inspect.getattr_static(Invocation, fact), types.MemberDescriptorType
-            )
-        assert (invocation.is_getter, invocation.is_setter, invocation.is_write) == (
-            getter,
-            setter,
-            write,
+        # A fact stored in a slot when the invocation is made, not a
+        # property: a property would show up here instead of a slot
+        # descriptor.
+        assert isinstance(
+            inspect.getattr_static(Invocation, "is_write"), types.MemberDescriptorType
         )
+        assert invocation.is_write is write
 
     def test_invoke_local_runs_server_chain(self, node, container):
         container.create("Account", "a1")

@@ -76,10 +76,11 @@ def test_one_value_copy_helper():
 
 def test_per_call_derivations_are_made_once():
     """Entity accessors are built with the class, with no per-access
-    ``__getattr__``; an Invocation's read-or-write facts are attributes set
-    in ``__init__``, not properties; the cost ledger is written by the one
-    charge function of ``sim/costs.py``; ``cluster.py`` imports
-    ``repro.net`` once, at module level."""
+    ``__getattr__``; an Invocation's read-or-write fact is an attribute set
+    in ``__init__``, not a property; the cost ledger's books (its counts and
+    the seconds folded in from them) are written only in ``sim/costs.py``,
+    by the charge function and the fold of ``totals``, which nothing
+    assigns; ``cluster.py`` imports ``repro.net`` once, at module level."""
     assert matches(r"def __getattr__", "objects/entity.py") == []
     properties = [
         node.name
@@ -88,8 +89,10 @@ def test_per_call_derivations_are_made_once():
         and "property" in [ast.unparse(decorator) for decorator in node.decorator_list]
     ]
     assert [name for name in properties if re.match(r"is_(write|getter|setter)", name)] == []
-    writers = matches(r"totals\[[^]]+\] *\+?=[^=]")
-    assert len(writers) == 1 and writers[0].startswith("sim/costs.py:"), writers
+    writers = matches(r"\b(counts|_?sums|_?folded)\[[^]]+\] *=[^=]", "sim")
+    assert len(writers) == 5 and all(w.startswith("sim/costs.py:") for w in writers), writers
+    assert matches(r"ledger\.counts\[[^]]+\] *\+?=[^=]|\.totals\[[^]]+\] *\+?=[^=]") == []
+    assert [line for line in matches(r"\._(sums|folded)\b") if not line.startswith("sim/costs.py:")] == []
     assert matches(r"ledger\.charge\(") == []
     assert matches(r"^\s+from \.net import", "cluster.py") == []
 
@@ -563,7 +566,7 @@ def test_settings_with_one_value_in_use_are_constants():
     from repro.obs import Observability
     from repro.persistence import PersistenceEngine, StateHistory, StateVersion, Table
     from repro.replication import AdaptiveVotingProtocol
-    from repro.sim import charger
+    from repro.sim import CostLedger, charger
     from repro.transport import build_transport
     from repro.transport.asyncio_backend import (
         AsyncioGroupChannel,
@@ -607,8 +610,9 @@ def test_settings_with_one_value_in_use_are_constants():
         (generate_corpus, ("obs",)),
         (run_sweep, ("obs",)),
         (Observability.__init__, ("clock", "sinks")),
+        (CostLedger, ("totals", "counts")),
     ]
-    assert len(removed) == 33 and sum(len(names) for _, names in removed) == 44
+    assert len(removed) == 34 and sum(len(names) for _, names in removed) == 46
     for function, names in removed:
         assert not set(names) & set(inspect.signature(function).parameters), function
     assert {field.name for field in dataclasses.fields(StateVersion)} == {
@@ -618,6 +622,8 @@ def test_settings_with_one_value_in_use_are_constants():
     # The testbed's costs are one constant table: nothing holds or builds
     # a cost model of its own.
     assert matches(r"\bcosts\s*[:=]|(?<!sim)\.costs\b|CostModel|\breplicate_class\b") == []
+    # ``CostInterceptor(hops=)`` went with its class: an invocation's hops
+    # are charged by the invocation service (see the guard below).
 
 
 def count_settable(root: Path = SRC) -> int:
@@ -647,11 +653,17 @@ def count_settable(root: Path = SRC) -> int:
 
 #: Settable values under ``src/repro``, as :func:`count_settable` counts them.
 #: A change that raises it says why in CHANGES.md, as for a frame pin.
-SETTABLE_VALUES = 499
+SETTABLE_VALUES = 496
 
 
 def test_the_settable_values_are_pinned():
     assert count_settable() == SETTABLE_VALUES
+
+
+def test_no_interceptor_exists_only_to_charge():
+    """The modelled cost of an interceptor chain is charged where the chain
+    starts, by ``InvocationService``: no cost interceptor grows back."""
+    assert matches(r"\bCostInterceptor\b") == []
 
 
 def test_every_link_fault_is_an_injector_decision():

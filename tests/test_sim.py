@@ -244,10 +244,15 @@ class TestCostLedger:
         self.bound(ledger)("x", 0.5)
         assert ledger.summary() == {"x": {"count": 1, "seconds": 0.5}}
 
-    def test_bit_identical_to_the_three_step_reference(self):
+    @pytest.mark.parametrize("read_every", [0, 7])
+    def test_bit_identical_to_the_three_step_reference(self, read_every):
         """Look up the seconds, ``dict.get``-accumulate, ``+=`` the
         clock: what a charge did as three calls, kept here as the
-        specification of the one function, over the real table."""
+        specification of the one function, over the real table.  The
+        ledger folds a table charge's seconds into ``totals`` when that is
+        read, so reading it (and ``summary()``) between charges, then
+        charging the same category from the table and with a caller's
+        duration, must leave the same bits."""
         names = sorted(COSTS)
         rng = random.Random(20)
         recorded = []
@@ -257,26 +262,33 @@ class TestCostLedger:
             else:  # a duration the caller computed
                 recorded.append((rng.choice(["multicast", "fault_delay", "db_read"]), rng.random() / 7))
 
-        totals, counts, now = {}, {}, 0.0
-        for category, seconds in recorded:
+        def hexed(totals):
+            return [(k, v.hex()) for k, v in totals.items()]
+
+        totals, counts, now, expected = {}, {}, 0.0, []
+        for step, (category, seconds) in enumerate(recorded):
             if seconds is None:
                 seconds = COSTS[category]
             totals[category] = totals.get(category, 0.0) + seconds
             counts[category] = counts.get(category, 0) + 1
             now += seconds
+            if read_every and step % read_every == 0:
+                expected.append(hexed(totals))
 
         ledger, clock = CostLedger(), SimClock()
         charge = self.bound(ledger, clock)
-        for category, seconds in recorded:
+        read = []
+        for step, (category, seconds) in enumerate(recorded):
             if seconds is None:
                 charge(category)
             else:
                 charge(category, seconds)
+            if read_every and step % read_every == 0:
+                read.append(hexed(ledger.totals))
+                ledger.summary()
+        assert read == expected
         assert clock.now.hex() == now.hex()
-        assert {k: v.hex() for k, v in ledger.totals.items()} == {
-            k: v.hex() for k, v in totals.items()
-        }
-        assert list(ledger.totals) == list(totals)  # first-charge order
+        assert hexed(ledger.totals) == hexed(totals)  # first-charge order
         assert ledger.counts == counts and list(ledger.counts) == list(counts)
         assert ledger.summary() == {
             name: {"count": counts[name], "seconds": totals[name]}
