@@ -169,3 +169,43 @@ class TestValueParsing:
         assert _parse_value("none") is None
         assert _parse_value('"hello"') == "hello"
         assert _parse_value("plain") == "plain"
+
+
+#: The whole stdout of ``examples/scripted_test.py``: the step log, the
+#: expected error's message and the simulated seconds of both scripts.
+SCRIPTED_TEST_STDOUT = """\
+--- booking script ---
+   nodes vienna graz linz
+   deploy Flight
+   constraint ticket
+   create vienna Flight OS-101 seats=80 flight_number="OS 101"
+   invoke vienna Flight#OS-101 sell_tickets 70
+   invoke vienna Flight#OS-101 sell_tickets 20 -> error as expected: constraint 'TicketConstraint' violated on Flight#OS-101
+   partition vienna | graz linz
+   invoke-accept vienna Flight#OS-101 sell_tickets 7
+   invoke-accept graz Flight#OS-101 sell_tickets 8
+   heal
+   reconcile
+  => 3 invocations, 5 assertions, 1 expected errors, 0.549 simulated seconds
+
+--- crash script ---
+   nodes n1 n2 n3
+   deploy Flight
+   constraint ticket
+   create n1 Flight LH-9 seats=200
+   crash n3
+   invoke n1 Flight#LH-9 sell_tickets 30
+   recover n3
+   reconcile
+  => 1 invocations, 3 assertions, 0 expected errors, 0.483 simulated seconds
+
+"""
+
+
+def test_the_scripted_example_prints_its_pinned_log(capsys):
+    import pathlib
+    import runpy
+
+    example = pathlib.Path(__file__).resolve().parent.parent / "examples" / "scripted_test.py"
+    runpy.run_path(str(example), run_name="__main__")
+    assert capsys.readouterr().out == SCRIPTED_TEST_STDOUT
