@@ -28,6 +28,7 @@ from ..core import (
     ConstraintViolated,
 )
 from ..net import NodeCrashedError, UnreachableError
+from ..objects import ObjectNotFound, ObjectRef
 from ..obs import Observability
 from ..replication import WriteAccessDenied
 from ..tx import TransactionRolledBack
@@ -44,6 +45,7 @@ BLOCKING_ERRORS = (
     ConsistencyThreatRejected,
     ConstraintViolated,
     TransactionRolledBack,
+    ObjectNotFound,
 )
 
 # A mutation is a test-only fault *in the middleware itself*: a callable
@@ -82,17 +84,20 @@ class RunResult:
 class OpDriver:
     """Fires a scenario's ops and records one ``(op, served, result)``
     outcome per op — the only workload loop there is: the model checker,
-    the chaos replayer, the availability study and the cross-backend
-    conformance suite all read their tallies off :attr:`outcomes`, and
-    hand its run to the invariants through :meth:`fill_probe`."""
+    the chaos replayer, the availability study, the cross-backend
+    conformance suite and the DedisysTest scripts all read their tallies
+    off :attr:`outcomes`, and hand its run to the invariants through
+    :meth:`fill_probe`."""
 
     def __init__(self, cluster: Any, refs: tuple[Any, ...]) -> None:
         self.cluster = cluster
+        # The domain's refs; :meth:`install` appends one per create op.
         self.refs = refs
         # In firing order; the result is what the op returned, or its
         # error class if blocked.
         self.outcomes: list[tuple[Op, bool, Any]] = []
         self.errors: dict[str, int] = {}  # blocked ops per error class
+        self.last_error: Exception | None = None  # what blocked the last blocked op
         # Per reconciliation fired here: every node's threat identities
         # just before it ran, and its report; and the handler it used.
         self.rounds: list[tuple[dict[Any, frozenset[Any]], Any]] = []
@@ -121,9 +126,10 @@ class OpDriver:
         return [report for _stored, report in self.rounds]
 
     def fill_probe(self, probe: RunProbe, since: int = 0) -> RunProbe:
-        """Hand ``probe`` this run: the settable fields, and the
-        reconciliations from index ``since`` on, the last of them as
-        ``just_reconciled``."""
+        """Hand ``probe`` this run: its refs, created ones included, the
+        settable fields, and the reconciliations from index ``since`` on,
+        the last of them as ``just_reconciled``."""
+        probe.refs = self.refs
         probe.settable = self.settable
         probe.rounds = self.rounds[since:]
         probe.just_reconciled = probe.rounds[-1][1] if probe.rounds else None
@@ -132,6 +138,7 @@ class OpDriver:
     def install(self, scenario: Scenario, start: float) -> None:
         """Schedule every op and fault as a simulator event."""
         self._note_settable(scenario)
+        self.refs += tuple(ObjectRef(*op.args[:2]) for op in scenario.ops if op.kind == "create")
         # Scenario times are relative to the end of cluster construction
         # (building charges simulated cost, so absolute zero is long gone).
         for op in scenario.ops:
@@ -147,12 +154,16 @@ class OpDriver:
         self.cluster.scheduler.drain()
 
     def _note_settable(self, scenario: Scenario) -> None:
+        # Only the domain's refs, and none that a delete op removes.
         methods: dict[int, set[str]] = {}
         for op in scenario.ops:
-            if op.kind == "invoke":
-                methods.setdefault(op.ref_index, set()).add(op.method)
+            for index, method, _args in op.calls():
+                methods.setdefault(index, set()).add(method)
+        deleted = {op.ref_index for op in scenario.ops if op.kind == "delete"}
         for index, names in methods.items():
-            if not all(name.startswith(("set_", "get_")) for name in names):
+            if index >= len(self.refs) or index in deleted or not all(
+                name.startswith(("set_", "get_")) for name in names
+            ):
                 continue
             states = self.cluster.replica_states(self.refs[index]).values()
             state = dict(next(s for s in states if s is not None))
@@ -178,26 +189,37 @@ class OpDriver:
         return report
 
     def _run(self, scenario: Scenario, op: Op) -> None:
+        cluster, refs = self.cluster, self.refs
+        handler = self._handler if op.answer == "accept" else None
+        result = None
         try:
-            if op.kind == "reconcile":
-                self.reconcile(scenario)
-                result = None
-            else:
-                result = self.cluster.invoke(
-                    op.node,
-                    self.refs[op.ref_index],
-                    op.method,
-                    *op.args,
-                    negotiation_handler=self._handler,
+            if op.kind == "invoke":
+                result = cluster.invoke(
+                    op.node, refs[op.ref_index], op.method, *op.args, negotiation_handler=handler
                 )
+            elif op.kind == "tx":
+                result = cluster.run_in_tx(
+                    op.node,
+                    lambda tx: [tx.invoke(refs[i], method, *args) for i, method, args in op.legs],
+                    negotiation_handler=handler,
+                )
+            elif op.kind == "create":
+                class_name, oid, attributes = op.args
+                cluster.create_entity(op.node, class_name, oid, dict(attributes))
+            elif op.kind == "delete":
+                cluster.delete_entity(op.node, refs[op.ref_index])
+            else:
+                self.reconcile(scenario)
         except BLOCKING_ERRORS as exc:
             name = type(exc).__name__
             self.errors[name] = self.errors.get(name, 0) + 1
             self.outcomes.append((op, False, name))
+            self.last_error = exc
         else:
             self.outcomes.append((op, True, result))
-            if op.method.startswith("set_") and (op.ref_index, op.method[4:]) in self.settable:
-                self.settable[op.ref_index, op.method[4:]].append(op.args[0])
+            for index, method, args in op.calls():
+                if method.startswith("set_") and (index, method[4:]) in self.settable:
+                    self.settable[index, method[4:]].append(args[0])
 
 
 def outcome_digest(driver: OpDriver) -> dict[str, Any]:

@@ -7,6 +7,16 @@ count and parameters, a timestamped operation list, and a
 so a violating schedule can be emitted as a self-contained JSON repro and
 greedily shrunk (drop an op, drop a fault, re-run).
 
+An :class:`Op` is one of five kinds: ``invoke`` (a business method on a
+ref), ``tx`` (ordered invoke legs in one transaction), ``create`` (a new
+entity), ``delete`` (a ref's entity) and ``reconcile``.  A run's refs are
+the domain's, then one per ``create`` op in op order, served or not, so a
+ref index never depends on what fired.  An ``invoke`` or ``tx`` carries
+one negotiation answer: ``accept`` (an accept-all handler, the default)
+or ``none`` (no handler: the constraint's static/default chain decides).
+A DedisysTest script (:mod:`repro.evaluation.scripting`) parses into
+this format too.
+
 Domains are resolved through :mod:`repro.apps.registry`: the same
 scenario schema drives flight booking, ATS, DTMS, project management and
 auctions, so the corpus generator, the chaos replayer, and the DFS
@@ -52,11 +62,19 @@ def _jsonify(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class Op:
-    """One scheduled workload operation.
+    """One scheduled workload operation, of one of five kinds:
 
-    ``kind`` is ``"invoke"`` (a business method on the entity at
-    ``ref_index``) or ``"reconcile"`` (run the cluster's reconciliation
-    phase).
+    - ``invoke``: the business ``method`` with ``args`` on the entity at
+      ``ref_index``, called on ``node``;
+    - ``tx``: the ``legs`` — ``(ref index, method, args)`` — in order, in
+      one transaction on ``node``;
+    - ``create``: ``args`` are ``(class, oid, attributes)``, created with
+      ``node`` as home; the run's refs gain ``ObjectRef(class, oid)``;
+    - ``delete``: the entity at ``ref_index``, from ``node``;
+    - ``reconcile``: the cluster's reconciliation phase.
+
+    ``answer`` is an ``invoke`` or ``tx`` op's negotiation answer:
+    ``accept`` (the default) or ``none``.
     """
 
     at: float
@@ -65,20 +83,43 @@ class Op:
     ref_index: int = 0
     method: str = ""
     args: tuple[Any, ...] = ()
+    legs: tuple[tuple[int, str, tuple[Any, ...]], ...] = ()
+    answer: str = "accept"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("invoke", "reconcile"):
+        if self.kind not in ("invoke", "tx", "create", "delete", "reconcile"):
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind == "invoke" and not (self.node and self.method):
             raise ValueError("invoke ops need a node and a method")
+        if self.kind == "tx" and not (self.node and self.legs):
+            raise ValueError("tx ops need a node and at least one leg")
+        if self.kind == "create" and not (self.node and len(self.args) == 3):
+            raise ValueError("create ops need a node and (class, oid, attributes)")
+        if self.kind == "delete" and not self.node:
+            raise ValueError("delete ops need a node")
+        if self.answer not in ("accept", "none"):
+            raise ValueError(f"unknown negotiation answer {self.answer!r}")
 
     def label(self) -> str:
         if self.kind == "reconcile":
             return "op:reconcile"
+        if self.kind == "tx":
+            legs = "+".join(f"{method}:F{index}" for index, method, _args in self.legs)
+            return f"op:tx:{legs}@{self.node}"
+        if self.kind == "create":
+            return f"op:create:{self.args[0]}#{self.args[1]}@{self.node}"
+        if self.kind == "delete":
+            return f"op:delete:F{self.ref_index}@{self.node}"
         return f"op:{self.method}:F{self.ref_index}@{self.node}"
 
+    def calls(self) -> tuple[tuple[int, str, tuple[Any, ...]], ...]:
+        """The ``(ref index, method, args)`` business calls this op makes."""
+        if self.kind == "invoke":
+            return ((self.ref_index, self.method, self.args),)
+        return self.legs
+
     def to_dict(self) -> dict[str, Any]:
-        return {
+        data = {
             "at": self.at,
             "kind": self.kind,
             "node": self.node,
@@ -86,6 +127,11 @@ class Op:
             "method": self.method,
             "args": _jsonify(list(self.args)),
         }
+        if self.legs:
+            data["legs"] = _jsonify(self.legs)
+        if self.answer != "accept":
+            data["answer"] = self.answer
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Op":
@@ -96,6 +142,10 @@ class Op:
             ref_index=data.get("ref_index", 0),
             method=data.get("method", ""),
             args=tuple(data.get("args", ())),
+            legs=tuple(
+                (index, method, tuple(args)) for index, method, args in data.get("legs", ())
+            ),
+            answer=data.get("answer", "accept"),
         )
 
 
@@ -108,7 +158,10 @@ class Scenario:
     carries domain and topology knobs (``seats``, ``healthy_sold``,
     ``reserve_price``, ``node_weights``, ``burst_loss``, ``partition_sensitive``,
     ...) and must stay JSON-native — construction canonicalizes tuples to
-    lists so serialization round-trips to an equal scenario.
+    lists so serialization round-trips to an equal scenario.  An empty
+    ``domain`` names none: the caller built the world and plays the
+    scenario on it (a DedisysTest script), and reconciliation runs with
+    no handler.
     """
 
     name: str
@@ -170,14 +223,18 @@ class Scenario:
 
     def reconcile_handler(self, cluster: DedisysCluster) -> Any:
         """The domain's constraint reconciliation handler (may be None)."""
-        factory = self.domain_spec.reconcile_handler
+        factory = self._handler_factory("reconcile_handler")
         return factory(cluster) if factory is not None else None
 
     def replica_handler(self, refs: tuple[Any, ...]) -> Any:
         """The domain's replica-conflict handler for these params (None:
         latest-update-wins)."""
-        factory = self.domain_spec.replica_handler
+        factory = self._handler_factory("replica_handler")
         return factory(refs, self.params) if factory is not None else None
+
+    def _handler_factory(self, name: str) -> Any:
+        # A world its caller built (``domain=""``) reconciles with none.
+        return getattr(self.domain_spec, name) if self.domain else None
 
     def shifted_fault_schedule(self, start: float) -> FaultSchedule:
         """The fault script with times anchored at ``start`` (scenario

@@ -5,7 +5,9 @@ scenario — generated or hand-written — passes through here before the
 chaos replayer, the explorer or a benchmark touches it.  Checks are
 structural (no cluster is built): the domain must be registered, every op
 must name a known node and a business method the domain's ``methods``
-table allows for the entity class at its ``ref_index``, ops must not
+table allows for the entity class at its ``ref_index`` (each leg of a
+``tx`` alike; a ``create`` names a class of the domain's layout and adds
+one ref after the domain's), ops must not
 originate on a node inside a crash window, fault actions must exist with
 the right arity and name known nodes, partition groups must not overlap,
 and concurrent fault episodes must not contradict each other (a node
@@ -141,27 +143,33 @@ def _validate_ops(
 ) -> None:
     domain = get_domain(scenario.domain)
     nodes = set(scenario.node_ids)
-    ref_count = scenario.entities * len(domain.layout)
+    # The run's refs by class: the domain's groups, then one per create op.
+    classes = [domain.ref_class(index) for index in range(scenario.entities * len(domain.layout))]
+    classes += [op.args[0] for op in scenario.ops if op.kind == "create"]
     for position, op in enumerate(scenario.ops):
         if op.kind == "reconcile":
             continue
         where = f"op[{position}] at {op.at}"
         if op.node not in nodes:
             _issue(issues, "unknown-node", f"{where} runs on unknown node {op.node!r}")
-        if not 0 <= op.ref_index < ref_count:
+        if op.kind == "create" and op.args[0] not in domain.layout:
             _issue(
                 issues,
-                "bad-ref",
-                f"{where} targets ref {op.ref_index}, scenario has {ref_count}",
+                "unknown-class",
+                f"{where} creates a {op.args[0]}, not in the {scenario.domain} layout",
             )
+        targets = [op.ref_index] if op.kind == "delete" else [leg[0] for leg in op.calls()]
+        bad = [index for index in targets if not 0 <= index < len(classes)]
+        if bad:
+            _issue(issues, "bad-ref", f"{where} targets ref {bad[0]}, scenario has {len(classes)}")
             continue
-        cls = domain.ref_class(op.ref_index)
-        if op.method not in domain.methods.get(cls, ()):
-            _issue(
-                issues,
-                "unknown-op",
-                f"{where}: {cls}.{op.method} is not in the {scenario.domain} grammar",
-            )
+        for index, method, _args in op.calls():
+            if method not in domain.methods.get(classes[index], ()):
+                _issue(
+                    issues,
+                    "unknown-op",
+                    f"{where}: {classes[index]}.{method} is not in the {scenario.domain} grammar",
+                )
         for node, start, until in windows:
             if node == op.node and start <= op.at < until:
                 _issue(

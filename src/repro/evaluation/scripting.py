@@ -2,7 +2,9 @@
 
 The paper's measurements used a script-based test application "in order to
 ensure repeatability of the tests".  This module provides the analogue: a
-small line-oriented script language driving a cluster deterministically —
+small line-oriented script language, parsed into a
+:class:`~repro.check.scenario.Scenario` that the checker's own
+:class:`~repro.check.runner.OpDriver` plays —
 
     nodes a b c
     deploy Flight
@@ -12,14 +14,25 @@ small line-oriented script language driving a cluster deterministically —
     partition a | b c
     assert-degraded true
     invoke-accept a Flight#f1 sell_tickets 7
-    invoke-accept b Flight#f1 sell_tickets 8
+    tx-accept b Flight#f1 sell_tickets 8 ; Flight#f1 get_sold
     assert-threats a 1
     heal
     reconcile
     assert-attr c Flight#f1 sold 85
 
+``nodes``, ``deploy`` and ``constraint`` build the world from the caller's
+class and constraint maps.  Every other line becomes an op (``create``,
+``delete``, ``invoke``, ``tx``, ``reconcile``; a plain ``invoke`` or ``tx``
+negotiates with no handler, its ``-accept`` form accepts every threat), a
+fault event (``partition``, ``crash``, ``recover``, ``heal``) or a check
+(``assert-*``) that runs right after the line before it.  Lines are
+:data:`GAP` apart on the timeline, so they fire in line order; the first
+op's charges put every later line in the past, where it fires at once, so
+the clock moves by what the ops charge and nothing else.
+
 Scripts fail loudly with line numbers; every executed step is logged so a
-run can be replayed and diffed.
+run can be replayed and diffed.  ``expect-error <line>`` expects any
+exception from the line and logs its message.
 """
 
 from __future__ import annotations
@@ -27,12 +40,26 @@ from __future__ import annotations
 import re
 import shlex
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping
 
+from ..check.runner import OpDriver
+from ..check.scenario import Op, Scenario
 from ..cluster import ClusterConfig, DedisysCluster
-from ..core import AcceptAllHandler
 from ..core.metadata import ConstraintRegistration
 from ..objects import Entity, ObjectRef
+
+#: Simulated seconds between two timeline entries: far below any op's cost.
+GAP = 1e-9
+
+#: ``assert-<name> <args ...> <expected>``: what each check reads.
+_READS: dict[str, Callable[..., Any]] = {
+    "attr": lambda run, node, ref, name: run.cluster.entity_on(node, _parse_ref(ref))._get(name),
+    "result": lambda run: run._last_result(),
+    "threats": lambda run, node: run.cluster.threat_stores[node].count_identities(),
+    "degraded": lambda run: run.cluster.is_degraded(),
+    "exists": lambda run, node, ref: run.cluster.nodes[node].container.has(_parse_ref(ref)),
+}
 
 
 class ScriptError(ValueError):
@@ -59,21 +86,14 @@ class ScriptResult:
 
 
 def _parse_value(text: str) -> Any:
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    if lowered in ("none", "null"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    constants = {"true": True, "false": False, "none": None, "null": None}
+    if text.lower() in constants:
+        return constants[text.lower()]
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1]
     return text
@@ -82,12 +102,26 @@ def _parse_value(text: str) -> Any:
 def _parse_ref(text: str) -> ObjectRef:
     if "#" not in text:
         raise ValueError(f"expected Class#oid reference, got {text!r}")
-    class_name, _, oid = text.partition("#")
+    class_name, oid = text.split("#", 1)
     return ObjectRef(class_name, oid)
 
 
+def _split(tokens: tuple[str, ...], separator: str) -> list[list[str]]:
+    parts: list[list[str]] = [[]]
+    for token in tokens:
+        if token == separator:
+            parts.append([])
+        else:
+            parts[-1].append(token)
+    return parts
+
+
+def _raise(error: Exception) -> None:
+    raise error
+
+
 class ScriptRunner:
-    """Executes DedisysTest scripts against a fresh cluster."""
+    """Parses DedisysTest scripts and plays them against a fresh cluster."""
 
     def __init__(
         self,
@@ -98,191 +132,201 @@ class ScriptRunner:
         self.constraints = dict(constraints or {})
         self.cluster: DedisysCluster | None = None
 
-    # ------------------------------------------------------------------
     def run(self, script: str) -> ScriptResult:
-        result = ScriptResult()
-        pending_error: str | None = None
+        self._result = result = ScriptResult()
+        self._ops: list[Op] = []
+        self._faults: list[tuple[float, str, tuple[Any, ...]]] = []
+        self._checks: list[tuple[float, Callable[[], None]]] = []
+        self._refs: dict[ObjectRef, int] = {}  # created ref -> its ref index
+        self._escaped: Exception | None = None
         for line_number, raw in enumerate(script.splitlines(), start=1):
             # Comments start at line begin or after whitespace, so object
             # references like Flight#f1 survive.
             line = re.sub(r"(^|\s)#.*$", "", raw).strip()
             if not line:
                 continue
-            if line.startswith("expect-error "):
-                pending_error = line[len("expect-error "):].strip()
-                line = pending_error
-                expect_error = True
+            expect = line.startswith("expect-error ")
+            if expect:
+                line = line[len("expect-error "):].strip()
+            judged = (line_number, raw, line, expect)
+            try:  # shlex keeps a quoted value with spaces as one token
+                entry = self._parse(*shlex.split(line))
+            except Exception as error:  # reported when the line's turn comes
+                entry = partial(_raise, error)
+            if isinstance(entry, Op):
+                self._ops.append(entry)
+                entry = partial(self._judge_op, *judged)
+            elif isinstance(entry, tuple):
+                self._faults.append((self._next_at(), *entry))
+                entry = partial(self._judge, *judged, None)
             else:
-                expect_error = False
-            try:
-                self._execute(line, result)
-            except AssertionError:
-                raise
-            except Exception as error:
-                if expect_error:
-                    result.expected_errors += 1
-                    result.steps.append(f"{line} -> error as expected: {error}")
-                    continue
-                raise ScriptError(line_number, raw, str(error)) from error
-            if expect_error:
-                raise ScriptError(
-                    line_number, raw, "expected an error but the command succeeded"
-                )
+                entry = partial(self._run_line, entry, *judged)
+            if self._ops or self._faults:
+                self._checks.append((self._next_at(), entry))
+            else:  # nothing on the timeline yet: the line runs now
+                entry()
         if self.cluster is not None:
+            self._play()
+            served = [op.kind for op, ok, _value in self._driver.outcomes if ok]
+            result.invocations = sum(kind in ("invoke", "tx") for kind in served)
+            result.reconciliations = served.count("reconcile")
+            result.last_result = self._last_result()
             result.simulated_seconds = self.cluster.clock.now
         return result
 
-    # ------------------------------------------------------------------
-    def _execute(self, line: str, result: ScriptResult) -> None:
-        # shlex keeps quoted values (with spaces) as single tokens and
-        # strips the quotes.
-        command, *rest = shlex.split(line)
-        handler = getattr(self, f"_cmd_{command.replace('-', '_')}", None)
-        if handler is None:
-            raise ValueError(f"unknown command {command!r}")
-        handler(rest, result)
-        if not line.startswith("assert"):
-            result.steps.append(line)
+    def _play(self) -> None:
+        """One :meth:`OpDriver.play` runs the timeline.  An op error that
+        does not count as blocking stops the drain; it is kept for the
+        op's check, and the drain goes on."""
+        cluster = self.cluster
+        for at, check in self._checks:
+            cluster.scheduler.schedule_at(cluster.clock.now + at, check, label="script:check")
+        scenario = Scenario(
+            name="script",
+            domain="",
+            node_ids=cluster.config.node_ids,
+            entities=0,
+            ops=tuple(self._ops),
+            fault_events=tuple(self._faults),
+        )
+        drive: Callable[[], Any] = partial(self._driver.play, scenario)
+        while True:
+            try:
+                return drive()
+            except (AssertionError, ScriptError):
+                raise
+            except Exception as error:
+                self._escaped = error
+                drive = cluster.scheduler.drain
 
-    def _require_cluster(self) -> DedisysCluster:
+    def _next_at(self) -> float:
+        """The next timeline entry's time, relative to the play's start."""
+        return (len(self._ops) + len(self._faults) + len(self._checks)) * GAP
+
+    def _last_result(self) -> Any:
+        served = [v for op, ok, v in self._driver.outcomes if ok and op.kind in ("invoke", "tx")]
+        return served[-1] if served else None
+
+    # -- verdicts -------------------------------------------------------
+    def _run_line(self, action: Callable[[], None], *judged: Any) -> None:
+        try:
+            action()
+        except AssertionError:
+            raise
+        except Exception as error:
+            return self._judge(*judged, error)
+        self._judge(*judged, None)
+
+    def _judge_op(self, *judged: Any) -> None:
+        """The verdict on the op that fired just before."""
+        error, self._escaped = self._escaped, None
+        if error is None and not self._driver.outcomes[-1][1]:
+            error = self._driver.last_error
+        self._judge(*judged, error)
+
+    def _judge(
+        self, line_number: int, raw: str, line: str, expect: bool, error: Exception | None
+    ) -> None:
+        result = self._result
+        if error is None and expect:
+            raise ScriptError(line_number, raw, "expected an error but the command succeeded")
+        if error is None:
+            if line.startswith("assert"):
+                result.assertions += 1
+            else:
+                result.steps.append(line)
+        elif expect:
+            result.expected_errors += 1
+            result.steps.append(f"{line} -> error as expected: {error}")
+        else:
+            raise ScriptError(line_number, raw, str(error)) from error
+
+    # -- parsing --------------------------------------------------------
+    def _parse(self, command: str, *args: str) -> Any:
+        """An :class:`Op`, an ``(action, args)`` fault, or a callable."""
+        if command == "nodes":
+            if not args:
+                raise ValueError("'nodes' needs at least one node id")
+            if self.cluster is not None:
+                raise ValueError("'nodes' may appear only once")
+            return partial(self._build, args)
         if self.cluster is None:
             raise ValueError("no cluster yet — start the script with 'nodes ...'")
-        return self.cluster
+        op = partial(Op, self._next_at(), command.removesuffix("-accept"))
+        answer = "accept" if command.endswith("-accept") else "none"
+        if command == "deploy":
+            (name,) = args
+            if name not in self.entity_classes:
+                raise ValueError(f"unknown entity class {name!r}")
+            return partial(self.cluster.deploy, self.entity_classes[name])
+        if command == "constraint":
+            (name,) = args
+            if name not in self.constraints:
+                raise ValueError(f"unknown constraint {name!r}")
+            return lambda: self.cluster.register_constraint(self.constraints[name]())
+        if command.startswith("assert-") and command[7:] in _READS:
+            *inputs, expected = args
+            return partial(self._check, command, inputs, _parse_value(expected))
+        if command == "create":
+            if len(args) < 3:
+                raise ValueError("usage: create <node> <Class> <oid> [field=value ...]")
+            node, class_name, oid, *assignments = args
+            attributes = {}
+            for assignment in assignments:
+                if "=" not in assignment:
+                    raise ValueError(f"expected field=value, got {assignment!r}")
+                key, value = assignment.split("=", 1)
+                attributes[key] = _parse_value(value)
+            self._refs[ObjectRef(class_name, oid)] = sum(op.kind == "create" for op in self._ops)
+            return op(node=node, args=(class_name, oid, attributes))
+        if command == "delete":
+            node, ref = args
+            return op(node=node, ref_index=self._ref_index(ref))
+        if command in ("invoke", "invoke-accept"):
+            index, method, values = self._leg(args[1:])
+            return op(node=args[0], ref_index=index, method=method, args=values, answer=answer)
+        if command in ("tx", "tx-accept"):
+            legs = tuple(map(self._leg, _split(args[1:], ";")))
+            return op(node=args[0], legs=legs, answer=answer)
+        if command == "reconcile":
+            return op()
+        if command == "partition":
+            groups = [tuple(map(self._node, group)) for group in _split(args, "|") if group]
+            named = [node for group in groups for node in group]
+            for node in named:
+                if named.count(node) > 1:
+                    raise ValueError(f"node {node} listed in two groups")
+            if not groups:
+                raise ValueError("usage: partition a b | c d")
+            return "partition", tuple(groups)
+        if command in ("crash", "recover"):
+            (node,) = args
+            return f"{command}_node", (self._node(node),)
+        if command == "heal":
+            return "heal_all", ()
+        raise ValueError(f"unknown command {command!r}")
 
-    # -- setup -----------------------------------------------------------
-    def _cmd_nodes(self, args: list[str], result: ScriptResult) -> None:
-        if not args:
-            raise ValueError("'nodes' needs at least one node id")
-        if self.cluster is not None:
-            raise ValueError("'nodes' may appear only once")
-        self.cluster = DedisysCluster(ClusterConfig(node_ids=tuple(args)))
+    def _build(self, node_ids: tuple[str, ...]) -> None:
+        self.cluster = DedisysCluster(ClusterConfig(node_ids=node_ids))
+        self._driver = OpDriver(self.cluster, ())
 
-    def _cmd_deploy(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        (class_name,) = args
-        if class_name not in self.entity_classes:
-            raise ValueError(f"unknown entity class {class_name!r}")
-        cluster.deploy(self.entity_classes[class_name])
+    def _check(self, command: str, inputs: list[str], expected: Any) -> None:
+        actual = _READS[command[7:]](self, *inputs)
+        assert actual == expected, f"{' '.join((command, *inputs))}: expected {expected!r}, got {actual!r}"
 
-    def _cmd_constraint(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        (name,) = args
-        if name not in self.constraints:
-            raise ValueError(f"unknown constraint {name!r}")
-        cluster.register_constraint(self.constraints[name]())
+    def _leg(self, tokens: list[str] | tuple[str, ...]) -> tuple[int, str, tuple[Any, ...]]:
+        """``<Class#oid> <method> [args ...]`` as ``(ref index, method, args)``."""
+        if len(tokens) < 2:
+            raise ValueError("usage: invoke|tx <node> <Class#oid> <method> [args ...] [; ...]")
+        return self._ref_index(tokens[0]), tokens[1], tuple(map(_parse_value, tokens[2:]))
 
-    # -- entity lifecycle -------------------------------------------------
-    def _cmd_create(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        if len(args) < 3:
-            raise ValueError("usage: create <node> <Class> <oid> [field=value ...]")
-        node, class_name, oid, *assignments = args
-        attributes = {}
-        for assignment in assignments:
-            if "=" not in assignment:
-                raise ValueError(f"expected field=value, got {assignment!r}")
-            key, _, value = assignment.partition("=")
-            attributes[key] = _parse_value(value)
-        cluster.create_entity(node, class_name, oid, attributes)
+    def _ref_index(self, text: str) -> int:
+        ref = _parse_ref(text)
+        if ref not in self._refs:
+            raise ValueError(f"no create line before this one makes {text}")
+        return self._refs[ref]
 
-    def _cmd_delete(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        node, ref_text = args
-        cluster.delete_entity(node, _parse_ref(ref_text))
-
-    # -- invocations -------------------------------------------------------
-    def _invoke(self, args: list[str], result: ScriptResult, negotiation: Any) -> None:
-        cluster = self._require_cluster()
-        if len(args) < 3:
-            raise ValueError("usage: invoke <node> <Class#oid> <method> [args ...]")
-        node, ref_text, method, *arguments = args
-        values = tuple(_parse_value(argument) for argument in arguments)
-        result.last_result = cluster.invoke(
-            node, _parse_ref(ref_text), method, *values, negotiation_handler=negotiation
-        )
-        result.invocations += 1
-
-    def _cmd_invoke(self, args: list[str], result: ScriptResult) -> None:
-        self._invoke(args, result, None)
-
-    def _cmd_invoke_accept(self, args: list[str], result: ScriptResult) -> None:
-        """Invocation with an accept-all negotiation handler."""
-        self._invoke(args, result, AcceptAllHandler())
-
-    # -- failure control ----------------------------------------------------
-    def _cmd_partition(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        groups: list[set[str]] = [set()]
-        for token in args:
-            if token == "|":
-                groups.append(set())
-            else:
-                groups[-1].add(token)
-        groups = [group for group in groups if group]
-        if not groups:
-            raise ValueError("usage: partition a b | c d")
-        cluster.partition(*groups)
-
-    def _cmd_crash(self, args: list[str], result: ScriptResult) -> None:
-        (node,) = args
-        self._require_cluster().network.crash_node(node)
-
-    def _cmd_recover(self, args: list[str], result: ScriptResult) -> None:
-        (node,) = args
-        self._require_cluster().network.recover_node(node)
-
-    def _cmd_heal(self, args: list[str], result: ScriptResult) -> None:
-        self._require_cluster().heal()
-
-    def _cmd_reconcile(self, args: list[str], result: ScriptResult) -> None:
-        self._require_cluster().reconcile()
-        result.reconciliations += 1
-
-    # -- assertions ----------------------------------------------------------
-    def _cmd_assert_attr(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        node, ref_text, attribute, expected_text = args
-        entity = cluster.entity_on(node, _parse_ref(ref_text))
-        actual = entity._get(attribute)
-        expected = _parse_value(expected_text)
-        assert actual == expected, (
-            f"{ref_text}.{attribute} on {node}: expected {expected!r}, got {actual!r}"
-        )
-        result.assertions += 1
-
-    def _cmd_assert_result(self, args: list[str], result: ScriptResult) -> None:
-        (expected_text,) = args
-        expected = _parse_value(expected_text)
-        assert result.last_result == expected, (
-            f"last result: expected {expected!r}, got {result.last_result!r}"
-        )
-        result.assertions += 1
-
-    def _cmd_assert_threats(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        node, expected_text = args
-        actual = cluster.threat_stores[node].count_identities()
-        expected = int(expected_text)
-        assert actual == expected, (
-            f"threats on {node}: expected {expected}, got {actual}"
-        )
-        result.assertions += 1
-
-    def _cmd_assert_degraded(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        (expected_text,) = args
-        expected = _parse_value(expected_text)
-        assert cluster.is_degraded() == expected, (
-            f"degraded: expected {expected}, got {cluster.is_degraded()}"
-        )
-        result.assertions += 1
-
-    def _cmd_assert_exists(self, args: list[str], result: ScriptResult) -> None:
-        cluster = self._require_cluster()
-        node, ref_text, expected_text = args
-        actual = cluster.nodes[node].container.has(_parse_ref(ref_text))
-        expected = _parse_value(expected_text)
-        assert actual == expected, (
-            f"{ref_text} on {node}: expected exists={expected}, got {actual}"
-        )
-        result.assertions += 1
+    def _node(self, node: str) -> str:
+        if node not in self.cluster.nodes:
+            raise KeyError(f"unknown node {node!r}")  # as the topology says
+        return node

@@ -350,10 +350,13 @@ def test_the_ccmgr_reads_its_view_in_one_helper_and_asks_staleness_behind_the_ga
 
 
 def test_no_hand_written_scenario_scripts():
+    """Every driver of a workload plays a ``Scenario`` through ``OpDriver``;
+    only the §5.2 micro-benchmark loops of ``evaluation/ch5.py`` and the
+    process worker's request handler call ``cluster.invoke`` besides."""
     assert not (SRC / "transport" / "differential.py").exists()
     callers = [
         (str(path.relative_to(SRC)), function.name)
-        for package in ("check", "faults", "transport")
+        for package in ("check", "evaluation", "faults", "transport")
         for path in sorted((SRC / package).rglob("*.py"))
         for function in ast.walk(ast.parse(path.read_text()))
         if isinstance(function, ast.FunctionDef)
@@ -363,8 +366,31 @@ def test_no_hand_written_scenario_scripts():
     ]
     assert sorted(set(callers)) == [
         ("check/runner.py", "_run"),
+        ("evaluation/ch5.py", "async_constraint_improvement"),
+        ("evaluation/ch5.py", "figure_5_4"),
+        ("evaluation/ch5.py", "figure_5_6"),
+        ("evaluation/ch5.py", "figure_5_8"),
+        ("evaluation/ch5.py", "measure_operations"),
+        ("evaluation/ch5.py", "violated_op"),
         ("transport/procnode.py", "handle_invoke"),
     ]
+
+
+def test_a_dedisys_test_script_drives_the_cluster_only_through_the_op_driver():
+    """``evaluation/scripting.py`` parses a script into a ``Scenario``;
+    it makes no op or fault call of its own."""
+    drives = {
+        "invoke", "run_in_tx", "create_entity", "delete_entity", "partition", "heal",
+        "reconcile", "crash_node", "recover_node",
+    }
+    tree = ast.parse((SRC / "evaluation" / "scripting.py").read_text())
+    called = {
+        call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+    }
+    assert called & drives == set()
+    assert "OpDriver" in called
 
 
 def test_one_clock_notion():
@@ -653,7 +679,7 @@ def count_settable(root: Path = SRC) -> int:
 
 #: Settable values under ``src/repro``, as :func:`count_settable` counts them.
 #: A change that raises it says why in CHANGES.md, as for a frame pin.
-SETTABLE_VALUES = 496
+SETTABLE_VALUES = 498
 
 
 def test_the_settable_values_are_pinned():

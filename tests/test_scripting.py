@@ -209,3 +209,93 @@ def test_the_scripted_example_prints_its_pinned_log(capsys):
     example = pathlib.Path(__file__).resolve().parent.parent / "examples" / "scripted_test.py"
     runpy.run_path(str(example), run_name="__main__")
     assert capsys.readouterr().out == SCRIPTED_TEST_STDOUT
+
+
+class TestScriptTimeline:
+    """A script is a ``Scenario`` played by ``OpDriver``: its lines fire
+    in order, a ``tx`` line is one transaction, and every error of an op
+    reaches the line that ran it."""
+
+    def test_a_refused_tx_line_rolls_back_its_first_leg(self):
+        result = make_runner().run(
+            """
+            nodes a b c
+            deploy Flight
+            constraint ticket
+            create a Flight f1 seats=10
+            expect-error tx a Flight#f1 sell_tickets 2 ; Flight#f1 sell_tickets 80
+            assert-attr a Flight#f1 sold 0
+            assert-attr b Flight#f1 sold 0
+            assert-attr c Flight#f1 sold 0
+            tx-accept a Flight#f1 sell_tickets 2 ; Flight#f1 get_sold
+            assert-attr c Flight#f1 sold 2
+            """
+        )
+        assert result.expected_errors == 1
+        assert result.steps[4] == (
+            "tx a Flight#f1 sell_tickets 2 ; Flight#f1 sell_tickets 80 -> error as expected: "
+            "constraint 'TicketConstraint' violated on Flight#f1"
+        )
+        assert (result.invocations, result.last_result) == (1, [2, 2])
+
+    def test_an_op_error_outside_the_blocking_set_is_still_expected(self):
+        result = make_runner().run(
+            """
+            nodes a b
+            deploy Flight
+            create a Flight f1 seats=10
+            expect-error invoke a Flight#f1 no_such_method
+            expect-error create a Flight f1 seats=3
+            invoke a Flight#f1 sell_tickets 4
+            assert-attr b Flight#f1 sold 4
+            """
+        )
+        assert result.expected_errors == 2
+        assert result.steps[3] == (
+            "invoke a Flight#f1 no_such_method -> error as expected: "
+            "'Flight' object has no attribute 'no_such_method'"
+        )
+        assert result.steps[4] == (
+            "create a Flight f1 seats=3 -> error as expected: 'Flight#f1 already exists on a'"
+        )
+
+    def test_an_invoke_after_a_delete_names_its_line(self):
+        with pytest.raises(ScriptError) as exc_info:
+            make_runner().run(
+                """
+                nodes a b
+                deploy Flight
+                create a Flight f1 seats=10
+                delete a Flight#f1
+                invoke b Flight#f1 get_sold
+                """
+            )
+        assert exc_info.value.line_number == 6
+        assert exc_info.value.reason == "'Flight#f1'"
+
+    def test_a_reference_nothing_created_is_an_error_at_its_line(self):
+        with pytest.raises(ScriptError) as exc_info:
+            make_runner().run("nodes a\ndeploy Flight\ninvoke a Flight#ghost get_sold")
+        assert exc_info.value.line_number == 3
+
+    def test_lines_fire_in_order_and_leave_nothing_scheduled(self):
+        runner = make_runner()
+        result = runner.run(
+            """
+            nodes a b c
+            deploy Flight
+            partition a | b c
+            assert-degraded true
+            create a Flight f1 seats=10
+            heal
+            assert-degraded false
+            invoke b Flight#f1 sell_tickets 1
+            """
+        )
+        assert result.steps[2:] == [
+            "partition a | b c",
+            "create a Flight f1 seats=10",
+            "heal",
+            "invoke b Flight#f1 sell_tickets 1",
+        ]
+        assert len(runner.cluster.scheduler) == 0
