@@ -796,20 +796,18 @@ def test_every_run_record_is_linked_from_changes():
 #: EXPERIMENTS.md keeps the paper tables, the divergences and one
 #: paragraph per campaign; a campaign's log goes to ``docs/runs/``.
 EXPERIMENTS_BUDGET = 42_500
-#: A CHANGES.md line from PR 53 on is one paragraph with a link to its
-#: run record, which holds the test lists and tables.
+#: A CHANGES.md line is one paragraph with a link to its run record,
+#: which holds the test lists and tables.
 CHANGES_LINE_BUDGET = 3_000
+#: The whole of CHANGES.md: one short line per PR and per finding.
+CHANGES_BUDGET = 120_000
 
 
 def test_the_record_stays_within_its_size_budget():
     assert len((ROOT / "EXPERIMENTS.md").read_bytes()) < EXPERIMENTS_BUDGET
     lines = (ROOT / "CHANGES.md").read_text().splitlines()
-    first = next(
-        (number for number, line in enumerate(lines)
-         if (found := re.match(r"PR (\d+) ", line)) and int(found.group(1)) >= 53),
-        len(lines),
-    )
-    assert [line[:60] for line in lines[first:] if len(line) > CHANGES_LINE_BUDGET] == []
+    assert [line[:60] for line in lines if len(line) > CHANGES_LINE_BUDGET] == []
+    assert len((ROOT / "CHANGES.md").read_bytes()) < CHANGES_BUDGET
 
 
 def _method(module: str, cls: str, name: str) -> ast.FunctionDef:
