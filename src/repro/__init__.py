@@ -35,7 +35,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "shrink_counterexample",
     ),
     "faults": (
-        "FaultInjector", "FaultSchedule", "GilbertElliottLoss",
+        "FaultInjector", "GilbertElliottLoss", "install_faults",
     ),
     "objects": ("Entity", "ObjectRef"),
     "obs": ("Observability",),

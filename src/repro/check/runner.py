@@ -27,6 +27,7 @@ from ..core import (
     ConsistencyThreatRejected,
     ConstraintViolated,
 )
+from ..faults.schedule import install_faults
 from ..net import NodeCrashedError, UnreachableError
 from ..objects import ObjectNotFound, ObjectRef
 from ..obs import Observability
@@ -145,7 +146,7 @@ class OpDriver:
             self.cluster.scheduler.schedule_at(
                 start + op.at, self._run, scenario, op, label=op.label()
             )
-        scenario.shifted_fault_schedule(start).install(self.cluster.network)
+        install_faults(self.cluster.network, scenario.fault_events, start)
 
     def play(self, scenario: Scenario) -> None:
         """Run the whole timeline on the cluster's scheduler, whatever
@@ -204,8 +205,7 @@ class OpDriver:
                     negotiation_handler=handler,
                 )
             elif op.kind == "create":
-                class_name, oid, attributes = op.args
-                cluster.create_entity(op.node, class_name, oid, dict(attributes))
+                cluster.create_entity(op.node, *op.args[:2], dict(op.args[2]))
             elif op.kind == "delete":
                 cluster.delete_entity(op.node, refs[op.ref_index])
             else:

@@ -2,9 +2,8 @@
 
 The paper's measurements used a script-based test application "in order to
 ensure repeatability of the tests".  This module provides the analogue: a
-small line-oriented script language, parsed into a
-:class:`~repro.check.scenario.Scenario` that the checker's own
-:class:`~repro.check.runner.OpDriver` plays —
+line-oriented script, parsed into a :class:`~repro.check.scenario.Scenario`
+that the checker's own :class:`~repro.check.runner.OpDriver` plays —
 
     nodes a b c
     deploy Flight
@@ -21,18 +20,16 @@ small line-oriented script language, parsed into a
     assert-attr c Flight#f1 sold 85
 
 ``nodes``, ``deploy`` and ``constraint`` build the world from the caller's
-class and constraint maps.  Every other line becomes an op (``create``,
+class and constraint maps.  Every other line is an op (``create``,
 ``delete``, ``invoke``, ``tx``, ``reconcile``; a plain ``invoke`` or ``tx``
 negotiates with no handler, its ``-accept`` form accepts every threat), a
 fault event (``partition``, ``crash``, ``recover``, ``heal``) or a check
-(``assert-*``) that runs right after the line before it.  Lines are
-:data:`GAP` apart on the timeline, so they fire in line order; the first
-op's charges put every later line in the past, where it fires at once, so
-the clock moves by what the ops charge and nothing else.
-
-Scripts fail loudly with line numbers; every executed step is logged so a
-run can be replayed and diffed.  ``expect-error <line>`` expects any
-exception from the line and logs its message.
+(``assert-*``) that runs right after the line before it.  Lines lie one
+:data:`~repro.check.scenario.TICK` apart, so they fire in line order, and
+the first op's charges put every later line in the past, where it fires at
+once: the clock moves by what the ops charge.  A failing line names its
+line number; ``expect-error <line>`` expects any exception and logs its
+message.
 """
 
 from __future__ import annotations
@@ -41,16 +38,14 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 from typing import Any, Callable, Mapping
 
 from ..check.runner import OpDriver
-from ..check.scenario import Op, Scenario
+from ..check.scenario import TICK, Op, Scenario
 from ..cluster import ClusterConfig, DedisysCluster
 from ..core.metadata import ConstraintRegistration
 from ..objects import Entity, ObjectRef
-
-#: Simulated seconds between two timeline entries: far below any op's cost.
-GAP = 1e-9
 
 #: ``assert-<name> <args ...> <expected>``: what each check reads.
 _READS: dict[str, Callable[..., Any]] = {
@@ -94,26 +89,18 @@ def _parse_value(text: str) -> Any:
             return number(text)
         except ValueError:
             pass
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    return text
+    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
 
 
 def _parse_ref(text: str) -> ObjectRef:
     if "#" not in text:
         raise ValueError(f"expected Class#oid reference, got {text!r}")
-    class_name, oid = text.split("#", 1)
-    return ObjectRef(class_name, oid)
+    return ObjectRef(*text.split("#", 1))
 
 
 def _split(tokens: tuple[str, ...], separator: str) -> list[list[str]]:
-    parts: list[list[str]] = [[]]
-    for token in tokens:
-        if token == separator:
-            parts.append([])
-        else:
-            parts[-1].append(token)
-    return parts
+    runs = groupby(tokens, lambda token: token == separator)
+    return [list(run) for is_separator, run in runs if not is_separator]
 
 
 def _raise(error: Exception) -> None:
@@ -146,8 +133,7 @@ class ScriptRunner:
             if not line:
                 continue
             expect = line.startswith("expect-error ")
-            if expect:
-                line = line[len("expect-error "):].strip()
+            line = line.removeprefix("expect-error ").strip()
             judged = (line_number, raw, line, expect)
             try:  # shlex keeps a quoted value with spaces as one token
                 entry = self._parse(*shlex.split(line))
@@ -155,12 +141,12 @@ class ScriptRunner:
                 entry = partial(_raise, error)
             if isinstance(entry, Op):
                 self._ops.append(entry)
-                entry = partial(self._judge_op, *judged)
+                entry = partial(self._judge, *judged, self._op_error)
             elif isinstance(entry, tuple):
                 self._faults.append((self._next_at(), *entry))
-                entry = partial(self._judge, *judged, None)
+                entry = partial(self._judge, *judged, lambda: None)
             else:
-                entry = partial(self._run_line, entry, *judged)
+                entry = partial(self._judge, *judged, partial(self._run_line, entry))
             if self._ops or self._faults:
                 self._checks.append((self._next_at(), entry))
             else:  # nothing on the timeline yet: the line runs now
@@ -182,12 +168,8 @@ class ScriptRunner:
         for at, check in self._checks:
             cluster.scheduler.schedule_at(cluster.clock.now + at, check, label="script:check")
         scenario = Scenario(
-            name="script",
-            domain="",
-            node_ids=cluster.config.node_ids,
-            entities=0,
-            ops=tuple(self._ops),
-            fault_events=tuple(self._faults),
+            name="script", domain="", node_ids=cluster.config.node_ids, entities=0,
+            ops=tuple(self._ops), fault_events=tuple(self._faults),
         )
         drive: Callable[[], Any] = partial(self._driver.play, scenario)
         while True:
@@ -201,54 +183,52 @@ class ScriptRunner:
 
     def _next_at(self) -> float:
         """The next timeline entry's time, relative to the play's start."""
-        return (len(self._ops) + len(self._faults) + len(self._checks)) * GAP
+        return (len(self._ops) + len(self._faults) + len(self._checks)) * TICK
 
     def _last_result(self) -> Any:
         served = [v for op, ok, v in self._driver.outcomes if ok and op.kind in ("invoke", "tx")]
         return served[-1] if served else None
 
-    # -- verdicts -------------------------------------------------------
-    def _run_line(self, action: Callable[[], None], *judged: Any) -> None:
+    # -- verdicts: each returns the line's error, or None -----------------
+    @staticmethod
+    def _run_line(action: Callable[[], None]) -> Exception | None:
         try:
             action()
         except AssertionError:
             raise
         except Exception as error:
-            return self._judge(*judged, error)
-        self._judge(*judged, None)
+            return error
+        return None
 
-    def _judge_op(self, *judged: Any) -> None:
-        """The verdict on the op that fired just before."""
+    def _op_error(self) -> Exception | None:
+        """The error of the op that fired just before, if any."""
         error, self._escaped = self._escaped, None
-        if error is None and not self._driver.outcomes[-1][1]:
-            error = self._driver.last_error
-        self._judge(*judged, error)
+        served = self._driver.outcomes[-1][1]
+        return error if error is not None or served else self._driver.last_error
 
     def _judge(
-        self, line_number: int, raw: str, line: str, expect: bool, error: Exception | None
+        self, line_number: int, raw: str, line: str, expect: bool,
+        verdict: Callable[[], Exception | None],
     ) -> None:
-        result = self._result
+        error, result = verdict(), self._result
         if error is None and expect:
             raise ScriptError(line_number, raw, "expected an error but the command succeeded")
-        if error is None:
-            if line.startswith("assert"):
-                result.assertions += 1
-            else:
-                result.steps.append(line)
-        elif expect:
+        if error is not None and not expect:
+            raise ScriptError(line_number, raw, str(error)) from error
+        if error is not None:
             result.expected_errors += 1
             result.steps.append(f"{line} -> error as expected: {error}")
+        elif line.startswith("assert"):
+            result.assertions += 1
         else:
-            raise ScriptError(line_number, raw, str(error)) from error
+            result.steps.append(line)
 
-    # -- parsing --------------------------------------------------------
+    # -- parsing -------------------------------------------------------
     def _parse(self, command: str, *args: str) -> Any:
         """An :class:`Op`, an ``(action, args)`` fault, or a callable."""
         if command == "nodes":
-            if not args:
-                raise ValueError("'nodes' needs at least one node id")
-            if self.cluster is not None:
-                raise ValueError("'nodes' may appear only once")
+            if not args or self.cluster is not None:
+                raise ValueError("'nodes' takes node ids and may appear only once")
             return partial(self._build, args)
         if self.cluster is None:
             raise ValueError("no cluster yet — start the script with 'nodes ...'")
@@ -268,15 +248,11 @@ class ScriptRunner:
             *inputs, expected = args
             return partial(self._check, command, inputs, _parse_value(expected))
         if command == "create":
-            if len(args) < 3:
+            if len(args) < 3 or not all("=" in assignment for assignment in args[3:]):
                 raise ValueError("usage: create <node> <Class> <oid> [field=value ...]")
             node, class_name, oid, *assignments = args
-            attributes = {}
-            for assignment in assignments:
-                if "=" not in assignment:
-                    raise ValueError(f"expected field=value, got {assignment!r}")
-                key, value = assignment.split("=", 1)
-                attributes[key] = _parse_value(value)
+            attributes = {key: _parse_value(value) for key, value in
+                          (assignment.split("=", 1) for assignment in assignments)}
             self._refs[ObjectRef(class_name, oid)] = sum(op.kind == "create" for op in self._ops)
             return op(node=node, args=(class_name, oid, attributes))
         if command == "delete":
@@ -291,13 +267,10 @@ class ScriptRunner:
         if command == "reconcile":
             return op()
         if command == "partition":
-            groups = [tuple(map(self._node, group)) for group in _split(args, "|") if group]
+            groups = [tuple(map(self._node, group)) for group in _split(args, "|")]
             named = [node for group in groups for node in group]
-            for node in named:
-                if named.count(node) > 1:
-                    raise ValueError(f"node {node} listed in two groups")
-            if not groups:
-                raise ValueError("usage: partition a b | c d")
+            if not groups or len(set(named)) < len(named):
+                raise ValueError("usage: partition a b | c d, each node in one group at most")
             return "partition", tuple(groups)
         if command in ("crash", "recover"):
             (node,) = args
@@ -312,7 +285,8 @@ class ScriptRunner:
 
     def _check(self, command: str, inputs: list[str], expected: Any) -> None:
         actual = _READS[command[7:]](self, *inputs)
-        assert actual == expected, f"{' '.join((command, *inputs))}: expected {expected!r}, got {actual!r}"
+        what = " ".join((command, *inputs))
+        assert actual == expected, f"{what}: expected {expected!r}, got {actual!r}"
 
     def _leg(self, tokens: list[str] | tuple[str, ...]) -> tuple[int, str, tuple[Any, ...]]:
         """``<Class#oid> <method> [args ...]`` as ``(ref index, method, args)``."""

@@ -203,7 +203,8 @@ class TestValidator:
         assert self.codes(Op(0.1, "tx", node="a", legs=legs)) == set()
         assert self.codes(Op(0.1, "tx", node="z", legs=legs)) == {"unknown-node"}
         assert self.codes(Op(0.1, "tx", node="a", legs=legs + ((0, "fly", ()),))) == {"unknown-op"}
-        assert self.codes(Op(0.1, "tx", node="a", legs=legs + ((4, "get_sold", ()),))) == {"bad-ref"}
+        past = legs + ((4, "get_sold", ()),)
+        assert self.codes(Op(0.1, "tx", node="a", legs=past)) == {"bad-ref"}
         crashed = ((0.0, "crash_node", ("a",)),)
         assert self.codes(Op(0.1, "tx", node="a", legs=legs), fault_events=crashed) == {
             "op-on-crashed-node"
