@@ -203,8 +203,10 @@ class ScriptRunner:
     def _op_error(self) -> Exception | None:
         """The error of the op that fired just before, if any."""
         error, self._escaped = self._escaped, None
-        served = self._driver.outcomes[-1][1]
-        return error if error is not None or served else self._driver.last_error
+        # An op that did not escape recorded an outcome.
+        if error is None and not self._driver.outcomes[-1][1]:
+            error = self._driver.last_error
+        return error
 
     def _judge(
         self, line_number: int, raw: str, line: str, expect: bool,

@@ -259,6 +259,16 @@ class TestScriptTimeline:
             "create a Flight f1 seats=3 -> error as expected: 'Flight#f1 already exists on a'"
         )
 
+    def test_a_failing_first_op_names_its_line(self):
+        script = "nodes a b\ndeploy Flight\n{}create a Ghost g1\ncreate a Flight f1 seats=3"
+        result = make_runner().run(script.format("expect-error "))
+        assert result.steps[2] == (
+            "create a Ghost g1 -> error as expected: \"class 'Ghost' not deployed on a\""
+        )
+        with pytest.raises(ScriptError) as exc_info:
+            make_runner().run(script.format(""))
+        assert exc_info.value.line_number == 3
+
     def test_an_invoke_after_a_delete_names_its_line(self):
         with pytest.raises(ScriptError) as exc_info:
             make_runner().run(
