@@ -35,7 +35,7 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "shrink_counterexample",
     ),
     "faults": (
-        "FaultInjector", "GilbertElliottLoss", "install_faults",
+        "FaultInjector", "FaultSchedule", "GilbertElliottLoss",
     ),
     "objects": ("Entity", "ObjectRef"),
     "obs": ("Observability",),

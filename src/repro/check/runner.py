@@ -27,7 +27,6 @@ from ..core import (
     ConsistencyThreatRejected,
     ConstraintViolated,
 )
-from ..faults.schedule import install_faults
 from ..net import NodeCrashedError, UnreachableError
 from ..objects import ObjectNotFound, ObjectRef
 from ..obs import Observability
@@ -98,7 +97,7 @@ class OpDriver:
         # error class if blocked.
         self.outcomes: list[tuple[Op, bool, Any]] = []
         self.errors: dict[str, int] = {}  # blocked ops per error class
-        self.last_error: Exception | None = None  # what blocked the last blocked op
+        self.last_error: Exception | None = None  # what the last op raised, if anything
         # Per reconciliation fired here: every node's threat identities
         # just before it ran, and its report; and the handler it used.
         self.rounds: list[tuple[dict[Any, frozenset[Any]], Any]] = []
@@ -146,7 +145,7 @@ class OpDriver:
             self.cluster.scheduler.schedule_at(
                 start + op.at, self._run, scenario, op, label=op.label()
             )
-        install_faults(self.cluster.network, scenario.fault_events, start)
+        scenario.shifted_fault_schedule(start).install(self.cluster.network)
 
     def play(self, scenario: Scenario) -> None:
         """Run the whole timeline on the cluster's scheduler, whatever
@@ -192,7 +191,7 @@ class OpDriver:
     def _run(self, scenario: Scenario, op: Op) -> None:
         cluster, refs = self.cluster, self.refs
         handler = self._handler if op.answer == "accept" else None
-        result = None
+        result = self.last_error = None
         try:
             if op.kind == "invoke":
                 result = cluster.invoke(
@@ -205,7 +204,8 @@ class OpDriver:
                     negotiation_handler=handler,
                 )
             elif op.kind == "create":
-                cluster.create_entity(op.node, *op.args[:2], dict(op.args[2]))
+                class_name, oid, attributes = op.args
+                cluster.create_entity(op.node, class_name, oid, dict(attributes))
             elif op.kind == "delete":
                 cluster.delete_entity(op.node, refs[op.ref_index])
             else:
@@ -215,6 +215,9 @@ class OpDriver:
             self.errors[name] = self.errors.get(name, 0) + 1
             self.outcomes.append((op, False, name))
             self.last_error = exc
+        except Exception as exc:
+            self.last_error = exc
+            raise
         else:
             self.outcomes.append((op, True, result))
             for index, method, args in op.calls():

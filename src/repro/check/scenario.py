@@ -2,16 +2,20 @@
 
 A :class:`Scenario` is everything one model-checking run needs to rebuild
 the world from scratch — node ids, an application *domain*, entity-group
-count and parameters, a timestamped operation list, and a fault script
-(:func:`~repro.faults.schedule.install_faults`) — kept as serializable data
+count and parameters, a timestamped operation list, and a
+:class:`~repro.faults.schedule.FaultSchedule` — kept as serializable data
 so a violating schedule can be emitted as a self-contained JSON repro and
 greedily shrunk (drop an op, drop a fault, re-run).
 
-An :class:`Op` is an ``invoke``, a ``tx``, a ``create``, a ``delete`` or
-a ``reconcile``.  A run's refs are the domain's, then one per ``create``
-op in op order, served or not, so a ref index never depends on what
-fired.  An ``invoke`` or ``tx`` carries one negotiation answer, ``accept``
-(the default) or ``none``.  DedisysTest scripts parse into this format.
+An :class:`Op` is one of five kinds: ``invoke`` (a business method on a
+ref), ``tx`` (ordered invoke legs in one transaction), ``create`` (a new
+entity), ``delete`` (a ref's entity) and ``reconcile``.  A run's refs are
+the domain's, then one per ``create`` op in op order, served or not, so a
+ref index never depends on what fired.  An ``invoke`` or ``tx`` carries
+one negotiation answer: ``accept`` (an accept-all handler, the default)
+or ``none`` (no handler: the constraint's static/default chain decides).
+A DedisysTest script (:mod:`repro.evaluation.scripting`) parses into
+this format too.
 
 Domains are resolved through :mod:`repro.apps.registry`: the same
 scenario schema drives flight booking, ATS, DTMS, project management and
@@ -44,6 +48,7 @@ from typing import Any, Mapping, Sequence
 
 from ..apps.registry import Domain, get_domain
 from ..cluster import ClusterConfig, DedisysCluster
+from ..faults.schedule import FaultSchedule
 
 
 def _jsonify(value: Any) -> Any:
@@ -55,23 +60,22 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-#: The fields each op kind must set.
-_NEEDS = {
-    "invoke": ("node", "method"), "tx": ("node", "legs"), "create": ("node", "args"),
-    "delete": ("node",), "reconcile": (),
-}
-
-
 @dataclass(frozen=True)
 class Op:
-    """One scheduled workload operation, on ``node``: ``invoke`` calls
-    ``method`` with ``args`` on the entity at ``ref_index``; ``tx`` runs
-    its ``legs`` — ``(ref index, method, args)`` — in one transaction;
-    ``create`` makes the entity ``args = (class, oid, attributes)``, whose
-    ref the run's refs gain; ``delete`` removes the entity at
-    ``ref_index``; ``reconcile`` runs the reconciliation phase.  An
-    ``invoke`` or ``tx`` negotiates with an accept-all handler, or with
-    none when ``answer`` is ``"none"``."""
+    """One scheduled workload operation, of one of five kinds:
+
+    - ``invoke``: the business ``method`` with ``args`` on the entity at
+      ``ref_index``, called on ``node``;
+    - ``tx``: the ``legs`` — ``(ref index, method, args)`` — in order, in
+      one transaction on ``node``;
+    - ``create``: ``args`` are ``(class, oid, attributes)``, created with
+      ``node`` as home; the run's refs gain ``ObjectRef(class, oid)``;
+    - ``delete``: the entity at ``ref_index``, from ``node``;
+    - ``reconcile``: the cluster's reconciliation phase.
+
+    ``answer`` is an ``invoke`` or ``tx`` op's negotiation answer:
+    ``accept`` (the default) or ``none``.
+    """
 
     at: float
     kind: str
@@ -83,13 +87,18 @@ class Op:
     answer: str = "accept"
 
     def __post_init__(self) -> None:
-        if self.kind not in _NEEDS:
+        if self.kind not in ("invoke", "tx", "create", "delete", "reconcile"):
             raise ValueError(f"unknown op kind {self.kind!r}")
-        needs = _NEEDS[self.kind]
-        if not all(getattr(self, name) for name in needs) or self.answer not in ("accept", "none"):
-            raise ValueError(f"{self.kind} ops need {', '.join(needs)} and answer accept or none")
-        if self.kind == "create" and len(self.args) != 3:
-            raise ValueError("create ops need args (class, oid, attributes)")
+        if self.kind == "invoke" and not (self.node and self.method):
+            raise ValueError("invoke ops need a node and a method")
+        if self.kind == "tx" and not (self.node and self.legs):
+            raise ValueError("tx ops need a node and at least one leg")
+        if self.kind == "create" and not (self.node and len(self.args) == 3):
+            raise ValueError("create ops need a node and (class, oid, attributes)")
+        if self.kind == "delete" and not self.node:
+            raise ValueError("delete ops need a node")
+        if self.answer not in ("accept", "none"):
+            raise ValueError(f"unknown negotiation answer {self.answer!r}")
 
     def label(self) -> str:
         if self.kind == "reconcile":
@@ -133,7 +142,9 @@ class Op:
             ref_index=data.get("ref_index", 0),
             method=data.get("method", ""),
             args=tuple(data.get("args", ())),
-            legs=tuple((index, name, tuple(args)) for index, name, args in data.get("legs", ())),
+            legs=tuple(
+                (index, method, tuple(args)) for index, method, args in data.get("legs", ())
+            ),
             answer=data.get("answer", "accept"),
         )
 
@@ -212,14 +223,25 @@ class Scenario:
 
     def reconcile_handler(self, cluster: DedisysCluster) -> Any:
         """The domain's constraint reconciliation handler (may be None)."""
-        factory = self.domain and self.domain_spec.reconcile_handler
-        return factory(cluster) if factory else None
+        factory = self._handler_factory("reconcile_handler")
+        return factory(cluster) if factory is not None else None
 
     def replica_handler(self, refs: tuple[Any, ...]) -> Any:
         """The domain's replica-conflict handler for these params (None:
         latest-update-wins)."""
-        factory = self.domain and self.domain_spec.replica_handler
-        return factory(refs, self.params) if factory else None
+        factory = self._handler_factory("replica_handler")
+        return factory(refs, self.params) if factory is not None else None
+
+    def _handler_factory(self, name: str) -> Any:
+        # A world its caller built (``domain=""``) reconciles with none.
+        return getattr(self.domain_spec, name) if self.domain else None
+
+    def shifted_fault_schedule(self, start: float) -> FaultSchedule:
+        """The fault script with times anchored at ``start`` (scenario
+        times are relative to the end of cluster construction)."""
+        return FaultSchedule.from_events(
+            (start + at, action, args) for at, action, args in self.fault_events
+        )
 
     # ------------------------------------------------------------------
     # shrinking support
@@ -273,12 +295,6 @@ def _freeze_args(action: str, args: Sequence[Any]) -> tuple[Any, ...]:
     if action == "partition":
         return tuple(tuple(group) for group in args)
     return tuple(args)
-
-
-#: Spacing of a closed-loop scenario's ticks (the availability study, a
-#: DedisysTest script): no op costs this little, so every op and fault
-#: after the first op is overdue when its turn comes and fires at once.
-TICK = 1e-6
 
 
 def _sell(at: float, node: str, flight: int, count: int) -> Op:

@@ -534,7 +534,9 @@ class DedisysCluster:
     def diverged_replicas(self, refs: Iterable[ObjectRef]) -> list[str]:
         """``"<ref>: [<states>]"`` per entity whose copies disagree: a
         replicated entity must be missing nowhere, an unreplicated one has
-        the one copy, a deleted one none.  ``ReplicaConvergence`` asks this."""
+        the one copy, and only a ref the location service does not know
+        (deleted, or never created) may have no copy on any node.
+        ``ReplicaConvergence`` asks this."""
         diverged: list[str] = []
         for ref in refs:
             replicated = self.replication is not None and self.replication.is_replicated(ref)
@@ -543,7 +545,7 @@ class DedisysCluster:
                 for state in self.replica_states(ref).values()
                 if replicated or state is not None
             }
-            if len(states) > 1:
+            if len(states) > 1 or (states <= {None} and self.location.knows(ref)):
                 diverged.append(f"{ref}: {sorted(map(str, states))}")
         return diverged
 

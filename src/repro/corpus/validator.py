@@ -153,7 +153,11 @@ def _validate_ops(
         if op.node not in nodes:
             _issue(issues, "unknown-node", f"{where} runs on unknown node {op.node!r}")
         if op.kind == "create" and op.args[0] not in domain.layout:
-            _issue(issues, "unknown-class", f"{where} creates a {op.args[0]}, not in the layout")
+            _issue(
+                issues,
+                "unknown-class",
+                f"{where} creates a {op.args[0]}, not in the {scenario.domain} layout",
+            )
         targets = [op.ref_index] if op.kind == "delete" else [leg[0] for leg in op.calls()]
         bad = [index for index in targets if not 0 <= index < len(classes)]
         if bad:
@@ -161,8 +165,11 @@ def _validate_ops(
             continue
         for index, method, _args in op.calls():
             if method not in domain.methods.get(classes[index], ()):
-                grammar = f"{classes[index]}.{method} is not in the {scenario.domain} grammar"
-                _issue(issues, "unknown-op", f"{where}: {grammar}")
+                _issue(
+                    issues,
+                    "unknown-op",
+                    f"{where}: {classes[index]}.{method} is not in the {scenario.domain} grammar",
+                )
         for node, start, until in windows:
             if node == op.node and start <= op.at < until:
                 _issue(

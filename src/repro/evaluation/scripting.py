@@ -2,8 +2,9 @@
 
 The paper's measurements used a script-based test application "in order to
 ensure repeatability of the tests".  This module provides the analogue: a
-line-oriented script, parsed into a :class:`~repro.check.scenario.Scenario`
-that the checker's own :class:`~repro.check.runner.OpDriver` plays —
+small line-oriented script language, parsed into a
+:class:`~repro.check.scenario.Scenario` that the checker's own
+:class:`~repro.check.runner.OpDriver` plays —
 
     nodes a b c
     deploy Flight
@@ -19,17 +20,21 @@ that the checker's own :class:`~repro.check.runner.OpDriver` plays —
     reconcile
     assert-attr c Flight#f1 sold 85
 
-``nodes``, ``deploy`` and ``constraint`` build the world from the caller's
-class and constraint maps.  Every other line is an op (``create``,
-``delete``, ``invoke``, ``tx``, ``reconcile``; a plain ``invoke`` or ``tx``
-negotiates with no handler, its ``-accept`` form accepts every threat), a
-fault event (``partition``, ``crash``, ``recover``, ``heal``) or a check
-(``assert-*``) that runs right after the line before it.  Lines lie one
-:data:`~repro.check.scenario.TICK` apart, so they fire in line order, and
-the first op's charges put every later line in the past, where it fires at
-once: the clock moves by what the ops charge.  A failing line names its
-line number; ``expect-error <line>`` expects any exception and logs its
-message.
+``create``, ``delete``, ``invoke``, ``tx`` and ``reconcile`` lines become
+ops (a plain ``invoke`` or ``tx`` negotiates with no handler, its
+``-accept`` form accepts every threat); ``partition``, ``crash``,
+``recover`` and ``heal`` become fault events; every other line (``nodes``,
+``deploy``, ``constraint``, ``assert-*``) runs right after the line
+before it.  Lines lie :data:`GAP` apart on the timeline, so they fire in
+line order.  Once an op has charged its cost, every later line is overdue
+and fires at once, so the clock moves by what the ops charge.  Before the
+first charge, each entry (an op, a fault event, the check after a line)
+moves it by one :data:`GAP` instead: a script of faults and asserts alone
+ends a few simulated nanoseconds in.
+
+Scripts fail loudly with line numbers; every executed step is logged so a
+run can be replayed and diffed.  ``expect-error <line>`` expects any
+exception from the line and logs its message.
 """
 
 from __future__ import annotations
@@ -38,23 +43,17 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
 from typing import Any, Callable, Mapping
 
 from ..check.runner import OpDriver
-from ..check.scenario import TICK, Op, Scenario
+from ..check.scenario import Op, Scenario
 from ..cluster import ClusterConfig, DedisysCluster
 from ..core.metadata import ConstraintRegistration
 from ..objects import Entity, ObjectRef
 
-#: ``assert-<name> <args ...> <expected>``: what each check reads.
-_READS: dict[str, Callable[..., Any]] = {
-    "attr": lambda run, node, ref, name: run.cluster.entity_on(node, _parse_ref(ref))._get(name),
-    "result": lambda run: run._last_result(),
-    "threats": lambda run, node: run.cluster.threat_stores[node].count_identities(),
-    "degraded": lambda run: run.cluster.is_degraded(),
-    "exists": lambda run, node, ref: run.cluster.nodes[node].container.has(_parse_ref(ref)),
-}
+#: Simulated seconds between two timeline entries: below any charge (the
+#: smallest, a cached repository lookup, is 4e-7 s).
+GAP = 1e-9
 
 
 class ScriptError(ValueError):
@@ -81,26 +80,41 @@ class ScriptResult:
 
 
 def _parse_value(text: str) -> Any:
-    constants = {"true": True, "false": False, "none": None, "null": None}
-    if text.lower() in constants:
-        return constants[text.lower()]
-    for number in (int, float):
-        try:
-            return number(text)
-        except ValueError:
-            pass
-    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    lowered = text.lower()
+    if lowered == "true":
+        return True
+    if lowered == "false":
+        return False
+    if lowered in ("none", "null"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+        return text[1:-1]
+    return text
 
 
 def _parse_ref(text: str) -> ObjectRef:
     if "#" not in text:
         raise ValueError(f"expected Class#oid reference, got {text!r}")
-    return ObjectRef(*text.split("#", 1))
+    class_name, oid = text.split("#", 1)
+    return ObjectRef(class_name, oid)
 
 
-def _split(tokens: tuple[str, ...], separator: str) -> list[list[str]]:
-    runs = groupby(tokens, lambda token: token == separator)
-    return [list(run) for is_separator, run in runs if not is_separator]
+def _split(tokens: list[str], separator: str) -> list[list[str]]:
+    parts: list[list[str]] = [[]]
+    for token in tokens:
+        if token == separator:
+            parts.append([])
+        else:
+            parts[-1].append(token)
+    return parts
 
 
 def _raise(error: Exception) -> None:
@@ -108,7 +122,8 @@ def _raise(error: Exception) -> None:
 
 
 class ScriptRunner:
-    """Parses DedisysTest scripts and plays them against a fresh cluster."""
+    """Parses DedisysTest scripts into a :class:`Scenario` and plays it
+    against a fresh cluster."""
 
     def __init__(
         self,
@@ -119,75 +134,77 @@ class ScriptRunner:
         self.constraints = dict(constraints or {})
         self.cluster: DedisysCluster | None = None
 
+    # ------------------------------------------------------------------
     def run(self, script: str) -> ScriptResult:
         self._result = result = ScriptResult()
         self._ops: list[Op] = []
         self._faults: list[tuple[float, str, tuple[Any, ...]]] = []
         self._checks: list[tuple[float, Callable[[], None]]] = []
         self._refs: dict[ObjectRef, int] = {}  # created ref -> its ref index
-        self._escaped: Exception | None = None
         for line_number, raw in enumerate(script.splitlines(), start=1):
             # Comments start at line begin or after whitespace, so object
             # references like Flight#f1 survive.
             line = re.sub(r"(^|\s)#.*$", "", raw).strip()
             if not line:
                 continue
-            expect = line.startswith("expect-error ")
-            line = line.removeprefix("expect-error ").strip()
-            judged = (line_number, raw, line, expect)
-            try:  # shlex keeps a quoted value with spaces as one token
-                entry = self._parse(*shlex.split(line))
-            except Exception as error:  # reported when the line's turn comes
-                entry = partial(_raise, error)
-            if isinstance(entry, Op):
-                self._ops.append(entry)
-                entry = partial(self._judge, *judged, self._op_error)
-            elif isinstance(entry, tuple):
-                self._faults.append((self._next_at(), *entry))
-                entry = partial(self._judge, *judged, lambda: None)
+            if line.startswith("expect-error "):
+                line = line[len("expect-error "):].strip()
+                expect_error = True
             else:
-                entry = partial(self._judge, *judged, partial(self._run_line, entry))
-            if self._ops or self._faults:
-                self._checks.append((self._next_at(), entry))
-            else:  # nothing on the timeline yet: the line runs now
-                entry()
+                expect_error = False
+            self._add(partial(self._judge, line_number, raw, line, expect_error), line)
         if self.cluster is not None:
             self._play()
-            served = [op.kind for op, ok, _value in self._driver.outcomes if ok]
-            result.invocations = sum(kind in ("invoke", "tx") for kind in served)
-            result.reconciliations = served.count("reconcile")
-            result.last_result = self._last_result()
             result.simulated_seconds = self.cluster.clock.now
         return result
 
+    def _add(self, judge: Callable[[Callable[[], Exception | None]], None], line: str) -> None:
+        """Put the line's op or fault event on the timeline, and its
+        verdict right after it; a line that is neither runs at its turn."""
+        try:
+            entry = self._parse(line)
+        except Exception as error:  # reported when the line's turn comes
+            entry = partial(_raise, error)
+        if isinstance(entry, Op):
+            self._ops.append(entry)
+            check = partial(judge, self._verdict_on_op)
+        elif isinstance(entry, tuple):
+            self._faults.append((self._next_at(), *entry))
+            check = partial(judge, lambda: None)
+        else:
+            check = partial(judge, partial(self._run_line, entry))
+        if self._ops or self._faults:
+            self._checks.append((self._next_at(), check))
+        else:  # nothing on the timeline yet: the line runs now
+            check()
+
+    def _next_at(self) -> float:
+        """The next timeline entry's time, relative to the play's start."""
+        return (len(self._ops) + len(self._faults) + len(self._checks)) * GAP
+
     def _play(self) -> None:
         """One :meth:`OpDriver.play` runs the timeline.  An op error that
-        does not count as blocking stops the drain; it is kept for the
-        op's check, and the drain goes on."""
+        does not count as blocking stops the drain; the op's check reads
+        it from the driver, and the drain goes on."""
         cluster = self.cluster
         for at, check in self._checks:
             cluster.scheduler.schedule_at(cluster.clock.now + at, check, label="script:check")
         scenario = Scenario(
-            name="script", domain="", node_ids=cluster.config.node_ids, entities=0,
-            ops=tuple(self._ops), fault_events=tuple(self._faults),
+            name="script",
+            domain="",
+            node_ids=cluster.config.node_ids,
+            entities=0,
+            ops=tuple(self._ops),
+            fault_events=tuple(self._faults),
         )
         drive: Callable[[], Any] = partial(self._driver.play, scenario)
         while True:
             try:
                 return drive()
-            except (AssertionError, ScriptError):
-                raise
             except Exception as error:
-                self._escaped = error
+                if error is not self._driver.last_error:
+                    raise
                 drive = cluster.scheduler.drain
-
-    def _next_at(self) -> float:
-        """The next timeline entry's time, relative to the play's start."""
-        return (len(self._ops) + len(self._faults) + len(self._checks)) * TICK
-
-    def _last_result(self) -> Any:
-        served = [v for op, ok, v in self._driver.outcomes if ok and op.kind in ("invoke", "tx")]
-        return served[-1] if served else None
 
     # -- verdicts: each returns the line's error, or None -----------------
     @staticmethod
@@ -200,101 +217,64 @@ class ScriptRunner:
             return error
         return None
 
-    def _op_error(self) -> Exception | None:
-        """The error of the op that fired just before, if any."""
-        error, self._escaped = self._escaped, None
-        # An op that did not escape recorded an outcome.
-        if error is None and not self._driver.outcomes[-1][1]:
-            error = self._driver.last_error
-        return error
+    def _verdict_on_op(self) -> Exception | None:
+        """The error of the op that fired just before; when it had none,
+        its result counts."""
+        driver, result = self._driver, self._result
+        if driver.last_error is not None:
+            return driver.last_error
+        op, _served, value = driver.outcomes[-1]
+        if op.kind in ("invoke", "tx"):
+            result.last_result = value
+            result.invocations += 1
+        elif op.kind == "reconcile":
+            result.reconciliations += 1
+        return None
 
     def _judge(
-        self, line_number: int, raw: str, line: str, expect: bool,
+        self,
+        line_number: int,
+        raw: str,
+        line: str,
+        expect_error: bool,
         verdict: Callable[[], Exception | None],
     ) -> None:
-        error, result = verdict(), self._result
-        if error is None and expect:
-            raise ScriptError(line_number, raw, "expected an error but the command succeeded")
-        if error is not None and not expect:
-            raise ScriptError(line_number, raw, str(error)) from error
+        result, error = self._result, verdict()
         if error is not None:
+            if not expect_error:
+                raise ScriptError(line_number, raw, str(error)) from error
             result.expected_errors += 1
             result.steps.append(f"{line} -> error as expected: {error}")
-        elif line.startswith("assert"):
-            result.assertions += 1
-        else:
+            return
+        if expect_error:
+            raise ScriptError(line_number, raw, "expected an error but the command succeeded")
+        if not line.startswith("assert"):
             result.steps.append(line)
 
-    # -- parsing -------------------------------------------------------
-    def _parse(self, command: str, *args: str) -> Any:
-        """An :class:`Op`, an ``(action, args)`` fault, or a callable."""
-        if command == "nodes":
-            if not args or self.cluster is not None:
-                raise ValueError("'nodes' takes node ids and may appear only once")
-            return partial(self._build, args)
+    # ------------------------------------------------------------------
+    def _parse(self, line: str) -> Any:
+        """The line's :class:`Op`, its ``(action, args)`` fault event, or
+        the callable that runs it."""
+        # shlex keeps quoted values (with spaces) as single tokens and
+        # strips the quotes.
+        command, *rest = shlex.split(line)
+        name = command.replace("-", "_")
+        handler = getattr(self, f"_op_{name}", None) or getattr(self, f"_fault_{name}", None)
+        if handler is not None:
+            return handler(rest)
+        handler = getattr(self, f"_cmd_{name}", None)
+        if handler is None:
+            raise ValueError(f"unknown command {command!r}")
+        return partial(handler, rest, self._result)
+
+    def _require_cluster(self) -> DedisysCluster:
         if self.cluster is None:
             raise ValueError("no cluster yet — start the script with 'nodes ...'")
-        op = partial(Op, self._next_at(), command.removesuffix("-accept"))
-        answer = "accept" if command.endswith("-accept") else "none"
-        if command == "deploy":
-            (name,) = args
-            if name not in self.entity_classes:
-                raise ValueError(f"unknown entity class {name!r}")
-            return partial(self.cluster.deploy, self.entity_classes[name])
-        if command == "constraint":
-            (name,) = args
-            if name not in self.constraints:
-                raise ValueError(f"unknown constraint {name!r}")
-            return lambda: self.cluster.register_constraint(self.constraints[name]())
-        if command.startswith("assert-") and command[7:] in _READS:
-            *inputs, expected = args
-            return partial(self._check, command, inputs, _parse_value(expected))
-        if command == "create":
-            if len(args) < 3 or not all("=" in assignment for assignment in args[3:]):
-                raise ValueError("usage: create <node> <Class> <oid> [field=value ...]")
-            node, class_name, oid, *assignments = args
-            attributes = {key: _parse_value(value) for key, value in
-                          (assignment.split("=", 1) for assignment in assignments)}
-            self._refs[ObjectRef(class_name, oid)] = sum(op.kind == "create" for op in self._ops)
-            return op(node=node, args=(class_name, oid, attributes))
-        if command == "delete":
-            node, ref = args
-            return op(node=node, ref_index=self._ref_index(ref))
-        if command in ("invoke", "invoke-accept"):
-            index, method, values = self._leg(args[1:])
-            return op(node=args[0], ref_index=index, method=method, args=values, answer=answer)
-        if command in ("tx", "tx-accept"):
-            legs = tuple(map(self._leg, _split(args[1:], ";")))
-            return op(node=args[0], legs=legs, answer=answer)
-        if command == "reconcile":
-            return op()
-        if command == "partition":
-            groups = [tuple(map(self._node, group)) for group in _split(args, "|")]
-            named = [node for group in groups for node in group]
-            if not groups or len(set(named)) < len(named):
-                raise ValueError("usage: partition a b | c d, each node in one group at most")
-            return "partition", tuple(groups)
-        if command in ("crash", "recover"):
-            (node,) = args
-            return f"{command}_node", (self._node(node),)
-        if command == "heal":
-            return "heal_all", ()
-        raise ValueError(f"unknown command {command!r}")
+        return self.cluster
 
-    def _build(self, node_ids: tuple[str, ...]) -> None:
-        self.cluster = DedisysCluster(ClusterConfig(node_ids=node_ids))
-        self._driver = OpDriver(self.cluster, ())
-
-    def _check(self, command: str, inputs: list[str], expected: Any) -> None:
-        actual = _READS[command[7:]](self, *inputs)
-        what = " ".join((command, *inputs))
-        assert actual == expected, f"{what}: expected {expected!r}, got {actual!r}"
-
-    def _leg(self, tokens: list[str] | tuple[str, ...]) -> tuple[int, str, tuple[Any, ...]]:
-        """``<Class#oid> <method> [args ...]`` as ``(ref index, method, args)``."""
-        if len(tokens) < 2:
-            raise ValueError("usage: invoke|tx <node> <Class#oid> <method> [args ...] [; ...]")
-        return self._ref_index(tokens[0]), tokens[1], tuple(map(_parse_value, tokens[2:]))
+    def _op(self, kind: str, **fields: Any) -> Op:
+        self._require_cluster()
+        return Op(self._next_at(), kind, **fields)
 
     def _ref_index(self, text: str) -> int:
         ref = _parse_ref(text)
@@ -302,7 +282,165 @@ class ScriptRunner:
             raise ValueError(f"no create line before this one makes {text}")
         return self._refs[ref]
 
-    def _node(self, node: str) -> str:
-        if node not in self.cluster.nodes:
-            raise KeyError(f"unknown node {node!r}")  # as the topology says
-        return node
+    # -- setup -----------------------------------------------------------
+    def _cmd_nodes(self, args: list[str], result: ScriptResult) -> None:
+        if not args:
+            raise ValueError("'nodes' needs at least one node id")
+        if self.cluster is not None:
+            raise ValueError("'nodes' may appear only once")
+        self.cluster = DedisysCluster(ClusterConfig(node_ids=tuple(args)))
+        self._driver = OpDriver(self.cluster, ())
+
+    def _cmd_deploy(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        (class_name,) = args
+        if class_name not in self.entity_classes:
+            raise ValueError(f"unknown entity class {class_name!r}")
+        cluster.deploy(self.entity_classes[class_name])
+
+    def _cmd_constraint(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        (name,) = args
+        if name not in self.constraints:
+            raise ValueError(f"unknown constraint {name!r}")
+        cluster.register_constraint(self.constraints[name]())
+
+    # -- entity lifecycle -------------------------------------------------
+    def _op_create(self, args: list[str]) -> Op:
+        if len(args) < 3:
+            raise ValueError("usage: create <node> <Class> <oid> [field=value ...]")
+        node, class_name, oid, *assignments = args
+        attributes = {}
+        for assignment in assignments:
+            if "=" not in assignment:
+                raise ValueError(f"expected field=value, got {assignment!r}")
+            key, value = assignment.split("=", 1)
+            attributes[key] = _parse_value(value)
+        create = self._op("create", node=node, args=(class_name, oid, attributes))
+        # The run's refs gain one per create op, in op order.
+        self._refs[ObjectRef(class_name, oid)] = sum(op.kind == "create" for op in self._ops)
+        return create
+
+    def _op_delete(self, args: list[str]) -> Op:
+        node, ref_text = args
+        return self._op("delete", node=node, ref_index=self._ref_index(ref_text))
+
+    # -- invocations -------------------------------------------------------
+    def _invoke(self, args: list[str], answer: str) -> Op:
+        if len(args) < 3:
+            raise ValueError("usage: invoke <node> <Class#oid> <method> [args ...]")
+        node, ref_text, method, *arguments = args
+        values = tuple(_parse_value(argument) for argument in arguments)
+        return self._op(
+            "invoke", node=node, ref_index=self._ref_index(ref_text), method=method,
+            args=values, answer=answer,
+        )
+
+    def _op_invoke(self, args: list[str]) -> Op:
+        return self._invoke(args, "none")
+
+    def _op_invoke_accept(self, args: list[str]) -> Op:
+        """Invocation with an accept-all negotiation handler."""
+        return self._invoke(args, "accept")
+
+    def _tx(self, args: list[str], answer: str) -> Op:
+        """``<node> <Class#oid> <method> [args ...] ; <Class#oid> ...``:
+        the legs run in order in one transaction."""
+        legs = []
+        for leg in _split(args[1:], ";"):
+            if len(leg) < 2:
+                raise ValueError("usage: tx <node> <Class#oid> <method> [args ...] [; ...]")
+            ref_text, method, *arguments = leg
+            values = tuple(_parse_value(argument) for argument in arguments)
+            legs.append((self._ref_index(ref_text), method, values))
+        return self._op("tx", node=args[0], legs=tuple(legs), answer=answer)
+
+    def _op_tx(self, args: list[str]) -> Op:
+        return self._tx(args, "none")
+
+    def _op_tx_accept(self, args: list[str]) -> Op:
+        """A transaction with an accept-all negotiation handler."""
+        return self._tx(args, "accept")
+
+    def _op_reconcile(self, args: list[str]) -> Op:
+        return self._op("reconcile")
+
+    # -- failure control ----------------------------------------------------
+    # A fault event fires on the timeline, so a bad node is refused here,
+    # where the line is known, with the topology's own messages.
+    def _fault_partition(self, args: list[str]) -> tuple[str, tuple[Any, ...]]:
+        cluster = self._require_cluster()
+        groups = [group for group in _split(args, "|") if group]
+        if not groups:
+            raise ValueError("usage: partition a b | c d")
+        named = [node for group in groups for node in group]
+        for node in named:
+            if node not in cluster.nodes:
+                raise KeyError(f"unknown node {node!r}")
+            if named.count(node) > 1:
+                raise ValueError(f"node {node} listed in two groups")
+        return "partition", tuple(tuple(group) for group in groups)
+
+    def _fault_crash(self, args: list[str]) -> tuple[str, tuple[Any, ...]]:
+        (node,) = args
+        if node not in self._require_cluster().nodes:
+            raise KeyError(f"unknown node {node!r}")
+        return "crash_node", (node,)
+
+    def _fault_recover(self, args: list[str]) -> tuple[str, tuple[Any, ...]]:
+        (node,) = args
+        self._require_cluster()
+        return "recover_node", (node,)
+
+    def _fault_heal(self, args: list[str]) -> tuple[str, tuple[Any, ...]]:
+        self._require_cluster()
+        return "heal_all", ()
+
+    # -- assertions ----------------------------------------------------------
+    def _cmd_assert_attr(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        node, ref_text, attribute, expected_text = args
+        entity = cluster.entity_on(node, _parse_ref(ref_text))
+        actual = entity._get(attribute)
+        expected = _parse_value(expected_text)
+        assert actual == expected, (
+            f"{ref_text}.{attribute} on {node}: expected {expected!r}, got {actual!r}"
+        )
+        result.assertions += 1
+
+    def _cmd_assert_result(self, args: list[str], result: ScriptResult) -> None:
+        (expected_text,) = args
+        expected = _parse_value(expected_text)
+        assert result.last_result == expected, (
+            f"last result: expected {expected!r}, got {result.last_result!r}"
+        )
+        result.assertions += 1
+
+    def _cmd_assert_threats(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        node, expected_text = args
+        actual = cluster.threat_stores[node].count_identities()
+        expected = int(expected_text)
+        assert actual == expected, (
+            f"threats on {node}: expected {expected}, got {actual}"
+        )
+        result.assertions += 1
+
+    def _cmd_assert_degraded(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        (expected_text,) = args
+        expected = _parse_value(expected_text)
+        assert cluster.is_degraded() == expected, (
+            f"degraded: expected {expected}, got {cluster.is_degraded()}"
+        )
+        result.assertions += 1
+
+    def _cmd_assert_exists(self, args: list[str], result: ScriptResult) -> None:
+        cluster = self._require_cluster()
+        node, ref_text, expected_text = args
+        actual = cluster.nodes[node].container.has(_parse_ref(ref_text))
+        expected = _parse_value(expected_text)
+        assert actual == expected, (
+            f"{ref_text} on {node}: expected exists={expected}, got {actual}"
+        )
+        result.assertions += 1

@@ -2,8 +2,8 @@
 
 Per-link fault models (:class:`GilbertElliottLoss` burst loss,
 :class:`ExtraDelay`, :class:`Duplicate`, :class:`DropKinds`) plugged into
-the network via a :class:`FaultInjector`; timestamped fault scripts
-replayed on the simulation scheduler (:func:`install_faults`); and
+the network via a :class:`FaultInjector`; timestamped
+:class:`FaultSchedule` scripts replayed on the simulation scheduler; and
 :func:`replay_scenario`, which runs any scenario — a seeded chaos script
 included — and checks the system invariants afterwards.  A fault reaches
 the caller as an ``UnreachableError``: the middleware degrades (P4
@@ -20,5 +20,5 @@ __getattr__, __dir__, __all__ = reexport(globals(), {
         "PASS", "CompositeFault", "DropKinds", "Duplicate", "ExtraDelay",
         "FaultDecision", "GilbertElliottLoss", "LinkFaultModel",
     ),
-    "schedule": ("ACTIONS", "FaultEvent", "install_faults"),
+    "schedule": ("ACTIONS", "FaultEvent", "FaultSchedule"),
 })

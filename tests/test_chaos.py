@@ -19,7 +19,7 @@ from repro.corpus import (
     preset_config,
     validate_scenario,
 )
-from repro.faults import FaultEvent, ReplayReport, replay_scenario
+from repro.faults import ReplayReport, replay_scenario
 
 SEEDS = [0, 1, 2, 7, 13]
 CHAOS = PRESETS["chaos"]
@@ -199,13 +199,13 @@ class TestDeterminism:
 
 
 class TestFaultScript:
-    def test_script_is_valid_fault_events(self):
+    def test_script_round_trips_through_schedule(self):
         scenario = chaos(5)
-        events = [FaultEvent(at, action, args) for at, action, args in scenario.fault_events]
-        assert [(event.at, event.action, event.args) for event in events] == list(
-            scenario.fault_events
-        )
-        assert len(events) == CHAOS["faults"] + 1
+        schedule = scenario.shifted_fault_schedule(0.0)
+        assert tuple(
+            (event.at, event.action, event.args) for event in schedule.events
+        ) == scenario.fault_events
+        assert len(schedule) == CHAOS["faults"] + 1
 
     def test_script_is_time_ordered_and_in_window(self):
         scenario = chaos(5)

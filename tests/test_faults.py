@@ -24,9 +24,9 @@ from repro.faults import (
     FaultDecision,
     FaultEvent,
     FaultInjector,
+    FaultSchedule,
     GilbertElliottLoss,
     LinkFaultModel,
-    install_faults,
 )
 from repro.core import AcceptAllHandler
 from repro.net import GroupChannel, SimNetwork, UnreachableError
@@ -261,8 +261,10 @@ class ScheduleInstallContract:
     each substrate."""
 
     def test_install_fires_at_scripted_times(self, network):
-        script = [(1.0, "fail_link", ("a", "b")), (2.0, "heal_link", ("a", "b"))]
-        install_faults(network, script, 0.0)
+        schedule = (
+            FaultSchedule().fail_link(1.0, "a", "b").heal_link(2.0, "a", "b")
+        )
+        schedule.install(network)
         network.scheduler.run_until(1.5)
         assert not network.link_up("a", "b")
         network.scheduler.run_until(2.5)
@@ -271,17 +273,17 @@ class ScheduleInstallContract:
     def test_install_rejects_past_events(self, network):
         network.scheduler.run_until(5.0)
         with pytest.raises(ValueError, match="past"):
-            install_faults(network, [(1.0, "fail_link", ("a", "b"))], 0.0)
+            FaultSchedule().fail_link(1.0, "a", "b").install(network)
 
-    def test_install_shifts_the_script_to_its_start(self, network):
-        install_faults(network, [(1.0, "crash_node", ("c",))], 2.0)
-        network.scheduler.run_until(2.5)
+    def test_cancel_prevents_pending_events(self, network):
+        schedule = FaultSchedule().crash_node(1.0, "c")
+        schedule.install(network)
+        assert schedule.cancel() == 1
+        network.scheduler.run_until(2.0)
         assert not network.is_crashed("c")
-        network.scheduler.run_until(3.0)
-        assert network.is_crashed("c")
 
     def test_partition_event_applies_groups(self, network):
-        install_faults(network, [(1.0, "partition", (("a",), ("b", "c")))], 0.0)
+        FaultSchedule().partition(1.0, ("a",), ("b", "c")).install(network)
         network.scheduler.run_until(1.0)
         assert network.partition_of("a") == frozenset({"a"})
         assert network.partition_of("b") == frozenset({"b", "c"})
@@ -292,16 +294,19 @@ class TestFaultSchedule(ScheduleInstallContract):
     def network(self):
         return make_network()
 
-    def test_events_fire_in_time_order(self):
-        network = make_network()
-        script = [(5.0, "heal_all", ()), (1.0, "fail_link", ("a", "b")), (2.0, "crash_node", ("c",))]
-        install_faults(network, script, 0.0)
-        network.scheduler.run_until(1.5)
-        assert not network.link_up("a", "b") and not network.is_crashed("c")
-        network.scheduler.run_until(2.5)
-        assert network.is_crashed("c")
-        network.scheduler.run_until(5.0)
-        assert network.is_healthy()
+    def test_builders_keep_events_sorted(self):
+        schedule = (
+            FaultSchedule()
+            .heal_all(5.0)
+            .fail_link(1.0, "a", "b")
+            .crash_node(2.0, "c")
+        )
+        assert [event.action for event in schedule] == [
+            "fail_link",
+            "crash_node",
+            "heal_all",
+        ]
+        assert len(schedule) == 3
 
     def test_event_validation(self):
         with pytest.raises(ValueError):

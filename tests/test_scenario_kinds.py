@@ -203,9 +203,44 @@ class TestValidator:
         assert self.codes(Op(0.1, "tx", node="a", legs=legs)) == set()
         assert self.codes(Op(0.1, "tx", node="z", legs=legs)) == {"unknown-node"}
         assert self.codes(Op(0.1, "tx", node="a", legs=legs + ((0, "fly", ()),))) == {"unknown-op"}
-        past = legs + ((4, "get_sold", ()),)
-        assert self.codes(Op(0.1, "tx", node="a", legs=past)) == {"bad-ref"}
+        assert self.codes(Op(0.1, "tx", node="a", legs=legs + ((4, "get_sold", ()),))) == {"bad-ref"}
         crashed = ((0.0, "crash_node", ("a",)),)
         assert self.codes(Op(0.1, "tx", node="a", legs=legs), fault_events=crashed) == {
             "op-on-crashed-node"
         }
+
+
+class TestNoCopyAnywhere:
+    """``ReplicaConvergence`` lets a ref have no copy on any node only when
+    the location service no longer knows it: deleted, or never created."""
+
+    @staticmethod
+    def converged(cluster, refs):
+        from repro.check.invariants import ReplicaConvergence, RunProbe
+
+        report = cluster.reconcile()
+        probe = RunProbe(cluster, tuple(refs), just_reconciled=report)
+        return ReplicaConvergence().check(probe)
+
+    @pytest.mark.parametrize("replication", [True, False])
+    def test_a_deleted_or_never_created_entity_has_none(self, replication):
+        from repro.evaluation import build_cluster
+
+        cluster = build_cluster(nodes=3, replication=replication)
+        ref = cluster.create_entity("n1", "TestBean", "b0")
+        cluster.delete_entity("n2", ref)
+        assert set(cluster.replica_states(ref).values()) == {None}
+        assert self.converged(cluster, [ref, ObjectRef("TestBean", "never")]) is None
+
+    @pytest.mark.parametrize("replication", [True, False])
+    def test_an_entity_gone_from_every_node_without_a_delete_diverges(self, replication):
+        from repro.evaluation import build_cluster
+
+        cluster = build_cluster(nodes=3, replication=replication)
+        ref = cluster.create_entity("n1", "TestBean", "b0")
+        for node in cluster.nodes.values():
+            if node.container.has(ref):
+                node.container.remove(ref)
+        detail = self.converged(cluster, [ref])
+        assert detail is not None and detail.startswith("replicas diverge post-reconciliation: ")
+        assert str(ref) in detail

@@ -309,3 +309,16 @@ class TestScriptTimeline:
             "invoke b Flight#f1 sell_tickets 1",
         ]
         assert len(runner.cluster.scheduler) == 0
+
+    def test_the_clock_moves_one_gap_per_entry_only_before_the_first_charge(self):
+        from repro.evaluation.scripting import GAP
+
+        checks = "partition a | b\nassert-degraded true\nheal\nassert-degraded false\n"
+        # Two fault events and four checks, at 0 to 5 GAP; nothing charges.
+        result = make_runner().run("nodes a b\ndeploy Flight\n" + checks)
+        assert result.simulated_seconds == 5 * GAP
+        # After a create has charged, the same lines fire at once.
+        create = "nodes a b\ndeploy Flight\ncreate a Flight f1 seats=3\n"
+        alone = make_runner().run(create).simulated_seconds
+        assert alone > 0
+        assert make_runner().run(create + checks).simulated_seconds == alone
